@@ -110,11 +110,13 @@ fn bench_frame_batch(c: &mut Criterion) {
 }
 
 /// Head-to-head throughput: d=7 code-capacity memory, per-shot tableau
-/// loop vs. the bit-parallel frame batch. The wide-word engine with the
-/// incremental decoder measures ~800x on the reference container; the
-/// floor is set at a conservative 200x (the pre-wide-word engine floored
-/// at 20x) so CI noise never trips it while any real fast-path
-/// regression still does.
+/// loop vs. the bit-parallel frame batch. The tableau is the
+/// denominator: with the row-major tableau the wide-word engine measured
+/// ~800x and the floor was 200x; the qubit-major tableau runs the
+/// per-shot loop about six times faster, so the same frame engine now
+/// reads 105-175x on the reference container. The floor keeps its
+/// distance from the reading (a third to a quarter of it) so CI noise
+/// never trips it while any real fast-path regression still does.
 fn frame_throughput_comparison(_c: &mut Criterion) {
     use std::time::Instant;
     let exp = MemoryExperiment::new(7, 7, MemoryBasis::Z);
@@ -142,8 +144,8 @@ fn frame_throughput_comparison(_c: &mut Criterion) {
         batch.logical_error_rate()
     );
     assert!(
-        speedup >= 200.0,
-        "frame fast path must be at least 200x the per-shot tableau loop at d=7, got {speedup:.1}x"
+        speedup >= 40.0,
+        "frame fast path must be at least 40x the per-shot tableau loop at d=7, got {speedup:.1}x"
     );
 }
 

@@ -72,6 +72,15 @@ pub struct Mce {
     /// Probability that a syndrome measurement is reported flipped
     /// (readout-chain error, independent of the quantum state).
     measurement_flip: f64,
+    /// The wiring between the execution unit's measurement outputs and
+    /// the decoder pipelines ([`program_gen::measured_ancillas`]), X
+    /// checks then Z checks.
+    syndrome_ancillas: [Vec<usize>; 2],
+    /// Per-slot reading of the measurement word being routed; `None`
+    /// outside [`Mce::route_syndrome`].
+    slot_readings: Vec<Option<bool>>,
+    /// One kind's syndrome bits on their way to its decoder pipeline.
+    syndrome_bits: Vec<bool>,
 }
 
 impl Mce {
@@ -101,6 +110,10 @@ impl Mce {
             logical_frame_z: false,
             magic_states_consumed: 0,
             measurement_flip: 0.0,
+            syndrome_ancillas: [StabKind::X, StabKind::Z]
+                .map(|kind| program_gen::measured_ancillas(lattice, kind)),
+            slot_readings: vec![None; lattice.num_qubits()],
+            syndrome_bits: Vec::with_capacity(lattice.num_ancillas()),
         }
     }
 
@@ -251,23 +264,30 @@ impl Mce {
     }
 
     fn route_syndrome(&mut self, measurements: &[(usize, bool)]) {
-        for kind in [StabKind::X, StabKind::Z] {
-            let ancillas = program_gen::measured_ancillas(&self.lattice, kind);
+        for &(slot, value) in measurements {
+            self.slot_readings[slot] = Some(value);
+        }
+        for (kind, ancillas) in [StabKind::X, StabKind::Z]
+            .into_iter()
+            .zip(&self.syndrome_ancillas)
+        {
             // Only route when the full set of this type's ancillas was
             // measured this slot and none of them is masked (masked
             // regions produce no valid syndrome).
-            let bits: Option<Vec<bool>> = ancillas
-                .iter()
-                .map(|&a| measurements.iter().find(|(q, _)| *q == a).map(|(_, v)| *v))
-                .collect();
-            if let Some(bits) = bits {
-                if ancillas.iter().all(|&a| !self.mask.is_masked(a)) {
-                    match kind {
-                        StabKind::X => self.decode_x.feed_round(&bits),
-                        StabKind::Z => self.decode_z.feed_round(&bits),
-                    }
+            self.syndrome_bits.clear();
+            self.syndrome_bits
+                .extend(ancillas.iter().map_while(|&a| self.slot_readings[a]));
+            if self.syndrome_bits.len() == ancillas.len()
+                && ancillas.iter().all(|&a| !self.mask.is_masked(a))
+            {
+                match kind {
+                    StabKind::X => self.decode_x.feed_round(&self.syndrome_bits),
+                    StabKind::Z => self.decode_z.feed_round(&self.syndrome_bits),
                 }
             }
+        }
+        for &(slot, _) in measurements {
+            self.slot_readings[slot] = None;
         }
     }
 

@@ -4,9 +4,12 @@
 //! only its tiles. That is physically exact as long as entanglement never
 //! crosses a shard boundary — tiles start in product states and the spec
 //! validator rejects cross-shard CNOTs — and it is also where the
-//! runtime's speedup comes from: stabilizer simulation cost grows
-//! quadratically with tableau width, so four shards do sixteen times less
-//! tableau work than one.
+//! runtime's speedup comes from beyond the thread count: over a tableau
+//! of `n` qubits a gate costs O(n/64) word operations and a measurement
+//! an O(n·n/64) column scan, and a tile-cycle is a fixed number of each,
+//! so a shard's work per tile-cycle grows with the width of its tableau.
+//! Two shards of 196 qubits run 8 tiles at d = 5 2.6 times as fast as
+//! one of 392 on two cores (`k.runtime.shard2_speedup` in `benchmark/`).
 //!
 //! Every tile draws from its own RNG stream
 //! ([`tile_seed`](quest_core::tile::tile_seed)), in the same fixed order

@@ -1,11 +1,40 @@
-//! Aaronson–Gottesman stabilizer tableau simulator.
+//! Aaronson–Gottesman stabilizer tableau simulator, stored qubit-major.
 //!
-//! The tableau tracks `2n` Pauli rows (n destabilizers followed by n
-//! stabilizers) plus one scratch row, each stored as bit-packed X and Z
-//! vectors with a sign bit. Clifford gates update rows in O(n) time;
-//! measurement is O(n²) worst case. This is the standard CHP construction
-//! from Aaronson & Gottesman, *Improved simulation of stabilizer circuits*
-//! (2004).
+//! The tableau tracks `2n` Pauli generators — `n` destabilizers and `n`
+//! stabilizers, the standard CHP construction of Aaronson & Gottesman,
+//! *Improved simulation of stabilizer circuits* (2004) — but stores them
+//! transposed: one *column* per qubit, holding that qubit's X bits (and,
+//! in a second matrix, Z bits) of every generator. A column is
+//! `2·⌈n/64⌉` words: the destabilizers' bits in the first half, the
+//! stabilizers' in the second, generator `i` at bit `i % 64` of word
+//! `i / 64` of its half. The signs are one more such column. Bits past
+//! generator `n − 1` in either half are always zero.
+//!
+//! A Clifford gate touches one or two qubits and *every* generator, so
+//! in this layout it is a handful of word operations per column word —
+//! O(n/64) — instead of a bit access per generator: CNOT is
+//! `r ^= xc & zt & !(xt ^ zc); xt ^= xc; zc ^= zt` over the columns of
+//! its control and target.
+//!
+//! Measurement of qubit `q` looks for a stabilizer with an X bit at `q`.
+//!
+//! * If one exists (random outcome) it is multiplied into every other
+//!   generator with an X bit at `q`, all of them at once: the generators
+//!   to update are a row mask (column `q` of the X matrix), and for each
+//!   qubit column the pivot's Pauli there is broadcast against the whole
+//!   column. The phase exponent of each product, a sum of ±1 over the
+//!   columns taken mod 4, is carried in two bit-planes (`lo`, `hi`) with
+//!   one bit per generator; `hi` is the new sign. Row mask and planes
+//!   live in a scratch buffer allocated with the tableau, so measuring
+//!   never allocates.
+//! * Otherwise (deterministic outcome) the result is the sign of the
+//!   product of the stabilizers selected by the destabilizers' X bits at
+//!   `q`. Only that sign is needed, so nothing is written: each column
+//!   contributes the phase of the ordered product of its selected
+//!   single-qubit Paulis, computed with popcounts and a prefix parity —
+//!   an O(n·⌈n/64⌉) scan that reads only the words holding selected
+//!   stabilizers, and in which a column where none of them has an X
+//!   costs one AND per word.
 
 use crate::pauli::{Pauli, PauliString};
 use rand::Rng;
@@ -24,7 +53,9 @@ pub struct Measurement {
 
 /// CHP-style stabilizer tableau over `n` qubits.
 ///
-/// Newly constructed tableaus hold the all-zeros state `|0…0⟩`.
+/// Newly constructed tableaus hold the all-zeros state `|0…0⟩`. Two
+/// tableaus are equal when they hold the same generators with the same
+/// signs.
 ///
 /// # Example
 ///
@@ -41,16 +72,61 @@ pub struct Measurement {
 /// assert_eq!(t.measure(1, &mut rng).value, m0);
 /// assert_eq!(t.measure(2, &mut rng).value, m0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Tableau {
     n: usize,
+    /// Words per half-column, `⌈n/64⌉`.
     words: usize,
-    /// X bit-matrix, `(2n + 1)` rows of `words` u64 words each, flattened.
+    /// X bits, one `2 * words`-word column per qubit, flattened.
     x: Vec<u64>,
-    /// Z bit-matrix with the same layout.
+    /// Z bits with the same layout.
     z: Vec<u64>,
-    /// Sign bits (`true` = −1) for each row.
-    r: Vec<bool>,
+    /// Sign bits (set = −1), one column.
+    r: Vec<u64>,
+    /// Row mask and the two phase planes of a random-outcome
+    /// measurement, three columns. Holds no state between calls.
+    scratch: Vec<u64>,
+}
+
+impl PartialEq for Tableau {
+    fn eq(&self, other: &Tableau) -> bool {
+        self.n == other.n && self.x == other.x && self.z == other.z && self.r == other.r
+    }
+}
+
+impl Eq for Tableau {}
+
+/// Column `q` of a flattened matrix of `len`-word columns.
+#[inline]
+fn column(m: &[u64], len: usize, q: usize) -> &[u64] {
+    &m[q * len..][..len]
+}
+
+#[inline]
+fn column_mut(m: &mut [u64], len: usize, q: usize) -> &mut [u64] {
+    &mut m[q * len..][..len]
+}
+
+/// Columns `a` (read) and `b` (written) of one matrix, `a != b`.
+#[inline]
+fn column_pair(m: &mut [u64], len: usize, a: usize, b: usize) -> (&[u64], &mut [u64]) {
+    if a < b {
+        let (lo, hi) = m.split_at_mut(b * len);
+        (&lo[a * len..][..len], &mut hi[..len])
+    } else {
+        let (lo, hi) = m.split_at_mut(a * len);
+        (&hi[..len], &mut lo[b * len..][..len])
+    }
+}
+
+/// All ones when `bit` is nonzero, else zero.
+#[inline]
+fn broadcast(bit: u64) -> u64 {
+    if bit != 0 {
+        u64::MAX
+    } else {
+        0
+    }
 }
 
 impl Tableau {
@@ -62,18 +138,16 @@ impl Tableau {
     pub fn new(n: usize) -> Tableau {
         assert!(n > 0, "tableau needs at least one qubit");
         let words = n.div_ceil(WORD_BITS);
-        let rows = 2 * n + 1;
+        let len = 2 * words;
         let mut t = Tableau {
             n,
             words,
-            x: vec![0; rows * words],
-            z: vec![0; rows * words],
-            r: vec![false; rows],
+            x: vec![0; n * len],
+            z: vec![0; n * len],
+            r: vec![0; len],
+            scratch: vec![0; 3 * len],
         };
-        for i in 0..n {
-            t.set_x(i, i, true); // destabilizer i = X_i
-            t.set_z(n + i, i, true); // stabilizer i = Z_i
-        }
+        t.reset_all();
         t
     }
 
@@ -88,55 +162,21 @@ impl Tableau {
     /// (Named `reset_all` because [`Tableau::reset`] is the single-qubit
     /// reset operation.)
     pub fn reset_all(&mut self) {
-        self.x.iter_mut().for_each(|w| *w = 0);
-        self.z.iter_mut().for_each(|w| *w = 0);
-        self.r.iter_mut().for_each(|s| *s = false);
-        for i in 0..self.n {
-            self.set_x(i, i, true);
-            self.set_z(self.n + i, i, true);
+        self.x.fill(0);
+        self.z.fill(0);
+        self.r.fill(0);
+        let (words, len) = (self.words, self.col_words());
+        for q in 0..self.n {
+            let (k, bit) = (q / WORD_BITS, 1u64 << (q % WORD_BITS));
+            self.x[q * len + k] = bit; // destabilizer q = X_q
+            self.z[q * len + words + k] = bit; // stabilizer q = Z_q
         }
     }
 
+    /// Words per column: a destabilizer half and a stabilizer half.
     #[inline]
-    fn xw(&self, row: usize) -> &[u64] {
-        &self.x[row * self.words..(row + 1) * self.words]
-    }
-
-    #[inline]
-    fn zw(&self, row: usize) -> &[u64] {
-        &self.z[row * self.words..(row + 1) * self.words]
-    }
-
-    #[inline]
-    fn get_x(&self, row: usize, q: usize) -> bool {
-        self.x[row * self.words + q / WORD_BITS] >> (q % WORD_BITS) & 1 == 1
-    }
-
-    #[inline]
-    fn get_z(&self, row: usize, q: usize) -> bool {
-        self.z[row * self.words + q / WORD_BITS] >> (q % WORD_BITS) & 1 == 1
-    }
-
-    #[inline]
-    fn set_x(&mut self, row: usize, q: usize, v: bool) {
-        let idx = row * self.words + q / WORD_BITS;
-        let mask = 1u64 << (q % WORD_BITS);
-        if v {
-            self.x[idx] |= mask;
-        } else {
-            self.x[idx] &= !mask;
-        }
-    }
-
-    #[inline]
-    fn set_z(&mut self, row: usize, q: usize, v: bool) {
-        let idx = row * self.words + q / WORD_BITS;
-        let mask = 1u64 << (q % WORD_BITS);
-        if v {
-            self.z[idx] |= mask;
-        } else {
-            self.z[idx] &= !mask;
-        }
+    fn col_words(&self) -> usize {
+        2 * self.words
     }
 
     #[inline]
@@ -151,19 +191,14 @@ impl Tableau {
     /// Panics if `q` is out of bounds.
     pub fn h(&mut self, q: usize) {
         self.check_qubit(q);
-        let word = q / WORD_BITS;
-        let mask = 1u64 << (q % WORD_BITS);
-        for row in 0..2 * self.n {
-            let xi = row * self.words + word;
-            let xv = self.x[xi] & mask;
-            let zv = self.z[xi] & mask;
-            // Phase flips when the row acts as Y on q.
-            if xv != 0 && zv != 0 {
-                self.r[row] = !self.r[row];
-            }
-            // Swap the x and z bits.
-            self.x[xi] = (self.x[xi] & !mask) | zv;
-            self.z[xi] = (self.z[xi] & !mask) | xv;
+        let len = self.col_words();
+        let x = column_mut(&mut self.x, len, q);
+        let z = column_mut(&mut self.z, len, q);
+        let r = &mut self.r[..len];
+        for k in 0..len {
+            // Phase flips when the generator acts as Y on q.
+            r[k] ^= x[k] & z[k];
+            std::mem::swap(&mut x[k], &mut z[k]);
         }
     }
 
@@ -174,17 +209,13 @@ impl Tableau {
     /// Panics if `q` is out of bounds.
     pub fn s(&mut self, q: usize) {
         self.check_qubit(q);
-        let word = q / WORD_BITS;
-        let mask = 1u64 << (q % WORD_BITS);
-        for row in 0..2 * self.n {
-            let xi = row * self.words + word;
-            let xv = self.x[xi] & mask;
-            let zv = self.z[xi] & mask;
-            if xv != 0 && zv != 0 {
-                self.r[row] = !self.r[row];
-            }
-            // z ^= x
-            self.z[xi] ^= xv;
+        let len = self.col_words();
+        let x = column(&self.x, len, q);
+        let z = column_mut(&mut self.z, len, q);
+        let r = &mut self.r[..len];
+        for k in 0..len {
+            r[k] ^= x[k] & z[k];
+            z[k] ^= x[k];
         }
     }
 
@@ -206,10 +237,11 @@ impl Tableau {
     /// Panics if `q` is out of bounds.
     pub fn x(&mut self, q: usize) {
         self.check_qubit(q);
-        for row in 0..2 * self.n {
-            if self.get_z(row, q) {
-                self.r[row] = !self.r[row];
-            }
+        let len = self.col_words();
+        let z = column(&self.z, len, q);
+        let r = &mut self.r[..len];
+        for k in 0..len {
+            r[k] ^= z[k];
         }
     }
 
@@ -220,10 +252,11 @@ impl Tableau {
     /// Panics if `q` is out of bounds.
     pub fn z(&mut self, q: usize) {
         self.check_qubit(q);
-        for row in 0..2 * self.n {
-            if self.get_x(row, q) {
-                self.r[row] = !self.r[row];
-            }
+        let len = self.col_words();
+        let x = column(&self.x, len, q);
+        let r = &mut self.r[..len];
+        for k in 0..len {
+            r[k] ^= x[k];
         }
     }
 
@@ -234,10 +267,12 @@ impl Tableau {
     /// Panics if `q` is out of bounds.
     pub fn y(&mut self, q: usize) {
         self.check_qubit(q);
-        for row in 0..2 * self.n {
-            if self.get_x(row, q) != self.get_z(row, q) {
-                self.r[row] = !self.r[row];
-            }
+        let len = self.col_words();
+        let x = column(&self.x, len, q);
+        let z = column(&self.z, len, q);
+        let r = &mut self.r[..len];
+        for k in 0..len {
+            r[k] ^= x[k] ^ z[k];
         }
     }
 
@@ -276,16 +311,14 @@ impl Tableau {
         self.check_qubit(c);
         self.check_qubit(t);
         assert_ne!(c, t, "CNOT control and target must differ");
-        for row in 0..2 * self.n {
-            let xc = self.get_x(row, c);
-            let zc = self.get_z(row, c);
-            let xt = self.get_x(row, t);
-            let zt = self.get_z(row, t);
-            if xc && zt && (xt == zc) {
-                self.r[row] = !self.r[row];
-            }
-            self.set_x(row, t, xt ^ xc);
-            self.set_z(row, c, zc ^ zt);
+        let len = self.col_words();
+        let (xc, xt) = column_pair(&mut self.x, len, c, t);
+        let (zt, zc) = column_pair(&mut self.z, len, t, c);
+        let r = &mut self.r[..len];
+        for k in 0..len {
+            r[k] ^= xc[k] & zt[k] & !(xt[k] ^ zc[k]);
+            xt[k] ^= xc[k];
+            zc[k] ^= zt[k];
         }
     }
 
@@ -321,43 +354,19 @@ impl Tableau {
     /// Panics if `q` is out of bounds.
     pub fn measure<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> Measurement {
         self.check_qubit(q);
-        let n = self.n;
-        // Look for a stabilizer row that anticommutes with Z_q (x bit set).
-        let p = (n..2 * n).find(|&row| self.get_x(row, q));
-        match p {
-            Some(p) => {
-                // Random outcome.
-                for row in 0..2 * n {
-                    if row != p && self.get_x(row, q) {
-                        self.row_mul(row, p);
-                    }
-                }
-                // Destabilizer p-n := old stabilizer p.
-                self.copy_row(p - n, p);
-                // Stabilizer p := ±Z_q with a fresh random sign.
-                self.zero_row(p);
-                self.set_z(p, q, true);
+        match self.pivot(q) {
+            Some((word, bit)) => {
                 let value: bool = rng.gen();
-                self.r[p] = value;
+                self.collapse(q, word, bit, value);
                 Measurement {
                     value,
                     deterministic: false,
                 }
             }
-            None => {
-                // Deterministic outcome: accumulate into the scratch row.
-                let scratch = 2 * n;
-                self.zero_row(scratch);
-                for i in 0..n {
-                    if self.get_x(i, q) {
-                        self.row_mul(scratch, i + n);
-                    }
-                }
-                Measurement {
-                    value: self.r[scratch],
-                    deterministic: true,
-                }
-            }
+            None => Measurement {
+                value: self.deterministic_outcome(q),
+                deterministic: true,
+            },
         }
     }
 
@@ -402,24 +411,148 @@ impl Tableau {
     /// # Panics
     ///
     /// Panics if `q` is out of bounds.
-    pub fn prob_one(&mut self, q: usize) -> f64 {
+    pub fn prob_one(&self, q: usize) -> f64 {
         self.check_qubit(q);
-        let n = self.n;
-        if (n..2 * n).any(|row| self.get_x(row, q)) {
-            return 0.5;
-        }
-        let scratch = 2 * n;
-        self.zero_row(scratch);
-        for i in 0..n {
-            if self.get_x(i, q) {
-                self.row_mul(scratch, i + n);
-            }
-        }
-        if self.r[scratch] {
+        if self.pivot(q).is_some() {
+            0.5
+        } else if self.deterministic_outcome(q) {
             1.0
         } else {
             0.0
         }
+    }
+
+    /// The lowest-indexed stabilizer with an X bit at `q` (it
+    /// anticommutes with `Z_q`), as its word within a column and its bit
+    /// mask within that word.
+    fn pivot(&self, q: usize) -> Option<(usize, u64)> {
+        let stab_x = &column(&self.x, self.col_words(), q)[self.words..];
+        let k = stab_x.iter().position(|&v| v != 0)?;
+        Some((self.words + k, stab_x[k] & stab_x[k].wrapping_neg()))
+    }
+
+    /// Random-outcome update for a measurement of `q` whose pivot
+    /// stabilizer sits at bit `bit` of column word `word`: multiplies the
+    /// pivot into every other generator with an X bit at `q`, moves it to
+    /// its destabilizer slot and installs `±Z_q` (sign `value`) in its
+    /// place.
+    fn collapse(&mut self, q: usize, word: usize, bit: u64, value: bool) {
+        let len = self.col_words();
+        let destab_word = word - self.words;
+        let (rows, planes) = self.scratch.split_at_mut(len);
+        let (lo, hi) = planes.split_at_mut(len);
+        let hi = &mut hi[..len];
+        let r = &mut self.r[..len];
+
+        rows.copy_from_slice(column(&self.x, len, q));
+        rows[word] &= !bit;
+        // Phase exponent of `generator · pivot`, mod 4, as `2·hi + lo`:
+        // it starts at twice the XOR of the two signs.
+        let pivot_sign = broadcast(r[word] & bit);
+        for k in 0..len {
+            lo[k] = 0;
+            hi[k] = r[k] ^ pivot_sign;
+        }
+        for (xj, zj) in self
+            .x
+            .chunks_exact_mut(len)
+            .zip(self.z.chunks_exact_mut(len))
+        {
+            let x2 = broadcast(xj[word] & bit);
+            let z2 = broadcast(zj[word] & bit);
+            if x2 | z2 == 0 {
+                // The pivot is the identity here: nothing to multiply, and
+                // its destabilizer slot only needs clearing.
+                xj[destab_word] &= !bit;
+                zj[destab_word] &= !bit;
+                continue;
+            }
+            for k in 0..len {
+                let (x1, z1) = (xj[k], zj[k]);
+                let (y1, x_only, z_only) = (x1 & z1, x1 & !z1, !x1 & z1);
+                // Per-qubit exponent g(x1,z1,x2,z2) ∈ {−1, 0, +1} of
+                // Aaronson–Gottesman, split into its +1 and −1 cases:
+                //   Y · P: z2 − x2;  X · P: z2·(2·x2 − 1);
+                //   Z · P: x2·(1 − 2·z2).
+                let plus = (y1 & z2 & !x2) | (x_only & z2 & x2) | (z_only & x2 & !z2);
+                let minus = (y1 & x2 & !z2) | (x_only & z2 & !x2) | (z_only & x2 & z2);
+                let (plus, minus) = (plus & rows[k], minus & rows[k]);
+                hi[k] ^= (lo[k] & plus) | (!lo[k] & minus);
+                lo[k] ^= plus | minus;
+                xj[k] = x1 ^ (x2 & rows[k]);
+                zj[k] = z1 ^ (z2 & rows[k]);
+            }
+            // The old pivot becomes its destabilizer; its stabilizer slot
+            // is cleared for ±Z_q.
+            xj[destab_word] = (xj[destab_word] & !bit) | (x2 & bit);
+            zj[destab_word] = (zj[destab_word] & !bit) | (z2 & bit);
+            xj[word] &= !bit;
+            zj[word] &= !bit;
+        }
+        // Stabilizer products are Hermitian (lo = 0); a destabilizer may
+        // pick up an irrelevant ±i, which is folded into the sign bit
+        // exactly as Aaronson–Gottesman's CHP does.
+        for k in 0..len {
+            r[k] ^= (r[k] ^ hi[k]) & rows[k];
+        }
+        r[destab_word] = (r[destab_word] & !bit) | (pivot_sign & bit);
+        r[word] = (r[word] & !bit) | (broadcast(value as u64) & bit);
+        column_mut(&mut self.z, len, q)[word] |= bit;
+    }
+
+    /// Outcome of measuring `q` when no stabilizer anticommutes with
+    /// `Z_q`: the sign of the product, in index order, of the stabilizers
+    /// `i` whose destabilizer has an X bit at `q`.
+    ///
+    /// Writing a Pauli as `i^{xz} X^x Z^z`, the ordered product of one
+    /// column's selected Paulis is `i^e X^{x_⊕} Z^{z_⊕}` with
+    /// `e = #Y + 2·#{i < j : z_i x_j} (mod 4)`. The whole product is
+    /// `±Z_q`, so `x_⊕ = 0` in every column, the factor after `i^e` is
+    /// already canonical, and the exponents of all columns add to 0 or 2.
+    fn deterministic_outcome(&self, q: usize) -> bool {
+        let (words, len) = (self.words, self.col_words());
+        let selected = &column(&self.x, len, q)[..words];
+        // Only the words holding selected stabilizers are read: those of
+        // one tile of a substrate holding several sit next to each other.
+        let first = selected.iter().position(|&v| v != 0).unwrap_or(0);
+        let end = selected
+            .iter()
+            .rposition(|&v| v != 0)
+            .map_or(first, |k| k + 1);
+        let span = end - first;
+        let selected = &selected[first..][..span];
+        let stab_r = &self.r[words + first..][..span];
+        let mut exponent = 0u32;
+        for k in 0..span {
+            exponent += 2 * (stab_r[k] & selected[k]).count_ones();
+        }
+        for (xj, zj) in self.x.chunks_exact(len).zip(self.z.chunks_exact(len)) {
+            // No selected X in this column: no Y and no Z-before-X pair.
+            let xs = &xj[words + first..][..span];
+            let mut any_x = 0u64;
+            for k in 0..span {
+                any_x |= xs[k] & selected[k];
+            }
+            if any_x == 0 {
+                continue;
+            }
+            let zs = &zj[words + first..][..span];
+            // `before`: all ones when an odd number of selected Z bits
+            // sit in earlier words of this column.
+            let mut before = 0u64;
+            for k in 0..span {
+                let (xv, zv) = (xs[k] & selected[k], zs[k] & selected[k]);
+                // Bit i of `prefix`: parity of zv's bits 0..=i.
+                let mut prefix = zv;
+                for shift in [1, 2, 4, 8, 16, 32] {
+                    prefix ^= prefix << shift;
+                }
+                let z_before = (prefix << 1) ^ before;
+                exponent += (xv & zv).count_ones() + 2 * (xv & z_before).count_ones();
+                before ^= broadcast(prefix >> 63);
+            }
+        }
+        exponent & 2 != 0
     }
 
     /// Returns stabilizer `i` (for `i < n`) as a signed Pauli string.
@@ -429,7 +562,7 @@ impl Tableau {
     /// Panics if `i` is out of bounds.
     pub fn stabilizer(&self, i: usize) -> PauliString {
         assert!(i < self.n, "stabilizer index out of range");
-        self.row_to_pauli_string(self.n + i)
+        self.generator(self.words, i)
     }
 
     /// Returns destabilizer `i` (for `i < n`) as a signed Pauli string.
@@ -439,7 +572,7 @@ impl Tableau {
     /// Panics if `i` is out of bounds.
     pub fn destabilizer(&self, i: usize) -> PauliString {
         assert!(i < self.n, "destabilizer index out of range");
-        self.row_to_pauli_string(i)
+        self.generator(0, i)
     }
 
     /// Returns `true` when the signed Pauli operator `p` stabilizes the
@@ -448,7 +581,7 @@ impl Tableau {
     /// # Panics
     ///
     /// Panics if the string length differs from the qubit count.
-    pub fn is_stabilized_by(&mut self, p: &PauliString) -> bool {
+    pub fn is_stabilized_by(&self, p: &PauliString) -> bool {
         assert_eq!(p.len(), self.n, "Pauli string length mismatch");
         // p must commute with every stabilizer generator...
         for i in 0..self.n {
@@ -459,13 +592,9 @@ impl Tableau {
         // ...and be generated by them with matching sign. Reduce p against
         // the stabilizer set using destabilizer pivots: stabilizer row i is
         // the unique generator anticommuting with destabilizer i.
-        let scratch = 2 * self.n;
-        self.zero_row(scratch);
-        self.r[scratch] = false;
         let mut acc = PauliString::identity(self.n);
         for i in 0..self.n {
             if !self.destabilizer(i).commutes_with(p) {
-                self.row_mul(scratch, self.n + i);
                 acc.mul_assign(&self.stabilizer(i));
             }
         }
@@ -478,110 +607,48 @@ impl Tableau {
         acc.is_negative() == p.is_negative()
     }
 
-    fn row_to_pauli_string(&self, row: usize) -> PauliString {
+    /// Generator `i` of the half starting at column word `half` (0 for
+    /// destabilizers, `words` for stabilizers), gathered across columns.
+    fn generator(&self, half: usize, i: usize) -> PauliString {
+        let len = self.col_words();
+        let (k, shift) = (half + i / WORD_BITS, i % WORD_BITS);
         let mut p = PauliString::identity(self.n);
         for q in 0..self.n {
-            p.set(q, Pauli::from_xz(self.get_x(row, q), self.get_z(row, q)));
+            let x = self.x[q * len + k] >> shift & 1 == 1;
+            let z = self.z[q * len + k] >> shift & 1 == 1;
+            p.set(q, Pauli::from_xz(x, z));
         }
-        if self.r[row] {
+        if self.r[k] >> shift & 1 == 1 {
             p.negate();
         }
         p
-    }
-
-    fn zero_row(&mut self, row: usize) {
-        for w in 0..self.words {
-            self.x[row * self.words + w] = 0;
-            self.z[row * self.words + w] = 0;
-        }
-        self.r[row] = false;
-    }
-
-    fn copy_row(&mut self, dst: usize, src: usize) {
-        for w in 0..self.words {
-            self.x[dst * self.words + w] = self.x[src * self.words + w];
-            self.z[dst * self.words + w] = self.z[src * self.words + w];
-        }
-        self.r[dst] = self.r[src];
-    }
-
-    /// Multiplies row `src` into row `dst` (`dst := dst * src`), tracking the
-    /// sign via the bit-parallel phase-exponent computation.
-    fn row_mul(&mut self, dst: usize, src: usize) {
-        let (mut plus, mut minus) = (0u32, 0u32);
-        for w in 0..self.words {
-            let x1 = self.x[dst * self.words + w];
-            let z1 = self.z[dst * self.words + w];
-            let x2 = self.x[src * self.words + w];
-            let z2 = self.z[src * self.words + w];
-
-            let y1 = x1 & z1;
-            let xonly1 = x1 & !z1;
-            let zonly1 = !x1 & z1;
-
-            // Per-qubit contribution g(x1,z1,x2,z2) ∈ {−1, 0, +1}:
-            //   row1 = Y: g = z2 − x2
-            //   row1 = X: g = z2 · (2·x2 − 1)
-            //   row1 = Z: g = x2 · (1 − 2·z2)
-            let p = (y1 & z2 & !x2) | (xonly1 & z2 & x2) | (zonly1 & x2 & !z2);
-            let m = (y1 & x2 & !z2) | (xonly1 & z2 & !x2) | (zonly1 & x2 & z2);
-            plus += p.count_ones();
-            minus += m.count_ones();
-
-            self.x[dst * self.words + w] = x1 ^ x2;
-            self.z[dst * self.words + w] = z1 ^ z2;
-        }
-        let phase = (2 * self.r[dst] as i64 + 2 * self.r[src] as i64 + plus as i64 - minus as i64)
-            .rem_euclid(4);
-        // Stabilizer and scratch rows always yield an even exponent (their
-        // products are Hermitian); destabilizer rows may pick up an
-        // irrelevant ±i during the random-measurement update, which we fold
-        // into the sign bit exactly as Aaronson–Gottesman's CHP does.
-        self.r[dst] = phase == 2 || phase == 3;
     }
 
     /// Checks internal invariants: stabilizers commute pairwise, destabilizer
     /// `i` anticommutes with stabilizer `i` only. Used by tests.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
+        let stabilizers: Vec<PauliString> = (0..self.n).map(|i| self.stabilizer(i)).collect();
         for i in 0..self.n {
-            for j in 0..self.n {
-                let si = self.row_to_pauli_string(self.n + i);
-                let sj = self.row_to_pauli_string(self.n + j);
-                assert!(si.commutes_with(&sj), "stabilizers {i},{j} anticommute");
-                let di = self.row_to_pauli_string(i);
+            let di = self.destabilizer(i);
+            for (j, sj) in stabilizers.iter().enumerate() {
+                assert!(
+                    stabilizers[i].commutes_with(sj),
+                    "stabilizers {i},{j} anticommute"
+                );
                 if i == j {
                     assert!(
-                        !di.commutes_with(&sj),
+                        !di.commutes_with(sj),
                         "destabilizer {i} commutes with its stabilizer"
                     );
                 } else {
                     assert!(
-                        di.commutes_with(&sj),
+                        di.commutes_with(sj),
                         "destabilizer {i} anticommutes with stabilizer {j}"
                     );
                 }
             }
         }
-    }
-
-    /// Returns the X bit of stabilizer row `i` at qubit `q` (used by the
-    /// surface-code crate's diagnostics).
-    #[doc(hidden)]
-    pub fn stabilizer_x_bit(&self, i: usize, q: usize) -> bool {
-        self.get_x(self.n + i, q)
-    }
-
-    /// Words of the X component of stabilizer row `i` (diagnostics).
-    #[doc(hidden)]
-    pub fn stabilizer_x_words(&self, i: usize) -> &[u64] {
-        self.xw(self.n + i)
-    }
-
-    /// Words of the Z component of stabilizer row `i` (diagnostics).
-    #[doc(hidden)]
-    pub fn stabilizer_z_words(&self, i: usize) -> &[u64] {
-        self.zw(self.n + i)
     }
 }
 
@@ -830,5 +897,48 @@ mod tests {
         t.x(1);
         assert!(t.measure(1, &mut rng).value);
         assert!(!t.measure(0, &mut rng).value);
+    }
+
+    /// One syndrome-extraction round over the bulk of a d = 5 rotated
+    /// surface code: 25 data qubits on a 5×5 grid and one ancilla per
+    /// 2×2 plaquette, X and Z checks alternating. (`SyndromeCircuit`
+    /// lives downstream of this crate.)
+    fn d5_bulk_round(t: &mut Tableau, rng: &mut StdRng) {
+        for row in 0..4 {
+            for col in 0..4 {
+                let ancilla = 25 + 4 * row + col;
+                let corner = 5 * row + col;
+                let data = [corner, corner + 1, corner + 5, corner + 6];
+                if (row + col) % 2 == 0 {
+                    t.reset_plus(ancilla, rng);
+                    for d in data {
+                        t.cnot(ancilla, d);
+                    }
+                    t.measure_x(ancilla, rng);
+                } else {
+                    t.reset(ancilla, rng);
+                    for d in data {
+                        t.cnot(d, ancilla);
+                    }
+                    t.measure(ancilla, rng);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn buffers_never_grow_after_the_first_cycle() {
+        let buffers =
+            |t: &Tableau| [&t.x, &t.z, &t.r, &t.scratch].map(|v| (v.as_ptr(), v.capacity()));
+        let mut rng = rng();
+        let mut t = Tableau::new(41);
+        d5_bulk_round(&mut t, &mut rng);
+        let warm = buffers(&t);
+        for _ in 0..20 {
+            t.pauli(rng.gen_range(0..25), Pauli::Y);
+            d5_bulk_round(&mut t, &mut rng);
+            assert_eq!(buffers(&t), warm, "a tableau buffer moved or grew");
+        }
+        t.check_invariants();
     }
 }

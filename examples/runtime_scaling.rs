@@ -4,8 +4,8 @@
 //! counts 1, 2 and 4 and prints each run's `RuntimeStats`. The logical
 //! outcomes and bus-byte totals are identical at every shard count —
 //! that is the runtime's determinism guarantee — while wall-clock drops
-//! because each shard's tableau spans only its own tiles and CHP cost
-//! grows quadratically with tableau width.
+//! because each shard's tableau spans only its own tiles and the cost
+//! of a measurement grows faster than linearly with tableau width.
 //!
 //! ```sh
 //! cargo run --release --example runtime_scaling
