@@ -229,23 +229,22 @@ impl DecoderPipeline {
             self.graph.num_checks(),
             "syndrome width mismatch"
         );
-        let events: Vec<NodeId> = match &self.previous {
+        let Some(prev) = &mut self.previous else {
             // First projective round: establish the reference, no events.
-            None => {
-                self.previous = Some(bits.to_vec());
-                self.stats.quiet_rounds += 1;
-                self.round += 1;
-                return;
-            }
-            Some(prev) => bits
-                .iter()
-                .zip(prev)
-                .enumerate()
-                .filter(|(_, (&now, &before))| now != before)
-                .map(|(c, _)| self.graph.node(0, c))
-                .collect(),
+            self.previous = Some(bits.to_vec());
+            self.stats.quiet_rounds += 1;
+            self.round += 1;
+            return;
         };
-        self.previous = Some(bits.to_vec());
+        // A quiet round collects nothing and so allocates nothing.
+        let events: Vec<NodeId> = bits
+            .iter()
+            .zip(prev.iter())
+            .enumerate()
+            .filter(|(_, (&now, &before))| now != before)
+            .map(|(c, _)| self.graph.node(0, c))
+            .collect();
+        prev.copy_from_slice(bits);
 
         if events.is_empty() {
             self.stats.quiet_rounds += 1;

@@ -46,34 +46,38 @@ pub struct ExecutionUnit {
     geometry: TileGeometry,
     /// Latched select codes, one per switch (= per qubit).
     latches: Vec<MicroOp>,
-    /// Index of this tile's first qubit within the shared substrate
-    /// (tiles of a multi-MCE system occupy disjoint index ranges).
+    /// Index of this tile's first qubit within the tableau it is fired
+    /// at (tiles that share one occupy disjoint index ranges).
     offset: usize,
     stats: ExecutionStats,
+    /// Outcomes of the last word fired; the buffer is reused.
+    fired: FireResult,
 }
 
 impl ExecutionUnit {
-    /// Builds an execution unit over a tile geometry.
+    /// Builds an execution unit over a tile geometry, the tile starting
+    /// at substrate index 0.
     pub fn new(geometry: TileGeometry) -> ExecutionUnit {
-        ExecutionUnit::with_offset(geometry, 0)
-    }
-
-    /// Builds an execution unit whose tile starts at substrate index
-    /// `offset` (multi-tile systems place tiles side by side in one
-    /// simulated substrate).
-    pub fn with_offset(geometry: TileGeometry, offset: usize) -> ExecutionUnit {
         let n = geometry.num_qubits();
         ExecutionUnit {
             geometry,
             latches: vec![MicroOp::nop(); n],
-            offset,
+            offset: 0,
             stats: ExecutionStats::default(),
+            fired: FireResult::default(),
         }
     }
 
     /// This tile's substrate offset.
     pub fn offset(&self) -> usize {
         self.offset
+    }
+
+    /// Moves the tile to substrate index `offset`: its tableau was
+    /// appended to another, or it shares one with other tiles from the
+    /// start.
+    pub fn set_offset(&mut self, offset: usize) {
+        self.offset = offset;
     }
 
     /// Tile width.
@@ -103,13 +107,35 @@ impl ExecutionUnit {
             "VLIW word width must match tile width"
         );
         for (q, u) in word.iter() {
-            self.latches[q] = u;
-            self.stats.uops_latched += 1;
+            self.latch_uop(q, u);
         }
     }
 
+    /// Latches one µop onto the switch of qubit `q`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is out of range.
+    pub fn latch_uop(&mut self, q: usize, u: MicroOp) {
+        self.latches[q] = u;
+        self.stats.uops_latched += 1;
+    }
+
+    /// The latched select codes, one per qubit: the word the next
+    /// [`ExecutionUnit::fire`] executes (and the last one executed).
+    pub fn latched(&self) -> &[MicroOp] {
+        &self.latches
+    }
+
+    /// Measurement outcomes of the last word fired, as `(qubit, outcome)`.
+    pub fn measurements(&self) -> &[(usize, bool)] {
+        &self.fired.measurements
+    }
+
     /// Step ③: fire the master clock, applying every latched waveform to
-    /// the substrate in one parallel step.
+    /// the substrate in one parallel step. The result lives in a buffer
+    /// the unit reuses, so firing allocates nothing once it has grown to
+    /// the widest measurement word.
     ///
     /// Two-qubit waveforms are resolved by pairing each `CnotCtrl` with the
     /// `CnotTgt` latched on the neighbour its direction nibble points at.
@@ -119,14 +145,14 @@ impl ExecutionUnit {
     /// Panics if a CNOT half points at a missing neighbour or at a qubit
     /// whose latch does not hold the matching half — such a word is
     /// malformed microcode.
-    pub fn fire<R: Rng + ?Sized>(&mut self, substrate: &mut Tableau, rng: &mut R) -> FireResult {
+    pub fn fire<R: Rng + ?Sized>(&mut self, substrate: &mut Tableau, rng: &mut R) -> &FireResult {
         assert!(
             substrate.num_qubits() >= self.offset + self.latches.len(),
             "substrate too small for tile at offset {}",
             self.offset
         );
         let off = self.offset;
-        let mut result = FireResult::default();
+        self.fired.measurements.clear();
         // Single-qubit waveforms and measurements first, then entangling
         // pairs (all commute within a well-formed lock-step word: the
         // scheduler never touches a qubit twice in one slot).
@@ -141,12 +167,12 @@ impl ExecutionUnit {
                 PhysOpcode::PrepX => substrate.reset_plus(off + q, rng),
                 PhysOpcode::MeasZ => {
                     let m = substrate.measure(off + q, rng);
-                    result.measurements.push((q, m.value));
+                    self.fired.measurements.push((q, m.value));
                     self.stats.measurements += 1;
                 }
                 PhysOpcode::MeasX => {
                     let m = substrate.measure_x(off + q, rng);
-                    result.measurements.push((q, m.value));
+                    self.fired.measurements.push((q, m.value));
                     self.stats.measurements += 1;
                 }
                 PhysOpcode::H => substrate.h(off + q),
@@ -187,7 +213,19 @@ impl ExecutionUnit {
             }
         }
         self.stats.words_fired += 1;
-        result
+        &self.fired
+    }
+
+    /// Address and capacity of each buffer the unit owns.
+    #[cfg(test)]
+    pub(crate) fn buffers(&self) -> [(usize, usize); 2] {
+        [
+            (self.latches.as_ptr() as usize, self.latches.capacity()),
+            (
+                self.fired.measurements.as_ptr() as usize,
+                self.fired.measurements.capacity(),
+            ),
+        ]
     }
 
     /// Latches and fires in one call — the pipelined steady state of the
@@ -202,7 +240,7 @@ impl ExecutionUnit {
         word: &VliwWord,
         substrate: &mut Tableau,
         rng: &mut R,
-    ) -> FireResult {
+    ) -> &FireResult {
         self.latch(word);
         self.fire(substrate, rng)
     }

@@ -65,6 +65,7 @@ pub mod primeline;
 pub mod program_gen;
 pub mod report;
 pub mod serve;
+pub mod substrate;
 pub mod system;
 pub mod tech;
 pub mod throughput;
@@ -93,6 +94,7 @@ pub use primeline::PrimelineResources;
 pub use quest_surface::decoder::{CostReport, DecoderBackend, DecoderChoice};
 pub use report::{decode_totals, RunReport};
 pub use serve::{JobId, LatencySummary, ServeReport, TenantId, TenantServeStats};
+pub use substrate::Substrate;
 pub use system::{QuestSystem, MCE_IBUF_BYTES};
 pub use tech::TechnologyParams;
 pub use throughput::{optimal_config, table2, Table2Row};

@@ -21,6 +21,7 @@ use quest_isa::{LogicalInstr, MicroOp, VliwWord};
 use quest_stabilizer::Tableau;
 use quest_surface::{RotatedLattice, StabKind};
 use rand::Rng;
+use std::collections::VecDeque;
 
 /// Result of a destructive logical-Z readout
 /// ([`Mce::measure_logical_z_details`]).
@@ -63,7 +64,7 @@ pub struct Mce {
     decode_z: DecoderPipeline,
     /// Logical-µop table: words queued by the instruction pipeline that
     /// take priority (via the mask) over QECC words.
-    logical_uops: Vec<VliwWord>,
+    logical_uops: VecDeque<VliwWord>,
     /// Pending logical Pauli-frame flips on the tile's logical qubit.
     logical_frame_x: bool,
     logical_frame_z: bool,
@@ -87,13 +88,8 @@ impl Mce {
     /// Builds an MCE for a lattice tile with an instruction buffer of
     /// `ibuf_bytes` bytes. The QECC microcode is generated and installed
     /// immediately (the unit-cell program of the tile's syndrome circuit).
+    /// The tile starts at substrate index 0 (see [`Mce::rebase`]).
     pub fn new(lattice: &RotatedLattice, ibuf_bytes: usize) -> Mce {
-        Mce::with_offset(lattice, ibuf_bytes, 0)
-    }
-
-    /// Builds an MCE whose tile starts at substrate index `offset`
-    /// (multi-MCE systems place tiles side by side in one substrate).
-    pub fn with_offset(lattice: &RotatedLattice, ibuf_bytes: usize, offset: usize) -> Mce {
         let geometry = TileGeometry::from_lattice(lattice);
         let words = program_gen::qecc_cycle_words(lattice, &geometry);
         let d = lattice.distance();
@@ -101,11 +97,11 @@ impl Mce {
             lattice: lattice.clone(),
             microcode: QeccMicrocode::new(words),
             mask: MaskTable::coalesced(lattice.num_qubits(), d * d),
-            execution: ExecutionUnit::with_offset(geometry, offset),
+            execution: ExecutionUnit::new(geometry),
             instruction: InstructionPipeline::new(ibuf_bytes),
             decode_x: DecoderPipeline::new(lattice, StabKind::X),
             decode_z: DecoderPipeline::new(lattice, StabKind::Z),
-            logical_uops: Vec::new(),
+            logical_uops: VecDeque::new(),
             logical_frame_x: false,
             logical_frame_z: false,
             magic_states_consumed: 0,
@@ -131,6 +127,14 @@ impl Mce {
     /// Substrate index of tile-local qubit `q`.
     pub fn substrate_index(&self, q: usize) -> usize {
         self.execution.offset() + q
+    }
+
+    /// Moves the tile to start at substrate index `offset`. A tile has a
+    /// tableau of its own until a transversal CNOT entangles it with
+    /// another; [`Substrate::join`](crate::substrate::Substrate::join)
+    /// then puts both in one tableau and re-bases the tile that moved.
+    pub fn rebase(&mut self, offset: usize) {
+        self.execution.set_offset(offset);
     }
 
     /// The tile's lattice.
@@ -201,7 +205,7 @@ impl Mce {
             self.lattice.num_qubits(),
             "logical word width must match tile"
         );
-        self.logical_uops.push(w);
+        self.logical_uops.push_back(w);
     }
 
     /// Number of queued logical words.
@@ -213,37 +217,28 @@ impl Mce {
     /// mask table with the head of the logical-µop queue (Figure 8c).
     /// Returns the word actually fired.
     pub fn step<R: Rng + ?Sized>(&mut self, substrate: &mut Tableau, rng: &mut R) -> VliwWord {
-        let qecc_word = self.microcode.next_word();
-        let logical = if self.logical_uops.is_empty() {
-            None
-        } else {
-            Some(self.logical_uops.remove(0))
-        };
-        let mut merged = VliwWord::nop(qecc_word.len());
-        for (q, qecc_uop) in qecc_word.iter() {
+        self.issue_slot(substrate, rng);
+        VliwWord::from_uops(self.execution.latched().to_vec())
+    }
+
+    /// [`Mce::step`] without the copy of the fired word. The merged word
+    /// is latched µop by µop straight onto the execution unit's switches
+    /// and the measurement outcomes are read from its buffer, so a slot
+    /// allocates nothing.
+    fn issue_slot<R: Rng + ?Sized>(&mut self, substrate: &mut Tableau, rng: &mut R) {
+        let logical = self.logical_uops.pop_front();
+        for (q, qecc_uop) in self.microcode.advance().iter() {
             let uop = if self.mask.is_masked(q) {
                 logical.as_ref().map_or(MicroOp::nop(), |w| w.get(q))
             } else {
                 qecc_uop
             };
-            merged.set(q, uop);
+            self.execution.latch_uop(q, uop);
         }
-        let fired = self.execution.execute(&merged, substrate, rng);
-
-        // Route measurement outcomes from the cycle's measurement word to
-        // the decoder pipelines, optionally corrupted by readout noise.
-        if !fired.measurements.is_empty() {
-            let mut readings = fired.measurements;
-            if self.measurement_flip > 0.0 {
-                for (_, v) in &mut readings {
-                    if rng.gen::<f64>() < self.measurement_flip {
-                        *v = !*v;
-                    }
-                }
-            }
-            self.route_syndrome(&readings);
+        let measured = !self.execution.fire(substrate, rng).measurements.is_empty();
+        if measured {
+            self.route_syndrome(rng);
         }
-        merged
     }
 
     /// Runs exactly one full QECC cycle (all words of the microcode
@@ -259,13 +254,18 @@ impl Mce {
             "run_qecc_cycle must start at a cycle boundary"
         );
         for _ in 0..self.microcode.cycle_len() {
-            self.step(substrate, rng);
+            self.issue_slot(substrate, rng);
         }
     }
 
-    fn route_syndrome(&mut self, measurements: &[(usize, bool)]) {
-        for &(slot, value) in measurements {
-            self.slot_readings[slot] = Some(value);
+    /// Routes the outcomes of the measurement word just fired to the
+    /// decoder pipelines, each corrupted by readout noise with
+    /// probability `measurement_flip` (one draw per outcome, in slot
+    /// order, and none when the probability is zero).
+    fn route_syndrome<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+        for &(slot, value) in self.execution.measurements() {
+            let flipped = self.measurement_flip > 0.0 && rng.gen::<f64>() < self.measurement_flip;
+            self.slot_readings[slot] = Some(value ^ flipped);
         }
         for (kind, ancillas) in [StabKind::X, StabKind::Z]
             .into_iter()
@@ -286,7 +286,7 @@ impl Mce {
                 }
             }
         }
-        for &(slot, _) in measurements {
+        for &(slot, _) in self.execution.measurements() {
             self.slot_readings[slot] = None;
         }
     }
@@ -486,6 +486,78 @@ mod tests {
         assert_eq!(frame, vec![victim]);
         assert_eq!(mce.decode_stats(StabKind::Z).local_hits, 1);
         assert_eq!(mce.decode_stats(StabKind::Z).escalations, 0);
+    }
+
+    #[test]
+    fn buffers_never_grow_after_the_first_cycle() {
+        // Everything a QECC cycle writes: the execution unit's latches
+        // and outcome buffer, the syndrome routing buffers, and each
+        // decoder pipeline's syndrome reference. (An escalated round
+        // still allocates its event list — it is handed upstream.)
+        fn buffers(mce: &Mce) -> Vec<(usize, usize)> {
+            let reference = |kind| {
+                let bits = mce.decoder(kind).reference_bits().expect("settled");
+                (bits.as_ptr() as usize, bits.len())
+            };
+            let mut all = mce.execution.buffers().to_vec();
+            all.extend([
+                (
+                    mce.slot_readings.as_ptr() as usize,
+                    mce.slot_readings.capacity(),
+                ),
+                (
+                    mce.syndrome_bits.as_ptr() as usize,
+                    mce.syndrome_bits.capacity(),
+                ),
+                (0, mce.logical_uops.capacity()),
+                reference(StabKind::X),
+                reference(StabKind::Z),
+            ]);
+            all
+        }
+        let (mut mce, mut t, mut rng) = setup(5);
+        mce.set_measurement_flip(0.01);
+        mce.run_qecc_cycle(&mut t, &mut rng);
+        let warm = buffers(&mce);
+        for _ in 0..20 {
+            t.pauli(
+                rng.gen_range(0..mce.lattice().num_data()),
+                quest_stabilizer::Pauli::Y,
+            );
+            mce.run_qecc_cycle(&mut t, &mut rng);
+            let _ = mce.take_escalations();
+            assert_eq!(buffers(&mce), warm, "an MCE buffer moved or grew");
+        }
+        assert!(mce.decode_stats(StabKind::Z).local_hits > 0);
+    }
+
+    #[test]
+    fn step_returns_the_word_it_fired() {
+        // `step` is `run_qecc_cycle`'s slot with a copy of the merged
+        // word: unmasked slots carry the QECC µop, masked ones the
+        // logical µop (or a NOP).
+        let (mut mce, mut t, mut rng) = setup(3);
+        let q = mce.lattice().data_index(0, 0);
+        let region = mce.mask().region_of(q);
+        mce.mask_mut().set_region(region, true);
+        let mut logical = VliwWord::nop(mce.lattice().num_qubits());
+        logical.set(q, MicroOp::simple(PhysOpcode::X));
+        mce.queue_logical_word(logical.clone());
+        let expected: Vec<MicroOp> = mce
+            .microcode()
+            .word(0)
+            .iter()
+            .map(|(slot, qecc)| {
+                if mce.mask().is_masked(slot) {
+                    logical.get(slot)
+                } else {
+                    qecc
+                }
+            })
+            .collect();
+        assert!(expected.iter().any(|u| u.opcode() != PhysOpcode::Nop));
+        assert_eq!(mce.step(&mut t, &mut rng), VliwWord::from_uops(expected));
+        assert!(t.measure(q, &mut rng).value, "the logical µop fired");
     }
 
     #[test]

@@ -218,13 +218,19 @@ impl QeccMicrocode {
     /// Streams the next lock-step word, wrapping at the cycle boundary —
     /// the continuous replay of §4.4.
     pub fn next_word(&mut self) -> VliwWord {
-        let w = self.words[self.cursor].clone();
+        self.advance().clone()
+    }
+
+    /// [`QeccMicrocode::next_word`] without the copy: the word is read
+    /// in place, as the replay hardware streams it.
+    pub fn advance(&mut self) -> &VliwWord {
+        let at = self.cursor;
         self.cursor += 1;
         if self.cursor == self.words.len() {
             self.cursor = 0;
             self.replays += 1;
         }
-        w
+        &self.words[at]
     }
 
     /// Peeks at word `i` of the cycle without advancing.

@@ -1,4 +1,4 @@
-//! Multi-tile QuEST system: an array of MCEs over one shared substrate.
+//! Multi-tile QuEST system: an array of MCEs over one [`Substrate`].
 //!
 //! §4.2 organizes the control processor as an array of MCEs, each owning
 //! a tiled subsection of the substrate, with the master controller
@@ -21,16 +21,18 @@ use crate::delivery::{DeliveryEngine, DeliveryMode};
 use crate::error::{check_distance, check_probability, BuildError, CnotError};
 use crate::master::MasterController;
 use crate::mce::Mce;
+use crate::substrate::Substrate;
 use crate::system::MCE_IBUF_BYTES;
 use crate::tile;
 use quest_isa::{InstrClass, LogicalInstr};
-use quest_stabilizer::{PauliChannel, Tableau};
+use quest_stabilizer::PauliChannel;
 use quest_surface::{DecoderChoice, RotatedLattice};
 use rand::Rng;
 
 pub use crate::tile::LogicalBasis;
 
-/// An array of MCE-driven tiles over one simulated substrate.
+/// An array of MCE-driven tiles over one simulated substrate (one tableau
+/// per entangled group of tiles, see [`Substrate`]).
 ///
 /// # Example
 ///
@@ -53,7 +55,7 @@ pub struct MultiTileSystem {
     lattice: RotatedLattice,
     mces: Vec<Mce>,
     master: MasterController,
-    substrate: Tableau,
+    substrate: Substrate,
     noise: PauliChannel,
     engine: DeliveryEngine,
 }
@@ -107,14 +109,10 @@ impl MultiTileSystem {
             return Err(BuildError::NoTiles);
         }
         let lattice = RotatedLattice::new(d);
-        let tile_width = lattice.num_qubits();
-        let mces = (0..tiles)
-            .map(|i| Mce::with_offset(&lattice, MCE_IBUF_BYTES, i * tile_width))
-            .collect();
         Ok(MultiTileSystem {
-            substrate: Tableau::new(tiles * tile_width),
+            substrate: Substrate::new(tiles, lattice.num_qubits()),
+            mces: vec![Mce::new(&lattice, MCE_IBUF_BYTES); tiles],
             lattice,
-            mces,
             master: MasterController::with_decoder(decoder),
             noise: PauliChannel::depolarizing(p),
             engine: DeliveryEngine::new(mode),
@@ -162,7 +160,7 @@ impl MultiTileSystem {
     ///
     /// Panics if `i` is out of range.
     pub fn prep_logical<R: Rng + ?Sized>(&mut self, i: usize, basis: LogicalBasis, rng: &mut R) {
-        tile::prep_logical(&mut self.mces[i], basis, &mut self.substrate, rng);
+        tile::prep_logical(&mut self.mces[i], basis, self.substrate.block_mut(i), rng);
     }
 
     /// Delivers one logical instruction to tile `i` through the engine
@@ -201,11 +199,11 @@ impl MultiTileSystem {
     /// Under [`DeliveryMode::SoftwareBaseline`] the cycle's physical
     /// instruction stream is bus-accounted for every tile.
     pub fn run_noisy_cycle<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        for mce in &self.mces {
-            tile::noise_layer(mce, &self.noise, &mut self.substrate, rng);
+        for (i, mce) in self.mces.iter().enumerate() {
+            tile::noise_layer(mce, &self.noise, self.substrate.block_mut(i), rng);
         }
-        for mce in &mut self.mces {
-            tile::qecc_cycle_serviced(mce, &mut self.master, &mut self.substrate, rng);
+        for (i, mce) in self.mces.iter_mut().enumerate() {
+            tile::qecc_cycle_serviced(mce, &mut self.master, self.substrate.block_mut(i), rng);
         }
         self.account_cycle_all_tiles();
     }
@@ -221,11 +219,11 @@ impl MultiTileSystem {
     /// Panics if `rngs.len()` differs from the tile count.
     pub fn run_noisy_cycle_streams<R: Rng>(&mut self, rngs: &mut [R]) {
         assert_eq!(rngs.len(), self.mces.len(), "one RNG stream per tile");
-        for (mce, rng) in self.mces.iter().zip(rngs.iter_mut()) {
-            tile::noise_layer(mce, &self.noise, &mut self.substrate, rng);
+        for (i, (mce, rng)) in self.mces.iter().zip(rngs.iter_mut()).enumerate() {
+            tile::noise_layer(mce, &self.noise, self.substrate.block_mut(i), rng);
         }
-        for (mce, rng) in self.mces.iter_mut().zip(rngs.iter_mut()) {
-            tile::qecc_cycle_serviced(mce, &mut self.master, &mut self.substrate, rng);
+        for (i, (mce, rng)) in self.mces.iter_mut().zip(rngs.iter_mut()).enumerate() {
+            tile::qecc_cycle_serviced(mce, &mut self.master, self.substrate.block_mut(i), rng);
         }
         self.account_cycle_all_tiles();
     }
@@ -281,7 +279,7 @@ impl MultiTileSystem {
     ///
     /// Panics if `i` is out of range.
     pub fn measure_logical_z<R: Rng + ?Sized>(&mut self, i: usize, rng: &mut R) -> bool {
-        let readout = self.mces[i].measure_logical_z_details(&mut self.substrate, rng);
+        let readout = self.mces[i].measure_logical_z_details(self.substrate.block_mut(i), rng);
         self.master.note_readout_syndrome(readout.final_events);
         readout.value
     }
@@ -337,7 +335,7 @@ mod tests {
         let lat = sys.lattice().clone();
         let off = sys.mce(0).substrate_index(0);
         for row in 0..lat.distance() {
-            sys.substrate.x(off + lat.data_index(row, 0));
+            sys.substrate.block_mut(0).x(off + lat.data_index(row, 0));
         }
         sys.transversal_cnot(0, 1, &mut rng).unwrap();
         sys.run_noisy_cycle(&mut rng);
@@ -410,7 +408,7 @@ mod tests {
         sys.prep_logical(1, LogicalBasis::Zero, &mut rng);
         sys.run_noisy_cycle(&mut rng);
         let victim = sys.mce(0).substrate_index(sys.lattice().data_index(1, 1));
-        sys.substrate.x(victim);
+        sys.substrate.block_mut(0).x(victim);
         sys.run_noisy_cycle(&mut rng);
         let s0 = sys.mce(0).decode_stats(StabKind::Z);
         let s1 = sys.mce(1).decode_stats(StabKind::Z);

@@ -153,7 +153,7 @@ mod tests {
             let mut run_cycle = |t: &mut Tableau, rng: &mut StdRng| {
                 let mut meas = Vec::new();
                 for w in &words {
-                    meas.extend(eu.execute(w, t, rng).measurements);
+                    meas.extend_from_slice(&eu.execute(w, t, rng).measurements);
                 }
                 meas
             };

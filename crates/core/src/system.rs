@@ -27,8 +27,9 @@ use crate::error::{check_distance, check_probability, BuildError};
 use crate::master::MasterController;
 use crate::mce::Mce;
 use crate::report::{decode_totals, RunReport};
+use crate::substrate::Substrate;
 use quest_isa::{InstrClass, LogicalInstr, LogicalProgram};
-use quest_stabilizer::{PauliChannel, Tableau};
+use quest_stabilizer::PauliChannel;
 use quest_surface::RotatedLattice;
 use rand::Rng;
 
@@ -65,7 +66,7 @@ pub struct QuestSystem {
     lattice: RotatedLattice,
     master: MasterController,
     mce: Mce,
-    substrate: Tableau,
+    substrate: Substrate,
     noise: PauliChannel,
 }
 
@@ -81,12 +82,11 @@ impl QuestSystem {
         check_distance(d)?;
         check_probability("error rate", p)?;
         let lattice = RotatedLattice::new(d);
-        let substrate = Tableau::new(lattice.num_qubits());
         Ok(QuestSystem {
             mce: Mce::new(&lattice, MCE_IBUF_BYTES),
+            substrate: Substrate::new(1, lattice.num_qubits()),
             lattice,
             master: MasterController::new(),
-            substrate,
             noise: PauliChannel::depolarizing(p),
         })
     }
@@ -123,8 +123,9 @@ impl QuestSystem {
     /// Runs one noisy QECC cycle: a data-noise layer, then the full
     /// microcode cycle, then escalation service.
     pub fn run_noisy_cycle<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        crate::tile::noise_layer(&self.mce, &self.noise, &mut self.substrate, rng);
-        crate::tile::qecc_cycle_serviced(&mut self.mce, &mut self.master, &mut self.substrate, rng);
+        let tableau = self.substrate.block_mut(0);
+        crate::tile::noise_layer(&self.mce, &self.noise, tableau, rng);
+        crate::tile::qecc_cycle_serviced(&mut self.mce, &mut self.master, tableau, rng);
     }
 
     /// Runs a logical-Z memory workload of `cycles` QECC cycles under the
@@ -179,7 +180,9 @@ impl QuestSystem {
         // Final readout: measure data in Z, apply the accumulated Pauli
         // frames (local + global corrections) plus one final perfect
         // decoding round; its residual events cross the bus upstream.
-        let readout = self.mce.measure_logical_z_details(&mut self.substrate, rng);
+        let readout = self
+            .mce
+            .measure_logical_z_details(self.substrate.block_mut(0), rng);
         self.master.note_readout_syndrome(readout.final_events);
 
         let (local_decodes, escalations) = decode_totals([&self.mce]);

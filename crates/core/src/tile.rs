@@ -1,12 +1,15 @@
 //! Shared tile-level operations.
 //!
 //! [`QuestSystem`](crate::QuestSystem) (one tile),
-//! [`MultiTileSystem`](crate::MultiTileSystem) (an MCE array over one
-//! substrate) and the `quest-runtime` shard workers all drive tiles
-//! through the same sequence — noise layer, microcode QECC cycle,
-//! escalation service, transversal logical gates, destructive readout.
-//! This module is that single code path, so the concurrent runtime and
-//! the single-threaded reference systems cannot drift apart.
+//! [`MultiTileSystem`](crate::MultiTileSystem) (an MCE array) and the
+//! `quest-runtime` shard workers all drive tiles through the same
+//! sequence — noise layer, microcode QECC cycle, escalation service,
+//! transversal logical gates, destructive readout — over the same
+//! [`Substrate`]. This module is that single code path, so the
+//! concurrent runtime and the single-threaded reference systems cannot
+//! drift apart. The per-tile helpers take the tableau holding the tile
+//! ([`Substrate::block_mut`]); only the transversal CNOT, which may have
+//! to join two of them, takes the substrate.
 //!
 //! Every helper that consumes randomness takes the caller's `&mut R` and
 //! draws in a fixed order (noise sweep over data qubits, then the
@@ -18,6 +21,7 @@
 use crate::error::CnotError;
 use crate::master::MasterController;
 use crate::mce::Mce;
+use crate::substrate::Substrate;
 use quest_isa::{LogicalInstr, LogicalQubit};
 use quest_stabilizer::{NoiseChannel, PauliChannel, Tableau};
 use quest_surface::StabKind;
@@ -99,6 +103,9 @@ pub fn qecc_cycle_serviced<R: Rng + ?Sized>(
 /// data qubits, syndrome-reference propagation, error-decoder Pauli-frame
 /// propagation, and logical-frame propagation.
 ///
+/// Tiles that have never interacted live in separate tableaus; the gate
+/// first joins the two tiles' blocks for good ([`Substrate::join`]).
+///
 /// Master-controller coordination (the two sync tokens) is *not* included
 /// — callers account it on their own bus path. Consumes no randomness.
 ///
@@ -107,10 +114,11 @@ pub fn qecc_cycle_serviced<R: Rng + ?Sized>(
 /// [`CnotError`] if the tile indices coincide or are out of range, or if
 /// either tile has not yet run a QECC cycle (no syndrome reference
 /// exists). Every precondition is checked before the substrate or any
-/// frame is touched, so a rejected CNOT leaves the system unchanged.
+/// frame is touched, so a rejected CNOT leaves the system unchanged,
+/// its blocks un-joined.
 pub fn transversal_cnot_physics(
     mces: &mut [Mce],
-    substrate: &mut Tableau,
+    substrate: &mut Substrate,
     control: usize,
     target: usize,
 ) -> Result<(), CnotError> {
@@ -138,10 +146,11 @@ pub fn transversal_cnot_physics(
         }
     }
 
+    let block = substrate.join(mces, control, target)?;
     let c_off = mces[control].substrate_index(0);
     let t_off = mces[target].substrate_index(0);
     for q in 0..mces[control].lattice().num_data() {
-        substrate.cnot(c_off + q, t_off + q);
+        block.cnot(c_off + q, t_off + q);
     }
 
     // Propagate the syndrome references: the CNOT conjugates the

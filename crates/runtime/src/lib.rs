@@ -2,18 +2,22 @@
 //! multi-tile QuEST systems.
 //!
 //! The single-threaded [`MultiTileSystem`](quest_core::MultiTileSystem)
-//! drives every tile from one loop over one tableau. This crate executes
-//! the same physics as a concurrent engine shaped like the paper's
-//! control processor (§4.2):
+//! drives every tile from one loop. This crate executes the same
+//! physics, over the same [`Substrate`](quest_core::Substrate) type, as
+//! a concurrent engine shaped like the paper's control processor (§4.2):
 //!
-//! * **Shard workers** — one thread per shard, each owning a contiguous
-//!   group of tiles, their MCEs, a tableau spanning only those tiles,
-//!   and one RNG stream per tile derived from the master seed.
+//! * **Shard workers** — each owning a contiguous group of tiles, their
+//!   MCEs, the substrate under them (one tableau per entangled group of
+//!   tiles), and one RNG stream per tile derived from the master seed.
+//!   The shards of a multi-shard run get a thread each; the only shard
+//!   of a one-shard run has nothing to overlap with and is driven on
+//!   the master's thread.
 //! * **Master thread** — the caller's thread; dispatches workload
-//!   operations downstream and collects syndromes upstream over bounded
-//!   MPSC channels whose messages are
-//!   [`Packet`](quest_core::network::Packet)-shaped, so bus and packet
-//!   accounting fall out of real message flow.
+//!   operations downstream and collects syndromes upstream as messages
+//!   that are [`Packet`](quest_core::network::Packet)-shaped, so bus and
+//!   packet accounting fall out of real message flow. They cross
+//!   bounded MPSC channels to a shard thread and a plain queue to an
+//!   inline shard.
 //! * **Global-decode pool** — a shared worker pool resolving each
 //!   cycle's escalations as one batch through
 //!   [`quest_surface::decoder::batch`].
@@ -96,23 +100,17 @@ pub use snapshot::{CheckpointSink, RunSnapshot, SNAPSHOT_VERSION};
 pub use spec::{SpecError, WorkloadOp, WorkloadSpec, TABLE_DECODER_MAX_DISTANCE};
 pub use stats::{PhaseTimings, RuntimeReport, RuntimeStats, ShardStats};
 
-use message::{channel, DepthGauge, Envelope, Payload, Rx, Tx};
+use message::{Envelope, Payload};
 use pool::DecodePool;
 use quest_core::network::{Network, PacketKind};
 use quest_core::{DeliveryEngine, FaultSession, MasterController, Mce, MCE_IBUF_BYTES};
 use quest_isa::LogicalInstr;
 use quest_surface::decoder::batch::DecodeJob;
 use quest_surface::{RotatedLattice, StabKind};
-use shard::ShardWorker;
+use shard::{ShardLink, ShardWorker};
 use snapshot::ShardSnapshot;
 use stats::Stopwatch;
 use std::sync::Arc;
-
-/// Per-direction bound of each master ↔ shard channel. Deep enough that
-/// neither side blocks in the steady state (a shard enqueues at most two
-/// escalations per tile per cycle); shallow enough to be a real
-/// backpressure bound.
-const CHANNEL_BOUND: usize = 1024;
 
 /// The concurrent runtime. Construction is cheap; threads live only for
 /// the duration of [`Runtime::run`].
@@ -167,7 +165,7 @@ impl Runtime {
     /// Returns [`RuntimeError`] if the spec fails
     /// [`WorkloadSpec::validate`], or when the spec's [`FaultPlan`]
     /// injects an unrecoverable failure mid-run — a bus link out of
-    /// retries ([`RuntimeError::Link`]), a shard thread panicking
+    /// retries ([`RuntimeError::Link`]), a shard worker panicking
     /// ([`RuntimeError::ShardFailed`]) or the decode pool dying
     /// ([`RuntimeError::DecodePoolFailed`]). A validated spec never
     /// panics the engine; every failure is a typed error and all threads
@@ -265,52 +263,39 @@ impl Runtime {
         let cycle_len = Mce::new(&lattice, MCE_IBUF_BYTES).microcode().cycle_len();
 
         std::thread::scope(|scope| {
-            // Wire one bounded channel pair per shard and spawn workers.
-            let mut down_txs: Vec<Tx<Envelope>> = Vec::with_capacity(spec.shards);
-            let mut up_rxs: Vec<Rx<Envelope>> = Vec::with_capacity(spec.shards);
-            let mut down_gauges: Vec<DepthGauge> = Vec::with_capacity(spec.shards);
-            let mut up_gauges: Vec<DepthGauge> = Vec::with_capacity(spec.shards);
-            for s in 0..spec.shards {
-                let (down_tx, down_rx, down_gauge) = channel(CHANNEL_BOUND);
-                let (up_tx, up_rx, up_gauge) = channel(CHANNEL_BOUND);
-                let panic_after = spec
-                    .faults
-                    .shard_panic
-                    .and_then(|p| (p.shard == s).then_some(p.after_cycles));
-                match resume {
-                    Some(snap) => {
-                        let worker = ShardWorker::from_snapshot(
+            // A run's only shard has nothing to overlap with, so it is
+            // driven on this thread; the shards of a multi-shard run get
+            // a thread and a bounded channel pair each.
+            let inline = spec.shards == 1;
+            let links: Vec<ShardLink> = (0..spec.shards)
+                .map(|s| {
+                    let panic_after = spec
+                        .faults
+                        .shard_panic
+                        .and_then(|p| (p.shard == s).then_some(p.after_cycles));
+                    ShardLink::new(scope, inline, |up| match resume {
+                        Some(snap) => ShardWorker::from_snapshot(
                             s,
                             spec.tile_range(s),
                             spec.error_rate,
                             spec.delivery,
                             snap.shards[s].clone(),
-                            down_rx,
-                            up_tx,
+                            up,
                             panic_after,
-                        );
-                        scope.spawn(move || worker.run());
-                    }
-                    None => {
-                        let worker = ShardWorker::new(
+                        ),
+                        None => ShardWorker::new(
                             s,
                             spec.tile_range(s),
                             &lattice,
                             spec.error_rate,
                             spec.delivery,
                             spec.seed,
-                            down_rx,
-                            up_tx,
+                            up,
                             panic_after,
-                        );
-                        scope.spawn(move || worker.run());
-                    }
-                }
-                down_txs.push(down_tx);
-                up_rxs.push(up_rx);
-                down_gauges.push(down_gauge);
-                up_gauges.push(up_gauge);
-            }
+                        ),
+                    })
+                })
+                .collect();
             let pool = DecodePool::spawn(scope, &lattice, spec.decoder, self.decode_workers);
 
             // Accounting state either starts fresh or continues exactly
@@ -344,8 +329,7 @@ impl Runtime {
                     |r| r.network.clone(),
                 ),
                 pool,
-                down_txs,
-                up_rxs,
+                links,
                 shard_stats: resume.map_or_else(
                     || {
                         (0..spec.shards)
@@ -376,7 +360,7 @@ impl Runtime {
             // unwind), the pool drains and stops, and the scope joins
             // everything — a typed error, never a hang or abort.
             master.execute()?;
-            Ok(master.report(&down_gauges, &up_gauges))
+            Ok(master.report())
         })
     }
 }
@@ -403,8 +387,8 @@ struct Master<'a, 'scope, 'env> {
     controller: MasterController,
     network: Network,
     pool: DecodePool<'scope, 'env>,
-    down_txs: Vec<Tx<Envelope>>,
-    up_rxs: Vec<Rx<Envelope>>,
+    /// One link per shard, inline or threaded.
+    links: Vec<ShardLink>,
     shard_stats: Vec<ShardStats>,
     outcomes: Vec<(usize, bool)>,
     qecc_cycles: u64,
@@ -450,7 +434,7 @@ impl Master<'_, '_, '_> {
     /// dying `Failed` report for a precise detail when one is in flight.
     fn shard_failed(&mut self, shard: usize) -> RuntimeError {
         loop {
-            match self.up_rxs[shard].recv() {
+            match self.links[shard].recv() {
                 Ok(env) => {
                     if let Payload::Failed { shard: s, detail } = env.payload {
                         return RuntimeError::ShardFailed { shard: s, detail };
@@ -470,7 +454,7 @@ impl Master<'_, '_, '_> {
     /// Receives one upstream envelope, converting a worker death — a
     /// `Failed` report or a bare disconnect — into the typed error.
     fn recv_up(&mut self, shard: usize) -> Result<Envelope, RuntimeError> {
-        match self.up_rxs[shard].recv() {
+        match self.links[shard].recv() {
             Ok(env) => {
                 self.shard_stats[shard].upstream_messages += 1;
                 if let Payload::Failed { shard: s, detail } = env.payload {
@@ -490,7 +474,7 @@ impl Master<'_, '_, '_> {
     /// layer for the transfer.
     fn send_down(&mut self, shard: usize, tile: usize, env: Envelope) -> Result<(), RuntimeError> {
         self.deliver(tile, env.wire_bytes, env.kind)?;
-        self.down_txs[shard]
+        self.links[shard]
             .send(env)
             .map_err(|_| self.shard_failed(shard))
     }
@@ -545,7 +529,7 @@ impl Master<'_, '_, '_> {
                         quest_core::master::SYNC_TOKEN_BYTES,
                         PacketKind::Downstream,
                     )?;
-                    self.down_txs[shard]
+                    self.links[shard]
                         .send(Envelope::control(
                             PacketKind::Downstream,
                             Payload::Cnot { control, target },
@@ -661,12 +645,12 @@ impl Master<'_, '_, '_> {
             }
         }
         for shard in 0..self.spec.shards {
-            self.down_txs[shard]
+            self.links[shard]
                 .send(Envelope::control(PacketKind::Downstream, Payload::Shutdown))
                 .map_err(|_| self.shard_failed(shard))?;
         }
         // Collect each worker's sign-off: the local-decode counters only
-        // the shard threads could observe.
+        // the shard workers could observe.
         for shard in 0..self.spec.shards {
             let env = self.recv_up(shard)?;
             match env.payload {
@@ -727,7 +711,7 @@ impl Master<'_, '_, '_> {
             return Ok(());
         }
         for shard in 0..self.spec.shards {
-            self.down_txs[shard]
+            self.links[shard]
                 .send(Envelope::control(PacketKind::Downstream, Payload::Snapshot))
                 .map_err(|_| self.shard_failed(shard))?;
         }
@@ -735,7 +719,7 @@ impl Master<'_, '_, '_> {
         for shard in 0..self.spec.shards {
             // Receive directly (not recv_up): observer traffic must not
             // perturb even the upstream-message statistics.
-            let env = match self.up_rxs[shard].recv() {
+            let env = match self.links[shard].recv() {
                 Ok(env) => env,
                 Err(_) => {
                     return Err(RuntimeError::ShardFailed {
@@ -788,7 +772,7 @@ impl Master<'_, '_, '_> {
         let start = Stopwatch::start();
         self.faults.begin_cycle(self.qecc_cycles);
         for shard in 0..self.spec.shards {
-            self.down_txs[shard]
+            self.links[shard]
                 .send(Envelope::control(PacketKind::Downstream, Payload::Cycle))
                 .map_err(|_| self.shard_failed(shard))?;
         }
@@ -878,10 +862,9 @@ impl Master<'_, '_, '_> {
         Ok(())
     }
 
-    fn report(mut self, down_gauges: &[DepthGauge], up_gauges: &[DepthGauge]) -> RuntimeReport {
-        for (s, stats) in self.shard_stats.iter_mut().enumerate() {
-            stats.max_downstream_depth = down_gauges[s].high_water();
-            stats.max_upstream_depth = up_gauges[s].high_water();
+    fn report(mut self) -> RuntimeReport {
+        for (stats, link) in self.shard_stats.iter_mut().zip(&self.links) {
+            (stats.max_downstream_depth, stats.max_upstream_depth) = link.high_water();
         }
         let escalations = self.shard_stats.iter().map(|s| s.escalations).sum();
         // The pool's merged decode-cost ledger must be read before the
@@ -1049,21 +1032,27 @@ mod tests {
         let control = RunControl::new().with_checkpoints(&sink);
         Runtime::new().run_controlled(&spec, &control).unwrap();
         let mut snap = sink.take().unwrap();
-        snap.version = SNAPSHOT_VERSION + 1;
-        let err = Runtime::new()
-            .resume(&snap, &RunControl::new())
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                RuntimeError::Protocol {
-                    context: "snapshot resume",
-                    ..
-                }
-            ),
-            "{err:?}"
-        );
-        assert!(err.to_string().contains("snapshot"), "{err}");
+        // A later format, and the one before the substrate was split
+        // into per-group tableaus.
+        for version in [SNAPSHOT_VERSION + 1, SNAPSHOT_VERSION - 1] {
+            snap.version = version;
+            let err = Runtime::new()
+                .resume(&snap, &RunControl::new())
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    RuntimeError::Protocol {
+                        context: "snapshot resume",
+                        ..
+                    }
+                ),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("snapshot"), "{err}");
+        }
+        snap.version = SNAPSHOT_VERSION;
+        assert!(Runtime::new().resume(&snap, &RunControl::new()).is_ok());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Single-threaded reference execution of a [`WorkloadSpec`].
 //!
 //! Runs the same workload on
-//! [`quest_core::MultiTileSystem`] — one tableau
-//! spanning every tile, escalations serviced inline by the master
+//! [`quest_core::MultiTileSystem`] — the same
+//! [`quest_core::Substrate`] the shard workers hold, here under every
+//! tile at once, escalations serviced inline by the master
 //! controller, instruction delivery through the shared
 //! [`quest_core::DeliveryEngine`] — using the same
 //! per-tile RNG streams as the concurrent runtime. The determinism tests

@@ -1,35 +1,44 @@
-//! Shard worker: one thread owning a contiguous group of tiles.
+//! Shard worker: the owner of a contiguous group of tiles, and the
+//! master's link to it.
 //!
-//! Each shard holds its own MCEs and its own stabilizer tableau spanning
-//! only its tiles. That is physically exact as long as entanglement never
-//! crosses a shard boundary — tiles start in product states and the spec
-//! validator rejects cross-shard CNOTs — and it is also where the
-//! runtime's speedup comes from beyond the thread count: over a tableau
-//! of `n` qubits a gate costs O(n/64) word operations and a measurement
-//! an O(n·n/64) column scan, and a tile-cycle is a fixed number of each,
-//! so a shard's work per tile-cycle grows with the width of its tableau.
-//! Two shards of 196 qubits run 8 tiles at d = 5 2.6 times as fast as
-//! one of 392 on two cores (`k.runtime.shard2_speedup` in `benchmark/`).
+//! Each shard holds its own MCEs and the [`Substrate`] under its tiles:
+//! one stabilizer tableau per entangled group of tiles, a tile on its
+//! own until a transversal CNOT joins it to another for good. That is
+//! physically exact as long as entanglement never crosses a shard
+//! boundary — tiles start in product states and the spec validator
+//! rejects cross-shard CNOTs. A tile-cycle therefore costs the same on
+//! any shard, however many tiles the shard owns: a measurement scans the
+//! generators of its own block only. Shards buy parallelism and nothing
+//! else — the total work of a run does not depend on the shard count.
 //!
 //! Every tile draws from its own RNG stream
 //! ([`tile_seed`](quest_core::tile::tile_seed)), in the same fixed order
 //! the single-threaded reference uses (noise layer, then the microcode
 //! cycle), so a shard's outcomes do not depend on which thread runs it.
 //!
-//! The worker is panic-contained: its serve loop runs under
+//! A worker answers [`Envelope`]s and nothing else, so where it runs is
+//! the [`ShardLink`]'s business: each shard of a multi-shard run gets a
+//! thread and a bounded channel pair; the only shard of a one-shard run
+//! has nothing to overlap with and is driven on the master's thread, a
+//! queue standing in for the channels — no second thread, no wake-up per
+//! cycle, and a short run's wall-clock stops depending on where the
+//! scheduler happened to put that thread.
+//!
+//! The worker is panic-contained: every envelope is handled under
 //! `catch_unwind`, and any panic (including the fault layer's scheduled
 //! one) is converted into an upstream [`Payload::Failed`] report so the
 //! master can shut the run down with a typed error instead of the
 //! process aborting. A disconnected channel — the master bailed out
 //! early — is a clean exit, never a panic.
 
-use crate::message::{Envelope, Payload, Rx, Tx};
+use crate::message::{channel, DepthGauge, Disconnected, Envelope, Payload, Rx, Tx};
 use crate::snapshot::ShardSnapshot;
 use quest_core::network::PacketKind;
 use quest_core::tile;
-use quest_core::{decode_totals, DeliveryEngine, DeliveryMode, Mce, MCE_IBUF_BYTES};
-use quest_stabilizer::{PauliChannel, SeedableRng, StdRng, Tableau};
+use quest_core::{decode_totals, DeliveryEngine, DeliveryMode, Mce, Substrate, MCE_IBUF_BYTES};
+use quest_stabilizer::{PauliChannel, SeedableRng, StdRng};
 use quest_surface::RotatedLattice;
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -44,18 +53,158 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Per-direction bound of each master ↔ shard channel. Deep enough that
+/// neither side blocks in the steady state (a shard enqueues at most two
+/// escalations per tile per cycle); shallow enough to be a real
+/// backpressure bound.
+const CHANNEL_BOUND: usize = 1024;
+
+/// Where a worker's upstream envelopes go.
+pub(crate) enum Upstream {
+    /// To the master's thread, over the shard's bounded channel.
+    Channel(Tx<Envelope>),
+    /// Into a queue the master pops itself (inline worker).
+    Queue(VecDeque<Envelope>),
+}
+
+impl Upstream {
+    fn send(&mut self, env: Envelope) -> Result<(), Disconnected> {
+        match self {
+            Upstream::Channel(tx) => tx.send(env),
+            Upstream::Queue(queue) => {
+                queue.push_back(env);
+                Ok(())
+            }
+        }
+    }
+
+    /// Takes the oldest queued envelope. A channel holds none here: its
+    /// envelopes are at the receiving end.
+    fn pop(&mut self) -> Option<Envelope> {
+        match self {
+            Upstream::Channel(_) => None,
+            Upstream::Queue(queue) => queue.pop_front(),
+        }
+    }
+
+    fn queued(&self) -> usize {
+        match self {
+            Upstream::Channel(_) => 0,
+            Upstream::Queue(queue) => queue.len(),
+        }
+    }
+}
+
+/// The master's end of one shard: the same envelopes either way, only
+/// the transport differs.
+pub(crate) enum ShardLink {
+    /// The worker runs on its own thread behind a bounded channel pair.
+    Threaded {
+        down: Tx<Envelope>,
+        up: Rx<Envelope>,
+        down_gauge: DepthGauge,
+        up_gauge: DepthGauge,
+    },
+    /// The worker is driven on the master's thread: `send` handles the
+    /// envelope on the spot and `recv` pops what it answered.
+    Inline {
+        worker: Box<ShardWorker>,
+        serving: bool,
+        /// Longest the answer queue ever got.
+        max_up: usize,
+    },
+}
+
+impl ShardLink {
+    /// Links the worker `build` makes for the given upstream end. With
+    /// `inline` the worker stays on the caller's thread; otherwise it
+    /// gets a thread of its own in `scope`.
+    pub(crate) fn new<'scope>(
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        inline: bool,
+        build: impl FnOnce(Upstream) -> ShardWorker,
+    ) -> ShardLink {
+        if inline {
+            return ShardLink::Inline {
+                worker: Box::new(build(Upstream::Queue(VecDeque::new()))),
+                serving: true,
+                max_up: 0,
+            };
+        }
+        let (down, down_rx, down_gauge) = channel(CHANNEL_BOUND);
+        let (up_tx, up, up_gauge) = channel(CHANNEL_BOUND);
+        let worker = build(Upstream::Channel(up_tx));
+        scope.spawn(move || worker.run(&down_rx));
+        ShardLink::Threaded {
+            down,
+            up,
+            down_gauge,
+            up_gauge,
+        }
+    }
+
+    /// Hands one envelope to the worker.
+    ///
+    /// # Errors
+    ///
+    /// [`Disconnected`] when the worker no longer serves.
+    pub(crate) fn send(&mut self, env: Envelope) -> Result<(), Disconnected> {
+        match self {
+            ShardLink::Threaded { down, .. } => down.send(env),
+            ShardLink::Inline {
+                worker,
+                serving,
+                max_up,
+            } => {
+                if !*serving {
+                    return Err(Disconnected);
+                }
+                *serving = worker.deliver(env);
+                *max_up = (*max_up).max(worker.up.queued());
+                Ok(())
+            }
+        }
+    }
+
+    /// The worker's next upstream envelope; blocks only on a threaded
+    /// worker.
+    ///
+    /// # Errors
+    ///
+    /// [`Disconnected`] when the worker is gone (threaded) or has
+    /// nothing left to say (inline).
+    pub(crate) fn recv(&mut self) -> Result<Envelope, Disconnected> {
+        match self {
+            ShardLink::Threaded { up, .. } => up.recv(),
+            ShardLink::Inline { worker, .. } => worker.up.pop().ok_or(Disconnected),
+        }
+    }
+
+    /// Deepest the downstream and the upstream side ever got (an inline
+    /// worker has one envelope in hand at a time).
+    pub(crate) fn high_water(&self) -> (usize, usize) {
+        match self {
+            ShardLink::Threaded {
+                down_gauge,
+                up_gauge,
+                ..
+            } => (down_gauge.high_water(), up_gauge.high_water()),
+            ShardLink::Inline { max_up, .. } => (1, *max_up),
+        }
+    }
+}
+
 /// Owned state of one shard worker.
 pub(crate) struct ShardWorker {
     shard: usize,
     /// Global tile ids owned by this shard.
     tiles: Range<usize>,
     mces: Vec<Mce>,
-    substrate: Tableau,
+    substrate: Substrate,
     noise: PauliChannel,
     engine: DeliveryEngine,
     rngs: Vec<StdRng>,
-    rx: Rx<Envelope>,
-    tx: Tx<Envelope>,
+    up: Upstream,
     /// Fault injection: panic once this many QECC cycles completed.
     panic_after_cycles: Option<u64>,
     cycles_done: u64,
@@ -73,48 +222,40 @@ impl ShardWorker {
         error_rate: f64,
         delivery: DeliveryMode,
         master_seed: u64,
-        rx: Rx<Envelope>,
-        tx: Tx<Envelope>,
+        up: Upstream,
         panic_after_cycles: Option<u64>,
     ) -> ShardWorker {
-        let tile_width = lattice.num_qubits();
-        let mces: Vec<Mce> = (0..tiles.len())
-            .map(|local| Mce::with_offset(lattice, MCE_IBUF_BYTES, local * tile_width))
-            .collect();
         let rngs = tiles
             .clone()
             .map(|t| StdRng::seed_from_u64(tile::tile_seed(master_seed, t as u64)))
             .collect();
         ShardWorker {
             shard,
-            substrate: Tableau::new(tiles.len() * tile_width),
+            substrate: Substrate::new(tiles.len(), lattice.num_qubits()),
+            mces: vec![Mce::new(lattice, MCE_IBUF_BYTES); tiles.len()],
             tiles,
-            mces,
             noise: PauliChannel::depolarizing(error_rate),
             engine: DeliveryEngine::new(delivery),
             rngs,
-            rx,
-            tx,
+            up,
             panic_after_cycles,
             cycles_done: 0,
         }
     }
 
-    /// Rebuilds a shard worker from a checkpoint: MCEs, tableau, RNG
+    /// Rebuilds a shard worker from a checkpoint: MCEs, substrate, RNG
     /// streams and the cycle counter resume exactly where the snapshot
     /// froze them; the stateless noise channel and delivery engine are
     /// rebuilt from the spec. The panic schedule compares for *equality*
     /// against the restored counter, so a drill that already fired
     /// before the snapshot can never re-fire on resume.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_snapshot(
         shard: usize,
         tiles: Range<usize>,
         error_rate: f64,
         delivery: DeliveryMode,
         state: ShardSnapshot,
-        rx: Rx<Envelope>,
-        tx: Tx<Envelope>,
+        up: Upstream,
         panic_after_cycles: Option<u64>,
     ) -> ShardWorker {
         ShardWorker {
@@ -125,8 +266,7 @@ impl ShardWorker {
             noise: PauliChannel::depolarizing(error_rate),
             engine: DeliveryEngine::new(delivery),
             rngs: state.rngs,
-            rx,
-            tx,
+            up,
             panic_after_cycles,
             cycles_done: state.cycles_done,
         }
@@ -137,151 +277,141 @@ impl ShardWorker {
         tile - self.tiles.start
     }
 
-    /// Thread entry point: the serve loop under panic containment. A
-    /// caught panic is reported upstream as [`Payload::Failed`]; the
-    /// thread itself always returns normally, so the enclosing scope
-    /// never re-panics.
-    pub(crate) fn run(self) {
-        let shard = self.shard;
-        let tx = self.tx.clone();
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(move || self.serve())) {
-            let _ = tx.send(Envelope::control(
-                PacketKind::Upstream,
-                Payload::Failed {
-                    shard,
-                    detail: panic_detail(payload.as_ref()),
-                },
-            ));
+    /// Thread entry point: serves downstream envelopes until the master
+    /// sends `Shutdown`, a failure is reported upstream, or the master
+    /// hangs up (a disconnect means the master already shut down,
+    /// possibly on an error of its own — exiting quietly is the right
+    /// response). The thread always returns normally, so the enclosing
+    /// scope never re-panics.
+    pub(crate) fn run(mut self, rx: &Rx<Envelope>) {
+        while let Ok(env) = rx.recv() {
+            if !self.deliver(env) {
+                return;
+            }
         }
     }
 
-    /// Message loop; returns when the master sends `Shutdown` or hangs
-    /// up (a disconnect means the master already shut down, possibly on
-    /// an error of its own — exiting quietly is the right response).
-    fn serve(mut self) {
-        loop {
-            let env = match self.rx.recv() {
-                Ok(env) => env,
-                Err(_) => return,
-            };
-            match env.payload {
-                Payload::Cycle => {
-                    if self.run_cycle().is_err() {
-                        return;
-                    }
-                }
-                Payload::Prep { tile, basis } => {
-                    let l = self.local(tile);
-                    tile::prep_logical(
-                        &mut self.mces[l],
-                        basis,
-                        &mut self.substrate,
-                        &mut self.rngs[l],
-                    );
-                }
-                Payload::Cnot { control, target } => {
-                    let (lc, lt) = (self.local(control), self.local(target));
-                    if let Err(e) =
-                        tile::transversal_cnot_physics(&mut self.mces, &mut self.substrate, lc, lt)
-                    {
-                        // Validated specs make this unreachable; report it
-                        // like a caught panic and stop serving.
-                        let _ = self.tx.send(Envelope::control(
-                            PacketKind::Upstream,
-                            Payload::Failed {
-                                shard: self.shard,
-                                detail: format!("transversal CNOT rejected: {e}"),
-                            },
-                        ));
-                        return;
-                    }
-                }
-                Payload::Logical { tile, instr } => {
-                    let l = self.local(tile);
-                    self.engine.dispatch_local(&mut self.mces[l], instr);
-                }
-                Payload::Kernel {
-                    tile,
-                    kernel,
-                    replays,
-                } => {
-                    let l = self.local(tile);
-                    self.engine
-                        .kernel_local(&mut self.mces[l], &kernel, replays);
-                }
-                Payload::Correction { tile, kind, flips } => {
-                    let l = self.local(tile);
-                    self.mces[l]
-                        .decoder_mut(kind)
-                        .apply_global_correction(flips);
-                }
-                Payload::MeasureZ { tile } => {
-                    let l = self.local(tile);
-                    let readout = self.mces[l]
-                        .measure_logical_z_details(&mut self.substrate, &mut self.rngs[l]);
-                    if self
-                        .tx
-                        .send(Envelope::outcome(tile, readout.value, readout.final_events))
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-                Payload::Snapshot => {
-                    // Deep-clone the owned state at the barrier. The
-                    // clone observes; nothing about the run changes.
-                    let state = ShardSnapshot {
-                        mces: self.mces.clone(),
-                        substrate: self.substrate.clone(),
-                        rngs: self.rngs.clone(),
-                        cycles_done: self.cycles_done,
-                    };
-                    if self
-                        .tx
-                        .send(Envelope::control(
-                            PacketKind::Upstream,
-                            Payload::ShardState {
-                                shard: self.shard,
-                                state: Box::new(state),
-                            },
-                        ))
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-                Payload::Shutdown => {
-                    // Sign off with the counters only this thread saw.
-                    let (local_decodes, _) = decode_totals(&self.mces);
-                    let _ = self.tx.send(Envelope::control(
-                        PacketKind::Upstream,
-                        Payload::Closing {
-                            shard: self.shard,
-                            local_decodes,
-                        },
-                    ));
-                    return;
-                }
-                Payload::Syndrome { .. }
-                | Payload::CycleDone { .. }
-                | Payload::Outcome { .. }
-                | Payload::Closing { .. }
-                | Payload::ShardState { .. }
-                | Payload::Failed { .. } => {
-                    // An upstream payload reaching a shard is a protocol
-                    // bug in the master; report it and stop serving
-                    // instead of panicking the worker thread.
-                    let _ = self.tx.send(Envelope::control(
-                        PacketKind::Upstream,
-                        Payload::Failed {
-                            shard: self.shard,
-                            detail: format!("upstream payload at a shard worker: {:?}", env.kind),
-                        },
-                    ));
-                    return;
+    /// Handles one downstream envelope under panic containment and says
+    /// whether the worker still serves. A caught panic is reported
+    /// upstream as [`Payload::Failed`] and ends service.
+    pub(crate) fn deliver(&mut self, env: Envelope) -> bool {
+        match catch_unwind(AssertUnwindSafe(|| self.handle(env))) {
+            Ok(serving) => serving,
+            Err(payload) => self.fail(panic_detail(payload.as_ref())),
+        }
+    }
+
+    /// One message; `false` once the worker is done serving.
+    fn handle(&mut self, env: Envelope) -> bool {
+        match env.payload {
+            Payload::Cycle => self.run_cycle().is_ok(),
+            Payload::Prep { tile, basis } => {
+                let l = self.local(tile);
+                tile::prep_logical(
+                    &mut self.mces[l],
+                    basis,
+                    self.substrate.block_mut(l),
+                    &mut self.rngs[l],
+                );
+                true
+            }
+            Payload::Cnot { control, target } => {
+                let (lc, lt) = (self.local(control), self.local(target));
+                match tile::transversal_cnot_physics(&mut self.mces, &mut self.substrate, lc, lt) {
+                    Ok(()) => true,
+                    // Validated specs make this unreachable; report it
+                    // like a caught panic and stop serving.
+                    Err(e) => self.fail(format!("transversal CNOT rejected: {e}")),
                 }
             }
+            Payload::Logical { tile, instr } => {
+                let l = self.local(tile);
+                self.engine.dispatch_local(&mut self.mces[l], instr);
+                true
+            }
+            Payload::Kernel {
+                tile,
+                kernel,
+                replays,
+            } => {
+                let l = self.local(tile);
+                self.engine
+                    .kernel_local(&mut self.mces[l], &kernel, replays);
+                true
+            }
+            Payload::Correction { tile, kind, flips } => {
+                let l = self.local(tile);
+                self.mces[l]
+                    .decoder_mut(kind)
+                    .apply_global_correction(flips);
+                true
+            }
+            Payload::MeasureZ { tile } => {
+                let l = self.local(tile);
+                let readout = self.mces[l]
+                    .measure_logical_z_details(self.substrate.block_mut(l), &mut self.rngs[l]);
+                self.up
+                    .send(Envelope::outcome(tile, readout.value, readout.final_events))
+                    .is_ok()
+            }
+            Payload::Snapshot => {
+                // Deep-clone the owned state at the barrier. The clone
+                // observes; nothing about the run changes.
+                let state = ShardSnapshot {
+                    mces: self.mces.clone(),
+                    substrate: self.substrate.clone(),
+                    rngs: self.rngs.clone(),
+                    cycles_done: self.cycles_done,
+                };
+                self.up
+                    .send(Envelope::control(
+                        PacketKind::Upstream,
+                        Payload::ShardState {
+                            shard: self.shard,
+                            state: Box::new(state),
+                        },
+                    ))
+                    .is_ok()
+            }
+            Payload::Shutdown => {
+                // Sign off with the counters only this worker saw.
+                let (local_decodes, _) = decode_totals(&self.mces);
+                let _ = self.up.send(Envelope::control(
+                    PacketKind::Upstream,
+                    Payload::Closing {
+                        shard: self.shard,
+                        local_decodes,
+                    },
+                ));
+                false
+            }
+            Payload::Syndrome { .. }
+            | Payload::CycleDone { .. }
+            | Payload::Outcome { .. }
+            | Payload::Closing { .. }
+            | Payload::ShardState { .. }
+            | Payload::Failed { .. } => {
+                // An upstream payload reaching a shard is a protocol bug
+                // in the master; report it and stop serving instead of
+                // panicking the worker.
+                self.fail(format!(
+                    "upstream payload at a shard worker: {:?}",
+                    env.kind
+                ))
+            }
         }
+    }
+
+    /// Reports a failure upstream; the worker stops serving.
+    fn fail(&mut self, detail: String) -> bool {
+        let _ = self.up.send(Envelope::control(
+            PacketKind::Upstream,
+            Payload::Failed {
+                shard: self.shard,
+                detail,
+            },
+        ));
+        false
     }
 
     /// One noisy QECC cycle over every owned tile: the noise layer and
@@ -290,30 +420,118 @@ impl ShardWorker {
     /// then the cycle barrier. `Err` means the master hung up.
     fn run_cycle(&mut self) -> Result<(), ()> {
         if self.panic_after_cycles == Some(self.cycles_done) {
-            // quest-lint: allow(QL01) -- deliberate fault injection: this drill exercises the catch_unwind containment in run()
+            // quest-lint: allow(QL01) -- deliberate fault injection: this drill exercises the catch_unwind containment in deliver()
             panic!(
                 "injected shard-worker panic after {} cycles",
                 self.cycles_done
             );
         }
-        for (mce, rng) in self.mces.iter().zip(self.rngs.iter_mut()) {
-            tile::noise_layer(mce, &self.noise, &mut self.substrate, rng);
+        for (local, (mce, rng)) in self.mces.iter().zip(self.rngs.iter_mut()).enumerate() {
+            tile::noise_layer(mce, &self.noise, self.substrate.block_mut(local), rng);
         }
         for local in 0..self.mces.len() {
-            self.mces[local].run_qecc_cycle(&mut self.substrate, &mut self.rngs[local]);
+            self.mces[local].run_qecc_cycle(self.substrate.block_mut(local), &mut self.rngs[local]);
             for (kind, escalation) in self.mces[local].take_escalations() {
                 let tile = self.tiles.start + local;
-                self.tx
+                self.up
                     .send(Envelope::syndrome(tile, kind, escalation))
                     .map_err(|_| ())?;
             }
         }
         self.cycles_done += 1;
-        self.tx
+        self.up
             .send(Envelope::control(
                 PacketKind::Upstream,
                 Payload::CycleDone { shard: self.shard },
             ))
             .map_err(|_| ())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn link<'scope>(
+        inline: bool,
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        panic_after: Option<u64>,
+    ) -> ShardLink {
+        let lattice = RotatedLattice::new(3);
+        ShardLink::new(scope, inline, |up| {
+            ShardWorker::new(
+                0,
+                0..2,
+                &lattice,
+                1e-3,
+                DeliveryMode::QuestMce,
+                7,
+                up,
+                panic_after,
+            )
+        })
+    }
+
+    fn cycle() -> Envelope {
+        Envelope::control(PacketKind::Downstream, Payload::Cycle)
+    }
+
+    /// Everything a shard answers to one cycle, up to its barrier.
+    fn drain_cycle(link: &mut ShardLink) -> Vec<String> {
+        let mut seen = Vec::new();
+        loop {
+            let env = link.recv().expect("a serving shard reaches its barrier");
+            let done = matches!(env.payload, Payload::CycleDone { .. });
+            seen.push(format!("{:?}", env.payload));
+            if done {
+                return seen;
+            }
+        }
+    }
+
+    #[test]
+    fn inline_and_threaded_links_carry_the_same_envelopes() {
+        std::thread::scope(|scope| {
+            let mut inline = link(true, scope, None);
+            let mut threaded = link(false, scope, None);
+            for _ in 0..20 {
+                inline.send(cycle()).unwrap();
+                threaded.send(cycle()).unwrap();
+                assert_eq!(drain_cycle(&mut inline), drain_cycle(&mut threaded));
+            }
+            // Nothing is left over on the inline side, and asking anyway
+            // is an error, not a wait.
+            assert!(inline.recv().is_err());
+            let shutdown = || Envelope::control(PacketKind::Downstream, Payload::Shutdown);
+            inline.send(shutdown()).unwrap();
+            threaded.send(shutdown()).unwrap();
+            for link in [&mut inline, &mut threaded] {
+                let env = link.recv().unwrap();
+                assert!(matches!(env.payload, Payload::Closing { shard: 0, .. }));
+            }
+            // A worker that signed off no longer takes envelopes.
+            assert!(inline.send(cycle()).is_err());
+            assert_eq!(inline.high_water().0, 1);
+        });
+    }
+
+    #[test]
+    fn inline_worker_panic_is_contained_and_reported() {
+        std::thread::scope(|scope| {
+            let mut inline = link(true, scope, Some(1));
+            inline.send(cycle()).unwrap();
+            drain_cycle(&mut inline);
+            // The drill fires inside this call, on this thread; the
+            // caller sees an ordinary send and a `Failed` report.
+            inline.send(cycle()).unwrap();
+            match inline.recv().unwrap().payload {
+                Payload::Failed { shard: 0, detail } => {
+                    assert!(detail.contains("injected"), "{detail}");
+                }
+                other => panic!("expected Failed, got {other:?}"),
+            }
+            assert!(inline.send(cycle()).is_err());
+            assert!(inline.recv().is_err());
+        });
     }
 }

@@ -7,7 +7,7 @@
 //! [`RunSnapshot`] taken there captures *everything* a bit-identical
 //! resume needs — the master's accounting (bus ledger, interconnect,
 //! fault-lane counters), each shard's MCE tile state, stabilizer
-//! tableau and per-tile RNG streams, and the decode pool's cost ledger
+//! tableaus and per-tile RNG streams, and the decode pool's cost ledger
 //! folded down to a baseline. [`Runtime::resume`](crate::Runtime::resume)
 //! rebuilds the whole machine from one and continues as if the
 //! interruption never happened: the resumed run's
@@ -28,8 +28,8 @@ use crate::pool::PoolStats;
 use crate::spec::WorkloadSpec;
 use crate::stats::ShardStats;
 use quest_core::network::Network;
-use quest_core::{CostReport, DeliveryEngine, FaultSession, MasterController, Mce};
-use quest_stabilizer::{StdRng, Tableau};
+use quest_core::{CostReport, DeliveryEngine, FaultSession, MasterController, Mce, Substrate};
+use quest_stabilizer::StdRng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -37,15 +37,20 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// protocol or any captured field changes meaning; `resume` rejects a
 /// mismatched snapshot with a typed error instead of producing a
 /// silently-divergent run.
-pub const SNAPSHOT_VERSION: u32 = 1;
+///
+/// Version 2: a shard's substrate is one tableau per entangled group of
+/// its tiles (and each MCE's substrate offset is relative to its group's
+/// tableau), no longer one tableau spanning the shard.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// One shard worker's owned state at a cycle barrier: its MCEs (local
-/// decoders, microcode counters, caches), its tableau slice of the
-/// substrate, and the per-tile RNG streams with their word positions.
+/// decoders, microcode counters, caches), the substrate under its tiles
+/// (which tiles have been joined included), and the per-tile RNG streams
+/// with their word positions.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardSnapshot {
     pub(crate) mces: Vec<Mce>,
-    pub(crate) substrate: Tableau,
+    pub(crate) substrate: Substrate,
     pub(crate) rngs: Vec<StdRng>,
     pub(crate) cycles_done: u64,
 }

@@ -4,7 +4,7 @@
 //! Each seed drives one complete soak: a fresh server, a batch of jobs
 //! whose fault plans (scheduled shard panics, decode-worker kills, lossy
 //! links), supervision policies, random cancellations and forced
-//! checkpoints are all drawn from one deterministic [`SplitMix64`]
+//! checkpoints are all drawn from one deterministic `SplitMix64`
 //! stream. The harness then asserts the properties the rest of this PR
 //! exists to provide:
 //!

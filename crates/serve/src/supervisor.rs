@@ -6,7 +6,7 @@
 //! worker, a dead decode pool, an exhausted link) are *environmental* —
 //! the job's physics is fine, the machinery under it hiccuped — so the
 //! supervisor retries them, resuming from the job's latest
-//! [`RunSnapshot`](quest_runtime::RunSnapshot) when one exists. Logical
+//! [`RunSnapshot`] when one exists. Logical
 //! failures (a spec that cannot build, a protocol violation) would fail
 //! identically forever and are terminal on the first occurrence.
 //!

@@ -119,6 +119,19 @@ fn column_pair(m: &mut [u64], len: usize, a: usize, b: usize) -> (&[u64], &mut [
     }
 }
 
+/// ORs `src` into `dst` moved up by `shift` bits. Every set bit of `src`
+/// must land inside `dst`.
+fn or_shifted(dst: &mut [u64], src: &[u64], shift: usize) {
+    let (word, bit) = (shift / WORD_BITS, shift % WORD_BITS);
+    for (k, &v) in src.iter().enumerate().filter(|&(_, &v)| v != 0) {
+        dst[word + k] |= v << bit;
+        let carry = if bit == 0 { 0 } else { v >> (WORD_BITS - bit) };
+        if carry != 0 {
+            dst[word + k + 1] |= carry;
+        }
+    }
+}
+
 /// All ones when `bit` is nonzero, else zero.
 #[inline]
 fn broadcast(bit: u64) -> u64 {
@@ -171,6 +184,73 @@ impl Tableau {
             self.x[q * len + k] = bit; // destabilizer q = X_q
             self.z[q * len + words + k] = bit; // stabilizer q = Z_q
         }
+    }
+
+    /// Appends `other`'s qubits after this tableau's own, leaving the
+    /// tensor product of the two states: qubit `q` of `other` becomes
+    /// qubit `num_qubits() + q`, and its generator `i` becomes generator
+    /// `num_qubits() + i` of the same half, acting as the identity on
+    /// the qubits that were already here (as the old generators do on
+    /// the new qubits). Signs carry over.
+    ///
+    /// Two registers that have never interacted can be simulated apart,
+    /// each measurement scanning only its own generators, and joined
+    /// the first time a gate spans them.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use quest_stabilizer::Tableau;
+    ///
+    /// let mut joined = Tableau::new(1);
+    /// joined.x(0);
+    /// let mut other = Tableau::new(2);
+    /// other.h(0);
+    /// joined.append(&other);
+    ///
+    /// let mut whole = Tableau::new(3);
+    /// whole.x(0);
+    /// whole.h(1);
+    /// assert_eq!(joined, whole);
+    /// ```
+    pub fn append(&mut self, other: &Tableau) {
+        let n = self.n + other.n;
+        let words = n.div_ceil(WORD_BITS);
+        let len = 2 * words;
+        // Both halves of a `src` column move up by `shift` generators.
+        let place = |dst: &mut [u64], src: &[u64], src_words: usize, shift: usize| {
+            or_shifted(&mut dst[..words], &src[..src_words], shift);
+            or_shifted(&mut dst[words..], &src[src_words..], shift);
+        };
+        let widen = |own: &[u64], theirs: &[u64]| {
+            let mut m = vec![0u64; n * len];
+            let (kept, added) = m.split_at_mut(self.n * len);
+            for (dst, src) in kept
+                .chunks_exact_mut(len)
+                .zip(own.chunks_exact(self.col_words()))
+            {
+                place(dst, src, self.words, 0);
+            }
+            for (dst, src) in added
+                .chunks_exact_mut(len)
+                .zip(theirs.chunks_exact(other.col_words()))
+            {
+                place(dst, src, other.words, self.n);
+            }
+            m
+        };
+        let (x, z) = (widen(&self.x, &other.x), widen(&self.z, &other.z));
+        let mut r = vec![0u64; len];
+        place(&mut r, &self.r, self.words, 0);
+        place(&mut r, &other.r, other.words, self.n);
+        *self = Tableau {
+            n,
+            words,
+            x,
+            z,
+            r,
+            scratch: vec![0; 3 * len],
+        };
     }
 
     /// Words per column: a destabilizer half and a stabilizer half.

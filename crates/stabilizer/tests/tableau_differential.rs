@@ -8,6 +8,11 @@
 //! qubit. After every measurement the two must agree on the outcome, on
 //! whether it was deterministic, on how many words were drawn from the
 //! RNG, and on every stabilizer and destabilizer, signs included.
+//!
+//! [`Tableau::append`] is held to the same reference: two registers are
+//! driven apart, joined (the reference by writing the block-diagonal rows
+//! out bit by bit), compared generator by generator, and driven on as one
+//! register with gates that span the seam.
 
 use proptest::prelude::*;
 use quest_stabilizer::{Pauli, PauliString, Tableau};
@@ -34,6 +39,29 @@ impl NaiveChp {
         for i in 0..n {
             t.x[i][i] = true;
             t.z[n + i][i] = true;
+        }
+        t
+    }
+
+    /// The tensor product `a ⊗ b`: `b`'s qubits after `a`'s, and in each
+    /// half `b`'s generators after `a`'s.
+    fn tensor(a: &NaiveChp, b: &NaiveChp) -> NaiveChp {
+        let n = a.n + b.n;
+        let mut t = NaiveChp {
+            n,
+            x: vec![vec![false; n]; 2 * n + 1],
+            z: vec![vec![false; n]; 2 * n + 1],
+            r: vec![false; 2 * n + 1],
+        };
+        for (part, first) in [(a, 0), (b, a.n)] {
+            for half in 0..2 {
+                for i in 0..part.n {
+                    let (src, dst) = (half * part.n + i, half * n + first + i);
+                    t.x[dst][first..first + part.n].copy_from_slice(&part.x[src][..part.n]);
+                    t.z[dst][first..first + part.n].copy_from_slice(&part.z[src][..part.n]);
+                    t.r[dst] = part.r[src];
+                }
+            }
         }
         t
     }
@@ -257,12 +285,117 @@ enum Prelude {
     FoldedPairs,
 }
 
-/// Replays `ops` on both simulators, comparing outcomes and generators
-/// after every measurement, then measures every qubit and compares the
-/// generators once more. `dense` confines the drawn operations to
-/// eight qubits spread evenly over the register, so that each sees enough
-/// gates to leave deterministic outcomes that are products of several
-/// stabilizers with X and Y parts.
+impl Pair {
+    fn new(n: usize, seed: u64) -> Pair {
+        Pair {
+            n,
+            fast: Tableau::new(n),
+            naive: NaiveChp::new(n),
+            fast_rng: CountingRng::new(seed),
+            naive_rng: CountingRng::new(seed),
+        }
+    }
+
+    fn prepare(&mut self, prelude: Prelude) {
+        let n = self.n;
+        match prelude {
+            Prelude::None => {}
+            Prelude::Chain => {
+                for q in (0..n).step_by(3) {
+                    self.h(q);
+                }
+                for q in 1..n {
+                    self.cnot(q - 1, q);
+                }
+            }
+            Prelude::FoldedPairs => {
+                for a in 0..n / 2 {
+                    let b = n - 1 - a;
+                    self.h(b);
+                    self.h(a);
+                    self.cnot(a, b);
+                    self.h(a);
+                    self.s(b);
+                }
+            }
+        }
+    }
+
+    /// Replays `ops` on both simulators, comparing outcomes and
+    /// generators after every measurement. `dense` confines the drawn
+    /// operations to eight qubits spread evenly over the register, so
+    /// that each sees enough gates to leave deterministic outcomes that
+    /// are products of several stabilizers with X and Y parts.
+    fn drive(&mut self, dense: bool, ops: &[Op]) -> Result<(), TestCaseError> {
+        let n = self.n;
+        let qubit = |raw: usize| {
+            if dense && n > 8 {
+                (raw % 8) * (n - 1) / 7
+            } else {
+                raw % n
+            }
+        };
+        for (step, &(kind, a, b)) in ops.iter().enumerate() {
+            let q = qubit(a);
+            match kind {
+                0 => self.h(q),
+                1 => self.s(q),
+                2 | 3 if n > 1 => {
+                    let t = match qubit(b) {
+                        t if t == q => (q + 1) % n,
+                        t => t,
+                    };
+                    self.cnot(q, t);
+                }
+                4 => {
+                    self.fast.x(q);
+                    self.naive.pauli(q, Pauli::X);
+                }
+                5 => {
+                    self.fast.y(q);
+                    self.naive.pauli(q, Pauli::Y);
+                }
+                6 => {
+                    self.fast.z(q);
+                    self.naive.pauli(q, Pauli::Z);
+                }
+                7 | 8 => {
+                    self.measure(q, step)?;
+                    self.compare_generators(step)?;
+                }
+                9 => {
+                    self.fast.reset(q, &mut self.fast_rng);
+                    if self.naive.measure(q, &mut self.naive_rng).0 {
+                        self.naive.pauli(q, Pauli::X);
+                    }
+                    self.compare_generators(step)?;
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Measures every qubit and compares the generators once more.
+    fn measure_all(&mut self, step: usize) -> Result<(), TestCaseError> {
+        for q in 0..self.n {
+            self.measure(q, step + q)?;
+        }
+        self.compare_generators(step + self.n)
+    }
+
+    /// `self ⊗ other`, the fast side by [`Tableau::append`]. Both sides
+    /// go on drawing from `self`'s generators.
+    fn join(mut self, other: &Pair, step: usize) -> Result<Pair, TestCaseError> {
+        self.fast.append(&other.fast);
+        self.naive = NaiveChp::tensor(&self.naive, &other.naive);
+        self.n += other.n;
+        prop_assert_eq!(self.fast.num_qubits(), self.n);
+        self.compare_generators(step)?;
+        Ok(self)
+    }
+}
+
 fn replay(
     n: usize,
     prelude: Prelude,
@@ -270,85 +403,38 @@ fn replay(
     ops: &[Op],
     seed: u64,
 ) -> Result<(), TestCaseError> {
-    let qubit = |raw: usize| {
-        if dense && n > 8 {
-            (raw % 8) * (n - 1) / 7
-        } else {
-            raw % n
-        }
-    };
-    let mut pair = Pair {
-        n,
-        fast: Tableau::new(n),
-        naive: NaiveChp::new(n),
-        fast_rng: CountingRng::new(seed),
-        naive_rng: CountingRng::new(seed),
-    };
+    let mut pair = Pair::new(n, seed);
+    pair.prepare(prelude);
+    pair.drive(dense, ops)?;
+    pair.measure_all(ops.len())
+}
 
-    match prelude {
-        Prelude::None => {}
-        Prelude::Chain => {
-            for q in (0..n).step_by(3) {
-                pair.h(q);
-            }
-            for q in 1..n {
-                pair.cnot(q - 1, q);
-            }
-        }
-        Prelude::FoldedPairs => {
-            for a in 0..n / 2 {
-                let b = n - 1 - a;
-                pair.h(b);
-                pair.h(a);
-                pair.cnot(a, b);
-                pair.h(a);
-                pair.s(b);
-            }
-        }
+/// Drives one register per entry of `sizes` through its own third of
+/// `ops`, joins them left to right (a second join appends to a register
+/// that is itself a join), and drives the joined register through the
+/// last third: its CNOTs land on either side of a seam as often as not.
+fn replay_joined(
+    sizes: &[usize],
+    prelude: Prelude,
+    dense: bool,
+    ops: &[Op],
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let (apart, together) = ops.split_at(2 * ops.len() / 3);
+    let share = apart.len().div_ceil(sizes.len()).max(1);
+    let mut parts = sizes.iter().zip(0u64..).map(|(&n, i)| {
+        let mut part = Pair::new(n, seed ^ i);
+        part.prepare(prelude);
+        let ops = apart.chunks(share).nth(i as usize).unwrap_or(&[]);
+        part.drive(dense, ops).map(|()| part)
+    });
+    let mut joined = parts.next().expect("at least one register")?;
+    for part in parts {
+        joined = joined.join(&part?, apart.len())?;
+        joined.fast.check_invariants();
     }
-
-    for (step, &(kind, a, b)) in ops.iter().enumerate() {
-        let q = qubit(a);
-        match kind {
-            0 => pair.h(q),
-            1 => pair.s(q),
-            2 | 3 if n > 1 => {
-                let t = match qubit(b) {
-                    t if t == q => (q + 1) % n,
-                    t => t,
-                };
-                pair.cnot(q, t);
-            }
-            4 => {
-                pair.fast.x(q);
-                pair.naive.pauli(q, Pauli::X);
-            }
-            5 => {
-                pair.fast.y(q);
-                pair.naive.pauli(q, Pauli::Y);
-            }
-            6 => {
-                pair.fast.z(q);
-                pair.naive.pauli(q, Pauli::Z);
-            }
-            7 | 8 => {
-                pair.measure(q, step)?;
-                pair.compare_generators(step)?;
-            }
-            9 => {
-                pair.fast.reset(q, &mut pair.fast_rng);
-                if pair.naive.measure(q, &mut pair.naive_rng).0 {
-                    pair.naive.pauli(q, Pauli::X);
-                }
-                pair.compare_generators(step)?;
-            }
-            _ => {}
-        }
-    }
-    for q in 0..n {
-        pair.measure(q, ops.len() + q)?;
-    }
-    pair.compare_generators(ops.len() + n)
+    joined.drive(dense, together)?;
+    joined.measure_all(ops.len())
 }
 
 proptest! {
@@ -367,6 +453,33 @@ proptest! {
     ) {
         for n in [1usize, 63, 64, 65, 130] {
             replay(n, prelude, dense, &ops, seed)?;
+        }
+    }
+
+    /// Block sizes whose seams fall inside a word (17 + 17, 49 + 49,
+    /// 63 + 2), on a word boundary (64 + 64), and that widen the columns
+    /// by one word or two (49 + 98, three tiles of 49).
+    #[test]
+    fn append_matches_the_naive_tensor_product(
+        ops in ops(),
+        prelude in prop_oneof![
+            Just(Prelude::None),
+            Just(Prelude::Chain),
+            Just(Prelude::FoldedPairs),
+        ],
+        dense in any::<bool>(),
+        seed in 0u64..1 << 32,
+    ) {
+        for sizes in [
+            &[17usize, 17][..],
+            &[49, 49],
+            &[63, 2],
+            &[1, 64],
+            &[64, 64],
+            &[49, 98],
+            &[49, 49, 49],
+        ] {
+            replay_joined(sizes, prelude, dense, &ops, seed)?;
         }
     }
 }

@@ -3,9 +3,11 @@
 //! Runs the same fixed-seed memory workload (8 tiles at d = 5) at shard
 //! counts 1, 2 and 4 and prints each run's `RuntimeStats`. The logical
 //! outcomes and bus-byte totals are identical at every shard count —
-//! that is the runtime's determinism guarantee — while wall-clock drops
-//! because each shard's tableau spans only its own tiles and the cost
-//! of a measurement grows faster than linearly with tableau width.
+//! that is the runtime's determinism guarantee. So is the work: every
+//! tile is simulated in a tableau of its own (a transversal CNOT would
+//! join two for good; a memory workload has none), so a tile-cycle costs
+//! the same on any shard. Shards buy parallelism only, and wall-clock
+//! drops by at most the number of cores the shards actually get.
 //!
 //! ```sh
 //! cargo run --release --example runtime_scaling
