@@ -2,8 +2,8 @@
 //!
 //! The paper's master controller runs Fowler's MWPM; we substitute the
 //! union-find decoder and must show the substitution preserves
-//! behaviour. With the `DecoderBackend` layer the comparison widens to
-//! all four backends on the same shots: accuracy (logical error rate),
+//! behaviour. With `DecoderChoice` the comparison widens to all four
+//! decode engines on the same shots: accuracy (logical error rate),
 //! modelled decode cycles, and the hardware-model JJ budget, emitted as
 //! `BENCH_decoder_backends.json` at the repo root for trend tracking.
 //!
@@ -16,7 +16,7 @@
 
 use quest_bench::{header, row};
 use quest_stabilizer::{SeedableRng, StdRng};
-use quest_surface::decoder::{Correction, CostReport, Decoder, DecoderChoice};
+use quest_surface::decoder::{Correction, CostReport, DecodeEngine, Decoder, DecoderChoice};
 use quest_surface::{DecodingGraph, MemoryBasis, MemoryExperiment, MemoryNoise, NodeId};
 use std::cell::RefCell;
 use std::io::Write as _;
@@ -32,11 +32,11 @@ const REPORT_PATH: &str = concat!(
     "/../../BENCH_decoder_backends.json"
 );
 
-/// Adapts a stateful [`DecoderBackend`] to the read-only [`Decoder`]
-/// trait the memory experiment samples through. The backend's cost
+/// Adapts the stateful [`DecodeEngine`] to the read-only [`Decoder`]
+/// trait the memory experiment samples through. The engine's cost
 /// ledger accumulates across every decode the experiment issues and is
 /// read back after the run.
-struct BackendAdapter(RefCell<Box<dyn quest_surface::DecoderBackend>>);
+struct BackendAdapter(RefCell<DecodeEngine>);
 
 impl BackendAdapter {
     fn new(choice: DecoderChoice) -> BackendAdapter {
@@ -51,10 +51,6 @@ impl BackendAdapter {
 impl Decoder for BackendAdapter {
     fn decode(&self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
         self.0.borrow_mut().decode(graph, events)
-    }
-
-    fn decode_many(&self, graph: &DecodingGraph, event_sets: &[Vec<NodeId>]) -> Vec<Correction> {
-        self.0.borrow_mut().decode_many(graph, event_sets)
     }
 }
 

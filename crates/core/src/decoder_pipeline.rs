@@ -10,8 +10,8 @@
 //! escalated to the master controller's global decoder, costing upstream
 //! syndrome bandwidth.
 
-use quest_surface::decoder::{Correction, CostReport, DecoderBackend, LutBackend};
-use quest_surface::{DecodingGraph, NodeId, RotatedLattice, StabKind};
+use quest_surface::decoder::Correction;
+use quest_surface::{DecodingGraph, LutDecoder, NodeId, RotatedLattice, StabKind};
 use std::collections::BTreeSet;
 
 /// Statistics for the local decode stage.
@@ -83,13 +83,10 @@ pub enum Reference {
 #[derive(Debug, Clone)]
 pub struct DecoderPipeline {
     kind: StabKind,
-    /// Single-round decoding graph driving the local backend.
+    /// Single-round decoding graph the local table is built over.
     graph: DecodingGraph,
-    /// The local decode engine, dispatched through the pluggable
-    /// [`DecoderBackend`] trait (a [`LutBackend`]; its
-    /// [`DecoderBackend::try_decode`] escalates on patterns outside the
-    /// table, which is exactly the MCE-local contract).
-    local: Box<dyn DecoderBackend>,
+    /// The local lookup table; a pattern outside it escalates.
+    local: LutDecoder,
     /// Previous round's syndrome bits (for detection-event differencing);
     /// `None` while waiting for a first-round reference.
     previous: Option<Vec<bool>>,
@@ -119,7 +116,7 @@ impl DecoderPipeline {
         reference: Reference,
     ) -> DecoderPipeline {
         let graph = DecodingGraph::new(lattice, kind, 1);
-        let local: Box<dyn DecoderBackend> = Box::new(LutBackend::new(&graph));
+        let local = LutDecoder::new(&graph);
         let previous = match reference {
             Reference::Deterministic => Some(vec![false; graph.num_checks()]),
             Reference::FirstRound => None,
@@ -190,13 +187,6 @@ impl DecoderPipeline {
         self.stats
     }
 
-    /// Accumulated cost counters of the local decode backend: one
-    /// primary decode per LUT lookup, one fallback count per escalated
-    /// miss, and the LUT bank's modeled JJ footprint.
-    pub fn local_cost(&self) -> CostReport {
-        self.local.cost()
-    }
-
     /// The accumulated Pauli frame: data qubits whose readout must be
     /// flipped before interpretation.
     pub fn frame(&self) -> &BTreeSet<usize> {
@@ -249,7 +239,7 @@ impl DecoderPipeline {
         if events.is_empty() {
             self.stats.quiet_rounds += 1;
         } else {
-            match self.local.try_decode(&self.graph, &events) {
+            match self.local.try_correction(&self.graph, &events) {
                 Some(Correction { data_flips, .. }) => {
                     self.stats.local_hits += 1;
                     self.stats.local_corrections += data_flips.len() as u64;
@@ -386,29 +376,6 @@ mod tests {
                 "round accounting leaked ({reference:?})"
             );
         }
-    }
-
-    #[test]
-    fn escalation_accounting_matches_local_backend_cost() {
-        // Every non-quiet round is exactly one lookup on the local
-        // backend, and every escalation is exactly one recorded miss.
-        let lat = RotatedLattice::new(5);
-        let mut p = DecoderPipeline::new(&lat, StabKind::Z);
-        let zc = lat.plaquettes_of(StabKind::Z).count();
-        for round in 0..10 {
-            let mut bits = vec![false; zc];
-            if round % 2 == 0 {
-                bits[0] = true;
-                bits[zc / 2] = true;
-                bits[zc - 1] = true;
-            }
-            p.feed_round(&bits);
-        }
-        let s = p.stats();
-        let cost = p.local_cost();
-        assert_eq!(cost.decodes, s.local_hits + s.escalations);
-        assert_eq!(cost.fallback_decodes, s.escalations);
-        assert!(cost.jj_count > 0, "the LUT bank has a JJ footprint");
     }
 
     #[test]

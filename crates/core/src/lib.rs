@@ -91,7 +91,7 @@ pub use microcode::{MicrocodeDesign, QeccMicrocode};
 pub use multi_tile::{LogicalBasis, MultiTileSystem};
 pub use network::{Network, Packet, PacketKind};
 pub use primeline::PrimelineResources;
-pub use quest_surface::decoder::{CostReport, DecoderBackend, DecoderChoice};
+pub use quest_surface::decoder::{CostReport, DecoderChoice};
 pub use report::{decode_totals, RunReport};
 pub use serve::{JobId, LatencySummary, ServeReport, TenantId, TenantServeStats};
 pub use substrate::Substrate;

@@ -13,7 +13,7 @@ use crate::error::ReplayError;
 use crate::instruction_pipeline::traffic_class;
 use crate::mce::Mce;
 use quest_isa::{InstrClass, LogicalInstr};
-use quest_surface::decoder::{CostReport, DecoderBackend, DecoderChoice};
+use quest_surface::decoder::{CostReport, DecodeEngine, DecoderChoice};
 use quest_surface::{DecodingGraph, StabKind};
 
 /// Bytes of syndrome data per escalated detection event (check id + round
@@ -39,7 +39,7 @@ pub struct MasterStats {
 pub struct MasterController {
     bus: BusCounters,
     stats: MasterStats,
-    decoder: Box<dyn DecoderBackend>,
+    decoder: DecodeEngine,
 }
 
 impl Default for MasterController {

@@ -117,8 +117,10 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct Runtime {
     decode_workers: usize,
-    fanout: usize,
 }
+
+/// Fan-out of the modelled interconnect tree between master and MCEs.
+const NETWORK_FANOUT: usize = 4;
 
 impl Default for Runtime {
     fn default() -> Runtime {
@@ -136,7 +138,6 @@ impl Runtime {
             .clamp(1, 4);
         Runtime {
             decode_workers: workers,
-            fanout: 4,
         }
     }
 
@@ -144,13 +145,6 @@ impl Runtime {
     /// (results are identical for any size; only throughput changes).
     pub fn with_decode_workers(mut self, workers: usize) -> Runtime {
         self.decode_workers = workers.max(1);
-        self
-    }
-
-    /// Overrides the modelled interconnect tree fan-out, clamped to at
-    /// least 2.
-    pub fn with_fanout(mut self, fanout: usize) -> Runtime {
-        self.fanout = fanout.max(2);
         self
     }
 
@@ -325,7 +319,7 @@ impl Runtime {
                     |r| r.controller.clone(),
                 ),
                 network: resume.map_or_else(
-                    || Network::new(spec.tiles, self.fanout),
+                    || Network::new(spec.tiles, NETWORK_FANOUT),
                     |r| r.network.clone(),
                 ),
                 pool,
@@ -1058,11 +1052,7 @@ mod tests {
     #[test]
     fn invalid_runtime_knobs_are_clamped() {
         let spec = WorkloadSpec::memory(3, 2, 1, 0.0, 1, 1);
-        let report = Runtime::new()
-            .with_decode_workers(0)
-            .with_fanout(0)
-            .run(&spec)
-            .unwrap();
+        let report = Runtime::new().with_decode_workers(0).run(&spec).unwrap();
         assert!(report.logical_ok());
     }
 }

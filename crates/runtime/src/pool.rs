@@ -2,13 +2,13 @@
 //!
 //! Escalations from all shards converge at the master, which packages
 //! them into per-cycle batches and fans the batch out to this pool. Each
-//! worker owns a backend built from the spec's [`DecoderChoice`] and
-//! prebuilt single-round [`BatchGraphs`], decoding its chunk with
-//! [`decode_batch_backend`] — the same graphs and backend kind the
-//! single-threaded master uses, so pooled decoding changes throughput,
-//! never corrections. Per-chunk [`CostReport`]s ride back with the
-//! corrections and merge (order-invariantly) into one pool-level cost,
-//! which therefore matches the reference executor's bit for bit.
+//! worker owns an engine built from the spec's [`DecoderChoice`] and
+//! prebuilt single-round [`BatchGraphs`], decoding its chunk job by job
+//! — the same graphs and engine kind the single-threaded master uses, so
+//! pooled decoding changes throughput, never corrections. Per-chunk
+//! [`CostReport`]s ride back with the corrections and merge
+//! (order-invariantly) into one pool-level cost, which therefore matches
+//! the reference executor's bit for bit.
 //!
 //! The pool is supervised: a worker that panics mid-chunk (including the
 //! fault layer's injected kill) is caught by `catch_unwind` inside the
@@ -21,7 +21,7 @@
 
 use crate::error::RuntimeError;
 use quest_surface::decoder::batch::{BatchGraphs, DecodeJob};
-use quest_surface::decoder::{decode_batch_backend, CostReport, DecoderChoice};
+use quest_surface::decoder::{CostReport, DecoderChoice};
 use quest_surface::{RotatedLattice, StabKind};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -169,14 +169,22 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
                     // chunk's partial cost is discarded with the worker,
                     // so the requeued decode is counted exactly once).
                     backend.reset_cost();
-                    let corrections = decode_batch_backend(backend.as_mut(), &graphs, &chunk.jobs);
-                    (corrections, backend.cost())
+                    let flips: Vec<BTreeSet<usize>> = chunk
+                        .jobs
+                        .iter()
+                        .map(|job| {
+                            backend
+                                .decode(graphs.graph(job.kind), &job.events)
+                                .data_flips
+                        })
+                        .collect();
+                    (flips, backend.cost())
                 }));
                 match outcome {
-                    Ok((corrections, cost)) => {
+                    Ok((flips, cost)) => {
                         let result = ChunkResult {
                             tags: std::mem::take(&mut chunk.tags),
-                            flips: corrections.into_iter().map(|c| c.data_flips).collect(),
+                            flips,
                             cost,
                         };
                         if result_tx.send(WorkerMessage::Done(result)).is_err() {
@@ -431,7 +439,9 @@ mod tests {
             let graphs = BatchGraphs::new(&lattice);
             let mut reference = choice.backend();
             let jobs: Vec<DecodeJob> = demo_batch().into_iter().map(|(_, _, j)| j).collect();
-            decode_batch_backend(reference.as_mut(), &graphs, &jobs);
+            for job in &jobs {
+                reference.decode(graphs.graph(job.kind), &job.events);
+            }
             for kill_one in [false, true] {
                 std::thread::scope(|scope| {
                     let mut pool = DecodePool::spawn(scope, &lattice, choice, 3);

@@ -206,7 +206,7 @@ impl<W: FrameWord> FramePlanes<W> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::word::{W256, W512};
+    use super::super::word::W512;
     use super::*;
 
     fn exercise_round_trip<W: FrameWord>() {
@@ -232,13 +232,12 @@ mod tests {
     #[test]
     fn round_trip_all_widths() {
         exercise_round_trip::<u64>();
-        exercise_round_trip::<W256>();
         exercise_round_trip::<W512>();
     }
 
     #[test]
     fn xor_from_and_swap() {
-        let mut p: FramePlanes<W256> = FramePlanes::new(2, 256);
+        let mut p: FramePlanes<W512> = FramePlanes::new(2, 256);
         p.set(0, 7, true);
         p.set(0, 200, true);
         p.xor_from(0, 1);

@@ -1,18 +1,17 @@
-//! The pluggable decode-engine layer: [`DecoderBackend`] and its cost
-//! accounting.
+//! The costed decode engine: [`DecoderChoice`] selects it,
+//! [`DecodeEngine`] runs it, [`CostReport`] prices it.
 //!
-//! Everything in the workspace that decodes — the master controller's
-//! global decoder, the runtime's shared decode pool, the MCE-local
-//! [`LutDecoder`] pipeline — dispatches through this trait, so a decode
-//! engine can be swapped per run (the runtime's `DecoderChoice`, the
-//! CLI's `--decoder` flag) without touching any of those layers. Unlike
-//! the read-only [`Decoder`] trait used by the samplers,
-//! a backend takes `&mut self`: it owns its scratch memory (zero
-//! per-shot allocation) and accumulates a [`CostReport`] across decodes.
+//! The master controller's global decoder and every worker of the
+//! runtime's shared decode pool own one [`DecodeEngine`], built from the
+//! run's [`DecoderChoice`] (the CLI's `--decoder` flag), so the decode
+//! algorithm is swapped per run without touching either layer. Unlike
+//! the read-only [`Decoder`] trait the samplers are generic over, the
+//! engine takes `&mut self`: it owns its scratch memory (zero per-shot
+//! allocation) and accumulates a [`CostReport`] across decodes.
 //!
 //! # Cost model
 //!
-//! Each backend prices its decodes in cycles of the 10 GHz SFQ clock and
+//! Each engine prices its decodes in cycles of the 10 GHz SFQ clock and
 //! a Josephson-junction footprint, using the same constants as the
 //! microcode-memory model in `quest-core`'s `jj` module (duplicated here
 //! because the dependency points the other way: core builds on
@@ -21,12 +20,10 @@
 //! pool — which splits a batch across workers in nondeterministic order
 //! — reports bit-identical costs to the single-threaded reference.
 
-use super::batch::{BatchGraphs, DecodeJob};
-use super::lut::LutDecoder;
 use super::pipelined::PipelinedUfDecoder;
 use super::table::TableDecoder;
 use super::union_find::{UfScratch, UfTrace, UnionFindDecoder};
-use super::{Correction, CorrectionBatch, Decoder, EventPlanes, ExactMatchingDecoder};
+use super::{Correction, Decoder, ExactMatchingDecoder};
 use crate::graph::{DecodingGraph, Fault, NodeId};
 use crate::lattice::StabKind;
 use std::collections::BTreeMap;
@@ -55,7 +52,7 @@ pub(crate) fn read_latency_cycles(bank_bits: u64) -> u64 {
     }
 }
 
-/// Accumulated decode-cost counters for one backend.
+/// Accumulated decode-cost counters for one engine.
 ///
 /// All fields are integers and [`CostReport::merge`] only sums and
 /// maxes, so merging per-worker reports in any order yields the same
@@ -64,10 +61,10 @@ pub(crate) fn read_latency_cycles(bank_bits: u64) -> u64 {
 #[must_use]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostReport {
-    /// Decodes performed by the backend's primary engine.
+    /// Decodes performed by the chosen algorithm itself.
     pub decodes: u64,
-    /// Decodes the backend handed to its union-find fallback (graphs or
-    /// event sets outside the primary engine's domain).
+    /// Decodes handed to the union-find fallback (graphs or event sets
+    /// outside the chosen algorithm's domain).
     pub fallback_decodes: u64,
     /// Total modeled decode cycles at the 10 GHz SFQ clock.
     pub cycles: u64,
@@ -75,7 +72,7 @@ pub struct CostReport {
     /// worst case, which bounds the syndrome backlog).
     pub max_decode_cycles: u64,
     /// Modeled JJ footprint of the decode hardware. A capacity, not a
-    /// rate: merging takes the max, and software backends report 0.
+    /// rate: merging takes the max, and software engines report 0.
     pub jj_count: u64,
 }
 
@@ -90,8 +87,8 @@ impl CostReport {
     }
 
     /// Records one decode that cost `cycles`, attributing it to the
-    /// primary engine or the fallback.
-    pub(crate) fn record(&mut self, cycles: u64, fallback: bool) {
+    /// chosen algorithm or the fallback.
+    fn record(&mut self, cycles: u64, fallback: bool) {
         if fallback {
             self.fallback_decodes = self.fallback_decodes.saturating_add(1);
         } else {
@@ -112,258 +109,23 @@ impl fmt::Display for CostReport {
     }
 }
 
-/// A decode engine the master controller, decode pool and MCE pipeline
-/// can dispatch through.
-///
-/// Implementations own their scratch memory and cost accumulator;
-/// [`DecoderBackend::decode`] must be total (any graph, any event set)
-/// and deterministic in `(graph, events)` alone.
-pub trait DecoderBackend: std::fmt::Debug + Send {
-    /// Stable machine-readable backend name (what `--decoder` parses and
-    /// the serve ledger reports).
-    fn name(&self) -> &'static str;
-
-    /// Decodes one event set over `graph` into a correction, accruing
-    /// the decode's modeled cost.
-    fn decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Correction;
-
-    /// Decodes a batch of event sets against one graph (scratch reuse
-    /// is the implementation's concern; the default just loops).
-    fn decode_many(
-        &mut self,
-        graph: &DecodingGraph,
-        event_sets: &[Vec<NodeId>],
-    ) -> Vec<Correction> {
-        event_sets.iter().map(|ev| self.decode(graph, ev)).collect()
-    }
-
-    /// Attempts a decode that is allowed to *escalate* (return `None`)
-    /// instead of falling back — the MCE-local contract, where a miss is
-    /// forwarded to the global decoder rather than solved locally. The
-    /// default never escalates.
-    fn try_decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Option<Correction> {
-        Some(self.decode(graph, events))
-    }
-
-    /// Decodes a whole batch handed over as detection-event bit-planes
-    /// (see [`EventPlanes`]), writing each shot's data-qubit flips into
-    /// `out`. Bit-identical to scattering the planes and calling
-    /// [`DecoderBackend::decode_many`] — the default does exactly that;
-    /// backends with a native plane path override it to skip the sparse
-    /// sets and per-shot [`Correction`] allocations.
-    fn decode_planes(
-        &mut self,
-        graph: &DecodingGraph,
-        planes: &EventPlanes<'_>,
-        out: &mut CorrectionBatch,
-    ) {
-        let mut event_sets: Vec<Vec<NodeId>> = Vec::new();
-        planes.scatter_into(&mut event_sets);
-        let corrections = self.decode_many(graph, &event_sets);
-        out.clear();
-        for c in &corrections {
-            for &q in &c.data_flips {
-                out.push_flip(q);
-            }
-            out.finish_shot();
-        }
-    }
-
-    /// The cost accumulated since construction or the last
-    /// [`DecoderBackend::reset_cost`].
-    fn cost(&self) -> CostReport;
-
-    /// Clears the cost accumulator (the decode pool scopes costs to one
-    /// chunk this way).
-    fn reset_cost(&mut self);
-
-    /// Clones the backend behind the object (costs included), so systems
-    /// holding a boxed backend stay `Clone`.
-    fn clone_box(&self) -> Box<dyn DecoderBackend>;
-}
-
-impl Clone for Box<dyn DecoderBackend> {
-    fn clone(&self) -> Box<dyn DecoderBackend> {
-        self.clone_box()
-    }
-}
-
-/// Decodes a tagged job batch through a backend against prebuilt
-/// single-round graphs — the trait-dispatching counterpart of
-/// [`decode_batch`](super::batch::decode_batch), used by the runtime's
-/// decode pool.
-pub fn decode_batch_backend(
-    backend: &mut dyn DecoderBackend,
-    graphs: &BatchGraphs,
-    jobs: &[DecodeJob],
-) -> Vec<Correction> {
-    jobs.iter()
-        .map(|job| backend.decode(graphs.graph(job.kind), &job.events))
-        .collect()
-}
-
 /// The total work counted by a [`UfTrace`], in unit-work cycles: one
 /// cycle per member visit, edge touch, merge, erased-edge insertion,
-/// forest visit and peeled edge. The software backends price decodes
-/// with this flat model; the pipelined backend prices the same trace
-/// against its staged hardware model instead.
+/// forest visit and peeled edge. The software engines price union-find
+/// decodes with this flat model; the pipelined engine prices the same
+/// trace against its staged hardware model instead.
 fn trace_work_cycles(t: &UfTrace) -> u64 {
     t.member_visits + t.edge_touches + t.merges + t.erased_edges + t.forest_visits + t.peeled_edges
 }
 
-/// [`UnionFindDecoder`] as a backend: the workspace's default global
-/// decoder, with persistent scratch and trace-derived work accounting.
-/// A software engine, so its JJ footprint is 0.
-#[derive(Debug, Clone, Default)]
-pub struct UfBackend {
-    decoder: UnionFindDecoder,
-    scratch: UfScratch,
-    cost: CostReport,
-}
-
-impl UfBackend {
-    /// Creates the backend with empty scratch (sized on first decode).
-    pub fn new() -> UfBackend {
-        UfBackend::default()
-    }
-}
-
-impl DecoderBackend for UfBackend {
-    fn name(&self) -> &'static str {
-        "union-find"
-    }
-
-    fn decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
-        let mut trace = UfTrace::default();
-        let correction = self
-            .decoder
-            .decode_traced(graph, events, &mut self.scratch, &mut trace);
-        self.cost.record(trace_work_cycles(&trace), false);
-        correction
-    }
-
-    fn decode_planes(
-        &mut self,
-        graph: &DecodingGraph,
-        planes: &EventPlanes<'_>,
-        out: &mut CorrectionBatch,
-    ) {
-        let cost = &mut self.cost;
-        self.decoder
-            .decode_planes_impl(graph, planes, &mut self.scratch, out, |trace| {
-                cost.record(trace_work_cycles(trace), false);
-            });
-    }
-
-    fn cost(&self) -> CostReport {
-        self.cost
-    }
-
-    fn reset_cost(&mut self) {
-        self.cost = CostReport::default();
-    }
-
-    fn clone_box(&self) -> Box<dyn DecoderBackend> {
-        Box::new(self.clone())
-    }
-}
-
 /// Largest event set the exact matcher enumerates; beyond it the
-/// backend falls back to union-find (the DP is over `2^k` subsets, and
+/// engine falls back to union-find (the DP is over `2^k` subsets, and
 /// the underlying solver rejects `k > 20` outright).
 pub const EXACT_MAX_EVENTS: usize = 16;
 
-/// [`ExactMatchingDecoder`] as a backend: exact minimum-weight matching
-/// for event sets up to [`EXACT_MAX_EVENTS`], union-find beyond. Cycles
-/// model the subset-DP enumeration (`k · 2^k` for `k` events); software,
-/// so 0 JJs.
-#[derive(Debug, Clone, Default)]
-pub struct ExactBackend {
-    exact: ExactMatchingDecoder,
-    fallback: UfBackend,
-    cost: CostReport,
-}
-
-impl ExactBackend {
-    /// Creates the backend.
-    pub fn new() -> ExactBackend {
-        ExactBackend::default()
-    }
-}
-
-impl DecoderBackend for ExactBackend {
-    fn name(&self) -> &'static str {
-        "exact"
-    }
-
-    fn decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
-        let k = events.len();
-        if k > EXACT_MAX_EVENTS {
-            let correction = self.fallback.decode(graph, events);
-            let fb = self.fallback.cost();
-            self.fallback.reset_cost();
-            self.cost.record(fb.cycles, true);
-            return correction;
-        }
-        let correction = self.exact.decode(graph, events);
-        self.cost.record((k as u64) << k, false);
-        correction
-    }
-
-    fn cost(&self) -> CostReport {
-        self.cost
-    }
-
-    fn reset_cost(&mut self) {
-        self.cost = CostReport::default();
-    }
-
-    fn clone_box(&self) -> Box<dyn DecoderBackend> {
-        Box::new(self.clone())
-    }
-}
-
-/// [`TableDecoder`] as a backend: a complete precomputed lookup memory
-/// per decoding-graph shape, built lazily on first sight of a feasible
-/// graph (single round, at most [`TableDecoder::MAX_CHECKS`] checks) and
-/// union-find fallback for everything else — the multi-round windows of
-/// the master's escalation service, or distances whose check count
-/// overflows the table (the runtime rejects those up front via
-/// `DecoderChoice` validation, so in practice the fallback only sees
-/// multi-round graphs).
-///
-/// Cost model: a table decode is one read of a bank holding
-/// `2^checks × data_qubits` bits, priced at that bank's
-/// `read_latency_cycles`; the JJ footprint is the bank plus one
-/// channel of overhead.
-#[derive(Debug, Clone, Default)]
-pub struct TableBackend {
-    /// Tables keyed by graph shape `(kind, rounds, num_checks)` — every
-    /// tile of a run shares one lattice, so in practice this holds at
-    /// most one table per stabilizer kind.
-    tables: BTreeMap<(u8, usize, usize), TableDecoder>,
-    fallback: UfBackend,
-    cost: CostReport,
-}
-
-impl TableBackend {
-    /// Creates the backend with no tables built yet.
-    pub fn new() -> TableBackend {
-        TableBackend::default()
-    }
-
-    fn shape_key(graph: &DecodingGraph) -> (u8, usize, usize) {
-        let kind = match graph.kind() {
-            StabKind::Z => 0u8,
-            StabKind::X => 1u8,
-        };
-        (kind, graph.rounds(), graph.num_checks())
-    }
-}
-
 /// Distinct data qubits a graph's edges can fault — the per-entry width
 /// of a complete correction table over that graph.
-pub(crate) fn graph_data_qubits(graph: &DecodingGraph) -> usize {
+fn graph_data_qubits(graph: &DecodingGraph) -> usize {
     let mut qubits: Vec<usize> = graph
         .edges()
         .iter()
@@ -377,155 +139,38 @@ pub(crate) fn graph_data_qubits(graph: &DecodingGraph) -> usize {
     qubits.len()
 }
 
-impl DecoderBackend for TableBackend {
-    fn name(&self) -> &'static str {
-        "table"
-    }
-
-    fn decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
-        if graph.rounds() != 1 || graph.num_checks() > TableDecoder::MAX_CHECKS {
-            let correction = self.fallback.decode(graph, events);
-            let fb = self.fallback.cost();
-            self.fallback.reset_cost();
-            self.cost.record(fb.cycles, true);
-            return correction;
-        }
-        let table = self
-            .tables
-            .entry(Self::shape_key(graph))
-            .or_insert_with(|| TableDecoder::build(graph));
-        let bank_bits = table.storage_bits(graph_data_qubits(graph)) as u64;
-        let correction = table.decode(graph, events);
-        self.cost.record(read_latency_cycles(bank_bits), false);
-        self.cost.jj_count = self
-            .cost
-            .jj_count
-            .max(bank_bits * JJ_PER_BIT + JJ_PER_CHANNEL);
-        correction
-    }
-
-    fn cost(&self) -> CostReport {
-        self.cost
-    }
-
-    fn reset_cost(&mut self) {
-        self.cost = CostReport::default();
-    }
-
-    fn clone_box(&self) -> Box<dyn DecoderBackend> {
-        Box::new(self.clone())
-    }
-}
-
-/// [`LutDecoder`] as a backend: the MCE-local engine of the paper's
-/// two-level scheme, wrapping one prebuilt table for one single-round
-/// graph. [`DecoderBackend::try_decode`] escalates (returns `None`) on
-/// patterns outside the table — the decoder-pipeline contract — while
-/// the total [`DecoderBackend::decode`] entry point falls back to
-/// union-find so the backend stays usable anywhere.
-///
-/// Cost model: every lookup is one read of the LUT bank (entries ×
-/// one tabulated edge id of `read_latency_cycles`-deep memory); the
-/// bank plus a channel of overhead is the JJ footprint.
-#[derive(Debug, Clone)]
-pub struct LutBackend {
-    lut: LutDecoder,
-    /// LUT bank size in bits: one 32-bit word per entry (mirrors
-    /// `quest_core::jj::WORD_BITS`).
-    bank_bits: u64,
-    fallback: UfBackend,
-    cost: CostReport,
-}
-
-impl LutBackend {
-    /// Builds the LUT for `graph` (must be single-round; see
-    /// [`LutDecoder::new`]).
-    pub fn new(graph: &DecodingGraph) -> LutBackend {
-        let lut = LutDecoder::new(graph);
-        let bank_bits = lut.num_entries() as u64 * 32;
-        LutBackend {
-            lut,
-            bank_bits,
-            fallback: UfBackend::new(),
-            cost: CostReport::default(),
-        }
-    }
-
-    /// Entries in the wrapped lookup table.
-    pub fn num_entries(&self) -> usize {
-        self.lut.num_entries()
-    }
-
-    fn charge_lookup(&mut self, escalated: bool) {
-        self.cost.record(read_latency_cycles(self.bank_bits), false);
-        if escalated {
-            self.cost.fallback_decodes = self.cost.fallback_decodes.saturating_add(1);
-        }
-        self.cost.jj_count = self
-            .cost
-            .jj_count
-            .max(self.bank_bits * JJ_PER_BIT + JJ_PER_CHANNEL);
-    }
-}
-
-impl DecoderBackend for LutBackend {
-    fn name(&self) -> &'static str {
-        "lut"
-    }
-
-    fn decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
-        match self.try_decode(graph, events) {
-            Some(correction) => correction,
-            None => {
-                let correction = self.fallback.decode(graph, events);
-                self.cost.cycles = self.cost.cycles.saturating_add(self.fallback.cost().cycles);
-                self.fallback.reset_cost();
-                correction
-            }
-        }
-    }
-
-    fn try_decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Option<Correction> {
-        let correction = self.lut.try_correction(graph, events);
-        self.charge_lookup(correction.is_none());
-        correction
-    }
-
-    fn cost(&self) -> CostReport {
-        self.cost
-    }
-
-    fn reset_cost(&mut self) {
-        self.cost = CostReport::default();
-    }
-
-    fn clone_box(&self) -> Box<dyn DecoderBackend> {
-        Box::new(self.clone())
-    }
-}
-
 /// Which decode engine a run's global decoders use — the validated,
 /// user-facing selector threaded from `WorkloadSpec` / `--decoder` down
 /// to every decoding site.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DecoderChoice {
-    /// Software union-find ([`UfBackend`]) — the default.
+    /// Software [`UnionFindDecoder`] with trace-derived work accounting —
+    /// the default. 0 JJs.
     #[default]
     UnionFind,
-    /// Exact minimum-weight matching with union-find fallback
-    /// ([`ExactBackend`]).
+    /// [`ExactMatchingDecoder`] for event sets up to
+    /// [`EXACT_MAX_EVENTS`], union-find beyond. Cycles model the
+    /// subset-DP enumeration (`k · 2^k` for `k` events); software, so
+    /// 0 JJs.
     Exact,
-    /// Complete lookup tables with union-find fallback
-    /// ([`TableBackend`]); only feasible up to distance 5.
+    /// A complete precomputed [`TableDecoder`] per decoding-graph shape,
+    /// built lazily on first sight of a feasible graph (single round, at
+    /// most [`TableDecoder::MAX_CHECKS`] checks), union-find for
+    /// everything else — the multi-round windows of the master's
+    /// escalation service. Only feasible up to distance 5 (the runtime
+    /// rejects larger distances when it validates the spec). A table
+    /// decode is one read of a bank holding `2^checks × data_qubits`
+    /// bits, priced at that bank's read latency; the JJ footprint is the
+    /// bank plus one channel of overhead.
     Table,
-    /// Cycle-accurate pipelined hardware union-find
-    /// ([`PipelinedUfDecoder`]), bit-identical corrections to
-    /// [`UfBackend`].
+    /// Union-find priced by the cycle-accurate pipelined hardware model
+    /// ([`PipelinedUfDecoder`]); corrections bit-identical to
+    /// [`DecoderChoice::UnionFind`].
     PipelinedUf,
 }
 
 impl DecoderChoice {
-    /// Every selectable backend, in display order.
+    /// Every selectable engine, in display order.
     pub const ALL: [DecoderChoice; 4] = [
         DecoderChoice::UnionFind,
         DecoderChoice::Exact,
@@ -533,7 +178,8 @@ impl DecoderChoice {
         DecoderChoice::PipelinedUf,
     ];
 
-    /// The stable name ([`DecoderBackend::name`] of the built backend).
+    /// The stable machine-readable name (what `--decoder` parses and the
+    /// serve ledger reports).
     pub fn name(self) -> &'static str {
         match self {
             DecoderChoice::UnionFind => "union-find",
@@ -543,18 +189,19 @@ impl DecoderChoice {
         }
     }
 
-    /// Parses a backend name as printed by [`DecoderChoice::name`].
+    /// Parses an engine name as printed by [`DecoderChoice::name`].
     pub fn parse(s: &str) -> Option<DecoderChoice> {
         DecoderChoice::ALL.into_iter().find(|c| c.name() == s)
     }
 
-    /// Builds a fresh backend of this kind.
-    pub fn backend(self) -> Box<dyn DecoderBackend> {
-        match self {
-            DecoderChoice::UnionFind => Box::new(UfBackend::new()),
-            DecoderChoice::Exact => Box::new(ExactBackend::new()),
-            DecoderChoice::Table => Box::new(TableBackend::new()),
-            DecoderChoice::PipelinedUf => Box::new(PipelinedUfDecoder::new()),
+    /// Builds a fresh engine of this kind. Nothing is sized or tabulated
+    /// until the first decode.
+    pub fn backend(self) -> DecodeEngine {
+        DecodeEngine {
+            choice: self,
+            scratch: UfScratch::new(),
+            tables: BTreeMap::new(),
+            cost: CostReport::default(),
         }
     }
 }
@@ -562,6 +209,104 @@ impl DecoderChoice {
 impl fmt::Display for DecoderChoice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// The costed decode engine the master controller and the decode pool's
+/// workers each own: the algorithm its [`DecoderChoice`] names, the
+/// union-find scratch every choice shares (as the engine itself or as
+/// the fallback), the lazily built lookup tables and the accumulated
+/// [`CostReport`].
+///
+/// [`DecodeEngine::decode`] is total (any graph, any event set) and
+/// deterministic in `(graph, events)` alone.
+#[derive(Debug, Clone)]
+pub struct DecodeEngine {
+    choice: DecoderChoice,
+    scratch: UfScratch,
+    /// Single-round tables keyed by `(is X kind, num_checks)` — every
+    /// tile of a run shares one lattice, so in practice this holds at
+    /// most one table per stabilizer kind. Only [`DecoderChoice::Table`]
+    /// fills it.
+    tables: BTreeMap<(bool, usize), TableDecoder>,
+    cost: CostReport,
+}
+
+impl DecodeEngine {
+    /// The engine's [`DecoderChoice::name`].
+    pub fn name(&self) -> &'static str {
+        self.choice.name()
+    }
+
+    /// Decodes one event set over `graph` into a correction, accruing
+    /// the decode's modeled cost.
+    pub fn decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
+        match self.choice {
+            DecoderChoice::UnionFind => self.union_find(graph, events, false),
+            DecoderChoice::PipelinedUf => {
+                self.cost.jj_count = self.cost.jj_count.max(PipelinedUfDecoder::jj_count(graph));
+                self.union_find(graph, events, false)
+            }
+            DecoderChoice::Exact => {
+                let k = events.len();
+                if k > EXACT_MAX_EVENTS {
+                    return self.union_find(graph, events, true);
+                }
+                self.cost.record((k as u64) << k, false);
+                ExactMatchingDecoder::new().decode(graph, events)
+            }
+            DecoderChoice::Table => {
+                if graph.rounds() != 1 || graph.num_checks() > TableDecoder::MAX_CHECKS {
+                    return self.union_find(graph, events, true);
+                }
+                let table = self
+                    .tables
+                    .entry((graph.kind() == StabKind::X, graph.num_checks()))
+                    .or_insert_with(|| TableDecoder::build(graph));
+                let bank_bits = table.storage_bits(graph_data_qubits(graph)) as u64;
+                self.cost.record(read_latency_cycles(bank_bits), false);
+                self.cost.jj_count = self
+                    .cost
+                    .jj_count
+                    .max(bank_bits * JJ_PER_BIT + JJ_PER_CHANNEL);
+                table.decode(graph, events)
+            }
+        }
+    }
+
+    /// One traced union-find decode on the shared scratch: the
+    /// `union-find` engine at the flat software price, the `pipelined-uf`
+    /// engine at its staged hardware price, and (at the software price,
+    /// booked as a fallback) the fallback of `exact` and `table`.
+    fn union_find(
+        &mut self,
+        graph: &DecodingGraph,
+        events: &[NodeId],
+        fallback: bool,
+    ) -> Correction {
+        let mut trace = UfTrace::default();
+        let correction =
+            UnionFindDecoder::new().decode_traced(graph, events, &mut self.scratch, &mut trace);
+        let cycles = match self.choice {
+            DecoderChoice::PipelinedUf => PipelinedUfDecoder::decode_cycles(graph, &trace),
+            DecoderChoice::UnionFind | DecoderChoice::Exact | DecoderChoice::Table => {
+                trace_work_cycles(&trace)
+            }
+        };
+        self.cost.record(cycles, fallback);
+        correction
+    }
+
+    /// The cost accumulated since construction or the last
+    /// [`DecodeEngine::reset_cost`].
+    pub fn cost(&self) -> CostReport {
+        self.cost
+    }
+
+    /// Clears the cost accumulator (the decode pool scopes costs to one
+    /// chunk this way).
+    pub fn reset_cost(&mut self) {
+        self.cost = CostReport::default();
     }
 }
 
@@ -654,68 +399,108 @@ mod tests {
         let exact = ExactMatchingDecoder::new();
         for events in &sets {
             assert_eq!(
-                UfBackend::new().decode(&g, events),
+                DecoderChoice::UnionFind.backend().decode(&g, events),
                 uf.decode(&g, events),
-                "UfBackend diverged from UnionFindDecoder"
+                "union-find engine diverged from UnionFindDecoder"
             );
             assert_eq!(
-                ExactBackend::new().decode(&g, events),
+                DecoderChoice::Exact.backend().decode(&g, events),
                 exact.decode(&g, events),
-                "ExactBackend diverged from ExactMatchingDecoder"
+                "exact engine diverged from ExactMatchingDecoder"
             );
         }
+    }
+
+    /// One engine decoding `steps` in order must return the corrections
+    /// and accumulate the cost of one fresh engine per step: the shared
+    /// scratch and the table map must be insensitive to graph changes.
+    fn assert_insensitive_to_graph_changes(
+        choice: DecoderChoice,
+        steps: &[(&DecodingGraph, &[NodeId])],
+    ) {
+        let mut shared = choice.backend();
+        let mut merged = CostReport::default();
+        for (i, &(graph, events)) in steps.iter().enumerate() {
+            let mut fresh = choice.backend();
+            assert_eq!(
+                shared.decode(graph, events),
+                fresh.decode(graph, events),
+                "{choice}: step {i} corrected differently on a used engine"
+            );
+            merged.merge(&fresh.cost());
+        }
+        assert_eq!(shared.cost(), merged, "{choice}: cost leaked across graphs");
+    }
+
+    /// What a fresh `union-find` engine charges for one decode.
+    fn union_find_cost(graph: &DecodingGraph, events: &[NodeId]) -> CostReport {
+        let mut uf = DecoderChoice::UnionFind.backend();
+        uf.decode(graph, events);
+        uf.cost()
     }
 
     #[test]
     fn table_backend_builds_once_and_reports_hardware() {
         let lat = RotatedLattice::new(3);
         let g = DecodingGraph::new(&lat, StabKind::Z, 1);
-        let mut backend = TableBackend::new();
+        let mut backend = DecoderChoice::Table.backend();
         backend.decode(&g, &[g.node(0, 1)]);
         backend.decode(&g, &[]);
         let cost = backend.cost();
         assert_eq!(cost.decodes, 2);
         assert_eq!(cost.fallback_decodes, 0);
         assert!(cost.jj_count > 0, "a lookup memory has a JJ footprint");
-        // A multi-round graph routes through the union-find fallback.
+        // A multi-round graph routes through the union-find fallback, at
+        // exactly the price a union-find engine charges for it.
         let g3 = DecodingGraph::new(&lat, StabKind::Z, 3);
-        backend.decode(&g3, &[g3.node(1, 1)]);
-        assert_eq!(backend.cost().fallback_decodes, 1);
-    }
-
-    #[test]
-    fn lut_backend_escalates_exactly_like_the_lut() {
-        let lat = RotatedLattice::new(3);
-        let g = DecodingGraph::new(&lat, StabKind::Z, 1);
-        let lut = LutDecoder::new(&g);
-        let mut backend = LutBackend::new(&g);
-        let sets = random_event_sets(&g, 16, 5);
-        for events in &sets {
-            let raw = lut.try_correction(&g, events);
-            let through = backend.try_decode(&g, events);
-            assert_eq!(raw, through, "events={events:?}");
-            // The total entry point must still explain everything.
-            let c = backend.decode(&g, events);
-            assert!(correction_explains_events(&g, &c, events));
-        }
-        assert!(backend.cost().jj_count > 0);
+        let events3 = [g3.node(1, 1), g3.node(2, 2)];
+        backend.reset_cost();
+        backend.decode(&g3, &events3);
+        let fallback = backend.cost();
+        let uf = union_find_cost(&g3, &events3);
+        assert_eq!((fallback.decodes, fallback.fallback_decodes), (0, 1));
+        assert!(uf.cycles > 0);
+        assert_eq!(fallback.cycles, uf.cycles);
+        assert_eq!(fallback.max_decode_cycles, uf.max_decode_cycles);
+        // Table, fallback, table again on one engine.
+        let events1 = [g.node(0, 0), g.node(0, 2)];
+        assert_insensitive_to_graph_changes(
+            DecoderChoice::Table,
+            &[(&g, &events1), (&g3, &events3), (&g, &events1)],
+        );
     }
 
     #[test]
     fn exact_backend_falls_back_beyond_its_event_budget() {
         let lat = RotatedLattice::new(7);
+        let over_budget = |g: &DecodingGraph, seed: u64| -> Vec<NodeId> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let all: Vec<NodeId> = (0..g.boundary()).collect();
+            all.choose_multiple(&mut rng, EXACT_MAX_EVENTS + 4)
+                .copied()
+                .collect()
+        };
         let g = DecodingGraph::new(&lat, StabKind::Z, 2);
-        let mut rng = StdRng::seed_from_u64(9);
-        let all: Vec<NodeId> = (0..g.boundary()).collect();
-        let events: Vec<NodeId> = all
-            .choose_multiple(&mut rng, EXACT_MAX_EVENTS + 4)
-            .copied()
-            .collect();
-        let mut backend = ExactBackend::new();
+        let events = over_budget(&g, 9);
+        let mut backend = DecoderChoice::Exact.backend();
         let c = backend.decode(&g, &events);
         assert!(correction_explains_events(&g, &c, &events));
         assert_eq!(backend.cost().fallback_decodes, 1);
         assert_eq!(backend.cost().decodes, 0);
+        // The fallback is priced exactly as a union-find engine prices it.
+        let uf = union_find_cost(&g, &events);
+        assert!(uf.cycles > 0);
+        assert_eq!(backend.cost().cycles, uf.cycles);
+        assert_eq!(backend.cost().max_decode_cycles, uf.max_decode_cycles);
+        // Fallback decodes on a single-round graph, a three-round graph
+        // and the single-round graph again share one scratch.
+        let g1 = DecodingGraph::new(&lat, StabKind::Z, 1);
+        let g3 = DecodingGraph::new(&lat, StabKind::Z, 3);
+        let (events1, events3) = (over_budget(&g1, 10), over_budget(&g3, 11));
+        assert_insensitive_to_graph_changes(
+            DecoderChoice::Exact,
+            &[(&g1, &events1), (&g3, &events3), (&g1, &events1)],
+        );
     }
 
     #[test]
@@ -726,33 +511,5 @@ mod tests {
         }
         assert_eq!(DecoderChoice::parse("mwpm"), None);
         assert_eq!(DecoderChoice::default(), DecoderChoice::UnionFind);
-    }
-
-    #[test]
-    fn decode_batch_backend_matches_per_job_decodes() {
-        let lat = RotatedLattice::new(5);
-        let graphs = BatchGraphs::new(&lat);
-        let jobs = vec![
-            DecodeJob {
-                kind: StabKind::Z,
-                events: vec![0, 1],
-            },
-            DecodeJob {
-                kind: StabKind::X,
-                events: vec![2],
-            },
-            DecodeJob {
-                kind: StabKind::Z,
-                events: vec![],
-            },
-        ];
-        for choice in DecoderChoice::ALL {
-            let mut backend = choice.backend();
-            let batch = decode_batch_backend(backend.as_mut(), &graphs, &jobs);
-            for (job, got) in jobs.iter().zip(&batch) {
-                let mut fresh = choice.backend();
-                assert_eq!(*got, fresh.decode(graphs.graph(job.kind), &job.events));
-            }
-        }
     }
 }

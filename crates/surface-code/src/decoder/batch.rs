@@ -1,15 +1,13 @@
-//! Batched global decoding.
+//! The vocabulary of batched global decoding.
 //!
 //! The master controller's global decoder receives escalations one at a
 //! time in the single-threaded systems, but a concurrent runtime collects
 //! escalations from many tiles per cycle and hands them to a worker pool
-//! in batches. This module is that entry point: a batch of independent
-//! [`DecodeJob`]s decoded against shared per-kind decoding graphs, with
-//! each job resolved exactly as the one-at-a-time path resolves it
-//! (single-round graph, same node numbering), so batching changes
-//! throughput but never corrections.
+//! in batches: independent [`DecodeJob`]s decoded against shared per-kind
+//! [`BatchGraphs`], each job resolved exactly as the one-at-a-time path
+//! resolves it (single-round graph, same node numbering), so batching
+//! changes throughput but never corrections.
 
-use super::{Correction, Decoder};
 use crate::graph::{DecodingGraph, NodeId};
 use crate::lattice::{RotatedLattice, StabKind};
 
@@ -48,64 +46,5 @@ impl BatchGraphs {
             StabKind::X => &self.x,
             StabKind::Z => &self.z,
         }
-    }
-}
-
-/// Decodes a batch of independent jobs, returning one correction per job
-/// in input order. Equivalent to calling `decoder.decode` per job on a
-/// fresh single-round graph of the job's kind.
-pub fn decode_batch<D: Decoder>(
-    decoder: &D,
-    graphs: &BatchGraphs,
-    jobs: &[DecodeJob],
-) -> Vec<Correction> {
-    jobs.iter()
-        .map(|job| decoder.decode(graphs.graph(job.kind), &job.events))
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::decoder::UnionFindDecoder;
-
-    #[test]
-    fn batch_matches_one_at_a_time() {
-        let lat = RotatedLattice::new(5);
-        let graphs = BatchGraphs::new(&lat);
-        let uf = UnionFindDecoder::new();
-        let jobs = vec![
-            DecodeJob {
-                kind: StabKind::Z,
-                events: vec![0, 1],
-            },
-            DecodeJob {
-                kind: StabKind::X,
-                events: vec![2],
-            },
-            DecodeJob {
-                kind: StabKind::Z,
-                events: vec![3],
-            },
-            DecodeJob {
-                kind: StabKind::Z,
-                events: vec![],
-            },
-        ];
-        let batched = decode_batch(&uf, &graphs, &jobs);
-        assert_eq!(batched.len(), jobs.len());
-        for (job, got) in jobs.iter().zip(&batched) {
-            let fresh = DecodingGraph::new(&lat, job.kind, 1);
-            let expected = uf.decode(&fresh, &job.events);
-            assert_eq!(got, &expected, "batched decode diverged for {job:?}");
-        }
-    }
-
-    #[test]
-    fn empty_batch_is_empty() {
-        let lat = RotatedLattice::new(3);
-        let graphs = BatchGraphs::new(&lat);
-        let out = decode_batch(&UnionFindDecoder::new(), &graphs, &[]);
-        assert!(out.is_empty());
     }
 }

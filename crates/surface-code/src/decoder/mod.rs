@@ -14,12 +14,13 @@
 //!   (exponential in the number of detection events), used as ground truth
 //!   in tests and small benchmarks.
 //!
-//! All of these are also available behind the pluggable
-//! [`DecoderBackend`] trait (see [`backend`]), which adds per-run
-//! selection ([`DecoderChoice`]), scratch ownership and
-//! [`CostReport`] cycle/JJ accounting — plus the cycle-accurate
-//! [`PipelinedUfDecoder`] hardware model of the Das et al.
-//! micro-architecture.
+//! [`Decoder`] is the one decoder trait: read-only, what the samplers
+//! are generic over. The global decoders of a run (the master's, the
+//! decode pool's) are instead one concrete [`DecodeEngine`] (see
+//! [`backend`]) built from the run's [`DecoderChoice`], which owns its
+//! scratch and adds [`CostReport`] cycle/JJ accounting — priced, for
+//! `pipelined-uf`, by the cycle-accurate [`PipelinedUfDecoder`] hardware
+//! model of the Das et al. micro-architecture.
 
 pub mod backend;
 pub mod batch;
@@ -29,11 +30,8 @@ mod pipelined;
 mod table;
 mod union_find;
 
-pub use backend::{
-    decode_batch_backend, CostReport, DecoderBackend, DecoderChoice, ExactBackend, LutBackend,
-    TableBackend, UfBackend,
-};
-pub use batch::{decode_batch, BatchGraphs, DecodeJob};
+pub use backend::{CostReport, DecodeEngine, DecoderChoice};
+pub use batch::{BatchGraphs, DecodeJob};
 pub use exact::ExactMatchingDecoder;
 pub use lut::LutDecoder;
 pub use pipelined::PipelinedUfDecoder;

@@ -7,11 +7,12 @@
 //! **DFS** stage that walks the grown erasure into a peeling forest, and
 //! a **correction** stage that emits the data-qubit flips. This module
 //! models that micro-architecture on top of the software
-//! [`UnionFindDecoder`]: every decode runs the *exact* software
-//! algorithm with tracing enabled, so the corrections are bit-identical
-//! to [`UfBackend`](super::backend::UfBackend) by construction, and the
-//! trace's work counters are then priced against the staged hardware
-//! model below.
+//! [`UnionFindDecoder`](super::UnionFindDecoder): the engine
+//! [`DecoderChoice::PipelinedUf`](super::DecoderChoice::PipelinedUf)
+//! builds runs the *exact* software algorithm with tracing enabled, so
+//! its corrections are bit-identical to the `union-find` engine's by
+//! construction, and the trace's work counters are then priced against
+//! the staged hardware model below.
 //!
 //! # Cycle model
 //!
@@ -35,10 +36,9 @@
 //! pure functions of `(graph, events)`, so cycle counts are exactly
 //! reproducible run to run (asserted by the equivalence property tests).
 
-use super::backend::{read_latency_cycles, CostReport, DecoderBackend, JJ_PER_BIT, JJ_PER_CHANNEL};
-use super::union_find::{UfScratch, UfTrace, UnionFindDecoder};
-use super::Correction;
-use crate::graph::{DecodingGraph, NodeId};
+use super::backend::{read_latency_cycles, JJ_PER_BIT, JJ_PER_CHANNEL};
+use super::union_find::UfTrace;
+use crate::graph::DecodingGraph;
 
 /// Bits per node entry in the spanning-tree stage's node bank: a parent
 /// pointer and rank plus the parity/boundary/cluster flag bits, padded
@@ -55,24 +55,13 @@ pub const MERGE_CYCLES: u64 = 2;
 /// Depth of the decode pipeline (spanning-tree → DFS → correction).
 pub const PIPELINE_STAGES: u64 = 3;
 
-/// The pipelined hardware union-find decoder backend.
-///
-/// Corrections are produced by the software union-find itself (traced),
-/// so they are pinned bit-identical to [`UnionFindDecoder`]; only the
-/// reported cost differs, following the module-level hardware model.
-#[derive(Debug, Clone, Default)]
-pub struct PipelinedUfDecoder {
-    decoder: UnionFindDecoder,
-    scratch: UfScratch,
-    cost: CostReport,
-}
+/// The pipelined hardware union-find decoder's cost model: what the
+/// `pipelined-uf` engine charges for a traced software union-find
+/// decode, following the module-level hardware model.
+#[derive(Debug, Clone, Copy)]
+pub struct PipelinedUfDecoder;
 
 impl PipelinedUfDecoder {
-    /// Creates the backend with empty scratch (sized on first decode).
-    pub fn new() -> PipelinedUfDecoder {
-        PipelinedUfDecoder::default()
-    }
-
     /// JJ footprint of the pipeline sized for `graph`: the node and edge
     /// banks at `JJ_PER_BIT` each, plus one `JJ_PER_CHANNEL` of
     /// sequencing overhead per pipeline stage.
@@ -96,38 +85,10 @@ impl PipelinedUfDecoder {
     }
 }
 
-impl DecoderBackend for PipelinedUfDecoder {
-    fn name(&self) -> &'static str {
-        "pipelined-uf"
-    }
-
-    fn decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
-        let mut trace = UfTrace::default();
-        let correction = self
-            .decoder
-            .decode_traced(graph, events, &mut self.scratch, &mut trace);
-        self.cost.record(Self::decode_cycles(graph, &trace), false);
-        self.cost.jj_count = self.cost.jj_count.max(Self::jj_count(graph));
-        correction
-    }
-
-    fn cost(&self) -> CostReport {
-        self.cost
-    }
-
-    fn reset_cost(&mut self) {
-        self.cost = CostReport::default();
-    }
-
-    fn clone_box(&self) -> Box<dyn DecoderBackend> {
-        Box::new(self.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decoder::Decoder;
+    use crate::decoder::{Decoder, DecoderChoice, UnionFindDecoder};
     use crate::lattice::{RotatedLattice, StabKind};
     use proptest::prelude::*;
 
@@ -155,7 +116,7 @@ mod tests {
     #[test]
     fn empty_syndrome_costs_only_the_pipeline_fill() {
         let g = DecodingGraph::new(&RotatedLattice::new(3), StabKind::Z, 1);
-        let mut backend = PipelinedUfDecoder::new();
+        let mut backend = DecoderChoice::PipelinedUf.backend();
         let c = backend.decode(&g, &[]);
         assert!(c.edges.is_empty());
         assert_eq!(backend.cost().cycles, PIPELINE_STAGES);
@@ -189,11 +150,11 @@ mod tests {
             events.dedup();
 
             let software = UnionFindDecoder::new().decode(&g, &events);
-            let mut first = PipelinedUfDecoder::new();
+            let mut first = DecoderChoice::PipelinedUf.backend();
             let hardware = first.decode(&g, &events);
             prop_assert_eq!(&software, &hardware, "corrections diverged at d={}", d);
 
-            let mut second = PipelinedUfDecoder::new();
+            let mut second = DecoderChoice::PipelinedUf.backend();
             second.decode(&g, &events);
             prop_assert_eq!(
                 first.cost(),

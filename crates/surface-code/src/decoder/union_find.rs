@@ -516,21 +516,19 @@ impl UnionFindDecoder {
 
     /// Plane-batched decode: transposes the node-major event planes into
     /// per-shot event lists (CSR layout, one pass), then runs the core
-    /// decode shot by shot with fully reused working memory. `on_shot`
-    /// receives each shot's [`UfTrace`] so backends can price the work.
+    /// decode shot by shot with fully reused working memory.
     ///
     /// The output is bit-identical to scattering the planes and calling
     /// [`Decoder::decode_many`]: the CSR fill visits nodes in ascending
     /// order, so each shot's events arrive sorted exactly as the sparse
     /// path produces them, and the XOR-fold below emits flips in the same
     /// ascending order as [`Correction::from_edges`]'s `BTreeSet`.
-    pub(crate) fn decode_planes_impl(
+    fn decode_planes_impl(
         &self,
         graph: &DecodingGraph,
         planes: &EventPlanes<'_>,
         scratch: &mut UfScratch,
         out: &mut CorrectionBatch,
-        mut on_shot: impl FnMut(&UfTrace),
     ) {
         let shots = planes.shots();
         out.clear();
@@ -577,7 +575,6 @@ impl UnionFindDecoder {
             let events = &events_flat[offsets[shot]..offsets[shot + 1]];
             let mut trace = UfTrace::default();
             self.decode_edges_prepared(graph, events, scratch, &mut trace, &mut edges);
-            on_shot(&trace);
 
             // XOR-fold data faults without a per-shot set: mark parity in a
             // reusable bool table, then emit odd-parity qubits ascending.
@@ -665,8 +662,7 @@ impl Decoder for UnionFindDecoder {
         planes: &EventPlanes<'_>,
         out: &mut CorrectionBatch,
     ) {
-        let mut scratch = UfScratch::new();
-        self.decode_planes_impl(graph, planes, &mut scratch, out, |_| {});
+        self.decode_planes_impl(graph, planes, &mut UfScratch::new(), out);
     }
 }
 

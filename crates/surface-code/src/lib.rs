@@ -37,7 +37,7 @@ pub mod schedule;
 pub mod threshold;
 
 pub use decoder::{
-    Correction, CorrectionBatch, CostReport, Decoder, DecoderBackend, DecoderChoice, EventPlanes,
+    Correction, CorrectionBatch, CostReport, DecodeEngine, Decoder, DecoderChoice, EventPlanes,
     ExactMatchingDecoder, LutDecoder, PipelinedUfDecoder, TableDecoder, UfScratch,
     UnionFindDecoder,
 };

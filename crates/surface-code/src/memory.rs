@@ -213,8 +213,44 @@ impl MemoryExperiment {
         graph: &DecodingGraph,
         rng: &mut R,
     ) -> MemoryOutcome {
-        let lat = &self.lattice;
         let kind = self.basis.check_kind();
+        let num_data = self.lattice.num_data();
+        let (events, data_bits) = self.tableau_shot(t, records, graph, rng, |r, t, rng, rec| {
+            if let (0, Some(p)) = (r, inject) {
+                t.pauli_string(p);
+            }
+            // Data noise layer.
+            for q in 0..num_data {
+                let e = noise.data.sample(rng);
+                t.pauli(q, e);
+            }
+            rec.extend_from_slice(self.circuit.run_round(t, rng).of(kind));
+            // Classical measurement flips.
+            for b in rec.iter_mut() {
+                if noise.measurement_flip > 0.0 && rng.gen::<f64>() < noise.measurement_flip {
+                    *b = !*b;
+                }
+            }
+        });
+        self.decode_and_judge(&events, data_bits, decoder, graph)
+    }
+
+    /// The tableau shot every per-shot entry point shares: prepare the
+    /// basis state on `t` (which must hold `|0…0⟩`), let `round` run each
+    /// QECC round `r` and append the monitored checks' record to the
+    /// cleared buffer it is handed, read every data qubit out
+    /// transversally and derive the final perfect check round from that
+    /// readout. Returns the detection events over `graph` and the raw
+    /// data-qubit readout.
+    fn tableau_shot<R: Rng + ?Sized>(
+        &self,
+        t: &mut Tableau,
+        records: &mut Vec<Vec<bool>>,
+        graph: &DecodingGraph,
+        rng: &mut R,
+        mut round: impl FnMut(usize, &mut Tableau, &mut R, &mut Vec<bool>),
+    ) -> (Vec<NodeId>, Vec<bool>) {
+        let lat = &self.lattice;
         let num_data = lat.num_data();
 
         // Logical state preparation. |0…0⟩ is logical |0⟩; transversal H
@@ -227,28 +263,12 @@ impl MemoryExperiment {
             }
         }
 
-        if let Some(p) = inject {
-            t.pauli_string(p);
-        }
-
-        // Noisy syndrome rounds. The outer record buffer (and each round's
-        // inner vector) is reused across shots.
+        // The outer record buffer (and each round's inner vector) is
+        // reused across shots.
         records.resize(self.rounds, Vec::new());
-        for round in records.iter_mut() {
-            // Data noise layer.
-            for q in 0..num_data {
-                let e = noise.data.sample(rng);
-                t.pauli(q, e);
-            }
-            let syn = self.circuit.run_round(t, rng);
-            round.clear();
-            round.extend_from_slice(syn.of(kind));
-            // Classical measurement flips.
-            for b in round.iter_mut() {
-                if noise.measurement_flip > 0.0 && rng.gen::<f64>() < noise.measurement_flip {
-                    *b = !*b;
-                }
-            }
+        for (r, rec) in records.iter_mut().enumerate() {
+            rec.clear();
+            round(r, t, rng, rec);
         }
 
         // Final perfect readout of all data qubits in the memory basis.
@@ -260,17 +280,14 @@ impl MemoryExperiment {
             .collect();
         // Derive the final round of check values classically.
         let final_checks: Vec<bool> = lat
-            .plaquettes_of(kind)
+            .plaquettes_of(self.basis.check_kind())
             .map(|p| p.data.iter().fold(false, |acc, &q| acc ^ data_bits[q]))
             .collect();
 
-        self.decode_and_judge(records, &final_checks, data_bits, decoder, graph)
+        let events = self.events_from_records(records, &final_checks, graph);
+        (events, data_bits)
     }
 
-    /// Shared back half of every shot: difference the syndrome records
-    /// into detection events (all-zero reference), decode over `graph`,
-    /// apply the correction to the transversal readout, and judge the
-    /// logical observable.
     /// Differences syndrome records against the all-zero reference into
     /// detection-event nodes, in ascending `(round, check)` order — the
     /// same order the frame sampler emits.
@@ -303,36 +320,34 @@ impl MemoryExperiment {
         events
     }
 
+    /// Parity of the logical observable over a transversal readout.
+    fn logical_parity(&self, data_bits: &[bool]) -> bool {
+        let lat = &self.lattice;
+        (0..lat.distance())
+            .map(|i| match self.basis {
+                MemoryBasis::Z => data_bits[lat.data_index(0, i)],
+                MemoryBasis::X => data_bits[lat.data_index(i, 0)],
+            })
+            .fold(false, |acc, b| acc ^ b)
+    }
+
+    /// Shared back half of every decoded shot: decode the detection
+    /// events over `graph`, apply the correction to the transversal
+    /// readout, and judge the logical observable.
     fn decode_and_judge<D: Decoder>(
         &self,
-        records: &[Vec<bool>],
-        final_checks: &[bool],
+        events: &[NodeId],
         data_bits: Vec<bool>,
         decoder: &D,
         graph: &DecodingGraph,
     ) -> MemoryOutcome {
-        let lat = &self.lattice;
-        let events = self.events_from_records(records, final_checks, graph);
-
-        // Decode and apply the correction to the classical readout.
-        let correction = decoder.decode(graph, &events);
+        let correction = decoder.decode(graph, events);
         let mut corrected = data_bits;
         for &q in &correction.data_flips {
             corrected[q] = !corrected[q];
         }
-
-        // Logical observable parity.
-        let logical_error = match self.basis {
-            MemoryBasis::Z => (0..lat.distance())
-                .map(|col| corrected[lat.data_index(0, col)])
-                .fold(false, |acc, b| acc ^ b),
-            MemoryBasis::X => (0..lat.distance())
-                .map(|row| corrected[lat.data_index(row, 0)])
-                .fold(false, |acc, b| acc ^ b),
-        };
-
         MemoryOutcome {
-            logical_error,
+            logical_error: self.logical_parity(&corrected),
             detection_events: events.len(),
             correction_weight: correction.weight(),
         }
@@ -349,38 +364,15 @@ impl MemoryExperiment {
         decoder: &D,
         rng: &mut R,
     ) -> MemoryOutcome {
-        let lat = &self.lattice;
         let kind = self.basis.check_kind();
-        let num_data = lat.num_data();
-        let mut t = Tableau::new(lat.num_qubits());
-        if self.basis == MemoryBasis::X {
-            for q in 0..num_data {
-                t.h(q);
-            }
-        }
-
-        let mut records: Vec<Vec<bool>> = Vec::with_capacity(self.rounds);
-        for _ in 0..self.rounds {
-            let syn = self
-                .circuit
-                .run_round_with_circuit_noise(&mut t, noise, rng);
-            records.push(syn.of(kind).to_vec());
-        }
-
-        let data_bits: Vec<bool> = (0..num_data)
-            .map(|q| match self.basis {
-                MemoryBasis::Z => t.measure(q, rng).value,
-                MemoryBasis::X => t.measure_x(q, rng).value,
-            })
-            .collect();
-        let final_checks: Vec<bool> = lat
-            .plaquettes_of(kind)
-            .map(|p| p.data.iter().fold(false, |acc, &q| acc ^ data_bits[q]))
-            .collect();
-
-        let graph =
-            DecodingGraph::with_diagonals(&self.lattice, self.basis.check_kind(), self.rounds + 1);
-        self.decode_and_judge(&records, &final_checks, data_bits, decoder, &graph)
+        let graph = DecodingGraph::with_diagonals(&self.lattice, kind, self.rounds + 1);
+        let mut t = Tableau::new(self.lattice.num_qubits());
+        let (events, data_bits) =
+            self.tableau_shot(&mut t, &mut Vec::new(), &graph, rng, |_, t, rng, rec| {
+                let syn = self.circuit.run_round_with_circuit_noise(t, noise, rng);
+                rec.extend_from_slice(syn.of(kind));
+            });
+        self.decode_and_judge(&events, data_bits, decoder, &graph)
     }
 
     /// Logical error rate over `shots` runs.
@@ -475,9 +467,8 @@ impl MemoryExperiment {
         meas_flips_per_round: &[Vec<bool>],
         rng: &mut R,
     ) -> (Vec<NodeId>, bool) {
-        let lat = &self.lattice;
         let kind = self.basis.check_kind();
-        let num_data = lat.num_data();
+        let num_data = self.lattice.num_data();
         assert_eq!(
             errors_per_round.len(),
             self.rounds,
@@ -489,49 +480,22 @@ impl MemoryExperiment {
             "one flip layer per round"
         );
 
-        let mut t = Tableau::new(lat.num_qubits());
-        if self.basis == MemoryBasis::X {
-            for q in 0..num_data {
-                t.h(q);
-            }
-        }
-        let mut records: Vec<Vec<bool>> = Vec::with_capacity(self.rounds);
-        for (errors, flips) in errors_per_round.iter().zip(meas_flips_per_round) {
-            assert_eq!(errors.len(), num_data, "one Pauli per data qubit");
-            for (q, &e) in errors.iter().enumerate() {
-                t.pauli(q, e);
-            }
-            let syn = self.circuit.run_round(&mut t, rng);
-            let mut bits = syn.of(kind).to_vec();
-            assert_eq!(flips.len(), bits.len(), "one flip bit per check");
-            for (b, &f) in bits.iter_mut().zip(flips) {
-                *b ^= f;
-            }
-            records.push(bits);
-        }
-
-        let data_bits: Vec<bool> = (0..num_data)
-            .map(|q| match self.basis {
-                MemoryBasis::Z => t.measure(q, rng).value,
-                MemoryBasis::X => t.measure_x(q, rng).value,
-            })
-            .collect();
-        let final_checks: Vec<bool> = lat
-            .plaquettes_of(kind)
-            .map(|p| p.data.iter().fold(false, |acc, &q| acc ^ data_bits[q]))
-            .collect();
-
         let graph = self.decoding_graph();
-        let events = self.events_from_records(&records, &final_checks, &graph);
-        let logical_parity = match self.basis {
-            MemoryBasis::Z => (0..lat.distance())
-                .map(|col| data_bits[lat.data_index(0, col)])
-                .fold(false, |acc, b| acc ^ b),
-            MemoryBasis::X => (0..lat.distance())
-                .map(|row| data_bits[lat.data_index(row, 0)])
-                .fold(false, |acc, b| acc ^ b),
-        };
-        (events, logical_parity)
+        let mut t = Tableau::new(self.lattice.num_qubits());
+        let (events, data_bits) =
+            self.tableau_shot(&mut t, &mut Vec::new(), &graph, rng, |r, t, rng, rec| {
+                let (errors, flips) = (&errors_per_round[r], &meas_flips_per_round[r]);
+                assert_eq!(errors.len(), num_data, "one Pauli per data qubit");
+                for (q, &e) in errors.iter().enumerate() {
+                    t.pauli(q, e);
+                }
+                rec.extend_from_slice(self.circuit.run_round(t, rng).of(kind));
+                assert_eq!(flips.len(), rec.len(), "one flip bit per check");
+                for (b, &f) in rec.iter_mut().zip(flips) {
+                    *b ^= f;
+                }
+            });
+        (events, self.logical_parity(&data_bits))
     }
 }
 

@@ -202,7 +202,7 @@ fn run_width(
 
 #[test]
 fn run_batch_is_invariant_under_lane_width() {
-    // 64-, 256- and 512-bit plane words over the same (shots, seed) must
+    // 64- and 512-bit plane words over the same (shots, seed) must
     // produce bit-identical outcomes, including at a non-multiple-of-64
     // shot count and across different chunkings per width.
     let exp = MemoryExperiment::new(5, 5, MemoryBasis::Z);
@@ -210,16 +210,9 @@ fn run_batch_is_invariant_under_lane_width() {
     let noise = MemoryNoise::phenomenological(0.03);
     for shots in [1000usize, 4096] {
         let narrow = run_width(&sampler, &noise, shots, 0xA11CE, LaneWidth::X1, 4096);
-        for width in [LaneWidth::X4, LaneWidth::X8] {
-            for chunk in [512usize, 4096] {
-                let wide = run_width(&sampler, &noise, shots, 0xA11CE, width, chunk);
-                assert_eq!(
-                    narrow,
-                    wide,
-                    "width {} chunk {chunk} diverged at {shots} shots",
-                    width.name()
-                );
-            }
+        for chunk in [512usize, 4096] {
+            let wide = run_width(&sampler, &noise, shots, 0xA11CE, LaneWidth::X8, chunk);
+            assert_eq!(narrow, wide, "chunk {chunk} diverged at {shots} shots");
         }
         assert!(narrow.detection_events > 0);
     }
@@ -231,7 +224,7 @@ fn threshold_sweep_is_invariant_under_width_and_workers() {
     let distances = [3usize, 5];
     let rates = [5e-3, 5e-2];
     let reference = ThresholdSweep::run_batch(&distances, &rates, 1024, &uf, 0xFEED, 1);
-    for width in [LaneWidth::X1, LaneWidth::X4] {
+    for width in [LaneWidth::X1, LaneWidth::X8] {
         for workers in [1usize, 3] {
             let cfg = SweepConfig {
                 width,
