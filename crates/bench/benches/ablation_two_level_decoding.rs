@@ -7,9 +7,7 @@
 //! eventful rounds decode locally.
 
 use quest_bench::{header, row};
-use quest_core::{DeliveryMode, QuestSystem};
-use quest_isa::LogicalProgram;
-use quest_stabilizer::{SeedableRng, StdRng};
+use quest_runtime::{run_reference, WorkloadSpec};
 
 fn main() {
     header(
@@ -24,7 +22,6 @@ fn main() {
         "escalations",
         "local share",
     ]);
-    let mut rng = StdRng::seed_from_u64(2024);
     for (p, d) in [
         (1e-3, 3usize),
         (3e-3, 3),
@@ -33,14 +30,8 @@ fn main() {
         (1e-2, 5), // high enough that multi-error rounds escalate
     ] {
         let cycles = 400u64;
-        let mut sys = QuestSystem::new(d, p).expect("valid parameters");
-        let run = sys.run_memory_workload(
-            cycles,
-            &LogicalProgram::new(),
-            0,
-            DeliveryMode::QuestMce,
-            &mut rng,
-        );
+        let run = run_reference(&WorkloadSpec::memory(d, 1, 1, p, 2024, cycles))
+            .expect("valid parameters");
         let eventful = run.local_decodes + run.escalations;
         let share = if eventful == 0 {
             1.0

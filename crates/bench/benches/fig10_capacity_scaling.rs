@@ -6,7 +6,7 @@
 
 use quest_bench::{header, row, sci};
 use quest_core::microcode::MicrocodeDesign;
-use quest_core::QuestSystem;
+use quest_core::MultiTileSystem;
 use quest_surface::{RotatedLattice, SyndromeDesign};
 
 fn main() {
@@ -47,25 +47,26 @@ fn main() {
     );
     assert!((3.0..=6.0).contains(&ratio_64k));
 
-    // Unified-engine cross-check: the functional MCE inside a
-    // `QuestSystem` built through the fallible unified constructor
-    // stores exactly what the FIFO-style model predicts for its tile.
-    let sys = QuestSystem::new(3, 0.0).expect("valid parameters");
+    // Cross-check: the functional MCE inside a one-tile
+    // `MultiTileSystem` stores exactly what the FIFO-style model
+    // predicts for its tile.
+    let sys = MultiTileSystem::new(3, 1, 0.0).expect("valid parameters");
+    let microcode = sys.mce(0).microcode();
     let lattice = RotatedLattice::new(3);
     let tile = SyndromeDesign {
         name: "d3-tile",
-        cycle_depth: sys.mce().microcode().cycle_len(),
+        cycle_depth: microcode.cycle_len(),
         unit_cell_qubits: lattice.num_qubits(),
-        microcode_uops: sys.mce().microcode().cycle_len() * lattice.num_qubits(),
+        microcode_uops: microcode.cycle_len() * lattice.num_qubits(),
     };
     let model = MicrocodeDesign::Fifo.capacity_bits(lattice.num_qubits(), &tile, opcode_bits);
     assert_eq!(
-        sys.mce().microcode().storage_bits() as f64,
+        microcode.storage_bits() as f64,
         model,
         "functional replay storage must match the capacity model"
     );
     println!(
         "check: functional d=3 MCE microcode stores {} bits, matching the FIFO capacity model",
-        sys.mce().microcode().storage_bits()
+        microcode.storage_bits()
     );
 }

@@ -10,7 +10,9 @@
 use quest_bench::{header, orders, row, sci};
 use quest_core::TechnologyParams;
 use quest_estimate::{BandwidthEstimate, Workload};
-use quest_surface::{MemoryBasis, MemoryExperiment, MemoryNoise, SyndromeDesign, UnionFindDecoder};
+use quest_surface::{
+    FrameSampler, MemoryBasis, MemoryExperiment, MemoryNoise, SyndromeDesign, UnionFindDecoder,
+};
 
 fn main() {
     header(
@@ -71,8 +73,10 @@ fn main() {
     let shots = 20_000;
     let mut measured = Vec::new();
     for d in [3usize, 5, 7] {
-        let exp = MemoryExperiment::new(d, d, MemoryBasis::Z);
-        let rate = exp.logical_error_rate_batch(&noise, &dec, shots, 15 + d as u64);
+        let sampler = FrameSampler::new(&MemoryExperiment::new(d, d, MemoryBasis::Z));
+        let rate = sampler
+            .run_batch(&noise, &dec, shots, 15 + d as u64)
+            .logical_error_rate();
         row(&[&d.to_string(), &sci(p), &format!("{rate:.5}")]);
         measured.push(rate);
     }

@@ -10,8 +10,8 @@ use quest_core::Mce;
 use quest_stabilizer::{SeedableRng, StdRng, Tableau};
 use quest_surface::decoder::Decoder;
 use quest_surface::{
-    DecodingGraph, MemoryBasis, MemoryExperiment, MemoryNoise, RotatedLattice, StabKind,
-    SyndromeCircuit, UnionFindDecoder,
+    DecodingGraph, FrameSampler, MemoryBasis, MemoryExperiment, MemoryNoise, RotatedLattice,
+    StabKind, SyndromeCircuit, UnionFindDecoder,
 };
 
 fn bench_tableau(c: &mut Criterion) {
@@ -96,13 +96,13 @@ fn bench_frame_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("frame_batch_1k_shots");
     for d in [3usize, 5, 7] {
         group.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, &d| {
-            let exp = MemoryExperiment::new(d, d, MemoryBasis::Z);
+            let sampler = FrameSampler::new(&MemoryExperiment::new(d, d, MemoryBasis::Z));
             let noise = MemoryNoise::code_capacity(1e-2);
             let dec = UnionFindDecoder::new();
             let mut seed = 0u64;
             b.iter(|| {
                 seed = seed.wrapping_add(1);
-                exp.run_batch(&noise, &dec, 1024, seed)
+                sampler.run_batch(&noise, &dec, 1024, seed)
             });
         });
     }
@@ -132,7 +132,7 @@ fn frame_throughput_comparison(_c: &mut Criterion) {
 
     let batch_shots = 20_000usize;
     let t1 = Instant::now();
-    let batch = exp.run_batch(&noise, &dec, batch_shots, 5);
+    let batch = FrameSampler::new(&exp).run_batch(&noise, &dec, batch_shots, 5);
     let batch_elapsed = t1.elapsed().as_secs_f64();
     let batch_per_sec = batch_shots as f64 / batch_elapsed;
 

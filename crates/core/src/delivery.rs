@@ -3,23 +3,23 @@
 //!
 //! [`DeliveryMode`] selects which bytes cross the global bus for the same
 //! logical workload; [`DeliveryEngine`] applies that policy per tile. The
-//! single-tile [`QuestSystem`](crate::QuestSystem), the multi-tile
-//! reference ([`MultiTileSystem`](crate::MultiTileSystem)) and the
-//! concurrent `quest-runtime` shards all account instruction delivery
-//! through this module, so the three execution paths cannot drift apart.
+//! reference system ([`MultiTileSystem`](crate::MultiTileSystem)) and the
+//! concurrent `quest-runtime` shards both account instruction delivery
+//! through this module, so the two executors cannot drift apart.
 //!
-//! The engine splits each operation into two halves that the concurrent
-//! runtime performs on different threads:
+//! Every operation is two halves (§4.2: the master owns the bus, the MCE
+//! owns the pipeline), which the concurrent runtime performs on different
+//! threads:
 //!
 //! * **accounting** — bus-byte and dispatch-counter updates on a
 //!   [`MasterController`] (`*_remote` methods; the master thread's side);
 //! * **local execution** — instruction-pipeline delivery, cache fills and
 //!   replays on an [`Mce`] (`*_local` methods; the shard's side).
 //!
-//! The single-threaded systems call the combined methods, which perform
-//! both halves back to back. Totals are identical either way.
+//! [`DeliveryEngine::dispatch`] and [`DeliveryEngine::kernel`] are the two
+//! halves back to back, for a caller that holds both the master and the
+//! tile.
 
-use crate::instruction_pipeline::traffic_class;
 use crate::master::MasterController;
 use crate::mce::Mce;
 use quest_isa::{InstrClass, LogicalInstr};
@@ -82,9 +82,9 @@ impl DeliveryEngine {
         self.mode
     }
 
-    /// Dispatches one logical instruction to a tile: bus accounting plus
-    /// instruction-pipeline delivery. Identical in every mode — single
-    /// logical instructions always cross the bus.
+    /// Dispatches one logical instruction to a tile: both halves, bus
+    /// accounting then instruction-pipeline delivery. Identical in every
+    /// mode — single logical instructions always cross the bus.
     pub fn dispatch(
         &self,
         master: &mut MasterController,
@@ -92,12 +92,13 @@ impl DeliveryEngine {
         i: LogicalInstr,
         class: InstrClass,
     ) {
-        master.dispatch(mce, i, class);
+        self.dispatch_remote(master, class);
+        self.dispatch_local(mce, i);
     }
 
-    /// Master-side half of [`DeliveryEngine::dispatch`] for a remote tile
-    /// (the concurrent runtime ships the instruction to the owning shard,
-    /// which performs [`DeliveryEngine::dispatch_local`]).
+    /// Master-side half of [`DeliveryEngine::dispatch`] (the concurrent
+    /// runtime ships the instruction to the owning shard, which performs
+    /// [`DeliveryEngine::dispatch_local`]).
     pub fn dispatch_remote(&self, master: &mut MasterController, class: InstrClass) {
         master.dispatch_remote(class);
     }
@@ -108,8 +109,23 @@ impl DeliveryEngine {
         mce.instruction_pipeline_mut().deliver(i);
     }
 
-    /// Runs a distillation kernel `replays` times on a tile under this
-    /// mode's policy:
+    /// Runs a distillation kernel `replays` times on a tile: both halves,
+    /// [`DeliveryEngine::kernel_remote`] (told whether the tile's kernel
+    /// block is already resident) then [`DeliveryEngine::kernel_local`].
+    pub fn kernel(
+        &self,
+        master: &mut MasterController,
+        mce: &mut Mce,
+        kernel: &[LogicalInstr],
+        replays: u64,
+    ) {
+        let filled = mce.instruction_pipeline().cache_contains(KERNEL_BLOCK);
+        self.kernel_remote(master, kernel.len(), replays, filled);
+        self.kernel_local(mce, kernel, replays);
+    }
+
+    /// Master-side half of [`DeliveryEngine::kernel`] — the bus policy of
+    /// a kernel under this mode:
     ///
     /// * `SoftwareBaseline` / `QuestMce` — every instruction of every
     ///   replay crosses the bus individually;
@@ -118,46 +134,10 @@ impl DeliveryEngine {
     ///   one two-byte command.
     ///
     /// An empty kernel or a zero replay count is a no-op (nothing is
-    /// filled, nothing crosses the bus).
-    pub fn kernel(
-        &self,
-        master: &mut MasterController,
-        mce: &mut Mce,
-        kernel: &[LogicalInstr],
-        replays: u64,
-    ) {
-        if kernel.is_empty() || replays == 0 {
-            return;
-        }
-        match self.mode {
-            DeliveryMode::SoftwareBaseline | DeliveryMode::QuestMce => {
-                for _ in 0..replays {
-                    for &i in kernel {
-                        master.dispatch(mce, i, InstrClass::Distillation);
-                    }
-                }
-            }
-            DeliveryMode::QuestMceCache => {
-                if !mce.instruction_pipeline().cache_contains(KERNEL_BLOCK) {
-                    master.dispatch_cache_fill(mce, KERNEL_BLOCK, kernel);
-                }
-                for _ in 0..replays {
-                    if master.dispatch_cache_replay(mce, KERNEL_BLOCK).is_err() {
-                        // The fill above makes a miss unreachable; refill
-                        // so a schedule bug degrades to extra fill
-                        // traffic instead of a lost replay.
-                        master.dispatch_cache_fill(mce, KERNEL_BLOCK, kernel);
-                        let _ = master.dispatch_cache_replay(mce, KERNEL_BLOCK);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Master-side half of [`DeliveryEngine::kernel`] for a remote tile.
-    /// `filled` says whether the tile's kernel block is already resident
-    /// (the caller tracks this per tile); returns `true` when a cache fill
-    /// was accounted, so the caller can mark the block resident.
+    /// filled, nothing crosses the bus). `filled` says whether the tile's
+    /// kernel block is already resident (a caller without the tile tracks
+    /// this per tile); returns `true` when a cache fill was accounted, so
+    /// the caller can mark the block resident.
     pub fn kernel_remote(
         &self,
         master: &mut MasterController,
@@ -187,8 +167,10 @@ impl DeliveryEngine {
         }
     }
 
-    /// Tile-side half of [`DeliveryEngine::kernel`]: pipeline delivery /
-    /// cache fill and replay with no bus accounting.
+    /// Tile-side half of [`DeliveryEngine::kernel`] — the pipeline policy
+    /// of a kernel under this mode, with no bus accounting: per-replay
+    /// delivery in the uncached modes, fill-if-absent then local replays
+    /// under `QuestMceCache`.
     pub fn kernel_local(&self, mce: &mut Mce, kernel: &[LogicalInstr], replays: u64) {
         if kernel.is_empty() || replays == 0 {
             return;
@@ -242,18 +224,13 @@ impl DeliveryEngine {
     pub fn instr_bytes(&self) -> u64 {
         LogicalInstr::ENCODED_BYTES as u64
     }
-
-    /// The bus [`Traffic`](crate::bus::Traffic) class of a dispatched
-    /// instruction class.
-    pub fn traffic_of(&self, class: InstrClass) -> crate::bus::Traffic {
-        traffic_class(class)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bus::Traffic;
+    use crate::instruction_pipeline::PipelineStats;
     use quest_isa::LogicalQubit;
     use quest_surface::RotatedLattice;
 
@@ -302,32 +279,50 @@ mod tests {
     }
 
     #[test]
-    fn remote_halves_match_combined_accounting() {
-        for mode in DeliveryMode::ALL {
-            let engine = DeliveryEngine::new(mode);
-            let (mut combined, mut mce_combined) = setup();
-            engine.dispatch(
-                &mut combined,
-                &mut mce_combined,
-                LogicalInstr::H(LogicalQubit(0)),
-                InstrClass::Algorithmic,
-            );
-            engine.kernel(&mut combined, &mut mce_combined, &kernel(7), 3);
-
-            let (mut remote, mut mce_remote) = setup();
-            engine.dispatch_remote(&mut remote, InstrClass::Algorithmic);
-            engine.dispatch_local(&mut mce_remote, LogicalInstr::H(LogicalQubit(0)));
-            let filled = engine.kernel_remote(&mut remote, 7, 3, false);
-            engine.kernel_local(&mut mce_remote, &kernel(7), 3);
-            if mode == DeliveryMode::QuestMceCache {
-                assert!(filled, "first cache use must fill");
-            }
-
-            assert_eq!(combined.bus(), remote.bus(), "{mode:?}");
-            assert_eq!(combined.stats(), remote.stats(), "{mode:?}");
+    fn kernel_halves_account_absolute_values_in_every_mode() {
+        // (mode, filled) -> CacheFill, Sync, Distillation bytes,
+        // dispatched, and the returned "a fill was accounted" flag for
+        // `kernel_remote(7, 3, filled)`; then the pipeline's issued /
+        // cached_instructions after `kernel_local` of the same kernel.
+        use DeliveryMode::{QuestMce, QuestMceCache, SoftwareBaseline};
+        let remote = [
+            (SoftwareBaseline, false, [0, 0, 42], 21, false),
+            (SoftwareBaseline, true, [0, 0, 42], 21, false),
+            (QuestMce, false, [0, 0, 42], 21, false),
+            (QuestMce, true, [0, 0, 42], 21, false),
+            (QuestMceCache, false, [14, 6, 0], 28, true),
+            (QuestMceCache, true, [0, 6, 0], 21, false),
+        ];
+        for (mode, filled, bytes, dispatched, fill_accounted) in remote {
+            let (mut master, _) = setup();
+            let flag = DeliveryEngine::new(mode).kernel_remote(&mut master, 7, 3, filled);
+            assert_eq!(flag, fill_accounted, "{mode:?} filled={filled}");
+            let bus = master.bus();
             assert_eq!(
-                mce_combined.instruction_pipeline().stats(),
-                mce_remote.instruction_pipeline().stats(),
+                [Traffic::CacheFill, Traffic::Sync, Traffic::Distillation].map(|c| bus.bytes(c)),
+                bytes,
+                "{mode:?} filled={filled}"
+            );
+            assert_eq!(bus.total(), bytes.iter().sum::<u64>(), "{mode:?}");
+            assert_eq!(master.stats().dispatched, dispatched, "{mode:?}");
+        }
+        // The tile's half: 21 instructions issue either way; under the
+        // cache only the 7-instruction fill arrives over the bus.
+        let local = [
+            (SoftwareBaseline, 21, 0),
+            (QuestMce, 21, 0),
+            (QuestMceCache, 7, 21),
+        ];
+        for (mode, bus_instructions, cached_instructions) in local {
+            let (_, mut mce) = setup();
+            DeliveryEngine::new(mode).kernel_local(&mut mce, &kernel(7), 3);
+            assert_eq!(
+                mce.instruction_pipeline().stats(),
+                PipelineStats {
+                    bus_instructions,
+                    cached_instructions,
+                    issued: 21,
+                },
                 "{mode:?}"
             );
         }

@@ -100,26 +100,6 @@ impl fmt::Display for CnotError {
 
 impl std::error::Error for CnotError {}
 
-/// A cache-replay command named a block that is not resident in the
-/// MCE's logical instruction cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayError {
-    /// The missing block id.
-    pub block: u8,
-}
-
-impl fmt::Display for ReplayError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "replay of non-resident cache block {} (fill it first)",
-            self.block
-        )
-    }
-}
-
-impl std::error::Error for ReplayError {}
-
 /// Validates a surface-code distance.
 pub(crate) fn check_distance(d: usize) -> Result<(), BuildError> {
     if d < 3 || d.is_multiple_of(2) {

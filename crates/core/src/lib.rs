@@ -12,9 +12,9 @@
 //! The crate contains both:
 //!
 //! * **functional simulation** — [`Mce`], [`MasterController`] and
-//!   [`QuestSystem`] actually drive a noisy, stabilizer-simulated
-//!   surface-code tile through syndrome extraction, two-level decoding and
-//!   logical readout, with every global-bus byte accounted;
+//!   [`MultiTileSystem`] actually drive noisy, stabilizer-simulated
+//!   surface-code tiles through syndrome extraction, two-level decoding
+//!   and logical readout, with every global-bus byte accounted;
 //! * **microarchitecture models** — [`microcode`], [`jj`] and
 //!   [`throughput`] reproduce the capacity/bandwidth trade-offs of the
 //!   paper's Figures 10–11 & 16 and Table 2.
@@ -22,23 +22,22 @@
 //! # Example
 //!
 //! ```
-//! use quest_core::{DeliveryMode, QuestSystem};
-//! use quest_isa::LogicalProgram;
+//! use quest_core::MultiTileSystem;
 //! use quest_stabilizer::{SeedableRng, StdRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let mut system = QuestSystem::new(3, 1e-3)?;
-//! let run = system.run_memory_workload(
-//!     20,
-//!     &LogicalProgram::new(),
-//!     0,
-//!     DeliveryMode::QuestMce,
-//!     &mut rng,
-//! );
-//! assert_eq!(run.qecc_cycles, 20);
-//! assert!(run.logical_ok());
+//! let mut system = MultiTileSystem::new(3, 1, 1e-3)?;
+//! for _ in 0..20 {
+//!     system.run_noisy_cycle(&mut rng);
+//! }
+//! assert_eq!(system.mce(0).microcode().completed_cycles(), 20);
+//! assert!(!system.measure_logical_z(0, &mut rng));
 //! # Ok::<(), quest_core::BuildError>(())
 //! ```
+//!
+//! Whole workloads — a program, a delivery mode, a [`RunReport`] — run
+//! through `quest_runtime::run_reference` (this system, single-threaded)
+//! or `quest_runtime::Runtime` (sharded over threads).
 
 #![forbid(unsafe_code)]
 // The panic-free contract (PR 2/3), enforced three ways: quest-lint's
@@ -66,7 +65,6 @@ pub mod program_gen;
 pub mod report;
 pub mod serve;
 pub mod substrate;
-pub mod system;
 pub mod tech;
 pub mod throughput;
 pub mod tile;
@@ -78,7 +76,7 @@ pub use decoder_pipeline::{DecodeStats, DecoderPipeline, Escalation};
 // dependency points that way); re-exported here so the runtime, server
 // and CLI can name it from the architecture crate.
 pub use delivery::{DeliveryEngine, DeliveryMode};
-pub use error::{BuildError, CnotError, ReplayError};
+pub use error::{BuildError, CnotError};
 pub use execution_unit::{ExecutionStats, ExecutionUnit, FireResult};
 pub use fault::{Delivery, FaultPlan, FaultSession, LinkFailure, RecoveryStats, ShardPanicPlan};
 pub use geometry::TileGeometry;
@@ -86,7 +84,7 @@ pub use instruction_pipeline::{FetchOutcome, InstructionPipeline, PipelineStats}
 pub use jj::MemoryConfig;
 pub use mask::MaskTable;
 pub use master::{MasterController, MasterStats};
-pub use mce::{Mce, Readout};
+pub use mce::{Mce, Readout, MCE_IBUF_BYTES};
 pub use microcode::{MicrocodeDesign, QeccMicrocode};
 pub use multi_tile::{LogicalBasis, MultiTileSystem};
 pub use network::{Network, Packet, PacketKind};
@@ -95,7 +93,6 @@ pub use quest_surface::decoder::{CostReport, DecoderChoice};
 pub use report::{decode_totals, RunReport};
 pub use serve::{JobId, LatencySummary, ServeReport, TenantId, TenantServeStats};
 pub use substrate::Substrate;
-pub use system::{QuestSystem, MCE_IBUF_BYTES};
 pub use tech::TechnologyParams;
 pub use throughput::{optimal_config, table2, Table2Row};
 pub use timing::SlotTiming;

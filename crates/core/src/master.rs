@@ -9,7 +9,6 @@
 
 use crate::bus::{BusCounters, Traffic};
 use crate::decoder_pipeline::Escalation;
-use crate::error::ReplayError;
 use crate::instruction_pipeline::traffic_class;
 use crate::mce::Mce;
 use quest_isa::{InstrClass, LogicalInstr};
@@ -65,11 +64,6 @@ impl MasterController {
         }
     }
 
-    /// Name of the global decoder backend in use.
-    pub fn decoder_name(&self) -> &'static str {
-        self.decoder.name()
-    }
-
     /// Accumulated decode-cost counters of the global decoder backend.
     pub fn decoder_cost(&self) -> CostReport {
         self.decoder.cost()
@@ -101,44 +95,20 @@ impl MasterController {
         self.stats
     }
 
-    /// Dispatches one logical instruction to an MCE (downstream bus
-    /// traffic + instruction-pipeline delivery).
-    pub fn dispatch(&mut self, mce: &mut Mce, i: LogicalInstr, class: InstrClass) {
-        self.dispatch_remote(class);
-        mce.instruction_pipeline_mut().deliver(i);
-    }
-
-    /// Accounts the dispatch of one logical instruction to an MCE the
-    /// master does not hold a reference to (message-driven use: the
-    /// concurrent runtime ships the instruction to the owning shard,
-    /// which delivers it to the tile's pipeline). Identical bus
-    /// accounting to [`MasterController::dispatch`].
+    /// Accounts the dispatch of one logical instruction to an MCE: two
+    /// bytes downstream in the instruction's traffic class. The master
+    /// owns the bus, not the MCE — whoever holds the tile (the reference
+    /// system, or the runtime shard the instruction is shipped to)
+    /// delivers it to the tile's pipeline.
     pub fn dispatch_remote(&mut self, class: InstrClass) {
         self.bus
             .record(traffic_class(class), LogicalInstr::ENCODED_BYTES as u64);
         self.stats.dispatched += 1;
     }
 
-    /// Dispatches one logical instruction *and executes it* on the tile:
-    /// bus accounting plus the instruction pipeline's decode/expand step
-    /// (`Mce::execute_logical`). Use this when the tile's logical content
-    /// matters; [`MasterController::dispatch`] models delivery-only
-    /// traffic shaping.
-    pub fn dispatch_execute(&mut self, mce: &mut Mce, i: LogicalInstr, class: InstrClass) {
-        self.dispatch(mce, i, class);
-        mce.execute_logical(i);
-    }
-
-    /// Fills an MCE's instruction cache with a block (bus traffic once).
-    pub fn dispatch_cache_fill(&mut self, mce: &mut Mce, block: u8, instrs: &[LogicalInstr]) {
-        let bytes = mce.instruction_pipeline_mut().cache_fill(block, instrs);
-        self.bus.record(Traffic::CacheFill, bytes);
-        self.stats.dispatched += instrs.len() as u64;
-    }
-
-    /// Accounts a cache fill of `instr_count` instructions on a remote
-    /// MCE (the owning shard performs the fill itself). Identical bus
-    /// accounting to [`MasterController::dispatch_cache_fill`].
+    /// Accounts a cache fill of `instr_count` instructions on an MCE:
+    /// the block crosses the bus once (the tile's holder performs the
+    /// fill itself).
     pub fn cache_fill_remote(&mut self, instr_count: u64) {
         self.bus.record(
             Traffic::CacheFill,
@@ -147,47 +117,16 @@ impl MasterController {
         self.stats.dispatched += instr_count;
     }
 
-    /// Accounts a replay command for a remote cached block of
-    /// `instr_count` instructions (one two-byte command downstream; the
-    /// shard replays the block locally). Identical bus accounting to
-    /// [`MasterController::dispatch_cache_replay`].
+    /// Accounts a replay command for a cached block of `instr_count`
+    /// instructions: one two-byte command downstream; the block's
+    /// instructions issue locally at the MCE.
     pub fn cache_replay_remote(&mut self, instr_count: u64) {
         self.bus
             .record(Traffic::Sync, LogicalInstr::ENCODED_BYTES as u64);
         self.stats.dispatched += instr_count;
     }
 
-    /// Requests a cached-block replay (one two-byte command downstream;
-    /// the block's instructions issue locally at the MCE). Returns the
-    /// number of instructions replayed.
-    ///
-    /// # Errors
-    ///
-    /// [`ReplayError`] if the block is not resident — replaying an
-    /// unfilled block is a schedule bug, and nothing (including bus
-    /// accounting) happens for the rejected command.
-    pub fn dispatch_cache_replay(&mut self, mce: &mut Mce, block: u8) -> Result<u64, ReplayError> {
-        let replayed = mce
-            .instruction_pipeline_mut()
-            .cache_replay(block)
-            .ok_or(ReplayError { block })?;
-        self.bus
-            .record(Traffic::Sync, LogicalInstr::ENCODED_BYTES as u64);
-        let count = replayed.len() as u64;
-        self.stats.dispatched += count;
-        Ok(count)
-    }
-
-    /// Issues a synchronization token to an MCE.
-    pub fn sync(&mut self, _mce: &mut Mce, token: u8) {
-        self.sync_remote(token);
-    }
-
-    /// Accounts a synchronization token sent to an MCE the master does not
-    /// hold a reference to (message-driven use: the concurrent runtime's
-    /// master thread owns channels to its shards, not the MCEs
-    /// themselves). Identical bus accounting to
-    /// [`MasterController::sync`].
+    /// Accounts a synchronization token sent to an MCE.
     pub fn sync_remote(&mut self, _token: u8) {
         self.bus.record(Traffic::Sync, SYNC_TOKEN_BYTES);
         self.stats.sync_tokens += 1;
@@ -312,51 +251,27 @@ mod tests {
 
     #[test]
     fn dispatch_counts_bytes_by_class() {
-        let (mut master, mut mce, _, _) = setup();
-        master.dispatch(
-            &mut mce,
-            LogicalInstr::H(LogicalQubit(0)),
-            InstrClass::Algorithmic,
-        );
-        master.dispatch(
-            &mut mce,
-            LogicalInstr::T(LogicalQubit(0)),
-            InstrClass::Distillation,
-        );
+        let mut master = MasterController::new();
+        master.dispatch_remote(InstrClass::Algorithmic);
+        master.dispatch_remote(InstrClass::Distillation);
         assert_eq!(master.bus().bytes(Traffic::LogicalInstructions), 2);
         assert_eq!(master.bus().bytes(Traffic::Distillation), 2);
         assert_eq!(master.stats().dispatched, 2);
-        assert_eq!(mce.instruction_pipeline().stats().issued, 2);
     }
 
     #[test]
     fn cache_replay_costs_one_command() {
-        let (mut master, mut mce, _, _) = setup();
-        let kernel = vec![LogicalInstr::H(LogicalQubit(0)); 150];
-        master.dispatch_cache_fill(&mut mce, 0, &kernel);
+        let mut master = MasterController::new();
+        master.cache_fill_remote(150);
         let fill_bytes = master.bus().bytes(Traffic::CacheFill);
         assert_eq!(fill_bytes, 300);
         for _ in 0..100 {
-            assert_eq!(master.dispatch_cache_replay(&mut mce, 0), Ok(150));
+            master.cache_replay_remote(150);
         }
         // 100 replays of a 150-instruction kernel cost 200 bytes of
         // commands instead of 30 000 bytes of instructions.
         assert_eq!(master.bus().bytes(Traffic::Sync), 200);
-        assert_eq!(
-            mce.instruction_pipeline().stats().cached_instructions,
-            15_000
-        );
-    }
-
-    #[test]
-    fn replay_of_non_resident_block_is_rejected_without_accounting() {
-        let (mut master, mut mce, _, _) = setup();
-        assert_eq!(
-            master.dispatch_cache_replay(&mut mce, 3),
-            Err(ReplayError { block: 3 })
-        );
-        assert_eq!(master.bus().bytes(Traffic::Sync), 0);
-        assert_eq!(master.stats().dispatched, 0);
+        assert_eq!(master.stats().dispatched, 150 + 15_000);
     }
 
     #[test]
@@ -419,37 +334,20 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_execute_interleaves_logical_work_with_qecc() {
+    fn dispatched_logical_work_interleaves_with_qecc() {
         // §5.1: logical instructions interleave with the continuous QECC
-        // stream. Dispatch-execute a logical X mid-run; the tile's Pauli
-        // frame carries it and the final decoded readout reports 1.
-        use quest_isa::LogicalQubit;
+        // stream. Dispatch and execute a logical X mid-run; the tile's
+        // Pauli frame carries it and the final decoded readout reports 1.
         let (mut master, mut mce, mut t, mut rng) = setup();
         mce.run_qecc_cycle(&mut t, &mut rng); // project |0_L>
-        master.dispatch_execute(
-            &mut mce,
-            LogicalInstr::X(LogicalQubit(0)),
-            InstrClass::Algorithmic,
-        );
+        master.dispatch_remote(InstrClass::Algorithmic);
+        mce.execute_logical(LogicalInstr::X(LogicalQubit(0)));
         // QECC keeps running with zero extra instruction traffic.
         for _ in 0..3 {
             mce.run_qecc_cycle(&mut t, &mut rng);
         }
         assert_eq!(master.bus().total(), 2, "one two-byte instruction");
         assert!(mce.measure_logical_z(&mut t, &mut rng), "logical X lost");
-    }
-
-    #[test]
-    fn dispatch_execute_mask_writes_take_effect() {
-        use quest_isa::MaskRegion;
-        let (mut master, mut mce, _, _) = setup();
-        master.dispatch_execute(
-            &mut mce,
-            LogicalInstr::MaskOn(MaskRegion(0)),
-            InstrClass::Algorithmic,
-        );
-        assert!(mce.mask().region_masked(0));
-        assert_eq!(mce.instruction_pipeline().stats().issued, 1);
     }
 
     #[test]
@@ -462,9 +360,9 @@ mod tests {
 
     #[test]
     fn sync_tokens_are_cheap() {
-        let (mut master, mut mce, _, _) = setup();
+        let mut master = MasterController::new();
         for tok in 0..10 {
-            master.sync(&mut mce, tok);
+            master.sync_remote(tok);
         }
         assert_eq!(master.bus().bytes(Traffic::Sync), 20);
         assert_eq!(master.stats().sync_tokens, 10);

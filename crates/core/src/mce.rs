@@ -23,6 +23,10 @@ use quest_surface::{RotatedLattice, StabKind};
 use rand::Rng;
 use std::collections::VecDeque;
 
+/// Instruction-buffer bytes per MCE (the §5.3 cache capacity used by the
+/// reference system and by the runtime's shard workers).
+pub const MCE_IBUF_BYTES: usize = 65_536;
+
 /// Result of a destructive logical-Z readout
 /// ([`Mce::measure_logical_z_details`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -681,6 +685,36 @@ mod tests {
         assert!(!probe.measure_logical_z(&mut pt, &mut rng));
         mce.execute_logical(LogicalInstr::X(LogicalQubit(0)));
         assert!(mce.measure_logical_z(&mut t, &mut rng));
+    }
+
+    #[test]
+    fn measurement_readout_noise_self_heals() {
+        // An isolated measurement flip produces one event in round k and
+        // one in round k+1 at the same check; the single-round LUT applies
+        // the same (spurious) data correction twice, which XOR-cancels in
+        // the Pauli frame. Logical information must survive pure readout
+        // noise with high probability. Coincident flips can still fool the
+        // single-round decoder: the measured base failure rate at these
+        // parameters is ~10% over 400 seeds, so the bound leaves ~3 sigma
+        // of headroom above the binomial mean of 2.5/25.
+        let lattice = RotatedLattice::new(3);
+        let mut failures = 0;
+        let shots = 25;
+        for seed in 0..shots {
+            let mut rng = StdRng::seed_from_u64(400 + seed);
+            let mut master = crate::MasterController::new();
+            let mut mce = Mce::new(&lattice, MCE_IBUF_BYTES);
+            mce.set_measurement_flip(0.02);
+            let mut t = Tableau::new(lattice.num_qubits());
+            for _ in 0..40 {
+                crate::tile::qecc_cycle_serviced(&mut mce, &mut master, &mut t, &mut rng);
+            }
+            failures += mce.measure_logical_z(&mut t, &mut rng) as u32;
+        }
+        assert!(
+            failures <= 7,
+            "{failures}/{shots} failures under readout noise"
+        );
     }
 
     #[test]

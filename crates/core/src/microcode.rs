@@ -247,16 +247,6 @@ impl QeccMicrocode {
         self.words.len() * self.tile_width() * PhysOpcode::BITS
     }
 
-    /// Replaces the program (the microcode is programmable, §4.4: "the
-    /// choice of QECC is flexible").
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`QeccMicrocode::new`].
-    pub fn reprogram(&mut self, words: Vec<VliwWord>) {
-        *self = QeccMicrocode::new(words);
-    }
-
     /// Builds the idle program (all-NOP single word) for a tile, used when
     /// a tile boots before its QECC program is installed.
     pub fn idle(tile_width: usize) -> QeccMicrocode {

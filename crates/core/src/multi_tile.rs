@@ -20,9 +20,8 @@
 use crate::delivery::{DeliveryEngine, DeliveryMode};
 use crate::error::{check_distance, check_probability, BuildError, CnotError};
 use crate::master::MasterController;
-use crate::mce::Mce;
+use crate::mce::{Mce, MCE_IBUF_BYTES};
 use crate::substrate::Substrate;
-use crate::system::MCE_IBUF_BYTES;
 use crate::tile;
 use quest_isa::{InstrClass, LogicalInstr};
 use quest_stabilizer::PauliChannel;
@@ -119,11 +118,6 @@ impl MultiTileSystem {
         })
     }
 
-    /// Number of tiles.
-    pub fn num_tiles(&self) -> usize {
-        self.mces.len()
-    }
-
     /// The delivery mode this system accounts under.
     pub fn delivery(&self) -> DeliveryMode {
         self.engine.mode()
@@ -192,7 +186,8 @@ impl MultiTileSystem {
     ///
     /// Panics if `i` is out of range.
     pub fn sync_tile(&mut self, i: usize) {
-        self.master.sync(&mut self.mces[i], 0);
+        assert!(i < self.mces.len(), "tile {i} out of range");
+        self.master.sync_remote(0);
     }
 
     /// Runs one noisy QECC cycle on every tile and services escalations.
@@ -466,20 +461,17 @@ mod tests {
             sys.run_kernel(0, &kernel, 5);
             sys.sync_tile(1);
 
-            let mut single = crate::QuestSystem::new(3, 0.0).unwrap();
-            let mut program = quest_isa::LogicalProgram::new();
-            program.push(
+            let mut single = MultiTileSystem::with_delivery(3, 1, 0.0, mode).unwrap();
+            single.dispatch_logical(
+                0,
                 quest_isa::LogicalInstr::X(LogicalQubit(0)),
                 InstrClass::Algorithmic,
             );
-            for &k in &kernel {
-                program.push(k, InstrClass::Distillation);
-            }
-            let run =
-                single.run_memory_workload(0, &program, 5, mode, &mut StdRng::seed_from_u64(9));
+            single.run_kernel(0, &kernel, 5);
+            single.sync_tile(0);
             assert_eq!(
-                *sys.master().bus(),
-                run.bus,
+                sys.master().bus(),
+                single.master().bus(),
                 "{mode:?}: multi-tile delivery diverged from single-tile"
             );
         }

@@ -155,11 +155,6 @@ impl Network {
         }
     }
 
-    /// Number of leaves.
-    pub fn num_mces(&self) -> usize {
-        self.mces
-    }
-
     /// Router hops from the master to any MCE (tree depth).
     pub fn hops(&self) -> usize {
         let mut depth = 0usize;

@@ -1,12 +1,12 @@
 //! The unified run report shared by every execution path.
 //!
-//! [`QuestSystem::run_memory_workload`](crate::QuestSystem::run_memory_workload),
-//! the multi-tile reference executor and the concurrent `quest-runtime`
-//! all produce this one [`RunReport`]. It carries the full per-class bus
-//! ledger (not just a byte total), the two-level decoding counters, and
-//! the logical readout outcomes — everything the determinism harness
-//! asserts bit-identical across shard counts, and everything Figure 14
-//! needs per delivery mode.
+//! The single-threaded reference executor (`quest_runtime::run_reference`
+//! over [`MultiTileSystem`](crate::MultiTileSystem)) and the concurrent
+//! `quest-runtime` both produce this one [`RunReport`]. It carries the
+//! full per-class bus ledger (not just a byte total), the two-level
+//! decoding counters, and the logical readout outcomes — everything the
+//! determinism harness asserts bit-identical across shard counts, and
+//! everything Figure 14 needs per delivery mode.
 
 use crate::bus::{BusCounters, Traffic};
 use crate::delivery::DeliveryMode;
@@ -15,8 +15,8 @@ use crate::master::MasterStats;
 use crate::mce::Mce;
 use quest_surface::decoder::CostReport;
 
-/// Result of running a workload, identical in shape for the single-tile
-/// system, the multi-tile reference and the sharded runtime.
+/// Result of running a workload, identical for the single-threaded
+/// reference and the sharded runtime.
 #[must_use]
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {

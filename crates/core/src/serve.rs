@@ -135,14 +135,6 @@ pub struct TenantServeStats {
     pub jobs_by_decoder: Vec<(String, u64)>,
 }
 
-impl TenantServeStats {
-    /// Jobs that reached a terminal state (done, cancelled, failed or
-    /// deadline-exceeded).
-    pub fn jobs_finished(&self) -> u64 {
-        self.jobs_done + self.jobs_cancelled + self.jobs_failed + self.jobs_deadline_exceeded
-    }
-}
-
 /// The server ledger: what a `quest-serve` server observed over its
 /// lifetime, reported per tenant and in aggregate.
 ///

@@ -14,10 +14,9 @@
 //! a joined block is never split again, because nothing short of
 //! measuring every qubit of a tile would prove it separable.
 //!
-//! [`QuestSystem`](crate::QuestSystem),
 //! [`MultiTileSystem`](crate::MultiTileSystem) and the `quest-runtime`
-//! shard workers all hold their qubits in this one type, so the
-//! reference systems and the concurrent runtime cannot drift apart.
+//! shard workers both hold their qubits in this one type, so the
+//! reference system and the concurrent runtime cannot drift apart.
 //! Which generators describe a state never shows in a result: whether a
 //! measurement is random is a property of the state, a random outcome is
 //! one draw from the tile's own RNG stream, and a deterministic outcome
@@ -165,7 +164,7 @@ impl Substrate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::MCE_IBUF_BYTES;
+    use crate::mce::MCE_IBUF_BYTES;
     use quest_surface::RotatedLattice;
 
     fn setup(tiles: usize) -> (Vec<Mce>, Substrate, usize) {

@@ -1,12 +1,11 @@
 //! Shared tile-level operations.
 //!
-//! [`QuestSystem`](crate::QuestSystem) (one tile),
-//! [`MultiTileSystem`](crate::MultiTileSystem) (an MCE array) and the
-//! `quest-runtime` shard workers all drive tiles through the same
-//! sequence — noise layer, microcode QECC cycle, escalation service,
+//! [`MultiTileSystem`](crate::MultiTileSystem) (the reference MCE array)
+//! and the `quest-runtime` shard workers both drive tiles through the
+//! same sequence — noise layer, microcode QECC cycle, escalation service,
 //! transversal logical gates, destructive readout — over the same
 //! [`Substrate`]. This module is that single code path, so the
-//! concurrent runtime and the single-threaded reference systems cannot
+//! concurrent runtime and the single-threaded reference system cannot
 //! drift apart. The per-tile helpers take the tableau holding the tile
 //! ([`Substrate::block_mut`]); only the transversal CNOT, which may have
 //! to join two of them, takes the substrate.

@@ -339,17 +339,14 @@ impl WorkloadSpec {
         })
     }
 
-    /// A delivery-mode memory workload mirroring
-    /// [`QuestSystem::run_memory_workload`](quest_core::QuestSystem::run_memory_workload)
-    /// on every tile: the program's non-distillation instructions are
+    /// A delivery-mode memory workload (the Figure-14 experiment) on
+    /// every tile: the program's non-distillation instructions are
     /// delivered per tile, its distillation-class instructions form the
-    /// shared kernel replayed `replays` times per tile, then `cycles`
-    /// noisy rounds, one sync token per tile, and readout of every tile.
-    ///
-    /// With `tiles = 1` this reproduces the single-tile system's run —
-    /// bus ledger, decode counters and outcome — under every
-    /// [`DeliveryMode`]; sharded, it runs the same Figure-14 experiment
-    /// concurrently.
+    /// shared kernel replayed `replays` times per tile (§5.2:
+    /// distillation runs continuously), then `cycles` noisy rounds, one
+    /// sync token per tile, and readout of every tile. Under
+    /// [`DeliveryMode::QuestMceCache`] the kernel crosses the bus once
+    /// per tile and replays from the MCE instruction cache thereafter.
     #[allow(clippy::too_many_arguments)]
     pub fn delivery_memory(
         distance: usize,

@@ -1,17 +1,13 @@
 //! Acceptance: for a fixed master seed, the concurrent runtime produces
 //! a bit-identical unified [`RunReport`] — logical outcomes, per-class
 //! bus ledger, decode counters, master stats — at shard counts 1, 2 and
-//! 4, all matching the single-threaded `MultiTileSystem` reference; and
-//! with one tile, the unified engine reproduces `QuestSystem`'s run
-//! exactly in every delivery mode.
+//! 4, all matching the single-threaded `MultiTileSystem` reference.
 
-use quest_core::tile::tile_seed;
-use quest_core::{DeliveryMode, QuestSystem, Traffic};
+use quest_core::{DeliveryMode, Traffic};
 use quest_isa::{InstrClass, LogicalInstr, LogicalProgram, LogicalQubit};
 use quest_runtime::{
     run_reference, DecoderChoice, Runtime, RuntimeReport, WorkloadSpec, TABLE_DECODER_MAX_DISTANCE,
 };
-use quest_stabilizer::{SeedableRng, StdRng};
 
 fn run_at(spec: &WorkloadSpec, shards: usize) -> RuntimeReport {
     let spec = WorkloadSpec {
@@ -78,31 +74,6 @@ fn delivery_workloads_match_reference_at_1_2_4_shards() {
     for mode in DeliveryMode::ALL {
         let spec = WorkloadSpec::delivery_memory(3, 8, 1, 3e-3, 13, 15, &program, 25, mode);
         assert_matches_reference(&spec);
-    }
-}
-
-#[test]
-fn unified_engine_reproduces_quest_system_with_one_tile() {
-    // Delivery-mode parity (tentpole acceptance): the tiles = 1 unified
-    // engine reproduces the single-tile `QuestSystem::run_memory_workload`
-    // result — bus bytes per class, qecc cycles, logical outcome, decode
-    // counters — for all three delivery modes, through both the reference
-    // executor and the sharded runtime.
-    let program = distillation_program();
-    let (cycles, replays, seed) = (40, 30, 21);
-    for mode in DeliveryMode::ALL {
-        let mut single = QuestSystem::new(3, 2e-3).unwrap();
-        // The runtime seeds tile 0's stream via tile_seed; drive the
-        // single-tile system with the identical stream.
-        let mut rng = StdRng::seed_from_u64(tile_seed(seed, 0));
-        let expected = single.run_memory_workload(cycles, &program, replays, mode, &mut rng);
-
-        let spec =
-            WorkloadSpec::delivery_memory(3, 1, 1, 2e-3, seed, cycles, &program, replays, mode);
-        let reference = run_reference(&spec).unwrap();
-        assert_eq!(reference, expected, "{mode:?}: reference != QuestSystem");
-        let runtime = Runtime::new().run(&spec).unwrap();
-        assert_eq!(runtime.report, expected, "{mode:?}: runtime != QuestSystem");
     }
 }
 

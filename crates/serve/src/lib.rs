@@ -96,7 +96,7 @@ pub use error::{RetryAfter, ServeError};
 pub use job::{JobEvent, JobHandle, JobOutcome, JobState};
 pub use quest_core::{JobId, LatencySummary, ServeReport, TenantId, TenantServeStats};
 pub use quota::{JobCost, TenantQuota};
-pub use supervisor::{disarm, retryable, RetryPolicy};
+pub use supervisor::RetryPolicy;
 
 use job::Job;
 use ledger::ServerLedger;
@@ -107,6 +107,7 @@ use quota::QuotaBook;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use supervisor::retryable;
 
 /// Construction-time knobs for a [`Server`].
 #[derive(Debug, Clone)]
@@ -309,16 +310,6 @@ impl Server {
         policy: RetryPolicy,
     ) -> Result<JobHandle, ServeError> {
         self.enqueue(tenant, spec, policy, true)
-    }
-
-    /// Non-blocking [`Server::submit_with_policy`].
-    pub fn try_submit_with_policy(
-        &self,
-        tenant: TenantId,
-        spec: WorkloadSpec,
-        policy: RetryPolicy,
-    ) -> Result<JobHandle, ServeError> {
-        self.enqueue(tenant, spec, policy, false)
     }
 
     /// The one admission path behind every submit variant.

@@ -12,7 +12,7 @@
 //!
 //! Determinism is preserved through the retry: before the next attempt
 //! the supervisor strips **only the fault class that caused the
-//! failure** from the job's plan (see [`disarm`]). Pre-failure cycles
+//! failure** from the job's plan (see `disarm`). Pre-failure cycles
 //! are unaffected by an armed-but-unfired fault, so resuming the
 //! disarmed snapshot is bit-identical to a clean run of the disarmed
 //! spec — the invariant `checkpoint_resume.rs` pins on the runtime side
@@ -90,7 +90,7 @@ impl RetryPolicy {
 
 /// Whether a runtime failure is environmental (worth retrying) rather
 /// than logical (would fail identically forever).
-pub fn retryable(error: &RuntimeError) -> bool {
+pub(crate) fn retryable(error: &RuntimeError) -> bool {
     matches!(
         error,
         RuntimeError::ShardFailed { .. }
@@ -102,10 +102,12 @@ pub fn retryable(error: &RuntimeError) -> bool {
 /// Strips exactly the fault class that caused `error` from the job's
 /// spec (and its carried snapshot, when resuming): the machinery that
 /// failed has been "replaced", everything else in the plan stays armed.
-/// Link failures strip nothing — see the module docs. Public so external
-/// supervisors (the CLI's local retry loop) apply the same invariant the
-/// server does.
-pub fn disarm(error: &RuntimeError, spec: &mut WorkloadSpec, snapshot: Option<&mut RunSnapshot>) {
+/// Link failures strip nothing — see the module docs.
+pub(crate) fn disarm(
+    error: &RuntimeError,
+    spec: &mut WorkloadSpec,
+    snapshot: Option<&mut RunSnapshot>,
+) {
     match error {
         RuntimeError::ShardFailed { .. } => {
             spec.faults.shard_panic = None;

@@ -183,11 +183,6 @@ impl PauliString {
         self.ops.iter().filter(|&&p| p != Pauli::I).count()
     }
 
-    /// Returns `true` when every site is the identity (the sign is ignored).
-    pub fn is_identity(&self) -> bool {
-        self.ops.iter().all(|&p| p == Pauli::I)
-    }
-
     /// Returns `true` when `self` commutes with `other`.
     ///
     /// # Panics

@@ -70,13 +70,6 @@ impl SyndromeDesign {
         SyndromeDesign::SC13,
     ];
 
-    /// µops the microcode must deliver per qubit per second, given the
-    /// single-instruction latency in seconds (§4.5: every qubit receives an
-    /// instruction every slot).
-    pub fn uop_rate_per_qubit(&self, instruction_latency_s: f64) -> f64 {
-        1.0 / instruction_latency_s
-    }
-
     /// Duration of one full QECC cycle given per-instruction latency.
     pub fn cycle_time_s(&self, instruction_latency_s: f64) -> f64 {
         self.cycle_depth as f64 * instruction_latency_s

@@ -10,7 +10,6 @@
 use crate::decoder::Decoder;
 use crate::graph::{DecodingGraph, NodeId};
 use crate::lattice::{RotatedLattice, StabKind};
-use crate::sampler::{BatchOutcome, FrameSampler, SamplerConfig};
 use crate::schedule::SyndromeCircuit;
 use quest_stabilizer::{NoiseChannel, Pauli, PauliChannel, Tableau};
 use rand::Rng;
@@ -403,59 +402,15 @@ impl MemoryExperiment {
         failures as f64 / shots as f64
     }
 
-    /// Runs `shots` shots through the bit-parallel Pauli-frame fast path
-    /// (see [`FrameSampler`]): the syndrome circuit is compiled once, 64
-    /// shots propagate per machine word, and only the decoder runs
-    /// per-shot. Statistically identical to looping [`MemoryExperiment::run`]
-    /// — and *bit-identical* in its detection events for any fixed error
-    /// pattern (see the frame-equivalence tests) — but orders of magnitude
-    /// faster. Deterministic in `seed` alone.
-    pub fn run_batch<D: Decoder>(
-        &self,
-        noise: &MemoryNoise,
-        decoder: &D,
-        shots: usize,
-        seed: u64,
-    ) -> BatchOutcome {
-        FrameSampler::new(self).run_batch(noise, decoder, shots, seed)
-    }
-
-    /// [`MemoryExperiment::run_batch`] with explicit sampler knobs (lane
-    /// width, chunk size, early exit). Outcomes are invariant in the lane
-    /// width and chunk size; an early exit may stop at a milestone short
-    /// of `shots` (reported in [`BatchOutcome::shots`]).
-    pub fn run_batch_configured<D: Decoder>(
-        &self,
-        noise: &MemoryNoise,
-        decoder: &D,
-        shots: usize,
-        seed: u64,
-        cfg: &SamplerConfig,
-    ) -> BatchOutcome {
-        FrameSampler::new(self).run_batch_configured(noise, decoder, shots, seed, cfg)
-    }
-
-    /// Logical error rate over `shots` frame-sampled shots (the batch
-    /// counterpart of [`MemoryExperiment::logical_error_rate`]).
-    pub fn logical_error_rate_batch<D: Decoder>(
-        &self,
-        noise: &MemoryNoise,
-        decoder: &D,
-        shots: usize,
-        seed: u64,
-    ) -> f64 {
-        self.run_batch(noise, decoder, shots, seed)
-            .logical_error_rate()
-    }
-
     /// Runs one shot on the tableau path with an **explicit** fault
     /// pattern — `errors_per_round[t][q]` is XORed onto data qubit `q`
     /// before round `t`, and `meas_flips_per_round[t][c]` flips monitored
     /// check `c`'s record in round `t` — and returns the raw detection
     /// events plus the uncorrected logical readout parity. This is the
     /// ground-truth side of the frame-equivalence tests: for the same
-    /// fault pattern, [`FrameSampler::faulted_shot_events`] must return
-    /// bit-for-bit identical output.
+    /// fault pattern,
+    /// [`FrameSampler::faulted_shot_events`](crate::FrameSampler::faulted_shot_events)
+    /// must return bit-for-bit identical output.
     ///
     /// # Panics
     ///

@@ -1,15 +1,15 @@
 //! Frame-based batched sampling of memory experiments.
 //!
-//! [`FrameSampler`] is the fast path behind
-//! [`MemoryExperiment::run_batch`]: instead of re-running the O(n²)
-//! tableau once per shot, it compiles the syndrome circuit once, derives
-//! the noiseless reference record from a single tableau run, then
-//! propagates bit-packed Pauli frames through the circuit — 64 or 512
-//! shots per plane word depending on the configured [`LaneWidth`]
-//! (see [`quest_stabilizer::frame`]). Per shot, only the decoder runs,
-//! and even that is batched: detection events are handed to the decoder
-//! as whole bit-planes ([`EventPlanes`]) when dense enough, falling back
-//! to per-shot sparse sets below [`PLANE_DECODE_DENSITY`].
+//! [`FrameSampler`] is the fast path for a [`MemoryExperiment`]: instead
+//! of re-running the O(n²) tableau once per shot, it compiles the
+//! syndrome circuit once, derives the noiseless reference record from a
+//! single tableau run, then propagates bit-packed Pauli frames through
+//! the circuit — 64 or 512 shots per plane word depending on the
+//! configured [`LaneWidth`] (see [`quest_stabilizer::frame`]). Per shot,
+//! only the decoder runs, and even that is batched: detection events are
+//! handed to the decoder as whole bit-planes ([`EventPlanes`]) when dense
+//! enough, falling back to per-shot sparse sets below
+//! [`PLANE_DECODE_DENSITY`].
 //!
 //! # Why this is exact
 //!
@@ -351,28 +351,6 @@ impl FrameSampler {
         self.run_batch_configured(noise, decoder, shots, seed, &SamplerConfig::default())
     }
 
-    /// Runs `shots` shots, processing at most `chunk_shots` per internal
-    /// frame batch. Exposed so the determinism tests can assert chunking
-    /// invariance; callers should prefer [`FrameSampler::run_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shots` or `chunk_shots` is zero.
-    pub fn run_batch_chunked<D: Decoder>(
-        &self,
-        noise: &MemoryNoise,
-        decoder: &D,
-        shots: usize,
-        seed: u64,
-        chunk_shots: usize,
-    ) -> BatchOutcome {
-        let cfg = SamplerConfig {
-            chunk_shots,
-            ..SamplerConfig::default()
-        };
-        self.run_batch_configured(noise, decoder, shots, seed, &cfg)
-    }
-
     /// Runs `shots` shots under an explicit [`SamplerConfig`] — lane
     /// width, chunk size and optional early exit.
     ///
@@ -701,7 +679,12 @@ mod tests {
     fn noiseless_batch_never_fails() {
         for basis in [MemoryBasis::Z, MemoryBasis::X] {
             let exp = MemoryExperiment::new(3, 3, basis);
-            let out = exp.run_batch(&MemoryNoise::noiseless(), &UnionFindDecoder::new(), 200, 1);
+            let out = FrameSampler::new(&exp).run_batch(
+                &MemoryNoise::noiseless(),
+                &UnionFindDecoder::new(),
+                200,
+                1,
+            );
             assert_eq!(out.shots, 200);
             assert_eq!(out.failures, 0, "{basis:?}");
             assert_eq!(out.detection_events, 0);
@@ -715,7 +698,9 @@ mod tests {
         let exp = MemoryExperiment::new(3, 3, MemoryBasis::Z);
         let noise = MemoryNoise::phenomenological(0.02);
         let uf = UnionFindDecoder::new();
-        let batch = exp.logical_error_rate_batch(&noise, &uf, 4000, 11);
+        let batch = FrameSampler::new(&exp)
+            .run_batch(&noise, &uf, 4000, 11)
+            .logical_error_rate();
         let mut rng = StdRng::seed_from_u64(11);
         let legacy = exp.logical_error_rate(&noise, &uf, 1000, &mut rng);
         // Same distribution, independent sampling: compare loosely.
@@ -732,13 +717,14 @@ mod tests {
         let exp = MemoryExperiment::new(3, 2, MemoryBasis::Z);
         let noise = MemoryNoise::code_capacity(0.05);
         let uf = UnionFindDecoder::new();
-        let out = exp.run_batch(&noise, &uf, 100, 5);
+        let sampler = FrameSampler::new(&exp);
+        let out = sampler.run_batch(&noise, &uf, 100, 5);
         assert_eq!(out.shots, 100);
         assert!(out.failures <= 100);
         // The same seed with a word-aligned count shares its first 64
         // lanes; rates must be in the same ballpark, not wildly off from
         // lane pollution.
-        let aligned = exp.run_batch(&noise, &uf, 128, 5);
+        let aligned = sampler.run_batch(&noise, &uf, 128, 5);
         assert!(aligned.detection_events > 0);
     }
 
@@ -810,7 +796,7 @@ mod tests {
             data: quest_stabilizer::PauliChannel::phase_flip(0.05),
             measurement_flip: 0.0,
         };
-        let out = exp.run_batch(&noise, &UnionFindDecoder::new(), 640, 9);
+        let out = FrameSampler::new(&exp).run_batch(&noise, &UnionFindDecoder::new(), 640, 9);
         assert!(out.detection_events > 0, "Z errors must trigger X checks");
     }
 
@@ -823,7 +809,7 @@ mod tests {
             data: quest_stabilizer::PauliChannel::bit_flip(0.2),
             measurement_flip: 0.0,
         };
-        let out = exp.run_batch(&noise, &UnionFindDecoder::new(), 640, 9);
+        let out = FrameSampler::new(&exp).run_batch(&noise, &UnionFindDecoder::new(), 640, 9);
         assert_eq!(out.detection_events, 0);
         assert_eq!(out.failures, 0);
     }

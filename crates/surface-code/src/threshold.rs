@@ -11,7 +11,6 @@ use crate::decoder::Decoder;
 use crate::memory::{MemoryBasis, MemoryExperiment, MemoryNoise};
 use crate::sampler::{EarlyExit, FrameSampler, SamplerConfig};
 use quest_stabilizer::frame::{block_seed, LaneWidth};
-use rand::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -61,36 +60,11 @@ pub struct ThresholdSweep {
 
 impl ThresholdSweep {
     /// Runs a code-capacity sweep over `distances` × `error_rates` with
-    /// `shots` shots per point, using `rounds = d` noisy rounds.
-    pub fn run<D: Decoder, R: Rng + ?Sized>(
-        distances: &[usize],
-        error_rates: &[f64],
-        shots: usize,
-        decoder: &D,
-        rng: &mut R,
-    ) -> ThresholdSweep {
-        let mut points = Vec::new();
-        for &d in distances {
-            let exp = MemoryExperiment::new(d, d, MemoryBasis::Z);
-            for &p in error_rates {
-                let noise = MemoryNoise::code_capacity(p);
-                let rate = exp.logical_error_rate(&noise, decoder, shots, rng);
-                points.push(ThresholdPoint {
-                    distance: d,
-                    p,
-                    logical_rate: rate,
-                    shots,
-                });
-            }
-        }
-        ThresholdSweep { points }
-    }
-
-    /// Runs a code-capacity sweep on the bit-parallel frame fast path
-    /// (see [`crate::FrameSampler`]), optionally fanning grid points out
-    /// over `workers` OS threads with `std::thread::scope` — no thread
-    /// pool, no extra dependencies, mirroring the runtime's sharding
-    /// style.
+    /// `shots` shots per point and `rounds = d` noisy rounds, on the
+    /// bit-parallel frame path (see [`crate::FrameSampler`]), optionally
+    /// fanning grid points out over `workers` OS threads with
+    /// `std::thread::scope` — no thread pool, no extra dependencies,
+    /// mirroring the runtime's sharding style.
     ///
     /// Deterministic by construction: every grid point draws from its own
     /// RNG stream derived from `(seed, canonical point index)`, work is
@@ -231,19 +205,11 @@ impl ThresholdSweep {
 mod tests {
     use super::*;
     use crate::decoder::UnionFindDecoder;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn sweep_shapes_are_complete() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let sweep = ThresholdSweep::run(
-            &[3, 5],
-            &[5e-3, 2e-2],
-            40,
-            &UnionFindDecoder::new(),
-            &mut rng,
-        );
+        let sweep =
+            ThresholdSweep::run_batch(&[3, 5], &[5e-3, 2e-2], 40, &UnionFindDecoder::new(), 8, 1);
         assert_eq!(sweep.points.len(), 4);
         assert_eq!(sweep.series(3).len(), 2);
         assert_eq!(sweep.series(5).len(), 2);
@@ -251,9 +217,8 @@ mod tests {
 
     #[test]
     fn logical_rate_increases_with_p() {
-        let mut rng = StdRng::seed_from_u64(9);
         let sweep =
-            ThresholdSweep::run(&[3], &[2e-3, 5e-2], 300, &UnionFindDecoder::new(), &mut rng);
+            ThresholdSweep::run_batch(&[3], &[2e-3, 5e-2], 300, &UnionFindDecoder::new(), 9, 1);
         let s = sweep.series(3);
         assert!(
             s[0].logical_rate <= s[1].logical_rate,
@@ -265,8 +230,8 @@ mod tests {
 
     #[test]
     fn d5_beats_d3_well_below_threshold() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let sweep = ThresholdSweep::run(&[3, 5], &[4e-3], 400, &UnionFindDecoder::new(), &mut rng);
+        let sweep =
+            ThresholdSweep::run_batch(&[3, 5], &[4e-3], 400, &UnionFindDecoder::new(), 10, 1);
         let crossing = sweep.crossing_below(3, 5);
         assert_eq!(crossing, Some(4e-3), "d=5 must win at p=4e-3");
     }

@@ -134,18 +134,25 @@ fn run_batch_is_invariant_under_batch_size() {
     let sampler = FrameSampler::new(&exp);
     let noise = MemoryNoise::phenomenological(0.02);
     let uf = UnionFindDecoder::new();
+    let chunked = |seed: u64, chunk_shots: usize| {
+        let cfg = SamplerConfig {
+            chunk_shots,
+            ..SamplerConfig::default()
+        };
+        sampler.run_batch_configured(&noise, &uf, 1000, seed, &cfg)
+    };
     // 1000 shots spans multiple 64-chunks and 256-chunks with a ragged
     // tail in both splits.
-    let small = sampler.run_batch_chunked(&noise, &uf, 1000, 42, 64);
-    let large = sampler.run_batch_chunked(&noise, &uf, 1000, 42, 256);
-    let whole = sampler.run_batch_chunked(&noise, &uf, 1000, 42, 1000);
+    let small = chunked(42, 64);
+    let large = chunked(42, 256);
+    let whole = chunked(42, 1000);
     assert_eq!(small, large, "chunk 64 vs 256 must be bit-identical");
     assert_eq!(
         small, whole,
         "chunked vs single-batch must be bit-identical"
     );
     // And a different seed must actually change the sample.
-    let other = sampler.run_batch_chunked(&noise, &uf, 1000, 43, 256);
+    let other = chunked(43, 256);
     assert_ne!(
         small.detection_events, other.detection_events,
         "different seeds should differ"
@@ -330,7 +337,9 @@ fn batch_and_legacy_sample_the_same_distribution() {
     let exp = MemoryExperiment::new(3, 3, MemoryBasis::Z);
     let noise = MemoryNoise::code_capacity(0.05);
     let uf = UnionFindDecoder::new();
-    let batch = exp.logical_error_rate_batch(&noise, &uf, 8000, 3);
+    let batch = FrameSampler::new(&exp)
+        .run_batch(&noise, &uf, 8000, 3)
+        .logical_error_rate();
     let mut rng = StdRng::seed_from_u64(3);
     let legacy = exp.logical_error_rate(&noise, &uf, 2000, &mut rng);
     assert!(

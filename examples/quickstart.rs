@@ -5,10 +5,10 @@
 //! cargo run --example quickstart
 //! ```
 
-use quest::arch::{DeliveryMode, QuestSystem};
+use quest::arch::DeliveryMode;
 use quest::estimate::kernels::workload_with_kernel;
 use quest::estimate::Workload;
-use quest::stabilizer::{SeedableRng, StdRng};
+use quest::runtime::{run_reference, WorkloadSpec};
 
 fn main() {
     // A distance-5 surface-code tile with depolarizing noise (p = 1e-3
@@ -23,14 +23,9 @@ fn main() {
 
     println!("QuEST quickstart: d={distance} tile, p={p}, {cycles} QECC cycles\n");
 
-    for mode in [
-        DeliveryMode::SoftwareBaseline,
-        DeliveryMode::QuestMce,
-        DeliveryMode::QuestMceCache,
-    ] {
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut system = QuestSystem::new(distance, p).expect("valid parameters");
-        let run = system.run_memory_workload(cycles, &program, 40, mode, &mut rng);
+    for mode in DeliveryMode::ALL {
+        let spec = WorkloadSpec::delivery_memory(distance, 1, 1, p, 42, cycles, &program, 40, mode);
+        let run = run_reference(&spec).expect("valid workload");
         println!("{mode:?}");
         println!("  bus bytes        : {}", run.bus_bytes());
         println!("  logical intact   : {}", run.logical_ok());
@@ -38,7 +33,7 @@ fn main() {
             "  decoding         : {} local, {} escalated",
             run.local_decodes, run.escalations
         );
-        println!("{}", system.master().bus());
+        println!("{}", run.bus);
         println!();
     }
 

@@ -5,15 +5,17 @@
 //! * `report [p]` — per-workload bandwidth analysis (default p = 1e-4);
 //! * `shor <bits> [p]` — fault-tolerant Shor sizing for one modulus;
 //! * `table2` — the optimal microcode configurations (paper Table 2);
-//! * `simulate <d> <p> <cycles>` — run the cycle-level system simulation
-//!   and print the global-bus accounting;
+//! * `simulate <d> <p> <cycles>` — run one tile on the single-threaded
+//!   reference executor in all three delivery modes and print the
+//!   global-bus accounting;
 //! * `run --shards N [options]` — run a multi-tile workload on the
 //!   concurrent sharded runtime and print its statistics; `--fault-*`
 //!   flags inject deterministic classical faults (packet drop/corrupt
 //!   rates, MCE stalls, decode-worker kills) and the report then carries
 //!   a recovery summary; `--retries`/`--deadline-cycles`/
-//!   `--checkpoint-every` supervise the run locally (checkpointed
-//!   retries, a cycle budget) and print a one-line resume summary;
+//!   `--checkpoint-every` supervise the run (checkpointed retries, a
+//!   cycle budget) through the job server's own supervisor and print a
+//!   one-line resume summary;
 //! * `asm <file>` — assemble a logical program from text and print its
 //!   statistics (use `-` for stdin);
 //! * `submit [options]` — batch driver for the multi-tenant job server:
@@ -21,8 +23,6 @@
 //!   onto a `--workers W` pool and print per-job results plus the final
 //!   server ledger; the same supervision flags attach a per-job
 //!   `RetryPolicy`;
-//! * `serve [options]` — interactive job server driven by stdin commands
-//!   (`submit`, `cancel`, `status`, `quota`, `drain`);
 //! * `chaos [options]` — the chaos-soak harness: seeded fault storms
 //!   against a live server with all crash-safety invariants checked;
 //!   exits nonzero on any violation.
@@ -30,24 +30,16 @@
 #![forbid(unsafe_code)]
 
 use quest::arch::throughput::table2;
-use quest::arch::{DeliveryMode, QuestSystem, TechnologyParams};
+use quest::arch::{DeliveryMode, TechnologyParams};
 use quest::estimate::kernels::workload_with_kernel;
 use quest::estimate::{analyze_suite, ShorEstimate, Workload};
-use quest::runtime::{
-    CancelToken, CheckpointSink, DecoderChoice, FaultPlan, RunControl, RunProgress, RunSnapshot,
-    Runtime, RuntimeError, RuntimeReport, WorkloadSpec,
-};
+use quest::runtime::{run_reference, DecoderChoice, FaultPlan, RuntimeReport, WorkloadSpec};
 use quest::serve::chaos::{run_chaos, ChaosConfig};
 use quest::serve::{
-    disarm, retryable, JobHandle, JobOutcome, RetryPolicy, Server, ServerConfig, TenantId,
-    TenantQuota,
+    JobHandle, JobOutcome, RetryPolicy, Server, ServerConfig, TenantId, TenantQuota,
 };
-use quest::stabilizer::{SeedableRng, StdRng};
-use std::collections::BTreeMap;
-use std::io::BufRead;
 use std::io::Read;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -59,11 +51,10 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..]),
         Some("asm") => cmd_asm(&args[1..]),
         Some("submit") => cmd_submit(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
         _ => {
             eprintln!(
-                "usage: quest-cli <report [p] | shor <bits> [p] | table2 | simulate <d> <p> <cycles> | run --shards N [options] | asm <file> | submit [options] | serve [options] | chaos [options]>"
+                "usage: quest-cli <report [p] | shor <bits> [p] | table2 | simulate <d> <p> <cycles> | run --shards N [options] | asm <file> | submit [options] | chaos [options]>"
             );
             return ExitCode::FAILURE;
         }
@@ -170,14 +161,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let p = parse_f64(p, "error rate")?;
     let cycles = parse_u64(cycles, "cycle count")?;
     let program = workload_with_kernel(&Workload::QLS, 100);
-    for mode in [
-        DeliveryMode::SoftwareBaseline,
-        DeliveryMode::QuestMce,
-        DeliveryMode::QuestMceCache,
-    ] {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut sys = QuestSystem::new(d, p).map_err(|e| e.to_string())?;
-        let run = sys.run_memory_workload(cycles, &program, 20, mode, &mut rng);
+    for mode in DeliveryMode::ALL {
+        let spec = WorkloadSpec::delivery_memory(d, 1, 1, p, 1, cycles, &program, 20, mode);
+        let run = run_reference(&spec).map_err(|e| e.to_string())?;
         println!(
             "{mode:?}: {} bus bytes, logical {} ({} local / {} escalated decodes)",
             run.bus_bytes(),
@@ -277,7 +263,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         "{workload} workload: {tiles} tiles at d={distance}, p={error_rate:.0e}, \
          {cycles} cycles, seed {seed}, {shards} shard(s), {decoder} decoder\n"
     );
-    let report = supervised_run(spec, retries, deadline, checkpoint_every)?;
+    let report = supervised_run(spec, retry_policy(retries, deadline, checkpoint_every))?;
     println!("{}", report.stats);
     if !report.recovery.is_quiet() {
         println!("\nfault recovery:");
@@ -302,73 +288,49 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Local supervisor for `run`: the same retry/deadline/checkpoint loop
-/// the job server's worker applies, inline for a single workload. With
-/// the default knobs (no retries, no deadline, forced-only checkpoints)
-/// this is byte-for-byte a plain `Runtime::run`.
-fn supervised_run(
-    mut spec: WorkloadSpec,
-    retries: u32,
-    deadline: Option<u64>,
-    checkpoint_every: u64,
-) -> Result<RuntimeReport, String> {
-    let runtime = Runtime::new();
-    let sink = CheckpointSink::every(checkpoint_every);
-    let cancel = CancelToken::new();
-    let max_attempts = retries.saturating_add(1);
-    let mut attempt = 1u32;
-    let mut snapshot: Option<RunSnapshot> = None;
-    let mut resumed_cycles = 0u64;
-    let mut restarts = 0u64;
-    loop {
-        let deadline_hit = AtomicBool::new(false);
-        let progress = |p: RunProgress| {
-            if let Some(limit) = deadline {
-                if p.cycles_done >= limit && !deadline_hit.swap(true, Ordering::AcqRel) {
-                    cancel.cancel();
-                }
+/// The [`RetryPolicy`] the `--retries`/`--deadline-cycles`/
+/// `--checkpoint-every` flags of `run` and `submit` describe.
+fn retry_policy(retries: u32, deadline: Option<u64>, checkpoint_every: u64) -> RetryPolicy {
+    RetryPolicy {
+        deadline_cycles: deadline,
+        ..RetryPolicy::default()
+            .with_max_attempts(retries.saturating_add(1))
+            .with_checkpoint_every(checkpoint_every)
+    }
+}
+
+/// Supervisor for `run`: the spec goes to an in-process one-worker
+/// [`Server`] under `policy`, so the CLI and the job server share one
+/// retry/deadline/checkpoint loop. With the default knobs (no retries,
+/// no deadline, forced-only checkpoints) the job is a plain
+/// `Runtime::run`.
+fn supervised_run(spec: WorkloadSpec, policy: RetryPolicy) -> Result<RuntimeReport, String> {
+    let tenant = TenantId(0);
+    let server = Server::start(ServerConfig::default().with_workers(1));
+    let outcome = server
+        .submit_with_policy(tenant, spec, policy)
+        .map_err(|e| e.to_string())?
+        .wait();
+    let ledger = server.shutdown();
+    let attempts = ledger.jobs_retried() + 1;
+    match outcome {
+        JobOutcome::Done(report) => {
+            if attempts > 1 {
+                let resumed = ledger.tenant(tenant).map_or(0, |t| t.cycles_resumed);
+                println!(
+                    "supervision: {attempts} attempt(s), {resumed} cycle(s) resumed from checkpoints\n"
+                );
             }
-        };
-        let control = RunControl::new()
-            .with_cancel(&cancel)
-            .with_progress(&progress)
-            .with_checkpoints(&sink);
-        let result = match snapshot.as_ref() {
-            Some(snap) => runtime.resume(snap, &control),
-            None => runtime.run_controlled(&spec, &control),
-        };
-        match result {
-            Ok(report) => {
-                if attempt > 1 {
-                    println!(
-                        "supervision: {attempt} attempt(s), {resumed_cycles} cycle(s) resumed \
-                         from checkpoints, {restarts} restart(s) from scratch\n"
-                    );
-                }
-                return Ok(report);
-            }
-            Err(RuntimeError::Cancelled { cycles_done })
-                if deadline_hit.load(Ordering::Acquire) =>
-            {
-                return Err(format!(
-                    "deadline exceeded: cycle budget {} ran out after {cycles_done} cycles \
-                     (attempt {attempt})",
-                    deadline.unwrap_or(0)
-                ));
-            }
-            Err(error) if retryable(&error) && attempt < max_attempts => {
-                let mut snap = sink.take().or(snapshot.take());
-                disarm(&error, &mut spec, snap.as_mut());
-                match snap.as_ref() {
-                    Some(s) => resumed_cycles += s.cycles_done(),
-                    None => restarts += 1,
-                }
-                eprintln!("attempt {attempt} failed ({error}); retrying");
-                snapshot = snap;
-                attempt += 1;
-            }
-            Err(e) => return Err(e.to_string()),
+            Ok(*report)
         }
+        JobOutcome::DeadlineExceeded { cycles_done } => Err(format!(
+            "deadline exceeded: cycle budget {} ran out after {cycles_done} cycles \
+             (attempt {attempts})",
+            policy.deadline_cycles.unwrap_or(0)
+        )),
+        JobOutcome::Failed(e) => Err(e.to_string()),
+        JobOutcome::Cancelled => Err("the run was cancelled".into()),
+        JobOutcome::Lost => Err("the job server went away before the run ended".into()),
     }
 }
 
@@ -435,12 +397,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         }
     }
     let tenants = tenants.max(1);
-    let mut policy = RetryPolicy::default()
-        .with_max_attempts(retries.saturating_add(1))
-        .with_checkpoint_every(checkpoint_every);
-    if let Some(limit) = deadline {
-        policy = policy.with_deadline_cycles(limit);
-    }
+    let policy = retry_policy(retries, deadline, checkpoint_every);
     let quota = TenantQuota {
         max_total_shots: max_shots,
         ..TenantQuota::UNLIMITED
@@ -522,124 +479,6 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     if unexpected > 0 {
         return Err(format!("{unexpected} job(s) ended in an unexpected state"));
     }
-    Ok(())
-}
-
-/// Interactive job server: reads line commands from stdin until EOF or
-/// `drain`, then drains the pool and prints the final ledger.
-///
-/// Commands:
-///
-/// ```text
-/// submit <tenant> <cycles> [seed]            — memory workload (d=3, 4 tiles)
-/// cancel <job>                               — request cancellation
-/// status                                     — queue depth + every job's state
-/// quota <tenant> <queued> <cycles> <shots>   — set a tenant quota
-/// drain                                      — stop intake, finish, report
-/// ```
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let mut workers = 2usize;
-    let mut queue_depth = 64usize;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{what} needs a value"))
-        };
-        match flag.as_str() {
-            "--workers" => workers = parse_u64(value("--workers")?, "worker count")? as usize,
-            "--queue-depth" => {
-                queue_depth = parse_u64(value("--queue-depth")?, "queue depth")? as usize;
-            }
-            other => {
-                return Err(format!(
-                    "unknown flag `{other}` (expected --workers/--queue-depth)"
-                ))
-            }
-        }
-    }
-    let server = Server::start(
-        ServerConfig::default()
-            .with_workers(workers)
-            .with_queue_depth(queue_depth),
-    );
-    println!("serving on {workers} worker(s); commands: submit/cancel/status/quota/drain");
-    let mut handles: BTreeMap<u64, JobHandle> = BTreeMap::new();
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| e.to_string())?;
-        let words: Vec<&str> = line.split_whitespace().collect();
-        match words.as_slice() {
-            [] => {}
-            ["submit", tenant, cycles, rest @ ..] => {
-                let tenant = TenantId(parse_u64(tenant, "tenant")? as u32);
-                let cycles = parse_u64(cycles, "cycle count")?;
-                let seed = match rest {
-                    [] => 1,
-                    [s, ..] => parse_u64(s, "seed")?,
-                };
-                let spec = WorkloadSpec::memory(3, 4, 1, 1e-3, seed, cycles);
-                match server.submit(tenant, spec) {
-                    Ok(handle) => {
-                        println!("{} queued for {tenant}", handle.id());
-                        handles.insert(handle.id().0, handle);
-                    }
-                    Err(e) => println!("rejected: {e}"),
-                }
-            }
-            ["cancel", job] => {
-                let id = parse_u64(job, "job id")?;
-                match handles.get(&id) {
-                    Some(handle) => {
-                        handle.cancel();
-                        println!("job-{id} cancellation requested");
-                    }
-                    None => println!("no such job: {id}"),
-                }
-            }
-            ["status"] => {
-                println!("{} job(s) queued", server.queued_jobs());
-                for (id, handle) in &handles {
-                    println!("  job-{id} ({}): {:?}", handle.tenant(), handle.state());
-                }
-            }
-            ["quota", tenant, queued, cycles, shots] => {
-                let tenant = TenantId(parse_u64(tenant, "tenant")? as u32);
-                server.set_quota(
-                    tenant,
-                    TenantQuota {
-                        max_queued_jobs: parse_u64(queued, "queued-job quota")?,
-                        max_inflight_shard_cycles: parse_u64(cycles, "shard-cycle quota")?,
-                        max_total_shots: parse_u64(shots, "shot quota")?,
-                    },
-                );
-                println!("quota set for {tenant}");
-            }
-            ["drain"] => break,
-            other => println!("unknown command: {}", other.join(" ")),
-        }
-    }
-    let ledger = server.shutdown();
-    for (id, handle) in handles {
-        let outcome = match handle.wait() {
-            JobOutcome::Done(report) => format!(
-                "done ({} outcomes, logical {})",
-                report.outcomes.len(),
-                if report.logical_ok() {
-                    "OK"
-                } else {
-                    "CORRUPTED"
-                },
-            ),
-            JobOutcome::Cancelled => "cancelled".to_owned(),
-            JobOutcome::DeadlineExceeded { cycles_done } => {
-                format!("deadline exceeded after {cycles_done} cycles")
-            }
-            JobOutcome::Failed(e) => format!("failed: {e}"),
-            JobOutcome::Lost => "lost".to_owned(),
-        };
-        println!("job-{id}: {outcome}");
-    }
-    println!("\n{ledger}");
     Ok(())
 }
 

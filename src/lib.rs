@@ -8,7 +8,7 @@
 //! * [`surface`] — surface-code lattice, syndrome circuits, decoders;
 //! * [`isa`] — physical µop and logical instruction sets;
 //! * [`arch`] — the QuEST control processor (MCEs, master controller,
-//!   microcode models, end-to-end system simulation);
+//!   microcode models, the multi-tile reference system);
 //! * [`estimate`] — the QuRE-style resource/bandwidth estimator;
 //! * [`runtime`] — the concurrent, sharded multi-tile simulation
 //!   runtime (one worker thread per MCE shard, a shared global-decode
@@ -20,21 +20,13 @@
 //! # Quickstart
 //!
 //! ```
-//! use quest::arch::{DeliveryMode, QuestSystem};
-//! use quest::isa::LogicalProgram;
-//! use quest::stabilizer::{SeedableRng, StdRng};
+//! use quest::runtime::{run_reference, WorkloadSpec};
 //!
-//! let mut rng = StdRng::seed_from_u64(1);
-//! let mut system = QuestSystem::new(3, 1e-3)?;
-//! let run = system.run_memory_workload(
-//!     50,
-//!     &LogicalProgram::new(),
-//!     0,
-//!     DeliveryMode::QuestMce,
-//!     &mut rng,
-//! );
+//! // One d=3 tile at p = 1e-3, seed 1, error-corrected for 50 cycles.
+//! let run = run_reference(&WorkloadSpec::memory(3, 1, 1, 1e-3, 1, 50))?;
+//! assert_eq!(run.qecc_cycles, 50);
 //! assert!(run.logical_ok());
-//! # Ok::<(), quest::arch::BuildError>(())
+//! # Ok::<(), quest::runtime::RuntimeError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -146,3 +146,44 @@ fn simulate_runs_all_three_modes() {
     assert!(text.contains("QuestMceCache"));
     assert!(text.contains("logical OK"));
 }
+
+#[test]
+fn supervised_run_retries_and_resumes_from_a_checkpoint() {
+    // Shard 1 panics at cycle 10; the supervisor resumes attempt 2 from
+    // the cycle-8 checkpoint and the run completes normally.
+    let out = cli()
+        .args([
+            "run",
+            "--shards",
+            "2",
+            "--cycles",
+            "30",
+            "--checkpoint-every",
+            "4",
+            "--retries",
+            "2",
+            "--fault-shard-panic",
+            "1:10",
+        ])
+        .output()
+        .expect("binary runs");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "{text}");
+    assert!(
+        text.contains("supervision: 2 attempt(s), 8 cycle(s) resumed from checkpoints"),
+        "{text}"
+    );
+    assert!(text.contains("8 tiles read out"), "{text}");
+}
+
+#[test]
+fn deadline_cycles_ends_the_run_with_a_one_line_error() {
+    let out = cli()
+        .args(["run", "--cycles", "50000", "--deadline-cycles", "20"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.starts_with("error: deadline exceeded: "), "{err}");
+    assert_eq!(err.trim_end().lines().count(), 1, "{err}");
+}

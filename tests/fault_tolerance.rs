@@ -3,8 +3,7 @@
 //! actually protect logical information, exactly as the standalone
 //! memory-experiment harness does.
 
-use quest::arch::{DeliveryMode, QuestSystem};
-use quest::isa::LogicalProgram;
+use quest::runtime::{run_reference, WorkloadSpec};
 use quest::stabilizer::{SeedableRng, StdRng};
 use quest::surface::{
     ExactMatchingDecoder, MemoryBasis, MemoryExperiment, MemoryNoise, UnionFindDecoder,
@@ -17,15 +16,7 @@ fn system_preserves_logical_zero() {
     let mut failures = 0;
     let shots = 30;
     for seed in 0..shots {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut sys = QuestSystem::new(3, 1e-3).unwrap();
-        let run = sys.run_memory_workload(
-            30,
-            &LogicalProgram::new(),
-            0,
-            DeliveryMode::QuestMce,
-            &mut rng,
-        );
+        let run = run_reference(&WorkloadSpec::memory(3, 1, 1, 1e-3, seed, 30)).unwrap();
         failures += (!run.logical_ok()) as u32;
     }
     assert!(
@@ -44,15 +35,7 @@ fn system_failure_rate_matches_memory_experiment() {
 
     let mut sys_failures = 0;
     for seed in 0..shots {
-        let mut rng = StdRng::seed_from_u64(1000 + seed);
-        let mut sys = QuestSystem::new(3, p).unwrap();
-        let run = sys.run_memory_workload(
-            cycles,
-            &LogicalProgram::new(),
-            0,
-            DeliveryMode::QuestMce,
-            &mut rng,
-        );
+        let run = run_reference(&WorkloadSpec::memory(3, 1, 1, p, 1000 + seed, cycles)).unwrap();
         sys_failures += (!run.logical_ok()) as u32;
     }
     let sys_rate = sys_failures as f64 / shots as f64;
