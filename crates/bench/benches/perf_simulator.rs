@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quest_core::Mce;
-use quest_stabilizer::{SeedableRng, StdRng, Tableau};
+use quest_stabilizer::{FrameBlock, SeedableRng, StabilizerSim, StdRng, Tableau};
 use quest_surface::decoder::Decoder;
 use quest_surface::{
     DecodingGraph, FrameSampler, MemoryBasis, MemoryExperiment, MemoryNoise, RotatedLattice,
@@ -149,6 +149,61 @@ fn frame_throughput_comparison(_c: &mut Criterion) {
     );
 }
 
+/// Head-to-head: one d=5 MCE driving a frame block whose tape has
+/// locked, against the same MCE on a bare tableau, in one process so
+/// that sandbox drift cancels. The block must have replayed cycles
+/// before anything is timed — a block that quietly stayed on its
+/// reference would only measure the tableau twice. The reference
+/// container reads 3.5-4x; the floor is the distance at which the
+/// substrate's fast path has stopped paying for itself.
+fn frame_block_cycle_comparison(_c: &mut Criterion) {
+    use std::time::Instant;
+    const CYCLES: u32 = 20_000;
+    let lat = RotatedLattice::new(5);
+
+    fn warmed<S: StabilizerSim>(lat: &RotatedLattice, mut substrate: S) -> (Mce, S, StdRng) {
+        let mut mce = Mce::new(lat, 4096);
+        let mut rng = StdRng::seed_from_u64(6);
+        for _ in 0..8 {
+            mce.run_qecc_cycle(&mut substrate, &mut rng);
+        }
+        (mce, substrate, rng)
+    }
+    /// One timing, in seconds per cycle.
+    fn per_cycle<S: StabilizerSim>((mce, substrate, rng): &mut (Mce, S, StdRng)) -> f64 {
+        let start = Instant::now();
+        for _ in 0..CYCLES {
+            mce.run_qecc_cycle(substrate, rng);
+        }
+        start.elapsed().as_secs_f64() / f64::from(CYCLES)
+    }
+
+    let mut block = warmed(&lat, FrameBlock::new(lat.num_qubits()));
+    assert!(
+        block.1.replayed_cycles(0) > 0,
+        "the block never locked onto its tape: nothing to compare"
+    );
+    let mut bare = warmed(&lat, Tableau::new(lat.num_qubits()));
+    // Best of seven each, the two sides taking turns, so that a burst of
+    // noise from a neighbouring container cannot land on one side only.
+    let (mut on_tableau, mut on_block) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..7 {
+        on_tableau = on_tableau.min(per_cycle(&mut bare));
+        on_block = on_block.min(per_cycle(&mut block));
+    }
+    let speedup = on_tableau / on_block;
+    println!(
+        "frame_block_vs_tableau_mce_cycle_d5: tableau {:.2} us, block {:.2} us ({} cycles replayed), speedup {speedup:.1}x",
+        on_tableau * 1e6,
+        on_block * 1e6,
+        block.1.replayed_cycles(0),
+    );
+    assert!(
+        speedup >= 3.0,
+        "an MCE cycle on a locked frame block must be at least 3x one on a bare tableau at d=5, got {speedup:.1}x"
+    );
+}
+
 criterion_group!(
     benches,
     bench_tableau,
@@ -157,6 +212,7 @@ criterion_group!(
     bench_mce_cycle,
     bench_memory_shot,
     bench_frame_batch,
-    frame_throughput_comparison
+    frame_throughput_comparison,
+    frame_block_cycle_comparison
 );
 criterion_main!(benches);

@@ -14,10 +14,16 @@
 //! Here "executing a waveform" means applying the corresponding gate to
 //! the stabilizer-simulated substrate. Measurement waveforms return their
 //! outcome bits, which flow to the error-decoder pipeline.
+//!
+//! The substrate is anything that is a [`StabilizerSim`]: the
+//! [`FrameBlock`](quest_stabilizer::FrameBlock)s of a
+//! [`Substrate`](crate::Substrate) in the two executors, a bare
+//! [`Tableau`](quest_stabilizer::Tableau) wherever the unit is checked
+//! against one.
 
 use crate::geometry::TileGeometry;
 use quest_isa::{MicroOp, PhysOpcode, VliwWord};
-use quest_stabilizer::Tableau;
+use quest_stabilizer::StabilizerSim;
 use rand::Rng;
 
 /// Result of firing one VLIW word: measurement outcomes by qubit slot.
@@ -106,9 +112,7 @@ impl ExecutionUnit {
             self.latches.len(),
             "VLIW word width must match tile width"
         );
-        for (q, u) in word.iter() {
-            self.latch_uop(q, u);
-        }
+        self.latch_range(0..self.latches.len(), Some(word));
     }
 
     /// Latches one µop onto the switch of qubit `q`.
@@ -119,6 +123,23 @@ impl ExecutionUnit {
     pub fn latch_uop(&mut self, q: usize, u: MicroOp) {
         self.latches[q] = u;
         self.stats.uops_latched += 1;
+    }
+
+    /// Latches `word`'s µops for `qubits` onto their switches, or idle
+    /// µops when there is no word to take them from: one region of the
+    /// mask table at a time, as [`Mce`](crate::Mce) merges its two µop
+    /// tables.
+    pub(crate) fn latch_range(&mut self, qubits: std::ops::Range<usize>, word: Option<&VliwWord>) {
+        let latches = &mut self.latches[qubits.clone()];
+        self.stats.uops_latched += latches.len() as u64;
+        match word {
+            Some(word) => {
+                for (latch, (_, uop)) in latches.iter_mut().zip(word.iter().skip(qubits.start)) {
+                    *latch = uop;
+                }
+            }
+            None => latches.fill(MicroOp::nop()),
+        }
     }
 
     /// The latched select codes, one per qubit: the word the next
@@ -145,7 +166,11 @@ impl ExecutionUnit {
     /// Panics if a CNOT half points at a missing neighbour or at a qubit
     /// whose latch does not hold the matching half — such a word is
     /// malformed microcode.
-    pub fn fire<R: Rng + ?Sized>(&mut self, substrate: &mut Tableau, rng: &mut R) -> &FireResult {
+    pub fn fire<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
+        &mut self,
+        substrate: &mut S,
+        rng: &mut R,
+    ) -> &FireResult {
         assert!(
             substrate.num_qubits() >= self.offset + self.latches.len(),
             "substrate too small for tile at offset {}",
@@ -156,8 +181,7 @@ impl ExecutionUnit {
         // Single-qubit waveforms and measurements first, then entangling
         // pairs (all commute within a well-formed lock-step word: the
         // scheduler never touches a qubit twice in one slot).
-        for q in 0..self.latches.len() {
-            let u = self.latches[q];
+        for (q, &u) in self.latches.iter().enumerate() {
             if u.opcode() != PhysOpcode::Nop {
                 self.stats.active_uops += 1;
             }
@@ -183,8 +207,7 @@ impl ExecutionUnit {
                 PhysOpcode::Z => substrate.z(off + q),
             }
         }
-        for q in 0..self.latches.len() {
-            let u = self.latches[q];
+        for (q, &u) in self.latches.iter().enumerate() {
             if u.opcode() == PhysOpcode::CnotCtrl {
                 // The microcode generator always emits directed ctrl
                 // halves with an in-lattice partner; a malformed word is
@@ -235,10 +258,10 @@ impl ExecutionUnit {
     ///
     /// Panics under the conditions of [`ExecutionUnit::latch`] and
     /// [`ExecutionUnit::fire`].
-    pub fn execute<R: Rng + ?Sized>(
+    pub fn execute<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
         &mut self,
         word: &VliwWord,
-        substrate: &mut Tableau,
+        substrate: &mut S,
         rng: &mut R,
     ) -> &FireResult {
         self.latch(word);
@@ -250,7 +273,7 @@ impl ExecutionUnit {
 mod tests {
     use super::*;
     use quest_isa::Direction;
-    use quest_stabilizer::{SeedableRng, StdRng};
+    use quest_stabilizer::{SeedableRng, StdRng, Tableau};
     use quest_surface::RotatedLattice;
 
     fn setup() -> (ExecutionUnit, Tableau, StdRng, RotatedLattice) {

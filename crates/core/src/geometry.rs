@@ -12,13 +12,24 @@
 
 use quest_isa::Direction;
 use quest_surface::RotatedLattice;
-use std::collections::HashMap;
 
 /// Grid coordinates and neighbour resolution for an MCE tile.
 #[derive(Debug, Clone)]
 pub struct TileGeometry {
     coords: Vec<(i32, i32)>,
-    index: HashMap<(i32, i32), usize>,
+    /// Per qubit, its neighbour in each [`Direction`] (by encoding): the
+    /// execution unit resolves one per CNOT, every slot of every cycle.
+    neighbors: Vec<[Option<usize>; 4]>,
+}
+
+/// Grid offset of a coupling direction.
+fn offset(dir: Direction) -> (i32, i32) {
+    match dir {
+        Direction::Nw => (-1, -1),
+        Direction::Ne => (-1, 1),
+        Direction::Sw => (1, -1),
+        Direction::Se => (1, 1),
+    }
 }
 
 impl TileGeometry {
@@ -34,13 +45,28 @@ impl TileGeometry {
         for p in lattice.plaquettes() {
             coords[p.ancilla] = (2 * p.row as i32, 2 * p.col as i32);
         }
-        let index = coords
+        // Every coordinate lies in `0..=2d`: the qubit at each grid
+        // position, row-major.
+        let side = 2 * d as i32 + 1;
+        let cell = |r: i32, c: i32| {
+            ((0..side).contains(&r) && (0..side).contains(&c)).then(|| (r * side + c) as usize)
+        };
+        let mut grid = vec![None; (side * side) as usize];
+        for (q, &(r, c)) in coords.iter().enumerate() {
+            if let Some(at) = cell(r, c) {
+                grid[at] = Some(q);
+            }
+        }
+        let neighbors = coords
             .iter()
-            .copied()
-            .enumerate()
-            .map(|(i, xy)| (xy, i))
+            .map(|&(r, c)| {
+                Direction::ALL.map(|dir| {
+                    let (dr, dc) = offset(dir);
+                    cell(r + dr, c + dc).and_then(|at| grid[at])
+                })
+            })
             .collect();
-        TileGeometry { coords, index }
+        TileGeometry { coords, neighbors }
     }
 
     /// Number of qubits in the tile.
@@ -64,14 +90,7 @@ impl TileGeometry {
     ///
     /// Panics if `q` is out of range.
     pub fn neighbor(&self, q: usize, dir: Direction) -> Option<usize> {
-        let (r, c) = self.coords[q];
-        let (dr, dc) = match dir {
-            Direction::Nw => (-1, -1),
-            Direction::Ne => (-1, 1),
-            Direction::Sw => (1, -1),
-            Direction::Se => (1, 1),
-        };
-        self.index.get(&(r + dr, c + dc)).copied()
+        self.neighbors[q][dir as usize]
     }
 
     /// Direction from qubit `a` to adjacent qubit `b`, if they are

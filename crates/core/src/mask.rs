@@ -29,6 +29,10 @@ pub struct MaskTable {
     num_qubits: usize,
     region_size: usize,
     regions: Vec<bool>,
+    /// Each qubit's region, tabulated: the MCE tests mask bits on every
+    /// slot of every cycle, and `qubit / region_size` is a hardware
+    /// divide by a number the compiler cannot see.
+    region_of: Vec<u32>,
 }
 
 impl MaskTable {
@@ -46,10 +50,15 @@ impl MaskTable {
         assert!(num_qubits > 0, "mask needs at least one qubit");
         assert!(region_size > 0, "region size must be nonzero");
         let regions = num_qubits.div_ceil(region_size);
+        assert!(
+            u32::try_from(regions).is_ok(),
+            "more regions than a mask index holds"
+        );
         MaskTable {
             num_qubits,
             region_size,
             regions: vec![false; regions],
+            region_of: (0..num_qubits).map(|q| (q / region_size) as u32).collect(),
         }
     }
 
@@ -80,7 +89,7 @@ impl MaskTable {
     /// Panics if `qubit` is out of range.
     pub fn region_of(&self, qubit: usize) -> usize {
         assert!(qubit < self.num_qubits, "qubit out of range");
-        qubit / self.region_size
+        self.region_of[qubit] as usize
     }
 
     /// Masks or unmasks a whole region (a logical-qubit boundary move is a

@@ -18,7 +18,7 @@ use crate::program_gen;
 #[cfg(test)]
 use quest_isa::PhysOpcode;
 use quest_isa::{LogicalInstr, MicroOp, VliwWord};
-use quest_stabilizer::Tableau;
+use quest_stabilizer::StabilizerSim;
 use quest_surface::{RotatedLattice, StabKind};
 use rand::Rng;
 use std::collections::VecDeque;
@@ -134,9 +134,9 @@ impl Mce {
     }
 
     /// Moves the tile to start at substrate index `offset`. A tile has a
-    /// tableau of its own until a transversal CNOT entangles it with
+    /// block of its own until a transversal CNOT entangles it with
     /// another; [`Substrate::join`](crate::substrate::Substrate::join)
-    /// then puts both in one tableau and re-bases the tile that moved.
+    /// then puts both in one block and re-bases the tile that moved.
     pub fn rebase(&mut self, offset: usize) {
         self.execution.set_offset(offset);
     }
@@ -220,7 +220,11 @@ impl Mce {
     /// Issues one instruction slot: the next QECC word, merged through the
     /// mask table with the head of the logical-µop queue (Figure 8c).
     /// Returns the word actually fired.
-    pub fn step<R: Rng + ?Sized>(&mut self, substrate: &mut Tableau, rng: &mut R) -> VliwWord {
+    pub fn step<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
+        &mut self,
+        substrate: &mut S,
+        rng: &mut R,
+    ) -> VliwWord {
         self.issue_slot(substrate, rng);
         VliwWord::from_uops(self.execution.latched().to_vec())
     }
@@ -229,15 +233,30 @@ impl Mce {
     /// is latched µop by µop straight onto the execution unit's switches
     /// and the measurement outcomes are read from its buffer, so a slot
     /// allocates nothing.
-    fn issue_slot<R: Rng + ?Sized>(&mut self, substrate: &mut Tableau, rng: &mut R) {
+    ///
+    /// The first slot of a cycle tells the substrate that the program
+    /// starts over ([`StabilizerSim::cycle_boundary`], keyed by the
+    /// tile's offset so that tiles sharing a block are told apart).
+    fn issue_slot<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
+        &mut self,
+        substrate: &mut S,
+        rng: &mut R,
+    ) {
+        if self.microcode.at_cycle_start() {
+            substrate.cycle_boundary(self.execution.offset());
+        }
         let logical = self.logical_uops.pop_front();
-        for (q, qecc_uop) in self.microcode.advance().iter() {
-            let uop = if self.mask.is_masked(q) {
-                logical.as_ref().map_or(MicroOp::nop(), |w| w.get(q))
-            } else {
-                qecc_uop
+        let qecc = self.microcode.advance();
+        // The mask is walked region by region: which table a qubit's µop
+        // comes from is decided once per region, not looked up per qubit.
+        let (width, size) = (qecc.len(), self.mask.region_size());
+        for region in 0..self.mask.num_regions() {
+            let qubits = region * size..width.min((region + 1) * size);
+            let source = match self.mask.region_masked(region) {
+                false => Some(qecc),
+                true => logical.as_ref(),
             };
-            self.execution.latch_uop(q, uop);
+            self.execution.latch_range(qubits, source);
         }
         let measured = !self.execution.fire(substrate, rng).measurements.is_empty();
         if measured {
@@ -252,7 +271,11 @@ impl Mce {
     ///
     /// Panics if called mid-cycle (the microcode cursor is not at a cycle
     /// boundary).
-    pub fn run_qecc_cycle<R: Rng + ?Sized>(&mut self, substrate: &mut Tableau, rng: &mut R) {
+    pub fn run_qecc_cycle<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
+        &mut self,
+        substrate: &mut S,
+        rng: &mut R,
+    ) {
         assert!(
             self.microcode.at_cycle_start(),
             "run_qecc_cycle must start at a cycle boundary"
@@ -379,9 +402,9 @@ impl Mce {
     /// logical Pauli frame.
     ///
     /// This consumes the logical state (all data qubits collapse).
-    pub fn measure_logical_z<R: Rng + ?Sized>(
+    pub fn measure_logical_z<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
         &mut self,
-        substrate: &mut Tableau,
+        substrate: &mut S,
         rng: &mut R,
     ) -> bool {
         self.measure_logical_z_details(substrate, rng).value
@@ -391,9 +414,9 @@ impl Mce {
     /// residual detection events the final perfect decoding round saw —
     /// the master controller accounts those as upstream syndrome bytes
     /// ([`MasterController::note_readout_syndrome`](crate::MasterController::note_readout_syndrome)).
-    pub fn measure_logical_z_details<R: Rng + ?Sized>(
+    pub fn measure_logical_z_details<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
         &mut self,
-        substrate: &mut Tableau,
+        substrate: &mut S,
         rng: &mut R,
     ) -> Readout {
         use quest_surface::decoder::Decoder;
@@ -447,7 +470,7 @@ impl Mce {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quest_stabilizer::{SeedableRng, StdRng};
+    use quest_stabilizer::{SeedableRng, StdRng, Tableau};
 
     fn setup(d: usize) -> (Mce, Tableau, StdRng) {
         let lat = RotatedLattice::new(d);

@@ -30,7 +30,7 @@ use rand::Rng;
 
 pub use crate::tile::LogicalBasis;
 
-/// An array of MCE-driven tiles over one simulated substrate (one tableau
+/// An array of MCE-driven tiles over one simulated substrate (one block
 /// per entangled group of tiles, see [`Substrate`]).
 ///
 /// # Example
@@ -145,6 +145,12 @@ impl MultiTileSystem {
     /// The master controller (bus counters live here).
     pub fn master(&self) -> &MasterController {
         &self.master
+    }
+
+    /// QECC cycles of tile `i` served from its block's tape
+    /// ([`Substrate::replayed_cycles`]).
+    pub fn replayed_cycles(&self, i: usize) -> u64 {
+        self.substrate.replayed_cycles(i)
     }
 
     /// Prepares tile `i`'s logical qubit (bootstrap: direct transverse
@@ -284,7 +290,7 @@ impl MultiTileSystem {
 mod tests {
     use super::*;
     use crate::bus::Traffic;
-    use quest_stabilizer::{SeedableRng, StdRng};
+    use quest_stabilizer::{SeedableRng, StabilizerSim, StdRng};
     use quest_surface::StabKind;
 
     #[test]

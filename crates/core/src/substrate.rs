@@ -3,28 +3,45 @@
 //! The paper gives every MCE its own tile and lets it run QECC there
 //! with no help from anyone else. Tiles start in product states and stay
 //! that way until a transversal CNOT couples two of them, so the
-//! simulation keeps one [`Tableau`] per *entangled group* of tiles — a
-//! block — instead of one spanning them all: a measurement scans the
-//! generators of its own block only, and a tile-cycle costs the same
-//! however many tiles share a system or a shard.
+//! simulation keeps one [`FrameBlock`] per *entangled group* of tiles — a
+//! block — instead of one register spanning them all: a measurement
+//! scans the generators of its own block only, and a tile-cycle costs the
+//! same however many tiles share a system or a shard.
+//!
+//! A block is a reference tableau under a Pauli frame. An MCE replays one
+//! QECC cycle forever and marks each start of it
+//! ([`StabilizerSim::cycle_boundary`], keyed by the tile's offset in its
+//! block); once the cycle provably
+//! repeats — the same operations with the same reference answers, and the
+//! reference back in the state it started from — the reference stops
+//! moving and a tile-cycle costs a walk along a recorded tape that
+//! touches only the frame. Noise, being Pauli, never shows on a tape.
+//! Anything off the tape (a masked region, a logical word, a readout, a
+//! join) puts the block back on its reference, at the old cost, until
+//! the cycle repeats again. [`Substrate::replayed_cycles`] tells how many
+//! cycles a tile was served from its tape, so that a run which means to
+//! measure the fast path can check that it did.
 //!
 //! Every tile begins as a block of its own. [`Substrate::join`] merges
 //! the blocks of two tiles into their tensor product
-//! ([`Tableau::append`]) and re-bases the MCEs of the tiles that moved;
-//! a joined block is never split again, because nothing short of
+//! ([`FrameBlock::append`]) and re-bases the MCEs of the tiles that
+//! moved; a joined block is never split again, because nothing short of
 //! measuring every qubit of a tile would prove it separable.
 //!
 //! [`MultiTileSystem`](crate::MultiTileSystem) and the `quest-runtime`
 //! shard workers both hold their qubits in this one type, so the
 //! reference system and the concurrent runtime cannot drift apart.
-//! Which generators describe a state never shows in a result: whether a
+//! Neither the generators that describe a state nor the way a block
+//! splits it into reference and frame ever shows in a result: whether a
 //! measurement is random is a property of the state, a random outcome is
 //! one draw from the tile's own RNG stream, and a deterministic outcome
-//! does not depend on the generating set.
+//! does not depend on the generating set. Cloning a substrate (a
+//! checkpoint) keeps the state and drops the tapes; the clone records
+//! and locks them again.
 
 use crate::error::CnotError;
 use crate::mce::Mce;
-use quest_stabilizer::Tableau;
+use quest_stabilizer::{FrameBlock, StabilizerSim};
 
 /// Where a tile's qubits live: a block and the index of the tile's first
 /// qubit within it.
@@ -34,7 +51,7 @@ struct Home {
     offset: usize,
 }
 
-/// The qubits of a group of tiles, one [`Tableau`] per entangled group.
+/// The qubits of a group of tiles, one [`FrameBlock`] per entangled group.
 ///
 /// Tile `i` of the substrate belongs to `mces[i]` of its owner; the MCE's
 /// [`substrate_index`](Mce::substrate_index) is relative to the block
@@ -45,6 +62,7 @@ struct Home {
 /// ```
 /// use quest_core::substrate::Substrate;
 /// use quest_core::{Mce, MCE_IBUF_BYTES};
+/// use quest_stabilizer::StabilizerSim;
 /// use quest_surface::RotatedLattice;
 ///
 /// let lattice = RotatedLattice::new(3);
@@ -62,7 +80,7 @@ struct Home {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Substrate {
-    blocks: Vec<Tableau>,
+    blocks: Vec<FrameBlock>,
     /// Indexed by tile.
     homes: Vec<Home>,
 }
@@ -76,7 +94,7 @@ impl Substrate {
     /// Panics if `tile_width` is zero.
     pub fn new(tiles: usize, tile_width: usize) -> Substrate {
         Substrate {
-            blocks: (0..tiles).map(|_| Tableau::new(tile_width)).collect(),
+            blocks: (0..tiles).map(|_| FrameBlock::new(tile_width)).collect(),
             homes: (0..tiles).map(|block| Home { block, offset: 0 }).collect(),
         }
     }
@@ -96,14 +114,25 @@ impl Substrate {
         }
     }
 
-    /// The tableau holding `tile`'s qubits, along with those of every
+    /// The block holding `tile`'s qubits, along with those of every
     /// tile it has been joined with.
     ///
     /// # Panics
     ///
     /// Panics if `tile` is out of range.
-    pub fn block_mut(&mut self, tile: usize) -> &mut Tableau {
+    pub fn block_mut(&mut self, tile: usize) -> &mut FrameBlock {
         &mut self.blocks[self.homes[tile].block]
+    }
+
+    /// QECC cycles of `tile` that its block served from a tape, never
+    /// touching the reference tableau (zero for a tile out of range).
+    /// The count restarts in a clone, which has no tapes.
+    pub fn replayed_cycles(&self, tile: usize) -> u64 {
+        self.homes.get(tile).map_or(0, |home| {
+            self.blocks
+                .get(home.block)
+                .map_or(0, |block| block.replayed_cycles(home.offset))
+        })
     }
 
     /// Brings tiles `a` and `b` into one block and returns it. If they
@@ -126,7 +155,7 @@ impl Substrate {
         mces: &mut [Mce],
         a: usize,
         b: usize,
-    ) -> Result<&mut Tableau, CnotError> {
+    ) -> Result<&mut FrameBlock, CnotError> {
         let tiles = self.homes.len().min(mces.len());
         let out_of_range = |tile: usize| CnotError::TileOutOfRange { tile, tiles };
         if mces.len() < self.homes.len() {
@@ -165,6 +194,7 @@ impl Substrate {
 mod tests {
     use super::*;
     use crate::mce::MCE_IBUF_BYTES;
+    use quest_stabilizer::Tableau;
     use quest_surface::RotatedLattice;
 
     fn setup(tiles: usize) -> (Vec<Mce>, Substrate, usize) {
@@ -211,7 +241,10 @@ mod tests {
         // Joining all tiles of a fresh substrate is the fresh monolith.
         substrate.join(&mut mces, 2, 1).unwrap();
         assert_eq!(substrate.num_blocks(), 1);
-        assert_eq!(*substrate.block_mut(0), Tableau::new(4 * width));
+        assert!(substrate
+            .block_mut(0)
+            .to_tableau()
+            .same_state(&Tableau::new(4 * width)));
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! transversal logical gates, destructive readout — over the same
 //! [`Substrate`]. This module is that single code path, so the
 //! concurrent runtime and the single-threaded reference system cannot
-//! drift apart. The per-tile helpers take the tableau holding the tile
-//! ([`Substrate::block_mut`]); only the transversal CNOT, which may have
-//! to join two of them, takes the substrate.
+//! drift apart. The per-tile helpers take the register holding the tile
+//! — the [`Substrate::block_mut`] of the two executors, or any other
+//! [`StabilizerSim`], which is how a test drives the same path on a bare
+//! [`Tableau`](quest_stabilizer::Tableau). Only the transversal CNOT,
+//! which may have to join two blocks, takes the substrate.
 //!
 //! Every helper that consumes randomness takes the caller's `&mut R` and
 //! draws in a fixed order (noise sweep over data qubits, then the
@@ -22,7 +24,7 @@ use crate::master::MasterController;
 use crate::mce::Mce;
 use crate::substrate::Substrate;
 use quest_isa::{LogicalInstr, LogicalQubit};
-use quest_stabilizer::{NoiseChannel, PauliChannel, Tableau};
+use quest_stabilizer::{NoiseChannel, PauliChannel, StabilizerSim};
 use quest_surface::StabKind;
 use rand::Rng;
 
@@ -50,10 +52,10 @@ pub fn tile_seed(master_seed: u64, tile: u64) -> u64 {
 
 /// Applies one round of data-qubit noise to an MCE's tile: one channel
 /// sample per data qubit, in tile-local qubit order.
-pub fn noise_layer<R: Rng + ?Sized>(
+pub fn noise_layer<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
     mce: &Mce,
     noise: &PauliChannel,
-    substrate: &mut Tableau,
+    substrate: &mut S,
     rng: &mut R,
 ) {
     for q in 0..mce.lattice().num_data() {
@@ -64,10 +66,10 @@ pub fn noise_layer<R: Rng + ?Sized>(
 
 /// Prepares a tile's logical qubit (bootstrap: direct transverse reset of
 /// the data qubits, then QECC projection on the next cycle).
-pub fn prep_logical<R: Rng + ?Sized>(
+pub fn prep_logical<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
     mce: &mut Mce,
     basis: LogicalBasis,
-    substrate: &mut Tableau,
+    substrate: &mut S,
     rng: &mut R,
 ) {
     let off = mce.substrate_index(0);
@@ -87,10 +89,10 @@ pub fn prep_logical<R: Rng + ?Sized>(
 /// escalations through the master controller (the single-threaded
 /// escalation path; the runtime ships escalations over channels instead
 /// and resolves them in its decode pool).
-pub fn qecc_cycle_serviced<R: Rng + ?Sized>(
+pub fn qecc_cycle_serviced<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
     mce: &mut Mce,
     master: &mut MasterController,
-    substrate: &mut Tableau,
+    substrate: &mut S,
     rng: &mut R,
 ) {
     mce.run_qecc_cycle(substrate, rng);
@@ -102,7 +104,7 @@ pub fn qecc_cycle_serviced<R: Rng + ?Sized>(
 /// data qubits, syndrome-reference propagation, error-decoder Pauli-frame
 /// propagation, and logical-frame propagation.
 ///
-/// Tiles that have never interacted live in separate tableaus; the gate
+/// Tiles that have never interacted live in separate blocks; the gate
 /// first joins the two tiles' blocks for good ([`Substrate::join`]).
 ///
 /// Master-controller coordination (the two sync tokens) is *not* included

@@ -6,8 +6,10 @@
 //! the cycle's corrections, and the master has delivered them. A
 //! [`RunSnapshot`] taken there captures *everything* a bit-identical
 //! resume needs — the master's accounting (bus ledger, interconnect,
-//! fault-lane counters), each shard's MCE tile state, stabilizer
-//! tableaus and per-tile RNG streams, and the decode pool's cost ledger
+//! fault-lane counters), each shard's MCE tile state, substrate blocks
+//! (reference tableau and Pauli frame; the tapes a block replays its
+//! cycles from are caches, and a resumed block records them again) and
+//! per-tile RNG streams, and the decode pool's cost ledger
 //! folded down to a baseline. [`Runtime::resume`](crate::Runtime::resume)
 //! rebuilds the whole machine from one and continues as if the
 //! interruption never happened: the resumed run's
@@ -41,7 +43,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// Version 2: a shard's substrate is one tableau per entangled group of
 /// its tiles (and each MCE's substrate offset is relative to its group's
 /// tableau), no longer one tableau spanning the shard.
-pub const SNAPSHOT_VERSION: u32 = 2;
+///
+/// Version 3: a block of the substrate is a reference tableau under a
+/// Pauli frame; its tapes are caches and are not captured.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// One shard worker's owned state at a cycle barrier: its MCEs (local
 /// decoders, microcode counters, caches), the substrate under its tiles

@@ -1,0 +1,755 @@
+//! A stabilizer register whose repeating cycles cost a Pauli frame, not
+//! a tableau.
+//!
+//! [`FrameBlock`] holds a state as `F·|ref⟩`: a *reference* [`Tableau`]
+//! that only ever sees Cliffords and measurements, every random outcome
+//! forced to `false`, and a bit-packed Pauli frame `F` (one X bit and one
+//! Z bit per qubit) that absorbs every Pauli — noise, program `x/y/z`,
+//! the conditional flip of a reset — and is conjugated by every Clifford.
+//!
+//! A measurement of `Z_q` reads the reference and corrects by the frame,
+//! on two identities:
+//!
+//! * `Π_b F = F Π_{b ⊕ f}` with `f` the frame's X bit at `q`: the frame
+//!   flips which projector the reference sees. A deterministic reference
+//!   outcome `r` is reported as `r ⊕ f`.
+//! * `Π_{¬r}|ref⟩ ∝ g Π_r|ref⟩` for any stabilizer `g` of `|ref⟩` that
+//!   anticommutes with `Z_q`: when a random measurement draws `b` and
+//!   `b ⊕ f` is not the `false` the reference was collapsed to, the pivot
+//!   `g` of that collapse is multiplied into the frame.
+//!
+//! Whether a measurement is random depends on the stabilizer group
+//! without its signs, which Paulis do not touch, so the block reports
+//! random exactly when a bare [`Tableau`] fed the same operations would,
+//! draws the same one `rng.gen::<bool>()`, and returns the same value:
+//! outcomes, `deterministic` flags and RNG positions agree op for op
+//! (`tests/frame_block_differential.rs`).
+//!
+//! # Tapes
+//!
+//! The point of the split is that the reference of a machine replaying
+//! one program forever stops moving. Between one
+//! [`cycle_boundary`](StabilizerSim::cycle_boundary) mark and the next
+//! the block records a *tape*: every operation that reached the
+//! reference, with what the reference answered (random or not, the
+//! outcome, the pivot). When a mark closes a tape that equals the
+//! previous tape of the same key entry for entry **and** the reference
+//! holds the state it held when the tape began
+//! ([`Tableau::same_state`] — the generators of a repeating cycle keep
+//! changing long after its state has stopped), the tape is *locked*: the
+//! cycle maps that state to itself, so from then on the reference stays
+//! where it is and each incoming operation is matched against the tape
+//! and moves only the frame.
+//!
+//! Any operation that is not the tape's next entry — a masked region, a
+//! logical word, a readout, an [`append`](FrameBlock::append) — replays
+//! the matched prefix onto the reference, unlocks every tape of the block
+//! and continues on the reference, which is always correct. Paulis are on
+//! no tape: they never reach the reference.
+//!
+//! Marks carry a key so that several programs interleaved on one block
+//! (two tiles joined by a transversal gate) keep a tape each. A tape is
+//! only ever replayed from the state it was verified on: a replay leaves
+//! the reference alone, a verified recording returns to it, and anything
+//! else unlocks the whole block.
+
+use crate::pauli::Pauli;
+use crate::tableau::{or_shifted, Measurement, Tableau};
+use rand::Rng;
+
+const WORD_BITS: usize = 64;
+
+/// What an MCE needs of the register under its tile: Clifford gates,
+/// Paulis, preparation and measurement on numbered qubits.
+///
+/// [`Tableau`] implements it by its inherent methods, operation for
+/// operation (the provided ones too: the oracle runs exactly what it
+/// always ran); [`FrameBlock`] implements it with the same outcomes and
+/// the same RNG draws, so code written against the trait can be checked
+/// on a bare tableau and run on a block.
+pub trait StabilizerSim {
+    /// Number of qubits.
+    fn num_qubits(&self) -> usize;
+
+    /// Hadamard on `q`.
+    fn h(&mut self, q: usize);
+
+    /// Phase gate `S = diag(1, i)` on `q`.
+    fn s(&mut self, q: usize);
+
+    /// Pauli `p` on `q`.
+    fn pauli(&mut self, q: usize, p: Pauli);
+
+    /// CNOT with control `c` and target `t`.
+    fn cnot(&mut self, c: usize, t: usize);
+
+    /// Measures `q` in the Z basis; a random outcome is one
+    /// `rng.gen::<bool>()`, a deterministic one draws nothing.
+    fn measure<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> Measurement;
+
+    /// Inverse phase gate `S† = S³` on `q`.
+    fn s_dagger(&mut self, q: usize) {
+        self.s(q);
+        self.s(q);
+        self.s(q);
+    }
+
+    /// Pauli X on `q`.
+    fn x(&mut self, q: usize) {
+        self.pauli(q, Pauli::X);
+    }
+
+    /// Pauli Y on `q`.
+    fn y(&mut self, q: usize) {
+        self.pauli(q, Pauli::Y);
+    }
+
+    /// Pauli Z on `q`.
+    fn z(&mut self, q: usize) {
+        self.pauli(q, Pauli::Z);
+    }
+
+    /// Measures `q` in the X basis (conjugating by Hadamards).
+    fn measure_x<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> Measurement {
+        self.h(q);
+        let m = self.measure(q, rng);
+        self.h(q);
+        m
+    }
+
+    /// Resets `q` to `|0⟩` (measure, then flip if needed).
+    fn reset<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) {
+        if self.measure(q, rng).value {
+            self.x(q);
+        }
+    }
+
+    /// Resets `q` to `|+⟩`.
+    fn reset_plus<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) {
+        self.reset(q, rng);
+        self.h(q);
+    }
+
+    /// Marks the start of one round of a program that repeats. `key`
+    /// tells apart the programs interleaved on one register. A register
+    /// with nothing to gain from the hint ignores it.
+    fn cycle_boundary(&mut self, _key: usize) {}
+}
+
+impl StabilizerSim for Tableau {
+    #[inline]
+    fn num_qubits(&self) -> usize {
+        Tableau::num_qubits(self)
+    }
+    #[inline]
+    fn h(&mut self, q: usize) {
+        Tableau::h(self, q);
+    }
+    #[inline]
+    fn s(&mut self, q: usize) {
+        Tableau::s(self, q);
+    }
+    #[inline]
+    fn pauli(&mut self, q: usize, p: Pauli) {
+        Tableau::pauli(self, q, p);
+    }
+    #[inline]
+    fn cnot(&mut self, c: usize, t: usize) {
+        Tableau::cnot(self, c, t);
+    }
+    #[inline]
+    fn measure<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> Measurement {
+        Tableau::measure(self, q, rng)
+    }
+    #[inline]
+    fn s_dagger(&mut self, q: usize) {
+        Tableau::s_dagger(self, q);
+    }
+    #[inline]
+    fn x(&mut self, q: usize) {
+        Tableau::x(self, q);
+    }
+    #[inline]
+    fn y(&mut self, q: usize) {
+        Tableau::y(self, q);
+    }
+    #[inline]
+    fn z(&mut self, q: usize) {
+        Tableau::z(self, q);
+    }
+    #[inline]
+    fn measure_x<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> Measurement {
+        Tableau::measure_x(self, q, rng)
+    }
+    #[inline]
+    fn reset<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) {
+        Tableau::reset(self, q, rng);
+    }
+    #[inline]
+    fn reset_plus<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) {
+        Tableau::reset_plus(self, q, rng);
+    }
+}
+
+/// The operations that reach the reference. Everything else is a Pauli
+/// (frame only) or composed of these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    H,
+    S,
+    Cnot,
+    Measure,
+}
+
+/// An operation and its qubits in one word, so that matching a tape
+/// entry is one comparison: the operation above two 30-bit qubit
+/// indices (the second is a CNOT's target, zero otherwise). A block is
+/// never that wide (`FrameBlock::over` checks), so the qubits of a block
+/// cannot run into each other or into the operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Call(u64);
+
+const QUBIT_BITS: u32 = 30;
+
+impl Call {
+    #[inline]
+    fn new(op: Op, a: usize, b: usize) -> Call {
+        Call((op as u64) << (2 * QUBIT_BITS) | (a as u64) << QUBIT_BITS | b as u64)
+    }
+
+    fn op(self) -> Op {
+        match self.0 >> (2 * QUBIT_BITS) {
+            0 => Op::H,
+            1 => Op::S,
+            2 => Op::Cnot,
+            _ => Op::Measure,
+        }
+    }
+
+    fn qubits(self) -> (usize, usize) {
+        let mask = (1 << QUBIT_BITS) - 1;
+        (
+            (self.0 >> QUBIT_BITS & mask) as usize,
+            (self.0 & mask) as usize,
+        )
+    }
+}
+
+/// One operation on the reference and, for a measurement, what the
+/// reference answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    call: Call,
+    random: bool,
+    outcome: bool,
+}
+
+/// The reference operations of one cycle.
+#[derive(Debug, Default)]
+struct Record {
+    entries: Vec<Entry>,
+    /// The pivots of the random entries, in order, a frame's worth of
+    /// words each.
+    pivots: Vec<u64>,
+}
+
+/// The last cycle recorded under one key.
+#[derive(Debug, Default)]
+struct Tape {
+    key: usize,
+    record: Record,
+    /// A recording has been closed into this tape.
+    recorded: bool,
+    /// Verified to map the reference's state to itself.
+    locked: bool,
+    replayed: u64,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// The reference is live and nothing is recorded: before the first
+    /// mark, and from a deviation to the next mark.
+    Direct,
+    /// The reference is live and `recording` takes every operation.
+    Recording,
+    /// The reference stays at the state of the last mark; operations are
+    /// matched against `tapes[slot]` from `cursor` on.
+    Replaying,
+}
+
+/// A register of qubits held as a Pauli frame over a reference
+/// [`Tableau`]; see the [module docs](self).
+///
+/// Cloning keeps the state (reference and frame) and drops the tapes: a
+/// clone re-records and re-locks. Two blocks are equal when they hold the
+/// same state.
+///
+/// # Example
+///
+/// ```
+/// use quest_stabilizer::{FrameBlock, Pauli, SeedableRng, StabilizerSim, StdRng, Tableau};
+///
+/// // Five rounds of a two-qubit parity check with an error in between:
+/// // the block and a bare tableau agree on every outcome.
+/// let (mut block, mut bare) = (FrameBlock::new(3), Tableau::new(3));
+/// let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(4), StdRng::seed_from_u64(4));
+/// fn round<S: StabilizerSim>(s: &mut S, rng: &mut StdRng) -> bool {
+///     s.cycle_boundary(0);
+///     s.reset(2, rng);
+///     s.cnot(0, 2);
+///     s.cnot(1, 2);
+///     s.measure(2, rng).value
+/// }
+/// for cycle in 0..5 {
+///     if cycle == 3 {
+///         block.pauli(1, Pauli::X);
+///         StabilizerSim::pauli(&mut bare, 1, Pauli::X);
+///     }
+///     assert_eq!(round(&mut block, &mut rng_a), round(&mut bare, &mut rng_b));
+/// }
+/// assert!(block.replayed_cycles(0) > 0);
+/// ```
+#[derive(Debug)]
+pub struct FrameBlock {
+    reference: Tableau,
+    /// `words` words of X bits, then as many of Z bits.
+    frame: Vec<u64>,
+    /// `⌈n/64⌉`.
+    words: usize,
+    mode: Mode,
+    /// The tape of the cycle in progress (recording or replaying).
+    slot: usize,
+    /// Next entry of `tapes[slot]` to match, and the start of the next
+    /// random entry's pivot.
+    cursor: usize,
+    pivot_cursor: usize,
+    /// One tape per key seen, in order of first appearance.
+    tapes: Vec<Tape>,
+    /// The cycle being recorded; swapped into its tape at the next mark.
+    /// Outside a recording, `pivots` is scratch.
+    recording: Record,
+    /// The reference as it was when the recording began; taken only when
+    /// its tape holds an earlier recording to compare this one with.
+    snapshot: Tableau,
+}
+
+impl Clone for FrameBlock {
+    fn clone(&self) -> FrameBlock {
+        FrameBlock::over(self.materialised_reference(), self.frame.clone())
+    }
+}
+
+impl PartialEq for FrameBlock {
+    fn eq(&self, other: &FrameBlock) -> bool {
+        self.to_tableau().same_state(&other.to_tableau())
+    }
+}
+
+impl Eq for FrameBlock {}
+
+/// Applies the reference side of `entries` to `reference`.
+fn replay(reference: &mut Tableau, entries: &[Entry], scratch: &mut Vec<u64>) {
+    for e in entries {
+        let (a, b) = e.call.qubits();
+        match e.call.op() {
+            Op::H => reference.h(a),
+            Op::S => reference.s(a),
+            Op::Cnot => reference.cnot(a, b),
+            Op::Measure => {
+                scratch.clear();
+                reference.measure_forced(a, scratch);
+            }
+        }
+    }
+}
+
+impl FrameBlock {
+    /// A block of `n` qubits in `|0…0⟩`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    pub fn new(n: usize) -> FrameBlock {
+        let words = n.div_ceil(WORD_BITS);
+        FrameBlock::over(Tableau::new(n), vec![0; 2 * words])
+    }
+
+    /// A block with no history over a reference and a frame. What a
+    /// first cycle writes is allocated here, by whoever builds the block,
+    /// not on the cycle path by whoever runs it: a syndrome-extraction
+    /// cycle is three to four operations per qubit and measures about
+    /// every other qubit at random (longer cycles grow the buffers).
+    fn over(reference: Tableau, frame: Vec<u64>) -> FrameBlock {
+        let n = reference.num_qubits();
+        assert!(n >> QUBIT_BITS == 0, "a block of 2^30 qubits or more");
+        FrameBlock {
+            words: frame.len() / 2,
+            snapshot: reference.clone(),
+            reference,
+            recording: Record {
+                entries: Vec::with_capacity(4 * n),
+                pivots: Vec::with_capacity(n.div_ceil(2) * frame.len()),
+            },
+            frame,
+            mode: Mode::Direct,
+            slot: 0,
+            cursor: 0,
+            pivot_cursor: 0,
+            tapes: Vec::new(),
+        }
+    }
+
+    /// Cycles of `key` served from its tape, start to end, without
+    /// touching the reference. A benchmark or a test that means to
+    /// measure the fast path checks that this moves.
+    pub fn replayed_cycles(&self, key: usize) -> u64 {
+        self.tapes
+            .iter()
+            .find(|t| t.key == key)
+            .map_or(0, |t| t.replayed)
+    }
+
+    /// Appends `other`'s qubits after this block's own, leaving the
+    /// tensor product of the two states ([`Tableau::append`]). Tapes were
+    /// recorded on the narrower registers and are dropped; the replay
+    /// counts stay, `other`'s under its keys moved up by this block's
+    /// width.
+    pub fn append(&mut self, other: &FrameBlock) {
+        let shift = self.reference.num_qubits();
+        let mut reference = self.materialised_reference();
+        reference.append(&other.materialised_reference());
+        let words = reference.num_qubits().div_ceil(WORD_BITS);
+        let mut frame = vec![0u64; 2 * words];
+        for (half, dst) in frame.chunks_exact_mut(words).enumerate() {
+            dst[..self.words].copy_from_slice(&self.frame[half * self.words..][..self.words]);
+            or_shifted(
+                dst,
+                &other.frame[half * other.words..][..other.words],
+                shift,
+            );
+        }
+        let count_of = |tape: &Tape, shift: usize| Tape {
+            key: tape.key + shift,
+            replayed: tape.replayed,
+            ..Tape::default()
+        };
+        let kept = self.tapes.iter().map(|t| count_of(t, 0));
+        let moved = other.tapes.iter().map(|t| count_of(t, shift));
+        *self = FrameBlock {
+            tapes: kept.chain(moved).collect(),
+            ..FrameBlock::over(reference, frame)
+        };
+    }
+
+    /// The state as one tableau: the reference, brought up to the
+    /// operation in hand, with the frame applied to it.
+    #[doc(hidden)]
+    pub fn to_tableau(&self) -> Tableau {
+        let mut t = self.materialised_reference();
+        for q in 0..t.num_qubits() {
+            let bit =
+                |half: usize| self.frame[half * self.words + q / WORD_BITS] >> (q % WORD_BITS) & 1;
+            t.pauli(q, Pauli::from_xz(bit(0) == 1, bit(1) == 1));
+        }
+        t
+    }
+
+    /// A copy of the reference with the part of the tape a replay has
+    /// matched so far applied to it.
+    fn materialised_reference(&self) -> Tableau {
+        let mut reference = self.reference.clone();
+        if self.mode == Mode::Replaying {
+            let matched = &self.tapes[self.slot].record.entries[..self.cursor];
+            replay(&mut reference, matched, &mut Vec::new());
+        }
+        reference
+    }
+
+    /// Leaves the tapes: the reference catches up with a replay in
+    /// progress, every tape is unlocked (the reference is about to move
+    /// off the state they were verified on) and operations go straight
+    /// to the reference until the next mark.
+    #[cold]
+    fn deviate(&mut self) {
+        if self.mode == Mode::Replaying {
+            let matched = &self.tapes[self.slot].record.entries[..self.cursor];
+            replay(&mut self.reference, matched, &mut self.recording.pivots);
+        }
+        for tape in &mut self.tapes {
+            tape.locked = false;
+        }
+        self.mode = Mode::Direct;
+    }
+
+    /// Closes the recording into its tape, locking the tape if the cycle
+    /// just recorded is the previous one over again and left the
+    /// reference in the state it found it in. Pivots are not compared:
+    /// they follow the reference's generators, which keep changing, and
+    /// any stabilizer of the measured state that anticommutes with `Z_q`
+    /// serves (two of them differ by a stabilizer of the collapsed state).
+    fn close_recording(&mut self) {
+        let tape = &mut self.tapes[self.slot];
+        // A first recording took no snapshot: there was nothing to
+        // compare it with.
+        let repeats = tape.recorded
+            && tape.record.entries == self.recording.entries
+            && self.reference.same_state(&self.snapshot);
+        std::mem::swap(&mut tape.record, &mut self.recording);
+        tape.recorded = true;
+        if repeats {
+            tape.locked = true;
+        } else {
+            // The reference may have moved: no tape verified on the old
+            // state may be replayed from the new one.
+            self.deviate();
+        }
+    }
+
+    /// The tape's answer for one reference operation: its next entry, if
+    /// a replay is on and this operation is what the entry recorded.
+    /// Anything else during a replay is a deviation, and `None` tells the
+    /// caller to put the operation to the reference.
+    #[inline]
+    fn matched(&mut self, call: Call) -> Option<Entry> {
+        if self.mode != Mode::Replaying {
+            return None;
+        }
+        let tape = &mut self.tapes[self.slot];
+        match tape.record.entries.get(self.cursor) {
+            Some(&e) if e.call == call => {
+                self.cursor += 1;
+                if self.cursor == tape.record.entries.len() {
+                    tape.replayed += 1;
+                }
+                Some(e)
+            }
+            _ => {
+                self.deviate();
+                None
+            }
+        }
+    }
+
+    /// Puts an operation the reference has just taken on the open
+    /// recording.
+    #[inline]
+    fn record(&mut self, call: Call, random: bool, outcome: bool) {
+        if self.mode == Mode::Recording {
+            self.recording.entries.push(Entry {
+                call,
+                random,
+                outcome,
+            });
+        }
+    }
+
+    /// Word index and mask of qubit `q` within one half of the frame.
+    #[inline]
+    fn locate(q: usize) -> (usize, u64) {
+        (q / WORD_BITS, 1 << (q % WORD_BITS))
+    }
+
+    /// XORs `bit` into `frame[k]` if `on`. Frame bits follow measurement
+    /// outcomes, so a branch on one is a coin toss to the predictor; the
+    /// frame updates select by mask instead.
+    #[inline]
+    fn flip_if(&mut self, on: bool, k: usize, bit: u64) {
+        self.frame[k] ^= bit & u64::from(on).wrapping_neg();
+    }
+}
+
+impl StabilizerSim for FrameBlock {
+    fn num_qubits(&self) -> usize {
+        self.reference.num_qubits()
+    }
+
+    #[inline]
+    fn h(&mut self, q: usize) {
+        let call = Call::new(Op::H, q, 0);
+        if self.matched(call).is_none() {
+            self.reference.h(q);
+            self.record(call, false, false);
+        }
+        let (k, bit) = FrameBlock::locate(q);
+        let differ = (self.frame[k] ^ self.frame[self.words + k]) & bit;
+        self.frame[k] ^= differ;
+        self.frame[self.words + k] ^= differ;
+    }
+
+    #[inline]
+    fn s(&mut self, q: usize) {
+        let call = Call::new(Op::S, q, 0);
+        if self.matched(call).is_none() {
+            self.reference.s(q);
+            self.record(call, false, false);
+        }
+        let (k, bit) = FrameBlock::locate(q);
+        self.frame[self.words + k] ^= self.frame[k] & bit;
+    }
+
+    #[inline]
+    fn pauli(&mut self, q: usize, p: Pauli) {
+        assert!(q < self.num_qubits(), "qubit index {q} out of range");
+        let (k, bit) = FrameBlock::locate(q);
+        self.flip_if(p.has_x(), k, bit);
+        self.flip_if(p.has_z(), self.words + k, bit);
+    }
+
+    #[inline]
+    fn cnot(&mut self, c: usize, t: usize) {
+        let call = Call::new(Op::Cnot, c, t);
+        if self.matched(call).is_none() {
+            self.reference.cnot(c, t);
+            self.record(call, false, false);
+        }
+        let ((kc, bc), (kt, bt)) = (FrameBlock::locate(c), FrameBlock::locate(t));
+        self.flip_if(self.frame[kc] & bc != 0, kt, bt);
+        self.flip_if(self.frame[self.words + kt] & bt != 0, self.words + kc, bc);
+    }
+
+    #[inline]
+    fn measure<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> Measurement {
+        let len = 2 * self.words;
+        // What the reference reads, and where the pivot of a random
+        // outcome is.
+        let call = Call::new(Op::Measure, q, 0);
+        let (reference, pivot) = match self.matched(call) {
+            Some(e) => {
+                let at = self.pivot_cursor;
+                if e.random {
+                    self.pivot_cursor += len;
+                }
+                let m = Measurement {
+                    value: e.outcome,
+                    deterministic: !e.random,
+                };
+                (m, self.tapes[self.slot].record.pivots.get(at..at + len))
+            }
+            None => {
+                if self.mode != Mode::Recording {
+                    self.recording.pivots.clear();
+                }
+                let at = self.recording.pivots.len();
+                let m = self.reference.measure_forced(q, &mut self.recording.pivots);
+                self.record(call, !m.deterministic, m.value);
+                (m, self.recording.pivots.get(at..at + len))
+            }
+        };
+        let (k, bit) = FrameBlock::locate(q);
+        let flipped = self.frame[k] & bit != 0;
+        if reference.deterministic {
+            return Measurement {
+                value: reference.value ^ flipped,
+                deterministic: true,
+            };
+        }
+        let value: bool = rng.gen();
+        let disagrees = u64::from(value ^ flipped != reference.value).wrapping_neg();
+        for (f, p) in self.frame.iter_mut().zip(pivot.unwrap_or_default()) {
+            *f ^= p & disagrees;
+        }
+        Measurement {
+            value,
+            deterministic: false,
+        }
+    }
+
+    #[inline]
+    fn reset<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) {
+        let one = self.measure(q, rng).value;
+        let (k, bit) = FrameBlock::locate(q);
+        self.flip_if(one, k, bit);
+    }
+
+    fn cycle_boundary(&mut self, key: usize) {
+        match self.mode {
+            Mode::Direct => {}
+            Mode::Recording => self.close_recording(),
+            // A tape with entries left is a cycle cut short.
+            Mode::Replaying => {
+                if self.cursor != self.tapes[self.slot].record.entries.len() {
+                    self.deviate();
+                }
+            }
+        }
+        self.slot = match self.tapes.iter().position(|t| t.key == key) {
+            Some(slot) => slot,
+            None => {
+                self.tapes.push(Tape {
+                    key,
+                    ..Tape::default()
+                });
+                self.tapes.len() - 1
+            }
+        };
+        let tape = &mut self.tapes[self.slot];
+        if tape.locked {
+            // A cycle with nothing for the reference is served already.
+            tape.replayed += u64::from(tape.record.entries.is_empty());
+            (self.cursor, self.pivot_cursor) = (0, 0);
+            self.mode = Mode::Replaying;
+            return;
+        }
+        // A first recording has nothing to be compared with, so where it
+        // started from is not kept either.
+        let compared = tape.recorded;
+        self.recording.entries.clear();
+        self.recording.pivots.clear();
+        if compared {
+            self.snapshot.clone_from(&self.reference);
+        }
+        self.mode = Mode::Recording;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tableau::tests::d5_bulk_round;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn buffers_never_grow_after_lock_in() {
+        // Everything a replayed cycle reads or writes: the frame, the
+        // tape with its pivots, the recording it was swapped with, and
+        // the two tableaus a recording would be checked against.
+        fn buffers(b: &FrameBlock) -> Vec<(*const u64, usize)> {
+            let tape = &b.tapes[0];
+            let mut all = vec![
+                (b.frame.as_ptr(), b.frame.capacity()),
+                (
+                    tape.record.entries.as_ptr().cast(),
+                    tape.record.entries.capacity(),
+                ),
+                (tape.record.pivots.as_ptr(), tape.record.pivots.capacity()),
+                (
+                    b.recording.entries.as_ptr().cast(),
+                    b.recording.entries.capacity(),
+                ),
+                (b.recording.pivots.as_ptr(), b.recording.pivots.capacity()),
+            ];
+            all.extend(b.reference.buffers());
+            all.extend(b.snapshot.buffers());
+            all
+        }
+        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+        let mut block = FrameBlock::new(41);
+        let mut cycle = |block: &mut FrameBlock| {
+            block.pauli(rng.gen_range(0..25), Pauli::Y);
+            block.cycle_boundary(0);
+            d5_bulk_round(block, &mut rng);
+        };
+        while block.replayed_cycles(0) == 0 {
+            cycle(&mut block);
+        }
+        let (warm, reference) = (buffers(&block), block.reference.clone());
+        for _ in 0..20 {
+            cycle(&mut block);
+            assert_eq!(buffers(&block), warm, "a block buffer moved or grew");
+        }
+        assert_eq!(block.replayed_cycles(0), 21);
+        assert_eq!(block.reference, reference, "a replay moved the reference");
+        block.to_tableau().check_invariants();
+    }
+}

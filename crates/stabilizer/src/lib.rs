@@ -34,6 +34,7 @@
 
 pub mod circuit;
 pub mod frame;
+pub mod frame_block;
 pub mod noise;
 pub mod pauli;
 pub mod statevector;
@@ -43,6 +44,7 @@ pub use circuit::{Circuit, Gate};
 pub use frame::{
     block_seed, BlockRngs, FramePlanes, FrameSimulator, FrameWord, LaneWidth, SHOTS_PER_WORD, W512,
 };
+pub use frame_block::{FrameBlock, StabilizerSim};
 pub use noise::{NoiseChannel, PauliChannel};
 pub use pauli::{Pauli, PauliString};
 pub use statevector::{Complex, StateVector};

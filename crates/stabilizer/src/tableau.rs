@@ -72,7 +72,7 @@ pub struct Measurement {
 /// assert_eq!(t.measure(1, &mut rng).value, m0);
 /// assert_eq!(t.measure(2, &mut rng).value, m0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Tableau {
     n: usize,
     /// Words per half-column, `⌈n/64⌉`.
@@ -95,6 +95,29 @@ impl PartialEq for Tableau {
 }
 
 impl Eq for Tableau {}
+
+impl Clone for Tableau {
+    fn clone(&self) -> Tableau {
+        Tableau {
+            n: self.n,
+            words: self.words,
+            x: self.x.clone(),
+            z: self.z.clone(),
+            r: self.r.clone(),
+            scratch: self.scratch.clone(),
+        }
+    }
+
+    /// Copies `source` into the buffers this tableau already owns.
+    fn clone_from(&mut self, source: &Tableau) {
+        self.n = source.n;
+        self.words = source.words;
+        self.x.clone_from(&source.x);
+        self.z.clone_from(&source.z);
+        self.r.clone_from(&source.r);
+        self.scratch.clone_from(&source.scratch);
+    }
+}
 
 /// Column `q` of a flattened matrix of `len`-word columns.
 #[inline]
@@ -121,7 +144,7 @@ fn column_pair(m: &mut [u64], len: usize, a: usize, b: usize) -> (&[u64], &mut [
 
 /// ORs `src` into `dst` moved up by `shift` bits. Every set bit of `src`
 /// must land inside `dst`.
-fn or_shifted(dst: &mut [u64], src: &[u64], shift: usize) {
+pub(crate) fn or_shifted(dst: &mut [u64], src: &[u64], shift: usize) {
     let (word, bit) = (shift / WORD_BITS, shift % WORD_BITS);
     for (k, &v) in src.iter().enumerate().filter(|&(_, &v)| v != 0) {
         dst[word + k] |= v << bit;
@@ -462,6 +485,35 @@ impl Tableau {
         m
     }
 
+    /// [`Tableau::measure`] with a random outcome forced to `false`
+    /// instead of drawn. When the outcome was random, the stabilizer the
+    /// collapse pivoted on — it anticommutes with `Z_q` and stabilized the
+    /// state measured — is appended to `pivot` without its sign:
+    /// `⌈n/64⌉` words of X bits, then as many of Z bits, one bit per
+    /// qubit.
+    pub(crate) fn measure_forced(&mut self, q: usize, pivot: &mut Vec<u64>) -> Measurement {
+        self.check_qubit(q);
+        let Some((word, bit)) = self.pivot(q) else {
+            return Measurement {
+                value: self.deterministic_outcome(q),
+                deterministic: true,
+            };
+        };
+        let (len, shift) = (self.col_words(), bit.trailing_zeros());
+        for m in [&self.x, &self.z] {
+            // One word of the pivot from each run of 64 columns.
+            pivot.extend(m.chunks(WORD_BITS * len).map(|columns| {
+                let bits = columns.chunks_exact(len).enumerate();
+                bits.fold(0, |acc, (j, column)| acc | (column[word] >> shift & 1) << j)
+            }));
+        }
+        self.collapse(q, word, bit, false);
+        Measurement {
+            value: false,
+            deterministic: false,
+        }
+    }
+
     /// Resets qubit `q` to `|0⟩` (measure, then flip if needed).
     ///
     /// # Panics
@@ -582,16 +634,24 @@ impl Tableau {
 
     /// Outcome of measuring `q` when no stabilizer anticommutes with
     /// `Z_q`: the sign of the product, in index order, of the stabilizers
-    /// `i` whose destabilizer has an X bit at `q`.
+    /// `i` whose destabilizer has an X bit at `q`. The whole product is
+    /// `±Z_q`, which has no Y, so its sign is bit 1 of the exponent.
+    fn deterministic_outcome(&self, q: usize) -> bool {
+        let selected = &column(&self.x, self.col_words(), q)[..self.words];
+        self.product_exponent(selected) & 2 != 0
+    }
+
+    /// Phase exponent of the product, in index order, of the stabilizers
+    /// whose bit is set in `selected` (`⌈n/64⌉` words).
     ///
     /// Writing a Pauli as `i^{xz} X^x Z^z`, the ordered product of one
     /// column's selected Paulis is `i^e X^{x_⊕} Z^{z_⊕}` with
-    /// `e = #Y + 2·#{i < j : z_i x_j} (mod 4)`. The whole product is
-    /// `±Z_q`, so `x_⊕ = 0` in every column, the factor after `i^e` is
-    /// already canonical, and the exponents of all columns add to 0 or 2.
-    fn deterministic_outcome(&self, q: usize) -> bool {
+    /// `e = #Y + 2·#{i < j : z_i x_j} (mod 4)`. The exponents of all
+    /// columns and twice the number of negative signs add up to the value
+    /// returned; the product is Hermitian, so once the result's own Ys
+    /// are taken off what is left is 0 or 2 mod 4.
+    fn product_exponent(&self, selected: &[u64]) -> u32 {
         let (words, len) = (self.words, self.col_words());
-        let selected = &column(&self.x, len, q)[..words];
         // Only the words holding selected stabilizers are read: those of
         // one tile of a substrate holding several sit next to each other.
         let first = selected.iter().position(|&v| v != 0).unwrap_or(0);
@@ -632,7 +692,70 @@ impl Tableau {
                 before ^= broadcast(prefix >> 63);
             }
         }
-        exponent & 2 != 0
+        exponent
+    }
+
+    /// Returns `true` when `other` holds the same state, whichever
+    /// generators either tableau describes it with: every stabilizer
+    /// generator of `self`, sign included, is in the group `other`'s
+    /// stabilizers generate (both groups have `2^n` elements, so that is
+    /// equality). [`PartialEq`] compares generator by generator and is
+    /// the stricter test.
+    ///
+    /// All `2n` commutation tests of one generator against `other` are
+    /// one XOR of `other`'s columns — its Z column where the generator
+    /// has an X, its X column where it has a Z. The stabilizer half must
+    /// come out zero (the generator commutes with the whole group, so it
+    /// or its negative is in it); the destabilizer half selects the
+    /// stabilizers of `other` whose product that is, and the sign of the
+    /// product is read as a deterministic measurement's is.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use quest_stabilizer::Tableau;
+    ///
+    /// // One Bell pair, written with different generators.
+    /// let mut a = Tableau::new(2);
+    /// a.h(0);
+    /// a.cnot(0, 1);
+    /// let mut b = Tableau::new(2);
+    /// b.h(1);
+    /// b.cnot(1, 0);
+    /// assert!(a != b && a.same_state(&b));
+    /// b.z(0);
+    /// assert!(!a.same_state(&b));
+    /// ```
+    pub fn same_state(&self, other: &Tableau) -> bool {
+        if self.n != other.n {
+            return false;
+        }
+        if self == other {
+            return true;
+        }
+        let (words, len) = (self.words, self.col_words());
+        let mut anticommuting = vec![0u64; len];
+        (0..self.n).all(|i| {
+            let (k, shift) = (words + i / WORD_BITS, i % WORD_BITS);
+            anticommuting.fill(0);
+            let mut ys = 0;
+            for q in 0..self.n {
+                let has_x = self.x[q * len + k] >> shift & 1 == 1;
+                let has_z = self.z[q * len + k] >> shift & 1 == 1;
+                for (has, m) in [(has_x, &other.z), (has_z, &other.x)] {
+                    if has {
+                        for (acc, &v) in anticommuting.iter_mut().zip(column(m, len, q)) {
+                            *acc ^= v;
+                        }
+                    }
+                }
+                ys += u32::from(has_x && has_z);
+            }
+            let (destabilizers, stabilizers) = anticommuting.split_at(words);
+            let negative = (self.r[k] >> shift & 1) as u32;
+            stabilizers.iter().all(|&v| v == 0)
+                && other.product_exponent(destabilizers).wrapping_sub(ys) & 3 == 2 * negative
+        })
     }
 
     /// Returns stabilizer `i` (for `i < n`) as a signed Pauli string.
@@ -704,6 +827,12 @@ impl Tableau {
         p
     }
 
+    /// Address and capacity of each buffer the tableau owns.
+    #[cfg(test)]
+    pub(crate) fn buffers(&self) -> [(*const u64, usize); 4] {
+        [&self.x, &self.z, &self.r, &self.scratch].map(|v| (v.as_ptr(), v.capacity()))
+    }
+
     /// Checks internal invariants: stabilizers commute pairwise, destabilizer
     /// `i` anticommutes with stabilizer `i` only. Used by tests.
     #[doc(hidden)]
@@ -733,8 +862,9 @@ impl Tableau {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::frame_block::StabilizerSim;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -983,7 +1113,7 @@ mod tests {
     /// surface code: 25 data qubits on a 5×5 grid and one ancilla per
     /// 2×2 plaquette, X and Z checks alternating. (`SyndromeCircuit`
     /// lives downstream of this crate.)
-    fn d5_bulk_round(t: &mut Tableau, rng: &mut StdRng) {
+    pub(crate) fn d5_bulk_round<S: StabilizerSim>(t: &mut S, rng: &mut StdRng) {
         for row in 0..4 {
             for col in 0..4 {
                 let ancilla = 25 + 4 * row + col;
@@ -1008,8 +1138,7 @@ mod tests {
 
     #[test]
     fn buffers_never_grow_after_the_first_cycle() {
-        let buffers =
-            |t: &Tableau| [&t.x, &t.z, &t.r, &t.scratch].map(|v| (v.as_ptr(), v.capacity()));
+        let buffers = Tableau::buffers;
         let mut rng = rng();
         let mut t = Tableau::new(41);
         d5_bulk_round(&mut t, &mut rng);

@@ -1,0 +1,564 @@
+//! Differential test of [`FrameBlock`] against a bare [`Tableau`].
+//!
+//! Both are fed the same operations and the same seeded RNG. After every
+//! operation they must agree on the measurement it returned (value and
+//! `deterministic` flag), on how many words were drawn from the RNG, and
+//! on the state itself ([`FrameBlock::to_tableau`] against the tableau,
+//! by [`Tableau::same_state`]).
+//!
+//! The streams are built so that tapes lock and then break: a few
+//! *cycles* (runs of parity checks, each opened by a
+//! `cycle_boundary`) are repeated round after round with Paulis thrown
+//! in between, and now and then a round deviates from its cycle — an
+//! operation inserted, replaced or cut — before, on or after a random
+//! measurement. Registers are also driven apart and appended. The sizes
+//! straddle the word boundary as `tableau_differential.rs` does.
+//!
+//! [`Tableau::same_state`], which all of this leans on, is checked
+//! against its definition first.
+
+use proptest::prelude::*;
+use quest_stabilizer::{FrameBlock, Measurement, Pauli, StabilizerSim, Tableau};
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
+
+/// Counts the words drawn from the generator it wraps.
+struct CountingRng {
+    inner: StdRng,
+    draws: u64,
+}
+
+impl CountingRng {
+    fn new(seed: u64) -> CountingRng {
+        CountingRng {
+            inner: StdRng::seed_from_u64(seed),
+            draws: 0,
+        }
+    }
+}
+
+impl RngCore for CountingRng {
+    fn next_u32(&mut self) -> u32 {
+        self.draws += 1;
+        self.inner.next_u32()
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        self.inner.next_u64()
+    }
+}
+
+/// One drawn operation: a kind and two raw operands, reduced modulo the
+/// qubit count on replay so one strategy serves every size.
+type Op = (u8, usize, usize);
+
+const H: u8 = 0;
+const CNOT: u8 = 7;
+const RESET: u8 = 8;
+const RESET_PLUS: u8 = 9;
+const MEASURE: u8 = 10;
+const MEASURE_X: u8 = 11;
+const BOUNDARY: u8 = 12;
+const KINDS: u8 = 13;
+
+/// Kinds 3..=6 are Paulis: they reach no tape.
+fn reaches_the_reference(kind: u8) -> bool {
+    !(3..=6).contains(&kind) && kind != BOUNDARY
+}
+
+fn apply<S: StabilizerSim>(
+    sim: &mut S,
+    (kind, a, b): Op,
+    rng: &mut CountingRng,
+) -> Option<Measurement> {
+    let n = sim.num_qubits();
+    let q = a % n;
+    match kind {
+        H => sim.h(q),
+        1 => sim.s(q),
+        2 => sim.s_dagger(q),
+        3 => sim.x(q),
+        4 => sim.y(q),
+        5 => sim.z(q),
+        6 => sim.pauli(q, Pauli::ALL[b % 4]),
+        CNOT if n > 1 => {
+            let t = match b % n {
+                t if t == q => (q + 1) % n,
+                t => t,
+            };
+            sim.cnot(q, t);
+        }
+        RESET => sim.reset(q, rng),
+        RESET_PLUS => sim.reset_plus(q, rng),
+        MEASURE => return Some(sim.measure(q, rng)),
+        MEASURE_X => return Some(sim.measure_x(q, rng)),
+        BOUNDARY => sim.cycle_boundary(b % 3),
+        _ => {}
+    }
+    None
+}
+
+fn raw() -> std::ops::Range<usize> {
+    0..1 << 16
+}
+
+fn any_op() -> impl Strategy<Value = Op> {
+    (0..KINDS, raw(), raw())
+}
+
+/// One parity check: an ancilla prepared, coupled to a few qubits and
+/// measured, in the Z or the X basis. A cycle made of these returns to
+/// the state it started from after a round or two, which is what lets
+/// its tape lock.
+fn check() -> impl Strategy<Value = Vec<Op>> {
+    (any::<bool>(), raw(), prop::collection::vec(raw(), 1..5)).prop_map(
+        |(x_type, ancilla, data)| {
+            let mut ops = vec![(if x_type { RESET_PLUS } else { RESET }, ancilla, 0)];
+            for d in data {
+                ops.push(if x_type {
+                    (CNOT, ancilla, d)
+                } else {
+                    (CNOT, d, ancilla)
+                });
+            }
+            ops.push((if x_type { MEASURE_X } else { MEASURE }, ancilla, 0));
+            ops
+        },
+    )
+}
+
+/// A cycle: some checks, and sometimes a stray operation among them
+/// (which may keep the cycle from ever repeating — also a case).
+fn cycle() -> impl Strategy<Value = Vec<Op>> {
+    (
+        prop::collection::vec(check(), 1..5),
+        prop::collection::vec((any_op(), raw()), 0..2),
+    )
+        .prop_map(|(checks, strays)| {
+            let mut ops: Vec<Op> = checks.into_iter().flatten().collect();
+            for (op, at) in strays {
+                if op.0 != BOUNDARY {
+                    ops.insert(at % (ops.len() + 1), op);
+                }
+            }
+            ops
+        })
+}
+
+/// How a round departs from its cycle.
+#[derive(Debug, Clone, Copy)]
+enum Deviation {
+    None,
+    /// `op` goes in before position `at`.
+    Insert(usize, Op),
+    /// `op` takes the place of position `at`.
+    Replace(usize, Op),
+    /// The round stops before position `at`.
+    Cut(usize),
+}
+
+/// One round: which cycle, the Paulis to throw in (position, operation)
+/// and the deviation.
+type Round = (usize, Vec<(usize, Op)>, Deviation);
+
+/// Rounds come in runs of one cycle, so that its tape has the time to
+/// lock; most rounds follow their cycle.
+fn run_of_rounds() -> impl Strategy<Value = Vec<Round>> {
+    let pauli = (raw(), (3u8..7, raw(), raw()));
+    let deviation = prop_oneof![
+        (0u8..6).prop_map(|_| Deviation::None),
+        (raw(), any_op()).prop_map(|(at, op)| Deviation::Insert(at, op)),
+        (raw(), any_op()).prop_map(|(at, op)| Deviation::Replace(at, op)),
+        raw().prop_map(Deviation::Cut),
+    ];
+    let pick = prop_oneof![
+        Just(Deviation::None),
+        Just(Deviation::None),
+        Just(Deviation::None),
+        deviation
+    ];
+    (
+        0usize..3,
+        prop::collection::vec((prop::collection::vec(pauli, 0..4), pick), 1..9),
+    )
+        .prop_map(|(which, rounds)| {
+            rounds
+                .into_iter()
+                .map(|(paulis, deviation)| (which, paulis, deviation))
+                .collect()
+        })
+}
+
+#[derive(Debug, Clone)]
+struct Plan {
+    prelude: Vec<Op>,
+    cycles: Vec<Vec<Op>>,
+    rounds: Vec<Round>,
+    /// Whether each cycle keeps to its own third of the register, so
+    /// that the three of them have a common fixed point and their tapes
+    /// can all be locked at once, as those of joined tiles are.
+    disjoint: bool,
+    /// Where to split the register into two that are driven apart and
+    /// then appended; a multiple of the size means no split.
+    split: usize,
+    seed: u64,
+}
+
+fn plan() -> impl Strategy<Value = Plan> {
+    (
+        prop::collection::vec(any_op(), 0..12),
+        prop::collection::vec(cycle(), 3..4),
+        prop::collection::vec(run_of_rounds(), 8..20),
+        any::<bool>(),
+        raw(),
+        0u64..1 << 32,
+    )
+        .prop_map(|(prelude, cycles, runs, disjoint, split, seed)| Plan {
+            prelude,
+            cycles,
+            rounds: runs.into_iter().flatten().collect(),
+            disjoint,
+            split,
+            seed,
+        })
+}
+
+/// What a case exercised, for the coverage floor at the end.
+#[derive(Debug, Default, Clone, Copy)]
+struct Coverage {
+    replayed: u64,
+    /// Deviations from a tape that was being replayed, by where they fell
+    /// relative to the round's random measurements.
+    before_random: u64,
+    on_random: u64,
+    after_random: u64,
+}
+
+impl Coverage {
+    fn add(&mut self, other: Coverage) {
+        self.replayed += other.replayed;
+        self.before_random += other.before_random;
+        self.on_random += other.on_random;
+        self.after_random += other.after_random;
+    }
+}
+
+/// The block and the tableau side by side, fed the same seed.
+struct Pair {
+    block: FrameBlock,
+    bare: Tableau,
+    block_rng: CountingRng,
+    bare_rng: CountingRng,
+    step: usize,
+    /// Per cycle: which positions measured randomly the last time the
+    /// cycle ran whole, and whether that round was served from its tape.
+    last_random: [Vec<bool>; 3],
+    hot: [bool; 3],
+    coverage: Coverage,
+}
+
+impl Pair {
+    fn new(n: usize, seed: u64) -> Pair {
+        Pair {
+            block: FrameBlock::new(n),
+            bare: Tableau::new(n),
+            block_rng: CountingRng::new(seed),
+            bare_rng: CountingRng::new(seed),
+            step: 0,
+            last_random: Default::default(),
+            hot: [false; 3],
+            coverage: Coverage::default(),
+        }
+    }
+
+    /// One operation on both, everything compared. Returns whether it
+    /// measured randomly.
+    fn apply(&mut self, op: Op) -> Result<bool, TestCaseError> {
+        self.step += 1;
+        let got = apply(&mut self.block, op, &mut self.block_rng);
+        let want = apply(&mut self.bare, op, &mut self.bare_rng);
+        prop_assert_eq!(got, want, "step {}: {:?}", self.step, op);
+        prop_assert_eq!(
+            self.block_rng.draws,
+            self.bare_rng.draws,
+            "step {}: RNG draws after {:?}",
+            self.step,
+            op
+        );
+        prop_assert!(
+            self.block.to_tableau().same_state(&self.bare),
+            "step {}: states differ after {:?}",
+            self.step,
+            op
+        );
+        // A reset is random when its measurement was; the bare tableau
+        // tells by having drawn.
+        Ok(want.is_some_and(|m| !m.deterministic))
+    }
+
+    fn round(&mut self, plan: &Plan, (which, paulis, deviation): &Round) -> TestCaseResult {
+        let n = self.bare.num_qubits();
+        // A third of the register, or all of it.
+        let (lo, width) = match plan.disjoint && n >= 3 {
+            true => (which * (n / 3), n / 3),
+            false => (0, n),
+        };
+        let cycle: Vec<Op> = plan.cycles[*which]
+            .iter()
+            .map(|&(kind, a, b)| (kind, lo + a % width, lo + b % width))
+            .collect();
+        let mut ops: Vec<Op> = cycle.clone();
+        let at = |raw: usize| raw % (cycle.len() + 1);
+        // Where the round stops following its cycle, if it does.
+        let deviates_at = match *deviation {
+            Deviation::None => None,
+            Deviation::Insert(raw, op) => {
+                ops.insert(at(raw), op);
+                reaches_the_reference(op.0).then_some(at(raw))
+            }
+            Deviation::Replace(raw, op) => {
+                let at = raw % cycle.len();
+                ops[at] = op;
+                (op != cycle[at]).then_some(at)
+            }
+            Deviation::Cut(raw) => {
+                ops.truncate(at(raw));
+                (at(raw) < cycle.len()).then_some(at(raw))
+            }
+        };
+        if let (Some(at), true) = (deviates_at, self.hot[*which]) {
+            let random = &self.last_random[*which];
+            let replaced = matches!(deviation, Deviation::Replace(..));
+            if replaced && random.get(at) == Some(&true) {
+                self.coverage.on_random += 1;
+            } else if random[..at.min(random.len())].contains(&true) {
+                self.coverage.after_random += 1;
+            } else {
+                self.coverage.before_random += 1;
+            }
+        }
+
+        let served = self.block.replayed_cycles(*which);
+        self.apply((BOUNDARY, 0, *which))?;
+        let mut random = Vec::new();
+        for (i, &op) in ops.iter().enumerate() {
+            for &(_, pauli) in paulis.iter().filter(|(at, _)| at % ops.len() == i) {
+                self.apply(pauli)?;
+            }
+            let before = self.bare_rng.draws;
+            self.apply(op)?;
+            random.push(self.bare_rng.draws != before);
+        }
+        if deviates_at.is_some() {
+            // A deviation unlocks every tape of the block.
+            self.hot = [false; 3];
+        } else {
+            self.hot[*which] = self.block.replayed_cycles(*which) > served;
+            self.last_random[*which] = random;
+        }
+        Ok(())
+    }
+
+    fn drive(&mut self, plan: &Plan, rounds: &[Round]) -> TestCaseResult {
+        for &op in &plan.prelude {
+            self.apply(op)?;
+        }
+        for round in rounds {
+            self.round(plan, round)?;
+        }
+        Ok(())
+    }
+
+    /// `self ⊗ other`; both sides go on drawing from `self`'s generators.
+    fn join(mut self, other: Pair) -> Result<Pair, TestCaseError> {
+        self.block.append(&other.block);
+        self.bare.append(&other.bare);
+        self.hot = [false; 3];
+        self.coverage.add(other.coverage);
+        self.coverage.replayed += (0..3).map(|k| other.block.replayed_cycles(k)).sum::<u64>();
+        prop_assert!(
+            self.block.to_tableau().same_state(&self.bare),
+            "after append"
+        );
+        Ok(self)
+    }
+
+    /// Measures every qubit, compares the generators' next word, and
+    /// hands back what the case covered.
+    fn finish(mut self) -> Result<Coverage, TestCaseError> {
+        for q in 0..self.bare.num_qubits() {
+            self.apply((MEASURE, q, 0))?;
+        }
+        prop_assert_eq!(self.block_rng.next_u64(), self.bare_rng.next_u64());
+        // Keys of an appended block were moved up by the width of the
+        // block it was appended to; these are the ones still in place.
+        self.coverage.replayed += (0..3).map(|k| self.block.replayed_cycles(k)).sum::<u64>();
+        Ok(self.coverage)
+    }
+}
+
+fn run(n: usize, plan: &Plan) -> Result<Coverage, TestCaseError> {
+    let (apart, together) = plan.rounds.split_at(2 * plan.rounds.len() / 3);
+    let mut pair = match plan.split % n {
+        0 => {
+            let mut pair = Pair::new(n, plan.seed);
+            pair.drive(plan, apart)?;
+            pair
+        }
+        first => {
+            let (a, b) = apart.split_at(apart.len() / 2);
+            let mut left = Pair::new(first, plan.seed);
+            left.drive(plan, a)?;
+            let mut right = Pair::new(n - first, plan.seed ^ 1);
+            right.drive(plan, b)?;
+            left.join(right)?
+        }
+    };
+    for round in together {
+        pair.round(plan, round)?;
+    }
+    pair.finish()
+}
+
+#[test]
+fn matches_a_bare_tableau_op_for_op() {
+    let mut covered = Coverage::default();
+    proptest::run_property(
+        "matches_a_bare_tableau_op_for_op",
+        &ProptestConfig::with_cases(24),
+        |rng| {
+            let plan = plan().sample(rng);
+            for n in [1usize, 17, 63, 64, 65, 98] {
+                match run(n, &plan) {
+                    Ok(coverage) => covered.add(coverage),
+                    Err(e) => return Err((e, format!("n = {n}, plan = {plan:?}"))),
+                }
+            }
+            Ok(())
+        },
+    );
+    // The comparison means little unless tapes locked, and broke in all
+    // three places.
+    assert!(covered.replayed > 1000, "{covered:?}");
+    assert!(covered.before_random > 50, "{covered:?}");
+    assert!(covered.on_random > 8, "{covered:?}");
+    assert!(covered.after_random > 50, "{covered:?}");
+}
+
+/// [`Tableau::same_state`] by its definition: every stabilizer generator
+/// of one stabilizes the other.
+fn same_state_by_definition(a: &Tableau, b: &Tableau) -> bool {
+    a.num_qubits() == b.num_qubits()
+        && (0..a.num_qubits()).all(|i| b.is_stabilized_by(&a.stabilizer(i)))
+}
+
+fn scramble(t: &mut Tableau, ops: &[Op], rng: &mut CountingRng) {
+    for &op in ops {
+        apply(t, op, rng);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn same_state_matches_the_definition(
+        ops in prop::collection::vec(any_op(), 0..120),
+        tail in prop::collection::vec(any_op(), 0..6),
+        n in prop_oneof![Just(1usize), Just(5), Just(17), Just(63), Just(64), Just(65), Just(98)],
+        seed in 0u64..1 << 32,
+    ) {
+        let mut a = Tableau::new(n);
+        scramble(&mut a, &ops, &mut CountingRng::new(seed));
+        prop_assert!(a.same_state(&a.clone()));
+
+        // A short tail on a copy: usually another state, sometimes not.
+        let mut b = a.clone();
+        scramble(&mut b, &tail, &mut CountingRng::new(seed ^ 1));
+        prop_assert_eq!(a.same_state(&b), same_state_by_definition(&a, &b));
+        prop_assert_eq!(b.same_state(&a), same_state_by_definition(&b, &a));
+
+        // The same state reached again through measurements that are all
+        // deterministic by then but rewrite nothing, after the generators
+        // were mixed by measuring in another basis and back.
+        let mut c = a.clone();
+        let mut rng = CountingRng::new(seed ^ 2);
+        let q = seed as usize % n;
+        let first = c.measure(q, &mut rng).value;
+        let d = c.clone();
+        c.measure_x(q, &mut rng);
+        let again = c.measure(q, &mut rng).value;
+        if again != first {
+            c.x(q);
+        }
+        prop_assert!(c.same_state(&d));
+        prop_assert!(same_state_by_definition(&c, &d));
+
+        // One sign apart.
+        let mut e = d.clone();
+        e.x(q);
+        prop_assert!(!e.same_state(&d));
+        prop_assert!(!same_state_by_definition(&e, &d));
+    }
+}
+
+#[test]
+fn same_state_sees_through_generators_but_not_signs() {
+    // One GHZ state, built from either end: different generators.
+    let mut a = Tableau::new(3);
+    a.h(0);
+    a.cnot(0, 1);
+    a.cnot(1, 2);
+    let mut b = Tableau::new(3);
+    b.h(2);
+    b.cnot(2, 1);
+    b.cnot(1, 0);
+    assert_ne!(a, b);
+    assert!(a.same_state(&b) && b.same_state(&a));
+    // XXX → −XXX.
+    b.z(1);
+    assert!(!a.same_state(&b) && !b.same_state(&a));
+    assert!(!a.same_state(&Tableau::new(4)));
+}
+
+#[test]
+fn a_repeating_cycle_locks_and_a_stray_operation_unlocks_it() {
+    fn parity_round<S: StabilizerSim>(s: &mut S, rng: &mut StdRng) -> [bool; 2] {
+        s.cycle_boundary(7);
+        s.reset(2, rng);
+        s.cnot(0, 2);
+        s.cnot(1, 2);
+        let zz = s.measure(2, rng).value;
+        s.reset_plus(2, rng);
+        s.cnot(2, 0);
+        s.cnot(2, 1);
+        [zz, s.measure_x(2, rng).value]
+    }
+    let (mut block, mut bare) = (FrameBlock::new(3), Tableau::new(3));
+    let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+    for cycle in 0..12 {
+        if cycle == 6 {
+            // Not on the tape: the block falls back to its reference and
+            // locks again a few rounds later.
+            block.h(0);
+            bare.h(0);
+        }
+        block.pauli(cycle % 2, Pauli::ALL[cycle % 4]);
+        bare.pauli(cycle % 2, Pauli::ALL[cycle % 4]);
+        assert_eq!(
+            parity_round(&mut block, &mut rng_a),
+            parity_round(&mut bare, &mut rng_b),
+            "cycle {cycle}"
+        );
+        let replayed = block.replayed_cycles(7);
+        match cycle {
+            0..=2 => assert_eq!(replayed, 0, "cycle {cycle}"),
+            5 => assert_eq!(replayed, 3),
+            6..=8 => assert_eq!(replayed, 3, "cycle {cycle}"),
+            11 => assert!(replayed >= 5),
+            _ => {}
+        }
+    }
+    assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+    assert_eq!(block.replayed_cycles(0), 0, "no such key");
+}
