@@ -9,22 +9,28 @@
 //! * **Shard workers** — each owning a contiguous group of tiles, their
 //!   MCEs, the substrate under them (one tableau per entangled group of
 //!   tiles), and one RNG stream per tile derived from the master seed.
-//!   The shards of a multi-shard run get a thread each; the only shard
-//!   of a one-shard run has nothing to overlap with and is driven on
-//!   the master's thread.
-//! * **Master thread** — the caller's thread; dispatches workload
-//!   operations downstream and collects syndromes upstream as messages
-//!   that are [`Packet`](quest_core::network::Packet)-shaped, so bus and
-//!   packet accounting fall out of real message flow. They cross
-//!   bounded MPSC channels to a shard thread and a plain queue to an
-//!   inline shard.
-//! * **Global-decode pool** — a shared worker pool resolving each
-//!   cycle's escalations as one batch through
-//!   [`quest_surface::decoder::batch`].
-//! * **Cycle barriers** — every QECC cycle is a barrier round
-//!   (dispatch → shard compute → syndrome flush → batch decode →
-//!   correction delivery), so transversal cross-tile CNOTs always see
-//!   settled frames, exactly like the single-threaded loop.
+//!   Shard 0 is driven on the master's thread; every further shard gets
+//!   a thread.
+//! * **Master** — the caller's thread: driver, shard 0 and decode lane 0
+//!   in one, so it computes where it would otherwise wait. It dispatches
+//!   workload operations downstream and collects syndromes upstream as
+//!   messages that are [`Packet`](quest_core::network::Packet)-shaped,
+//!   so bus and packet accounting fall out of real message flow. They
+//!   cross bounded MPSC channels to a shard thread and a plain queue to
+//!   the inline shard.
+//! * **Global-decode pool** — resolves each cycle's escalations as one
+//!   batch through [`quest_surface::decoder::batch`], split over decode
+//!   lanes: lane 0 is the master itself, every further lane a thread.
+//! * **Granted cycles, not clocked ones** — for a `Cycles(n)` operation
+//!   the master grants each threaded shard the whole operation at once.
+//!   A shard runs its cycles back to back and waits only for the
+//!   corrections of its own escalations (§4.4: the master hears from a
+//!   tile only when a syndrome escalates); the master consumes what the
+//!   shards report cycle by cycle, shard by shard, in the one order a
+//!   per-cycle barrier would give (dispatch → shard compute → syndrome
+//!   flush → batch decode → correction delivery). With a
+//!   [`CheckpointSink`] attached the grant is one cycle, because a
+//!   checkpoint needs every shard stopped at the same barrier.
 //!
 //! Instruction delivery goes through the shared
 //! [`quest_core::DeliveryEngine`]: the master thread
@@ -112,8 +118,10 @@ use snapshot::ShardSnapshot;
 use stats::Stopwatch;
 use std::sync::Arc;
 
-/// The concurrent runtime. Construction is cheap; threads live only for
-/// the duration of [`Runtime::run`].
+/// The concurrent runtime. Construction is cheap: a `Runtime` holds only
+/// the number of decode lanes. Threads live only for the duration of
+/// [`Runtime::run`] — one per shard beyond shard 0 and one per decode
+/// lane beyond lane 0, both of which ride the caller's thread.
 #[derive(Debug, Clone)]
 pub struct Runtime {
     decode_workers: usize,
@@ -129,8 +137,8 @@ impl Default for Runtime {
 }
 
 impl Runtime {
-    /// A runtime with a decode pool sized to the machine (capped at 4 —
-    /// global decoding is a small fraction of cycle work).
+    /// A runtime with a decode pool sized to the machine (capped at 4
+    /// lanes — global decoding is a small fraction of cycle work).
     pub fn new() -> Runtime {
         let workers = std::thread::available_parallelism()
             .map(std::num::NonZero::get)
@@ -141,8 +149,12 @@ impl Runtime {
         }
     }
 
-    /// Overrides the decode-pool size, clamped to at least one worker
-    /// (results are identical for any size; only throughput changes).
+    /// Overrides the decode-pool size, clamped to at least one. Workers
+    /// are *lanes*: lane 0 is the thread that calls [`Runtime::run`]
+    /// (it decodes the first chunk of every batch where it assembled
+    /// it), each further lane a thread — one worker means no decode
+    /// thread. Results are identical for any size; only throughput
+    /// changes.
     pub fn with_decode_workers(mut self, workers: usize) -> Runtime {
         self.decode_workers = workers.max(1);
         self
@@ -176,7 +188,7 @@ impl Runtime {
     /// `run_controlled` is re-entrant: a `Runtime` holds only
     /// configuration, so one value (or clones of it) can run many
     /// workloads concurrently from different threads — each run spawns,
-    /// owns and joins its own shard workers and decode pool. The serving
+    /// owns and joins its own shard and decode threads. The serving
     /// layer (`quest-serve`) leans on exactly this to execute many
     /// tenants' jobs on one fixed worker pool.
     ///
@@ -252,22 +264,23 @@ impl Runtime {
     ) -> Result<RuntimeReport, RuntimeError> {
         spec.validate()?;
         let lattice = RotatedLattice::new(spec.distance);
-        // One template MCE yields the microcode cycle length for the
+        // The run's one template MCE: every tile of a fresh run is a
+        // clone of it, and its microcode cycle length prices the
         // software baseline's per-cycle bus accounting.
-        let cycle_len = Mce::new(&lattice, MCE_IBUF_BYTES).microcode().cycle_len();
+        let template = Mce::new(&lattice, MCE_IBUF_BYTES);
+        let cycle_len = template.microcode().cycle_len();
 
         std::thread::scope(|scope| {
-            // A run's only shard has nothing to overlap with, so it is
-            // driven on this thread; the shards of a multi-shard run get
-            // a thread and a bounded channel pair each.
-            let inline = spec.shards == 1;
+            // Shard 0 is driven on this thread, which would otherwise
+            // sleep while the shards compute; every further shard gets a
+            // thread and a bounded channel pair.
             let links: Vec<ShardLink> = (0..spec.shards)
                 .map(|s| {
                     let panic_after = spec
                         .faults
                         .shard_panic
                         .and_then(|p| (p.shard == s).then_some(p.after_cycles));
-                    ShardLink::new(scope, inline, |up| match resume {
+                    ShardLink::new(scope, s == 0, |up| match resume {
                         Some(snap) => ShardWorker::from_snapshot(
                             s,
                             spec.tile_range(s),
@@ -280,7 +293,7 @@ impl Runtime {
                         None => ShardWorker::new(
                             s,
                             spec.tile_range(s),
-                            &lattice,
+                            &template,
                             spec.error_rate,
                             spec.delivery,
                             spec.seed,
@@ -381,7 +394,7 @@ struct Master<'a, 'scope, 'env> {
     controller: MasterController,
     network: Network,
     pool: DecodePool<'scope, 'env>,
-    /// One link per shard, inline or threaded.
+    /// One link per shard: shard 0 inline, the others threaded.
     links: Vec<ShardLink>,
     shard_stats: Vec<ShardStats>,
     outcomes: Vec<(usize, bool)>,
@@ -463,14 +476,48 @@ impl Master<'_, '_, '_> {
         }
     }
 
+    /// Hands one envelope to a shard's worker, counting it.
+    fn send(&mut self, shard: usize, env: Envelope) -> Result<(), RuntimeError> {
+        self.shard_stats[shard].downstream_messages += 1;
+        self.links[shard]
+            .send(env)
+            .map_err(|_| self.shard_failed(shard))
+    }
+
     /// Sends one downstream envelope, minting interconnect packets for
     /// its wire bytes against the destination tile and rolling the fault
     /// layer for the transfer.
     fn send_down(&mut self, shard: usize, tile: usize, env: Envelope) -> Result<(), RuntimeError> {
         self.deliver(tile, env.wire_bytes, env.kind)?;
-        self.links[shard]
-            .send(env)
-            .map_err(|_| self.shard_failed(shard))
+        self.send(shard, env)
+    }
+
+    /// Grants the shards their cycles before the master consumes the next
+    /// cycle of a `Cycles` op with `left` to go (`first`: the first it
+    /// consumes of that op in this run) — the one place that decides how
+    /// far a shard runs on its own. A threaded shard gets the rest of the
+    /// op at once; the inline shard computes inside `send`, so it gets
+    /// one cycle per call, after the threaded ones have theirs; and with
+    /// a [`CheckpointSink`] attached every shard gets one cycle at a
+    /// time, because a checkpoint (by cadence, or forced from another
+    /// thread at any cycle) needs all shards stopped at the same barrier.
+    fn grant(&mut self, left: u64, first: bool) -> Result<(), RuntimeError> {
+        let lock_step = self.control.checkpoints().is_some();
+        for shard in (0..self.spec.shards).rev() {
+            let inline = matches!(self.links[shard], ShardLink::Inline { .. });
+            let cycles = if lock_step || inline {
+                1
+            } else if first {
+                left
+            } else {
+                continue;
+            };
+            self.send(
+                shard,
+                Envelope::control(PacketKind::Downstream, Payload::Cycles(cycles)),
+            )?;
+        }
+        Ok(())
     }
 
     /// The typed error for a cooperative cancellation observed at a
@@ -523,12 +570,13 @@ impl Master<'_, '_, '_> {
                         quest_core::master::SYNC_TOKEN_BYTES,
                         PacketKind::Downstream,
                     )?;
-                    self.links[shard]
-                        .send(Envelope::control(
+                    self.send(
+                        shard,
+                        Envelope::control(
                             PacketKind::Downstream,
                             Payload::Cnot { control, target },
-                        ))
-                        .map_err(|_| self.shard_failed(shard))?;
+                        ),
+                    )?;
                     self.phases.logical += start.elapsed();
                 }
                 WorkloadOp::Logical { tile, instr, class } => {
@@ -599,7 +647,7 @@ impl Master<'_, '_, '_> {
                         if self.control.cancelled() {
                             return Err(self.cancelled());
                         }
-                        self.run_cycle()?;
+                        self.run_cycle(n - k, k == done)?;
                         self.checkpoint(op_index, k + 1)?;
                         self.control.report(self.qecc_cycles, self.cycles_total);
                     }
@@ -612,8 +660,9 @@ impl Master<'_, '_, '_> {
                         tile,
                         Envelope::control(PacketKind::Downstream, Payload::MeasureZ { tile }),
                     )?;
-                    // The upstream channel is drained to its barrier
-                    // between cycles, so the next message is the outcome.
+                    // Every cycle the shard was granted has been consumed
+                    // to its `CycleDone`, so the next message is the
+                    // outcome.
                     let env = self.recv_up(shard)?;
                     match env.payload {
                         Payload::Outcome {
@@ -639,9 +688,10 @@ impl Master<'_, '_, '_> {
             }
         }
         for shard in 0..self.spec.shards {
-            self.links[shard]
-                .send(Envelope::control(PacketKind::Downstream, Payload::Shutdown))
-                .map_err(|_| self.shard_failed(shard))?;
+            self.send(
+                shard,
+                Envelope::control(PacketKind::Downstream, Payload::Shutdown),
+            )?;
         }
         // Collect each worker's sign-off: the local-decode counters only
         // the shard workers could observe.
@@ -705,6 +755,8 @@ impl Master<'_, '_, '_> {
             return Ok(());
         }
         for shard in 0..self.spec.shards {
+            // Sent directly (not `send`): observer traffic must not
+            // perturb the downstream-message statistics either.
             self.links[shard]
                 .send(Envelope::control(PacketKind::Downstream, Payload::Snapshot))
                 .map_err(|_| self.shard_failed(shard))?;
@@ -759,17 +811,16 @@ impl Master<'_, '_, '_> {
         Ok(())
     }
 
-    /// One barrier round: broadcast the cycle, collect every shard's
-    /// syndromes up to its barrier, decode the batch in the pool, push
+    /// One QECC cycle as the master sees it: top up the grants (see
+    /// [`Master::grant`] for `left` and `first`), consume every shard's
+    /// envelopes of this cycle up to its `CycleDone` — shard by shard, so
+    /// the ledgers, fault rolls and the decode batch see one fixed order
+    /// however far ahead the shards are — decode the batch, push the
     /// corrections back down.
-    fn run_cycle(&mut self) -> Result<(), RuntimeError> {
+    fn run_cycle(&mut self, left: u64, first: bool) -> Result<(), RuntimeError> {
         let start = Stopwatch::start();
         self.faults.begin_cycle(self.qecc_cycles);
-        for shard in 0..self.spec.shards {
-            self.links[shard]
-                .send(Envelope::control(PacketKind::Downstream, Payload::Cycle))
-                .map_err(|_| self.shard_failed(shard))?;
-        }
+        self.grant(left, first)?;
 
         let mut batch: Vec<(usize, StabKind, DecodeJob)> = Vec::new();
         for shard in 0..self.spec.shards {
@@ -1017,6 +1068,82 @@ mod tests {
             .with_progress(&callback);
         let err = Runtime::new().run_controlled(&spec, &control).unwrap_err();
         assert_eq!(err, RuntimeError::Cancelled { cycles_done: 5 });
+    }
+
+    /// A progress callback slow enough that a free-running shard gets
+    /// well ahead of the master (up to its channel bound).
+    fn dawdle(_: RunProgress) {
+        std::thread::sleep(std::time::Duration::from_micros(50));
+    }
+
+    #[test]
+    fn cancellation_joins_a_shard_that_ran_ahead() {
+        // d = 3 never escalates, so nothing but the channel bound holds
+        // shard 1 back; returning at all means its thread was joined.
+        let spec = WorkloadSpec::memory(3, 4, 2, 1e-3, 7, 5000);
+        let token = CancelToken::new();
+        let trip = token.clone();
+        let callback = move |p: RunProgress| {
+            dawdle(p);
+            if p.cycles_done == 5 {
+                trip.cancel();
+            }
+        };
+        let control = RunControl::new()
+            .with_cancel(&token)
+            .with_progress(&callback);
+        let err = Runtime::new().run_controlled(&spec, &control).unwrap_err();
+        assert_eq!(err, RuntimeError::Cancelled { cycles_done: 5 });
+    }
+
+    #[test]
+    fn a_panic_ahead_of_the_master_surfaces_at_its_own_cycle() {
+        let mut spec = WorkloadSpec::memory(3, 4, 2, 1e-3, 7, 5000);
+        spec.faults.shard_panic = Some(ShardPanicPlan {
+            shard: 1,
+            after_cycles: 7,
+        });
+        let seen = std::sync::atomic::AtomicU64::new(0);
+        let callback = |p: RunProgress| {
+            dawdle(p);
+            seen.store(p.cycles_done, std::sync::atomic::Ordering::Relaxed);
+        };
+        let control = RunControl::new().with_progress(&callback);
+        match Runtime::new().run_controlled(&spec, &control) {
+            Err(RuntimeError::ShardFailed { shard: 1, detail }) => {
+                assert!(detail.contains("injected"), "{detail}");
+            }
+            other => panic!("expected shard 1 to fail, got {other:?}"),
+        }
+        // The shard died during its eighth cycle, long before the master
+        // got there; the master still consumed the seven it completed.
+        assert_eq!(seen.into_inner(), 7);
+    }
+
+    #[test]
+    fn a_free_running_shard_is_sent_one_grant_per_cycle_op() {
+        let spec = WorkloadSpec::memory(5, 8, 2, 2e-2, 31, 600);
+        let free = Runtime::new().run(&spec).unwrap();
+        let sink = CheckpointSink::every(0);
+        let control = RunControl::new().with_checkpoints(&sink);
+        let lock_step = Runtime::new().run_controlled(&spec, &control).unwrap();
+        assert_eq!(free.report, lock_step.report);
+        // Preps, grants, one correction per escalation, readouts, the
+        // shutdown. The master drives shard 0 itself, a cycle per call;
+        // shard 1 runs on one grant unless a sink may want a checkpoint.
+        let sent = |report: &RuntimeReport, shard: usize, grants: u64| {
+            let s = &report.stats.shards[shard];
+            assert!(s.escalations > 0, "corrections must flow");
+            assert_eq!(
+                s.downstream_messages,
+                s.tiles as u64 + grants + s.escalations + s.tiles as u64 + 1,
+                "shard {shard}"
+            );
+        };
+        sent(&free, 0, 600);
+        sent(&free, 1, 1);
+        sent(&lock_step, 0, 600);
+        sent(&lock_step, 1, 600);
     }
 
     #[test]

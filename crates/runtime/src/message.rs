@@ -6,9 +6,14 @@
 //! The master mints real [`Network`](quest_core::network::Network)
 //! packets from envelopes as they flow, so packet and byte accounting
 //! fall out of actual message traffic instead of a side calculation.
-//! Control-plane envelopes (cycle barriers, readout outcomes) carry zero
-//! wire bytes — they model what the single-threaded loop does implicitly
-//! — keeping the bus ledger identical to the reference systems.
+//! Control-plane envelopes (cycle grants, cycle barriers, readout
+//! outcomes) carry zero wire bytes — they model what the single-threaded
+//! loop does implicitly — keeping the bus ledger identical to the
+//! reference systems.
+//!
+//! Inside a `Cycles` op the only downstream traffic is one grant
+//! ([`Payload::Cycles`]) and the [`Payload::Correction`]s the shard's
+//! own escalations asked for (§4.4 of the paper).
 
 use quest_core::decoder_pipeline::Escalation;
 use quest_core::master::SYNDROME_EVENT_BYTES;
@@ -28,8 +33,11 @@ pub(crate) const CORRECTION_FLIP_BYTES: u64 = 2;
 #[derive(Debug, Clone)]
 pub(crate) enum Payload {
     // Downstream (master → shard).
-    /// Run one noisy QECC cycle on every owned tile, then report.
-    Cycle,
+    /// A grant: run this many noisy QECC cycles on every owned tile back
+    /// to back, reporting each one upstream as it completes. The worker
+    /// starts the next cycle of a grant only once every escalation of
+    /// the last one has its `Correction` back; nothing else holds it.
+    Cycles(u64),
     /// Prepare a tile's logical qubit.
     Prep { tile: usize, basis: LogicalBasis },
     /// Transversal CNOT between two co-sharded tiles.
@@ -307,7 +315,7 @@ mod tests {
 
     #[test]
     fn control_envelopes_are_free() {
-        let env = Envelope::control(PacketKind::Downstream, Payload::Cycle);
+        let env = Envelope::control(PacketKind::Downstream, Payload::Cycles(1800));
         assert_eq!(env.wire_bytes, 0);
     }
 }

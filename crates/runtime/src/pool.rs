@@ -1,27 +1,33 @@
-//! Shared global-decode worker pool.
+//! Shared global-decode pool.
 //!
 //! Escalations from all shards converge at the master, which packages
-//! them into per-cycle batches and fans the batch out to this pool. Each
-//! worker owns an engine built from the spec's [`DecoderChoice`] and
-//! prebuilt single-round [`BatchGraphs`], decoding its chunk job by job
-//! — the same graphs and engine kind the single-threaded master uses, so
-//! pooled decoding changes throughput, never corrections. Per-chunk
-//! [`CostReport`]s ride back with the corrections and merge
-//! (order-invariantly) into one pool-level cost, which therefore matches
-//! the reference executor's bit for bit.
+//! them into per-cycle batches and splits each batch over this pool's
+//! *lanes*. A [`Lane`] is a value — prebuilt single-round
+//! [`BatchGraphs`], an engine built from the spec's [`DecoderChoice`],
+//! and the panic-contained chunk runner — decoding its chunk job by job
+//! with the same graphs and engine kind the single-threaded master uses,
+//! so pooled decoding changes throughput, never corrections. Lane 0
+//! belongs to the caller: the first chunk of every batch is decoded on
+//! the thread that assembled it, with no queue, lock or wake-up in the
+//! way. Every further lane is a thread pulling chunks from a shared
+//! queue, so a pool of one lane (what a typical batch of one or two jobs
+//! needs) spawns no thread at all. Per-chunk [`CostReport`]s ride back
+//! with the corrections and merge (order-invariantly) into one
+//! pool-level cost, which therefore matches the reference executor's bit
+//! for bit.
 //!
-//! The pool is supervised: a worker that panics mid-chunk (including the
-//! fault layer's injected kill) is caught by `catch_unwind` inside the
-//! worker thread, reports the undecoded chunk back, and the supervisor
-//! respawns a replacement and requeues the chunk — no correction is
-//! lost, no mutex is poisoned, and the run's output is bit-identical to
-//! a run without the death. When the respawn budget is exhausted the
-//! batch fails with a typed [`RuntimeError::DecodePoolFailed`] instead
-//! of hanging or aborting.
+//! The pool is supervised: a lane that panics mid-chunk (including the
+//! fault layer's injected kill) is caught by `catch_unwind` in the chunk
+//! runner and hands the undecoded chunk back; the supervisor replaces
+//! the lane — a respawned thread, or lane 0 rebuilt in place — and the
+//! chunk is decoded again: no correction is lost, no mutex is poisoned,
+//! and the run's output is bit-identical to a run without the death.
+//! When the respawn budget is exhausted the batch fails with a typed
+//! [`RuntimeError::DecodePoolFailed`] instead of hanging or aborting.
 
 use crate::error::RuntimeError;
 use quest_surface::decoder::batch::{BatchGraphs, DecodeJob};
-use quest_surface::decoder::{CostReport, DecoderChoice};
+use quest_surface::decoder::{CostReport, DecodeEngine, DecoderChoice};
 use quest_surface::{RotatedLattice, StabKind};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,9 +40,9 @@ struct Chunk {
     /// `(tile, kind)` per job, parallel to `jobs`.
     tags: Vec<(usize, StabKind)>,
     jobs: Vec<DecodeJob>,
-    /// Fault-injection flag: the worker that picks this chunk up
-    /// panics instead of decoding it (exercising the containment and
-    /// respawn path end to end).
+    /// Fault-injection flag: the lane that picks this chunk up panics
+    /// instead of decoding it (exercising the containment and respawn
+    /// path end to end).
     die: bool,
 }
 
@@ -49,19 +55,76 @@ struct ChunkResult {
     cost: CostReport,
 }
 
-/// What a worker thread reports upstream.
+/// What a lane reports of one chunk.
 enum WorkerMessage {
     /// A chunk decoded successfully.
     Done(ChunkResult),
-    /// The worker died (panicked) holding this still-undecoded chunk;
-    /// the supervisor must requeue it and replace the worker.
+    /// The lane died (panicked) holding this still-undecoded chunk; the
+    /// supervisor must decode it again and replace the lane.
     Died { chunk: Chunk },
+}
+
+/// One decode lane: graphs, engine and the chunk runner. The same value
+/// serves the pool's caller (lane 0) and each pool thread.
+struct Lane {
+    graphs: BatchGraphs,
+    engine: DecodeEngine,
+}
+
+impl Lane {
+    fn new(lattice: &RotatedLattice, choice: DecoderChoice) -> Lane {
+        Lane {
+            graphs: BatchGraphs::new(lattice),
+            engine: choice.backend(),
+        }
+    }
+
+    /// Decodes one chunk under panic containment. A lane that reports
+    /// [`WorkerMessage::Died`] must not be used again.
+    fn run(&mut self, mut chunk: Chunk) -> WorkerMessage {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if chunk.die {
+                // quest-lint: allow(QL01) -- deliberate fault injection: exercises the supervisor's requeue-and-respawn path
+                panic!("injected decode-worker death");
+            }
+            // Scope the cost accumulator to this chunk so the result
+            // carries exactly these jobs' cost (a dead chunk's partial
+            // cost is discarded with the lane, so the repeated decode is
+            // counted exactly once).
+            self.engine.reset_cost();
+            let flips: Vec<BTreeSet<usize>> = chunk
+                .jobs
+                .iter()
+                .map(|job| {
+                    self.engine
+                        .decode(self.graphs.graph(job.kind), &job.events)
+                        .data_flips
+                })
+                .collect();
+            (flips, self.engine.cost())
+        }));
+        match outcome {
+            Ok((flips, cost)) => WorkerMessage::Done(ChunkResult {
+                tags: std::mem::take(&mut chunk.tags),
+                flips,
+                cost,
+            }),
+            Err(_) => {
+                // Dying breath: hand the chunk back so the supervisor
+                // can have it decoded elsewhere.
+                chunk.die = false;
+                WorkerMessage::Died { chunk }
+            }
+        }
+    }
 }
 
 /// Aggregate pool statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Worker threads in the pool.
+    /// Decode lanes in the pool. Lane 0 is the thread that submits the
+    /// batches (it decodes each batch's first chunk itself); every
+    /// further lane is a thread, so one lane means no thread.
     pub workers: usize,
     /// Batches submitted (one per cycle with at least one escalation).
     pub batches: u64,
@@ -69,9 +132,10 @@ pub struct PoolStats {
     pub jobs: u64,
     /// Largest single batch.
     pub max_batch_jobs: u64,
-    /// Worker threads that died mid-chunk.
+    /// Lanes that died mid-chunk.
     pub deaths: u64,
-    /// Replacement workers the supervisor spawned.
+    /// Replacement lanes the supervisor brought up (a respawned thread,
+    /// or lane 0 rebuilt in place).
     pub respawns: u64,
 }
 
@@ -87,12 +151,15 @@ impl PoolStats {
 }
 
 /// Handle to the pool, owned by the master thread. The lifetimes tie the
-/// pool to the thread scope its workers run in, letting the supervisor
+/// pool to the thread scope its threads run in, letting the supervisor
 /// respawn replacements into the same scope mid-run.
 pub(crate) struct DecodePool<'scope, 'env> {
     scope: &'scope std::thread::Scope<'scope, 'env>,
     lattice: &'env RotatedLattice,
     choice: DecoderChoice,
+    /// The caller's own lane, built by the first batch (a run that never
+    /// escalates builds no graphs) and again after a kill.
+    lane0: Option<Lane>,
     chunk_tx: Sender<Chunk>,
     chunk_rx: Arc<Mutex<Receiver<Chunk>>>,
     result_tx: Sender<WorkerMessage>,
@@ -103,8 +170,9 @@ pub(crate) struct DecodePool<'scope, 'env> {
 }
 
 impl<'scope, 'env> DecodePool<'scope, 'env> {
-    /// Spawns `workers` decode threads inside `scope`, each owning one
-    /// backend built from `choice`.
+    /// A pool of `workers` lanes: lane 0 for the caller and
+    /// `workers - 1` decode threads inside `scope`, each owning one
+    /// engine built from `choice`.
     pub(crate) fn spawn(
         scope: &'scope std::thread::Scope<'scope, 'env>,
         lattice: &'env RotatedLattice,
@@ -118,18 +186,19 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
             scope,
             lattice,
             choice,
+            lane0: None,
             chunk_tx,
             chunk_rx: Arc::new(Mutex::new(chunk_rx)),
             result_tx,
             result_rx,
-            handles: Vec::with_capacity(workers),
+            handles: Vec::with_capacity(workers - 1),
             stats: PoolStats {
                 workers,
                 ..PoolStats::default()
             },
             cost: CostReport::default(),
         };
-        for _ in 0..workers {
+        for _ in 1..workers {
             pool.spawn_worker();
         }
         pool
@@ -142,8 +211,7 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
         let lattice = self.lattice;
         let choice = self.choice;
         self.handles.push(self.scope.spawn(move || {
-            let graphs = BatchGraphs::new(lattice);
-            let mut backend = choice.backend();
+            let mut lane = Lane::new(lattice, choice);
             loop {
                 // Holding the lock only for the recv keeps workers
                 // pulling chunks as they free up. A poisoned lock (a
@@ -155,50 +223,15 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                     rx.recv()
                 };
-                let mut chunk = match next {
-                    Ok(chunk) => chunk,
-                    Err(_) => return, // pool shut down: queue closed
+                let Ok(chunk) = next else {
+                    return; // pool shut down: queue closed
                 };
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    if chunk.die {
-                        // quest-lint: allow(QL01) -- deliberate fault injection: exercises the supervisor's requeue-and-respawn path
-                        panic!("injected decode-worker death");
-                    }
-                    // Scope the cost accumulator to this chunk so the
-                    // result carries exactly these jobs' cost (a dead
-                    // chunk's partial cost is discarded with the worker,
-                    // so the requeued decode is counted exactly once).
-                    backend.reset_cost();
-                    let flips: Vec<BTreeSet<usize>> = chunk
-                        .jobs
-                        .iter()
-                        .map(|job| {
-                            backend
-                                .decode(graphs.graph(job.kind), &job.events)
-                                .data_flips
-                        })
-                        .collect();
-                    (flips, backend.cost())
-                }));
-                match outcome {
-                    Ok((flips, cost)) => {
-                        let result = ChunkResult {
-                            tags: std::mem::take(&mut chunk.tags),
-                            flips,
-                            cost,
-                        };
-                        if result_tx.send(WorkerMessage::Done(result)).is_err() {
-                            return; // pool gone: nobody wants the result
-                        }
-                    }
-                    Err(_) => {
-                        // Dying breath: hand the chunk back so the
-                        // supervisor can requeue it, then exit without
-                        // unwinding (the scope must never see a panic).
-                        chunk.die = false;
-                        let _ = result_tx.send(WorkerMessage::Died { chunk });
-                        return;
-                    }
+                let message = lane.run(chunk);
+                // A dead lane exits without unwinding (the scope must
+                // never see a panic); so does one nobody listens to.
+                let died = matches!(message, WorkerMessage::Died { .. });
+                if result_tx.send(message).is_err() || died {
+                    return;
                 }
             }
         }));
@@ -208,14 +241,19 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
     /// `(tile, kind, data_flips)` per job, in arbitrary order (the
     /// caller orders them before anything order-sensitive).
     ///
-    /// With `kill_one` set, the worker picking up the batch's first
-    /// chunk dies instead of decoding it — the supervisor requeues the
-    /// chunk on a respawned worker, so the corrections are still exact.
+    /// The batch is split into one chunk per lane; the first is decoded
+    /// right here on lane 0 while the threads work through the rest.
+    ///
+    /// With `kill_one` set, the lane picking up the batch's last chunk
+    /// dies instead of decoding it — a pool thread when the batch has a
+    /// chunk for one, lane 0 otherwise. The supervisor replaces the lane
+    /// and the chunk is decoded again, so the corrections are still
+    /// exact.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::DecodePoolFailed`] when the queue is closed or
-    /// the respawn budget (one per original worker) is exhausted.
+    /// the respawn budget (one per original lane) is exhausted.
     pub(crate) fn decode(
         &mut self,
         batch: Vec<(usize, StabKind, DecodeJob)>,
@@ -228,8 +266,11 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
         self.stats.jobs += batch.len() as u64;
         self.stats.max_batch_jobs = self.stats.max_batch_jobs.max(batch.len() as u64);
 
+        let mut out = Vec::with_capacity(batch.len());
         let chunk_size = batch.len().div_ceil(self.stats.workers);
-        let mut chunks_sent = 0usize;
+        // Lane 0's chunk, and how many chunks the threads still owe.
+        let mut mine: Option<Chunk> = None;
+        let mut queued = 0usize;
         let mut iter = batch.into_iter().peekable();
         while iter.peek().is_some() {
             let mut tags = Vec::with_capacity(chunk_size);
@@ -238,26 +279,48 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
                 tags.push((tile, kind));
                 jobs.push(job);
             }
-            self.submit(Chunk {
+            let chunk = Chunk {
                 tags,
                 jobs,
-                die: kill_one && chunks_sent == 0,
-            })?;
-            chunks_sent += 1;
+                die: kill_one && iter.peek().is_none(),
+            };
+            if mine.is_none() {
+                mine = Some(chunk);
+            } else {
+                self.submit(chunk)?;
+                queued += 1;
+            }
         }
 
-        let mut out = Vec::new();
-        let mut chunks_done = 0usize;
-        while chunks_done < chunks_sent {
-            match self.result_rx.recv() {
-                Ok(WorkerMessage::Done(result)) => {
+        loop {
+            let (message, on_lane0) = if let Some(chunk) = mine.take() {
+                let (lattice, choice) = (self.lattice, self.choice);
+                let lane = self.lane0.get_or_insert_with(|| Lane::new(lattice, choice));
+                (lane.run(chunk), true)
+            } else if queued > 0 {
+                let message =
+                    self.result_rx
+                        .recv()
+                        .map_err(|_| RuntimeError::DecodePoolFailed {
+                            detail: "all decode workers disconnected mid-batch".into(),
+                        })?;
+                (message, false)
+            } else {
+                return Ok(out);
+            };
+            match message {
+                WorkerMessage::Done(result) => {
                     self.cost.merge(&result.cost);
-                    for ((tile, kind), flips) in result.tags.into_iter().zip(result.flips) {
-                        out.push((tile, kind, flips));
-                    }
-                    chunks_done += 1;
+                    out.extend(
+                        result
+                            .tags
+                            .into_iter()
+                            .zip(result.flips)
+                            .map(|((tile, kind), flips)| (tile, kind, flips)),
+                    );
+                    queued -= usize::from(!on_lane0);
                 }
-                Ok(WorkerMessage::Died { chunk }) => {
+                WorkerMessage::Died { chunk } => {
                     self.stats.deaths += 1;
                     if self.stats.respawns >= self.stats.workers as u64 {
                         return Err(RuntimeError::DecodePoolFailed {
@@ -268,17 +331,18 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
                         });
                     }
                     self.stats.respawns += 1;
-                    self.spawn_worker();
-                    self.submit(chunk)?;
-                }
-                Err(_) => {
-                    return Err(RuntimeError::DecodePoolFailed {
-                        detail: "all decode workers disconnected mid-batch".into(),
-                    });
+                    if on_lane0 {
+                        // The engine died mid-decode: the next turn of
+                        // the loop builds a fresh lane for the chunk.
+                        self.lane0 = None;
+                        mine = Some(chunk);
+                    } else {
+                        self.spawn_worker();
+                        self.submit(chunk)?;
+                    }
                 }
             }
         }
-        Ok(out)
     }
 
     fn submit(&self, chunk: Chunk) -> Result<(), RuntimeError> {
@@ -416,8 +480,12 @@ mod tests {
         let lattice = RotatedLattice::new(5);
         std::thread::scope(|scope| {
             let mut pool = DecodePool::spawn(scope, &lattice, DecoderChoice::default(), 2);
+            assert_eq!(pool.handles.len(), 1, "two lanes are one thread");
+            // The kill rides the batch's last chunk, which went to the
+            // thread: the replacement is spawned into the scope.
             let got = pool.decode(demo_batch(), true).unwrap();
             assert_exact(&lattice, got);
+            assert_eq!(pool.handles.len(), 2, "no replacement thread was spawned");
             let stats = pool.stats();
             assert_eq!(stats.deaths, 1);
             assert_eq!(stats.respawns, 1);
@@ -426,6 +494,26 @@ mod tests {
             assert_exact(&lattice, again);
             let stats = pool.shutdown();
             assert_eq!(stats.batches, 2);
+        });
+    }
+
+    #[test]
+    fn one_lane_spawns_no_thread_and_survives_a_kill() {
+        let lattice = RotatedLattice::new(5);
+        std::thread::scope(|scope| {
+            let mut pool = DecodePool::spawn(scope, &lattice, DecoderChoice::default(), 1);
+            let got = pool.decode(demo_batch(), false).unwrap();
+            assert_exact(&lattice, got);
+            // The only chunk is lane 0's, so the kill hits lane 0, which
+            // is rebuilt in place.
+            let got = pool.decode(demo_batch(), true).unwrap();
+            assert_exact(&lattice, got);
+            assert!(pool.handles.is_empty(), "one lane is the caller's thread");
+            let stats = pool.stats();
+            assert_eq!((stats.deaths, stats.respawns), (1, 1));
+            let again = pool.decode(demo_batch(), false).unwrap();
+            assert_exact(&lattice, again);
+            assert_eq!(pool.shutdown().batches, 3);
         });
     }
 

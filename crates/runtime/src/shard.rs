@@ -17,12 +17,22 @@
 //! cycle), so a shard's outcomes do not depend on which thread runs it.
 //!
 //! A worker answers [`Envelope`]s and nothing else, so where it runs is
-//! the [`ShardLink`]'s business: each shard of a multi-shard run gets a
-//! thread and a bounded channel pair; the only shard of a one-shard run
-//! has nothing to overlap with and is driven on the master's thread, a
-//! queue standing in for the channels — no second thread, no wake-up per
-//! cycle, and a short run's wall-clock stops depending on where the
-//! scheduler happened to put that thread.
+//! the [`ShardLink`]'s business: shard 0 is driven on the master's
+//! thread, a queue standing in for the channels — the master would
+//! otherwise sleep while its shards compute, so a one-shard run has no
+//! second thread at all and an n-shard run has n threads, not n + 1;
+//! every further shard gets a thread and a bounded channel pair.
+//!
+//! QECC cycles are *granted*, not clocked: a [`Payload::Cycles`] grant
+//! lets the worker run that many cycles back to back, each answered
+//! upstream with its `Syndrome…, CycleDone` envelopes. The worker counts
+//! the escalations a cycle sent and starts the next cycle only when that
+//! many [`Payload::Correction`]s have come back — the one wait the
+//! physics needs, and the only word a shard hears from the master inside
+//! a grant. That is a state machine over envelopes, not a loop over a
+//! channel, so it serves a thread blocked in `recv` and an inline worker
+//! re-entered by `send` alike. How far a threaded shard runs ahead of
+//! the master is bounded by [`CHANNEL_BOUND`] upstream envelopes.
 //!
 //! The worker is panic-contained: every envelope is handled under
 //! `catch_unwind`, and any panic (including the fault layer's scheduled
@@ -35,9 +45,8 @@ use crate::message::{channel, DepthGauge, Disconnected, Envelope, Payload, Rx, T
 use crate::snapshot::ShardSnapshot;
 use quest_core::network::PacketKind;
 use quest_core::tile;
-use quest_core::{decode_totals, DeliveryEngine, DeliveryMode, Mce, Substrate, MCE_IBUF_BYTES};
+use quest_core::{decode_totals, DeliveryEngine, DeliveryMode, Mce, Substrate};
 use quest_stabilizer::{PauliChannel, SeedableRng, StdRng};
-use quest_surface::RotatedLattice;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,10 +62,11 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Per-direction bound of each master ↔ shard channel. Deep enough that
-/// neither side blocks in the steady state (a shard enqueues at most two
-/// escalations per tile per cycle); shallow enough to be a real
-/// backpressure bound.
+/// Per-direction bound of each master ↔ shard channel. Upstream it is
+/// how far a free-running shard gets ahead of the master: the shard
+/// blocks once this many of its envelopes (at least one per cycle, at
+/// most one plus two escalations per tile) wait unconsumed. Downstream
+/// it never fills: a grant, then at most one cycle's corrections.
 const CHANNEL_BOUND: usize = 1024;
 
 /// Where a worker's upstream envelopes go.
@@ -208,17 +218,24 @@ pub(crate) struct ShardWorker {
     /// Fault injection: panic once this many QECC cycles completed.
     panic_after_cycles: Option<u64>,
     cycles_done: u64,
+    /// Cycles of the current grant not yet run.
+    granted: u64,
+    /// Corrections the last cycle's escalations are still owed; the next
+    /// cycle starts when this is back to zero. Both are zero at every
+    /// barrier, so neither travels in a [`ShardSnapshot`].
+    awaiting: usize,
 }
 
 impl ShardWorker {
-    /// Builds a shard over `tiles` (global ids), with per-tile RNG
-    /// streams derived from `master_seed`. A `panic_after_cycles`
-    /// schedule makes the worker panic mid-run (containment drill).
+    /// Builds a shard over `tiles` (global ids), each tile a clone of
+    /// the run's `template` MCE, with per-tile RNG streams derived from
+    /// `master_seed`. A `panic_after_cycles` schedule makes the worker
+    /// panic mid-run (containment drill).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         shard: usize,
         tiles: Range<usize>,
-        lattice: &RotatedLattice,
+        template: &Mce,
         error_rate: f64,
         delivery: DeliveryMode,
         master_seed: u64,
@@ -231,8 +248,8 @@ impl ShardWorker {
             .collect();
         ShardWorker {
             shard,
-            substrate: Substrate::new(tiles.len(), lattice.num_qubits()),
-            mces: vec![Mce::new(lattice, MCE_IBUF_BYTES); tiles.len()],
+            substrate: Substrate::new(tiles.len(), template.lattice().num_qubits()),
+            mces: vec![template.clone(); tiles.len()],
             tiles,
             noise: PauliChannel::depolarizing(error_rate),
             engine: DeliveryEngine::new(delivery),
@@ -240,6 +257,8 @@ impl ShardWorker {
             up,
             panic_after_cycles,
             cycles_done: 0,
+            granted: 0,
+            awaiting: 0,
         }
     }
 
@@ -269,6 +288,8 @@ impl ShardWorker {
             up,
             panic_after_cycles,
             cycles_done: state.cycles_done,
+            granted: 0,
+            awaiting: 0,
         }
     }
 
@@ -303,8 +324,20 @@ impl ShardWorker {
 
     /// One message; `false` once the worker is done serving.
     fn handle(&mut self, env: Envelope) -> bool {
+        // With corrections outstanding the worker is inside a cycle op,
+        // where the master sends nothing else; anything else would act
+        // on frames that are not settled.
+        if self.awaiting > 0 && !matches!(env.payload, Payload::Correction { .. }) {
+            return self.fail(format!(
+                "{} correction(s) outstanding at a shard worker, got {:?}",
+                self.awaiting, env.payload
+            ));
+        }
         match env.payload {
-            Payload::Cycle => self.run_cycle().is_ok(),
+            Payload::Cycles(n) => {
+                self.granted = n;
+                self.run_granted()
+            }
             Payload::Prep { tile, basis } => {
                 let l = self.local(tile);
                 tile::prep_logical(
@@ -340,11 +373,17 @@ impl ShardWorker {
                 true
             }
             Payload::Correction { tile, kind, flips } => {
+                if self.awaiting == 0 {
+                    return self.fail(format!(
+                        "correction for tile {tile} that no escalation waits for"
+                    ));
+                }
                 let l = self.local(tile);
                 self.mces[l]
                     .decoder_mut(kind)
                     .apply_global_correction(flips);
-                true
+                self.awaiting -= 1;
+                self.run_granted()
             }
             Payload::MeasureZ { tile } => {
                 let l = self.local(tile);
@@ -414,10 +453,24 @@ impl ShardWorker {
         false
     }
 
+    /// Runs granted cycles back to back until the grant is spent or a
+    /// cycle escalated (its corrections re-enter here); `false` means
+    /// the master hung up.
+    fn run_granted(&mut self) -> bool {
+        while self.granted > 0 && self.awaiting == 0 {
+            self.granted -= 1;
+            if self.run_cycle().is_err() {
+                return false;
+            }
+        }
+        true
+    }
+
     /// One noisy QECC cycle over every owned tile: the noise layer and
     /// microcode cycle consume each tile's own stream in reference order;
-    /// escalations the local decoders could not resolve ship upstream,
-    /// then the cycle barrier. `Err` means the master hung up.
+    /// escalations the local decoders could not resolve ship upstream
+    /// (and are counted: each is owed one correction), then the cycle
+    /// barrier. `Err` means the master hung up.
     fn run_cycle(&mut self) -> Result<(), ()> {
         if self.panic_after_cycles == Some(self.cycles_done) {
             // quest-lint: allow(QL01) -- deliberate fault injection: this drill exercises the catch_unwind containment in deliver()
@@ -436,6 +489,7 @@ impl ShardWorker {
                 self.up
                     .send(Envelope::syndrome(tile, kind, escalation))
                     .map_err(|_| ())?;
+                self.awaiting += 1;
             }
         }
         self.cycles_done += 1;
@@ -451,19 +505,23 @@ impl ShardWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quest_core::MCE_IBUF_BYTES;
+    use quest_surface::{RotatedLattice, StabKind};
 
-    fn link<'scope>(
+    /// A two-tile shard 0 at distance `d` and error rate `p`.
+    fn link_at<'scope>(
         inline: bool,
         scope: &'scope std::thread::Scope<'scope, '_>,
+        (d, p): (usize, f64),
         panic_after: Option<u64>,
     ) -> ShardLink {
-        let lattice = RotatedLattice::new(3);
+        let template = Mce::new(&RotatedLattice::new(d), MCE_IBUF_BYTES);
         ShardLink::new(scope, inline, |up| {
             ShardWorker::new(
                 0,
                 0..2,
-                &lattice,
-                1e-3,
+                &template,
+                p,
                 DeliveryMode::QuestMce,
                 7,
                 up,
@@ -472,8 +530,17 @@ mod tests {
         })
     }
 
-    fn cycle() -> Envelope {
-        Envelope::control(PacketKind::Downstream, Payload::Cycle)
+    /// The d = 3 shard whose local decoders resolve everything.
+    fn link<'scope>(
+        inline: bool,
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        panic_after: Option<u64>,
+    ) -> ShardLink {
+        link_at(inline, scope, (3, 1e-3), panic_after)
+    }
+
+    fn cycles(n: u64) -> Envelope {
+        Envelope::control(PacketKind::Downstream, Payload::Cycles(n))
     }
 
     /// Everything a shard answers to one cycle, up to its barrier.
@@ -489,14 +556,57 @@ mod tests {
         }
     }
 
+    /// Pops everything an inline worker has queued: the escalations as
+    /// `(tile, kind)` and the number of `CycleDone`s. Escalations may
+    /// only sit in the last cycle queued — the worker must not have run
+    /// past a cycle that escalated.
+    fn drain_queue(link: &mut ShardLink) -> (Vec<(usize, StabKind)>, usize) {
+        let (mut escalations, mut barriers, mut stalled) = (Vec::new(), 0, false);
+        while let Ok(env) = link.recv() {
+            assert!(!stalled, "ran past a cycle that escalated: {env:?}");
+            match env.payload {
+                Payload::Syndrome { tile, kind, .. } => escalations.push((tile, kind)),
+                Payload::CycleDone { .. } => {
+                    barriers += 1;
+                    stalled = !escalations.is_empty();
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        (escalations, barriers)
+    }
+
+    /// Skips what the worker queued before it failed, checks the report
+    /// and that the worker stopped serving.
+    fn expect_failed(link: &mut ShardLink, needle: &str) {
+        loop {
+            match link.recv().expect("a failure report is queued").payload {
+                Payload::Failed { shard: 0, detail } => {
+                    assert!(detail.contains(needle), "{detail}");
+                    break;
+                }
+                Payload::Syndrome { .. } | Payload::CycleDone { .. } => {}
+                other => panic!("expected Failed, got {other:?}"),
+            }
+        }
+        assert!(link.send(cycles(1)).is_err(), "a failed worker serves on");
+    }
+
     #[test]
     fn inline_and_threaded_links_carry_the_same_envelopes() {
         std::thread::scope(|scope| {
             let mut inline = link(true, scope, None);
             let mut threaded = link(false, scope, None);
             for _ in 0..20 {
-                inline.send(cycle()).unwrap();
-                threaded.send(cycle()).unwrap();
+                inline.send(cycles(1)).unwrap();
+                threaded.send(cycles(1)).unwrap();
+                assert_eq!(drain_cycle(&mut inline), drain_cycle(&mut threaded));
+            }
+            // One grant of twenty is twenty cycles on either transport
+            // (d = 3 never escalates, so nothing holds the workers).
+            inline.send(cycles(20)).unwrap();
+            threaded.send(cycles(20)).unwrap();
+            for _ in 0..20 {
                 assert_eq!(drain_cycle(&mut inline), drain_cycle(&mut threaded));
             }
             // Nothing is left over on the inline side, and asking anyway
@@ -510,7 +620,7 @@ mod tests {
                 assert!(matches!(env.payload, Payload::Closing { shard: 0, .. }));
             }
             // A worker that signed off no longer takes envelopes.
-            assert!(inline.send(cycle()).is_err());
+            assert!(inline.send(cycles(1)).is_err());
             assert_eq!(inline.high_water().0, 1);
         });
     }
@@ -519,19 +629,74 @@ mod tests {
     fn inline_worker_panic_is_contained_and_reported() {
         std::thread::scope(|scope| {
             let mut inline = link(true, scope, Some(1));
-            inline.send(cycle()).unwrap();
+            inline.send(cycles(1)).unwrap();
             drain_cycle(&mut inline);
             // The drill fires inside this call, on this thread; the
             // caller sees an ordinary send and a `Failed` report.
-            inline.send(cycle()).unwrap();
-            match inline.recv().unwrap().payload {
-                Payload::Failed { shard: 0, detail } => {
-                    assert!(detail.contains("injected"), "{detail}");
-                }
-                other => panic!("expected Failed, got {other:?}"),
-            }
-            assert!(inline.send(cycle()).is_err());
+            inline.send(cycles(1)).unwrap();
+            expect_failed(&mut inline, "injected");
             assert!(inline.recv().is_err());
+        });
+    }
+
+    #[test]
+    fn a_grant_stalls_only_for_the_corrections_of_its_own_escalations() {
+        std::thread::scope(|scope| {
+            let mut inline = link_at(true, scope, (5, 2e-2), None);
+            inline.send(cycles(50)).unwrap();
+            let mut barriers = 0;
+            let mut stalls = 0;
+            loop {
+                // The worker stopped right behind the first cycle that
+                // escalated: that cycle's envelopes are the last queued.
+                let (escalations, done) = drain_queue(&mut inline);
+                barriers += done;
+                if escalations.is_empty() {
+                    break;
+                }
+                stalls += 1;
+                let (last, rest) = escalations.split_last().unwrap();
+                let correction =
+                    |&(tile, kind): &(usize, StabKind)| Envelope::correction(tile, kind, vec![]);
+                // Every correction but the last leaves it stalled...
+                for e in rest {
+                    inline.send(correction(e)).unwrap();
+                    assert!(
+                        inline.recv().is_err(),
+                        "ran on with a correction outstanding"
+                    );
+                }
+                // ...and the last one restarts it.
+                inline.send(correction(last)).unwrap();
+            }
+            assert!(stalls > 0, "d = 5 at p = 2e-2 escalates within 50 cycles");
+            assert_eq!(barriers, 50);
+            // Spent grant, nothing outstanding: the worker is at a
+            // barrier and serves the next operation.
+            inline.send(cycles(1)).unwrap();
+            assert_eq!(drain_queue(&mut inline).1, 1);
+        });
+    }
+
+    #[test]
+    fn protocol_violations_inside_a_grant_are_reported_not_panicked() {
+        std::thread::scope(|scope| {
+            // A correction nobody waits for.
+            let mut idle = link(true, scope, None);
+            idle.send(Envelope::correction(0, StabKind::Z, vec![]))
+                .unwrap();
+            expect_failed(&mut idle, "no escalation waits for");
+
+            // Anything but a correction while corrections are outstanding.
+            let mut stalled = link_at(true, scope, (5, 2e-2), None);
+            stalled.send(cycles(50)).unwrap();
+            stalled
+                .send(Envelope::control(
+                    PacketKind::Downstream,
+                    Payload::MeasureZ { tile: 0 },
+                ))
+                .unwrap();
+            expect_failed(&mut stalled, "outstanding");
         });
     }
 }

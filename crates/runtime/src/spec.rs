@@ -23,7 +23,8 @@ pub enum WorkloadOp {
         /// Preparation basis.
         basis: LogicalBasis,
     },
-    /// Run this many noisy QECC cycles on every tile (barrier per cycle).
+    /// Run this many noisy QECC cycles on every tile (one grant per
+    /// shard; a shard waits only for its own corrections).
     Cycles(u64),
     /// Transversal logical CNOT between two tiles. Both tiles must live
     /// on the same shard (the runtime keeps entangled tiles co-sharded so
@@ -264,12 +265,11 @@ impl WorkloadSpec {
         seed: u64,
         cycles: u64,
     ) -> WorkloadSpec {
-        let mut ops: Vec<WorkloadOp> = (0..tiles)
-            .map(|tile| WorkloadOp::Prep {
-                tile,
-                basis: LogicalBasis::Zero,
-            })
-            .collect();
+        let mut ops = Vec::with_capacity(2 * tiles + 1);
+        ops.extend((0..tiles).map(|tile| WorkloadOp::Prep {
+            tile,
+            basis: LogicalBasis::Zero,
+        }));
         ops.push(WorkloadOp::Cycles(cycles));
         ops.extend((0..tiles).map(|tile| WorkloadOp::MeasureZ { tile }));
         WorkloadSpec {
@@ -305,7 +305,9 @@ impl WorkloadSpec {
         if !tiles.is_multiple_of(2) {
             return Err(SpecError::OddBellTiles(tiles));
         }
-        let mut ops = Vec::new();
+        // Two preps and one CNOT per pair, two cycle ops, one readout
+        // per tile.
+        let mut ops = Vec::with_capacity(2 * tiles + tiles / 2 + 2);
         for pair in 0..tiles / 2 {
             ops.push(WorkloadOp::Prep {
                 tile: 2 * pair,
@@ -466,8 +468,17 @@ impl WorkloadSpec {
         // deterministic reference and its X pipeline forms one on the
         // first QECC cycle; a preparation re-forms the non-prepared
         // basis's reference on the next cycle. A transversal CNOT reads
-        // and cross-propagates both references of both tiles.
-        let mut refs: Vec<(bool, bool)> = vec![(true, false); self.tiles];
+        // and cross-propagates both references of both tiles. Only a
+        // CNOT reads them, so a spec without one tracks nothing.
+        let has_cnot = self
+            .ops
+            .iter()
+            .any(|op| matches!(op, WorkloadOp::Cnot { .. }));
+        let mut refs: Vec<(bool, bool)> = if has_cnot {
+            vec![(true, false); self.tiles]
+        } else {
+            Vec::new()
+        };
         let mut kernel_fills = false;
         for (i, op) in self.ops.iter().enumerate() {
             let check = |tile: usize| {
@@ -484,10 +495,12 @@ impl WorkloadSpec {
             match *op {
                 WorkloadOp::Prep { tile, basis } => {
                     check(tile)?;
-                    refs[tile] = match basis {
-                        LogicalBasis::Zero => (true, false),
-                        LogicalBasis::Plus => (false, true),
-                    };
+                    if let Some(r) = refs.get_mut(tile) {
+                        *r = match basis {
+                            LogicalBasis::Zero => (true, false),
+                            LogicalBasis::Plus => (false, true),
+                        };
+                    }
                 }
                 WorkloadOp::MeasureZ { tile } | WorkloadOp::Sync { tile } => check(tile)?,
                 WorkloadOp::Logical { tile, .. } => check(tile)?,

@@ -50,6 +50,10 @@ pub struct ShardStats {
     pub escalations: u64,
     /// Upstream envelopes the shard sent (syndromes, barriers, outcomes).
     pub upstream_messages: u64,
+    /// Downstream envelopes the master sent the shard: operations, cycle
+    /// grants, corrections, shutdown. A per-cycle term in it means the
+    /// shard was lock-stepped (shard 0, or a checkpoint sink attached).
+    pub downstream_messages: u64,
     /// High-water occupancy of the shard → master channel.
     pub max_upstream_depth: usize,
     /// High-water occupancy of the master → shard channel.
@@ -71,8 +75,9 @@ impl ShardStats {
 /// Wall-clock spent in each master-side phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
-    /// QECC cycles: barrier rounds including shard compute and syndrome
-    /// collection.
+    /// QECC cycles: granting them, shard 0's compute (it runs on the
+    /// master's thread) and consuming every shard's syndromes, which
+    /// includes waiting for a shard that has not got there yet.
     pub cycles: Duration,
     /// Global decoding: batch fan-out, pool decode, correction delivery.
     pub decode: Duration,
@@ -126,13 +131,15 @@ impl fmt::Display for RuntimeStats {
             writeln!(
                 f,
                 "  shard {}: tiles {}..{}, {} cycles, {} escalations \
-                 ({:.4}/tile-cycle), depth up {} / down {}",
+                 ({:.4}/tile-cycle), messages up {} / down {}, depth up {} / down {}",
                 s.shard,
                 s.first_tile,
                 s.first_tile + s.tiles,
                 s.cycles,
                 s.escalations,
                 s.escalation_rate(),
+                s.upstream_messages,
+                s.downstream_messages,
                 s.max_upstream_depth,
                 s.max_downstream_depth,
             )?;
@@ -213,6 +220,7 @@ mod tests {
                 cycles: 10,
                 escalations: 2,
                 upstream_messages: 12,
+                downstream_messages: 7,
                 max_upstream_depth: 3,
                 max_downstream_depth: 1,
             }],
@@ -220,6 +228,7 @@ mod tests {
         };
         let s = stats.to_string();
         assert!(s.contains("shard 0"));
+        assert!(s.contains("messages up 12 / down 7"));
         assert!(s.contains("decode pool"));
     }
 }

@@ -9,6 +9,11 @@
 //! the same on any shard. Shards buy parallelism only, and wall-clock
 //! drops by at most the number of cores the shards actually get.
 //!
+//! The master does not clock the shards: shard 0 runs on its thread, and
+//! every further shard is sent one grant for the whole `Cycles` op and,
+//! after that, only the corrections its own escalations asked for. The
+//! `messages … down` count of each shard says so, and is asserted.
+//!
 //! ```sh
 //! cargo run --release --example runtime_scaling
 //! ```
@@ -33,6 +38,17 @@ fn main() {
         println!("=== {shards} shard(s): {elapsed:.2?} ===");
         println!("{}", report.stats);
         println!("bus bytes: {}\n", report.bus_bytes());
+
+        // Preps, one grant, a correction per escalation, readouts, the
+        // shutdown: no per-cycle word from the master past shard 0.
+        for s in &report.stats.shards[1..] {
+            assert_eq!(
+                s.downstream_messages,
+                s.tiles as u64 + 1 + s.escalations + s.tiles as u64 + 1,
+                "shard {} was clocked",
+                s.shard
+            );
+        }
 
         match baseline {
             None => baseline = Some((report.outcomes.clone(), report.bus_bytes(), elapsed)),

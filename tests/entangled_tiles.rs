@@ -13,8 +13,8 @@
 use quest::arch::tile::tile_seed;
 use quest::arch::MultiTileSystem;
 use quest::runtime::{
-    run_reference, CancelToken, CheckpointSink, RunControl, RunProgress, Runtime, RuntimeError,
-    WorkloadOp, WorkloadSpec,
+    run_reference, CancelToken, CheckpointSink, DecoderChoice, FaultPlan, RunControl, RunProgress,
+    Runtime, RuntimeError, RuntimeReport, WorkloadOp, WorkloadSpec,
 };
 use quest::stabilizer::{SeedableRng, StdRng};
 
@@ -152,4 +152,80 @@ fn resume_while_every_block_replays_is_bit_identical() {
     let resumed = runtime.resume(&snapshot, &RunControl::new()).unwrap();
     assert_eq!(resumed.report, baseline.report);
     assert_eq!(resumed.report, run_reference(&until(30)).unwrap());
+}
+
+/// Runs `spec` free (each threaded shard on one grant per `Cycles` op)
+/// and under a sink that never fires (one cycle per grant: the
+/// lock-step the runtime had before grants, through the same code).
+fn free_and_lock_step(spec: &WorkloadSpec) -> [RuntimeReport; 2] {
+    let runtime = Runtime::new().with_decode_workers(2);
+    let sink = CheckpointSink::every(0);
+    let control = RunControl::new().with_checkpoints(&sink);
+    let free = runtime.run(spec).unwrap();
+    let lock_step = runtime.run_controlled(spec, &control).unwrap();
+    // What tells the two apart is the traffic: past shard 0 (which the
+    // master drives itself, a cycle at a time) a free shard is sent one
+    // grant per cycle op, a lock-stepped one a grant per cycle.
+    let cycle_ops = spec
+        .ops
+        .iter()
+        .filter(|op| matches!(op, WorkloadOp::Cycles(n) if *n > 0))
+        .count() as u64;
+    let shards = free.stats.shards.iter().zip(&lock_step.stats.shards);
+    for (a, b) in shards.skip(1) {
+        assert_eq!(
+            b.downstream_messages - a.downstream_messages,
+            spec.total_cycles() - cycle_ops,
+            "shard {}",
+            a.shard
+        );
+    }
+    [free, lock_step]
+}
+
+/// `workload(shards)` under every decoder, free and lock-step, at each
+/// shard count: all of it must equal the reference executor's report.
+fn equals_reference_everywhere(workload: &dyn Fn(usize) -> WorkloadSpec, shard_counts: &[usize]) {
+    for decoder in DecoderChoice::ALL {
+        let with_decoder = |shards| WorkloadSpec {
+            decoder,
+            ..workload(shards)
+        };
+        let reference = run_reference(&with_decoder(1)).unwrap();
+        assert!(reference.escalations > 0, "the decode path must be live");
+        for &shards in shard_counts {
+            let [free, lock_step] = free_and_lock_step(&with_decoder(shards));
+            assert_eq!(free.report, reference, "{decoder}, shards={shards}");
+            assert_eq!(lock_step.report, reference, "{decoder}, shards={shards}");
+        }
+    }
+}
+
+#[test]
+fn free_running_shards_equal_lock_step() {
+    let memory = |shards| WorkloadSpec::memory(5, 8, shards, 2e-2, 20170914, 120);
+    equals_reference_everywhere(&memory, &[1, 2, 4]);
+    equals_reference_everywhere(&bell, &[1, 2]);
+
+    // Under faults there is no reference executor: every shard count,
+    // free and lock-step, must tell the same story, recoveries included.
+    let faulty = |shards| WorkloadSpec {
+        faults: FaultPlan {
+            drop_rate: 0.05,
+            corrupt_rate: 0.05,
+            stall_rate: 0.01,
+            quarantine_cycles: 3,
+            kill_decode_worker_after_jobs: Some(3),
+            ..FaultPlan::none()
+        },
+        ..memory(shards)
+    };
+    let [baseline, _] = free_and_lock_step(&faulty(1));
+    assert!(baseline.recovery.retransmissions > 0, "faults must fire");
+    assert_eq!(baseline.stats.decode.deaths, 1, "the kill must fire");
+    for shards in [1, 2, 4] {
+        for run in free_and_lock_step(&faulty(shards)) {
+            assert_eq!(run.report, baseline.report, "faulty, shards={shards}");
+        }
+    }
 }
