@@ -182,6 +182,12 @@ impl DecoderPipeline {
         self.kind
     }
 
+    /// The single-round decoding graph of this pipeline's checks, in
+    /// whose node numbering it escalates.
+    pub fn graph(&self) -> &DecodingGraph {
+        &self.graph
+    }
+
     /// Statistics so far.
     pub fn stats(&self) -> DecodeStats {
         self.stats

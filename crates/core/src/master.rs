@@ -223,10 +223,9 @@ impl MasterController {
 
     fn resolve_escalation(&mut self, mce: &mut Mce, kind: StabKind, esc: &Escalation) {
         self.note_escalation(esc.events.len() as u64);
-        // Single-round graph: the MCE escalates per round. The global
-        // decoder sees the same node numbering the escalation used.
-        let graph = DecodingGraph::new(mce.lattice(), kind, 1);
-        let correction = self.decoder.decode(&graph, &esc.events);
+        // The MCE escalates per round, in the node numbering of its
+        // pipeline's single-round graph: the global decoder sees the same.
+        let correction = self.decoder.decode(mce.decoder(kind).graph(), &esc.events);
         mce.decoder_mut(kind)
             .apply_global_correction(correction.data_flips.iter().copied());
     }

@@ -427,8 +427,8 @@ impl Mce {
             bits[q] = !bits[q];
         }
         // Final perfect round: decode the residual syndrome derived from
-        // the readout itself.
-        let graph = quest_surface::DecodingGraph::new(&self.lattice, StabKind::Z, 1);
+        // the readout itself, over the Z pipeline's single-round graph.
+        let graph = self.decode_z.graph();
         let events: Vec<usize> = self
             .lattice
             .plaquettes_of(StabKind::Z)
@@ -439,7 +439,7 @@ impl Mce {
             })
             .collect();
         if !events.is_empty() {
-            let correction = quest_surface::UnionFindDecoder::new().decode(&graph, &events);
+            let correction = quest_surface::UnionFindDecoder::new().decode(graph, &events);
             for q in correction.data_flips {
                 bits[q] = !bits[q];
             }

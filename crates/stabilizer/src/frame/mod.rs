@@ -116,31 +116,57 @@ impl BlockRngs {
     }
 }
 
-/// Iterates the error positions of one 64-shot block by inverse-geometric
-/// skips: with `inv_ln_q = 1 / ln(1 - p)`, the gap to the next error bit
-/// is `floor(ln(1-u) / ln(1-p))`, which is exactly Geometric(p) for
-/// `u ~ U[0,1)` — so each bit is independently Bernoulli(p), the same
-/// distribution as drawing one uniform per bit, at ~`64p + 1` draws per
-/// block instead of 64. `on_error` receives the bit index and the block's
-/// RNG (for the error-kind draw).
-#[inline]
-fn for_each_error_bit(
-    rng: &mut StdRng,
+/// The inverse-geometric skip law of one Bernoulli rate `p ∈ (0, 1]`,
+/// computed once per injection call and shared by all of its blocks.
+#[derive(Debug, Clone, Copy)]
+struct SkipLaw {
+    /// `1 / ln(1 - p)`: finite negative for `p < 1`, `-0.0` for `p == 1`
+    /// (every skip collapses to zero — all bits error).
     inv_ln_q: f64,
-    mut on_error: impl FnMut(usize, &mut StdRng),
-) {
-    let mut i = 0usize;
-    loop {
-        let u: f64 = rng.gen();
-        // ln(1-u) ≤ 0 and inv_ln_q < 0, so the skip is a non-negative
-        // float; the `as usize` cast saturates huge values to the break.
-        let skip = ((-u).ln_1p() * inv_ln_q) as usize;
-        i = i.saturating_add(skip);
-        if i >= SHOTS_PER_WORD {
-            break;
+    /// A draw `u ≥ none_above` places no further error in a block:
+    /// `1 - (1-p)^65`, nudged up. Its exact skip `ln(1-u) / ln(1-p)` is
+    /// at least 65, so the skip computed below (a few ulps off) is at
+    /// least 64 and the loop would break on it; testing `u` first breaks
+    /// on the same draw without evaluating the logarithm. Above 1 — never
+    /// taken — when `(1-p)^65` is smaller than the nudge, `p == 1` included.
+    none_above: f64,
+}
+
+impl SkipLaw {
+    fn new(p: f64) -> SkipLaw {
+        let inv_ln_q = 1.0 / (-p).ln_1p();
+        SkipLaw {
+            inv_ln_q,
+            none_above: -(65.0 / inv_ln_q).exp_m1() * (1.0 + 1e-9),
         }
-        on_error(i, rng);
-        i += 1;
+    }
+
+    /// Iterates the error positions of one 64-shot block by
+    /// inverse-geometric skips: the gap to the next error bit is
+    /// `floor(ln(1-u) / ln(1-p))`, which is exactly Geometric(p) for
+    /// `u ~ U[0,1)` — so each bit is independently Bernoulli(p), the same
+    /// distribution as drawing one uniform per bit, at ~`64p + 1` draws
+    /// per block instead of 64. `on_error` receives the bit index and the
+    /// block's RNG (for the error-kind draw).
+    #[inline]
+    fn for_each_error_bit(&self, rng: &mut StdRng, mut on_error: impl FnMut(usize, &mut StdRng)) {
+        let mut i = 0usize;
+        loop {
+            let u: f64 = rng.gen();
+            if u >= self.none_above {
+                break;
+            }
+            // ln(1-u) ≤ 0 and inv_ln_q < 0, so the skip is a non-negative
+            // float; the `as usize` cast saturates huge values to the
+            // break.
+            let skip = ((-u).ln_1p() * self.inv_ln_q) as usize;
+            i = i.saturating_add(skip);
+            if i >= SHOTS_PER_WORD {
+                break;
+            }
+            on_error(i, rng);
+            i += 1;
+        }
     }
 }
 
@@ -445,15 +471,13 @@ impl<W: FrameWord> FrameSimulator<W> {
         if total == 0.0 {
             return;
         }
-        // 1 / ln(1 - total): finite negative for total < 1, -0.0 for
-        // total == 1 (every skip collapses to zero — all bits error).
-        let inv_ln_q = 1.0 / (-total).ln_1p();
+        let skips = SkipLaw::new(total);
         let xplane = self.x.plane_mut(q);
         let zplane = self.z.plane_mut(q);
         for b in 0..rngs.len() {
             let mut xbits = 0u64;
             let mut zbits = 0u64;
-            for_each_error_bit(rngs.rng(b), inv_ln_q, |bit, rng| {
+            skips.for_each_error_bit(rngs.rng(b), |bit, rng| {
                 let mask = 1u64 << bit;
                 let kind: f64 = rng.gen::<f64>() * total;
                 if kind < px {
@@ -494,10 +518,10 @@ impl<W: FrameWord> FrameSimulator<W> {
         if p == 0.0 {
             return;
         }
-        let inv_ln_q = 1.0 / (-p).ln_1p();
+        let skips = SkipLaw::new(p);
         for b in 0..rngs.len() {
             let mut bits = 0u64;
-            for_each_error_bit(rngs.rng(b), inv_ln_q, |bit, _| {
+            skips.for_each_error_bit(rngs.rng(b), |bit, _| {
                 bits |= 1u64 << bit;
             });
             if bits != 0 {
@@ -715,6 +739,100 @@ mod tests {
         let mut plane = vec![0u64; 2];
         FrameSimulator::<u64>::xor_flip_plane(1.0, &mut BlockRngs::new(3, 0, 2), &mut plane);
         assert!(plane.iter().all(|&w| w == u64::MAX));
+    }
+
+    /// The skip loop as it was before [`SkipLaw`]'s fast exit: one
+    /// logarithm per draw. The oracle of the exactness tests below.
+    fn reference_error_bits(
+        rng: &mut StdRng,
+        inv_ln_q: f64,
+        mut on_error: impl FnMut(usize, &mut StdRng),
+    ) {
+        let mut i = 0usize;
+        loop {
+            let u: f64 = rng.gen();
+            let skip = ((-u).ln_1p() * inv_ln_q) as usize;
+            i = i.saturating_add(skip);
+            if i >= SHOTS_PER_WORD {
+                break;
+            }
+            on_error(i, rng);
+            i += 1;
+        }
+    }
+
+    /// Rates from far below the operating points to certainty.
+    const EXACTNESS_RATES: [f64; 8] = [1e-6, 1e-4, 5e-4, 1e-2, 8e-2, 0.5, 0.999, 1.0];
+
+    fn assert_injection_equals_the_reference_loop<W: FrameWord>() {
+        use rand::RngCore;
+        const BLOCKS: usize = 4096;
+        for (i, &p) in EXACTNESS_RATES.iter().enumerate() {
+            // Powers of two scale exactly: the channel's total is `p`.
+            let channel = PauliChannel::new(p * 0.5, p * 0.25, p * 0.25);
+            let (px, py) = (channel.px(), channel.py());
+            let total = channel.total_error_probability();
+            assert_eq!(total.to_bits(), p.to_bits());
+            let seed = 100 + i as u64;
+
+            let mut sim: FrameSimulator<W> = FrameSimulator::new(1, BLOCKS * 64);
+            let mut rngs = BlockRngs::new(seed, 3, BLOCKS);
+            sim.inject_pauli_channel(&channel, 0, &mut rngs);
+            let mut plane = vec![W::ZERO; BLOCKS / W::LANES];
+            FrameSimulator::<W>::xor_flip_plane(p, &mut rngs, &mut plane);
+
+            let mut reference = BlockRngs::new(seed, 3, BLOCKS);
+            let inv_ln_q = 1.0 / (-p).ln_1p();
+            for b in 0..BLOCKS {
+                let (mut xbits, mut zbits, mut flips) = (0u64, 0u64, 0u64);
+                reference_error_bits(reference.rng(b), inv_ln_q, |bit, rng| {
+                    let kind: f64 = rng.gen::<f64>() * total;
+                    if kind < px + py {
+                        xbits |= 1 << bit;
+                    }
+                    if kind >= px {
+                        zbits |= 1 << bit;
+                    }
+                });
+                reference_error_bits(reference.rng(b), inv_ln_q, |bit, _| flips |= 1 << bit);
+                let (word, lane) = (b / W::LANES, b % W::LANES);
+                assert_eq!(sim.x_plane(0)[word].lane(lane), xbits, "x p={p} block {b}");
+                assert_eq!(sim.z_plane(0)[word].lane(lane), zbits, "z p={p} block {b}");
+                assert_eq!(plane[word].lane(lane), flips, "flips p={p} block {b}");
+                assert_eq!(
+                    rngs.rng(b).next_u64(),
+                    reference.rng(b).next_u64(),
+                    "p={p}: block {b} consumed a different number of draws"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fast_exit_leaves_planes_and_streams_as_the_reference_loop() {
+        assert_injection_equals_the_reference_loop::<u64>();
+        assert_injection_equals_the_reference_loop::<W512>();
+    }
+
+    #[test]
+    fn draws_above_the_fast_exit_bound_compute_a_skip_past_the_block() {
+        // The claim the fast exit rests on, on the arithmetic itself: at
+        // and just above `none_above` the computed skip already breaks.
+        for &p in &EXACTNESS_RATES {
+            let law = SkipLaw::new(p);
+            let start = law.none_above.to_bits();
+            for u in (start..start + 10_000).map(f64::from_bits) {
+                if u >= 1.0 {
+                    break; // `gen` draws from [0, 1)
+                }
+                let skip = ((-u).ln_1p() * law.inv_ln_q) as usize;
+                assert!(skip >= SHOTS_PER_WORD, "p={p} u={u:e} skip={skip}");
+            }
+        }
+        // Certainty has no draw that skips a block.
+        let certain = SkipLaw::new(1.0);
+        assert!(certain.inv_ln_q == 0.0 && certain.inv_ln_q.is_sign_negative());
+        assert!(certain.none_above > 1.0);
     }
 
     #[test]

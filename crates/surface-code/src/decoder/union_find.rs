@@ -10,14 +10,25 @@
 //! This plays the role of the paper's global MWPM decoder in the master
 //! controller; its output is validated against the exact matcher in tests.
 //!
-//! Decoding state lives in a [`UfScratch`] workspace so batch callers
-//! (thousands of shots against one decoding graph) pay for the ~dozen
-//! working vectors once instead of once per shot; [`Decoder::decode`]
-//! remains the convenient single-shot entry point.
+//! Decoding state lives in a [`UfScratch`] workspace: flat `u32`/`u8`
+//! arrays indexed by node and edge id, plus bitset worklists. A decode
+//! touches only the entries of the clusters it grows and restores them
+//! before it returns, so a scratch stays *clean* between decodes and a
+//! batch of shots against one graph shape pays the O(nodes + edges)
+//! sizing once; [`Decoder::decode`] remains the convenient single-shot
+//! entry point.
+//!
+//! Order is part of the contract (the matching depends on which cluster
+//! claims a shared edge first, and [`UfTrace`] is priced by the hardware
+//! model): supports are applied in ascending edge id, erased edges are
+//! enumerated ascending, forest roots are tried boundary first and then
+//! in ascending node id, and a forest node's erased edges are walked in
+//! ascending edge id. Draining a bitset word by word with
+//! `trailing_zeros` *is* that ascending order.
 
 use super::{Correction, CorrectionBatch, Decoder, EventPlanes};
-use crate::graph::{DecodingGraph, EdgeId, Fault, NodeId};
-use std::collections::VecDeque;
+use crate::graph::{DecodingGraph, EdgeId, NodeId, NO_QUBIT};
+use std::ops::Range;
 
 /// Deterministic work counters recorded by one traced union-find decode
 /// (see [`UnionFindDecoder::decode_traced`]).
@@ -76,51 +87,125 @@ impl UnionFindDecoder {
     }
 }
 
+/// "No edge" / "no root" in the `u32` id arrays.
+const NONE: u32 = u32::MAX;
+
+// Per-node flag bits. `ODD` and `AT_BOUNDARY` are meaningful on cluster
+// roots only; `VISITED` is the only one the boundary node ever carries.
+const EVENT: u8 = 1;
+const IN_CLUSTER: u8 = 1 << 1;
+const ODD: u8 = 1 << 2;
+const AT_BOUNDARY: u8 = 1 << 3;
+const VISITED: u8 = 1 << 4;
+
+/// A worklist of node or edge ids as a bitset, with the range of words
+/// that may hold bits. Ids come back out ascending: take the range, then
+/// take each word and walk its [`ids_in`].
+#[derive(Debug, Clone, Default)]
+struct IdSet {
+    words: Vec<u64>,
+    lo: usize,
+    hi: usize,
+}
+
+impl IdSet {
+    fn reset(&mut self, ids: usize) {
+        refill(&mut self.words, ids.div_ceil(64), 0);
+        (self.lo, self.hi) = (usize::MAX, 0);
+    }
+
+    #[inline]
+    fn insert(&mut self, id: usize) {
+        let w = id >> 6;
+        self.words[w] |= 1 << (id & 63);
+        self.lo = self.lo.min(w);
+        self.hi = self.hi.max(w + 1);
+    }
+
+    /// The words that may hold bits; the set forgets them, so the caller
+    /// must take every word of the range.
+    #[inline]
+    fn take_range(&mut self) -> Range<usize> {
+        let range = self.lo.min(self.hi)..self.hi;
+        (self.lo, self.hi) = (usize::MAX, 0);
+        range
+    }
+}
+
+/// The ids in word `w` of a bitset whose content is `bits`, ascending.
+#[inline]
+fn ids_in(w: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let id = (w << 6) | bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            id
+        })
+    })
+}
+
 /// Reusable working memory for [`UnionFindDecoder`].
 ///
-/// All vectors are sized for the decoding graph on first use and reused on
-/// every subsequent [`UnionFindDecoder::decode_with`] call, so decoding a
-/// batch of shots allocates nothing per shot (beyond the returned
-/// [`Correction`]).
+/// The buffers are sized for a decoding graph's `(nodes, edges)` on first
+/// use. Every decode leaves them as it found them — all clear, every node
+/// its own cluster — so the next decode over a graph of the same shape
+/// starts at once; only a change of shape pays the full reset again (see
+/// [`UfScratch::full_resets`]). Decoding a batch of shots therefore
+/// allocates nothing per shot beyond the returned [`Correction`].
 #[derive(Debug, Clone, Default)]
 pub struct UfScratch {
+    /// The `(nodes, edges)` the buffers are sized *and clean* for; `None`
+    /// before the first decode and while one is under way, so that a
+    /// decode abandoned by a panic is followed by a full reset.
+    clean_for: Option<(usize, usize)>,
+    full_resets: u64,
     // Node-indexed.
-    is_event: Vec<bool>,
-    in_cluster: Vec<bool>,
+    flags: Vec<u8>,
     /// Per cluster node: its incident edges not yet saturated. Growth
     /// skips members at 0 — interior nodes of a grown ball contribute no
     /// delta, and on large clusters they vastly outnumber the frontier.
     unsat: Vec<u8>,
-    parent: Vec<usize>,
+    parent: Vec<u32>,
     rank: Vec<u8>,
-    odd: Vec<bool>,
-    touches_boundary: Vec<bool>,
-    visited: Vec<bool>,
-    parent_edge: Vec<Option<EdgeId>>,
-    order: Vec<NodeId>,
-    adj: Vec<Vec<EdgeId>>,
-    queue: VecDeque<NodeId>,
+    /// Forest edge towards the root; written when a node is reached,
+    /// `NONE` on roots.
+    parent_edge: Vec<u32>,
     // Edge-indexed.
     support: Vec<u8>,
     delta: Vec<u8>,
-    edge_stamp: Vec<usize>,
-    erased: Vec<EdgeId>,
-    /// `(root, node)` frontier pairs of the current growth round. List
-    /// order never affects results: growth deltas are per-root distinct
-    /// counts, and supports are applied in ascending edge order.
-    active_members: Vec<(usize, NodeId)>,
+    /// Root that last counted itself into `delta` this round.
+    stamp: Vec<u32>,
+    /// Edges that received growth `delta` in the current round.
+    round: IdSet,
+    /// Edges grown to full support: the erasure.
+    erased: IdSet,
+    /// Endpoints of erased edges: the only possible forest roots.
+    seeds: IdSet,
     /// Every node that entered a cluster this decode — the exact set of
-    /// nodes whose union-find state the undo pass must restore.
-    cluster_nodes: Vec<NodeId>,
+    /// nodes whose state the undo pass restores. `members[..saturated]`
+    /// have no unsaturated edge left and never will again (support only
+    /// grows), so growth rounds start behind them. Order within the rest
+    /// never affects results: growth deltas are per-root distinct counts.
+    members: Vec<u32>,
+    saturated: usize,
     /// Edges whose support went nonzero this decode (for the undo pass).
-    touched_edges: Vec<EdgeId>,
-    /// Edges that received growth `delta` in the current round; sorted
-    /// before the support update so processing order equals the old
-    /// ascending full-edge scan (claim order decides the matching).
-    round_edges: Vec<EdgeId>,
-    /// Sorted, deduplicated endpoints of erased edges: the only possible
-    /// spanning-forest roots, replacing the old all-node seed scan.
-    forest_seeds: Vec<NodeId>,
+    touched: Vec<u32>,
+    /// Erased edges at the boundary node, ascending: its forest
+    /// adjacency, kept as a list because its graph incidence is long.
+    boundary_edges: Vec<u32>,
+    /// Forest nodes in BFS order; the BFS reads its queue off this list.
+    order: Vec<u32>,
+    // Plane-batched decode: per-shot event ranges, the events themselves,
+    // the current shot's matched edges and data-flip parities.
+    offsets: Vec<usize>,
+    events: Vec<NodeId>,
+    edges: Vec<EdgeId>,
+    flips: Vec<u64>,
+}
+
+fn refill<T: Clone>(buffer: &mut Vec<T>, len: usize, value: T) {
+    buffer.clear();
+    buffer.resize(len, value);
 }
 
 impl UfScratch {
@@ -129,57 +214,50 @@ impl UfScratch {
         UfScratch::default()
     }
 
-    /// Resets the workspace for a fresh decode over `graph`, resizing if
-    /// the graph changed since the previous use.
-    fn reset_for(&mut self, graph: &DecodingGraph) {
-        let n = graph.num_nodes();
-        let m = graph.edges().len();
-        self.is_event.clear();
-        self.is_event.resize(n, false);
-        self.in_cluster.clear();
-        self.in_cluster.resize(n, false);
-        self.unsat.clear();
-        self.unsat.resize(n, 0);
+    /// How many times the workspace was sized and cleared in full, an
+    /// O(nodes + edges) pass: once per run of decodes over one graph
+    /// shape (decodes of an empty event set touch nothing and count for
+    /// nothing).
+    pub fn full_resets(&self) -> u64 {
+        self.full_resets
+    }
+
+    fn reset(&mut self, nodes: usize, edges: usize) {
+        self.full_resets += 1;
+        refill(&mut self.flags, nodes, 0);
+        refill(&mut self.unsat, nodes, 0);
         self.parent.clear();
-        self.parent.extend(0..n);
-        self.rank.clear();
-        self.rank.resize(n, 0);
-        self.odd.clear();
-        self.odd.resize(n, false);
-        self.touches_boundary.clear();
-        self.touches_boundary.resize(n, false);
-        self.visited.clear();
-        self.visited.resize(n, false);
-        self.parent_edge.clear();
-        self.parent_edge.resize(n, None);
+        self.parent.extend(0..nodes as u32);
+        refill(&mut self.rank, nodes, 0);
+        refill(&mut self.parent_edge, nodes, NONE);
+        refill(&mut self.support, edges, 0);
+        refill(&mut self.delta, edges, 0);
+        refill(&mut self.stamp, edges, NONE);
+        self.round.reset(edges);
+        self.erased.reset(edges);
+        self.seeds.reset(nodes);
+        // The lists start empty and are bounded by the graph: reserve the
+        // bound so that no decode grows them.
+        self.members.clear();
+        self.members.reserve(nodes);
+        self.saturated = 0;
+        self.touched.clear();
+        self.touched.reserve(edges);
+        self.boundary_edges.clear();
         self.order.clear();
-        // Adjacency lists keep their inner allocations; only shrink the
-        // outer vec if the graph shrank.
-        for a in &mut self.adj {
-            a.clear();
-        }
-        self.adj.resize(n, Vec::new());
-        self.queue.clear();
-        self.support.clear();
-        self.support.resize(m, 0);
-        self.delta.clear();
-        self.delta.resize(m, 0);
-        self.edge_stamp.clear();
-        self.edge_stamp.resize(m, usize::MAX);
-        self.erased.clear();
-        self.active_members.clear();
-        self.cluster_nodes.clear();
-        self.touched_edges.clear();
-        self.round_edges.clear();
-        self.forest_seeds.clear();
+        self.order.reserve(nodes);
     }
 
     fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
+        loop {
+            let p = self.parent[x] as usize;
+            if p == x {
+                return x;
+            }
+            let grandparent = self.parent[p];
+            self.parent[x] = grandparent;
+            x = grandparent as usize;
         }
-        x
     }
 
     fn union(&mut self, a: usize, b: usize) {
@@ -192,18 +270,76 @@ impl UfScratch {
         } else {
             (rb, ra)
         };
-        self.parent[small] = big;
+        self.parent[small] = big as u32;
         if self.rank[big] == self.rank[small] {
             self.rank[big] += 1;
         }
-        self.odd[big] ^= self.odd[small];
-        self.touches_boundary[big] |= self.touches_boundary[small];
+        self.flags[big] =
+            (self.flags[big] ^ (self.flags[small] & ODD)) | (self.flags[small] & AT_BOUNDARY);
     }
 
     /// A cluster is *active* (must keep growing) when it holds odd parity
     /// and does not touch the boundary.
     fn is_active_root(&self, root: usize) -> bool {
-        self.odd[root] && !self.touches_boundary[root]
+        self.flags[root] & (ODD | AT_BOUNDARY) == ODD
+    }
+
+    /// Cluster bookkeeping for `node` after one of its incident edges
+    /// saturated: a node already in a cluster loses one unsaturated edge
+    /// (the saturating one, which its count necessarily still included);
+    /// a node entering now counts its unsaturated incident edges — the
+    /// saturating edge is already at full support, so it is excluded.
+    fn enter_cluster(&mut self, graph: &DecodingGraph, node: usize) {
+        if self.flags[node] & IN_CLUSTER != 0 {
+            debug_assert!(self.unsat[node] > 0, "saturated edge not in count");
+            self.unsat[node] -= 1;
+        } else {
+            self.flags[node] |= IN_CLUSTER;
+            self.members.push(node as u32);
+            let unsat = graph
+                .incident(node)
+                .iter()
+                .filter(|&&e| self.support[e] < 2);
+            self.unsat[node] = unsat.count() as u8;
+        }
+    }
+
+    /// Grows the BFS tree of `start` over the erasure, appending to
+    /// `order`, which doubles as the queue.
+    fn grow_tree(&mut self, graph: &DecodingGraph, start: usize) {
+        let boundary = graph.boundary();
+        self.flags[start] |= VISITED;
+        self.parent_edge[start] = NONE;
+        let mut head = self.order.len();
+        self.order.push(start as u32);
+        while head < self.order.len() {
+            let u = self.order[head] as usize;
+            head += 1;
+            if u == boundary {
+                for i in 0..self.boundary_edges.len() {
+                    self.reach(graph, self.boundary_edges[i] as usize, u);
+                }
+            } else {
+                for &e in graph.incident(u) {
+                    if self.support[e] == 2 {
+                        self.reach(graph, e, u);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Adds the far end of erased edge `e` to the tree of `u`, unless
+    /// some tree already has it.
+    #[inline]
+    fn reach(&mut self, graph: &DecodingGraph, e: EdgeId, u: usize) {
+        let [a, b] = graph.ends()[e];
+        let v = if a as usize == u { b } else { a };
+        if self.flags[v as usize] & VISITED == 0 {
+            self.flags[v as usize] |= VISITED;
+            self.parent_edge[v as usize] = e as u32;
+            self.order.push(v);
+        }
     }
 }
 
@@ -245,46 +381,19 @@ impl UnionFindDecoder {
         Correction::from_edges(graph, edges)
     }
 
-    /// Core decode: appends the matched edges for `events` to `edges_out`
-    /// (which is cleared first) without building a [`Correction`]. The
-    /// plane-batched path calls [`Self::decode_edges_prepared`] per shot
-    /// and XOR-folds the data flips itself.
+    /// Core decode: writes the matched edges for `events` to `edges_out`
+    /// (cleared first) without building a [`Correction`].
+    ///
+    /// Every loop walks only touched state (cluster members, delta'd
+    /// edges, erased-edge endpoints), never the whole graph, and a final
+    /// undo pass restores exactly the entries the decode mutated — so the
+    /// cost is proportional to the clusters grown, not to `nodes + edges`,
+    /// and the scratch is clean again for the next decode.
     fn decode_edges(
         &self,
         graph: &DecodingGraph,
         events: &[NodeId],
-        scratch: &mut UfScratch,
-        trace: &mut UfTrace,
-        edges_out: &mut Vec<EdgeId>,
-    ) {
-        edges_out.clear();
-        if events.is_empty() {
-            return;
-        }
-        scratch.reset_for(graph);
-        self.decode_edges_prepared(graph, events, scratch, trace, edges_out);
-    }
-
-    /// [`Self::decode_edges`] against a scratch already reset for `graph`.
-    ///
-    /// Every loop here walks only touched-state lists (cluster members,
-    /// delta'd edges, erased-edge endpoints), never the whole graph, and a
-    /// final undo pass restores the scratch to its post-reset state — so
-    /// per-shot cost is proportional to the clusters grown, not to
-    /// `nodes + edges`. That is what makes plane-batched decoding cheap at
-    /// low event density, where most shots grow a handful of tiny clusters.
-    ///
-    /// Output is bit-identical to a fresh-reset decode: each reordered
-    /// iteration (round edges, erasure, forest seeds) is sorted back to the
-    /// ascending order the full scans used, and the undo pass restores
-    /// exactly the entries the decode mutated (union-find state on cluster
-    /// nodes, forest state on BFS-visited nodes, support on delta'd edges;
-    /// `delta`/`edge_stamp` are already restored per growth round).
-    fn decode_edges_prepared(
-        &self,
-        graph: &DecodingGraph,
-        events: &[NodeId],
-        scratch: &mut UfScratch,
+        s: &mut UfScratch,
         trace: &mut UfTrace,
         edges_out: &mut Vec<EdgeId>,
     ) {
@@ -293,225 +402,172 @@ impl UnionFindDecoder {
             return;
         }
         let boundary = graph.boundary();
+        // Reject bad input before the first mutation: a scratch that is
+        // clean stays clean.
         for &e in events {
-            assert!(!graph.is_boundary(e), "boundary node cannot be an event");
-            scratch.is_event[e] = true;
-            scratch.odd[e] = true;
-            scratch.in_cluster[e] = true;
+            assert!(e != boundary, "boundary node cannot be an event");
+            assert!(e < boundary, "event node {e} is not in the graph");
+        }
+        let shape = (graph.num_nodes(), graph.edges().len());
+        if s.clean_for.take() != Some(shape) {
+            s.reset(shape.0, shape.1);
+        }
+        let ends = graph.ends();
+
+        for &e in events {
+            s.flags[e] |= EVENT | ODD | IN_CLUSTER;
             // Supports are all zero on a clean scratch, so every incident
             // edge of a seed is unsaturated.
-            scratch.unsat[e] = graph.incident(e).len() as u8;
-            scratch.cluster_nodes.push(e);
+            s.unsat[e] = graph.incident(e).len() as u8;
+            s.members.push(e as u32);
         }
 
         // --- Growth stage -------------------------------------------------
         loop {
-            // Collect member nodes of active clusters as (root, node)
-            // pairs and sort them. The sort is what makes the matching
-            // deterministic: the growth loop below iterates cluster by
-            // cluster, and edge supports saturate at 2 — so the *order*
-            // clusters claim shared edges decides which chains complete
-            // first. `cluster_nodes` holds exactly the in-cluster nodes
-            // (boundary excluded), so iterating it and sorting equals the
-            // old ascending all-node scan. Members whose incident edges
-            // are all saturated contribute no delta and are skipped
-            // before the union-find lookup — `delta[e]` counts *distinct
-            // adjacent active roots*, a pure set property, so dropping
-            // zero-contribution members (and the member iteration order
-            // itself) cannot change it. On a grown ball the interior
-            // vastly outnumbers the frontier, so this check is what keeps
-            // round cost proportional to the cluster surface.
-            scratch.active_members.clear();
-            for i in 0..scratch.cluster_nodes.len() {
-                let node = scratch.cluster_nodes[i];
-                if scratch.unsat[node] == 0 {
+            // Frontier members of active clusters count themselves, once
+            // per cluster, into the `delta` of their unsaturated edges.
+            // `delta[e]` is the number of *distinct adjacent active roots*,
+            // a pure set property: neither the member order nor skipping
+            // members whose edges are all saturated can change it. On a
+            // grown ball the interior vastly outnumbers the frontier, so
+            // retiring saturated members is what keeps a round's cost
+            // proportional to the cluster surface.
+            let mut visits = 0u64;
+            for i in s.saturated..s.members.len() {
+                let node = s.members[i] as usize;
+                if s.unsat[node] == 0 {
+                    s.members.swap(i, s.saturated);
+                    s.saturated += 1;
                     continue;
                 }
-                let root = scratch.find(node);
-                if scratch.is_active_root(root) {
-                    scratch.active_members.push((root, node));
+                let root = s.find(node);
+                if !s.is_active_root(root) {
+                    continue;
+                }
+                visits += 1;
+                let incident = graph.incident(node);
+                trace.edge_touches += incident.len() as u64;
+                for &e in incident {
+                    if s.support[e] < 2 && s.stamp[e] != root as u32 {
+                        s.stamp[e] = root as u32;
+                        if s.delta[e] == 0 {
+                            s.round.insert(e);
+                        }
+                        s.delta[e] += 1;
+                    }
                 }
             }
             // An odd boundary-free cluster always has an unsaturated
-            // frontier (saturation pulls the far endpoint in), so the
-            // frontier list is empty exactly when no cluster is active.
-            if scratch.active_members.is_empty() {
+            // frontier (saturation pulls the far endpoint in), so nothing
+            // was visited exactly when no cluster is active.
+            if visits == 0 {
                 break;
             }
             trace.growth_rounds += 1;
-            trace.member_visits += scratch.active_members.len() as u64;
-            scratch.round_edges.clear();
-            for i in 0..scratch.active_members.len() {
-                let (root, node) = scratch.active_members[i];
-                trace.edge_touches += graph.incident(node).len() as u64;
-                for &e in graph.incident(node) {
-                    if scratch.support[e] < 2 && scratch.edge_stamp[e] != root {
-                        scratch.edge_stamp[e] = root;
-                        if scratch.delta[e] == 0 {
-                            scratch.round_edges.push(e);
+            trace.member_visits += visits;
+            // Apply supports in ascending edge order: supports saturate
+            // at 2, so the order in which clusters claim shared edges
+            // decides which chains complete first.
+            for w in s.round.take_range() {
+                for e in ids_in(w, std::mem::take(&mut s.round.words[w])) {
+                    let d = std::mem::take(&mut s.delta[e]);
+                    s.stamp[e] = NONE;
+                    if s.support[e] == 0 {
+                        s.touched.push(e as u32);
+                    }
+                    s.support[e] = (s.support[e] + d).min(2);
+                    if s.support[e] == 2 {
+                        s.erased.insert(e);
+                        let [a, b] = ends[e].map(|n| n as usize);
+                        if a == boundary || b == boundary {
+                            let inner = if a == boundary { b } else { a };
+                            s.enter_cluster(graph, inner);
+                            let root = s.find(inner);
+                            s.flags[root] |= AT_BOUNDARY;
+                        } else {
+                            s.enter_cluster(graph, a);
+                            s.enter_cluster(graph, b);
+                            s.union(a, b);
+                            trace.merges += 1;
                         }
-                        scratch.delta[e] += 1;
-                    }
-                }
-            }
-            // Only delta'd edges were stamped; restore their stamps, then
-            // apply supports in ascending edge order, which decides edge
-            // claim priority. Sorting the touched list and scanning every
-            // edge for `delta > 0` build the same ascending vector; pick
-            // whichever is cheaper for this round's density.
-            for i in 0..scratch.round_edges.len() {
-                scratch.edge_stamp[scratch.round_edges[i]] = usize::MAX;
-            }
-            let m = scratch.delta.len();
-            if scratch.round_edges.len() * 4 >= m {
-                scratch.round_edges.clear();
-                for e in 0..m {
-                    if scratch.delta[e] > 0 {
-                        scratch.round_edges.push(e);
-                    }
-                }
-            } else {
-                scratch.round_edges.sort_unstable();
-            }
-            for i in 0..scratch.round_edges.len() {
-                let e = scratch.round_edges[i];
-                let d = scratch.delta[e];
-                scratch.delta[e] = 0;
-                if scratch.support[e] == 0 {
-                    scratch.touched_edges.push(e);
-                }
-                scratch.support[e] = (scratch.support[e] + d).min(2);
-                if scratch.support[e] == 2 {
-                    let edge = &graph.edges()[e];
-                    let (a, b) = (edge.a, edge.b);
-                    if a == boundary || b == boundary {
-                        let inner = if a == boundary { b } else { a };
-                        Self::enter_cluster(graph, scratch, inner);
-                        let root = scratch.find(inner);
-                        scratch.touches_boundary[root] = true;
-                    } else {
-                        Self::enter_cluster(graph, scratch, a);
-                        Self::enter_cluster(graph, scratch, b);
-                        scratch.union(a, b);
-                        trace.merges += 1;
                     }
                 }
             }
         }
 
         // --- Peeling stage ------------------------------------------------
-        // Erasure = fully grown edges. `touched_edges` holds every edge
-        // whose support went nonzero, each pushed once; sorting and
-        // filtering it equals the old ascending all-edge scan. Build a
-        // spanning forest with BFS, seeding from the boundary first so
-        // boundary-touching trees are rooted at the boundary (which absorbs
-        // leftover parity).
-        let m = scratch.support.len();
-        if scratch.touched_edges.len() * 4 >= m {
-            scratch.touched_edges.clear();
-            for e in 0..m {
-                if scratch.support[e] > 0 {
-                    scratch.touched_edges.push(e);
+        // Erasure = fully grown edges. Build a spanning forest with BFS,
+        // seeding from the boundary first so boundary-touching trees are
+        // rooted at the boundary (which absorbs leftover parity), then
+        // from the erased edges' endpoints in ascending node id.
+        for w in s.erased.take_range() {
+            let bits = std::mem::take(&mut s.erased.words[w]);
+            trace.erased_edges += u64::from(bits.count_ones());
+            for e in ids_in(w, bits) {
+                let [a, b] = ends[e].map(|n| n as usize);
+                if a == boundary || b == boundary {
+                    s.boundary_edges.push(e as u32);
+                }
+                s.seeds.insert(a);
+                s.seeds.insert(b);
+            }
+        }
+        if !s.boundary_edges.is_empty() {
+            s.grow_tree(graph, boundary);
+        }
+        for w in s.seeds.take_range() {
+            for node in ids_in(w, std::mem::take(&mut s.seeds.words[w])) {
+                if s.flags[node] & VISITED == 0 {
+                    s.grow_tree(graph, node);
                 }
             }
-        } else {
-            scratch.touched_edges.sort_unstable();
         }
-        for i in 0..scratch.touched_edges.len() {
-            let e = scratch.touched_edges[i];
-            if scratch.support[e] == 2 {
-                scratch.erased.push(e);
-            }
-        }
-        scratch.forest_seeds.clear();
-        for i in 0..scratch.erased.len() {
-            let e = scratch.erased[i];
-            let edge = &graph.edges()[e];
-            scratch.adj[edge.a].push(e);
-            scratch.adj[edge.b].push(e);
-            scratch.forest_seeds.push(edge.a);
-            scratch.forest_seeds.push(edge.b);
-        }
-        trace.erased_edges += scratch.erased.len() as u64;
-        if !scratch.adj[boundary].is_empty() {
-            Self::bfs(graph, scratch, boundary);
-        }
-        // Erased-edge endpoints are the only nodes with nonempty adjacency;
-        // visiting them ascending equals the old all-node seed scan.
-        let n = graph.num_nodes();
-        if scratch.forest_seeds.len() * 2 >= n {
-            scratch.forest_seeds.clear();
-            for node in 0..n {
-                if !scratch.adj[node].is_empty() {
-                    scratch.forest_seeds.push(node);
-                }
-            }
-        } else {
-            scratch.forest_seeds.sort_unstable();
-            scratch.forest_seeds.dedup();
-        }
-        for i in 0..scratch.forest_seeds.len() {
-            let node = scratch.forest_seeds[i];
-            if !scratch.visited[node] && !scratch.adj[node].is_empty() {
-                Self::bfs(graph, scratch, node);
-            }
-        }
-        trace.forest_visits += scratch.order.len() as u64;
+        trace.forest_visits += s.order.len() as u64;
 
         // Peel leaves inward: process nodes in reverse BFS order; each node
         // (except roots) has a parent edge. If the node still carries an
         // event, the parent edge joins the correction and the event moves to
         // the parent.
-        for i in (0..scratch.order.len()).rev() {
-            let node = scratch.order[i];
-            if let Some(pe) = scratch.parent_edge[node] {
-                if scratch.is_event[node] {
-                    scratch.is_event[node] = false;
-                    let parent = graph.other_end(pe, node);
-                    if parent != boundary {
-                        scratch.is_event[parent] = !scratch.is_event[parent];
-                    }
-                    edges_out.push(pe);
+        for i in (0..s.order.len()).rev() {
+            let node = s.order[i] as usize;
+            let pe = s.parent_edge[node];
+            if pe != NONE && s.flags[node] & EVENT != 0 {
+                s.flags[node] &= !EVENT;
+                let [a, b] = ends[pe as usize].map(|n| n as usize);
+                let parent = if a == node { b } else { a };
+                if parent != boundary {
+                    s.flags[parent] ^= EVENT;
                 }
+                edges_out.push(pe as usize);
             }
         }
         trace.peeled_edges += edges_out.len() as u64;
 
         // --- Undo pass ----------------------------------------------------
-        // Restore the scratch to its post-reset state so the next
-        // `decode_edges_prepared` call starts clean without an O(n + m)
-        // reset. Peeling already returns `is_event` to all-false when every
-        // event pairs up; clear it anyway so an incomplete pairing can
-        // never leak into the next shot.
-        for i in 0..scratch.cluster_nodes.len() {
-            let x = scratch.cluster_nodes[i];
+        // Every forest node but the boundary is a cluster member, `delta`
+        // and `stamp` were restored round by round, and the three id sets
+        // were emptied by their drains.
+        for &x in &s.members {
+            let x = x as usize;
             debug_assert!(
-                !scratch.is_event[x],
+                s.flags[x] & EVENT == 0,
                 "union-find left unpaired events: growth stage incomplete"
             );
-            scratch.is_event[x] = false;
-            scratch.in_cluster[x] = false;
-            scratch.parent[x] = x;
-            scratch.rank[x] = 0;
-            scratch.odd[x] = false;
-            scratch.touches_boundary[x] = false;
-            scratch.unsat[x] = 0;
+            s.flags[x] = 0;
+            s.parent[x] = x as u32;
+            s.rank[x] = 0;
+            s.unsat[x] = 0;
         }
-        scratch.cluster_nodes.clear();
-        for i in 0..scratch.order.len() {
-            let x = scratch.order[i];
-            scratch.visited[x] = false;
-            scratch.parent_edge[x] = None;
-            scratch.adj[x].clear();
+        s.members.clear();
+        s.saturated = 0;
+        s.flags[boundary] = 0;
+        s.order.clear();
+        s.boundary_edges.clear();
+        for &e in &s.touched {
+            s.support[e as usize] = 0;
         }
-        scratch.order.clear();
-        for i in 0..scratch.touched_edges.len() {
-            scratch.support[scratch.touched_edges[i]] = 0;
-        }
-        scratch.touched_edges.clear();
-        scratch.erased.clear();
-        scratch.active_members.clear();
-        scratch.forest_seeds.clear();
+        s.touched.clear();
+        s.clean_for = Some(shape);
     }
 
     /// Plane-batched decode: transposes the node-major event planes into
@@ -527,118 +583,65 @@ impl UnionFindDecoder {
         &self,
         graph: &DecodingGraph,
         planes: &EventPlanes<'_>,
-        scratch: &mut UfScratch,
+        s: &mut UfScratch,
         out: &mut CorrectionBatch,
     ) {
         let shots = planes.shots();
         out.clear();
+        let mut offsets = std::mem::take(&mut s.offsets);
+        let mut events = std::mem::take(&mut s.events);
+        let mut edges = std::mem::take(&mut s.edges);
+        let mut flips = std::mem::take(&mut s.flips);
 
-        // CSR transpose: per-shot event counts, prefix sums, fill.
-        let mut offsets = vec![0usize; shots + 1];
-        for node in 0..planes.nodes() {
-            for (b, &word) in planes.plane(node).iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let shot = b * 64 + bits.trailing_zeros() as usize;
-                    offsets[shot + 1] += 1;
-                    bits &= bits - 1;
-                }
-            }
+        // CSR transpose: per-shot event counts, then a prefix sum that
+        // leaves `offsets[shot]` at the shot's start, then a fill that
+        // advances it to the shot's end.
+        refill(&mut offsets, shots + 1, 0);
+        for_each_event(planes, |_, shot| offsets[shot + 1] += 1);
+        for shot in 1..shots {
+            offsets[shot + 1] += offsets[shot];
         }
-        for s in 0..shots {
-            offsets[s + 1] += offsets[s];
-        }
-        let total = offsets[shots];
-        let mut events_flat = vec![0 as NodeId; total];
-        let mut cursor = offsets.clone();
-        for node in 0..planes.nodes() {
-            for (b, &word) in planes.plane(node).iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let shot = b * 64 + bits.trailing_zeros() as usize;
-                    events_flat[cursor[shot]] = node;
-                    cursor[shot] += 1;
-                    bits &= bits - 1;
-                }
-            }
-        }
+        refill(&mut events, offsets[shots], 0);
+        for_each_event(planes, |node, shot| {
+            events[offsets[shot]] = node;
+            offsets[shot] += 1;
+        });
 
-        // Per-shot decode with reused scratch, edge buffer and flip marks.
-        // The scratch is reset once for the whole batch; each prepared
-        // decode cleans up after itself, so per-shot cost scales with the
-        // clusters grown rather than with the graph.
-        scratch.reset_for(graph);
-        let mut edges: Vec<EdgeId> = Vec::new();
-        let mut marked: Vec<bool> = Vec::new();
-        let mut touched: Vec<usize> = Vec::new();
-        for shot in 0..shots {
-            let events = &events_flat[offsets[shot]..offsets[shot + 1]];
+        let qubits = graph.data_qubits();
+        let mut start = 0;
+        for &end in &offsets[..shots] {
             let mut trace = UfTrace::default();
-            self.decode_edges_prepared(graph, events, scratch, &mut trace, &mut edges);
+            self.decode_edges(graph, &events[start..end], s, &mut trace, &mut edges);
+            start = end;
 
-            // XOR-fold data faults without a per-shot set: mark parity in a
-            // reusable bool table, then emit odd-parity qubits ascending.
-            touched.clear();
+            // XOR-fold data faults in a parity bitset over data qubits,
+            // then emit the odd-parity qubits ascending.
             for &e in &edges {
-                if let Fault::Data(q) = graph.edges()[e].fault {
-                    if q >= marked.len() {
-                        marked.resize(q + 1, false);
+                let q = qubits[e];
+                if q != NO_QUBIT {
+                    let w = q as usize >> 6;
+                    if w >= flips.len() {
+                        flips.resize(w + 1, 0);
                     }
-                    if !marked[q] {
-                        touched.push(q);
-                        marked[q] = true;
-                    } else {
-                        marked[q] = false;
-                    }
+                    flips[w] ^= 1 << (q & 63);
                 }
             }
-            touched.sort_unstable();
-            for &q in &touched {
-                if marked[q] {
-                    out.push_flip(q);
-                    marked[q] = false;
+            if !edges.is_empty() {
+                for (w, word) in flips.iter_mut().enumerate() {
+                    ids_in(w, std::mem::take(word)).for_each(|q| out.push_flip(q));
                 }
             }
             out.finish_shot();
         }
+        (s.offsets, s.events, s.edges, s.flips) = (offsets, events, edges, flips);
     }
+}
 
-    /// Cluster bookkeeping for `node` after one of its incident edges
-    /// saturated: a node already in a cluster loses one unsaturated edge
-    /// (the saturating one, which its count necessarily still included);
-    /// a node entering now counts its unsaturated incident edges — the
-    /// saturating edge is already at full support, so it is excluded.
-    fn enter_cluster(graph: &DecodingGraph, scratch: &mut UfScratch, node: NodeId) {
-        if scratch.in_cluster[node] {
-            debug_assert!(scratch.unsat[node] > 0, "saturated edge not in count");
-            scratch.unsat[node] -= 1;
-        } else {
-            scratch.in_cluster[node] = true;
-            scratch.cluster_nodes.push(node);
-            let mut unsat = 0u8;
-            for &e in graph.incident(node) {
-                if scratch.support[e] < 2 {
-                    unsat += 1;
-                }
-            }
-            scratch.unsat[node] = unsat;
-        }
-    }
-
-    fn bfs(graph: &DecodingGraph, scratch: &mut UfScratch, start: NodeId) {
-        scratch.visited[start] = true;
-        scratch.queue.push_back(start);
-        while let Some(u) = scratch.queue.pop_front() {
-            scratch.order.push(u);
-            for i in 0..scratch.adj[u].len() {
-                let e = scratch.adj[u][i];
-                let v = graph.other_end(e, u);
-                if !scratch.visited[v] {
-                    scratch.visited[v] = true;
-                    scratch.parent_edge[v] = Some(e);
-                    scratch.queue.push_back(v);
-                }
-            }
+/// Visits every `(node, shot)` event of `planes`, nodes ascending.
+fn for_each_event(planes: &EventPlanes<'_>, mut visit: impl FnMut(NodeId, usize)) {
+    for node in 0..planes.nodes() {
+        for (b, &word) in planes.plane(node).iter().enumerate() {
+            ids_in(b, word).for_each(|shot| visit(node, shot));
         }
     }
 }
@@ -811,6 +814,67 @@ mod tests {
             assert_eq!(with_scratch, fresh, "rounds = {rounds}");
             assert!(correction_explains_events(&g, &with_scratch, &events));
         }
+    }
+
+    #[test]
+    fn buffers_never_grow_after_first_batch() {
+        // Pointer and capacity of everything a scratch owns, after one
+        // 4096-shot batch through each entry and after a second one.
+        fn buffers(s: &UfScratch) -> Vec<(usize, usize)> {
+            fn of<T>(v: &Vec<T>) -> (usize, usize) {
+                (v.as_ptr() as usize, v.capacity())
+            }
+            vec![
+                of(&s.flags),
+                of(&s.unsat),
+                of(&s.parent),
+                of(&s.rank),
+                of(&s.parent_edge),
+                of(&s.support),
+                of(&s.delta),
+                of(&s.stamp),
+                of(&s.round.words),
+                of(&s.erased.words),
+                of(&s.seeds.words),
+                of(&s.members),
+                of(&s.touched),
+                of(&s.boundary_edges),
+                of(&s.order),
+                of(&s.offsets),
+                of(&s.events),
+                of(&s.edges),
+                of(&s.flips),
+            ]
+        }
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(1315);
+        let lat = RotatedLattice::new(5);
+        let g = DecodingGraph::new(&lat, StabKind::Z, 6);
+        let (nodes, shots) = (g.boundary(), 4096);
+        let blocks = shots / 64;
+        let planes: Vec<u64> = (0..nodes * blocks)
+            .map(|_| rng.gen::<u64>() & rng.gen::<u64>() & rng.gen::<u64>() & rng.gen::<u64>())
+            .collect();
+        let planes = EventPlanes::new(&planes, nodes, blocks, shots);
+        let mut sets = Vec::new();
+        planes.scatter_into(&mut sets);
+
+        let uf = UnionFindDecoder::new();
+        let mut scratch = UfScratch::new();
+        let mut batch = CorrectionBatch::new();
+        let mut both_entries = |scratch: &mut UfScratch| {
+            uf.decode_planes_impl(&g, &planes, scratch, &mut batch);
+            let weight: usize = sets
+                .iter()
+                .map(|events| uf.decode_with(&g, events, scratch).weight())
+                .sum();
+            assert_eq!(batch.total_flips(), weight);
+        };
+        both_entries(&mut scratch);
+        let warm = buffers(&scratch);
+        both_entries(&mut scratch);
+        assert_eq!(buffers(&scratch), warm, "a scratch buffer moved or grew");
+        assert_eq!(scratch.full_resets(), 1);
     }
 
     #[test]

@@ -68,8 +68,18 @@ pub struct DecodingGraph {
     rounds: usize,
     num_checks: usize,
     edges: Vec<DecodingEdge>,
-    adjacency: Vec<Vec<EdgeId>>,
+    /// CSR incidence: node `n`'s incident edges, ascending, are
+    /// `incidence[inc_off[n]..inc_off[n + 1]]`.
+    inc_off: Vec<u32>,
+    incidence: Vec<EdgeId>,
+    /// Compact copies of the edges for the decoders' inner loops: the
+    /// endpoints `[a, b]`, and the faulted data qubit or [`NO_QUBIT`].
+    ends: Vec<[u32; 2]>,
+    data_qubit: Vec<u32>,
 }
+
+/// [`DecodingGraph::data_qubits`] entry of a measurement-fault edge.
+pub(crate) const NO_QUBIT: u32 = u32::MAX;
 
 impl DecodingGraph {
     /// Builds the decoding graph for checks of type `kind` over `rounds`
@@ -110,93 +120,97 @@ impl DecodingGraph {
         diagonals: bool,
     ) -> DecodingGraph {
         assert!(rounds > 0, "need at least one detection round");
-        let checks: Vec<_> = lattice.plaquettes_of(kind).collect();
-        let num_checks = checks.len();
-        // Map each plaquette's ancilla to its check index.
-        let check_of = |ancilla: usize| -> usize {
-            checks
-                .iter()
-                .position(|p| p.ancilla == ancilla)
-                .expect("ancilla is a check of this kind")
-        };
+        let num_data = lattice.num_data();
+        // Round 0 as a template. Per data qubit, the one or two checks
+        // that see it (ascending check index) with the schedule layer in
+        // which each touches it.
+        let mut layer_of_corner = [0; 4];
+        for layer in 0..4 {
+            layer_of_corner[crate::schedule::corner_for_layer(kind, layer)] = layer;
+        }
+        let mut owners = vec![([(0usize, 0usize); 2], 0usize); num_data];
+        let mut num_checks = 0;
+        for (check, p) in lattice.plaquettes_of(kind).enumerate() {
+            num_checks += 1;
+            for (corner, q) in lattice.corners(p).into_iter().enumerate() {
+                let Some(q) = q else { continue };
+                let (slots, n) = &mut owners[q];
+                assert!(*n < 2, "data qubit {q} is in three {kind} stabilizers");
+                slots[*n] = (check, layer_of_corner[corner]);
+                *n += 1;
+            }
+        }
+        // Diagonals: mid-round data errors between the two owners' CNOT
+        // times, as `(late check, early check, qubit)`.
+        let mut diagonal = Vec::new();
+        for (q, &(slots, n)) in owners.iter().enumerate() {
+            assert!(n > 0, "data qubit {q} is in no {kind} stabilizer");
+            if diagonals && n == 2 {
+                let [(c1, l1), (c2, l2)] = slots;
+                diagonal.push(if l1 < l2 { (c2, c1, q) } else { (c1, c2, q) });
+            }
+        }
 
+        // Replicate the template by node offset, round by round.
         let boundary = rounds * num_checks;
-        let mut edges = Vec::new();
-        for t in 0..rounds {
-            // Spatial / boundary edges: one per data qubit.
-            for q in 0..lattice.num_data() {
-                let owners = lattice.stabilizers_on(q, kind);
-                match owners.as_slice() {
-                    [p] => edges.push(DecodingEdge {
-                        a: t * num_checks + check_of(p.ancilla),
-                        b: boundary,
-                        fault: Fault::Data(q),
-                    }),
-                    [p1, p2] => edges.push(DecodingEdge {
-                        a: t * num_checks + check_of(p1.ancilla),
-                        b: t * num_checks + check_of(p2.ancilla),
-                        fault: Fault::Data(q),
-                    }),
-                    other => {
-                        unreachable!("data qubit {q} is in {} {kind} stabilizers", other.len())
-                    }
-                }
-            }
-            // Temporal edges.
-            if t + 1 < rounds {
-                for c in 0..num_checks {
-                    edges.push(DecodingEdge {
-                        a: t * num_checks + c,
-                        b: (t + 1) * num_checks + c,
-                        fault: Fault::Measurement { check: c, round: t },
-                    });
-                }
-            }
-            // Diagonal edges: mid-round data errors between the two
-            // owners' CNOT times.
-            if diagonals && t + 1 < rounds {
-                for q in 0..lattice.num_data() {
-                    let owners = lattice.stabilizers_on(q, kind);
-                    if let [p1, p2] = owners.as_slice() {
-                        // Schedule layer in which each owner touches q.
-                        let layer_of = |p: &crate::lattice::Plaquette| -> usize {
-                            let corners = lattice.corners(p);
-                            let corner = corners
-                                .iter()
-                                .position(|&c| c == Some(q))
-                                .expect("owner contains q");
-                            (0..4)
-                                .find(|&l| crate::schedule::corner_for_layer(p.kind, l) == corner)
-                                .expect("corner appears in the order")
-                        };
-                        let (early, late) = if layer_of(p1) < layer_of(p2) {
-                            (p1, p2)
-                        } else {
-                            (p2, p1)
-                        };
-                        edges.push(DecodingEdge {
-                            a: t * num_checks + check_of(late.ancilla),
-                            b: (t + 1) * num_checks + check_of(early.ancilla),
-                            fault: Fault::Data(q),
-                        });
-                    }
-                }
-            }
-        }
-
-        let mut adjacency = vec![Vec::new(); boundary + 1];
-        for (i, e) in edges.iter().enumerate() {
-            adjacency[e.a].push(i);
-            adjacency[e.b].push(i);
-        }
-
-        DecodingGraph {
+        let num_edges = rounds * num_data + (rounds - 1) * (num_checks + diagonal.len());
+        assert!(
+            u32::try_from((2 * num_edges).max(boundary)).is_ok_and(|x| x < NO_QUBIT),
+            "decoding graph ids and incidence offsets must fit in 32 bits"
+        );
+        let mut graph = DecodingGraph {
             kind,
             rounds,
             num_checks,
-            edges,
-            adjacency,
+            edges: Vec::with_capacity(num_edges),
+            inc_off: vec![0; boundary + 3],
+            incidence: vec![0; 2 * num_edges],
+            ends: Vec::with_capacity(num_edges),
+            data_qubit: Vec::with_capacity(num_edges),
+        };
+        for t in 0..rounds {
+            let (here, next) = (t * num_checks, (t + 1) * num_checks);
+            // Spatial / boundary edges: one per data qubit.
+            for (q, &(slots, n)) in owners.iter().enumerate() {
+                let b = if n == 2 { here + slots[1].0 } else { boundary };
+                graph.push_edge(here + slots[0].0, b, Fault::Data(q));
+            }
+            if t + 1 < rounds {
+                for check in 0..num_checks {
+                    let fault = Fault::Measurement { check, round: t };
+                    graph.push_edge(here + check, next + check, fault);
+                }
+                for &(late, early, q) in &diagonal {
+                    graph.push_edge(here + late, next + early, Fault::Data(q));
+                }
+            }
         }
+        // `push_edge` counted node n's degree into `inc_off[n + 2]`: one
+        // prefix sum makes `inc_off[n + 1]` node n's fill cursor, and the
+        // ascending fill leaves it at node n's end, node n + 1's start.
+        for n in 2..graph.inc_off.len() {
+            graph.inc_off[n] += graph.inc_off[n - 1];
+        }
+        for (e, &[a, b]) in graph.ends.iter().enumerate() {
+            for n in [a, b] {
+                let cursor = &mut graph.inc_off[n as usize + 1];
+                graph.incidence[*cursor as usize] = e;
+                *cursor += 1;
+            }
+        }
+        graph.inc_off.pop();
+        graph
+    }
+
+    fn push_edge(&mut self, a: NodeId, b: NodeId, fault: Fault) {
+        self.edges.push(DecodingEdge { a, b, fault });
+        self.ends.push([a as u32, b as u32]);
+        self.data_qubit.push(match fault {
+            Fault::Data(q) => q as u32,
+            Fault::Measurement { .. } => NO_QUBIT,
+        });
+        self.inc_off[a + 2] += 1;
+        self.inc_off[b + 2] += 1;
     }
 
     /// Stabilizer type this graph decodes.
@@ -259,7 +273,18 @@ impl DecodingGraph {
     ///
     /// Panics if `n` is out of range.
     pub fn incident(&self, n: NodeId) -> &[EdgeId] {
-        &self.adjacency[n]
+        &self.incidence[self.inc_off[n] as usize..self.inc_off[n + 1] as usize]
+    }
+
+    /// Endpoints `[a, b]` of every edge, by edge id.
+    pub(crate) fn ends(&self) -> &[[u32; 2]] {
+        &self.ends
+    }
+
+    /// The data qubit every edge faults, by edge id; [`NO_QUBIT`] for a
+    /// measurement fault.
+    pub(crate) fn data_qubits(&self) -> &[u32] {
+        &self.data_qubit
     }
 
     /// The endpoint of `e` other than `n`.
@@ -323,6 +348,118 @@ impl DecodingGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The construction as it was before the template build: a linear
+    /// `check_of` scan per endpoint, `stabilizers_on` per (round, qubit),
+    /// nested adjacency lists.
+    fn reference_build(
+        lattice: &RotatedLattice,
+        kind: StabKind,
+        rounds: usize,
+        diagonals: bool,
+    ) -> (Vec<DecodingEdge>, Vec<Vec<EdgeId>>) {
+        let checks: Vec<_> = lattice.plaquettes_of(kind).collect();
+        let num_checks = checks.len();
+        let check_of = |ancilla: usize| -> usize {
+            checks
+                .iter()
+                .position(|p| p.ancilla == ancilla)
+                .expect("ancilla is a check of this kind")
+        };
+        let boundary = rounds * num_checks;
+        let mut edges = Vec::new();
+        for t in 0..rounds {
+            for q in 0..lattice.num_data() {
+                let owners = lattice.stabilizers_on(q, kind);
+                match owners.as_slice() {
+                    [p] => edges.push(DecodingEdge {
+                        a: t * num_checks + check_of(p.ancilla),
+                        b: boundary,
+                        fault: Fault::Data(q),
+                    }),
+                    [p1, p2] => edges.push(DecodingEdge {
+                        a: t * num_checks + check_of(p1.ancilla),
+                        b: t * num_checks + check_of(p2.ancilla),
+                        fault: Fault::Data(q),
+                    }),
+                    other => {
+                        unreachable!("data qubit {q} is in {} {kind} stabilizers", other.len())
+                    }
+                }
+            }
+            if t + 1 < rounds {
+                for c in 0..num_checks {
+                    edges.push(DecodingEdge {
+                        a: t * num_checks + c,
+                        b: (t + 1) * num_checks + c,
+                        fault: Fault::Measurement { check: c, round: t },
+                    });
+                }
+            }
+            if diagonals && t + 1 < rounds {
+                for q in 0..lattice.num_data() {
+                    let owners = lattice.stabilizers_on(q, kind);
+                    if let [p1, p2] = owners.as_slice() {
+                        let layer_of = |p: &crate::lattice::Plaquette| -> usize {
+                            let corners = lattice.corners(p);
+                            let corner = corners
+                                .iter()
+                                .position(|&c| c == Some(q))
+                                .expect("owner contains q");
+                            (0..4)
+                                .find(|&l| crate::schedule::corner_for_layer(p.kind, l) == corner)
+                                .expect("corner appears in the order")
+                        };
+                        let (early, late) = if layer_of(p1) < layer_of(p2) {
+                            (p1, p2)
+                        } else {
+                            (p2, p1)
+                        };
+                        edges.push(DecodingEdge {
+                            a: t * num_checks + check_of(late.ancilla),
+                            b: (t + 1) * num_checks + check_of(early.ancilla),
+                            fault: Fault::Data(q),
+                        });
+                    }
+                }
+            }
+        }
+        let mut adjacency = vec![Vec::new(); boundary + 1];
+        for (i, e) in edges.iter().enumerate() {
+            adjacency[e.a].push(i);
+            adjacency[e.b].push(i);
+        }
+        (edges, adjacency)
+    }
+
+    #[test]
+    fn template_build_equals_the_per_round_construction() {
+        for d in [3, 5, 7] {
+            let lat = RotatedLattice::new(d);
+            for kind in [StabKind::X, StabKind::Z] {
+                for rounds in [1, 2, d + 1] {
+                    for diagonals in [false, true] {
+                        let g = DecodingGraph::build(&lat, kind, rounds, diagonals);
+                        let (edges, adjacency) = reference_build(&lat, kind, rounds, diagonals);
+                        let case = format!("d={d} {kind} rounds={rounds} diagonals={diagonals}");
+                        assert_eq!(g.edges(), edges.as_slice(), "{case}");
+                        assert_eq!(g.num_nodes(), adjacency.len(), "{case}");
+                        for (n, incident) in adjacency.iter().enumerate() {
+                            assert_eq!(g.incident(n), incident.as_slice(), "{case} node {n}");
+                        }
+                        for (e, edge) in edges.iter().enumerate() {
+                            assert_eq!(g.ends()[e], [edge.a as u32, edge.b as u32], "{case}");
+                            let q = match edge.fault {
+                                Fault::Data(q) => q as u32,
+                                Fault::Measurement { .. } => NO_QUBIT,
+                            };
+                            assert_eq!(g.data_qubits()[e], q, "{case} edge {e}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn d3_single_round_graph_shape() {

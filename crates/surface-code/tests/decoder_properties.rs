@@ -6,15 +6,21 @@
 //! space-time decoding → logical readout), and check structural properties
 //! of the decoders on random syndromes.
 
+mod reference_uf;
+
 use proptest::prelude::*;
 use quest_stabilizer::{Pauli, PauliString};
-use quest_surface::decoder::{correction_explains_events, Decoder};
+use quest_surface::decoder::{
+    correction_explains_events, Correction, CorrectionBatch, Decoder, EventPlanes, UfScratch,
+    UfTrace,
+};
 use quest_surface::{
     DecodingGraph, ExactMatchingDecoder, Fault, LutDecoder, MemoryBasis, MemoryExperiment,
     MemoryNoise, NodeId, RotatedLattice, StabKind, UnionFindDecoder,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use reference_uf::reference_decode;
 use std::collections::BTreeSet;
 
 /// Homology class of an X-type flip set: whether it anticommutes with
@@ -246,4 +252,156 @@ proptest! {
         prop_assert!(uf.edges.len() >= cost || uf.edges.is_empty() && cost == 0,
             "UF produced fewer edges ({}) than the optimal matching cost ({cost})", uf.edges.len());
     }
+}
+
+/// The graph shapes of the differential tests: d ∈ {3, 5, 7}, one round
+/// or d + 1, plain or with diagonals — `shape` picks one of the twelve.
+fn differential_graph(shape: usize) -> DecodingGraph {
+    let d = [3, 5, 7][shape % 3];
+    let rounds = if shape % 6 < 3 { 1 } else { d + 1 };
+    let lat = RotatedLattice::new(d);
+    if shape < 6 {
+        DecodingGraph::new(&lat, StabKind::Z, rounds)
+    } else {
+        DecodingGraph::with_diagonals(&lat, StabKind::Z, rounds)
+    }
+}
+
+/// Every check node independently with probability `density`, ascending.
+fn random_events(g: &DecodingGraph, density: f64, rng: &mut StdRng) -> Vec<NodeId> {
+    (0..g.boundary())
+        .filter(|_| rng.gen_bool(density))
+        .collect()
+}
+
+/// What the reference decoder makes of `events`: correction and trace.
+fn reference(g: &DecodingGraph, events: &[NodeId]) -> (Correction, UfTrace) {
+    let mut trace = UfTrace::default();
+    let edges = reference_decode(g, events, &mut trace);
+    (Correction::from_edges(g, edges), trace)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The flat decoder is the old decoder: the same matched edges in the
+    /// same order and the same work counters, on every graph shape and at
+    /// every density up to far above threshold.
+    #[test]
+    fn flat_union_find_equals_the_reference_edges_and_trace(
+        shape in 0usize..12,
+        density in 0.0f64..0.3,
+        seed in any::<u64>(),
+    ) {
+        let g = differential_graph(shape);
+        let events = random_events(&g, density, &mut StdRng::seed_from_u64(seed));
+        let mut trace = UfTrace::default();
+        let correction =
+            UnionFindDecoder::new().decode_traced(&g, &events, &mut UfScratch::new(), &mut trace);
+        let (want, want_trace) = reference(&g, &events);
+        prop_assert_eq!(correction, want);
+        prop_assert_eq!(trace, want_trace);
+    }
+
+    /// One scratch carried across graphs of different shapes (and back)
+    /// decodes as a fresh scratch does, trace included.
+    #[test]
+    fn one_scratch_across_graph_shapes_equals_fresh_scratches(
+        shapes in proptest::collection::vec(0usize..12, 2..7),
+        density in 0.0f64..0.2,
+        seed in any::<u64>(),
+    ) {
+        let uf = UnionFindDecoder::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut shared = UfScratch::new();
+        for (step, &shape) in shapes.iter().enumerate() {
+            let g = differential_graph(shape);
+            for _ in 0..3 {
+                let events = random_events(&g, density, &mut rng);
+                let (mut got_trace, mut want_trace) = (UfTrace::default(), UfTrace::default());
+                let got = uf.decode_traced(&g, &events, &mut shared, &mut got_trace);
+                let want = uf.decode_traced(&g, &events, &mut UfScratch::new(), &mut want_trace);
+                prop_assert_eq!(got, want, "step {}", step);
+                prop_assert_eq!(got_trace, want_trace, "step {}", step);
+            }
+        }
+    }
+
+    /// `decode_planes` equals scatter + `decode_many` (and through it the
+    /// reference) on random planes whose last block is partly dead.
+    #[test]
+    fn plane_decode_equals_scatter_and_sparse_decode(
+        shape in 0usize..12,
+        density in 0.0f64..0.3,
+        shots in 65usize..192,
+        seed in any::<u64>(),
+    ) {
+        prop_assume!(shots % 64 != 0);
+        let g = differential_graph(shape);
+        let (nodes, blocks) = (g.boundary(), shots.div_ceil(64));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut planes = vec![0u64; nodes * blocks];
+        for node in 0..nodes {
+            for shot in 0..shots {
+                if rng.gen_bool(density) {
+                    planes[node * blocks + shot / 64] |= 1 << (shot % 64);
+                }
+            }
+        }
+        let planes = EventPlanes::new(&planes, nodes, blocks, shots);
+        let uf = UnionFindDecoder::new();
+        let mut batch = CorrectionBatch::new();
+        uf.decode_planes(&g, &planes, &mut batch);
+        let mut sets = Vec::new();
+        planes.scatter_into(&mut sets);
+        let sparse = uf.decode_many(&g, &sets);
+        prop_assert_eq!(batch.shots(), shots);
+        for (shot, correction) in sparse.iter().enumerate() {
+            let flips: Vec<usize> = correction.data_flips.iter().copied().collect();
+            prop_assert_eq!(batch.flips_of(shot), flips.as_slice(), "shot {}", shot);
+            prop_assert_eq!(correction, &reference(&g, &sets[shot]).0, "shot {}", shot);
+        }
+    }
+}
+
+/// The O(nodes + edges) reset is paid per graph shape, not per shot — a
+/// count, not a timing — and a rejected input cannot spoil a clean
+/// scratch.
+#[test]
+fn a_batch_of_sparse_decodes_resets_the_scratch_once() {
+    let uf = UnionFindDecoder::new();
+    let g = differential_graph(4); // d = 5, 6 rounds
+    let mut rng = StdRng::seed_from_u64(24);
+    let mut scratch = UfScratch::new();
+    for shot in 0..4096 {
+        let density = [0.0, 0.002, 0.02, 0.1][shot % 4];
+        let events = random_events(&g, density, &mut rng);
+        let correction = uf.decode_with(&g, &events, &mut scratch);
+        assert_eq!(correction, uf.decode(&g, &events), "shot {shot}");
+    }
+    assert_eq!(scratch.full_resets(), 1);
+
+    let events = [g.node(0, 0), g.node(3, 5), g.boundary()];
+    let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        uf.decode_with(&g, &events, &mut scratch)
+    }));
+    assert!(rejected.is_err(), "the boundary is not an event");
+    let events = random_events(&g, 0.05, &mut rng);
+    assert_eq!(
+        uf.decode_with(&g, &events, &mut scratch),
+        uf.decode(&g, &events)
+    );
+    assert_eq!(
+        scratch.full_resets(),
+        1,
+        "a rejected input dirtied the scratch"
+    );
+
+    // Another shape and back: one reset each.
+    let other = differential_graph(0);
+    uf.decode_with(&other, &[other.node(0, 1)], &mut scratch);
+    assert_eq!(scratch.full_resets(), 2);
+    uf.decode_with(&g, &events, &mut scratch);
+    uf.decode_with(&g, &[], &mut scratch);
+    assert_eq!(scratch.full_resets(), 3);
 }
