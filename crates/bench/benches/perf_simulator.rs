@@ -7,7 +7,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quest_core::Mce;
-use quest_stabilizer::{FrameBlock, SeedableRng, StabilizerSim, StdRng, Tableau};
+use quest_stabilizer::{
+    FrameBlock, Measurement, Pauli, Rng, SeedableRng, StabilizerSim, StdRng, Tableau,
+};
 use quest_surface::decoder::{Correction, Decoder};
 use quest_surface::{
     DecodingGraph, FrameSampler, MemoryBasis, MemoryExperiment, MemoryNoise, NodeId,
@@ -248,6 +250,150 @@ fn frame_block_cycle_comparison(_c: &mut Criterion) {
     );
 }
 
+/// One substrate call of an MCE cycle, as recorded.
+#[derive(Clone, Copy)]
+enum Call {
+    Boundary(usize),
+    H(usize),
+    S(usize),
+    Pauli(usize, Pauli),
+    Cnot(usize, usize),
+    Measure(usize),
+    MeasureX(usize),
+    Reset(usize),
+    ResetPlus(usize),
+}
+
+/// Forwards every call to the block it wraps and logs it.
+struct Recorder<'a> {
+    block: &'a mut FrameBlock,
+    calls: Vec<Call>,
+}
+
+impl StabilizerSim for Recorder<'_> {
+    fn num_qubits(&self) -> usize {
+        self.block.num_qubits()
+    }
+    fn h(&mut self, q: usize) {
+        self.calls.push(Call::H(q));
+        self.block.h(q);
+    }
+    fn s(&mut self, q: usize) {
+        self.calls.push(Call::S(q));
+        self.block.s(q);
+    }
+    fn pauli(&mut self, q: usize, p: Pauli) {
+        self.calls.push(Call::Pauli(q, p));
+        self.block.pauli(q, p);
+    }
+    fn cnot(&mut self, c: usize, t: usize) {
+        self.calls.push(Call::Cnot(c, t));
+        self.block.cnot(c, t);
+    }
+    fn measure<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> Measurement {
+        self.calls.push(Call::Measure(q));
+        self.block.measure(q, rng)
+    }
+    fn measure_x<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> Measurement {
+        self.calls.push(Call::MeasureX(q));
+        self.block.measure_x(q, rng)
+    }
+    fn reset<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) {
+        self.calls.push(Call::Reset(q));
+        self.block.reset(q, rng);
+    }
+    fn reset_plus<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) {
+        self.calls.push(Call::ResetPlus(q));
+        self.block.reset_plus(q, rng);
+    }
+    fn cycle_boundary(&mut self, key: usize) {
+        self.calls.push(Call::Boundary(key));
+        self.block.cycle_boundary(key);
+    }
+}
+
+/// What the MCE costs on top of the substrate work it drives, in one
+/// process so that sandbox drift cancels: a d = 5 MCE cycle at p = 0 on a
+/// frame block whose tape has locked, over the substrate calls of that
+/// very cycle, recorded and replayed straight onto the block. The ratio
+/// read 1.70 on the reference container with the per-latch execution
+/// loop (every µop word decoded again on every issue, the syndrome routed
+/// one `Option<bool>` per slot) and 1.06-1.10 with words resolved once
+/// and the syndrome routed as packed bits; the ceiling is 1.3x the
+/// latter, so a per-latch decode creeping back trips it and no wall-clock
+/// threshold is involved.
+fn mce_issue_cost_ratio(_c: &mut Criterion) {
+    use std::time::Instant;
+    const CYCLES: u32 = 20_000;
+    const CEILING: f64 = 1.3 * 1.07;
+    let lat = RotatedLattice::new(5);
+    let mut mce = Mce::new(&lat, 4096);
+    let mut block = FrameBlock::new(lat.num_qubits());
+    let mut rng = StdRng::seed_from_u64(8);
+    for _ in 0..8 {
+        mce.run_qecc_cycle(&mut block, &mut rng);
+    }
+    let mut recorder = Recorder {
+        block: &mut block,
+        calls: Vec::new(),
+    };
+    mce.run_qecc_cycle(&mut recorder, &mut rng);
+    let calls = recorder.calls;
+    let replayed = block.replayed_cycles(0);
+    assert!(replayed > 0, "the block never locked onto its tape");
+
+    let replay = |block: &mut FrameBlock, rng: &mut StdRng| {
+        for &call in &calls {
+            match call {
+                Call::Boundary(key) => block.cycle_boundary(key),
+                Call::H(q) => block.h(q),
+                Call::S(q) => block.s(q),
+                Call::Pauli(q, p) => block.pauli(q, p),
+                Call::Cnot(c, t) => block.cnot(c, t),
+                Call::Measure(q) => {
+                    std::hint::black_box(block.measure(q, rng));
+                }
+                Call::MeasureX(q) => {
+                    std::hint::black_box(block.measure_x(q, rng));
+                }
+                Call::Reset(q) => block.reset(q, rng),
+                Call::ResetPlus(q) => block.reset_plus(q, rng),
+            }
+        }
+    };
+    // Best of seven each, the two sides taking turns.
+    let (mut on_mce, mut on_calls) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..7 {
+        let start = Instant::now();
+        for _ in 0..CYCLES {
+            mce.run_qecc_cycle(&mut block, &mut rng);
+            std::hint::black_box(mce.take_escalations());
+        }
+        on_mce = on_mce.min(start.elapsed().as_secs_f64() / f64::from(CYCLES));
+        let start = Instant::now();
+        for _ in 0..CYCLES {
+            replay(&mut block, &mut rng);
+        }
+        on_calls = on_calls.min(start.elapsed().as_secs_f64() / f64::from(CYCLES));
+    }
+    assert_eq!(
+        block.replayed_cycles(0),
+        replayed + 14 * u64::from(CYCLES),
+        "a timed cycle fell off the tape"
+    );
+    let ratio = on_mce / on_calls;
+    println!(
+        "mce_issue_cost_ratio_d5: mce cycle {:.3} us, its {} substrate calls replayed {:.3} us, ratio {ratio:.2}",
+        on_mce * 1e6,
+        calls.len(),
+        on_calls * 1e6,
+    );
+    assert!(
+        ratio <= CEILING,
+        "an MCE cycle must cost at most {CEILING:.2}x its own substrate calls at d=5, got {ratio:.2}x"
+    );
+}
+
 criterion_group!(
     benches,
     bench_tableau,
@@ -258,6 +404,7 @@ criterion_group!(
     bench_frame_batch,
     frame_throughput_comparison,
     noise_sampling_cost_ratio,
-    frame_block_cycle_comparison
+    frame_block_cycle_comparison,
+    mce_issue_cost_ratio
 );
 criterion_main!(benches);

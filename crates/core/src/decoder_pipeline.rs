@@ -14,6 +14,17 @@ use quest_surface::decoder::Correction;
 use quest_surface::{DecodingGraph, LutDecoder, NodeId, RotatedLattice, StabKind};
 use std::collections::BTreeSet;
 
+const WORD_BITS: usize = 64;
+
+/// `bits` packed 64 to a word, bit `c % 64` of word `c / 64` for check `c`.
+fn pack(bits: &[bool]) -> Vec<u64> {
+    let mut words = vec![0; bits.len().div_ceil(WORD_BITS)];
+    for (c, &bit) in bits.iter().enumerate() {
+        words[c / WORD_BITS] |= u64::from(bit) << (c % WORD_BITS);
+    }
+    words
+}
+
 /// Statistics for the local decode stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeStats {
@@ -87,9 +98,11 @@ pub struct DecoderPipeline {
     graph: DecodingGraph,
     /// The local lookup table; a pattern outside it escalates.
     local: LutDecoder,
-    /// Previous round's syndrome bits (for detection-event differencing);
-    /// `None` while waiting for a first-round reference.
-    previous: Option<Vec<bool>>,
+    /// Previous round's syndrome bits (for detection-event differencing),
+    /// packed 64 checks to a word so that a quiet round is one word
+    /// compare at the distances the MCE runs; `None` while waiting for a
+    /// first-round reference.
+    previous: Option<Vec<u64>>,
     /// Accumulated Pauli-frame flips on data qubits.
     frame: BTreeSet<usize>,
     round: usize,
@@ -117,26 +130,29 @@ impl DecoderPipeline {
     ) -> DecoderPipeline {
         let graph = DecodingGraph::new(lattice, kind, 1);
         let local = LutDecoder::new(&graph);
-        let previous = match reference {
-            Reference::Deterministic => Some(vec![false; graph.num_checks()]),
-            Reference::FirstRound => None,
-        };
-        DecoderPipeline {
+        let mut pipeline = DecoderPipeline {
             kind,
             graph,
             local,
-            previous,
+            previous: None,
             frame: BTreeSet::new(),
             round: 0,
             stats: DecodeStats::default(),
             escalations: Vec::new(),
-        }
+        };
+        pipeline.reset_reference(reference);
+        pipeline
     }
 
-    /// The current syndrome reference (last round's bits), or `None`
-    /// before the first projective round.
-    pub fn reference_bits(&self) -> Option<&[bool]> {
-        self.previous.as_deref()
+    /// The current syndrome reference (last round's bits, in plaquette
+    /// order), or `None` before the first projective round.
+    pub fn reference_bits(&self) -> Option<Vec<bool>> {
+        let checks = self.graph.num_checks();
+        self.previous.as_ref().map(|words| {
+            (0..checks)
+                .map(|c| words[c / WORD_BITS] >> (c % WORD_BITS) & 1 == 1)
+                .collect()
+        })
     }
 
     /// XORs another tile's syndrome values into this pipeline's reference.
@@ -154,13 +170,14 @@ impl DecoderPipeline {
     /// widths differ; the reference is untouched on error.
     pub fn xor_reference(&mut self, partner_bits: &[bool]) -> Result<(), ReferenceError> {
         let prev = self.previous.as_mut().ok_or(ReferenceError::NotSettled)?;
-        if prev.len() != partner_bits.len() {
+        let expected = self.graph.num_checks();
+        if partner_bits.len() != expected {
             return Err(ReferenceError::WidthMismatch {
-                expected: prev.len(),
+                expected,
                 got: partner_bits.len(),
             });
         }
-        for (a, &b) in prev.iter_mut().zip(partner_bits) {
+        for (a, b) in prev.iter_mut().zip(pack(partner_bits)) {
             *a ^= b;
         }
         Ok(())
@@ -170,7 +187,7 @@ impl DecoderPipeline {
     /// Pauli frame and resets the reference.
     pub fn reset_reference(&mut self, reference: Reference) {
         self.previous = match reference {
-            Reference::Deterministic => Some(vec![false; self.graph.num_checks()]),
+            Reference::Deterministic => Some(vec![0; self.graph.num_checks().div_ceil(WORD_BITS)]),
             Reference::FirstRound => None,
         };
         self.frame.clear();
@@ -225,47 +242,59 @@ impl DecoderPipeline {
             self.graph.num_checks(),
             "syndrome width mismatch"
         );
+        self.feed_packed(&pack(bits));
+    }
+
+    /// [`DecoderPipeline::feed_round`] on bits packed 64 checks to a word
+    /// (bit `c % 64` of word `c / 64`; the bits past the last check
+    /// clear), as the MCE routes them: a quiet round is a word compare and
+    /// allocates nothing, and the events are listed in ascending check
+    /// order straight from the changed bits.
+    pub(crate) fn feed_packed(&mut self, now: &[u64]) {
+        debug_assert_eq!(now.len(), self.graph.num_checks().div_ceil(WORD_BITS));
+        self.round += 1;
         let Some(prev) = &mut self.previous else {
             // First projective round: establish the reference, no events.
-            self.previous = Some(bits.to_vec());
+            self.previous = Some(now.to_vec());
             self.stats.quiet_rounds += 1;
-            self.round += 1;
             return;
         };
-        // A quiet round collects nothing and so allocates nothing.
-        let events: Vec<NodeId> = bits
-            .iter()
-            .zip(prev.iter())
-            .enumerate()
-            .filter(|(_, (&now, &before))| now != before)
-            .map(|(c, _)| self.graph.node(0, c))
-            .collect();
-        prev.copy_from_slice(bits);
-
-        if events.is_empty() {
+        if prev[..] == *now {
             self.stats.quiet_rounds += 1;
-        } else {
-            match self.local.try_correction(&self.graph, &events) {
-                Some(Correction { data_flips, .. }) => {
-                    self.stats.local_hits += 1;
-                    self.stats.local_corrections += data_flips.len() as u64;
-                    for q in data_flips {
-                        // XOR into the frame.
-                        if !self.frame.insert(q) {
-                            self.frame.remove(&q);
-                        }
-                    }
-                }
-                None => {
-                    self.stats.escalations += 1;
-                    self.escalations.push(Escalation {
-                        round: self.round,
-                        events,
-                    });
-                }
+            return;
+        }
+        let mut events = Vec::new();
+        for (w, (before, &after)) in prev.iter_mut().zip(now).enumerate() {
+            let mut changed = *before ^ after;
+            *before = after;
+            while changed != 0 {
+                let c = w * WORD_BITS + changed.trailing_zeros() as usize;
+                events.push(self.graph.node(0, c));
+                changed &= changed - 1;
             }
         }
-        self.round += 1;
+        match self.local.try_correction(&self.graph, &events) {
+            Some(Correction { data_flips, .. }) => {
+                self.stats.local_hits += 1;
+                self.stats.local_corrections += data_flips.len() as u64;
+                self.apply_global_correction(data_flips);
+            }
+            None => {
+                self.stats.escalations += 1;
+                self.escalations.push(Escalation {
+                    round: self.round - 1,
+                    events,
+                });
+            }
+        }
+    }
+
+    /// Address and capacity of the syndrome reference.
+    #[cfg(test)]
+    pub(crate) fn reference_buffer(&self) -> (usize, usize) {
+        self.previous
+            .as_ref()
+            .map_or((0, 0), |words| (words.as_ptr() as usize, words.capacity()))
     }
 
     /// Merges a correction computed by the global decoder into the frame.

@@ -15,6 +15,14 @@
 //! the stabilizer-simulated substrate. Measurement waveforms return their
 //! outcome bits, which flow to the error-decoder pipeline.
 //!
+//! What a word does to the substrate is fixed by its µops and the tile
+//! geometry alone, so a word is *resolved* once into the substrate calls
+//! its firing makes (a `ResolvedWord`) and fired from that list: the
+//! MCE resolves its QECC program when it is built and re-resolves only
+//! the slots it merges with logical µops (Fu et al.'s timed queue of
+//! micro-operations decoded once, not per issue). [`ExecutionUnit::fire`]
+//! resolves the latches and fires them through the same routine.
+//!
 //! The substrate is anything that is a [`StabilizerSim`]: the
 //! [`FrameBlock`](quest_stabilizer::FrameBlock)s of a
 //! [`Substrate`](crate::Substrate) in the two executors, a bare
@@ -46,12 +54,103 @@ pub struct ExecutionStats {
     pub measurements: u64,
 }
 
+/// One VLIW word written down as the substrate calls its firing makes, in
+/// firing order, with tile-local qubit indices (the unit adds its offset
+/// when it fires, so a re-based tile keeps its resolved words).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ResolvedWord {
+    /// Single-qubit waveforms and measurements, ascending slot.
+    singles: Vec<(usize, PhysOpcode)>,
+    /// Then the CNOTs as `(control, target)`, ascending control slot.
+    cnots: Vec<(usize, usize)>,
+    /// What firing the word adds to [`ExecutionStats::active_uops`] (both
+    /// halves of a CNOT count) and to [`ExecutionStats::measurements`].
+    active: u64,
+    measured: u64,
+}
+
+impl ResolvedWord {
+    /// Resolves a word of the microcode program.
+    ///
+    /// # Panics
+    ///
+    /// Under the conditions of [`ResolvedWord::resolve`].
+    pub(crate) fn of(word: &VliwWord, geometry: &TileGeometry) -> ResolvedWord {
+        let uops: Vec<MicroOp> = word.iter().map(|(_, u)| u).collect();
+        let mut resolved = ResolvedWord::default();
+        resolved.resolve(&uops, geometry);
+        resolved
+    }
+
+    /// Overwrites this word with the resolution of `uops`, one per tile
+    /// slot: every non-idle µop but a CNOT half is a call on its own slot,
+    /// and each `CnotCtrl` is paired with the `CnotTgt` latched on the
+    /// neighbour its direction nibble points at. The buffers are reused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a CNOT control half points at a qubit whose µop is not
+    /// the matching target half — such a word is malformed microcode.
+    pub(crate) fn resolve(&mut self, uops: &[MicroOp], geometry: &TileGeometry) {
+        self.singles.clear();
+        self.cnots.clear();
+        (self.active, self.measured) = (0, 0);
+        for (q, &u) in uops.iter().enumerate() {
+            match u.opcode() {
+                PhysOpcode::Nop => continue,
+                PhysOpcode::CnotTgt => {}
+                PhysOpcode::CnotCtrl => {
+                    // The microcode generator always emits directed ctrl
+                    // halves with an in-lattice partner; a malformed word
+                    // loses the gate (debug builds still assert) rather
+                    // than panicking the control plane.
+                    if let Some(target) = partner(uops, geometry, q, u) {
+                        self.cnots.push((q, target));
+                    }
+                }
+                op => {
+                    self.measured += u64::from(matches!(op, PhysOpcode::MeasZ | PhysOpcode::MeasX));
+                    self.singles.push((q, op));
+                }
+            }
+            self.active += 1;
+        }
+    }
+}
+
+/// The target slot of the control half `u` latched at `q`.
+fn partner(uops: &[MicroOp], geometry: &TileGeometry, q: usize, u: MicroOp) -> Option<usize> {
+    let Some(dir) = u.direction() else {
+        debug_assert!(false, "ctrl µop at qubit {q} carries no direction");
+        return None;
+    };
+    let Some(target) = geometry.neighbor(q, dir) else {
+        debug_assert!(false, "qubit {q}: no neighbour to the {dir}");
+        return None;
+    };
+    let half = uops[target];
+    assert_eq!(
+        half.opcode(),
+        PhysOpcode::CnotTgt,
+        "qubit {target} latch does not hold the target half"
+    );
+    assert_eq!(
+        half.direction(),
+        Some(dir.opposite()),
+        "target half at {target} points the wrong way"
+    );
+    Some(target)
+}
+
 /// The execution unit for one MCE tile.
 #[derive(Debug, Clone)]
 pub struct ExecutionUnit {
     geometry: TileGeometry,
     /// Latched select codes, one per switch (= per qubit).
     latches: Vec<MicroOp>,
+    /// The latches as [`ExecutionUnit::fire`] last resolved them; the
+    /// buffers are reused.
+    resolved: ResolvedWord,
     /// Index of this tile's first qubit within the tableau it is fired
     /// at (tiles that share one occupy disjoint index ranges).
     offset: usize,
@@ -68,6 +167,7 @@ impl ExecutionUnit {
         ExecutionUnit {
             geometry,
             latches: vec![MicroOp::nop(); n],
+            resolved: ResolvedWord::default(),
             offset: 0,
             stats: ExecutionStats::default(),
             fired: FireResult::default(),
@@ -143,7 +243,10 @@ impl ExecutionUnit {
     }
 
     /// The latched select codes, one per qubit: the word the next
-    /// [`ExecutionUnit::fire`] executes (and the last one executed).
+    /// [`ExecutionUnit::fire`] executes (and the last one it executed).
+    /// An [`Mce`](crate::Mce) latches only the slots it merges with
+    /// logical µops; it issues a plain QECC word pre-resolved, around the
+    /// latches.
     pub fn latched(&self) -> &[MicroOp] {
         &self.latches
     }
@@ -154,20 +257,52 @@ impl ExecutionUnit {
     }
 
     /// Step ③: fire the master clock, applying every latched waveform to
-    /// the substrate in one parallel step. The result lives in a buffer
-    /// the unit reuses, so firing allocates nothing once it has grown to
-    /// the widest measurement word.
-    ///
-    /// Two-qubit waveforms are resolved by pairing each `CnotCtrl` with the
-    /// `CnotTgt` latched on the neighbour its direction nibble points at.
+    /// the substrate in one parallel step. The latches are resolved
+    /// (`ResolvedWord::resolve`: two-qubit waveforms pair each `CnotCtrl`
+    /// with the `CnotTgt` latched on the neighbour its direction nibble
+    /// points at) and fired like any resolved word. The result lives in a
+    /// buffer the unit reuses, so firing allocates nothing once its
+    /// buffers have grown to the widest word.
     ///
     /// # Panics
     ///
-    /// Panics if a CNOT half points at a missing neighbour or at a qubit
-    /// whose latch does not hold the matching half — such a word is
-    /// malformed microcode.
+    /// Panics if a CNOT half points at a qubit whose latch does not hold
+    /// the matching half — such a word is malformed microcode — or if the
+    /// substrate is too small for the tile.
     pub fn fire<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
         &mut self,
+        substrate: &mut S,
+        rng: &mut R,
+    ) -> &FireResult {
+        let mut word = std::mem::take(&mut self.resolved);
+        word.resolve(&self.latches, &self.geometry);
+        self.fire_resolved(&word, substrate, rng);
+        self.resolved = word;
+        &self.fired
+    }
+
+    /// Steps ① to ③ for a word resolved ahead of time
+    /// ([`ResolvedWord::of`]): every switch takes the word's µop — counted
+    /// as latched, though the latches are left as they are, because the
+    /// word already says what they would make the substrate do — and the
+    /// master clock fires.
+    pub(crate) fn issue<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
+        &mut self,
+        word: &ResolvedWord,
+        substrate: &mut S,
+        rng: &mut R,
+    ) -> &FireResult {
+        self.stats.uops_latched += self.latches.len() as u64;
+        self.fire_resolved(word, substrate, rng)
+    }
+
+    /// The one firing routine: single-qubit waveforms and measurements
+    /// first, then entangling pairs (all commute within a well-formed
+    /// lock-step word: the scheduler never touches a qubit twice in one
+    /// slot), each in the order `word` lists them.
+    fn fire_resolved<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
+        &mut self,
+        word: &ResolvedWord,
         substrate: &mut S,
         rng: &mut R,
     ) -> &FireResult {
@@ -178,26 +313,17 @@ impl ExecutionUnit {
         );
         let off = self.offset;
         self.fired.measurements.clear();
-        // Single-qubit waveforms and measurements first, then entangling
-        // pairs (all commute within a well-formed lock-step word: the
-        // scheduler never touches a qubit twice in one slot).
-        for (q, &u) in self.latches.iter().enumerate() {
-            if u.opcode() != PhysOpcode::Nop {
-                self.stats.active_uops += 1;
-            }
-            match u.opcode() {
-                PhysOpcode::Nop | PhysOpcode::CnotCtrl | PhysOpcode::CnotTgt => {}
+        for &(q, op) in &word.singles {
+            match op {
                 PhysOpcode::PrepZ => substrate.reset(off + q, rng),
                 PhysOpcode::PrepX => substrate.reset_plus(off + q, rng),
                 PhysOpcode::MeasZ => {
                     let m = substrate.measure(off + q, rng);
                     self.fired.measurements.push((q, m.value));
-                    self.stats.measurements += 1;
                 }
                 PhysOpcode::MeasX => {
                     let m = substrate.measure_x(off + q, rng);
                     self.fired.measurements.push((q, m.value));
-                    self.stats.measurements += 1;
                 }
                 PhysOpcode::H => substrate.h(off + q),
                 PhysOpcode::S => substrate.s(off + q),
@@ -205,37 +331,16 @@ impl ExecutionUnit {
                 PhysOpcode::X => substrate.x(off + q),
                 PhysOpcode::Y => substrate.y(off + q),
                 PhysOpcode::Z => substrate.z(off + q),
+                // Never resolved into a single-qubit call.
+                PhysOpcode::Nop | PhysOpcode::CnotCtrl | PhysOpcode::CnotTgt => {}
             }
         }
-        for (q, &u) in self.latches.iter().enumerate() {
-            if u.opcode() == PhysOpcode::CnotCtrl {
-                // The microcode generator always emits directed ctrl
-                // halves with an in-lattice partner; a malformed word is
-                // dropped (debug builds still assert) rather than
-                // panicking the control plane.
-                let Some(dir) = u.direction() else {
-                    debug_assert!(false, "ctrl µop at qubit {q} carries no direction");
-                    continue;
-                };
-                let Some(target) = self.geometry.neighbor(q, dir) else {
-                    debug_assert!(false, "qubit {q}: no neighbour to the {dir}");
-                    continue;
-                };
-                let partner = self.latches[target];
-                assert_eq!(
-                    partner.opcode(),
-                    PhysOpcode::CnotTgt,
-                    "qubit {target} latch does not hold the target half"
-                );
-                assert_eq!(
-                    partner.direction(),
-                    Some(dir.opposite()),
-                    "target half at {target} points the wrong way"
-                );
-                substrate.cnot(off + q, off + target);
-            }
+        for &(c, t) in &word.cnots {
+            substrate.cnot(off + c, off + t);
         }
         self.stats.words_fired += 1;
+        self.stats.active_uops += word.active;
+        self.stats.measurements += word.measured;
         &self.fired
     }
 

@@ -121,6 +121,11 @@ impl MaskTable {
         self.regions[region]
     }
 
+    /// Returns `true` when any region is masked.
+    pub fn any_masked(&self) -> bool {
+        self.regions.contains(&true)
+    }
+
     /// Number of masked qubits.
     pub fn masked_count(&self) -> usize {
         (0..self.num_qubits).filter(|&q| self.is_masked(q)).count()
@@ -167,13 +172,16 @@ mod tests {
     #[test]
     fn region_masking_covers_member_qubits_exactly() {
         let mut m = MaskTable::coalesced(30, 10);
+        assert!(!m.any_masked());
         m.set_region(2, true);
         for q in 0..30 {
             assert_eq!(m.is_masked(q), q >= 20, "qubit {q}");
         }
         assert_eq!(m.masked_count(), 10);
+        assert!(m.any_masked());
         m.clear();
         assert_eq!(m.masked_count(), 0);
+        assert!(!m.any_masked());
     }
 
     #[test]

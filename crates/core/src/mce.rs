@@ -9,7 +9,7 @@
 //! repository exists to demonstrate.
 
 use crate::decoder_pipeline::{DecodeStats, DecoderPipeline, Escalation};
-use crate::execution_unit::{ExecutionStats, ExecutionUnit};
+use crate::execution_unit::{ExecutionStats, ExecutionUnit, ResolvedWord};
 use crate::geometry::TileGeometry;
 use crate::instruction_pipeline::InstructionPipeline;
 use crate::mask::MaskTable;
@@ -22,6 +22,7 @@ use quest_stabilizer::StabilizerSim;
 use quest_surface::{RotatedLattice, StabKind};
 use rand::Rng;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Instruction-buffer bytes per MCE (the §5.3 cache capacity used by the
 /// reference system and by the runtime's shard workers).
@@ -36,6 +37,56 @@ pub struct Readout {
     /// Residual detection events resolved by the final perfect round
     /// (upstream syndrome traffic at readout).
     pub final_events: u64,
+}
+
+/// What an MCE derives from its QECC program once. Every clone shares it
+/// (a run's tiles are clones of one template), so a clone does not grow.
+#[derive(Debug)]
+struct ResolvedProgram {
+    /// The program's words, each resolved to the substrate calls that
+    /// fire it; a slot that merges nothing fires its word from here.
+    words: Box<[ResolvedWord]>,
+    /// The wiring between the execution unit's measurement outputs and
+    /// the decoder pipelines ([`program_gen::measured_ancillas`]): per
+    /// tile slot, the kind (0 for X checks, 1 for Z) and the check index
+    /// its reading is, if it is an ancilla.
+    check_of_slot: Box<[Option<(usize, usize)>]>,
+    /// Per kind, the number of checks and the mask regions holding its
+    /// ancillas.
+    checks: [usize; 2],
+    regions: [Box<[usize]>; 2],
+}
+
+impl ResolvedProgram {
+    fn new(
+        lattice: &RotatedLattice,
+        words: &[VliwWord],
+        geometry: &TileGeometry,
+        mask: &MaskTable,
+    ) -> Self {
+        let ancillas =
+            [StabKind::X, StabKind::Z].map(|kind| program_gen::measured_ancillas(lattice, kind));
+        let mut check_of_slot = vec![None; lattice.num_qubits()];
+        for (kind, slots) in ancillas.iter().enumerate() {
+            for (check, &slot) in slots.iter().enumerate() {
+                check_of_slot[slot] = Some((kind, check));
+            }
+        }
+        ResolvedProgram {
+            words: words
+                .iter()
+                .map(|w| ResolvedWord::of(w, geometry))
+                .collect(),
+            check_of_slot: check_of_slot.into(),
+            checks: ancillas.each_ref().map(Vec::len),
+            regions: ancillas.map(|slots| {
+                let mut regions: Vec<usize> = slots.iter().map(|&a| mask.region_of(a)).collect();
+                regions.sort_unstable();
+                regions.dedup();
+                regions.into()
+            }),
+        }
+    }
 }
 
 /// One Micro-coded Control Engine driving a surface-code tile.
@@ -77,15 +128,11 @@ pub struct Mce {
     /// Probability that a syndrome measurement is reported flipped
     /// (readout-chain error, independent of the quantum state).
     measurement_flip: f64,
-    /// The wiring between the execution unit's measurement outputs and
-    /// the decoder pipelines ([`program_gen::measured_ancillas`]), X
-    /// checks then Z checks.
-    syndrome_ancillas: [Vec<usize>; 2],
-    /// Per-slot reading of the measurement word being routed; `None`
-    /// outside [`Mce::route_syndrome`].
-    slot_readings: Vec<Option<bool>>,
-    /// One kind's syndrome bits on their way to its decoder pipeline.
-    syndrome_bits: Vec<bool>,
+    /// The QECC program resolved, and the syndrome wiring.
+    program: Arc<ResolvedProgram>,
+    /// The syndrome bits of the measurement word being routed, X checks
+    /// then Z checks, packed 64 to a word.
+    syndrome: [Vec<u64>; 2],
 }
 
 impl Mce {
@@ -97,10 +144,12 @@ impl Mce {
         let geometry = TileGeometry::from_lattice(lattice);
         let words = program_gen::qecc_cycle_words(lattice, &geometry);
         let d = lattice.distance();
+        let mask = MaskTable::coalesced(lattice.num_qubits(), d * d);
+        let program = ResolvedProgram::new(lattice, &words, &geometry, &mask);
         Mce {
             lattice: lattice.clone(),
             microcode: QeccMicrocode::new(words),
-            mask: MaskTable::coalesced(lattice.num_qubits(), d * d),
+            mask,
             execution: ExecutionUnit::new(geometry),
             instruction: InstructionPipeline::new(ibuf_bytes),
             decode_x: DecoderPipeline::new(lattice, StabKind::X),
@@ -110,10 +159,8 @@ impl Mce {
             logical_frame_z: false,
             magic_states_consumed: 0,
             measurement_flip: 0.0,
-            syndrome_ancillas: [StabKind::X, StabKind::Z]
-                .map(|kind| program_gen::measured_ancillas(lattice, kind)),
-            slot_readings: vec![None; lattice.num_qubits()],
-            syndrome_bits: Vec::with_capacity(lattice.num_ancillas()),
+            syndrome: program.checks.map(|checks| vec![0; checks.div_ceil(64)]),
+            program: Arc::new(program),
         }
     }
 
@@ -225,13 +272,20 @@ impl Mce {
         substrate: &mut S,
         rng: &mut R,
     ) -> VliwWord {
-        self.issue_slot(substrate, rng);
-        VliwWord::from_uops(self.execution.latched().to_vec())
+        let at = self.microcode.cursor();
+        if self.issue_slot(substrate, rng) {
+            VliwWord::from_uops(self.execution.latched().to_vec())
+        } else {
+            self.microcode.word(at).clone()
+        }
     }
 
-    /// [`Mce::step`] without the copy of the fired word. The merged word
-    /// is latched µop by µop straight onto the execution unit's switches
-    /// and the measurement outcomes are read from its buffer, so a slot
+    /// [`Mce::step`] without the copy of the fired word; `true` if the
+    /// slot merged anything. A slot with no region masked and no logical
+    /// µop queued fires its QECC word as [`Mce::new`] resolved it. Any
+    /// other slot is merged — latched region by region onto the execution
+    /// unit's switches — then resolved and fired by the same routine. The
+    /// measurement outcomes are read from the unit's buffer, so a slot
     /// allocates nothing.
     ///
     /// The first slot of a cycle tells the substrate that the program
@@ -241,27 +295,35 @@ impl Mce {
         &mut self,
         substrate: &mut S,
         rng: &mut R,
-    ) {
+    ) -> bool {
         if self.microcode.at_cycle_start() {
             substrate.cycle_boundary(self.execution.offset());
         }
-        let logical = self.logical_uops.pop_front();
+        let at = self.microcode.cursor();
         let qecc = self.microcode.advance();
-        // The mask is walked region by region: which table a qubit's µop
-        // comes from is decided once per region, not looked up per qubit.
-        let (width, size) = (qecc.len(), self.mask.region_size());
-        for region in 0..self.mask.num_regions() {
-            let qubits = region * size..width.min((region + 1) * size);
-            let source = match self.mask.region_masked(region) {
-                false => Some(qecc),
-                true => logical.as_ref(),
-            };
-            self.execution.latch_range(qubits, source);
-        }
-        let measured = !self.execution.fire(substrate, rng).measurements.is_empty();
-        if measured {
+        let merged = !self.logical_uops.is_empty() || self.mask.any_masked();
+        let fired = if merged {
+            let logical = self.logical_uops.pop_front();
+            // The mask is walked region by region: which table a qubit's
+            // µop comes from is decided once per region, not per qubit.
+            let (width, size) = (qecc.len(), self.mask.region_size());
+            for region in 0..self.mask.num_regions() {
+                let qubits = region * size..width.min((region + 1) * size);
+                let source = match self.mask.region_masked(region) {
+                    false => Some(qecc),
+                    true => logical.as_ref(),
+                };
+                self.execution.latch_range(qubits, source);
+            }
+            self.execution.fire(substrate, rng)
+        } else {
+            self.execution
+                .issue(&self.program.words[at], substrate, rng)
+        };
+        if !fired.measurements.is_empty() {
             self.route_syndrome(rng);
         }
+        merged
     }
 
     /// Runs exactly one full QECC cycle (all words of the microcode
@@ -288,33 +350,34 @@ impl Mce {
     /// Routes the outcomes of the measurement word just fired to the
     /// decoder pipelines, each corrupted by readout noise with
     /// probability `measurement_flip` (one draw per outcome, in slot
-    /// order, and none when the probability is zero).
+    /// order, and none when the probability is zero). A kind's checks
+    /// reach its pipeline only when every one of its ancillas was measured
+    /// in this word and none of them is masked (masked regions produce no
+    /// valid syndrome).
     fn route_syndrome<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        for &(slot, value) in self.execution.measurements() {
-            let flipped = self.measurement_flip > 0.0 && rng.gen::<f64>() < self.measurement_flip;
-            self.slot_readings[slot] = Some(value ^ flipped);
+        let program = &*self.program;
+        let flip = self.measurement_flip;
+        let mut measured = [0; 2];
+        for words in &mut self.syndrome {
+            words.fill(0);
         }
-        for (kind, ancillas) in [StabKind::X, StabKind::Z]
-            .into_iter()
-            .zip(&self.syndrome_ancillas)
-        {
-            // Only route when the full set of this type's ancillas was
-            // measured this slot and none of them is masked (masked
-            // regions produce no valid syndrome).
-            self.syndrome_bits.clear();
-            self.syndrome_bits
-                .extend(ancillas.iter().map_while(|&a| self.slot_readings[a]));
-            if self.syndrome_bits.len() == ancillas.len()
-                && ancillas.iter().all(|&a| !self.mask.is_masked(a))
-            {
-                match kind {
-                    StabKind::X => self.decode_x.feed_round(&self.syndrome_bits),
-                    StabKind::Z => self.decode_z.feed_round(&self.syndrome_bits),
-                }
+        for &(slot, value) in self.execution.measurements() {
+            let flipped = flip > 0.0 && rng.gen::<f64>() < flip;
+            if let Some((kind, check)) = program.check_of_slot[slot] {
+                measured[kind] += 1;
+                self.syndrome[kind][check / 64] |= u64::from(value ^ flipped) << (check % 64);
             }
         }
-        for &(slot, _) in self.execution.measurements() {
-            self.slot_readings[slot] = None;
+        for (kind, decoder) in [&mut self.decode_x, &mut self.decode_z]
+            .into_iter()
+            .enumerate()
+        {
+            let masked = program.regions[kind]
+                .iter()
+                .any(|&r| self.mask.region_masked(r));
+            if measured[kind] == program.checks[kind] && !masked {
+                decoder.feed_packed(&self.syndrome[kind]);
+            }
         }
     }
 
@@ -519,27 +582,19 @@ mod tests {
     fn buffers_never_grow_after_the_first_cycle() {
         // Everything a QECC cycle writes: the execution unit's latches
         // and outcome buffer, the syndrome routing buffers, and each
-        // decoder pipeline's syndrome reference. (An escalated round
-        // still allocates its event list — it is handed upstream.)
+        // decoder pipeline's syndrome reference. (An eventful round still
+        // allocates its event list — an escalation hands it upstream.)
         fn buffers(mce: &Mce) -> Vec<(usize, usize)> {
-            let reference = |kind| {
-                let bits = mce.decoder(kind).reference_bits().expect("settled");
-                (bits.as_ptr() as usize, bits.len())
-            };
             let mut all = mce.execution.buffers().to_vec();
-            all.extend([
-                (
-                    mce.slot_readings.as_ptr() as usize,
-                    mce.slot_readings.capacity(),
-                ),
-                (
-                    mce.syndrome_bits.as_ptr() as usize,
-                    mce.syndrome_bits.capacity(),
-                ),
-                (0, mce.logical_uops.capacity()),
-                reference(StabKind::X),
-                reference(StabKind::Z),
-            ]);
+            all.extend(
+                mce.syndrome
+                    .iter()
+                    .map(|words| (words.as_ptr() as usize, words.capacity())),
+            );
+            all.push((0, mce.logical_uops.capacity()));
+            for kind in [StabKind::X, StabKind::Z] {
+                all.push(mce.decoder(kind).reference_buffer());
+            }
             all
         }
         let (mut mce, mut t, mut rng) = setup(5);

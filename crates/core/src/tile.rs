@@ -136,7 +136,7 @@ pub fn transversal_cnot_physics(
         mces[tile]
             .decoder(kind)
             .reference_bits()
-            .map(<[bool]>::len)
+            .map(|bits| bits.len())
             .ok_or(CnotError::ReferenceNotSettled { tile })
     };
     for kind in [StabKind::Z, StabKind::X] {
@@ -160,20 +160,18 @@ pub fn transversal_cnot_physics(
     // expected syndromes shift by the partner's current values. The
     // preconditions above guarantee these updates cannot fail.
     let settled = |tile: usize| CnotError::ReferenceNotSettled { tile };
-    let c_z_ref: Vec<bool> = mces[control]
+    let c_z_ref = mces[control]
         .decoder(StabKind::Z)
         .reference_bits()
-        .ok_or(settled(control))?
-        .to_vec();
+        .ok_or(settled(control))?;
     mces[target]
         .decoder_mut(StabKind::Z)
         .xor_reference(&c_z_ref)
         .map_err(|_| settled(target))?;
-    let t_x_ref: Vec<bool> = mces[target]
+    let t_x_ref = mces[target]
         .decoder(StabKind::X)
         .reference_bits()
-        .ok_or(settled(target))?
-        .to_vec();
+        .ok_or(settled(target))?;
     mces[control]
         .decoder_mut(StabKind::X)
         .xor_reference(&t_x_ref)

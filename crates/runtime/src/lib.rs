@@ -23,12 +23,14 @@
 //!   lanes: lane 0 is the master itself, every further lane a thread.
 //! * **Granted cycles, not clocked ones** — for a `Cycles(n)` operation
 //!   the master grants each threaded shard the whole operation at once.
-//!   A shard runs its cycles back to back and waits only for the
-//!   corrections of its own escalations (§4.4: the master hears from a
-//!   tile only when a syndrome escalates); the master consumes what the
-//!   shards report cycle by cycle, shard by shard, in the one order a
-//!   per-cycle barrier would give (dispatch → shard compute → syndrome
-//!   flush → batch decode → correction delivery). With a
+//!   A shard runs its cycles back to back and waits for nothing: the
+//!   master hears from a tile only when a syndrome escalates (§4.4), and
+//!   the correction it sends back only updates a Pauli frame no QECC
+//!   cycle reads, so the shard applies it whenever it arrives. The
+//!   master consumes what the shards report cycle by cycle, shard by
+//!   shard, in the one order a per-cycle barrier would give (dispatch →
+//!   shard compute → syndrome flush → batch decode → correction
+//!   delivery). With a
 //!   [`CheckpointSink`] attached the grant is one cycle, because a
 //!   checkpoint needs every shard stopped at the same barrier.
 //!
@@ -45,8 +47,8 @@
 //! per-class bus ledger, decode counters — is bit-identical for every
 //! shard count, and identical to the single-threaded reference
 //! ([`run_reference`]): each tile consumes only its own RNG stream in a
-//! fixed order, corrections always land before the next cycle, and bus
-//! tallies are order-invariant sums.
+//! fixed order, every correction of an op lands before the next envelope
+//! that reads a decoder frame, and bus tallies are order-invariant sums.
 //!
 //! # Fault injection and recovery
 //!
@@ -280,7 +282,7 @@ impl Runtime {
                         .faults
                         .shard_panic
                         .and_then(|p| (p.shard == s).then_some(p.after_cycles));
-                    ShardLink::new(scope, s == 0, |up| match resume {
+                    ShardLink::new(scope, s == 0, spec.tile_range(s).len(), |up| match resume {
                         Some(snap) => ShardWorker::from_snapshot(
                             s,
                             spec.tile_range(s),

@@ -13,7 +13,10 @@
 //!
 //! Inside a `Cycles` op the only downstream traffic is one grant
 //! ([`Payload::Cycles`]) and the [`Payload::Correction`]s the shard's
-//! own escalations asked for (§4.4 of the paper).
+//! own escalations asked for (§4.4 of the paper). A shard does not wait
+//! for them: a correction only updates a decoder's Pauli frame, which no
+//! QECC cycle reads, and every envelope that does read one comes after
+//! the op's last correction in the FIFO.
 
 use quest_core::decoder_pipeline::Escalation;
 use quest_core::master::SYNDROME_EVENT_BYTES;
@@ -22,7 +25,7 @@ use quest_core::tile::LogicalBasis;
 use quest_isa::LogicalInstr;
 use quest_surface::StabKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 
 /// Bytes per data-qubit flip in a downstream correction message (qubit
@@ -34,9 +37,10 @@ pub(crate) const CORRECTION_FLIP_BYTES: u64 = 2;
 pub(crate) enum Payload {
     // Downstream (master → shard).
     /// A grant: run this many noisy QECC cycles on every owned tile back
-    /// to back, reporting each one upstream as it completes. The worker
-    /// starts the next cycle of a grant only once every escalation of
-    /// the last one has its `Correction` back; nothing else holds it.
+    /// to back, reporting each one upstream as it completes. Nothing
+    /// holds the worker inside a grant but a full upstream channel: the
+    /// `Correction`s its escalations asked for are applied as they
+    /// arrive, between cycles, never waited for.
     Cycles(u64),
     /// Prepare a tile's logical qubit.
     Prep { tile: usize, basis: LogicalBasis },
@@ -53,7 +57,9 @@ pub(crate) enum Payload {
         kernel: Arc<[LogicalInstr]>,
         replays: u64,
     },
-    /// Apply a global-decode correction to a tile's decoder frame.
+    /// Apply a global-decode correction to a tile's decoder frame (XORed
+    /// in, so corrections commute with each other and with the local
+    /// decoder's own frame updates).
     Correction {
         tile: usize,
         kind: StabKind,
@@ -231,6 +237,23 @@ impl<T> Rx<T> {
         self.depth.fetch_sub(1, Ordering::Relaxed);
         Ok(value)
     }
+
+    /// Non-blocking receive: `Ok(None)` when nothing is waiting.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Disconnected`] when the channel is empty and every
+    /// sender is gone.
+    pub(crate) fn try_recv(&self) -> Result<Option<T>, Disconnected> {
+        match self.inner.try_recv() {
+            Ok(value) => {
+                self.depth.fetch_sub(1, Ordering::Relaxed);
+                Ok(Some(value))
+            }
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(Disconnected),
+        }
+    }
 }
 
 /// Observer for a channel's high-water depth (master-side statistics).
@@ -280,6 +303,20 @@ mod tests {
         assert_eq!(rx.recv(), Ok(2));
         assert_eq!(rx.recv(), Ok(3));
         assert_eq!(rx.recv(), Ok(4));
+    }
+
+    #[test]
+    fn try_recv_never_waits() {
+        let (tx, rx, _) = channel::<u32>(2);
+        assert_eq!(rx.try_recv(), Ok(None));
+        tx.send(1).unwrap();
+        assert_eq!(rx.try_recv(), Ok(Some(1)));
+        assert_eq!(rx.try_recv(), Ok(None));
+        // What was sent before the hang-up is still delivered.
+        tx.send(2).unwrap();
+        drop(tx);
+        assert_eq!(rx.try_recv(), Ok(Some(2)));
+        assert_eq!(rx.try_recv(), Err(Disconnected));
     }
 
     #[test]

@@ -25,13 +25,19 @@
 //!
 //! QECC cycles are *granted*, not clocked: a [`Payload::Cycles`] grant
 //! lets the worker run that many cycles back to back, each answered
-//! upstream with its `Syndrome…, CycleDone` envelopes. The worker counts
-//! the escalations a cycle sent and starts the next cycle only when that
-//! many [`Payload::Correction`]s have come back — the one wait the
-//! physics needs, and the only word a shard hears from the master inside
-//! a grant. That is a state machine over envelopes, not a loop over a
-//! channel, so it serves a thread blocked in `recv` and an inline worker
-//! re-entered by `send` alike. How far a threaded shard runs ahead of
+//! upstream with its `Syndrome…, CycleDone` envelopes. Nothing inside a
+//! grant waits for the master. A [`Payload::Correction`] — the only word
+//! a shard hears from the master inside a grant — is XORed into its
+//! tile's decoder frame whenever it arrives: a threaded worker takes what
+//! has arrived off its channel between cycles without waiting, an inline
+//! worker is handed each one by `send`. That is exact because no QECC
+//! cycle reads a decoder frame (the local decoders and the escalations
+//! read syndrome bits only), corrections commute, and every envelope
+//! that does read a frame — a readout, a CNOT, a checkpoint, the
+//! sign-off — is sent after the op's last correction down a FIFO. The
+//! worker counts the corrections it is owed (escalations sent minus
+//! corrections applied), and any envelope but a correction while it is
+//! owed one is a protocol error. How far a threaded shard runs ahead of
 //! the master is bounded by [`CHANNEL_BOUND`] upstream envelopes.
 //!
 //! The worker is panic-contained: every envelope is handled under
@@ -47,6 +53,7 @@ use quest_core::network::PacketKind;
 use quest_core::tile;
 use quest_core::{decode_totals, DeliveryEngine, DeliveryMode, Mce, Substrate};
 use quest_stabilizer::{PauliChannel, SeedableRng, StdRng};
+use quest_surface::StabKind;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -62,11 +69,23 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Per-direction bound of each master ↔ shard channel. Upstream it is
-/// how far a free-running shard gets ahead of the master: the shard
-/// blocks once this many of its envelopes (at least one per cycle, at
-/// most one plus two escalations per tile) wait unconsumed. Downstream
-/// it never fills: a grant, then at most one cycle's corrections.
+/// How far a free-running shard gets ahead of the master: the shard
+/// blocks once this many of its upstream envelopes (at least one per
+/// cycle, at most one plus two escalations per tile) wait unconsumed.
+///
+/// The downstream channel holds as many, and at least `4·tiles + 1` for a
+/// shard of `tiles` tiles, which is more than it can hold while its shard
+/// is blocked upstream — so the master is never blocked sending to a shard
+/// that is blocked sending to it (a deadlock would be a hang, not an
+/// error). Inside a grant the channel carries corrections only, and the
+/// worker takes what has arrived before each cycle. While it is blocked
+/// upstream its upstream channel is full, so since it last looked the
+/// master has consumed no more of its envelopes than it has sent since:
+/// one cycle's at most, two escalations per tile (the program measures
+/// each check once a cycle) and a `CycleDone`. The corrections sent in
+/// that time answer those escalations and those of the cycle the master
+/// was consuming and decoding when the worker looked, two per tile more:
+/// `4·tiles` at most. Outside a grant the worker waits on the channel.
 const CHANNEL_BOUND: usize = 1024;
 
 /// Where a worker's upstream envelopes go.
@@ -126,12 +145,13 @@ pub(crate) enum ShardLink {
 }
 
 impl ShardLink {
-    /// Links the worker `build` makes for the given upstream end. With
-    /// `inline` the worker stays on the caller's thread; otherwise it
-    /// gets a thread of its own in `scope`.
+    /// Links the worker `build` makes over `tiles` tiles for the given
+    /// upstream end. With `inline` the worker stays on the caller's
+    /// thread; otherwise it gets a thread of its own in `scope`.
     pub(crate) fn new<'scope>(
         scope: &'scope std::thread::Scope<'scope, '_>,
         inline: bool,
+        tiles: usize,
         build: impl FnOnce(Upstream) -> ShardWorker,
     ) -> ShardLink {
         if inline {
@@ -141,10 +161,14 @@ impl ShardLink {
                 max_up: 0,
             };
         }
-        let (down, down_rx, down_gauge) = channel(CHANNEL_BOUND);
+        // Never full while the shard is blocked upstream; see
+        // `CHANNEL_BOUND`.
+        let (down, down_rx, down_gauge) = channel(CHANNEL_BOUND.max(4 * tiles + 1));
         let (up_tx, up, up_gauge) = channel(CHANNEL_BOUND);
-        let worker = build(Upstream::Channel(up_tx));
-        scope.spawn(move || worker.run(&down_rx));
+        let mut worker = build(Upstream::Channel(up_tx));
+        debug_assert_eq!(worker.tiles.len(), tiles);
+        worker.down = Some(down_rx);
+        scope.spawn(move || worker.run());
         ShardLink::Threaded {
             down,
             up,
@@ -215,15 +239,18 @@ pub(crate) struct ShardWorker {
     engine: DeliveryEngine,
     rngs: Vec<StdRng>,
     up: Upstream,
+    /// A threaded worker's downstream channel, looked at between granted
+    /// cycles; an inline worker has none (`send` hands it each envelope).
+    down: Option<Rx<Envelope>>,
     /// Fault injection: panic once this many QECC cycles completed.
     panic_after_cycles: Option<u64>,
     cycles_done: u64,
     /// Cycles of the current grant not yet run.
     granted: u64,
-    /// Corrections the last cycle's escalations are still owed; the next
-    /// cycle starts when this is back to zero. Both are zero at every
-    /// barrier, so neither travels in a [`ShardSnapshot`].
-    awaiting: usize,
+    /// Corrections owed: escalations sent minus corrections applied.
+    /// Both are zero at every barrier the master checkpoints at, so
+    /// neither travels in a [`ShardSnapshot`].
+    owed: usize,
 }
 
 impl ShardWorker {
@@ -255,10 +282,11 @@ impl ShardWorker {
             engine: DeliveryEngine::new(delivery),
             rngs,
             up,
+            down: None,
             panic_after_cycles,
             cycles_done: 0,
             granted: 0,
-            awaiting: 0,
+            owed: 0,
         }
     }
 
@@ -286,10 +314,11 @@ impl ShardWorker {
             engine: DeliveryEngine::new(delivery),
             rngs: state.rngs,
             up,
+            down: None,
             panic_after_cycles,
             cycles_done: state.cycles_done,
             granted: 0,
-            awaiting: 0,
+            owed: 0,
         }
     }
 
@@ -304,8 +333,8 @@ impl ShardWorker {
     /// possibly on an error of its own — exiting quietly is the right
     /// response). The thread always returns normally, so the enclosing
     /// scope never re-panics.
-    pub(crate) fn run(mut self, rx: &Rx<Envelope>) {
-        while let Ok(env) = rx.recv() {
+    pub(crate) fn run(mut self) {
+        while let Some(Ok(env)) = self.down.as_ref().map(Rx::recv) {
             if !self.deliver(env) {
                 return;
             }
@@ -324,13 +353,13 @@ impl ShardWorker {
 
     /// One message; `false` once the worker is done serving.
     fn handle(&mut self, env: Envelope) -> bool {
-        // With corrections outstanding the worker is inside a cycle op,
-        // where the master sends nothing else; anything else would act
-        // on frames that are not settled.
-        if self.awaiting > 0 && !matches!(env.payload, Payload::Correction { .. }) {
+        // Every correction of an op lands before the master's next
+        // envelope; anything else while one is owed would act on frames
+        // that are not settled.
+        if self.owed > 0 && !matches!(env.payload, Payload::Correction { .. }) {
             return self.fail(format!(
                 "{} correction(s) outstanding at a shard worker, got {:?}",
-                self.awaiting, env.payload
+                self.owed, env.payload
             ));
         }
         match env.payload {
@@ -372,19 +401,7 @@ impl ShardWorker {
                     .kernel_local(&mut self.mces[l], &kernel, replays);
                 true
             }
-            Payload::Correction { tile, kind, flips } => {
-                if self.awaiting == 0 {
-                    return self.fail(format!(
-                        "correction for tile {tile} that no escalation waits for"
-                    ));
-                }
-                let l = self.local(tile);
-                self.mces[l]
-                    .decoder_mut(kind)
-                    .apply_global_correction(flips);
-                self.awaiting -= 1;
-                self.run_granted()
-            }
+            Payload::Correction { tile, kind, flips } => self.apply_correction(tile, kind, flips),
             Payload::MeasureZ { tile } => {
                 let l = self.local(tile);
                 let readout = self.mces[l]
@@ -453,17 +470,59 @@ impl ShardWorker {
         false
     }
 
-    /// Runs granted cycles back to back until the grant is spent or a
-    /// cycle escalated (its corrections re-enter here); `false` means
-    /// the master hung up.
+    /// XORs a global correction into its tile's decoder frame; `false`
+    /// (after a `Failed` report) if no escalation is owed one.
+    fn apply_correction(&mut self, tile: usize, kind: StabKind, flips: Vec<usize>) -> bool {
+        if self.owed == 0 {
+            return self.fail(format!(
+                "correction for tile {tile} that no escalation waits for"
+            ));
+        }
+        let l = self.local(tile);
+        self.mces[l]
+            .decoder_mut(kind)
+            .apply_global_correction(flips);
+        self.owed -= 1;
+        true
+    }
+
+    /// Runs the grant's cycles back to back, applying before each the
+    /// corrections that have arrived by then; `false` means the worker
+    /// stops serving (the master hung up, or a report went upstream).
     fn run_granted(&mut self) -> bool {
-        while self.granted > 0 && self.awaiting == 0 {
+        while self.granted > 0 {
+            if !self.apply_arrived_corrections() {
+                return false;
+            }
             self.granted -= 1;
             if self.run_cycle().is_err() {
                 return false;
             }
         }
         true
+    }
+
+    /// Takes every envelope already waiting on a threaded worker's
+    /// channel, without waiting for one. Inside a grant the master sends
+    /// nothing but corrections (its next envelope comes after the grant's
+    /// last `CycleDone`), so anything else is a protocol error.
+    fn apply_arrived_corrections(&mut self) -> bool {
+        loop {
+            let env = match self.down.as_ref().map(Rx::try_recv) {
+                None | Some(Ok(None)) => return true,
+                Some(Ok(Some(env))) => env,
+                Some(Err(Disconnected)) => return false,
+            };
+            let serving = match env.payload {
+                Payload::Correction { tile, kind, flips } => {
+                    self.apply_correction(tile, kind, flips)
+                }
+                other => self.fail(format!("{other:?} inside a grant")),
+            };
+            if !serving {
+                return false;
+            }
+        }
     }
 
     /// One noisy QECC cycle over every owned tile: the noise layer and
@@ -489,7 +548,7 @@ impl ShardWorker {
                 self.up
                     .send(Envelope::syndrome(tile, kind, escalation))
                     .map_err(|_| ())?;
-                self.awaiting += 1;
+                self.owed += 1;
             }
         }
         self.cycles_done += 1;
@@ -516,7 +575,7 @@ mod tests {
         panic_after: Option<u64>,
     ) -> ShardLink {
         let template = Mce::new(&RotatedLattice::new(d), MCE_IBUF_BYTES);
-        ShardLink::new(scope, inline, |up| {
+        ShardLink::new(scope, inline, 2, |up| {
             ShardWorker::new(
                 0,
                 0..2,
@@ -557,23 +616,27 @@ mod tests {
     }
 
     /// Pops everything an inline worker has queued: the escalations as
-    /// `(tile, kind)` and the number of `CycleDone`s. Escalations may
-    /// only sit in the last cycle queued — the worker must not have run
-    /// past a cycle that escalated.
+    /// `(tile, kind)` and the number of `CycleDone`s.
     fn drain_queue(link: &mut ShardLink) -> (Vec<(usize, StabKind)>, usize) {
-        let (mut escalations, mut barriers, mut stalled) = (Vec::new(), 0, false);
+        let (mut escalations, mut barriers) = (Vec::new(), 0);
         while let Ok(env) = link.recv() {
-            assert!(!stalled, "ran past a cycle that escalated: {env:?}");
             match env.payload {
                 Payload::Syndrome { tile, kind, .. } => escalations.push((tile, kind)),
-                Payload::CycleDone { .. } => {
-                    barriers += 1;
-                    stalled = !escalations.is_empty();
-                }
+                Payload::CycleDone { .. } => barriers += 1,
                 other => panic!("unexpected {other:?}"),
             }
         }
         (escalations, barriers)
+    }
+
+    /// A correction for an escalation, flipping data qubit 0 so that a
+    /// correction applied twice or not at all shows in a readout.
+    fn correction(&(tile, kind): &(usize, StabKind)) -> Envelope {
+        Envelope::correction(tile, kind, vec![0])
+    }
+
+    fn measure(tile: usize) -> Envelope {
+        Envelope::control(PacketKind::Downstream, Payload::MeasureZ { tile })
     }
 
     /// Skips what the worker queued before it failed, checks the report
@@ -640,41 +703,104 @@ mod tests {
     }
 
     #[test]
-    fn a_grant_stalls_only_for_the_corrections_of_its_own_escalations() {
+    fn a_grant_runs_through_its_own_escalations() {
         std::thread::scope(|scope| {
-            let mut inline = link_at(true, scope, (5, 2e-2), None);
-            inline.send(cycles(50)).unwrap();
-            let mut barriers = 0;
-            let mut stalls = 0;
-            loop {
-                // The worker stopped right behind the first cycle that
-                // escalated: that cycle's envelopes are the last queued.
-                let (escalations, done) = drain_queue(&mut inline);
-                barriers += done;
-                if escalations.is_empty() {
-                    break;
-                }
-                stalls += 1;
-                let (last, rest) = escalations.split_last().unwrap();
-                let correction =
-                    |&(tile, kind): &(usize, StabKind)| Envelope::correction(tile, kind, vec![]);
-                // Every correction but the last leaves it stalled...
-                for e in rest {
-                    inline.send(correction(e)).unwrap();
-                    assert!(
-                        inline.recv().is_err(),
-                        "ran on with a correction outstanding"
-                    );
-                }
-                // ...and the last one restarts it.
-                inline.send(correction(last)).unwrap();
+            // Two identical shards: one is owed its last correction when
+            // the readout comes, the other has them all.
+            let (mut early, mut settled) = (
+                link_at(true, scope, (5, 2e-2), None),
+                link_at(true, scope, (5, 2e-2), None),
+            );
+            for link in [&mut early, &mut settled] {
+                link.send(cycles(50)).unwrap();
             }
-            assert!(stalls > 0, "d = 5 at p = 2e-2 escalates within 50 cycles");
+            // Every cycle of the grant ran, and no correction was sent.
+            let (escalations, barriers) = drain_queue(&mut early);
+            assert_eq!(drain_queue(&mut settled), (escalations.clone(), barriers));
             assert_eq!(barriers, 50);
-            // Spent grant, nothing outstanding: the worker is at a
-            // barrier and serves the next operation.
-            inline.send(cycles(1)).unwrap();
-            assert_eq!(drain_queue(&mut inline).1, 1);
+            assert!(
+                escalations.len() > 1,
+                "d = 5 at p = 2e-2 escalates within 50 cycles"
+            );
+            // Corrections are accepted whenever they come, and answered
+            // with nothing.
+            let (last, rest) = escalations.split_last().unwrap();
+            for e in rest {
+                for link in [&mut early, &mut settled] {
+                    link.send(correction(e)).unwrap();
+                    assert!(link.recv().is_err(), "a correction was answered");
+                }
+            }
+            // A readout before the last one is a protocol error...
+            early.send(measure(0)).unwrap();
+            expect_failed(&mut early, "outstanding");
+            // ...after it, the shard is at a barrier and serves on.
+            settled.send(correction(last)).unwrap();
+            settled.send(cycles(1)).unwrap();
+            assert_eq!(drain_queue(&mut settled).1, 1);
+            settled.send(measure(0)).unwrap();
+            assert!(matches!(
+                settled.recv().unwrap().payload,
+                Payload::Outcome { tile: 0, .. }
+            ));
+        });
+    }
+
+    #[test]
+    fn a_threaded_shard_takes_corrections_between_cycles() {
+        std::thread::scope(|scope| {
+            let mut threaded = link_at(false, scope, (5, 2e-2), None);
+            let mut inline = link_at(true, scope, (5, 2e-2), None);
+            threaded.send(cycles(50)).unwrap();
+            inline.send(cycles(50)).unwrap();
+            let (escalations, _) = drain_queue(&mut inline);
+            for e in &escalations {
+                inline.send(correction(e)).unwrap();
+            }
+            // The threaded shard gets each correction as soon as its
+            // escalation is seen, mid-grant, the inline one after its
+            // grant: the same envelopes, and frames that read out alike.
+            let (mut seen, mut barriers) = (Vec::new(), 0);
+            while barriers < 50 {
+                match threaded.recv().unwrap().payload {
+                    Payload::Syndrome { tile, kind, .. } => {
+                        seen.push((tile, kind));
+                        threaded.send(correction(&(tile, kind))).unwrap();
+                    }
+                    Payload::CycleDone { .. } => barriers += 1,
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            assert_eq!(seen, escalations);
+            for tile in 0..2 {
+                let readout = |link: &mut ShardLink| {
+                    link.send(measure(tile)).unwrap();
+                    format!("{:?}", link.recv().unwrap().payload)
+                };
+                assert_eq!(readout(&mut threaded), readout(&mut inline));
+            }
+        });
+    }
+
+    #[test]
+    fn anything_but_a_correction_inside_a_grant_is_reported() {
+        std::thread::scope(|scope| {
+            // d = 3 never escalates, so nothing is owed; the readout
+            // arrives while the worker is inside its grant (it cannot get
+            // past the upstream bound before this thread consumes).
+            let mut threaded = link(false, scope, None);
+            threaded.send(cycles(5000)).unwrap();
+            threaded.send(measure(0)).unwrap();
+            loop {
+                match threaded.recv().expect("a failure report").payload {
+                    Payload::Failed { shard: 0, detail } => {
+                        assert!(detail.contains("inside a grant"), "{detail}");
+                        break;
+                    }
+                    Payload::CycleDone { .. } => {}
+                    other => panic!("expected Failed, got {other:?}"),
+                }
+            }
         });
     }
 
@@ -687,16 +813,11 @@ mod tests {
                 .unwrap();
             expect_failed(&mut idle, "no escalation waits for");
 
-            // Anything but a correction while corrections are outstanding.
-            let mut stalled = link_at(true, scope, (5, 2e-2), None);
-            stalled.send(cycles(50)).unwrap();
-            stalled
-                .send(Envelope::control(
-                    PacketKind::Downstream,
-                    Payload::MeasureZ { tile: 0 },
-                ))
-                .unwrap();
-            expect_failed(&mut stalled, "outstanding");
+            // Anything but a correction while corrections are owed.
+            let mut owing = link_at(true, scope, (5, 2e-2), None);
+            owing.send(cycles(50)).unwrap();
+            owing.send(cycles(1)).unwrap();
+            expect_failed(&mut owing, "outstanding");
         });
     }
 }

@@ -24,7 +24,8 @@ pub enum WorkloadOp {
         basis: LogicalBasis,
     },
     /// Run this many noisy QECC cycles on every tile (one grant per
-    /// shard; a shard waits only for its own corrections).
+    /// shard; a shard applies its corrections as they come and waits
+    /// for none).
     Cycles(u64),
     /// Transversal logical CNOT between two tiles. Both tiles must live
     /// on the same shard (the runtime keeps entangled tiles co-sharded so
