@@ -7,6 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quest_core::Mce;
+use quest_runtime::{Runtime, WorkloadSpec};
 use quest_stabilizer::{
     FrameBlock, Measurement, Pauli, Rng, SeedableRng, StabilizerSim, StdRng, Tableau,
 };
@@ -394,6 +395,62 @@ fn mce_issue_cost_ratio(_c: &mut Criterion) {
     );
 }
 
+/// What a served job costs on a `Runtime` that has run its distance
+/// before, over the same job on a new one, in one process so that
+/// sandbox drift cancels: the `serve_mix` job shape (d = 3, 4 tiles, 30
+/// cycles, p = 5e-3), run back to back. A reused runtime clones its
+/// template MCE instead of building one, and its fresh tiles follow the
+/// warm-up trail the first job laid instead of running their first
+/// cycles on the tableau; the warm job must show it by replaying every
+/// tile-cycle. The ratio read 0.58-0.59 on the reference container (1.0
+/// before a `Runtime` kept anything); the ceiling is 1.2x the reading,
+/// so a per-job rebuild creeping back trips it and no wall-clock
+/// threshold is involved.
+fn warm_job_cost_ratio(_c: &mut Criterion) {
+    use std::time::Instant;
+    const JOBS: u64 = 300;
+    const CEILING: f64 = 1.2 * 0.59;
+    let job = |seed: u64| WorkloadSpec::memory(3, 4, 1, 5e-3, seed, 30);
+    let fresh = || Runtime::new().with_decode_workers(1);
+    let reused = fresh();
+    reused.run(&job(0)).expect("a valid job");
+    let warm = reused.run(&job(1)).expect("a valid job");
+    let replayed: u64 = warm
+        .stats
+        .shards
+        .iter()
+        .map(|s| s.replayed_tile_cycles)
+        .sum();
+    assert_eq!(
+        replayed,
+        4 * 30,
+        "a warm job's tiles must replay every cycle"
+    );
+    let per_job = |runtime: &dyn Fn() -> Runtime| {
+        let start = Instant::now();
+        for seed in 0..JOBS {
+            std::hint::black_box(runtime().run(&job(seed)).expect("a valid job"));
+        }
+        start.elapsed().as_secs_f64() / JOBS as f64
+    };
+    // Best of seven each, the two sides taking turns.
+    let (mut on_fresh, mut on_reused) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..7 {
+        on_fresh = on_fresh.min(per_job(&fresh));
+        on_reused = on_reused.min(per_job(&|| reused.clone()));
+    }
+    let ratio = on_reused / on_fresh;
+    println!(
+        "warm_job_cost_ratio_d3: fresh runtime {:.1} us/job, reused {:.1} us/job, ratio {ratio:.2}",
+        on_fresh * 1e6,
+        on_reused * 1e6,
+    );
+    assert!(
+        ratio <= CEILING,
+        "a job on a reused runtime must cost at most {CEILING:.2}x one on a new runtime, got {ratio:.2}x"
+    );
+}
+
 criterion_group!(
     benches,
     bench_tableau,
@@ -405,6 +462,7 @@ criterion_group!(
     frame_throughput_comparison,
     noise_sampling_cost_ratio,
     frame_block_cycle_comparison,
-    mce_issue_cost_ratio
+    mce_issue_cost_ratio,
+    warm_job_cost_ratio
 );
 criterion_main!(benches);

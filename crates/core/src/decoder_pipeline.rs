@@ -13,6 +13,7 @@
 use quest_surface::decoder::Correction;
 use quest_surface::{DecodingGraph, LutDecoder, NodeId, RotatedLattice, StabKind};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 const WORD_BITS: usize = 64;
 
@@ -90,14 +91,16 @@ pub enum Reference {
     FirstRound,
 }
 
-/// The per-MCE decoder pipeline for one stabilizer type.
+/// The per-MCE decoder pipeline for one stabilizer type. The graph and
+/// the lookup table are fixed by the lattice, so clones share them and
+/// copy only the syndrome reference, the frame and the counters.
 #[derive(Debug, Clone)]
 pub struct DecoderPipeline {
     kind: StabKind,
     /// Single-round decoding graph the local table is built over.
-    graph: DecodingGraph,
+    graph: Arc<DecodingGraph>,
     /// The local lookup table; a pattern outside it escalates.
-    local: LutDecoder,
+    local: Arc<LutDecoder>,
     /// Previous round's syndrome bits (for detection-event differencing),
     /// packed 64 checks to a word so that a quiet round is one word
     /// compare at the distances the MCE runs; `None` while waiting for a
@@ -132,8 +135,8 @@ impl DecoderPipeline {
         let local = LutDecoder::new(&graph);
         let mut pipeline = DecoderPipeline {
             kind,
-            graph,
-            local,
+            graph: Arc::new(graph),
+            local: Arc::new(local),
             previous: None,
             frame: BTreeSet::new(),
             round: 0,

@@ -33,6 +33,7 @@ use crate::geometry::TileGeometry;
 use quest_isa::{MicroOp, PhysOpcode, VliwWord};
 use quest_stabilizer::StabilizerSim;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Result of firing one VLIW word: measurement outcomes by qubit slot.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -142,10 +143,10 @@ fn partner(uops: &[MicroOp], geometry: &TileGeometry, q: usize, u: MicroOp) -> O
     Some(target)
 }
 
-/// The execution unit for one MCE tile.
+/// The execution unit for one MCE tile. Clones share the tile geometry.
 #[derive(Debug, Clone)]
 pub struct ExecutionUnit {
-    geometry: TileGeometry,
+    geometry: Arc<TileGeometry>,
     /// Latched select codes, one per switch (= per qubit).
     latches: Vec<MicroOp>,
     /// The latches as [`ExecutionUnit::fire`] last resolved them; the
@@ -165,7 +166,7 @@ impl ExecutionUnit {
     pub fn new(geometry: TileGeometry) -> ExecutionUnit {
         let n = geometry.num_qubits();
         ExecutionUnit {
-            geometry,
+            geometry: Arc::new(geometry),
             latches: vec![MicroOp::nop(); n],
             resolved: ResolvedWord::default(),
             offset: 0,

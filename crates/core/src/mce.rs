@@ -91,6 +91,12 @@ impl ResolvedProgram {
 
 /// One Micro-coded Control Engine driving a surface-code tile.
 ///
+/// What [`Mce::new`] derives from the lattice — the lattice itself, the
+/// QECC microcode and its resolved words, the tile geometry, both
+/// decoder pipelines' graph and lookup table — never changes, so every
+/// clone of an MCE shares it: a run's tiles are clones of one template,
+/// and a clone copies only the per-tile state.
+///
 /// # Example
 ///
 /// ```
@@ -110,7 +116,7 @@ impl ResolvedProgram {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mce {
-    lattice: RotatedLattice,
+    lattice: Arc<RotatedLattice>,
     microcode: QeccMicrocode,
     mask: MaskTable,
     execution: ExecutionUnit,
@@ -147,7 +153,7 @@ impl Mce {
         let mask = MaskTable::coalesced(lattice.num_qubits(), d * d);
         let program = ResolvedProgram::new(lattice, &words, &geometry, &mask);
         Mce {
-            lattice: lattice.clone(),
+            lattice: Arc::new(lattice.clone()),
             microcode: QeccMicrocode::new(words),
             mask,
             execution: ExecutionUnit::new(geometry),

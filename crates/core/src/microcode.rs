@@ -24,6 +24,7 @@ use crate::tech::TechnologyParams;
 use quest_isa::{MicroOp, PhysOpcode, VliwWord};
 use quest_surface::SyndromeDesign;
 use std::fmt;
+use std::sync::Arc;
 
 /// The three microcode-memory designs of §4.5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -143,7 +144,8 @@ pub fn qubits_serviced(
 
 /// The functional QECC replay engine: unit-cell VLIW words streamed
 /// cyclically (§4.4, Figure 8b/8c). One `QeccMicrocode` drives one MCE
-/// tile; the same `M` words repeat forever.
+/// tile; the same `M` words repeat forever. The words never change once
+/// loaded, so a clone shares them and copies only its cursor.
 ///
 /// # Example
 ///
@@ -162,7 +164,7 @@ pub fn qubits_serviced(
 /// ```
 #[derive(Debug, Clone)]
 pub struct QeccMicrocode {
-    words: Vec<VliwWord>,
+    words: Arc<[VliwWord]>,
     cursor: usize,
     replays: u64,
 }
@@ -184,7 +186,7 @@ impl QeccMicrocode {
             "all VLIW words must cover the same tile width"
         );
         QeccMicrocode {
-            words,
+            words: words.into(),
             cursor: 0,
             replays: 0,
         }

@@ -38,10 +38,21 @@
 //! does not depend on the generating set. Cloning a substrate (a
 //! checkpoint) keeps the state and drops the tapes; the clone records
 //! and locks them again.
+//!
+//! The first cycles of a fresh tile, until its tape locks, do not depend
+//! on the seed: the reference sees no noise and no drawn bit. A
+//! substrate built by [`Substrate::with_trails`] lets each fresh tile
+//! follow a *trail* of those cycles laid by an earlier tile
+//! ([`quest_stabilizer::Trail`]) instead of running them on its tableau,
+//! and hands the trails its own tiles laid to [`Substrate::take_trails`];
+//! `quest-runtime` keeps them across runs. [`Substrate::new`], which
+//! [`MultiTileSystem`](crate::MultiTileSystem) uses, neither follows nor
+//! lays one: it is the oracle.
 
 use crate::error::CnotError;
 use crate::mce::Mce;
-use quest_stabilizer::{FrameBlock, StabilizerSim};
+use quest_stabilizer::{FrameBlock, StabilizerSim, Trail, Trails};
+use std::sync::Arc;
 
 /// Where a tile's qubits live: a block and the index of the tile's first
 /// qubit within it.
@@ -93,10 +104,35 @@ impl Substrate {
     ///
     /// Panics if `tile_width` is zero.
     pub fn new(tiles: usize, tile_width: usize) -> Substrate {
+        Substrate::of_blocks(tiles, || FrameBlock::new(tile_width))
+    }
+
+    /// [`Substrate::new`]'s tiles, each in a [`FrameBlock::fresh`] block
+    /// that follows one of `trails` through its warm-up, or lays a trail
+    /// of its own ([`Substrate::take_trails`]) if none starts where it
+    /// does. Every outcome and RNG draw is [`Substrate::new`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tile_width` is zero.
+    pub fn with_trails(tiles: usize, tile_width: usize, trails: &Trails) -> Substrate {
+        Substrate::of_blocks(tiles, || FrameBlock::fresh(tile_width, Arc::clone(trails)))
+    }
+
+    fn of_blocks(tiles: usize, block: impl FnMut() -> FrameBlock) -> Substrate {
         Substrate {
-            blocks: (0..tiles).map(|_| FrameBlock::new(tile_width)).collect(),
+            blocks: std::iter::repeat_with(block).take(tiles).collect(),
             homes: (0..tiles).map(|block| Home { block, offset: 0 }).collect(),
         }
+    }
+
+    /// Takes the trails the blocks have laid: one per fresh tile that
+    /// found none to follow and stayed on its own until its tape locked.
+    pub fn take_trails(&mut self) -> Vec<Trail> {
+        self.blocks
+            .iter_mut()
+            .filter_map(FrameBlock::take_trail)
+            .collect()
     }
 
     /// Number of blocks: entangled groups of tiles, a never-coupled
@@ -124,8 +160,9 @@ impl Substrate {
         &mut self.blocks[self.homes[tile].block]
     }
 
-    /// QECC cycles of `tile` that its block served from a tape, never
-    /// touching the reference tableau (zero for a tile out of range).
+    /// QECC cycles of `tile` that its block served from a tape or a
+    /// trail, never touching the reference tableau (zero for a tile out
+    /// of range).
     /// The count restarts in a clone, which has no tapes.
     pub fn replayed_cycles(&self, tile: usize) -> u64 {
         self.homes.get(tile).map_or(0, |home| {

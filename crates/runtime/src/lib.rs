@@ -33,6 +33,10 @@
 //!   delivery). With a
 //!   [`CheckpointSink`] attached the grant is one cycle, because a
 //!   checkpoint needs every shard stopped at the same barrier.
+//! * **What runs share** — a [`Runtime`] keeps, per code distance, the
+//!   template MCE its tiles are cloned from and the warm-up trails its
+//!   fresh tiles follow instead of running their first cycles on a
+//!   tableau; the first run at a distance builds and lays them.
 //!
 //! Instruction delivery goes through the shared
 //! [`quest_core::DeliveryEngine`]: the master thread
@@ -86,6 +90,7 @@
 
 pub mod control;
 pub mod error;
+mod memo;
 mod message;
 mod pool;
 pub mod reference;
@@ -108,25 +113,34 @@ pub use snapshot::{CheckpointSink, RunSnapshot, SNAPSHOT_VERSION};
 pub use spec::{SpecError, WorkloadOp, WorkloadSpec, TABLE_DECODER_MAX_DISTANCE};
 pub use stats::{PhaseTimings, RuntimeReport, RuntimeStats, ShardStats};
 
+use memo::Memo;
 use message::{Envelope, Payload};
 use pool::DecodePool;
 use quest_core::network::{Network, PacketKind};
-use quest_core::{DeliveryEngine, FaultSession, MasterController, Mce, MCE_IBUF_BYTES};
+use quest_core::{DeliveryEngine, FaultSession, MasterController};
 use quest_isa::LogicalInstr;
 use quest_surface::decoder::batch::DecodeJob;
-use quest_surface::{RotatedLattice, StabKind};
+use quest_surface::StabKind;
 use shard::{ShardLink, ShardWorker};
 use snapshot::ShardSnapshot;
 use stats::Stopwatch;
 use std::sync::Arc;
 
-/// The concurrent runtime. Construction is cheap: a `Runtime` holds only
-/// the number of decode lanes. Threads live only for the duration of
-/// [`Runtime::run`] — one per shard beyond shard 0 and one per decode
-/// lane beyond lane 0, both of which ride the caller's thread.
+/// The concurrent runtime. Construction is cheap: a `Runtime` holds the
+/// number of decode lanes and a memo of what every run of a code
+/// distance shares — one template MCE whose clones share its tables, and
+/// the warm-up *trails* fresh tiles follow instead of running their first
+/// cycles on a tableau (built and laid by the first run at that
+/// distance). Clones of a `Runtime` share the memo, and nothing in it
+/// shows in a report: a run on a `Runtime` that has served a thousand
+/// others returns the [`RunReport`] a new one would. Threads live only
+/// for the duration of [`Runtime::run`] — one per shard beyond shard 0
+/// and one per decode lane beyond lane 0, both of which ride the
+/// caller's thread.
 #[derive(Debug, Clone)]
 pub struct Runtime {
     decode_workers: usize,
+    memo: Arc<Memo>,
 }
 
 /// Fan-out of the modelled interconnect tree between master and MCEs.
@@ -148,6 +162,7 @@ impl Runtime {
             .clamp(1, 4);
         Runtime {
             decode_workers: workers,
+            memo: Arc::default(),
         }
     }
 
@@ -187,12 +202,14 @@ impl Runtime {
     /// checkpoint, and an optional progress callback invoked after every
     /// cycle.
     ///
-    /// `run_controlled` is re-entrant: a `Runtime` holds only
-    /// configuration, so one value (or clones of it) can run many
-    /// workloads concurrently from different threads — each run spawns,
-    /// owns and joins its own shard and decode threads. The serving
-    /// layer (`quest-serve`) leans on exactly this to execute many
-    /// tenants' jobs on one fixed worker pool.
+    /// `run_controlled` is re-entrant: one value (or clones of it) can
+    /// run many workloads concurrently from different threads — each run
+    /// spawns, owns and joins its own shard and decode threads. What runs
+    /// share is the memo, read when a run starts and added to when it
+    /// reports, under a lock held for nothing else; a run never sees
+    /// another's trails change under it. The serving layer
+    /// (`quest-serve`) leans on exactly this to execute many tenants'
+    /// jobs on one fixed worker pool, whose workers share one memo.
     ///
     /// The hooks are observers only: a run that completes returns a
     /// [`RunReport`] bit-identical to [`Runtime::run`]'s, regardless of
@@ -265,12 +282,13 @@ impl Runtime {
         resume: Option<&RunSnapshot>,
     ) -> Result<RuntimeReport, RuntimeError> {
         spec.validate()?;
-        let lattice = RotatedLattice::new(spec.distance);
-        // The run's one template MCE: every tile of a fresh run is a
+        // The distance's template MCE: every tile of a fresh run is a
         // clone of it, and its microcode cycle length prices the
-        // software baseline's per-cycle bus accounting.
-        let template = Mce::new(&lattice, MCE_IBUF_BYTES);
-        let cycle_len = template.microcode().cycle_len();
+        // software baseline's per-cycle bus accounting. Fresh tiles may
+        // follow the distance's trails.
+        let shared = self.memo.shared(spec.distance);
+        let lattice = shared.template.lattice();
+        let cycle_len = shared.template.microcode().cycle_len();
 
         std::thread::scope(|scope| {
             // Shard 0 is driven on this thread, which would otherwise
@@ -295,7 +313,7 @@ impl Runtime {
                         None => ShardWorker::new(
                             s,
                             spec.tile_range(s),
-                            &template,
+                            &shared,
                             spec.error_rate,
                             spec.delivery,
                             spec.seed,
@@ -305,7 +323,7 @@ impl Runtime {
                     })
                 })
                 .collect();
-            let pool = DecodePool::spawn(scope, &lattice, spec.decoder, self.decode_workers);
+            let pool = DecodePool::spawn(scope, lattice, spec.decoder, self.decode_workers);
 
             // Accounting state either starts fresh or continues exactly
             // where the snapshot froze it; everything else (threads,
@@ -313,6 +331,7 @@ impl Runtime {
             let mut master = Master {
                 spec,
                 control,
+                memo: &self.memo,
                 cycles_total: spec.total_cycles(),
                 engine: resume.map_or_else(|| DeliveryEngine::new(spec.delivery), |r| r.engine),
                 // Degraded tiles fall back to software-managed delivery:
@@ -379,6 +398,8 @@ struct Master<'a, 'scope, 'env> {
     spec: &'a WorkloadSpec,
     /// Cooperative cancellation and progress hooks for this run.
     control: &'a RunControl<'a>,
+    /// Where the trails the run's fresh tiles laid go when it reports.
+    memo: &'a Memo,
     /// Total QECC cycles the spec runs (progress denominator).
     cycles_total: u64,
     engine: DeliveryEngine,
@@ -397,7 +418,7 @@ struct Master<'a, 'scope, 'env> {
     network: Network,
     pool: DecodePool<'scope, 'env>,
     /// One link per shard: shard 0 inline, the others threaded.
-    links: Vec<ShardLink>,
+    links: Vec<ShardLink<'scope>>,
     shard_stats: Vec<ShardStats>,
     outcomes: Vec<(usize, bool)>,
     qecc_cycles: u64,
@@ -910,9 +931,15 @@ impl Master<'_, '_, '_> {
     }
 
     fn report(mut self) -> RuntimeReport {
-        for (stats, link) in self.shard_stats.iter_mut().zip(&self.links) {
+        // Every worker has signed off; each hands back what only it saw.
+        let mut laid = Vec::new();
+        for (stats, link) in self.shard_stats.iter_mut().zip(self.links.drain(..)) {
             (stats.max_downstream_depth, stats.max_upstream_depth) = link.high_water();
+            let harvest = link.finish();
+            stats.replayed_tile_cycles = harvest.replayed;
+            laid.extend(harvest.trails);
         }
+        self.memo.publish(self.spec.distance, laid);
         let escalations = self.shard_stats.iter().map(|s| s.escalations).sum();
         // The pool's merged decode-cost ledger must be read before the
         // shutdown consumes the pool. The master's own backend never ran

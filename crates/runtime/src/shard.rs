@@ -10,6 +10,10 @@
 //! any shard, however many tiles the shard owns: a measurement scans the
 //! generators of its own block only. Shards buy parallelism and nothing
 //! else — the total work of a run does not depend on the shard count.
+//! A fresh shard's tiles follow the warm-up trails the run was started
+//! with ([`Substrate::with_trails`]); when the worker stops serving it
+//! hands back the trails its tiles laid and how many tile-cycles they
+//! replayed (a [`Harvest`]), which is all the master learns of either.
 //!
 //! Every tile draws from its own RNG stream
 //! ([`tile_seed`](quest_core::tile::tile_seed)), in the same fixed order
@@ -47,16 +51,18 @@
 //! process aborting. A disconnected channel — the master bailed out
 //! early — is a clean exit, never a panic.
 
+use crate::memo::Shared;
 use crate::message::{channel, DepthGauge, Disconnected, Envelope, Payload, Rx, Tx};
 use crate::snapshot::ShardSnapshot;
 use quest_core::network::PacketKind;
 use quest_core::tile;
 use quest_core::{decode_totals, DeliveryEngine, DeliveryMode, Mce, Substrate};
-use quest_stabilizer::{PauliChannel, SeedableRng, StdRng};
+use quest_stabilizer::{PauliChannel, SeedableRng, StdRng, Trail};
 use quest_surface::StabKind;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// Best-effort panic message for a `Failed` report.
 fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
@@ -124,15 +130,27 @@ impl Upstream {
     }
 }
 
+/// What a worker hands back once it has stopped serving: what only it
+/// could count, and the trails its fresh tiles laid.
+#[derive(Debug, Default)]
+pub(crate) struct Harvest {
+    /// Tile-cycles its tiles were served from a tape or a trail, never
+    /// touching a reference tableau.
+    pub(crate) replayed: u64,
+    pub(crate) trails: Vec<Trail>,
+}
+
 /// The master's end of one shard: the same envelopes either way, only
 /// the transport differs.
-pub(crate) enum ShardLink {
-    /// The worker runs on its own thread behind a bounded channel pair.
+pub(crate) enum ShardLink<'scope> {
+    /// The worker runs on its own thread behind a bounded channel pair,
+    /// and the thread returns the worker's [`Harvest`].
     Threaded {
         down: Tx<Envelope>,
         up: Rx<Envelope>,
         down_gauge: DepthGauge,
         up_gauge: DepthGauge,
+        thread: ScopedJoinHandle<'scope, Harvest>,
     },
     /// The worker is driven on the master's thread: `send` handles the
     /// envelope on the spot and `recv` pops what it answered.
@@ -144,16 +162,16 @@ pub(crate) enum ShardLink {
     },
 }
 
-impl ShardLink {
+impl<'scope> ShardLink<'scope> {
     /// Links the worker `build` makes over `tiles` tiles for the given
     /// upstream end. With `inline` the worker stays on the caller's
     /// thread; otherwise it gets a thread of its own in `scope`.
-    pub(crate) fn new<'scope>(
-        scope: &'scope std::thread::Scope<'scope, '_>,
+    pub(crate) fn new(
+        scope: &'scope Scope<'scope, '_>,
         inline: bool,
         tiles: usize,
         build: impl FnOnce(Upstream) -> ShardWorker,
-    ) -> ShardLink {
+    ) -> ShardLink<'scope> {
         if inline {
             return ShardLink::Inline {
                 worker: Box::new(build(Upstream::Queue(VecDeque::new()))),
@@ -168,12 +186,12 @@ impl ShardLink {
         let mut worker = build(Upstream::Channel(up_tx));
         debug_assert_eq!(worker.tiles.len(), tiles);
         worker.down = Some(down_rx);
-        scope.spawn(move || worker.run());
         ShardLink::Threaded {
             down,
             up,
             down_gauge,
             up_gauge,
+            thread: scope.spawn(move || worker.run()),
         }
     }
 
@@ -226,6 +244,17 @@ impl ShardLink {
             ShardLink::Inline { max_up, .. } => (1, *max_up),
         }
     }
+
+    /// The worker's [`Harvest`], once it has signed off: a threaded
+    /// worker's thread is joined (it has returned, or is about to).
+    pub(crate) fn finish(self) -> Harvest {
+        match self {
+            // The thread's body never unwinds: every envelope is handled
+            // under `catch_unwind`.
+            ShardLink::Threaded { thread, .. } => thread.join().unwrap_or_default(),
+            ShardLink::Inline { mut worker, .. } => worker.harvest(),
+        }
+    }
 }
 
 /// Owned state of one shard worker.
@@ -255,14 +284,15 @@ pub(crate) struct ShardWorker {
 
 impl ShardWorker {
     /// Builds a shard over `tiles` (global ids), each tile a clone of
-    /// the run's `template` MCE, with per-tile RNG streams derived from
+    /// the distance's template MCE on a fresh block that may follow one
+    /// of its trails, with per-tile RNG streams derived from
     /// `master_seed`. A `panic_after_cycles` schedule makes the worker
     /// panic mid-run (containment drill).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         shard: usize,
         tiles: Range<usize>,
-        template: &Mce,
+        shared: &Shared,
         error_rate: f64,
         delivery: DeliveryMode,
         master_seed: u64,
@@ -273,9 +303,14 @@ impl ShardWorker {
             .clone()
             .map(|t| StdRng::seed_from_u64(tile::tile_seed(master_seed, t as u64)))
             .collect();
+        let template = &*shared.template;
         ShardWorker {
             shard,
-            substrate: Substrate::new(tiles.len(), template.lattice().num_qubits()),
+            substrate: Substrate::with_trails(
+                tiles.len(),
+                template.lattice().num_qubits(),
+                &shared.trails,
+            ),
             mces: vec![template.clone(); tiles.len()],
             tiles,
             noise: PauliChannel::depolarizing(error_rate),
@@ -331,13 +366,24 @@ impl ShardWorker {
     /// sends `Shutdown`, a failure is reported upstream, or the master
     /// hangs up (a disconnect means the master already shut down,
     /// possibly on an error of its own — exiting quietly is the right
-    /// response). The thread always returns normally, so the enclosing
-    /// scope never re-panics.
-    pub(crate) fn run(mut self) {
+    /// response), then hands back its [`Harvest`]. The thread always
+    /// returns normally, so the enclosing scope never re-panics.
+    pub(crate) fn run(mut self) -> Harvest {
         while let Some(Ok(env)) = self.down.as_ref().map(Rx::recv) {
             if !self.deliver(env) {
-                return;
+                break;
             }
+        }
+        self.harvest()
+    }
+
+    /// What the master reads off a worker that has stopped serving.
+    fn harvest(&mut self) -> Harvest {
+        Harvest {
+            replayed: (0..self.tiles.len())
+                .map(|l| self.substrate.replayed_cycles(l))
+                .sum(),
+            trails: self.substrate.take_trails(),
         }
     }
 
@@ -564,8 +610,8 @@ impl ShardWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quest_core::MCE_IBUF_BYTES;
-    use quest_surface::{RotatedLattice, StabKind};
+    use crate::memo::Memo;
+    use quest_surface::StabKind;
 
     /// A two-tile shard 0 at distance `d` and error rate `p`.
     fn link_at<'scope>(
@@ -573,13 +619,13 @@ mod tests {
         scope: &'scope std::thread::Scope<'scope, '_>,
         (d, p): (usize, f64),
         panic_after: Option<u64>,
-    ) -> ShardLink {
-        let template = Mce::new(&RotatedLattice::new(d), MCE_IBUF_BYTES);
+    ) -> ShardLink<'scope> {
+        let shared = Memo::default().shared(d);
         ShardLink::new(scope, inline, 2, |up| {
             ShardWorker::new(
                 0,
                 0..2,
-                &template,
+                &shared,
                 p,
                 DeliveryMode::QuestMce,
                 7,
@@ -594,7 +640,7 @@ mod tests {
         inline: bool,
         scope: &'scope std::thread::Scope<'scope, '_>,
         panic_after: Option<u64>,
-    ) -> ShardLink {
+    ) -> ShardLink<'scope> {
         link_at(inline, scope, (3, 1e-3), panic_after)
     }
 

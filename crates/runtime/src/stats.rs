@@ -58,6 +58,12 @@ pub struct ShardStats {
     pub max_upstream_depth: usize,
     /// High-water occupancy of the master → shard channel.
     pub max_downstream_depth: usize,
+    /// Tile-cycles the shard's tiles were served from a tape or a
+    /// warm-up trail, never touching a reference tableau
+    /// ([`Substrate::replayed_cycles`](quest_core::Substrate::replayed_cycles)),
+    /// since the run started or resumed. On a `Runtime` that has run the
+    /// distance before, every cycle of a tile that only does QECC is.
+    pub replayed_tile_cycles: u64,
 }
 
 impl ShardStats {
@@ -131,13 +137,15 @@ impl fmt::Display for RuntimeStats {
             writeln!(
                 f,
                 "  shard {}: tiles {}..{}, {} cycles, {} escalations \
-                 ({:.4}/tile-cycle), messages up {} / down {}, depth up {} / down {}",
+                 ({:.4}/tile-cycle), {} tile-cycles replayed, messages up {} / down {}, \
+                 depth up {} / down {}",
                 s.shard,
                 s.first_tile,
                 s.first_tile + s.tiles,
                 s.cycles,
                 s.escalations,
                 s.escalation_rate(),
+                s.replayed_tile_cycles,
                 s.upstream_messages,
                 s.downstream_messages,
                 s.max_upstream_depth,
@@ -223,12 +231,14 @@ mod tests {
                 downstream_messages: 7,
                 max_upstream_depth: 3,
                 max_downstream_depth: 1,
+                replayed_tile_cycles: 36,
             }],
             ..RuntimeStats::default()
         };
         let s = stats.to_string();
         assert!(s.contains("shard 0"));
         assert!(s.contains("messages up 12 / down 7"));
+        assert!(s.contains("36 tile-cycles replayed"));
         assert!(s.contains("decode pool"));
     }
 }

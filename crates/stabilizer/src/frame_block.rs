@@ -52,10 +52,41 @@
 //! only ever replayed from the state it was verified on: a replay leaves
 //! the reference alone, a verified recording returns to it, and anything
 //! else unlocks the whole block.
+//!
+//! # Trails
+//!
+//! A tape takes a few cycles on the reference to lock, and every fresh
+//! register running the same program pays them again. It need not:
+//! from a given reference tableau a given sequence of reference
+//! operations yields the same answers, the same pivots and the same
+//! tableau, whatever the seed, because the reference sees no Pauli and
+//! no drawn bit. A [`Trail`] is that warm-up written down once: for each
+//! cycle from a fresh block's first mark until its tape locked, what the
+//! reference was asked and answered, and the tableau the cycle left.
+//!
+//! A block built by [`FrameBlock::fresh`] looks, at its first mark, for
+//! a trail of that key starting from its very reference (`==`, generator
+//! for generator). If it finds one it *follows* it: each trail cycle is
+//! its tape in hand, matched and answered exactly like a locked tape,
+//! and the reference is set to the trail's tableau at each mark. After
+//! the trail's last cycle that cycle is the block's own locked tape.
+//! Anything off the trail — an operation that is not its next entry, a
+//! cycle cut short, another key — puts the block where one laying the
+//! trail would be at that point (the trail's tableau at the last mark
+//! with the matched prefix replayed, the cycle so far on its recording,
+//! the cycle before on its tape), and from there it is an ordinary
+//! block. A follower therefore draws, answers and holds exactly what a
+//! block that never saw the trail would, down to the generators.
+//!
+//! A fresh block that finds no trail lays one, and
+//! [`FrameBlock::take_trail`] hands it over once its tape has locked.
+//! Blocks built by [`FrameBlock::new`], clones and appended blocks
+//! neither follow nor lay.
 
 use crate::pauli::Pauli;
 use crate::tableau::{or_shifted, Measurement, Tableau};
 use rand::Rng;
+use std::sync::Arc;
 
 const WORD_BITS: usize = 64;
 
@@ -253,6 +284,84 @@ struct Record {
     pivots: Vec<u64>,
 }
 
+impl Clone for Record {
+    fn clone(&self) -> Record {
+        Record {
+            entries: self.entries.clone(),
+            pivots: self.pivots.clone(),
+        }
+    }
+
+    /// Copies `source` into the buffers this record already owns.
+    fn clone_from(&mut self, source: &Record) {
+        self.entries.clone_from(&source.entries);
+        self.pivots.clone_from(&source.pivots);
+    }
+}
+
+/// One cycle of a trail: what the reference was asked and answered
+/// between two marks, and the reference after it.
+#[derive(Debug)]
+struct Stretch {
+    record: Record,
+    end: Tableau,
+}
+
+/// The longest warm-up a block lays down as a trail. A QECC cycle locks
+/// its tape on its fourth mark; a program that takes longer is not worth
+/// keeping.
+const TRAIL_CYCLES: usize = 8;
+
+/// A fresh block's warm-up, recorded once to be followed by every fresh
+/// block that starts from the same reference; see the
+/// [module docs](self#trails).
+#[derive(Debug)]
+pub struct Trail {
+    /// The key of every mark on the trail.
+    key: usize,
+    /// The reference at the first mark.
+    start: Tableau,
+    /// The cycles from the first mark to the mark that locked the tape;
+    /// the last one is the tape that locked.
+    cycles: Vec<Stretch>,
+}
+
+impl Trail {
+    /// Whether the two trails start alike: the same key at the first
+    /// mark, over the same reference, generator for generator. A block
+    /// follows the first trail that starts where it does, so there is
+    /// no use for a second.
+    pub fn same_start(&self, other: &Trail) -> bool {
+        self.key == other.key && self.start == other.start
+    }
+
+    /// Cycles on the trail, the one that locked included.
+    pub fn cycles(&self) -> usize {
+        self.cycles.len()
+    }
+}
+
+/// The trails fresh blocks may follow, shared by every block that is
+/// offered them.
+pub type Trails = Arc<[Arc<Trail>]>;
+
+/// Where a block stands with respect to trails.
+#[derive(Debug, Default)]
+enum Warmup {
+    /// Neither following nor laying one: a block built cold, a clone, an
+    /// appended block, or a fresh block past its warm-up.
+    #[default]
+    Off,
+    /// Fresh and before its first mark, with the trails it may follow.
+    Fresh(Trails),
+    /// On `trail`, whose cycle `cycle` is the tape in hand.
+    Following { trail: Arc<Trail>, cycle: usize },
+    /// Laying a trail of its own.
+    Laying(Trail),
+    /// A complete trail, waiting to be taken.
+    Laid(Trail),
+}
+
 /// The last cycle recorded under one key.
 #[derive(Debug, Default)]
 struct Tape {
@@ -280,9 +389,9 @@ enum Mode {
 /// A register of qubits held as a Pauli frame over a reference
 /// [`Tableau`]; see the [module docs](self).
 ///
-/// Cloning keeps the state (reference and frame) and drops the tapes: a
-/// clone re-records and re-locks. Two blocks are equal when they hold the
-/// same state.
+/// Cloning keeps the state (reference and frame) and drops the tapes and
+/// any trail: a clone re-records and re-locks. Two blocks are equal when
+/// they hold the same state.
 ///
 /// # Example
 ///
@@ -331,6 +440,7 @@ pub struct FrameBlock {
     /// The reference as it was when the recording began; taken only when
     /// its tape holds an earlier recording to compare this one with.
     snapshot: Tableau,
+    warmup: Warmup,
 }
 
 impl Clone for FrameBlock {
@@ -396,12 +506,41 @@ impl FrameBlock {
             cursor: 0,
             pivot_cursor: 0,
             tapes: Vec::new(),
+            warmup: Warmup::Off,
         }
     }
 
-    /// Cycles of `key` served from its tape, start to end, without
-    /// touching the reference. A benchmark or a test that means to
-    /// measure the fast path checks that this moves.
+    /// A block of `n` qubits in `|0…0⟩` that, at its first mark, follows
+    /// the first of `trails` starting from its reference under that key,
+    /// or lays a trail of its own if none does; see the
+    /// [module docs](self#trails). What it answers is what a block from
+    /// [`FrameBlock::new`] would answer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    pub fn fresh(n: usize, trails: Trails) -> FrameBlock {
+        FrameBlock {
+            warmup: Warmup::Fresh(trails),
+            ..FrameBlock::new(n)
+        }
+    }
+
+    /// The trail this block laid, once its tape has locked; a block
+    /// gives it up once.
+    pub fn take_trail(&mut self) -> Option<Trail> {
+        match std::mem::take(&mut self.warmup) {
+            Warmup::Laid(trail) => Some(trail),
+            other => {
+                self.warmup = other;
+                None
+            }
+        }
+    }
+
+    /// Cycles of `key` served from its tape or from a trail, start to
+    /// end, without touching the reference. A benchmark or a test that
+    /// means to measure the fast path checks that this moves.
     pub fn replayed_cycles(&self, key: usize) -> u64 {
         self.tapes
             .iter()
@@ -468,12 +607,17 @@ impl FrameBlock {
     /// Leaves the tapes: the reference catches up with a replay in
     /// progress, every tape is unlocked (the reference is about to move
     /// off the state they were verified on) and operations go straight
-    /// to the reference until the next mark.
+    /// to the reference until the next mark. A block following a trail
+    /// rejoins the path of the block that laid it instead.
     #[cold]
     fn deviate(&mut self) {
         if self.mode == Mode::Replaying {
             let matched = &self.tapes[self.slot].record.entries[..self.cursor];
             replay(&mut self.reference, matched, &mut self.recording.pivots);
+        }
+        match std::mem::take(&mut self.warmup) {
+            Warmup::Following { trail, cycle } => return self.rejoin(&trail, cycle),
+            other => self.warmup = other,
         }
         for tape in &mut self.tapes {
             tape.locked = false;
@@ -481,13 +625,42 @@ impl FrameBlock {
         self.mode = Mode::Direct;
     }
 
+    /// Puts a block that leaves `trail` in its cycle `cycle`, with the
+    /// matched prefix already replayed onto the reference, where the
+    /// block that laid the trail was at this point: recording the cycle,
+    /// the matched prefix and its pivots on the recording, the trail's
+    /// previous cycle (if any) closed into the tape and the reference at
+    /// the mark kept to compare the cycle with.
+    fn rejoin(&mut self, trail: &Trail, cycle: usize) {
+        let stretch = &trail.cycles[cycle].record;
+        self.recording.entries.clear();
+        self.recording
+            .entries
+            .extend_from_slice(&stretch.entries[..self.cursor]);
+        self.recording.pivots.clear();
+        self.recording
+            .pivots
+            .extend_from_slice(&stretch.pivots[..self.pivot_cursor]);
+        let tape = &mut self.tapes[self.slot];
+        match cycle.checked_sub(1).map(|before| &trail.cycles[before]) {
+            Some(before) => {
+                tape.record.clone_from(&before.record);
+                self.snapshot.clone_from(&before.end);
+            }
+            None => tape.record = Record::default(),
+        }
+        tape.recorded = cycle > 0;
+        self.mode = Mode::Recording;
+    }
+
     /// Closes the recording into its tape, locking the tape if the cycle
     /// just recorded is the previous one over again and left the
-    /// reference in the state it found it in. Pivots are not compared:
-    /// they follow the reference's generators, which keep changing, and
-    /// any stabilizer of the measured state that anticommutes with `Z_q`
-    /// serves (two of them differ by a stabilizer of the collapsed state).
-    fn close_recording(&mut self) {
+    /// reference in the state it found it in; says whether it locked.
+    /// Pivots are not compared: they follow the reference's generators,
+    /// which keep changing, and any stabilizer of the measured state that
+    /// anticommutes with `Z_q` serves (two of them differ by a stabilizer
+    /// of the collapsed state).
+    fn close_recording(&mut self) -> bool {
         let tape = &mut self.tapes[self.slot];
         // A first recording took no snapshot: there was nothing to
         // compare it with.
@@ -502,6 +675,90 @@ impl FrameBlock {
             // The reference may have moved: no tape verified on the old
             // state may be replayed from the new one.
             self.deviate();
+        }
+        repeats
+    }
+
+    /// At its first mark, a fresh block sets out on the first trail
+    /// that starts from its reference under `key` (`true`: the mark is
+    /// served), or starts laying one.
+    fn set_out(&mut self, key: usize) -> bool {
+        let Warmup::Fresh(trails) = std::mem::take(&mut self.warmup) else {
+            return false;
+        };
+        let start = trails
+            .iter()
+            .find(|t| t.key == key && t.start == self.reference);
+        let Some(trail) = start else {
+            self.warmup = Warmup::Laying(Trail {
+                key,
+                start: self.reference.clone(),
+                cycles: Vec::new(),
+            });
+            return false;
+        };
+        self.take_up(Arc::clone(trail), 0);
+        true
+    }
+
+    /// Makes cycle `cycle` of `trail` the tape in hand.
+    fn take_up(&mut self, trail: Arc<Trail>, cycle: usize) {
+        let tape = &mut self.tapes[self.slot];
+        let record = &trail.cycles[cycle].record;
+        tape.record.clone_from(record);
+        // A cycle with nothing for the reference is served already.
+        tape.replayed += u64::from(record.entries.is_empty());
+        (self.cursor, self.pivot_cursor) = (0, 0);
+        self.mode = Mode::Replaying;
+        self.warmup = Warmup::Following { trail, cycle };
+    }
+
+    /// A mark on a trail. The cycle it closes was followed to the end
+    /// under the trail's key: the reference takes the tableau that cycle
+    /// left, and the block goes on to the trail's next cycle (`true`: the
+    /// mark is served) or, past the last, keeps that cycle as its locked
+    /// tape. Otherwise the block rejoins the live path. Either way but
+    /// the first, the mark is then handled as any other.
+    fn follow_on(&mut self, key: usize) -> bool {
+        let Warmup::Following { trail, cycle } = std::mem::take(&mut self.warmup) else {
+            return false;
+        };
+        let tape = &mut self.tapes[self.slot];
+        if key != trail.key || self.cursor != tape.record.entries.len() {
+            self.warmup = Warmup::Following { trail, cycle };
+            self.deviate();
+            return false;
+        }
+        self.reference.clone_from(&trail.cycles[cycle].end);
+        if cycle + 1 < trail.cycles.len() {
+            self.take_up(trail, cycle + 1);
+            return true;
+        }
+        tape.recorded = true;
+        tape.locked = true;
+        false
+    }
+
+    /// Puts the cycle a mark has just closed (`locked`: and locked) on
+    /// the trail being laid, and sets the trail aside once it locked. A
+    /// mark of another key, or a warm-up too long to be worth keeping,
+    /// abandons it.
+    fn lay(&mut self, key: usize, locked: bool) {
+        let Warmup::Laying(trail) = &mut self.warmup else {
+            return;
+        };
+        if key != trail.key || trail.cycles.len() == TRAIL_CYCLES {
+            self.warmup = Warmup::Off;
+            return;
+        }
+        trail.cycles.push(Stretch {
+            record: self.tapes[self.slot].record.clone(),
+            end: self.reference.clone(),
+        });
+        if locked {
+            if let Warmup::Laying(trail) = std::mem::take(&mut self.warmup) {
+                self.warmup = Warmup::Laid(trail);
+            }
         }
     }
 
@@ -662,9 +919,15 @@ impl StabilizerSim for FrameBlock {
     }
 
     fn cycle_boundary(&mut self, key: usize) {
+        if matches!(self.warmup, Warmup::Following { .. }) && self.follow_on(key) {
+            return;
+        }
         match self.mode {
             Mode::Direct => {}
-            Mode::Recording => self.close_recording(),
+            Mode::Recording => {
+                let locked = self.close_recording();
+                self.lay(key, locked);
+            }
             // A tape with entries left is a cycle cut short.
             Mode::Replaying => {
                 if self.cursor != self.tapes[self.slot].record.entries.len() {
@@ -682,6 +945,9 @@ impl StabilizerSim for FrameBlock {
                 self.tapes.len() - 1
             }
         };
+        if matches!(self.warmup, Warmup::Fresh(_)) && self.set_out(key) {
+            return;
+        }
         let tape = &mut self.tapes[self.slot];
         if tape.locked {
             // A cycle with nothing for the reference is served already.

@@ -18,9 +18,10 @@
 //! against its definition first.
 
 use proptest::prelude::*;
-use quest_stabilizer::{FrameBlock, Measurement, Pauli, StabilizerSim, Tableau};
+use quest_stabilizer::{FrameBlock, Measurement, Pauli, StabilizerSim, Tableau, Trail, Trails};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::sync::Arc;
 
 /// Counts the words drawn from the generator it wraps.
 struct CountingRng {
@@ -561,4 +562,243 @@ fn a_repeating_cycle_locks_and_a_stray_operation_unlocks_it() {
     }
     assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
     assert_eq!(block.replayed_cycles(0), 0, "no such key");
+}
+
+/// The key every mark of the trail tests carries.
+const KEY: usize = 0;
+
+/// One round of a small code's syndrome extraction, one reference
+/// operation per entry: `XXXX` and `ZZZZ` on four data qubits and `ZZ` on
+/// the first two, each measured on an ancilla of its own (`layout`: the
+/// data qubits, then the three ancillas). The checks commute, so once
+/// `XXXX` has been projected the state repeats and a tape locks.
+fn code_round(layout: [usize; 7]) -> Vec<Op> {
+    let [d0, d1, d2, d3, ax, az, azz] = layout;
+    let data = [d0, d1, d2, d3];
+    let mut ops = vec![(RESET, ax, 0), (H, ax, 0)];
+    ops.extend(data.map(|d| (CNOT, ax, d)));
+    ops.extend([(H, ax, 0), (MEASURE, ax, 0), (RESET, az, 0)]);
+    ops.extend(data.map(|d| (CNOT, d, az)));
+    ops.extend([
+        (MEASURE, az, 0),
+        (RESET, azz, 0),
+        (CNOT, d0, azz),
+        (CNOT, d1, azz),
+        (MEASURE, azz, 0),
+    ]);
+    ops
+}
+
+/// A program for trails to be laid and followed on: the operations
+/// before the first mark, the round the first mark opens and the round
+/// every later mark opens.
+struct Program {
+    n: usize,
+    layout: [usize; 7],
+    prelude: Vec<Op>,
+    first: Vec<Op>,
+    rest: Vec<Op>,
+}
+
+impl Program {
+    /// The data qubits reset, then `code_round` from the first mark on:
+    /// the trail starts with the projection.
+    fn projecting(n: usize, layout: [usize; 7]) -> Program {
+        Program {
+            n,
+            layout,
+            prelude: layout[..4].iter().map(|&d| (RESET, d, 0)).collect(),
+            first: code_round(layout),
+            rest: code_round(layout),
+        }
+    }
+
+    /// The code projected before the first mark, and a first round that
+    /// re-reads the `ZZZZ` ancilla (`Program::stray`) before the rounds
+    /// settle into `code_round`: a block that goes on re-reading it locks
+    /// a tape a mark earlier than the trail did.
+    fn settling(n: usize, layout: [usize; 7]) -> Program {
+        let mut program = Program::projecting(n, layout);
+        program.prelude.extend(code_round(layout));
+        let after_zzzz = program
+            .first
+            .iter()
+            .position(|&(kind, q, _)| kind == MEASURE && q == layout[5]);
+        program
+            .first
+            .insert(after_zzzz.expect("a ZZZZ readout") + 1, program.stray());
+        program
+    }
+
+    /// What a round that leaves the trail puts in: the `ZZZZ` ancilla
+    /// measured again.
+    fn stray(&self) -> Op {
+        (MEASURE, self.layout[5], 0)
+    }
+
+    fn round(&self, round: usize) -> &[Op] {
+        if round == 0 {
+            &self.first
+        } else {
+            &self.rest
+        }
+    }
+
+    /// Lays the program's trail with a fresh block that has none to
+    /// follow, from `prelude`.
+    fn lay_trail(&self, prelude: &[Op]) -> Option<Trail> {
+        let mut block = FrameBlock::fresh(self.n, Arc::new([]));
+        let mut rng = CountingRng::new(1);
+        for &op in prelude {
+            apply(&mut block, op, &mut rng);
+        }
+        for round in 0..8 {
+            block.cycle_boundary(KEY);
+            if let Some(trail) = block.take_trail() {
+                return Some(trail);
+            }
+            for &op in self.round(round) {
+                apply(&mut block, op, &mut rng);
+            }
+        }
+        None
+    }
+}
+
+/// Where a run of rounds leaves the trail.
+#[derive(Debug, Clone, Copy)]
+enum Leave {
+    /// It never does.
+    Never,
+    /// The stray operation goes in before entry `.1` of round `.0` (after
+    /// the last entry, if `.1` is the round's length), and of every round
+    /// after it: the round that left the trail repeats, so the block may
+    /// lock onto it.
+    Insert(usize, usize),
+    /// Round `.0` stops before entry `.1`.
+    Cut(usize, usize),
+    /// Round `.0` is marked under another key.
+    Mark(usize),
+}
+
+/// A block following `trails`, a block that never saw one and a bare
+/// tableau, fed the same operations under the same seed: outcomes,
+/// `deterministic` flags and RNG positions must equal the tableau's, and
+/// the follower's state must be the cold block's generator for generator.
+/// Returns the cycles the follower replayed beyond the cold block.
+fn follow(
+    program: &Program,
+    prelude: &[Op],
+    trails: &Trails,
+    leave: Leave,
+    seed: u64,
+) -> Result<u64, TestCaseError> {
+    let n = program.n;
+    let mut follower = FrameBlock::fresh(n, Arc::clone(trails));
+    let mut cold = FrameBlock::new(n);
+    let mut bare = Tableau::new(n);
+    let mut rngs = [0, 1, 2].map(|_| CountingRng::new(seed));
+    let mut noise = StdRng::seed_from_u64(!seed);
+    let mut step = 0;
+    let mut apply_all = |op: Op| -> TestCaseResult {
+        step += 1;
+        let [a, b, c] = &mut rngs;
+        let got = apply(&mut follower, op, a);
+        let cold_got = apply(&mut cold, op, b);
+        let want = apply(&mut bare, op, c);
+        prop_assert_eq!(got, want, "step {}: {:?}", step, op);
+        prop_assert_eq!(cold_got, want, "step {}: {:?}", step, op);
+        prop_assert_eq!(a.draws, c.draws, "step {}: RNG draws after {:?}", step, op);
+        prop_assert!(
+            follower.to_tableau() == cold.to_tableau(),
+            "step {}: the follower's generators left the cold block's after {:?}",
+            step,
+            op
+        );
+        prop_assert!(
+            cold.to_tableau().same_state(&bare),
+            "step {}: {:?}",
+            step,
+            op
+        );
+        Ok(())
+    };
+    for &op in prelude {
+        apply_all(op)?;
+    }
+    for round in 0..7 {
+        let key = match leave {
+            Leave::Mark(r) if r == round => KEY + 1,
+            _ => KEY,
+        };
+        apply_all((BOUNDARY, 0, key))?;
+        let mut ops = program.round(round).to_vec();
+        match leave {
+            Leave::Insert(r, at) if r <= round => ops.insert(at.min(ops.len()), program.stray()),
+            Leave::Cut(r, at) if r == round => ops.truncate(at),
+            _ => {}
+        }
+        for op in ops {
+            if noise.gen_bool(0.3) {
+                let q = noise.gen_range(0..n);
+                apply_all((6, q, noise.gen_range(0..4)))?;
+            }
+            apply_all(op)?;
+        }
+    }
+    for q in 0..n {
+        apply_all((MEASURE, q, 0))?;
+    }
+    let [a, _, c] = &mut rngs;
+    prop_assert_eq!(a.next_u64(), c.next_u64());
+    Ok(follower.replayed_cycles(KEY) - cold.replayed_cycles(KEY))
+}
+
+#[test]
+fn a_follower_draws_answers_and_holds_what_a_cold_block_does() {
+    let layouts = [(7, [0, 1, 2, 3, 4, 5, 6]), (70, [0, 31, 63, 64, 69, 5, 40])];
+    let programs = layouts
+        .into_iter()
+        .flat_map(|(n, layout)| [Program::projecting(n, layout), Program::settling(n, layout)]);
+    for program in programs {
+        let trail = program
+            .lay_trail(&program.prelude)
+            .expect("the rounds lock a tape");
+        // The first round, then two that must repeat.
+        let cycles = trail.cycles();
+        assert_eq!(cycles, 3);
+        let trails: Trails = Arc::new([Arc::new(trail)]);
+        let check = |leave: Leave, prelude: &[Op], followed: u64| {
+            for seed in 0..2 {
+                match follow(&program, prelude, &trails, leave, seed) {
+                    Ok(extra) => assert_eq!(extra, followed, "n = {}, {leave:?}", program.n),
+                    Err(e) => panic!("n = {}, {leave:?}, seed {seed}: {e:?}", program.n),
+                }
+            }
+        };
+        // Seven rounds on the trail and then on the tape it locked: all
+        // replayed, against the cold block's four.
+        check(Leave::Never, &program.prelude, cycles as u64);
+        for round in 0..cycles {
+            let (before, len) = (round as u64, program.round(round).len());
+            for at in 0..=len {
+                let followed = before + u64::from(at == len);
+                check(Leave::Insert(round, at), &program.prelude, followed);
+            }
+            for at in 0..len {
+                check(Leave::Cut(round, at), &program.prelude, before);
+            }
+        }
+        for round in 1..=cycles {
+            check(Leave::Mark(round), &program.prelude, round as u64);
+        }
+        // The same state from other generators: no trail starts there, so
+        // the block lays its own and replays what the cold block does.
+        let mut other = program.prelude.clone();
+        other.push((CNOT, program.layout[0], program.layout[1]));
+        check(Leave::Never, &other, 0);
+        let laid = program.lay_trail(&other).expect("the rounds lock a tape");
+        assert!(!laid.same_start(&trails[0]));
+        assert_eq!(laid.cycles(), cycles);
+    }
 }

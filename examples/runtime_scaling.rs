@@ -14,6 +14,13 @@
 //! after that, only the corrections its own escalations asked for. The
 //! `messages … down` count of each shard says so, and is asserted.
 //!
+//! The runs share one `Runtime`, warmed by an untimed run first: that
+//! run builds the d = 5 template MCE and lays the warm-up trail of a
+//! fresh tile (its first three cycles run on the reference tableau). The
+//! timed runs clone the template and follow the trail, so every one of
+//! their tile-cycles is served without touching a tableau. The
+//! `tile-cycles replayed` count says so, and is asserted too.
+//!
 //! ```sh
 //! cargo run --release --example runtime_scaling
 //! ```
@@ -28,11 +35,13 @@ fn main() {
         spec.tiles, spec.distance, spec.error_rate, 40, spec.seed
     );
 
+    let runtime = Runtime::new();
+    runtime.run(&spec).expect("valid spec");
     let mut baseline = None;
     for shards in [1usize, 2, 4] {
         spec.shards = shards;
         let start = Instant::now();
-        let report = Runtime::new().run(&spec).expect("valid spec");
+        let report = runtime.run(&spec).expect("valid spec");
         let elapsed = start.elapsed();
 
         println!("=== {shards} shard(s): {elapsed:.2?} ===");
@@ -49,6 +58,18 @@ fn main() {
                 s.shard
             );
         }
+
+        let replayed: u64 = report
+            .stats
+            .shards
+            .iter()
+            .map(|s| s.replayed_tile_cycles)
+            .sum();
+        assert_eq!(
+            replayed,
+            spec.tiles as u64 * 40,
+            "a tile-cycle ran on a tableau"
+        );
 
         match baseline {
             None => baseline = Some((report.outcomes.clone(), report.bus_bytes(), elapsed)),
