@@ -17,11 +17,15 @@
 //!
 //! What a word does to the substrate is fixed by its µops and the tile
 //! geometry alone, so a word is *resolved* once into the substrate calls
-//! its firing makes (a `ResolvedWord`) and fired from that list: the
-//! MCE resolves its QECC program when it is built and re-resolves only
-//! the slots it merges with logical µops (Fu et al.'s timed queue of
-//! micro-operations decoded once, not per issue). [`ExecutionUnit::fire`]
-//! resolves the latches and fires them through the same routine.
+//! its firing makes (a `ResolvedWord`, a [`SimGate`] list) and fired from
+//! that list by [`fire_gates`], the one firing routine: the MCE resolves
+//! its QECC program when it is built and re-resolves only the slots it
+//! merges with logical µops (Fu et al.'s timed queue of micro-operations
+//! decoded once, not per issue). [`ExecutionUnit::fire`] resolves the
+//! latches and fires them through the same routine. A cycle that merges
+//! nothing is issued as one substrate call over the program's words
+//! concatenated ([`StabilizerSim::run_cycle`]), which a locked frame block
+//! serves from a kernel compiled for that very list.
 //!
 //! The substrate is anything that is a [`StabilizerSim`]: the
 //! [`FrameBlock`](quest_stabilizer::FrameBlock)s of a
@@ -31,7 +35,7 @@
 
 use crate::geometry::TileGeometry;
 use quest_isa::{MicroOp, PhysOpcode, VliwWord};
-use quest_stabilizer::StabilizerSim;
+use quest_stabilizer::{fire_gates, SimGate, StabilizerSim};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -56,14 +60,14 @@ pub struct ExecutionStats {
 }
 
 /// One VLIW word written down as the substrate calls its firing makes, in
-/// firing order, with tile-local qubit indices (the unit adds its offset
+/// firing order — single-qubit waveforms and measurements by ascending
+/// slot, then the CNOTs by ascending control slot (all commute within a
+/// well-formed lock-step word: the scheduler never touches a qubit twice
+/// in one slot) — with tile-local qubit indices (the unit adds its offset
 /// when it fires, so a re-based tile keeps its resolved words).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ResolvedWord {
-    /// Single-qubit waveforms and measurements, ascending slot.
-    singles: Vec<(usize, PhysOpcode)>,
-    /// Then the CNOTs as `(control, target)`, ascending control slot.
-    cnots: Vec<(usize, usize)>,
+    gates: Vec<SimGate>,
     /// What firing the word adds to [`ExecutionStats::active_uops`] (both
     /// halves of a CNOT count) and to [`ExecutionStats::measurements`].
     active: u64,
@@ -83,38 +87,76 @@ impl ResolvedWord {
         resolved
     }
 
+    /// Whether firing the word reports a measurement outcome.
+    pub(crate) fn measures(&self) -> bool {
+        self.measured > 0
+    }
+
     /// Overwrites this word with the resolution of `uops`, one per tile
     /// slot: every non-idle µop but a CNOT half is a call on its own slot,
     /// and each `CnotCtrl` is paired with the `CnotTgt` latched on the
-    /// neighbour its direction nibble points at. The buffers are reused.
+    /// neighbour its direction nibble points at. The buffer is reused.
     ///
     /// # Panics
     ///
     /// Panics if a CNOT control half points at a qubit whose µop is not
     /// the matching target half — such a word is malformed microcode.
     pub(crate) fn resolve(&mut self, uops: &[MicroOp], geometry: &TileGeometry) {
-        self.singles.clear();
-        self.cnots.clear();
+        self.gates.clear();
         (self.active, self.measured) = (0, 0);
         for (q, &u) in uops.iter().enumerate() {
-            match u.opcode() {
+            let gate = match u.opcode() {
                 PhysOpcode::Nop => continue,
-                PhysOpcode::CnotTgt => {}
-                PhysOpcode::CnotCtrl => {
-                    // The microcode generator always emits directed ctrl
-                    // halves with an in-lattice partner; a malformed word
-                    // loses the gate (debug builds still assert) rather
-                    // than panicking the control plane.
-                    if let Some(target) = partner(uops, geometry, q, u) {
-                        self.cnots.push((q, target));
-                    }
-                }
-                op => {
-                    self.measured += u64::from(matches!(op, PhysOpcode::MeasZ | PhysOpcode::MeasX));
-                    self.singles.push((q, op));
+                PhysOpcode::CnotCtrl | PhysOpcode::CnotTgt => None,
+                PhysOpcode::PrepZ => Some(SimGate::Reset(q)),
+                PhysOpcode::PrepX => Some(SimGate::ResetPlus(q)),
+                PhysOpcode::MeasZ => Some(SimGate::Measure(q)),
+                PhysOpcode::MeasX => Some(SimGate::MeasureX(q)),
+                PhysOpcode::H => Some(SimGate::H(q)),
+                PhysOpcode::S => Some(SimGate::S(q)),
+                PhysOpcode::Sdg => Some(SimGate::SDagger(q)),
+                PhysOpcode::X => Some(SimGate::X(q)),
+                PhysOpcode::Y => Some(SimGate::Y(q)),
+                PhysOpcode::Z => Some(SimGate::Z(q)),
+            };
+            self.gates.extend(gate);
+            self.measured += u64::from(matches!(
+                gate,
+                Some(SimGate::Measure(_) | SimGate::MeasureX(_))
+            ));
+            self.active += 1;
+        }
+        for (q, &u) in uops.iter().enumerate() {
+            // The microcode generator always emits directed ctrl halves
+            // with an in-lattice partner; a malformed word loses the gate
+            // (debug builds still assert) rather than panicking the
+            // control plane.
+            if u.opcode() == PhysOpcode::CnotCtrl {
+                if let Some(target) = partner(uops, geometry, q, u) {
+                    self.gates.push(SimGate::Cnot(q, target));
                 }
             }
-            self.active += 1;
+        }
+    }
+}
+
+/// A whole QECC cycle as one gate list, its words' lists one after the
+/// other, and what firing it adds to [`ExecutionStats`].
+#[derive(Debug)]
+pub(crate) struct ResolvedCycle {
+    gates: Arc<[SimGate]>,
+    words: u64,
+    active: u64,
+    measured: u64,
+}
+
+impl ResolvedCycle {
+    pub(crate) fn of(words: &[ResolvedWord]) -> ResolvedCycle {
+        ResolvedCycle {
+            gates: words.iter().flat_map(|w| w.gates.iter().copied()).collect(),
+            words: words.len() as u64,
+            active: words.iter().map(|w| w.active).sum(),
+            measured: words.iter().map(|w| w.measured).sum(),
         }
     }
 }
@@ -297,52 +339,61 @@ impl ExecutionUnit {
         self.fire_resolved(word, substrate, rng)
     }
 
-    /// The one firing routine: single-qubit waveforms and measurements
-    /// first, then entangling pairs (all commute within a well-formed
-    /// lock-step word: the scheduler never touches a qubit twice in one
-    /// slot), each in the order `word` lists them.
+    /// Steps ① to ③ for every word of a QECC cycle, fired as one
+    /// substrate call ([`StabilizerSim::run_cycle`], keyed by the tile's
+    /// offset): what [`ExecutionUnit::issue`] does word by word, with the
+    /// outcomes of all of them in [`ExecutionUnit::measurements`].
+    pub(crate) fn issue_cycle<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
+        &mut self,
+        cycle: &ResolvedCycle,
+        substrate: &mut S,
+        rng: &mut R,
+    ) -> &FireResult {
+        self.check_fits(substrate);
+        self.fired.measurements.clear();
+        substrate.run_cycle(
+            self.offset,
+            self.offset,
+            &cycle.gates,
+            rng,
+            &mut self.fired.measurements,
+        );
+        self.stats.uops_latched += cycle.words * self.latches.len() as u64;
+        self.stats.words_fired += cycle.words;
+        self.stats.active_uops += cycle.active;
+        self.stats.measurements += cycle.measured;
+        &self.fired
+    }
+
+    /// Fires one resolved word through [`fire_gates`], the one firing
+    /// routine.
     fn fire_resolved<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
         &mut self,
         word: &ResolvedWord,
         substrate: &mut S,
         rng: &mut R,
     ) -> &FireResult {
+        self.check_fits(substrate);
+        self.fired.measurements.clear();
+        fire_gates(
+            substrate,
+            self.offset,
+            &word.gates,
+            rng,
+            &mut self.fired.measurements,
+        );
+        self.stats.words_fired += 1;
+        self.stats.active_uops += word.active;
+        self.stats.measurements += word.measured;
+        &self.fired
+    }
+
+    fn check_fits<S: StabilizerSim + ?Sized>(&self, substrate: &S) {
         assert!(
             substrate.num_qubits() >= self.offset + self.latches.len(),
             "substrate too small for tile at offset {}",
             self.offset
         );
-        let off = self.offset;
-        self.fired.measurements.clear();
-        for &(q, op) in &word.singles {
-            match op {
-                PhysOpcode::PrepZ => substrate.reset(off + q, rng),
-                PhysOpcode::PrepX => substrate.reset_plus(off + q, rng),
-                PhysOpcode::MeasZ => {
-                    let m = substrate.measure(off + q, rng);
-                    self.fired.measurements.push((q, m.value));
-                }
-                PhysOpcode::MeasX => {
-                    let m = substrate.measure_x(off + q, rng);
-                    self.fired.measurements.push((q, m.value));
-                }
-                PhysOpcode::H => substrate.h(off + q),
-                PhysOpcode::S => substrate.s(off + q),
-                PhysOpcode::Sdg => substrate.s_dagger(off + q),
-                PhysOpcode::X => substrate.x(off + q),
-                PhysOpcode::Y => substrate.y(off + q),
-                PhysOpcode::Z => substrate.z(off + q),
-                // Never resolved into a single-qubit call.
-                PhysOpcode::Nop | PhysOpcode::CnotCtrl | PhysOpcode::CnotTgt => {}
-            }
-        }
-        for &(c, t) in &word.cnots {
-            substrate.cnot(off + c, off + t);
-        }
-        self.stats.words_fired += 1;
-        self.stats.active_uops += word.active;
-        self.stats.measurements += word.measured;
-        &self.fired
     }
 
     /// Address and capacity of each buffer the unit owns.

@@ -9,7 +9,7 @@
 //! repository exists to demonstrate.
 
 use crate::decoder_pipeline::{DecodeStats, DecoderPipeline, Escalation};
-use crate::execution_unit::{ExecutionStats, ExecutionUnit, ResolvedWord};
+use crate::execution_unit::{ExecutionStats, ExecutionUnit, ResolvedCycle, ResolvedWord};
 use crate::geometry::TileGeometry;
 use crate::instruction_pipeline::InstructionPipeline;
 use crate::mask::MaskTable;
@@ -46,6 +46,9 @@ struct ResolvedProgram {
     /// The program's words, each resolved to the substrate calls that
     /// fire it; a slot that merges nothing fires its word from here.
     words: Box<[ResolvedWord]>,
+    /// The same words as one gate list: a cycle that merges nothing is
+    /// fired from here, as one substrate call.
+    cycle: ResolvedCycle,
     /// The wiring between the execution unit's measurement outputs and
     /// the decoder pipelines ([`program_gen::measured_ancillas`]): per
     /// tile slot, the kind (0 for X checks, 1 for Z) and the check index
@@ -66,6 +69,22 @@ impl ResolvedProgram {
     ) -> Self {
         let ancillas =
             [StabKind::X, StabKind::Z].map(|kind| program_gen::measured_ancillas(lattice, kind));
+        let words: Box<[ResolvedWord]> = words
+            .iter()
+            .map(|w| ResolvedWord::of(w, geometry))
+            .collect();
+        // A cycle fired as one call routes its syndrome once, after every
+        // word: only if the measurement word is the last one do the
+        // readout-flip draws still follow every draw of the cycle.
+        assert!(
+            words.len() == program_gen::CYCLE_WORDS
+                && words
+                    .iter()
+                    .enumerate()
+                    .all(|(at, w)| w.measures() == (at == program_gen::MEASURE_WORD))
+                && program_gen::MEASURE_WORD == program_gen::CYCLE_WORDS - 1,
+            "the QECC cycle must measure in its last word only"
+        );
         let mut check_of_slot = vec![None; lattice.num_qubits()];
         for (kind, slots) in ancillas.iter().enumerate() {
             for (check, &slot) in slots.iter().enumerate() {
@@ -73,10 +92,8 @@ impl ResolvedProgram {
             }
         }
         ResolvedProgram {
-            words: words
-                .iter()
-                .map(|w| ResolvedWord::of(w, geometry))
-                .collect(),
+            cycle: ResolvedCycle::of(&words),
+            words,
             check_of_slot: check_of_slot.into(),
             checks: ancillas.each_ref().map(Vec::len),
             regions: ancillas.map(|slots| {
@@ -229,6 +246,12 @@ impl Mce {
         self.execution.stats()
     }
 
+    /// Measurement outcomes, as `(tile slot, outcome)`, of the last word
+    /// issued — of the whole cycle, when it was fired as one call.
+    pub fn measurements(&self) -> &[(usize, bool)] {
+        self.execution.measurements()
+    }
+
     /// Local-decoder statistics for one stabilizer type.
     pub fn decode_stats(&self, kind: StabKind) -> DecodeStats {
         match kind {
@@ -335,6 +358,14 @@ impl Mce {
     /// Runs exactly one full QECC cycle (all words of the microcode
     /// program from its current cycle start).
     ///
+    /// A cycle that merges nothing — no logical µop queued and no mask
+    /// region set when it starts, and nothing changes either during it —
+    /// is fired as one substrate call ([`StabilizerSim::run_cycle`] over
+    /// the whole program resolved as one gate list), its syndrome routed
+    /// once after it. Only the last word measures, so that is the same
+    /// calls, draws and syndrome as its slots one by one, which is how
+    /// any other cycle is issued.
+    ///
     /// # Panics
     ///
     /// Panics if called mid-cycle (the microcode cursor is not at a cycle
@@ -348,6 +379,18 @@ impl Mce {
             self.microcode.at_cycle_start(),
             "run_qecc_cycle must start at a cycle boundary"
         );
+        if self.logical_uops.is_empty() && !self.mask.any_masked() {
+            for _ in 0..self.microcode.cycle_len() {
+                self.microcode.advance();
+            }
+            let fired = self
+                .execution
+                .issue_cycle(&self.program.cycle, substrate, rng);
+            if !fired.measurements.is_empty() {
+                self.route_syndrome(rng);
+            }
+            return;
+        }
         for _ in 0..self.microcode.cycle_len() {
             self.issue_slot(substrate, rng);
         }

@@ -20,7 +20,10 @@
 //! join) puts the block back on its reference, at the old cost, until
 //! the cycle repeats again. [`Substrate::replayed_cycles`] tells how many
 //! cycles a tile was served from its tape, so that a run which means to
-//! measure the fast path can check that it did.
+//! measure the fast path can check that it did. An MCE hands a cycle
+//! that merges nothing over as one call, which a locked tape serves from
+//! a kernel compiled from it, in one pass over the frame
+//! ([`Substrate::kernel_cycles`] counts those).
 //!
 //! Every tile begins as a block of its own. [`Substrate::join`] merges
 //! the blocks of two tiles into their tensor product
@@ -169,6 +172,17 @@ impl Substrate {
             self.blocks
                 .get(home.block)
                 .map_or(0, |block| block.replayed_cycles(home.offset))
+        })
+    }
+
+    /// Of [`Substrate::replayed_cycles`], the cycles of `tile` its block
+    /// served from a compiled kernel in one pass
+    /// ([`FrameBlock::kernel_cycles`]).
+    pub fn kernel_cycles(&self, tile: usize) -> u64 {
+        self.homes.get(tile).map_or(0, |home| {
+            self.blocks
+                .get(home.block)
+                .map_or(0, |block| block.kernel_cycles(home.offset))
         })
     }
 

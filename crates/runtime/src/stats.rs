@@ -64,6 +64,11 @@ pub struct ShardStats {
     /// since the run started or resumed. On a `Runtime` that has run the
     /// distance before, every cycle of a tile that only does QECC is.
     pub replayed_tile_cycles: u64,
+    /// Of those, the tile-cycles served by a tape's compiled kernel in
+    /// one pass over the frame
+    /// ([`Substrate::kernel_cycles`](quest_core::Substrate::kernel_cycles)):
+    /// every QECC-only cycle of a tile after its first locked one.
+    pub kernel_tile_cycles: u64,
 }
 
 impl ShardStats {
@@ -137,7 +142,8 @@ impl fmt::Display for RuntimeStats {
             writeln!(
                 f,
                 "  shard {}: tiles {}..{}, {} cycles, {} escalations \
-                 ({:.4}/tile-cycle), {} tile-cycles replayed, messages up {} / down {}, \
+                 ({:.4}/tile-cycle), {} tile-cycles replayed ({} on the kernel), \
+                 messages up {} / down {}, \
                  depth up {} / down {}",
                 s.shard,
                 s.first_tile,
@@ -146,6 +152,7 @@ impl fmt::Display for RuntimeStats {
                 s.escalations,
                 s.escalation_rate(),
                 s.replayed_tile_cycles,
+                s.kernel_tile_cycles,
                 s.upstream_messages,
                 s.downstream_messages,
                 s.max_upstream_depth,
@@ -232,13 +239,14 @@ mod tests {
                 max_upstream_depth: 3,
                 max_downstream_depth: 1,
                 replayed_tile_cycles: 36,
+                kernel_tile_cycles: 32,
             }],
             ..RuntimeStats::default()
         };
         let s = stats.to_string();
         assert!(s.contains("shard 0"));
         assert!(s.contains("messages up 12 / down 7"));
-        assert!(s.contains("36 tile-cycles replayed"));
+        assert!(s.contains("36 tile-cycles replayed (32 on the kernel)"));
         assert!(s.contains("decode pool"));
     }
 }

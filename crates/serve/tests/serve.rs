@@ -174,7 +174,7 @@ fn mid_run_cancellation_leaves_the_pool_healthy() {
     let server = Server::start(ServerConfig::default().with_workers(1));
     let tenant = TenantId(0);
     // Long enough that cancellation lands mid-run.
-    let long = WorkloadSpec::memory(3, 2, 1, 1e-3, 42, 50_000);
+    let long = WorkloadSpec::memory(3, 2, 1, 1e-3, 42, 5_000_000);
     let victim = server.submit(tenant, long).expect("admit victim");
     // Cancel once the job is demonstrably running.
     let mut saw_running = false;
@@ -472,7 +472,7 @@ fn blocking_submit_waits_out_backpressure() {
     let server = Server::start(ServerConfig::default().with_workers(1).with_queue_depth(1));
     // Worker busy on the blocker; one job fills the 1-deep queue.
     let blocker = server
-        .submit(tenant, WorkloadSpec::memory(3, 2, 1, 1e-3, 81, 50_000))
+        .submit(tenant, WorkloadSpec::memory(3, 2, 1, 1e-3, 81, 5_000_000))
         .expect("admit blocker");
     while !matches!(blocker.state(), JobState::Running { .. }) {
         std::thread::yield_now();

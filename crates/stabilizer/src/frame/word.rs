@@ -205,21 +205,6 @@ impl LaneWidth {
     /// Every available width, narrowest first.
     pub const ALL: [LaneWidth; 2] = [LaneWidth::X1, LaneWidth::X8];
 
-    /// Number of 64-shot lanes per word.
-    #[must_use]
-    pub fn lanes(self) -> usize {
-        match self {
-            LaneWidth::X1 => 1,
-            LaneWidth::X8 => 8,
-        }
-    }
-
-    /// Shots per word.
-    #[must_use]
-    pub fn bits(self) -> usize {
-        self.lanes() * 64
-    }
-
     /// Display name: the word width in bits.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -295,10 +280,8 @@ mod tests {
 
     #[test]
     fn lane_width_round_trips() {
-        for w in LaneWidth::ALL {
-            assert_eq!(w.name(), w.bits().to_string());
-            assert_eq!(w.bits(), w.lanes() * 64);
-        }
+        assert_eq!(LaneWidth::X1.name(), <u64 as FrameWord>::BITS.to_string());
+        assert_eq!(LaneWidth::X8.name(), W512::BITS.to_string());
         assert_eq!(LaneWidth::default(), LaneWidth::X8);
     }
 }

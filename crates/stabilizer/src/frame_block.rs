@@ -82,6 +82,38 @@
 //! [`FrameBlock::take_trail`] hands it over once its tape has locked.
 //! Blocks built by [`FrameBlock::new`], clones and appended blocks
 //! neither follow nor lay.
+//!
+//! # Kernels
+//!
+//! A locked tape still costs a match and a frame update per call. It
+//! need not: the cycle it records is a fixed Clifford circuit with fixed
+//! reference answers, and what it does to the frame is affine over
+//! GF(2) in the frame bits and the bits the cycle draws.
+//!
+//! * H, S and CNOT permute or XOR frame bits; a Pauli flips one.
+//! * A deterministic outcome is `ref ⊕ fx[q]`, and a reset XORs its
+//!   outcome into `fx[q]`.
+//! * A random entry draws one `rng.gen::<bool>()`, `v`, reports it and
+//!   XORs its pivot into the frame when `v ⊕ fx[q] ≠ ref`: affine in
+//!   the frame and in `v`.
+//!
+//! So when a whole cycle arrives as one call
+//! ([`StabilizerSim::run_cycle`]) and a locked tape has already served
+//! that very gate list call by call, the block compiles the tape once
+//! into a *kernel*: one column per input — the X and Z frame bits of
+//! the qubits the gates touch, then one per random entry — plus a
+//! constant column, each holding the change to the block's frame and
+//! the outcomes. The compiler runs the gate list once over a symbolic
+//! frame, each frame bit an affine form over the inputs, with the
+//! tape's answers and pivots, and transposes. Serving a cycle is then
+//! drawing the random bits, in entry order (they are the only draws of
+//! the cycle), and XOR-ing the constant and the columns of the set
+//! inputs into the frame and the outcomes: the same draws, the same
+//! outcomes and the same frame as the call-by-call replay, and the
+//! reference stays where it is. A kernel serves only the gate list
+//! ([`Arc::ptr_eq`]) and offset it was compiled from, and is dropped
+//! when its tape unlocks; anything else — no lock, other gates, a trail
+//! cycle — goes call by call.
 
 use crate::pauli::Pauli;
 use crate::tableau::{or_shifted, Measurement, Tableau};
@@ -90,14 +122,90 @@ use std::sync::Arc;
 
 const WORD_BITS: usize = 64;
 
+/// One call on a [`StabilizerSim`], written down so that a run of calls
+/// can be fired as one ([`fire_gates`], [`StabilizerSim::run_cycle`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimGate {
+    /// [`StabilizerSim::h`].
+    H(usize),
+    /// [`StabilizerSim::s`].
+    S(usize),
+    /// [`StabilizerSim::s_dagger`].
+    SDagger(usize),
+    /// [`StabilizerSim::x`].
+    X(usize),
+    /// [`StabilizerSim::y`].
+    Y(usize),
+    /// [`StabilizerSim::z`].
+    Z(usize),
+    /// [`StabilizerSim::cnot`], control then target.
+    Cnot(usize, usize),
+    /// [`StabilizerSim::measure`]; its outcome is reported.
+    Measure(usize),
+    /// [`StabilizerSim::measure_x`]; its outcome is reported.
+    MeasureX(usize),
+    /// [`StabilizerSim::reset`].
+    Reset(usize),
+    /// [`StabilizerSim::reset_plus`].
+    ResetPlus(usize),
+}
+
+impl SimGate {
+    /// The highest qubit the gate acts on.
+    fn top(self) -> usize {
+        match self {
+            SimGate::Cnot(c, t) => c.max(t),
+            SimGate::H(q)
+            | SimGate::S(q)
+            | SimGate::SDagger(q)
+            | SimGate::X(q)
+            | SimGate::Y(q)
+            | SimGate::Z(q)
+            | SimGate::Measure(q)
+            | SimGate::MeasureX(q)
+            | SimGate::Reset(q)
+            | SimGate::ResetPlus(q) => q,
+        }
+    }
+}
+
+/// Fires `gates` on `sim` in order, every qubit moved up by `offset`,
+/// and appends `(qubit, outcome)` for each measurement that reports one,
+/// with the qubit as `gates` lists it. The one firing routine: every
+/// call of an MCE on its register goes through here.
+pub fn fire_gates<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
+    sim: &mut S,
+    offset: usize,
+    gates: &[SimGate],
+    rng: &mut R,
+    outcomes: &mut Vec<(usize, bool)>,
+) {
+    for &gate in gates {
+        match gate {
+            SimGate::H(q) => sim.h(offset + q),
+            SimGate::S(q) => sim.s(offset + q),
+            SimGate::SDagger(q) => sim.s_dagger(offset + q),
+            SimGate::X(q) => sim.x(offset + q),
+            SimGate::Y(q) => sim.y(offset + q),
+            SimGate::Z(q) => sim.z(offset + q),
+            SimGate::Cnot(c, t) => sim.cnot(offset + c, offset + t),
+            SimGate::Measure(q) => outcomes.push((q, sim.measure(offset + q, rng).value)),
+            SimGate::MeasureX(q) => outcomes.push((q, sim.measure_x(offset + q, rng).value)),
+            SimGate::Reset(q) => sim.reset(offset + q, rng),
+            SimGate::ResetPlus(q) => sim.reset_plus(offset + q, rng),
+        }
+    }
+}
+
 /// What an MCE needs of the register under its tile: Clifford gates,
 /// Paulis, preparation and measurement on numbered qubits.
 ///
 /// [`Tableau`] implements it by its inherent methods, operation for
 /// operation (the provided ones too: the oracle runs exactly what it
-/// always ran); [`FrameBlock`] implements it with the same outcomes and
-/// the same RNG draws, so code written against the trait can be checked
-/// on a bare tableau and run on a block.
+/// always ran, and [`StabilizerSim::run_cycle`] keeps its default, one
+/// call after another); [`FrameBlock`] implements it with the same
+/// outcomes and the same RNG draws, so code written against the trait
+/// can be checked on a bare tableau and run on a block.
 pub trait StabilizerSim {
     /// Number of qubits.
     fn num_qubits(&self) -> usize;
@@ -165,6 +273,30 @@ pub trait StabilizerSim {
     /// tells apart the programs interleaved on one register. A register
     /// with nothing to gain from the hint ignores it.
     fn cycle_boundary(&mut self, _key: usize) {}
+
+    /// One whole round of a repeating program in one call: the mark
+    /// ([`StabilizerSim::cycle_boundary`] with `key`), then `gates` fired
+    /// at `offset` by [`fire_gates`], whose outcomes are appended to
+    /// `outcomes`. That is the default, and it is what every
+    /// implementation must amount to, draw for draw.
+    ///
+    /// The gate list comes behind an [`Arc`] so that a register may
+    /// recognise a list it has seen at O(1) cost: a [`FrameBlock`] whose
+    /// tape has locked on the list serves the round from a compiled
+    /// kernel ([module docs](self#kernels)). [`Tableau`] keeps the
+    /// default: it is the call-by-call oracle the kernel is checked
+    /// against.
+    fn run_cycle<R: Rng + ?Sized>(
+        &mut self,
+        key: usize,
+        offset: usize,
+        gates: &Arc<[SimGate]>,
+        rng: &mut R,
+        outcomes: &mut Vec<(usize, bool)>,
+    ) {
+        self.cycle_boundary(key);
+        fire_gates(self, offset, gates, rng, outcomes);
+    }
 }
 
 impl StabilizerSim for Tableau {
@@ -371,7 +503,330 @@ struct Tape {
     recorded: bool,
     /// Verified to map the reference's state to itself.
     locked: bool,
+    /// The locked tape compiled for the gate list it last served; never
+    /// set on an unlocked tape.
+    kernel: Option<Kernel>,
     replayed: u64,
+    /// Of those, the cycles served by the kernel.
+    kernel_cycles: u64,
+}
+
+/// A locked tape compiled for one gate list at one offset: the cycle's
+/// whole effect on the frame and its outcomes as one affine map; see the
+/// [module docs](self#kernels).
+#[derive(Debug)]
+struct Kernel {
+    /// What it serves, and nothing else.
+    gates: Arc<[SimGate]>,
+    offset: usize,
+    /// Its inputs are the X bits, then the Z bits, of the qubits
+    /// `offset..offset + span`, then one drawn bit per random entry.
+    span: usize,
+    draws: usize,
+    /// The qubit of each outcome, as `gates` lists it, in order.
+    measured: Box<[usize]>,
+    /// Words per column: the block's frame, then a bit per outcome.
+    stride: usize,
+    /// The constant column, then one column per input.
+    columns: Box<[u64]>,
+    /// One application's sum of columns.
+    sum: Vec<u64>,
+}
+
+/// XORs `src` into `dst`, word for word.
+#[inline]
+fn xor_into(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= s;
+    }
+}
+
+/// Calls `f` with the position of every set bit of `words`, ascending.
+#[inline]
+fn for_each_bit(words: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(w * WORD_BITS + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// The symbolic frame a kernel is compiled on: every frame bit of the
+/// block as an affine form over the kernel's inputs, a row of `width`
+/// words with the constant at bit 0 and input `k` at bit `1 + k`. A
+/// frame bit's row sits where the bit sits in the frame (X bits, then Z
+/// bits), so a pivot indexes rows directly.
+struct Compiler<'a> {
+    rows: Vec<u64>,
+    width: usize,
+    /// Words in one half of the frame.
+    words: usize,
+    offset: usize,
+    span: usize,
+    entries: std::slice::Iter<'a, Entry>,
+    pivots: std::slice::ChunksExact<'a, u64>,
+    drawn: usize,
+    /// The outcome of the last measurement, as a row.
+    outcome: Vec<u64>,
+}
+
+impl Compiler<'_> {
+    fn row(&mut self, bit: usize) -> &mut [u64] {
+        &mut self.rows[bit * self.width..][..self.width]
+    }
+
+    fn x(&self, q: usize) -> usize {
+        q
+    }
+
+    fn z(&self, q: usize) -> usize {
+        self.words * WORD_BITS + q
+    }
+
+    /// `rows[dst] ^= rows[src]`.
+    fn xor_rows(&mut self, dst: usize, src: usize) {
+        for w in 0..self.width {
+            self.rows[dst * self.width + w] ^= self.rows[src * self.width + w];
+        }
+    }
+
+    /// The tape's next entry, if it is `call`.
+    fn next(&mut self, call: Call) -> Option<Entry> {
+        self.entries.next().filter(|e| e.call == call).copied()
+    }
+
+    fn h(&mut self, q: usize) -> Option<()> {
+        self.next(Call::new(Op::H, q, 0))?;
+        for w in 0..self.width {
+            let (x, z) = (self.x(q) * self.width + w, self.z(q) * self.width + w);
+            self.rows.swap(x, z);
+        }
+        Some(())
+    }
+
+    fn s(&mut self, q: usize) -> Option<()> {
+        self.next(Call::new(Op::S, q, 0))?;
+        self.xor_rows(self.z(q), self.x(q));
+        Some(())
+    }
+
+    fn cnot(&mut self, c: usize, t: usize) -> Option<()> {
+        self.next(Call::new(Op::Cnot, c, t))?;
+        self.xor_rows(self.x(t), self.x(c));
+        self.xor_rows(self.z(c), self.z(t));
+        Some(())
+    }
+
+    /// Flips the frame bit at `bit`: a Pauli.
+    fn flip(&mut self, bit: usize) {
+        self.row(bit)[0] ^= 1;
+    }
+
+    /// Measures `q`, leaving the outcome in `self.outcome`; a random
+    /// entry's pivot goes into every frame bit it covers when the drawn
+    /// bit, seen through the frame, disagrees with the reference.
+    fn measure(&mut self, q: usize) -> Option<()> {
+        let entry = self.next(Call::new(Op::Measure, q, 0))?;
+        let x = self.x(q) * self.width;
+        self.outcome.copy_from_slice(&self.rows[x..][..self.width]);
+        self.outcome[0] ^= u64::from(entry.outcome);
+        if !entry.random {
+            return Some(());
+        }
+        let pivot = self.pivots.next()?;
+        // `outcome` is `ref ⊕ fx[q]`: with the drawn bit, the indicator.
+        let input = 1 + 2 * self.span + self.drawn;
+        self.drawn += 1;
+        self.outcome[input / WORD_BITS] ^= 1 << (input % WORD_BITS);
+        for_each_bit(pivot, |bit| {
+            xor_into(
+                &mut self.rows[bit * self.width..][..self.width],
+                &self.outcome,
+            );
+        });
+        self.outcome.fill(0);
+        self.outcome[input / WORD_BITS] = 1 << (input % WORD_BITS);
+        Some(())
+    }
+
+    fn reset(&mut self, q: usize) -> Option<()> {
+        self.measure(q)?;
+        let x = self.x(q) * self.width;
+        xor_into(&mut self.rows[x..][..self.width], &self.outcome);
+        Some(())
+    }
+}
+
+impl Kernel {
+    /// Compiles `record` for `gates` at `offset` on a block whose frame
+    /// halves are `words` words, or `None` if the gates do not make the
+    /// calls the record holds, in order and to the end.
+    fn compile(
+        gates: &Arc<[SimGate]>,
+        offset: usize,
+        record: &Record,
+        words: usize,
+    ) -> Option<Kernel> {
+        let span = gates.iter().map(|g| g.top() + 1).max()?;
+        if offset + span > words * WORD_BITS {
+            return None;
+        }
+        let draws = record.entries.iter().filter(|e| e.random).count();
+        let inputs = 1 + 2 * span + draws;
+        let width = inputs.div_ceil(WORD_BITS);
+        let frame_bits = 2 * words * WORD_BITS;
+        // The input bit of a tile frame bit: its own value.
+        let input_of = |bit: usize| {
+            let (half, q) = (bit / (words * WORD_BITS), bit % (words * WORD_BITS));
+            (offset..offset + span)
+                .contains(&q)
+                .then(|| 1 + half * span + q - offset)
+        };
+        let mut rows = vec![0; frame_bits * width];
+        for bit in 0..frame_bits {
+            if let Some(input) = input_of(bit) {
+                rows[bit * width + input / WORD_BITS] |= 1 << (input % WORD_BITS);
+            }
+        }
+        let mut c = Compiler {
+            rows,
+            width,
+            words,
+            offset,
+            span,
+            entries: record.entries.iter(),
+            pivots: record.pivots.chunks_exact(2 * words),
+            drawn: 0,
+            outcome: vec![0; width],
+        };
+        // The reported outcomes' rows, one after the other.
+        let (mut measured, mut outcomes) = (Vec::new(), Vec::new());
+        for &gate in gates.iter() {
+            match gate {
+                SimGate::H(q) => c.h(c.offset + q)?,
+                SimGate::S(q) => c.s(c.offset + q)?,
+                SimGate::SDagger(q) => {
+                    for _ in 0..3 {
+                        c.s(c.offset + q)?;
+                    }
+                }
+                SimGate::X(q) => c.flip(c.x(c.offset + q)),
+                SimGate::Y(q) => {
+                    c.flip(c.x(c.offset + q));
+                    c.flip(c.z(c.offset + q));
+                }
+                SimGate::Z(q) => c.flip(c.z(c.offset + q)),
+                SimGate::Cnot(a, b) => c.cnot(c.offset + a, c.offset + b)?,
+                SimGate::Measure(q) => {
+                    c.measure(c.offset + q)?;
+                    outcomes.extend_from_slice(&c.outcome);
+                    measured.push(q);
+                }
+                SimGate::MeasureX(q) => {
+                    c.h(c.offset + q)?;
+                    c.measure(c.offset + q)?;
+                    outcomes.extend_from_slice(&c.outcome);
+                    c.h(c.offset + q)?;
+                    measured.push(q);
+                }
+                SimGate::Reset(q) => c.reset(c.offset + q)?,
+                SimGate::ResetPlus(q) => {
+                    c.reset(c.offset + q)?;
+                    c.h(c.offset + q)?;
+                }
+            }
+        }
+        if c.entries.next().is_some() || c.drawn != draws {
+            return None;
+        }
+        // Transpose: a frame bit's change (its row less its own input)
+        // and each outcome go into the columns of the inputs they read.
+        let stride = 2 * words + measured.len().div_ceil(WORD_BITS);
+        let mut columns = vec![0; inputs * stride].into_boxed_slice();
+        for bit in 0..frame_bits {
+            let row = &mut c.rows[bit * width..][..width];
+            if let Some(input) = input_of(bit) {
+                row[input / WORD_BITS] ^= 1 << (input % WORD_BITS);
+            }
+            for_each_bit(row, |input| {
+                columns[input * stride + bit / WORD_BITS] |= 1 << (bit % WORD_BITS);
+            });
+        }
+        for (i, row) in outcomes.chunks_exact(width).enumerate() {
+            let at = frame_bits + i;
+            for_each_bit(row, |input| {
+                columns[input * stride + at / WORD_BITS] |= 1 << (at % WORD_BITS);
+            });
+        }
+        Some(Kernel {
+            gates: Arc::clone(gates),
+            offset,
+            span,
+            draws,
+            measured: measured.into(),
+            stride,
+            columns,
+            sum: vec![0; stride],
+        })
+    }
+
+    /// Whether this kernel was compiled for `gates` at `offset`.
+    #[inline]
+    fn serves(&self, offset: usize, gates: &Arc<[SimGate]>) -> bool {
+        self.offset == offset && Arc::ptr_eq(&self.gates, gates)
+    }
+
+    /// Serves one cycle: moves `frame` and appends the outcomes.
+    #[inline]
+    fn apply<R: Rng + ?Sized>(
+        &mut self,
+        frame: &mut [u64],
+        rng: &mut R,
+        outcomes: &mut Vec<(usize, bool)>,
+    ) {
+        let Kernel {
+            offset,
+            span,
+            draws,
+            ref measured,
+            stride,
+            ref columns,
+            ref mut sum,
+            ..
+        } = *self;
+        let column = |input: usize| &columns[(1 + input) * stride..][..stride];
+        sum.copy_from_slice(&columns[..stride]);
+        // The random entries draw first, in entry order: nothing else in
+        // the cycle draws.
+        for j in 0..draws {
+            if rng.gen::<bool>() {
+                xor_into(sum, column(2 * span + j));
+            }
+        }
+        let words = frame.len() / 2;
+        let (first, last) = (offset / WORD_BITS, (offset + span - 1) / WORD_BITS);
+        for half in 0..2 {
+            for w in first..=last {
+                let lo = offset.max(w * WORD_BITS) - w * WORD_BITS;
+                let hi = (offset + span).min((w + 1) * WORD_BITS) - w * WORD_BITS;
+                let mask = (u64::MAX >> (WORD_BITS - hi)) & (u64::MAX << lo);
+                let mut bits = frame[half * words + w] & mask;
+                while bits != 0 {
+                    let q = w * WORD_BITS + bits.trailing_zeros() as usize;
+                    xor_into(sum, column(half * span + q - offset));
+                    bits &= bits - 1;
+                }
+            }
+        }
+        xor_into(frame, sum);
+        let at = frame.len();
+        outcomes.extend(measured.iter().enumerate().map(|(i, &q)| {
+            let bit = at * WORD_BITS + i;
+            (q, sum[bit / WORD_BITS] >> (bit % WORD_BITS) & 1 == 1)
+        }));
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -548,6 +1003,15 @@ impl FrameBlock {
             .map_or(0, |t| t.replayed)
     }
 
+    /// Of [`FrameBlock::replayed_cycles`], the cycles of `key` served by
+    /// a compiled kernel in one pass ([module docs](self#kernels)).
+    pub fn kernel_cycles(&self, key: usize) -> u64 {
+        self.tapes
+            .iter()
+            .find(|t| t.key == key)
+            .map_or(0, |t| t.kernel_cycles)
+    }
+
     /// Appends `other`'s qubits after this block's own, leaving the
     /// tensor product of the two states ([`Tableau::append`]). Tapes were
     /// recorded on the narrower registers and are dropped; the replay
@@ -570,6 +1034,7 @@ impl FrameBlock {
         let count_of = |tape: &Tape, shift: usize| Tape {
             key: tape.key + shift,
             replayed: tape.replayed,
+            kernel_cycles: tape.kernel_cycles,
             ..Tape::default()
         };
         let kept = self.tapes.iter().map(|t| count_of(t, 0));
@@ -621,6 +1086,7 @@ impl FrameBlock {
         }
         for tape in &mut self.tapes {
             tape.locked = false;
+            tape.kernel = None;
         }
         self.mode = Mode::Direct;
     }
@@ -966,6 +1432,41 @@ impl StabilizerSim for FrameBlock {
         }
         self.mode = Mode::Recording;
     }
+
+    /// The mark, then the cycle from the tape's kernel if it has one for
+    /// `gates` at `offset`; otherwise call by call, and a locked tape
+    /// that has just served the whole cycle that way is compiled for the
+    /// next one.
+    fn run_cycle<R: Rng + ?Sized>(
+        &mut self,
+        key: usize,
+        offset: usize,
+        gates: &Arc<[SimGate]>,
+        rng: &mut R,
+        outcomes: &mut Vec<(usize, bool)>,
+    ) {
+        self.cycle_boundary(key);
+        let tape = &mut self.tapes[self.slot];
+        if self.mode == Mode::Replaying {
+            if let Some(kernel) = tape.kernel.as_mut().filter(|k| k.serves(offset, gates)) {
+                kernel.apply(&mut self.frame, rng, outcomes);
+                (self.cursor, self.pivot_cursor) =
+                    (tape.record.entries.len(), tape.record.pivots.len());
+                tape.replayed += 1;
+                tape.kernel_cycles += 1;
+                return;
+            }
+        }
+        fire_gates(self, offset, gates, rng, outcomes);
+        let tape = &mut self.tapes[self.slot];
+        let served = self.mode == Mode::Replaying
+            && tape.locked
+            && !tape.record.entries.is_empty()
+            && self.cursor == tape.record.entries.len();
+        if served {
+            tape.kernel = Kernel::compile(gates, offset, &tape.record, self.words);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1017,5 +1518,38 @@ mod tests {
         assert_eq!(block.replayed_cycles(0), 21);
         assert_eq!(block.reference, reference, "a replay moved the reference");
         block.to_tableau().check_invariants();
+    }
+
+    #[test]
+    fn a_kernel_column_reaches_past_its_tile() {
+        // The tile sits at offset 1 of five qubits, and its first qubit
+        // is entangled with qubit 0, outside it. From these generators
+        // the pivot of one of the cycle's random entries carries qubit 0
+        // or qubit 4, and so must that entry's column.
+        let mut block = FrameBlock::new(5);
+        block.s(1);
+        block.h(1);
+        block.h(2);
+        block.cnot(1, 0);
+        let gates: Arc<[SimGate]> = kernel_test_cycle().into();
+        let mut rng = StdRng::seed_from_u64(1);
+        while block.kernel_cycles(1) == 0 {
+            block.run_cycle(1, 1, &gates, &mut rng, &mut Vec::new());
+        }
+        let kernel = block.tapes[0].kernel.as_ref().expect("compiled");
+        assert_eq!((kernel.span, kernel.draws), (3, 3));
+        let drawn = &kernel.columns[(1 + 2 * kernel.span) * kernel.stride..];
+        let outside = drawn
+            .chunks_exact(kernel.stride)
+            .any(|column| (column[0] | column[block.words]) & (1 | 1 << 4) != 0);
+        assert!(outside, "no pivot reached past the tile");
+    }
+
+    /// A cycle with random entries that locks: tile qubit 1 entangled
+    /// with qubit 0 and measured in X, tile qubit 2 prepared in `|+⟩` and
+    /// measured in Z.
+    fn kernel_test_cycle() -> Vec<SimGate> {
+        use SimGate::*;
+        vec![Reset(1), Cnot(0, 1), MeasureX(1), ResetPlus(2), Measure(2)]
     }
 }

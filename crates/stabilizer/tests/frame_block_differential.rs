@@ -14,11 +14,19 @@
 //! measurement. Registers are also driven apart and appended. The sizes
 //! straddle the word boundary as `tableau_differential.rs` does.
 //!
+//! A whole cycle handed over in one call (`StabilizerSim::run_cycle`) is
+//! served from a compiled kernel once its tape has locked: a cycle that
+//! draws on every round runs on a kernel, call by call on a block and on
+//! a bare tableau, and all three must agree; a gate list the kernel was
+//! not compiled from must never be served by it.
+//!
 //! [`Tableau::same_state`], which all of this leans on, is checked
 //! against its definition first.
 
 use proptest::prelude::*;
-use quest_stabilizer::{FrameBlock, Measurement, Pauli, StabilizerSim, Tableau, Trail, Trails};
+use quest_stabilizer::{
+    fire_gates, FrameBlock, Measurement, Pauli, SimGate, StabilizerSim, Tableau, Trail, Trails,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Arc;
@@ -800,5 +808,192 @@ fn a_follower_draws_answers_and_holds_what_a_cold_block_does() {
         let laid = program.lay_trail(&other).expect("the rounds lock a tape");
         assert!(!laid.same_start(&trails[0]));
         assert_eq!(laid.cycles(), cycles);
+    }
+}
+
+/// Records the `deterministic` flag of every measurement the register it
+/// wraps answers; every other call is forwarded as is, and a whole cycle
+/// goes call by call (the provided `run_cycle`).
+struct Flags<'a, S> {
+    inner: &'a mut S,
+    flags: Vec<bool>,
+}
+
+impl<S: StabilizerSim> StabilizerSim for Flags<'_, S> {
+    fn num_qubits(&self) -> usize {
+        self.inner.num_qubits()
+    }
+    fn h(&mut self, q: usize) {
+        self.inner.h(q);
+    }
+    fn s(&mut self, q: usize) {
+        self.inner.s(q);
+    }
+    fn pauli(&mut self, q: usize, p: Pauli) {
+        self.inner.pauli(q, p);
+    }
+    fn cnot(&mut self, c: usize, t: usize) {
+        self.inner.cnot(c, t);
+    }
+    fn measure<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> Measurement {
+        let m = self.inner.measure(q, rng);
+        self.flags.push(m.deterministic);
+        m
+    }
+    fn cycle_boundary(&mut self, key: usize) {
+        self.inner.cycle_boundary(key);
+    }
+}
+
+/// A cycle for a kernel: it locks, draws on every round and runs every
+/// kind of gate. Each round it
+///
+/// * resets tile qubit 1, entangles it with qubit 0 and measures it in X:
+///   random, and where qubit 0 is entangled past the tile its pivot may
+///   reach there;
+/// * prepares tile qubit 5 in `|+⟩` and measures it in Z: random;
+/// * measures the `ZZ` parity of tile qubits 2 and 3 on ancilla 4, after
+///   an `X` on 2 that flips it every round (a constant the kernel must
+///   keep), around gates that amount to the identity.
+fn kernel_cycle() -> Vec<SimGate> {
+    use SimGate::*;
+    vec![
+        Reset(1),
+        Cnot(0, 1),
+        MeasureX(1),
+        ResetPlus(5),
+        Measure(5),
+        S(2),
+        SDagger(2),
+        H(3),
+        H(3),
+        X(2),
+        Y(3),
+        Z(3),
+        Reset(4),
+        Cnot(2, 4),
+        Cnot(3, 4),
+        Measure(4),
+    ]
+}
+
+/// A register for [`kernel_cycle`] at `offset`, and the operations that
+/// entangle the tile with qubits outside it first.
+struct KernelCase {
+    n: usize,
+    offset: usize,
+    prelude: &'static [Op],
+}
+
+const KERNEL_CASES: [KernelCase; 2] = [
+    // The tile straddles a word boundary, with qubits outside it on both
+    // sides; its qubit 0 is half of a Bell pair with qubit 10.
+    KernelCase {
+        n: 70,
+        offset: 62,
+        prelude: &[(H, 10, 0), (CNOT, 10, 62)],
+    },
+    // From these generators a pivot of the locked cycle carries a qubit
+    // outside the tile (`frame_block`'s unit tests check one on the
+    // compiled kernel).
+    KernelCase {
+        n: 8,
+        offset: 1,
+        prelude: &[(1, 1, 0), (H, 1, 0), (H, 2, 0), (CNOT, 1, 0)],
+    },
+];
+
+#[test]
+fn a_kernel_serves_a_locked_cycle_as_the_calls_would_and_only_its_own_gates() {
+    const CYCLES: usize = 60;
+    /// The round that brings the same gates in another list, and the one
+    /// that brings other gates.
+    const COPY_AT: usize = 20;
+    const OTHER_AT: usize = 35;
+    let gates: Arc<[SimGate]> = kernel_cycle().into();
+    let copy: Arc<[SimGate]> = kernel_cycle().into();
+    let other: Arc<[SimGate]> = {
+        let mut other = kernel_cycle();
+        other.insert(6, SimGate::H(2));
+        other.insert(7, SimGate::H(2));
+        other.into()
+    };
+
+    for KernelCase { n, offset, prelude } in KERNEL_CASES {
+        for seed in 0..4 {
+            let (mut kernel, mut calls, mut bare) =
+                (FrameBlock::new(n), FrameBlock::new(n), Tableau::new(n));
+            let mut rngs = [0; 3].map(|_| CountingRng::new(seed));
+            let mut noise = StdRng::seed_from_u64(seed ^ 0xA5);
+            for &op in prelude {
+                let [rk, rc, rb] = &mut rngs;
+                apply(&mut kernel, op, rk);
+                apply(&mut calls, op, rc);
+                apply(&mut bare, op, rb);
+            }
+            // Whether the last round was replayed, and from which list.
+            let mut last: Option<&Arc<[SimGate]>> = None;
+            for cycle in 0..CYCLES {
+                for _ in 0..3 {
+                    let (q, p) = (noise.gen_range(0..n), Pauli::ALL[noise.gen_range(0..4)]);
+                    kernel.pauli(q, p);
+                    calls.pauli(q, p);
+                    bare.pauli(q, p);
+                }
+                let list = match cycle {
+                    COPY_AT => &copy,
+                    OTHER_AT => &other,
+                    _ => &gates,
+                };
+                let (served, replayed) = (kernel.kernel_cycles(KEY), kernel.replayed_cycles(KEY));
+                let draws = rngs.each_ref().map(|r| r.draws);
+                assert_eq!(draws, [draws[0]; 3], "RNG positions");
+                let [rk, rc, rb] = &mut rngs;
+                let mut out = [(); 3].map(|()| Vec::new());
+                kernel.run_cycle(KEY, offset, list, rk, &mut out[0]);
+                let mut flags = [(); 2].map(|()| Vec::new());
+                let mut on_calls = Flags {
+                    inner: &mut calls,
+                    flags: Vec::new(),
+                };
+                on_calls.cycle_boundary(KEY);
+                fire_gates(&mut on_calls, offset, list, rc, &mut out[1]);
+                flags[0] = on_calls.flags;
+                let mut on_bare = Flags {
+                    inner: &mut bare,
+                    flags: Vec::new(),
+                };
+                on_bare.run_cycle(KEY, offset, list, rb, &mut out[2]);
+                flags[1] = on_bare.flags;
+
+                let at = format!("n = {n}, seed {seed}, cycle {cycle}");
+                assert_eq!(out[0], out[2], "{at}: kernel against the tableau");
+                assert_eq!(out[1], out[2], "{at}: calls against the tableau");
+                assert_eq!(flags[0], flags[1], "{at}: deterministic flags");
+                let random = flags[1].iter().filter(|&&d| !d).count() as u64;
+                let drawn = rngs.each_ref().map(|r| r.draws - draws[0]);
+                assert_eq!(drawn, [random; 3], "{at}: draws");
+                // On the kernel exactly when the round before was served
+                // from the locked tape by this very list.
+                let on_kernel = kernel.kernel_cycles(KEY) > served;
+                let now = kernel.replayed_cycles(KEY) > replayed;
+                let expected = now && last.is_some_and(|l| Arc::ptr_eq(l, list));
+                assert_eq!(on_kernel, expected, "{at}: served by the kernel");
+                if on_kernel {
+                    assert_eq!(random, 3, "{at}: the locked round draws");
+                }
+                last = now.then_some(list);
+                assert!(kernel.to_tableau().same_state(&bare), "{at}: state");
+                assert!(calls.to_tableau().same_state(&bare), "{at}: state");
+            }
+            // Off the kernel: the warm-up (three or four rounds, by
+            // layout) and again after the other list's round; the copy's
+            // round and the one after it, each served call by call from
+            // the locked tape and compiled for its own list.
+            assert!(kernel.kernel_cycles(KEY) >= (CYCLES - 4 - 3 - 2) as u64);
+            assert_eq!(kernel.replayed_cycles(KEY), calls.replayed_cycles(KEY));
+            let next = rngs.map(|mut rng| rng.next_u64());
+            assert_eq!(next, [next[2]; 3], "n = {n}, seed {seed}: the next draw");
+        }
     }
 }

@@ -233,11 +233,6 @@ pub struct DecodeEngine {
 }
 
 impl DecodeEngine {
-    /// The engine's [`DecoderChoice::name`].
-    pub fn name(&self) -> &'static str {
-        self.choice.name()
-    }
-
     /// Decodes one event set over `graph` into a correction, accruing
     /// the decode's modeled cost.
     pub fn decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
@@ -507,7 +502,6 @@ mod tests {
     fn choice_round_trips_names() {
         for choice in DecoderChoice::ALL {
             assert_eq!(DecoderChoice::parse(choice.name()), Some(choice));
-            assert_eq!(choice.backend().name(), choice.name());
         }
         assert_eq!(DecoderChoice::parse("mwpm"), None);
         assert_eq!(DecoderChoice::default(), DecoderChoice::UnionFind);

@@ -19,7 +19,11 @@
 //! fresh tile (its first three cycles run on the reference tableau). The
 //! timed runs clone the template and follow the trail, so every one of
 //! their tile-cycles is served without touching a tableau. The
-//! `tile-cycles replayed` count says so, and is asserted too.
+//! `tile-cycles replayed` count says so, and is asserted too. A cycle
+//! that merges nothing is one substrate call, and from a tile's second
+//! cycle on its own locked tape that call is served by the tape's
+//! compiled kernel in one pass over the frame: the `on the kernel` count,
+//! also asserted, is every tile-cycle but each tile's first four.
 //!
 //! ```sh
 //! cargo run --release --example runtime_scaling
@@ -69,6 +73,17 @@ fn main() {
             replayed,
             spec.tiles as u64 * 40,
             "a tile-cycle ran on a tableau"
+        );
+        let on_kernel: u64 = report
+            .stats
+            .shards
+            .iter()
+            .map(|s| s.kernel_tile_cycles)
+            .sum();
+        assert_eq!(
+            on_kernel,
+            spec.tiles as u64 * (40 - 4),
+            "a locked tile-cycle ran call by call"
         );
 
         match baseline {
