@@ -202,8 +202,10 @@ fn noise_sampling_cost_ratio(_c: &mut Criterion) {
 /// before anything is timed — a block that quietly stayed on its
 /// reference would only measure the tableau twice. The reference
 /// container read 3.5-4x with the block matching each call against its
-/// tape, and reads 24-25x with the cycle served by the tape's compiled
-/// kernel; the floor, 15x, is where that kernel has stopped paying.
+/// tape, 24-25x with the cycle served by the tape's compiled kernel a
+/// column per set input, and reads 22-35x with the kernel applied by
+/// nibble tables; the floor, 15x, is where that kernel has stopped
+/// paying.
 fn frame_block_cycle_comparison(_c: &mut Criterion) {
     use std::time::Instant;
     const CYCLES: u32 = 20_000;
@@ -324,9 +326,10 @@ impl StabilizerSim for Recorder<'_> {
 /// kernel in one pass over the frame — over the substrate calls of that
 /// very cycle, recorded and replayed one by one onto the block (each
 /// matched against the tape). The MCE cycle read 1.06-1.10x its calls
-/// when it made them one by one; on the kernel it reads 0.31-0.32, and the
-/// ceiling is 1.5x that, so a cycle falling back to its calls trips it
-/// and no wall-clock threshold is involved.
+/// when it made them one by one and 0.31-0.32 on a kernel adding a column
+/// per set input; on the kernel's nibble tables it reads 0.25-0.26. The
+/// ceiling is 1.5x the 0.32, so a cycle falling back to its calls trips
+/// it and no wall-clock threshold is involved.
 fn mce_kernel_cost_ratio(_c: &mut Criterion) {
     use std::time::Instant;
     const CYCLES: u32 = 20_000;
@@ -409,6 +412,77 @@ fn mce_kernel_cost_ratio(_c: &mut Criterion) {
     );
 }
 
+/// What decoding costs a locked tile-cycle, in one process so that
+/// sandbox drift cancels: a d = 5 tile-cycle (the noise layer, then
+/// `run_qecc_cycle` on a frame block whose tape has locked) at
+/// p = 2e-2, over the same at p = 0. Both sides sample the noise layer
+/// and are served by the kernel; only the noisy side has syndromes to
+/// decode — about one local decode per two tile-cycles, on the lookup
+/// table, into the bit frame. The ratio read 1.36-1.50 on the
+/// reference container, and 1.97 with the decode walking a `BTreeMap`
+/// table into a `BTreeSet` frame; the ceiling is 1.3x the reading, so
+/// that decode coming back trips it and no wall-clock threshold is
+/// involved.
+fn noisy_cycle_cost_ratio(_c: &mut Criterion) {
+    use quest_core::tile;
+    use quest_stabilizer::PauliChannel;
+    use std::time::Instant;
+    const CYCLES: u32 = 20_000;
+    const CEILING: f64 = 1.3 * 1.5;
+    let lat = RotatedLattice::new(5);
+    let warmed = |p: f64| {
+        let mut mce = Mce::new(&lat, 4096);
+        let mut block = FrameBlock::new(lat.num_qubits());
+        let mut rng = StdRng::seed_from_u64(9);
+        for _ in 0..8 {
+            mce.run_qecc_cycle(&mut block, &mut rng);
+        }
+        (mce, block, rng, PauliChannel::depolarizing(p))
+    };
+    /// One timing, in seconds per tile-cycle.
+    fn per_cycle((mce, block, rng, noise): &mut (Mce, FrameBlock, StdRng, PauliChannel)) -> f64 {
+        let start = Instant::now();
+        for _ in 0..CYCLES {
+            tile::noise_layer(mce, noise, block, rng);
+            mce.run_qecc_cycle(block, rng);
+            std::hint::black_box(mce.take_escalations());
+        }
+        start.elapsed().as_secs_f64() / f64::from(CYCLES)
+    }
+    let (mut noisy, mut quiet) = (warmed(2e-2), warmed(0.0));
+    let kernel_before = [&noisy, &quiet].map(|side| side.1.kernel_cycles(0));
+    let hits_before = noisy.0.decode_stats(StabKind::Z).local_hits;
+    // Best of seven each, the two sides taking turns.
+    let (mut on_noisy, mut on_quiet) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..7 {
+        on_quiet = on_quiet.min(per_cycle(&mut quiet));
+        on_noisy = on_noisy.min(per_cycle(&mut noisy));
+    }
+    for (side, before) in [&noisy, &quiet].into_iter().zip(kernel_before) {
+        assert_eq!(
+            side.1.kernel_cycles(0),
+            before + 7 * u64::from(CYCLES),
+            "a timed tile-cycle missed the kernel"
+        );
+    }
+    let hits = noisy.0.decode_stats(StabKind::Z).local_hits - hits_before;
+    assert!(
+        hits > u64::from(CYCLES),
+        "the noisy side made {hits} local decodes: nothing to compare"
+    );
+    let ratio = on_noisy / on_quiet;
+    println!(
+        "noisy_cycle_cost_ratio_d5: p=0 {:.3} us, p=2e-2 {:.3} us ({:.2} local decodes per tile-cycle), ratio {ratio:.2}",
+        on_quiet * 1e6,
+        on_noisy * 1e6,
+        hits as f64 / f64::from(7 * CYCLES),
+    );
+    assert!(
+        ratio <= CEILING,
+        "a d=5 tile-cycle at p=2e-2 must cost at most {CEILING:.2}x one at p=0, got {ratio:.2}x"
+    );
+}
+
 /// What a served job costs on a `Runtime` that has run its distance
 /// before, over the same job on a new one, in one process so that
 /// sandbox drift cancels: the `serve_mix` job shape (d = 3, 4 tiles, 30
@@ -477,6 +551,7 @@ criterion_group!(
     noise_sampling_cost_ratio,
     frame_block_cycle_comparison,
     mce_kernel_cost_ratio,
+    noisy_cycle_cost_ratio,
     warm_job_cost_ratio
 );
 criterion_main!(benches);

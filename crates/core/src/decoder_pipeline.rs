@@ -9,10 +9,14 @@
 //! quantum instructions). Anything the lookup table cannot explain is
 //! escalated to the master controller's global decoder, costing upstream
 //! syndrome bandwidth.
+//!
+//! Everything from the syndrome on is packed 64 to a word: the previous
+//! round, the detection events (`previous ^ now`, handed to
+//! [`LutDecoder::try_packed`] as they are), the flips the table answers
+//! with and the Pauli frame. A quiet or locally decoded round allocates
+//! nothing; only an escalation lists its events.
 
-use quest_surface::decoder::Correction;
 use quest_surface::{DecodingGraph, LutDecoder, NodeId, RotatedLattice, StabKind};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 const WORD_BITS: usize = 64;
@@ -93,7 +97,8 @@ pub enum Reference {
 
 /// The per-MCE decoder pipeline for one stabilizer type. The graph and
 /// the lookup table are fixed by the lattice, so clones share them and
-/// copy only the syndrome reference, the frame and the counters.
+/// copy only the syndrome reference, the frame, the scratch words and the
+/// counters.
 #[derive(Debug, Clone)]
 pub struct DecoderPipeline {
     kind: StabKind,
@@ -103,11 +108,19 @@ pub struct DecoderPipeline {
     local: Arc<LutDecoder>,
     /// Previous round's syndrome bits (for detection-event differencing),
     /// packed 64 checks to a word so that a quiet round is one word
-    /// compare at the distances the MCE runs; `None` while waiting for a
-    /// first-round reference.
-    previous: Option<Vec<u64>>,
-    /// Accumulated Pauli-frame flips on data qubits.
-    frame: BTreeSet<usize>,
+    /// compare at the distances the MCE runs; meaningless while
+    /// `settled` is false.
+    previous: Vec<u64>,
+    /// Whether `previous` holds a reference (false while waiting for a
+    /// first-round reference).
+    settled: bool,
+    /// Accumulated Pauli-frame flips, bit `q % 64` of word `q / 64` for
+    /// data qubit `q`.
+    frame: Vec<u64>,
+    /// One round's detection events, as the table consumes them.
+    events: Vec<u64>,
+    /// One round's local correction, before it joins the frame.
+    flips: Vec<u64>,
     round: usize,
     stats: DecodeStats,
     escalations: Vec<Escalation>,
@@ -133,12 +146,17 @@ impl DecoderPipeline {
     ) -> DecoderPipeline {
         let graph = DecodingGraph::new(lattice, kind, 1);
         let local = LutDecoder::new(&graph);
+        let check_words = graph.num_checks().div_ceil(WORD_BITS);
+        let data_words = lattice.num_data().div_ceil(WORD_BITS);
         let mut pipeline = DecoderPipeline {
             kind,
             graph: Arc::new(graph),
             local: Arc::new(local),
-            previous: None,
-            frame: BTreeSet::new(),
+            previous: vec![0; check_words],
+            settled: false,
+            frame: vec![0; data_words],
+            events: vec![0; check_words],
+            flips: vec![0; data_words],
             round: 0,
             stats: DecodeStats::default(),
             escalations: Vec::new(),
@@ -150,9 +168,9 @@ impl DecoderPipeline {
     /// The current syndrome reference (last round's bits, in plaquette
     /// order), or `None` before the first projective round.
     pub fn reference_bits(&self) -> Option<Vec<bool>> {
-        let checks = self.graph.num_checks();
-        self.previous.as_ref().map(|words| {
-            (0..checks)
+        let words = &self.previous;
+        self.settled.then(|| {
+            (0..self.graph.num_checks())
                 .map(|c| words[c / WORD_BITS] >> (c % WORD_BITS) & 1 == 1)
                 .collect()
         })
@@ -172,7 +190,9 @@ impl DecoderPipeline {
     /// [`ReferenceError`] if this reference is not yet established or the
     /// widths differ; the reference is untouched on error.
     pub fn xor_reference(&mut self, partner_bits: &[bool]) -> Result<(), ReferenceError> {
-        let prev = self.previous.as_mut().ok_or(ReferenceError::NotSettled)?;
+        if !self.settled {
+            return Err(ReferenceError::NotSettled);
+        }
         let expected = self.graph.num_checks();
         if partner_bits.len() != expected {
             return Err(ReferenceError::WidthMismatch {
@@ -180,7 +200,7 @@ impl DecoderPipeline {
                 got: partner_bits.len(),
             });
         }
-        for (a, b) in prev.iter_mut().zip(pack(partner_bits)) {
+        for (a, b) in self.previous.iter_mut().zip(pack(partner_bits)) {
             *a ^= b;
         }
         Ok(())
@@ -189,11 +209,9 @@ impl DecoderPipeline {
     /// Re-arms the pipeline after a logical (re)preparation: clears the
     /// Pauli frame and resets the reference.
     pub fn reset_reference(&mut self, reference: Reference) {
-        self.previous = match reference {
-            Reference::Deterministic => Some(vec![0; self.graph.num_checks().div_ceil(WORD_BITS)]),
-            Reference::FirstRound => None,
-        };
-        self.frame.clear();
+        self.settled = reference == Reference::Deterministic;
+        self.previous.fill(0);
+        self.frame.fill(0);
         self.escalations.clear();
     }
 
@@ -213,10 +231,37 @@ impl DecoderPipeline {
         self.stats
     }
 
-    /// The accumulated Pauli frame: data qubits whose readout must be
-    /// flipped before interpretation.
-    pub fn frame(&self) -> &BTreeSet<usize> {
+    /// The accumulated Pauli frame: the data qubits whose readout must be
+    /// flipped before interpretation, ascending.
+    pub fn frame(&self) -> impl Iterator<Item = usize> + '_ {
+        self.frame.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let q = w * WORD_BITS + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    q
+                })
+            })
+        })
+    }
+
+    /// The Pauli frame as words: bit `q % 64` of word `q / 64` for data
+    /// qubit `q`.
+    pub(crate) fn frame_words(&self) -> &[u64] {
         &self.frame
+    }
+
+    /// XORs another frame of the same width, as words, into this one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths differ.
+    pub(crate) fn xor_frame(&mut self, words: &[u64]) {
+        assert_eq!(words.len(), self.frame.len(), "frame width mismatch");
+        for (a, b) in self.frame.iter_mut().zip(words) {
+            *a ^= b;
+        }
     }
 
     /// Escalated rounds awaiting the global decoder.
@@ -250,62 +295,64 @@ impl DecoderPipeline {
 
     /// [`DecoderPipeline::feed_round`] on bits packed 64 checks to a word
     /// (bit `c % 64` of word `c / 64`; the bits past the last check
-    /// clear), as the MCE routes them: a quiet round is a word compare and
-    /// allocates nothing, and the events are listed in ascending check
-    /// order straight from the changed bits.
+    /// clear), as the MCE routes them: a quiet round is a word compare,
+    /// the changed bits go to the lookup table as they are and its flips
+    /// are XOR-ed into the frame, all in words this pipeline already
+    /// holds. Only an escalation allocates: it lists its events, in
+    /// ascending check order.
     pub(crate) fn feed_packed(&mut self, now: &[u64]) {
-        debug_assert_eq!(now.len(), self.graph.num_checks().div_ceil(WORD_BITS));
+        debug_assert_eq!(now.len(), self.previous.len());
         self.round += 1;
-        let Some(prev) = &mut self.previous else {
-            // First projective round: establish the reference, no events.
-            self.previous = Some(now.to_vec());
+        if !self.settled || self.previous[..] == *now {
+            // Quiet, or a first projective round establishing the
+            // reference: no events.
+            self.settled = true;
+            self.previous.copy_from_slice(now);
             self.stats.quiet_rounds += 1;
             return;
-        };
-        if prev[..] == *now {
-            self.stats.quiet_rounds += 1;
-            return;
         }
-        let mut events = Vec::new();
-        for (w, (before, &after)) in prev.iter_mut().zip(now).enumerate() {
-            let mut changed = *before ^ after;
-            *before = after;
-            while changed != 0 {
-                let c = w * WORD_BITS + changed.trailing_zeros() as usize;
-                events.push(self.graph.node(0, c));
-                changed &= changed - 1;
-            }
+        for ((events, before), after) in self.events.iter_mut().zip(&self.previous).zip(now) {
+            *events = before ^ after;
         }
-        match self.local.try_correction(&self.graph, &events) {
-            Some(Correction { data_flips, .. }) => {
-                self.stats.local_hits += 1;
-                self.stats.local_corrections += data_flips.len() as u64;
-                self.apply_global_correction(data_flips);
+        self.flips.fill(0);
+        if self.local.try_packed(&mut self.events, &mut self.flips) {
+            self.stats.local_hits += 1;
+            let mut flipped = 0;
+            for (frame, flips) in self.frame.iter_mut().zip(&self.flips) {
+                *frame ^= flips;
+                flipped += flips.count_ones();
             }
-            None => {
-                self.stats.escalations += 1;
-                self.escalations.push(Escalation {
-                    round: self.round - 1,
-                    events,
-                });
+            self.stats.local_corrections += u64::from(flipped);
+        } else {
+            self.stats.escalations += 1;
+            let mut events = Vec::new();
+            for (w, (before, after)) in self.previous.iter().zip(now).enumerate() {
+                let mut changed = before ^ after;
+                while changed != 0 {
+                    let c = w * WORD_BITS + changed.trailing_zeros() as usize;
+                    events.push(self.graph.node(0, c));
+                    changed &= changed - 1;
+                }
             }
+            self.escalations.push(Escalation {
+                round: self.round - 1,
+                events,
+            });
         }
+        self.previous.copy_from_slice(now);
     }
 
-    /// Address and capacity of the syndrome reference.
+    /// Addresses and capacities of the words a round reads and writes.
     #[cfg(test)]
-    pub(crate) fn reference_buffer(&self) -> (usize, usize) {
-        self.previous
-            .as_ref()
-            .map_or((0, 0), |words| (words.as_ptr() as usize, words.capacity()))
+    pub(crate) fn buffers(&self) -> [(usize, usize); 4] {
+        [&self.previous, &self.frame, &self.events, &self.flips]
+            .map(|words| (words.as_ptr() as usize, words.capacity()))
     }
 
     /// Merges a correction computed by the global decoder into the frame.
     pub fn apply_global_correction(&mut self, data_flips: impl IntoIterator<Item = usize>) {
         for q in data_flips {
-            if !self.frame.insert(q) {
-                self.frame.remove(&q);
-            }
+            self.frame[q / WORD_BITS] ^= 1 << (q % WORD_BITS);
         }
     }
 }
@@ -328,7 +375,7 @@ mod tests {
             p.feed_round(&zeros);
         }
         assert_eq!(p.stats().quiet_rounds, 5);
-        assert!(p.frame().is_empty());
+        assert!(p.frame().next().is_none());
         assert!(p.pending_escalations().is_empty());
     }
 
@@ -353,7 +400,7 @@ mod tests {
         assert_eq!(p.stats().local_hits, 1);
         assert_eq!(p.stats().escalations, 0);
         // The frame holds exactly the victim.
-        assert_eq!(p.frame().iter().copied().collect::<Vec<_>>(), vec![victim]);
+        assert_eq!(p.frame().collect::<Vec<_>>(), vec![victim]);
         // The syndrome persists next round (error not physically removed);
         // no *new* events, so the round is quiet.
         p.feed_round(&bits);
@@ -430,12 +477,52 @@ mod tests {
         bits[zc - 1] = true;
         p.feed_round(&bits);
         let flips: Vec<usize> = vec![lat.data_index(0, 0), lat.data_index(2, 2)];
-        let before = p.frame().clone();
+        let before: Vec<usize> = p.frame().collect();
         p.apply_global_correction([]);
-        assert_eq!(*p.frame(), before, "empty correction must be a no-op");
+        assert_eq!(
+            p.frame().collect::<Vec<_>>(),
+            before,
+            "empty correction must be a no-op"
+        );
         p.apply_global_correction(flips.iter().copied());
         p.apply_global_correction(flips.iter().copied());
-        assert_eq!(*p.frame(), before, "double merge must cancel exactly");
+        assert_eq!(
+            p.frame().collect::<Vec<_>>(),
+            before,
+            "double merge must cancel exactly"
+        );
+    }
+
+    #[test]
+    fn quiet_and_local_rounds_allocate_nothing() {
+        // Every word a round reads or writes stays where it was, and the
+        // escalation queue is never touched: the packed rounds of a quiet
+        // or locally decoded syndrome allocate nothing.
+        let (lat, mut p) = z_pipeline(5);
+        let zc = lat.plaquettes_of(StabKind::Z).count();
+        let mut rounds = vec![vec![false; zc]];
+        for q in 0..lat.num_data() {
+            // An X error on `q` (one or two events), the same bits again
+            // (quiet), then the error gone (the same events again).
+            let bits: Vec<bool> = lat
+                .plaquettes_of(StabKind::Z)
+                .map(|pl| pl.data.contains(&q))
+                .collect();
+            rounds.extend([bits.clone(), bits, vec![false; zc]]);
+        }
+        let rounds: Vec<Vec<u64>> = rounds.iter().map(|bits| pack(bits)).collect();
+        p.feed_packed(&rounds[0]);
+        let (warm, queue) = (p.buffers(), p.escalations.capacity());
+        for now in &rounds[1..] {
+            p.feed_packed(now);
+            assert_eq!(p.buffers(), warm, "a pipeline buffer moved or grew");
+            assert_eq!(p.escalations.capacity(), queue);
+        }
+        let s = p.stats();
+        let n = lat.num_data() as u64;
+        assert_eq!(s.escalations, 0, "a single data error is local");
+        assert_eq!((s.local_hits, s.quiet_rounds), (2 * n, 1 + n));
+        assert_eq!(s.local_corrections, 2 * n);
     }
 
     #[test]
@@ -443,8 +530,8 @@ mod tests {
         let (lat, mut p) = z_pipeline(3);
         let q = lat.data_index(0, 0);
         p.apply_global_correction([q]);
-        assert!(p.frame().contains(&q));
+        assert!(p.frame().any(|f| f == q));
         p.apply_global_correction([q]);
-        assert!(!p.frame().contains(&q));
+        assert!(!p.frame().any(|f| f == q));
     }
 }

@@ -535,7 +535,7 @@ impl Mce {
         let mut bits: Vec<bool> = (0..self.lattice.num_data())
             .map(|q| substrate.measure(self.substrate_index(q), rng).value)
             .collect();
-        for &q in self.decode_z.frame() {
+        for q in self.decode_z.frame() {
             bits[q] = !bits[q];
         }
         // Final perfect round: decode the residual syndrome derived from
@@ -611,7 +611,7 @@ mod tests {
         let z = mce.decode_stats(StabKind::Z);
         assert_eq!(z.escalations, 0);
         assert_eq!(z.local_corrections, 0);
-        assert!(mce.decoder(StabKind::Z).frame().is_empty());
+        assert!(mce.decoder(StabKind::Z).frame().next().is_none());
     }
 
     #[test]
@@ -621,7 +621,7 @@ mod tests {
         let victim = mce.lattice().data_index(1, 1);
         t.x(victim);
         mce.run_qecc_cycle(&mut t, &mut rng);
-        let frame: Vec<usize> = mce.decoder(StabKind::Z).frame().iter().copied().collect();
+        let frame: Vec<usize> = mce.decoder(StabKind::Z).frame().collect();
         assert_eq!(frame, vec![victim]);
         assert_eq!(mce.decode_stats(StabKind::Z).local_hits, 1);
         assert_eq!(mce.decode_stats(StabKind::Z).escalations, 0);
@@ -631,8 +631,9 @@ mod tests {
     fn buffers_never_grow_after_the_first_cycle() {
         // Everything a QECC cycle writes: the execution unit's latches
         // and outcome buffer, the syndrome routing buffers, and each
-        // decoder pipeline's syndrome reference. (An eventful round still
-        // allocates its event list — an escalation hands it upstream.)
+        // decoder pipeline's syndrome reference, event, flip and frame
+        // words. (An escalated round still allocates its event list — an
+        // escalation hands it upstream.)
         fn buffers(mce: &Mce) -> Vec<(usize, usize)> {
             let mut all = mce.execution.buffers().to_vec();
             all.extend(
@@ -642,7 +643,7 @@ mod tests {
             );
             all.push((0, mce.logical_uops.capacity()));
             for kind in [StabKind::X, StabKind::Z] {
-                all.push(mce.decoder(kind).reference_buffer());
+                all.extend(mce.decoder(kind).buffers());
             }
             all
         }

@@ -180,24 +180,14 @@ pub fn transversal_cnot_physics(
     // Propagate the error-decoder Pauli frames: CNOT maps X_c -> X_c X_t
     // and Z_t -> Z_c Z_t. The Z-decoder frame holds pending X
     // corrections; the X-decoder frame holds pending Z corrections.
-    let x_frame: Vec<usize> = mces[control]
-        .decoder(StabKind::Z)
-        .frame()
-        .iter()
-        .copied()
-        .collect();
-    mces[target]
-        .decoder_mut(StabKind::Z)
-        .apply_global_correction(x_frame);
-    let z_frame: Vec<usize> = mces[target]
-        .decoder(StabKind::X)
-        .frame()
-        .iter()
-        .copied()
-        .collect();
-    mces[control]
-        .decoder_mut(StabKind::X)
-        .apply_global_correction(z_frame);
+    // Distinct and in range, as checked above.
+    let [c, t] = mces
+        .get_disjoint_mut([control, target])
+        .map_err(|_| CnotError::SameTile { tile: control })?;
+    t.decoder_mut(StabKind::Z)
+        .xor_frame(c.decoder(StabKind::Z).frame_words());
+    c.decoder_mut(StabKind::X)
+        .xor_frame(t.decoder(StabKind::X).frame_words());
 
     // Propagate logical frames the same way.
     let (cx, _cz) = mces[control].logical_frame();

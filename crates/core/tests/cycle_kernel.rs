@@ -13,9 +13,15 @@
 //! at the end the execution and decode statistics, the decoder frames,
 //! the generator's next draw and the state itself.
 //!
-//! A locked QECC cycle never draws, so a kernel that drew its random
-//! bits too late would pass here; `quest-stabilizer`'s
-//! `frame_block_differential.rs` has the kernel case that draws.
+//! A locked QECC cycle draws: one bit per X check, the Z-basis reset of
+//! each X ancilla, which the cycle before left in an X eigenstate. The
+//! kernels here must draw exactly those bits, and a kernel that skipped
+//! them fails at the generator's next draw. A reset reports no outcome
+//! and leaves `|0⟩` whatever it drew, so those bits reach neither the
+//! outcomes nor the state: a kernel that drew them too late, or dropped
+//! them after drawing, would still pass here. `quest-stabilizer`'s
+//! `frame_block_differential.rs` has the kernel case whose drawn bits
+//! are reported.
 
 use quest_core::{
     tile, DecodeStats, Escalation, ExecutionStats, LogicalBasis, Mce, MCE_IBUF_BYTES,
@@ -69,12 +75,15 @@ fn mask(mce: &mut Mce, masked: bool) {
 struct Counts {
     replayed: u64,
     kernel: u64,
+    /// The bits those kernel cycles drew.
+    draws: u64,
 }
 
 fn block_counts(block: &FrameBlock, key: usize) -> Counts {
     Counts {
         replayed: block.replayed_cycles(key),
         kernel: block.kernel_cycles(key),
+        draws: block.kernel_draws(key),
     }
 }
 
@@ -156,7 +165,7 @@ fn run<S: StabilizerSim + Clone>(
         frames: arm
             .mces
             .each_ref()
-            .map(|m| kinds.map(|k| m.decoder(k).frame().iter().copied().collect())),
+            .map(|m| kinds.map(|k| m.decoder(k).frame().collect())),
         next_draw: arm.rng.next_u64(),
     };
     (observed, arm.sim, before_clone)
@@ -165,7 +174,11 @@ fn run<S: StabilizerSim + Clone>(
 #[test]
 fn a_kernel_cycle_is_the_same_cycle_call_by_call() {
     for d in [3, 5, 7] {
-        let n = RotatedLattice::new(d).num_qubits();
+        let lattice = RotatedLattice::new(d);
+        let (n, x_checks) = (
+            lattice.num_qubits(),
+            lattice.plaquettes_of(StabKind::X).count() as u64,
+        );
         for p in [0.0, 1e-3, 2e-2] {
             let (on_blocks, block, before_clone) = run(d, p, FrameBlock::new(2 * n), block_counts);
             let (on_tableau, tableau, _) = run(d, p, Tableau::new(2 * n), |_, _| Counts::default());
@@ -182,16 +195,22 @@ fn a_kernel_cycle_is_the_same_cycle_call_by_call() {
                 "{at}: no outcome read true after the logical words"
             );
             // Every replayed cycle but the first after each lock-in is
-            // served by the kernel. Before the clone the tapes lock in
-            // four times: after the projection, the transversal CNOT, the
-            // logical words and the mask (each unlocks the whole block);
-            // a clone has no tapes and locks in once.
+            // served by the kernel, drawing a bit per X check. Before the
+            // clone the tapes lock in four times: after the projection,
+            // the transversal CNOT, the logical words and the mask (each
+            // unlocks the whole block); a clone has no tapes and locks in
+            // once.
             for (tile, key) in [0, n].into_iter().enumerate() {
                 let locked_in = |counts: Counts, times: u64| {
                     assert!(counts.replayed > 50, "{at}, key {key}: {counts:?}");
                     assert_eq!(
                         counts.kernel,
                         counts.replayed - times,
+                        "{at}, key {key}: {counts:?}"
+                    );
+                    assert_eq!(
+                        counts.draws,
+                        counts.kernel * x_checks,
                         "{at}, key {key}: {counts:?}"
                     );
                 };

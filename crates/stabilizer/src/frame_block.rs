@@ -100,20 +100,26 @@
 //! So when a whole cycle arrives as one call
 //! ([`StabilizerSim::run_cycle`]) and a locked tape has already served
 //! that very gate list call by call, the block compiles the tape once
-//! into a *kernel*: one column per input — the X and Z frame bits of
-//! the qubits the gates touch, then one per random entry — plus a
-//! constant column, each holding the change to the block's frame and
-//! the outcomes. The compiler runs the gate list once over a symbolic
-//! frame, each frame bit an affine form over the inputs, with the
-//! tape's answers and pivots, and transposes. Serving a cycle is then
+//! into a *kernel*: one column per input — the X frame bits, then the Z
+//! frame bits, of the qubits the gates touch, then one per random entry
+//! — plus a constant column, each holding the change to the block's
+//! frame and the outcomes. The compiler runs the gate list once over a
+//! symbolic frame, each frame bit an affine form over the inputs, with
+//! the tape's answers and pivots, and transposes. It then tables the
+//! columns by nibbles: for every four consecutive inputs, the 16
+//! XOR-sums of their columns, each one column away from a smaller one;
+//! only the tables and the constant are kept. Serving a cycle is then
 //! drawing the random bits, in entry order (they are the only draws of
-//! the cycle), and XOR-ing the constant and the columns of the set
-//! inputs into the frame and the outcomes: the same draws, the same
-//! outcomes and the same frame as the call-by-call replay, and the
-//! reference stays where it is. A kernel serves only the gate list
-//! ([`Arc::ptr_eq`]) and offset it was compiled from, and is dropped
-//! when its tape unlocks; anything else — no lock, other gates, a trail
-//! cycle — goes call by call.
+//! the cycle), into the input words, gathering the frame bits ahead of
+//! them by word shifts at the offset, and XOR-ing the constant and, for
+//! each nibble of the inputs, the table row its value picks into the
+//! frame and the outcomes — the same sum of the set inputs' columns as
+//! one column at a time, with no branch on a set bit. That is the same
+//! draws, the same outcomes and the same frame as the call-by-call
+//! replay, and the reference stays where it is. A kernel serves only
+//! the gate list ([`Arc::ptr_eq`]) and offset it was compiled from, and
+//! is dropped when its tape unlocks; anything else — no lock, other
+//! gates, a trail cycle — goes call by call.
 
 use crate::pauli::Pauli;
 use crate::tableau::{or_shifted, Measurement, Tableau};
@@ -509,11 +515,13 @@ struct Tape {
     replayed: u64,
     /// Of those, the cycles served by the kernel.
     kernel_cycles: u64,
+    /// The bits those kernel cycles drew.
+    kernel_draws: u64,
 }
 
 /// A locked tape compiled for one gate list at one offset: the cycle's
-/// whole effect on the frame and its outcomes as one affine map; see the
-/// [module docs](self#kernels).
+/// whole effect on the frame and its outcomes as one affine map, tabled
+/// by nibbles of its inputs; see the [module docs](self#kernels).
 #[derive(Debug)]
 struct Kernel {
     /// What it serves, and nothing else.
@@ -527,8 +535,14 @@ struct Kernel {
     measured: Box<[usize]>,
     /// Words per column: the block's frame, then a bit per outcome.
     stride: usize,
-    /// The constant column, then one column per input.
-    columns: Box<[u64]>,
+    /// The constant column: the change with every input clear.
+    constant: Box<[u64]>,
+    /// For nibble `k` of the inputs (inputs `4k..4k + 4`) and each of
+    /// its 16 values `v`, the XOR of the columns of the inputs `v` sets:
+    /// `tables[(16 * k + v) * stride..][..stride]`.
+    tables: Box<[u64]>,
+    /// One application's inputs, packed 64 to a word.
+    inputs: Vec<u64>,
     /// One application's sum of columns.
     sum: Vec<u64>,
 }
@@ -538,6 +552,32 @@ struct Kernel {
 fn xor_into(dst: &mut [u64], src: &[u64]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d ^= s;
+    }
+}
+
+/// The `len <= 64` bits of `src` from bit `at` on, as the low bits of a
+/// word.
+#[inline]
+fn bits_at(src: &[u64], at: usize, len: usize) -> u64 {
+    let (w, b) = (at / WORD_BITS, at % WORD_BITS);
+    let high = match src.get(w + 1) {
+        Some(&next) if b > 0 => next << (WORD_BITS - b),
+        _ => 0,
+    };
+    (src[w] >> b | high) & (u64::MAX >> (WORD_BITS - len))
+}
+
+/// Copies the `len` bits of `src` from bit `from` on into the clear bits
+/// of `dst` from bit `to` on.
+#[inline]
+fn copy_bits(dst: &mut [u64], to: usize, src: &[u64], from: usize, len: usize) {
+    for done in (0..len).step_by(WORD_BITS) {
+        let bits = bits_at(src, from + done, (len - done).min(WORD_BITS));
+        let (w, b) = ((to + done) / WORD_BITS, (to + done) % WORD_BITS);
+        dst[w] |= bits << b;
+        if b > 0 && bits >> (WORD_BITS - b) != 0 {
+            dst[w + 1] |= bits >> (WORD_BITS - b);
+        }
     }
 }
 
@@ -760,6 +800,23 @@ impl Kernel {
                 columns[input * stride + at / WORD_BITS] |= 1 << (at % WORD_BITS);
             });
         }
+        // Each nibble's 16 sums, each from a smaller one and one column;
+        // an input past the last is a zero column.
+        let (constant, columns) = columns.split_at(stride);
+        let nibbles = (inputs - 1).div_ceil(4);
+        let mut tables = vec![0; nibbles * 16 * stride].into_boxed_slice();
+        for k in 0..nibbles {
+            let table = &mut tables[16 * k * stride..][..16 * stride];
+            for v in 1..16usize {
+                let input = 4 * k + v.trailing_zeros() as usize;
+                let (done, entry) = table.split_at_mut(v * stride);
+                let entry = &mut entry[..stride];
+                entry.copy_from_slice(&done[(v & (v - 1)) * stride..][..stride]);
+                if let Some(column) = columns.get(input * stride..(input + 1) * stride) {
+                    xor_into(entry, column);
+                }
+            }
+        }
         Some(Kernel {
             gates: Arc::clone(gates),
             offset,
@@ -767,7 +824,9 @@ impl Kernel {
             draws,
             measured: measured.into(),
             stride,
-            columns,
+            constant: constant.into(),
+            tables,
+            inputs: vec![0; (inputs - 1).div_ceil(WORD_BITS)],
             sum: vec![0; stride],
         })
     }
@@ -776,6 +835,14 @@ impl Kernel {
     #[inline]
     fn serves(&self, offset: usize, gates: &Arc<[SimGate]>) -> bool {
         self.offset == offset && Arc::ptr_eq(&self.gates, gates)
+    }
+
+    /// The column of input `input`: the entry of its bit alone in its
+    /// nibble's table.
+    #[cfg(test)]
+    fn column(&self, input: usize) -> &[u64] {
+        let entry = 16 * (input / 4) + (1 << (input % 4));
+        &self.tables[entry * self.stride..][..self.stride]
     }
 
     /// Serves one cycle: moves `frame` and appends the outcomes.
@@ -792,33 +859,26 @@ impl Kernel {
             draws,
             ref measured,
             stride,
-            ref columns,
+            ref constant,
+            ref tables,
+            ref mut inputs,
             ref mut sum,
             ..
         } = *self;
-        let column = |input: usize| &columns[(1 + input) * stride..][..stride];
-        sum.copy_from_slice(&columns[..stride]);
+        inputs.fill(0);
         // The random entries draw first, in entry order: nothing else in
         // the cycle draws.
-        for j in 0..draws {
-            if rng.gen::<bool>() {
-                xor_into(sum, column(2 * span + j));
-            }
+        for j in 2 * span..2 * span + draws {
+            inputs[j / WORD_BITS] |= u64::from(rng.gen::<bool>()) << (j % WORD_BITS);
         }
         let words = frame.len() / 2;
-        let (first, last) = (offset / WORD_BITS, (offset + span - 1) / WORD_BITS);
-        for half in 0..2 {
-            for w in first..=last {
-                let lo = offset.max(w * WORD_BITS) - w * WORD_BITS;
-                let hi = (offset + span).min((w + 1) * WORD_BITS) - w * WORD_BITS;
-                let mask = (u64::MAX >> (WORD_BITS - hi)) & (u64::MAX << lo);
-                let mut bits = frame[half * words + w] & mask;
-                while bits != 0 {
-                    let q = w * WORD_BITS + bits.trailing_zeros() as usize;
-                    xor_into(sum, column(half * span + q - offset));
-                    bits &= bits - 1;
-                }
-            }
+        let (x, z) = frame.split_at(words);
+        copy_bits(inputs, 0, x, offset, span);
+        copy_bits(inputs, span, z, offset, span);
+        sum.copy_from_slice(constant);
+        for (k, table) in tables.chunks_exact(16 * stride).enumerate() {
+            let v = (inputs[k / 16] >> (4 * (k % 16)) & 15) as usize;
+            xor_into(sum, &table[v * stride..][..stride]);
         }
         xor_into(frame, sum);
         let at = frame.len();
@@ -1012,6 +1072,16 @@ impl FrameBlock {
             .map_or(0, |t| t.kernel_cycles)
     }
 
+    /// The bits the kernel cycles of `key` drew: one per random entry of
+    /// each cycle's tape.
+    #[doc(hidden)]
+    pub fn kernel_draws(&self, key: usize) -> u64 {
+        self.tapes
+            .iter()
+            .find(|t| t.key == key)
+            .map_or(0, |t| t.kernel_draws)
+    }
+
     /// Appends `other`'s qubits after this block's own, leaving the
     /// tensor product of the two states ([`Tableau::append`]). Tapes were
     /// recorded on the narrower registers and are dropped; the replay
@@ -1035,6 +1105,7 @@ impl FrameBlock {
             key: tape.key + shift,
             replayed: tape.replayed,
             kernel_cycles: tape.kernel_cycles,
+            kernel_draws: tape.kernel_draws,
             ..Tape::default()
         };
         let kept = self.tapes.iter().map(|t| count_of(t, 0));
@@ -1454,6 +1525,7 @@ impl StabilizerSim for FrameBlock {
                     (tape.record.entries.len(), tape.record.pivots.len());
                 tape.replayed += 1;
                 tape.kernel_cycles += 1;
+                tape.kernel_draws += kernel.draws as u64;
                 return;
             }
         }
@@ -1538,9 +1610,8 @@ mod tests {
         }
         let kernel = block.tapes[0].kernel.as_ref().expect("compiled");
         assert_eq!((kernel.span, kernel.draws), (3, 3));
-        let drawn = &kernel.columns[(1 + 2 * kernel.span) * kernel.stride..];
-        let outside = drawn
-            .chunks_exact(kernel.stride)
+        let outside = (2 * kernel.span..2 * kernel.span + kernel.draws)
+            .map(|input| kernel.column(input))
             .any(|column| (column[0] | column[block.words]) & (1 | 1 << 4) != 0);
         assert!(outside, "no pivot reached past the tile");
     }

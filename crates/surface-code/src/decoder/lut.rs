@@ -6,20 +6,58 @@
 //! errors."* Complex patterns are left to the global decoder in the master
 //! controller.
 //!
-//! The table maps the detection-event pattern of every possible single
+//! The table holds the detection-event pattern of every possible single
 //! data-qubit error (one or two adjacent events within a round) and every
-//! single measurement error (a temporal event pair) to its correction. The
-//! decoder succeeds only when the observed events can be *exactly* tiled by
-//! non-overlapping single-fault patterns; anything else is escalated.
+//! single measurement error (a temporal event pair) with its correction.
+//! The decoder succeeds only when the observed events can be *exactly*
+//! tiled by non-overlapping single-fault patterns; anything else is
+//! escalated.
+//!
+//! # Layout
+//!
+//! A pattern has at most two events, so the table is flat: each check
+//! node owns a slice of *candidates* (compressed rows, one offset per
+//! node), one per edge touching it, in edge order. A candidate names the
+//! pattern's other node (none for a boundary edge) and the data flip and
+//! edge id of the *first* edge with that pattern — a pattern several
+//! edges share is always answered by the first. The cover runs on event
+//! words (bit `n % 64` of word `n / 64` for node `n`), as the MCE
+//! computes them from two syndrome rounds: it repeatedly takes the lowest
+//! remaining event and, among its candidates lying wholly inside the
+//! remaining events, the *last* longest one, clears that candidate's
+//! events and XORs its flip into packed data-qubit words. An event with
+//! no candidate that fits escalates. Nothing is allocated on the packed
+//! entry ([`LutDecoder::try_packed`]); [`LutDecoder::try_decode`] and
+//! [`LutDecoder::try_correction`] wrap it for event lists.
 
 use super::Correction;
-use crate::graph::{DecodingGraph, EdgeId, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::graph::{DecodingGraph, EdgeId, Fault, NodeId};
+use std::collections::BTreeMap;
+
+const WORD_BITS: usize = 64;
+
+/// The `other` of a one-event (boundary) pattern.
+const NO_NODE: u32 = u32::MAX;
+
+/// One single-fault pattern containing a node, seen from that node.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    /// The pattern's other event, or [`NO_NODE`].
+    other: u32,
+    /// The first edge with this pattern.
+    edge: u32,
+    /// Its data flip as a word of the flips and a mask (zero for a
+    /// measurement fault).
+    flip_word: u32,
+    flip_mask: u64,
+}
 
 /// Lookup-table decoder for isolated single faults.
 ///
 /// Returns `None` (escalate to the global decoder) whenever the syndrome
-/// is not a disjoint union of single-fault patterns.
+/// is not a disjoint union of single-fault patterns. The table is flat —
+/// a row of candidate patterns per check node — and the cover runs on
+/// packed event words ([`LutDecoder::try_packed`]).
 ///
 /// # Example
 ///
@@ -34,11 +72,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// ```
 #[derive(Debug, Clone)]
 pub struct LutDecoder {
-    /// Sorted event pattern → edge producing it. Single-fault patterns have
-    /// one or two events.
-    table: BTreeMap<Vec<NodeId>, EdgeId>,
-    /// For each node, the single-fault patterns containing it.
-    patterns_at: BTreeMap<NodeId, Vec<Vec<NodeId>>>,
+    /// Node `n`'s candidates are `candidates[starts[n]..starts[n + 1]]`.
+    starts: Box<[u32]>,
+    candidates: Box<[Candidate]>,
     num_nodes: usize,
     boundary: NodeId,
     /// Table capacity statistics: number of entries (for the paper's
@@ -50,32 +86,123 @@ impl LutDecoder {
     /// Builds the table for a decoding graph by enumerating all single
     /// faults.
     pub fn new(graph: &DecodingGraph) -> LutDecoder {
-        let mut table = BTreeMap::new();
-        let mut patterns_at: BTreeMap<NodeId, Vec<Vec<NodeId>>> = BTreeMap::new();
+        let narrow = |n: usize| u32::try_from(n).expect("decoding graph too large for the table");
+        // Sorted pattern → its first edge; `NO_NODE` pads a single.
+        let mut first: BTreeMap<[u32; 2], usize> = BTreeMap::new();
+        let mut rows: Vec<Vec<[u32; 2]>> = vec![Vec::new(); graph.boundary()];
         for (i, e) in graph.edges().iter().enumerate() {
-            let mut pattern: Vec<NodeId> = [e.a, e.b]
-                .into_iter()
-                .filter(|&n| !graph.is_boundary(n))
-                .collect();
+            let mut pattern = [e.a, e.b].map(|n| {
+                if graph.is_boundary(n) {
+                    NO_NODE
+                } else {
+                    narrow(n)
+                }
+            });
             pattern.sort_unstable();
-            for &n in &pattern {
-                patterns_at.entry(n).or_default().push(pattern.clone());
+            for &n in pattern.iter().filter(|&&n| n != NO_NODE) {
+                rows[n as usize].push(pattern);
             }
-            table.entry(pattern).or_insert(i);
+            first.entry(pattern).or_insert(i);
         }
-        let entries = table.len();
+        let edges = graph.edges();
+        let mut starts = Vec::with_capacity(rows.len() + 1);
+        let mut candidates = Vec::new();
+        starts.push(0);
+        for (n, row) in rows.iter().enumerate() {
+            for pattern in row {
+                let edge = first[pattern];
+                let other = if pattern[0] == narrow(n) {
+                    pattern[1]
+                } else {
+                    pattern[0]
+                };
+                let (flip_word, flip_mask) = match edges[edge].fault {
+                    Fault::Data(q) => (narrow(q / WORD_BITS), 1 << (q % WORD_BITS)),
+                    Fault::Measurement { .. } => (0, 0),
+                };
+                candidates.push(Candidate {
+                    other,
+                    edge: narrow(edge),
+                    flip_word,
+                    flip_mask,
+                });
+            }
+            starts.push(narrow(candidates.len()));
+        }
         LutDecoder {
-            table,
-            patterns_at,
+            starts: starts.into(),
+            candidates: candidates.into(),
             num_nodes: graph.num_nodes(),
             boundary: graph.boundary(),
-            entries,
+            entries: first.len(),
         }
     }
 
     /// Number of table entries (one per distinct single-fault pattern).
     pub fn num_entries(&self) -> usize {
         self.entries
+    }
+
+    /// Words of event bits over this table's check nodes.
+    pub fn event_words(&self) -> usize {
+        self.boundary.div_ceil(WORD_BITS)
+    }
+
+    /// Covers `events` (bit `n % 64` of word `n / 64` for node `n`; the
+    /// bits past the last check node clear) with single-fault patterns,
+    /// calling `hit` with each chosen candidate in order. `false` means
+    /// escalate; `events` then holds what was left uncovered.
+    #[inline]
+    fn cover(&self, events: &mut [u64], mut hit: impl FnMut(&Candidate)) -> bool {
+        let mut w = 0;
+        loop {
+            while events.get(w) == Some(&0) {
+                w += 1;
+            }
+            let Some(&word) = events.get(w) else {
+                return true;
+            };
+            let n = w * WORD_BITS + word.trailing_zeros() as usize;
+            let row = &self.candidates[self.starts[n] as usize..self.starts[n + 1] as usize];
+            // The longest candidate that fits; of equals, the last.
+            let mut chosen = None;
+            let mut longest = 0;
+            for c in row {
+                let len = match c.other {
+                    NO_NODE => 1,
+                    other if events[other as usize / WORD_BITS] >> (other % 64) & 1 == 1 => 2,
+                    _ => continue,
+                };
+                if len >= longest {
+                    (chosen, longest) = (Some(c), len);
+                }
+            }
+            let Some(c) = chosen else {
+                return false;
+            };
+            events[w] &= word - 1;
+            if c.other != NO_NODE {
+                events[c.other as usize / WORD_BITS] &= !(1 << (c.other % 64));
+            }
+            hit(c);
+        }
+    }
+
+    /// Decodes the event words `events` (bit `n % 64` of word `n / 64`
+    /// for check node `n`; the bits past the last node clear) as a
+    /// disjoint union of isolated single faults, XOR-ing each chosen
+    /// pattern's data flip into `flips` (bit `q % 64` of word `q / 64` for
+    /// data qubit `q`). Returns `false` to escalate. A hit leaves
+    /// `events` clear; a miss leaves partial work in `events` and
+    /// `flips`, so an escalating caller keeps its own copy of the events.
+    /// Allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flips` is too short for a data qubit a chosen pattern
+    /// flips.
+    pub fn try_packed(&self, events: &mut [u64], flips: &mut [u64]) -> bool {
+        self.cover(events, |c| flips[c.flip_word as usize] ^= c.flip_mask)
     }
 
     /// Attempts to decode `events` as a disjoint union of isolated single
@@ -85,29 +212,14 @@ impl LutDecoder {
     ///
     /// Panics if `events` contains the boundary node or out-of-range ids.
     pub fn try_decode(&self, events: &[NodeId]) -> Option<Vec<EdgeId>> {
+        let mut words = vec![0; self.event_words()];
         for &e in events {
             assert!(e < self.num_nodes && e != self.boundary, "bad event node");
+            words[e / WORD_BITS] |= 1 << (e % WORD_BITS);
         }
-        let mut remaining: BTreeSet<NodeId> = events.iter().copied().collect();
         let mut edges = Vec::new();
-        while let Some(&n) = remaining.iter().next() {
-            // Candidate patterns at n whose events are all still pending and
-            // *isolated*: consuming them must not break another pattern —
-            // for the LUT this simply means an exact cover step.
-            let candidates = self.patterns_at.get(&n)?;
-            // Prefer two-event patterns (internal faults) over boundary
-            // singles only when both events are present; otherwise fall back
-            // to the boundary single.
-            let chosen = candidates
-                .iter()
-                .filter(|pat| pat.iter().all(|q| remaining.contains(q)))
-                .max_by_key(|pat| pat.len())?;
-            for q in chosen {
-                remaining.remove(q);
-            }
-            edges.push(self.table[chosen]);
-        }
-        Some(edges)
+        self.cover(&mut words, |c| edges.push(c.edge as EdgeId))
+            .then_some(edges)
     }
 
     /// Like [`LutDecoder::try_decode`] but returns a full [`Correction`].

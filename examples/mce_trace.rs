@@ -42,7 +42,9 @@ fn main() {
         "after one cycle: {} local decode(s), {} escalation(s), Pauli frame = {:?}",
         stats.local_hits,
         stats.escalations,
-        mce.decoder(StabKind::Z).frame()
+        mce.decoder(StabKind::Z)
+            .frame()
+            .collect::<std::collections::BTreeSet<_>>()
     );
 
     // --- Mask a region and issue a logical µop word ----------------------
