@@ -9,21 +9,19 @@
 //! same however many tiles share a system or a shard.
 //!
 //! A block is a reference tableau under a Pauli frame. An MCE replays one
-//! QECC cycle forever and marks each start of it
-//! ([`StabilizerSim::cycle_boundary`], keyed by the tile's offset in its
-//! block); once the cycle provably
-//! repeats — the same operations with the same reference answers, and the
-//! reference back in the state it started from — the reference stops
-//! moving and a tile-cycle costs a walk along a recorded tape that
-//! touches only the frame. Noise, being Pauli, never shows on a tape.
-//! Anything off the tape (a masked region, a logical word, a readout, a
-//! join) puts the block back on its reference, at the old cost, until
-//! the cycle repeats again. [`Substrate::replayed_cycles`] tells how many
-//! cycles a tile was served from its tape, so that a run which means to
-//! measure the fast path can check that it did. An MCE hands a cycle
-//! that merges nothing over as one call, which a locked tape serves from
-//! a kernel compiled from it, in one pass over the frame
-//! ([`Substrate::kernel_cycles`] counts those).
+//! QECC cycle forever, and hands each cycle that merges nothing over as
+//! one call ([`StabilizerSim::run_cycle`], keyed by the tile's offset in
+//! its block). The block records the cycles on its reference until one
+//! provably repeats — the same operations with the same reference
+//! answers, and the reference back in the state it started from — and
+//! from then on serves each from a kernel compiled from the recording:
+//! the reference stops moving and a tile-cycle costs one pass over the
+//! frame. Noise, being Pauli, never shows on a recording. Anything else
+//! (a masked region, a logical word, a readout, a join) puts the block
+//! back on its reference, at the old cost, until the cycle repeats
+//! again. [`Substrate::replayed_cycles`] tells how many cycles a tile was
+//! served by a kernel, so that a run which means to measure the fast
+//! path can check that it did.
 //!
 //! Every tile begins as a block of its own. [`Substrate::join`] merges
 //! the blocks of two tiles into their tensor product
@@ -163,26 +161,15 @@ impl Substrate {
         &mut self.blocks[self.homes[tile].block]
     }
 
-    /// QECC cycles of `tile` that its block served from a tape or a
-    /// trail, never touching the reference tableau (zero for a tile out
-    /// of range).
+    /// QECC cycles of `tile` that its block served by a kernel, from a
+    /// tape or a trail, never touching the reference tableau (zero for a
+    /// tile out of range).
     /// The count restarts in a clone, which has no tapes.
     pub fn replayed_cycles(&self, tile: usize) -> u64 {
         self.homes.get(tile).map_or(0, |home| {
             self.blocks
                 .get(home.block)
                 .map_or(0, |block| block.replayed_cycles(home.offset))
-        })
-    }
-
-    /// Of [`Substrate::replayed_cycles`], the cycles of `tile` its block
-    /// served from a compiled kernel in one pass
-    /// ([`FrameBlock::kernel_cycles`]).
-    pub fn kernel_cycles(&self, tile: usize) -> u64 {
-        self.homes.get(tile).map_or(0, |home| {
-            self.blocks
-                .get(home.block)
-                .map_or(0, |block| block.kernel_cycles(home.offset))
         })
     }
 

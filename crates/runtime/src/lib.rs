@@ -937,7 +937,6 @@ impl Master<'_, '_, '_> {
             (stats.max_downstream_depth, stats.max_upstream_depth) = link.high_water();
             let harvest = link.finish();
             stats.replayed_tile_cycles = harvest.replayed;
-            stats.kernel_tile_cycles = harvest.kernel;
             laid.extend(harvest.trails);
         }
         self.memo.publish(self.spec.distance, laid);

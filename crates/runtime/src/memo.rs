@@ -10,12 +10,14 @@
 //!   (see [`Mce`]), so the memo builds it once per distance.
 //! * **Trails.** The cycles a fresh tile runs on its reference tableau
 //!   until its tape locks do not depend on the seed
-//!   ([`quest_stabilizer::Trail`]). The first run whose fresh tiles find
-//!   no trail lays them, its master publishes them here, and the fresh
-//!   tiles of every later run follow them instead of running those cycles
-//!   on a tableau. A trail is kept per first-mark key and starting
-//!   tableau, so a `|+⟩` tile publishing first does not keep `|0⟩` tiles
-//!   off the fast path.
+//!   ([`quest_stabilizer::Trail`]), and each is kept with the kernel
+//!   that serves it. The first run whose fresh tiles find no trail lays
+//!   them, its master publishes them here, and the fresh tiles of every
+//!   later run apply their kernels instead of running those cycles on a
+//!   tableau, then serve every cycle after them from the trail's locked
+//!   kernel: they compile nothing. A trail is kept per first-mark key and
+//!   starting tableau, so a `|+⟩` tile publishing first does not keep
+//!   `|0⟩` tiles off the fast path.
 //!
 //! Neither shows in a report: a clone of the template is the MCE
 //! [`Mce::new`] builds, and a block following a trail answers, draws and

@@ -134,11 +134,9 @@ impl Upstream {
 /// could count, and the trails its fresh tiles laid.
 #[derive(Debug, Default)]
 pub(crate) struct Harvest {
-    /// Tile-cycles its tiles were served from a tape or a trail, never
-    /// touching a reference tableau.
+    /// Tile-cycles its tiles were served by a kernel, from a tape or a
+    /// trail, never touching a reference tableau.
     pub(crate) replayed: u64,
-    /// Of those, the tile-cycles served by a compiled kernel.
-    pub(crate) kernel: u64,
     pub(crate) trails: Vec<Trail>,
 }
 
@@ -384,9 +382,6 @@ impl ShardWorker {
         Harvest {
             replayed: (0..self.tiles.len())
                 .map(|l| self.substrate.replayed_cycles(l))
-                .sum(),
-            kernel: (0..self.tiles.len())
-                .map(|l| self.substrate.kernel_cycles(l))
                 .sum(),
             trails: self.substrate.take_trails(),
         }

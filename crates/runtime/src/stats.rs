@@ -58,17 +58,13 @@ pub struct ShardStats {
     pub max_upstream_depth: usize,
     /// High-water occupancy of the master → shard channel.
     pub max_downstream_depth: usize,
-    /// Tile-cycles the shard's tiles were served from a tape or a
-    /// warm-up trail, never touching a reference tableau
+    /// Tile-cycles the shard's tiles were served by a compiled kernel,
+    /// from a locked tape or a warm-up trail, never touching a reference
+    /// tableau
     /// ([`Substrate::replayed_cycles`](quest_core::Substrate::replayed_cycles)),
     /// since the run started or resumed. On a `Runtime` that has run the
     /// distance before, every cycle of a tile that only does QECC is.
     pub replayed_tile_cycles: u64,
-    /// Of those, the tile-cycles served by a tape's compiled kernel in
-    /// one pass over the frame
-    /// ([`Substrate::kernel_cycles`](quest_core::Substrate::kernel_cycles)):
-    /// every QECC-only cycle of a tile after its first locked one.
-    pub kernel_tile_cycles: u64,
 }
 
 impl ShardStats {
@@ -142,7 +138,7 @@ impl fmt::Display for RuntimeStats {
             writeln!(
                 f,
                 "  shard {}: tiles {}..{}, {} cycles, {} escalations \
-                 ({:.4}/tile-cycle), {} tile-cycles replayed ({} on the kernel), \
+                 ({:.4}/tile-cycle), {} tile-cycles replayed, \
                  messages up {} / down {}, \
                  depth up {} / down {}",
                 s.shard,
@@ -152,7 +148,6 @@ impl fmt::Display for RuntimeStats {
                 s.escalations,
                 s.escalation_rate(),
                 s.replayed_tile_cycles,
-                s.kernel_tile_cycles,
                 s.upstream_messages,
                 s.downstream_messages,
                 s.max_upstream_depth,
@@ -239,14 +234,13 @@ mod tests {
                 max_upstream_depth: 3,
                 max_downstream_depth: 1,
                 replayed_tile_cycles: 36,
-                kernel_tile_cycles: 32,
             }],
             ..RuntimeStats::default()
         };
         let s = stats.to_string();
         assert!(s.contains("shard 0"));
         assert!(s.contains("messages up 12 / down 7"));
-        assert!(s.contains("36 tile-cycles replayed (32 on the kernel)"));
+        assert!(s.contains("36 tile-cycles replayed, messages"));
         assert!(s.contains("decode pool"));
     }
 }

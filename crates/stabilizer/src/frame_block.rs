@@ -25,9 +25,9 @@
 //! outcomes, `deterministic` flags and RNG positions agree op for op
 //! (`tests/frame_block_differential.rs`).
 //!
-//! # Tapes
+//! # Tapes and kernels
 //!
-//! The point of the split is that the reference of a machine replaying
+//! The point of the split is that the reference of a machine running
 //! one program forever stops moving. Between one
 //! [`cycle_boundary`](StabilizerSim::cycle_boundary) mark and the next
 //! the block records a *tape*: every operation that reached the
@@ -37,19 +37,52 @@
 //! holds the state it held when the tape began
 //! ([`Tableau::same_state`] — the generators of a repeating cycle keep
 //! changing long after its state has stopped), the tape is *locked*: the
-//! cycle maps that state to itself, so from then on the reference stays
-//! where it is and each incoming operation is matched against the tape
-//! and moves only the frame.
+//! cycle maps that state to itself, so the reference need not run it
+//! again. What the cycle does to the frame is affine over GF(2) in the
+//! frame bits and the bits the cycle draws:
 //!
-//! Any operation that is not the tape's next entry — a masked region, a
-//! logical word, a readout, an [`append`](FrameBlock::append) — replays
-//! the matched prefix onto the reference, unlocks every tape of the block
-//! and continues on the reference, which is always correct. Paulis are on
+//! * H, S and CNOT permute or XOR frame bits; a Pauli flips one.
+//! * A deterministic outcome is `ref ⊕ fx[q]`, and a reset XORs its
+//!   outcome into `fx[q]`.
+//! * A random entry draws one `rng.gen::<bool>()`, `v`, reports it and
+//!   XORs its pivot into the frame when `v ⊕ fx[q] ≠ ref`: affine in
+//!   the frame and in `v`.
+//!
+//! So when a whole cycle arrives as one call
+//! ([`StabilizerSim::run_cycle`]) at a locked mark, the block compiles
+//! the tape for that gate list into a *kernel*: one column per input —
+//! the X frame bits, then the Z frame bits, of the qubits the gates
+//! touch, then one per random entry — plus a constant column, each
+//! holding the change to the block's frame and the outcomes. The
+//! compiler runs the gate list once over a symbolic frame, each frame
+//! bit an affine form over the inputs, with the tape's answers and
+//! pivots, and transposes; it gives up unless the gates make exactly the
+//! tape's calls. It then tables the columns by nibbles: for every four
+//! consecutive inputs, the 16 XOR-sums of their columns, each one column
+//! away from a smaller one; only the tables and the constant are kept.
+//! Serving a cycle is then drawing the random bits, in entry order (they
+//! are the only draws of the cycle), into the input words, gathering the
+//! frame bits ahead of them by word shifts at the offset, and XOR-ing the
+//! constant and, for each nibble of the inputs, the table row its value
+//! picks into the frame and the outcomes. That is the same draws, the
+//! same outcomes and the same frame as the gates fired one by one, and
+//! the reference stays where it is. A kernel serves only the gate list
+//! ([`Arc::ptr_eq`]) and offset it was compiled from; another list at a
+//! locked mark is compiled in its turn, and a tape that unlocks drops
+//! its kernel.
+//!
+//! Everything else runs on the live reference: the cycles before a tape
+//! locks, which are recorded, and any operation that reaches the
+//! reference after a locked mark — a cycle fired call by call, a masked
+//! region, a logical word, a readout, gates the tape does not hold. Such
+//! an operation unlocks every tape of the block and goes to the
+//! reference from the state at the mark, which a kernel cycle leaves it
+//! in; an [`append`](FrameBlock::append) drops the tapes. Paulis are on
 //! no tape: they never reach the reference.
 //!
 //! Marks carry a key so that several programs interleaved on one block
 //! (two tiles joined by a transversal gate) keep a tape each. A tape is
-//! only ever replayed from the state it was verified on: a replay leaves
+//! only ever served from the state it was verified on: a kernel leaves
 //! the reference alone, a verified recording returns to it, and anything
 //! else unlocks the whole block.
 //!
@@ -61,65 +94,32 @@
 //! operations yields the same answers, the same pivots and the same
 //! tableau, whatever the seed, because the reference sees no Pauli and
 //! no drawn bit. A [`Trail`] is that warm-up written down once: for each
-//! cycle from a fresh block's first mark until its tape locked, what the
-//! reference was asked and answered, and the tableau the cycle left.
+//! cycle from a fresh block's first mark until its tape locked, its
+//! tape, its kernel and the tableau it left. A trail cycle is a fixed
+//! Clifford circuit with fixed answers too, so it is served like a
+//! locked one.
 //!
-//! A block built by [`FrameBlock::fresh`] looks, at its first mark, for
-//! a trail of that key starting from its very reference (`==`, generator
-//! for generator). If it finds one it *follows* it: each trail cycle is
-//! its tape in hand, matched and answered exactly like a locked tape,
-//! and the reference is set to the trail's tableau at each mark. After
-//! the trail's last cycle that cycle is the block's own locked tape.
-//! Anything off the trail — an operation that is not its next entry, a
-//! cycle cut short, another key — puts the block where one laying the
-//! trail would be at that point (the trail's tableau at the last mark
-//! with the matched prefix replayed, the cycle so far on its recording,
-//! the cycle before on its tape), and from there it is an ordinary
-//! block. A follower therefore draws, answers and holds exactly what a
-//! block that never saw the trail would, down to the generators.
+//! A block built by [`FrameBlock::fresh`] looks, at its first
+//! [`run_cycle`](StabilizerSim::run_cycle), for the first trail of that
+//! key starting from its very reference (`==`, generator for generator).
+//! If there is one and its first kernel serves the gates, it *follows*
+//! it: each trail cycle applies its kernel and sets the reference to the
+//! tableau it left, and after the last one the block holds that cycle
+//! as its locked tape, with the trail's kernel. Anything off the trail —
+//! another gate list or key, a mark or an operation outside `run_cycle`
+//! — puts the block where the one laying the trail stood after the last
+//! cycle followed (that cycle on its recording, the one before on its
+//! tape and its end as the snapshot to compare with), and from there it
+//! is an ordinary block. A follower therefore draws, answers and holds
+//! exactly what a block that never saw the trail would, down to the
+//! generators.
 //!
-//! A fresh block that finds no trail lays one, and
-//! [`FrameBlock::take_trail`] hands it over once its tape has locked.
+//! A fresh block that finds no trail lays one, each cycle compiled at the
+//! mark that closes it for the gates it was fired at, and
+//! [`FrameBlock::take_trail`] hands it over once its tape has locked;
+//! only whole cycles fired by `run_cycle`, one per mark, go on a trail.
 //! Blocks built by [`FrameBlock::new`], clones and appended blocks
 //! neither follow nor lay.
-//!
-//! # Kernels
-//!
-//! A locked tape still costs a match and a frame update per call. It
-//! need not: the cycle it records is a fixed Clifford circuit with fixed
-//! reference answers, and what it does to the frame is affine over
-//! GF(2) in the frame bits and the bits the cycle draws.
-//!
-//! * H, S and CNOT permute or XOR frame bits; a Pauli flips one.
-//! * A deterministic outcome is `ref ⊕ fx[q]`, and a reset XORs its
-//!   outcome into `fx[q]`.
-//! * A random entry draws one `rng.gen::<bool>()`, `v`, reports it and
-//!   XORs its pivot into the frame when `v ⊕ fx[q] ≠ ref`: affine in
-//!   the frame and in `v`.
-//!
-//! So when a whole cycle arrives as one call
-//! ([`StabilizerSim::run_cycle`]) and a locked tape has already served
-//! that very gate list call by call, the block compiles the tape once
-//! into a *kernel*: one column per input — the X frame bits, then the Z
-//! frame bits, of the qubits the gates touch, then one per random entry
-//! — plus a constant column, each holding the change to the block's
-//! frame and the outcomes. The compiler runs the gate list once over a
-//! symbolic frame, each frame bit an affine form over the inputs, with
-//! the tape's answers and pivots, and transposes. It then tables the
-//! columns by nibbles: for every four consecutive inputs, the 16
-//! XOR-sums of their columns, each one column away from a smaller one;
-//! only the tables and the constant are kept. Serving a cycle is then
-//! drawing the random bits, in entry order (they are the only draws of
-//! the cycle), into the input words, gathering the frame bits ahead of
-//! them by word shifts at the offset, and XOR-ing the constant and, for
-//! each nibble of the inputs, the table row its value picks into the
-//! frame and the outcomes — the same sum of the set inputs' columns as
-//! one column at a time, with no branch on a set bit. That is the same
-//! draws, the same outcomes and the same frame as the call-by-call
-//! replay, and the reference stays where it is. A kernel serves only
-//! the gate list ([`Arc::ptr_eq`]) and offset it was compiled from, and
-//! is dropped when its tape unlocks; anything else — no lock, other
-//! gates, a trail cycle — goes call by call.
 
 use crate::pauli::Pauli;
 use crate::tableau::{or_shifted, Measurement, Tableau};
@@ -287,11 +287,11 @@ pub trait StabilizerSim {
     /// implementation must amount to, draw for draw.
     ///
     /// The gate list comes behind an [`Arc`] so that a register may
-    /// recognise a list it has seen at O(1) cost: a [`FrameBlock`] whose
-    /// tape has locked on the list serves the round from a compiled
-    /// kernel ([module docs](self#kernels)). [`Tableau`] keeps the
-    /// default: it is the call-by-call oracle the kernel is checked
-    /// against.
+    /// recognise a list it has seen at O(1) cost: a [`FrameBlock`] serves
+    /// a round at a locked mark from a kernel compiled for the list
+    /// ([module docs](self#tapes-and-kernels)), and no round that comes
+    /// call by call. [`Tableau`] keeps the default: it is the
+    /// call-by-call oracle the kernel is checked against.
     fn run_cycle<R: Rng + ?Sized>(
         &mut self,
         key: usize,
@@ -370,8 +370,8 @@ enum Op {
     Measure,
 }
 
-/// An operation and its qubits in one word, so that matching a tape
-/// entry is one comparison: the operation above two 30-bit qubit
+/// An operation and its qubits in one word, so that comparing two tape
+/// entries is one comparison: the operation above two 30-bit qubit
 /// indices (the second is a CNOT's target, zero otherwise). A block is
 /// never that wide (`FrameBlock::over` checks), so the qubits of a block
 /// cannot run into each other or into the operation.
@@ -384,23 +384,6 @@ impl Call {
     #[inline]
     fn new(op: Op, a: usize, b: usize) -> Call {
         Call((op as u64) << (2 * QUBIT_BITS) | (a as u64) << QUBIT_BITS | b as u64)
-    }
-
-    fn op(self) -> Op {
-        match self.0 >> (2 * QUBIT_BITS) {
-            0 => Op::H,
-            1 => Op::S,
-            2 => Op::Cnot,
-            _ => Op::Measure,
-        }
-    }
-
-    fn qubits(self) -> (usize, usize) {
-        let mask = (1 << QUBIT_BITS) - 1;
-        (
-            (self.0 >> QUBIT_BITS & mask) as usize,
-            (self.0 & mask) as usize,
-        )
     }
 }
 
@@ -438,10 +421,12 @@ impl Clone for Record {
 }
 
 /// One cycle of a trail: what the reference was asked and answered
-/// between two marks, and the reference after it.
+/// between two marks, the kernel that serves it, and the reference after
+/// it.
 #[derive(Debug)]
 struct Stretch {
     record: Record,
+    kernel: Arc<Kernel>,
     end: Tableau,
 }
 
@@ -492,10 +477,14 @@ enum Warmup {
     Off,
     /// Fresh and before its first mark, with the trails it may follow.
     Fresh(Trails),
-    /// On `trail`, whose cycle `cycle` is the tape in hand.
+    /// On `trail`, whose cycle `cycle` was the last one served.
     Following { trail: Arc<Trail>, cycle: usize },
-    /// Laying a trail of its own.
-    Laying(Trail),
+    /// Laying a trail of its own, with the gates and offset
+    /// [`StabilizerSim::run_cycle`] fired the cycle in progress at.
+    Laying {
+        trail: Trail,
+        fired: Option<(Arc<[SimGate]>, usize)>,
+    },
     /// A complete trail, waiting to be taken.
     Laid(Trail),
 }
@@ -509,19 +498,19 @@ struct Tape {
     recorded: bool,
     /// Verified to map the reference's state to itself.
     locked: bool,
-    /// The locked tape compiled for the gate list it last served; never
-    /// set on an unlocked tape.
-    kernel: Option<Kernel>,
+    /// The locked tape compiled for the gate list it last served, or the
+    /// trail cycle a follower serves; never set on any other tape.
+    kernel: Option<Arc<Kernel>>,
+    /// Cycles served by a kernel, and locked ones with nothing for the
+    /// reference.
     replayed: u64,
-    /// Of those, the cycles served by the kernel.
-    kernel_cycles: u64,
-    /// The bits those kernel cycles drew.
+    /// The bits the kernel cycles drew.
     kernel_draws: u64,
 }
 
-/// A locked tape compiled for one gate list at one offset: the cycle's
-/// whole effect on the frame and its outcomes as one affine map, tabled
-/// by nibbles of its inputs; see the [module docs](self#kernels).
+/// A cycle compiled for one gate list at one offset: its whole effect on
+/// the frame and its outcomes as one affine map, tabled by nibbles of
+/// its inputs; see the [module docs](self#tapes-and-kernels).
 #[derive(Debug)]
 struct Kernel {
     /// What it serves, and nothing else.
@@ -541,10 +530,6 @@ struct Kernel {
     /// its 16 values `v`, the XOR of the columns of the inputs `v` sets:
     /// `tables[(16 * k + v) * stride..][..stride]`.
     tables: Box<[u64]>,
-    /// One application's inputs, packed 64 to a word.
-    inputs: Vec<u64>,
-    /// One application's sum of columns.
-    sum: Vec<u64>,
 }
 
 /// XORs `src` into `dst`, word for word.
@@ -826,8 +811,6 @@ impl Kernel {
             stride,
             constant: constant.into(),
             tables,
-            inputs: vec![0; (inputs - 1).div_ceil(WORD_BITS)],
-            sum: vec![0; stride],
         })
     }
 
@@ -845,11 +828,14 @@ impl Kernel {
         &self.tables[entry * self.stride..][..self.stride]
     }
 
-    /// Serves one cycle: moves `frame` and appends the outcomes.
+    /// Serves one cycle: moves `frame` and appends the outcomes. `inputs`
+    /// and `sum` are the caller's scratch, sized here.
     #[inline]
     fn apply<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         frame: &mut [u64],
+        inputs: &mut Vec<u64>,
+        sum: &mut Vec<u64>,
         rng: &mut R,
         outcomes: &mut Vec<(usize, bool)>,
     ) {
@@ -861,11 +847,10 @@ impl Kernel {
             stride,
             ref constant,
             ref tables,
-            ref mut inputs,
-            ref mut sum,
             ..
         } = *self;
-        inputs.fill(0);
+        inputs.clear();
+        inputs.resize((2 * span + draws).div_ceil(WORD_BITS), 0);
         // The random entries draw first, in entry order: nothing else in
         // the cycle draws.
         for j in 2 * span..2 * span + draws {
@@ -875,7 +860,8 @@ impl Kernel {
         let (x, z) = frame.split_at(words);
         copy_bits(inputs, 0, x, offset, span);
         copy_bits(inputs, span, z, offset, span);
-        sum.copy_from_slice(constant);
+        sum.clear();
+        sum.extend_from_slice(constant);
         for (k, table) in tables.chunks_exact(16 * stride).enumerate() {
             let v = (inputs[k / 16] >> (4 * (k % 16)) & 15) as usize;
             xor_into(sum, &table[v * stride..][..stride]);
@@ -896,9 +882,10 @@ enum Mode {
     Direct,
     /// The reference is live and `recording` takes every operation.
     Recording,
-    /// The reference stays at the state of the last mark; operations are
-    /// matched against `tapes[slot]` from `cursor` on.
-    Replaying,
+    /// The reference holds the state the tape in hand (or the trail
+    /// followed) was verified on, and a kernel serves the cycle; an
+    /// operation that reaches the reference deviates first.
+    Locked,
 }
 
 /// A register of qubits held as a Pauli frame over a reference
@@ -911,25 +898,24 @@ enum Mode {
 /// # Example
 ///
 /// ```
-/// use quest_stabilizer::{FrameBlock, Pauli, SeedableRng, StabilizerSim, StdRng, Tableau};
+/// use quest_stabilizer::{FrameBlock, Pauli, SeedableRng, SimGate, StabilizerSim, StdRng, Tableau};
+/// use std::sync::Arc;
 ///
 /// // Five rounds of a two-qubit parity check with an error in between:
 /// // the block and a bare tableau agree on every outcome.
 /// let (mut block, mut bare) = (FrameBlock::new(3), Tableau::new(3));
 /// let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(4), StdRng::seed_from_u64(4));
-/// fn round<S: StabilizerSim>(s: &mut S, rng: &mut StdRng) -> bool {
-///     s.cycle_boundary(0);
-///     s.reset(2, rng);
-///     s.cnot(0, 2);
-///     s.cnot(1, 2);
-///     s.measure(2, rng).value
-/// }
+/// use SimGate::{Cnot, Measure, Reset};
+/// let round: Arc<[SimGate]> = Arc::new([Reset(2), Cnot(0, 2), Cnot(1, 2), Measure(2)]);
 /// for cycle in 0..5 {
 ///     if cycle == 3 {
 ///         block.pauli(1, Pauli::X);
 ///         StabilizerSim::pauli(&mut bare, 1, Pauli::X);
 ///     }
-///     assert_eq!(round(&mut block, &mut rng_a), round(&mut bare, &mut rng_b));
+///     let (mut a, mut b) = (Vec::new(), Vec::new());
+///     block.run_cycle(0, 0, &round, &mut rng_a, &mut a);
+///     bare.run_cycle(0, 0, &round, &mut rng_b, &mut b);
+///     assert_eq!(a, b);
 /// }
 /// assert!(block.replayed_cycles(0) > 0);
 /// ```
@@ -941,12 +927,8 @@ pub struct FrameBlock {
     /// `⌈n/64⌉`.
     words: usize,
     mode: Mode,
-    /// The tape of the cycle in progress (recording or replaying).
+    /// The tape of the cycle in progress.
     slot: usize,
-    /// Next entry of `tapes[slot]` to match, and the start of the next
-    /// random entry's pivot.
-    cursor: usize,
-    pivot_cursor: usize,
     /// One tape per key seen, in order of first appearance.
     tapes: Vec<Tape>,
     /// The cycle being recorded; swapped into its tape at the next mark.
@@ -956,11 +938,14 @@ pub struct FrameBlock {
     /// its tape holds an earlier recording to compare this one with.
     snapshot: Tableau,
     warmup: Warmup,
+    /// A kernel cycle's inputs and sum of columns.
+    inputs: Vec<u64>,
+    sum: Vec<u64>,
 }
 
 impl Clone for FrameBlock {
     fn clone(&self) -> FrameBlock {
-        FrameBlock::over(self.materialised_reference(), self.frame.clone())
+        FrameBlock::over(self.reference.clone(), self.frame.clone())
     }
 }
 
@@ -971,22 +956,6 @@ impl PartialEq for FrameBlock {
 }
 
 impl Eq for FrameBlock {}
-
-/// Applies the reference side of `entries` to `reference`.
-fn replay(reference: &mut Tableau, entries: &[Entry], scratch: &mut Vec<u64>) {
-    for e in entries {
-        let (a, b) = e.call.qubits();
-        match e.call.op() {
-            Op::H => reference.h(a),
-            Op::S => reference.s(a),
-            Op::Cnot => reference.cnot(a, b),
-            Op::Measure => {
-                scratch.clear();
-                reference.measure_forced(a, scratch);
-            }
-        }
-    }
-}
 
 impl FrameBlock {
     /// A block of `n` qubits in `|0…0⟩`.
@@ -1018,16 +987,17 @@ impl FrameBlock {
             frame,
             mode: Mode::Direct,
             slot: 0,
-            cursor: 0,
-            pivot_cursor: 0,
             tapes: Vec::new(),
             warmup: Warmup::Off,
+            inputs: Vec::new(),
+            sum: Vec::new(),
         }
     }
 
-    /// A block of `n` qubits in `|0…0⟩` that, at its first mark, follows
-    /// the first of `trails` starting from its reference under that key,
-    /// or lays a trail of its own if none does; see the
+    /// A block of `n` qubits in `|0…0⟩` that, at its first
+    /// [`run_cycle`](StabilizerSim::run_cycle), follows the first of
+    /// `trails` starting from its reference under that key and gate
+    /// list, or lays a trail of its own if none does; see the
     /// [module docs](self#trails). What it answers is what a block from
     /// [`FrameBlock::new`] would answer.
     ///
@@ -1053,23 +1023,15 @@ impl FrameBlock {
         }
     }
 
-    /// Cycles of `key` served from its tape or from a trail, start to
-    /// end, without touching the reference. A benchmark or a test that
+    /// Cycles of `key` served by a kernel, from its tape or from a
+    /// trail, without touching the reference (and locked cycles with
+    /// nothing for the reference at all). A benchmark or a test that
     /// means to measure the fast path checks that this moves.
     pub fn replayed_cycles(&self, key: usize) -> u64 {
         self.tapes
             .iter()
             .find(|t| t.key == key)
             .map_or(0, |t| t.replayed)
-    }
-
-    /// Of [`FrameBlock::replayed_cycles`], the cycles of `key` served by
-    /// a compiled kernel in one pass ([module docs](self#kernels)).
-    pub fn kernel_cycles(&self, key: usize) -> u64 {
-        self.tapes
-            .iter()
-            .find(|t| t.key == key)
-            .map_or(0, |t| t.kernel_cycles)
     }
 
     /// The bits the kernel cycles of `key` drew: one per random entry of
@@ -1089,8 +1051,8 @@ impl FrameBlock {
     /// width.
     pub fn append(&mut self, other: &FrameBlock) {
         let shift = self.reference.num_qubits();
-        let mut reference = self.materialised_reference();
-        reference.append(&other.materialised_reference());
+        let mut reference = self.reference.clone();
+        reference.append(&other.reference);
         let words = reference.num_qubits().div_ceil(WORD_BITS);
         let mut frame = vec![0u64; 2 * words];
         for (half, dst) in frame.chunks_exact_mut(words).enumerate() {
@@ -1104,7 +1066,6 @@ impl FrameBlock {
         let count_of = |tape: &Tape, shift: usize| Tape {
             key: tape.key + shift,
             replayed: tape.replayed,
-            kernel_cycles: tape.kernel_cycles,
             kernel_draws: tape.kernel_draws,
             ..Tape::default()
         };
@@ -1116,11 +1077,11 @@ impl FrameBlock {
         };
     }
 
-    /// The state as one tableau: the reference, brought up to the
-    /// operation in hand, with the frame applied to it.
+    /// The state as one tableau: the reference with the frame applied to
+    /// it.
     #[doc(hidden)]
     pub fn to_tableau(&self) -> Tableau {
-        let mut t = self.materialised_reference();
+        let mut t = self.reference.clone();
         for q in 0..t.num_qubits() {
             let bit =
                 |half: usize| self.frame[half * self.words + q / WORD_BITS] >> (q % WORD_BITS) & 1;
@@ -1129,31 +1090,23 @@ impl FrameBlock {
         t
     }
 
-    /// A copy of the reference with the part of the tape a replay has
-    /// matched so far applied to it.
-    fn materialised_reference(&self) -> Tableau {
-        let mut reference = self.reference.clone();
-        if self.mode == Mode::Replaying {
-            let matched = &self.tapes[self.slot].record.entries[..self.cursor];
-            replay(&mut reference, matched, &mut Vec::new());
+    /// Readies the reference for an operation: at a locked mark the
+    /// block deviates first.
+    #[inline]
+    fn live(&mut self) {
+        if self.mode == Mode::Locked {
+            self.deviate();
         }
-        reference
     }
 
-    /// Leaves the tapes: the reference catches up with a replay in
-    /// progress, every tape is unlocked (the reference is about to move
-    /// off the state they were verified on) and operations go straight
-    /// to the reference until the next mark. A block following a trail
-    /// rejoins the path of the block that laid it instead.
+    /// Leaves the tapes: every tape is unlocked (the reference is about
+    /// to move off the state they were verified on) and operations go
+    /// straight to the reference until the next mark. A block following
+    /// a trail rejoins the path of the block that laid it instead.
     #[cold]
     fn deviate(&mut self) {
-        if self.mode == Mode::Replaying {
-            let matched = &self.tapes[self.slot].record.entries[..self.cursor];
-            replay(&mut self.reference, matched, &mut self.recording.pivots);
-        }
-        match std::mem::take(&mut self.warmup) {
-            Warmup::Following { trail, cycle } => return self.rejoin(&trail, cycle),
-            other => self.warmup = other,
+        if let Warmup::Following { .. } = self.warmup {
+            return self.leave_trail();
         }
         for tape in &mut self.tapes {
             tape.locked = false;
@@ -1162,31 +1115,31 @@ impl FrameBlock {
         self.mode = Mode::Direct;
     }
 
-    /// Puts a block that leaves `trail` in its cycle `cycle`, with the
-    /// matched prefix already replayed onto the reference, where the
-    /// block that laid the trail was at this point: recording the cycle,
-    /// the matched prefix and its pivots on the recording, the trail's
-    /// previous cycle (if any) closed into the tape and the reference at
-    /// the mark kept to compare the cycle with.
-    fn rejoin(&mut self, trail: &Trail, cycle: usize) {
-        let stretch = &trail.cycles[cycle].record;
-        self.recording.entries.clear();
-        self.recording
-            .entries
-            .extend_from_slice(&stretch.entries[..self.cursor]);
-        self.recording.pivots.clear();
-        self.recording
-            .pivots
-            .extend_from_slice(&stretch.pivots[..self.pivot_cursor]);
-        let tape = &mut self.tapes[self.slot];
-        match cycle.checked_sub(1).map(|before| &trail.cycles[before]) {
-            Some(before) => {
-                tape.record.clone_from(&before.record);
-                self.snapshot.clone_from(&before.end);
-            }
-            None => tape.record = Record::default(),
+    /// Ends a warm-up that is not going on a trail: a fresh block or one
+    /// laying a trail stops, and a block following one rejoins the live
+    /// path.
+    fn leave_trail(&mut self) {
+        match std::mem::take(&mut self.warmup) {
+            Warmup::Following { trail, cycle } => self.rejoin(&trail, cycle),
+            Warmup::Laid(trail) => self.warmup = Warmup::Laid(trail),
+            Warmup::Off | Warmup::Fresh(_) | Warmup::Laying { .. } => {}
         }
-        tape.recorded = cycle > 0;
+    }
+
+    /// Puts a block that leaves `trail` after serving its cycle `cycle`
+    /// where the block that laid the trail was at this point: recording,
+    /// with that cycle on the recording, the trail's previous cycle (if
+    /// any) closed into the tape and the reference at the mark before
+    /// kept to compare the cycle with.
+    fn rejoin(&mut self, trail: &Trail, cycle: usize) {
+        let tape = &mut self.tapes[self.slot];
+        tape.kernel = None;
+        if let Some(before) = cycle.checked_sub(1).map(|before| &trail.cycles[before]) {
+            tape.record.clone_from(&before.record);
+            tape.recorded = true;
+            self.snapshot.clone_from(&before.end);
+        }
+        self.recording.clone_from(&trail.cycles[cycle].record);
         self.mode = Mode::Recording;
     }
 
@@ -1210,118 +1163,169 @@ impl FrameBlock {
             tape.locked = true;
         } else {
             // The reference may have moved: no tape verified on the old
-            // state may be replayed from the new one.
+            // state may be served from the new one.
             self.deviate();
         }
         repeats
     }
 
-    /// At its first mark, a fresh block sets out on the first trail
-    /// that starts from its reference under `key` (`true`: the mark is
-    /// served), or starts laying one.
-    fn set_out(&mut self, key: usize) -> bool {
-        let Warmup::Fresh(trails) = std::mem::take(&mut self.warmup) else {
-            return false;
-        };
-        let start = trails
-            .iter()
-            .find(|t| t.key == key && t.start == self.reference);
-        let Some(trail) = start else {
-            self.warmup = Warmup::Laying(Trail {
-                key,
-                start: self.reference.clone(),
-                cycles: Vec::new(),
-            });
-            return false;
-        };
-        self.take_up(Arc::clone(trail), 0);
-        true
+    /// The tape of `key`, a new one if the key is new.
+    fn slot_of(&mut self, key: usize) -> usize {
+        match self.tapes.iter().position(|t| t.key == key) {
+            Some(slot) => slot,
+            None => {
+                self.tapes.push(Tape {
+                    key,
+                    ..Tape::default()
+                });
+                self.tapes.len() - 1
+            }
+        }
     }
 
-    /// Makes cycle `cycle` of `trail` the tape in hand.
-    fn take_up(&mut self, trail: Arc<Trail>, cycle: usize) {
+    /// A mark: closes the cycle in progress and opens the next one under
+    /// `key`, locked if its tape is, recording otherwise.
+    fn mark(&mut self, key: usize) {
+        if self.mode == Mode::Recording {
+            let locked = self.close_recording();
+            self.keep_laying(key, locked);
+        }
+        self.slot = self.slot_of(key);
         let tape = &mut self.tapes[self.slot];
-        let record = &trail.cycles[cycle].record;
-        tape.record.clone_from(record);
-        // A cycle with nothing for the reference is served already.
-        tape.replayed += u64::from(record.entries.is_empty());
-        (self.cursor, self.pivot_cursor) = (0, 0);
-        self.mode = Mode::Replaying;
-        self.warmup = Warmup::Following { trail, cycle };
+        if tape.locked {
+            // A cycle with nothing for the reference is served already.
+            tape.replayed += u64::from(tape.record.entries.is_empty());
+            self.mode = Mode::Locked;
+            return;
+        }
+        // A first recording has nothing to be compared with, so where it
+        // started from is not kept either.
+        let compared = tape.recorded;
+        self.recording.entries.clear();
+        self.recording.pivots.clear();
+        if compared {
+            self.snapshot.clone_from(&self.reference);
+        }
+        self.mode = Mode::Recording;
     }
 
-    /// A mark on a trail. The cycle it closes was followed to the end
-    /// under the trail's key: the reference takes the tableau that cycle
-    /// left, and the block goes on to the trail's next cycle (`true`: the
-    /// mark is served) or, past the last, keeps that cycle as its locked
-    /// tape. Otherwise the block rejoins the live path. Either way but
-    /// the first, the mark is then handled as any other.
-    fn follow_on(&mut self, key: usize) -> bool {
-        let Warmup::Following { trail, cycle } = std::mem::take(&mut self.warmup) else {
-            return false;
-        };
+    /// Whether the cycle at a locked mark is served by a kernel: the
+    /// tape's, compiled for `gates` at `offset` now if it was not before.
+    fn compiled(&mut self, offset: usize, gates: &Arc<[SimGate]>) -> bool {
         let tape = &mut self.tapes[self.slot];
-        if key != trail.key || self.cursor != tape.record.entries.len() {
-            self.warmup = Warmup::Following { trail, cycle };
-            self.deviate();
+        // A tape with nothing for the reference was served at the mark.
+        if self.mode != Mode::Locked || tape.record.entries.is_empty() {
             return false;
         }
-        self.reference.clone_from(&trail.cycles[cycle].end);
-        if cycle + 1 < trail.cycles.len() {
-            self.take_up(trail, cycle + 1);
-            return true;
+        if !tape
+            .kernel
+            .as_ref()
+            .is_some_and(|k| k.serves(offset, gates))
+        {
+            tape.kernel = Kernel::compile(gates, offset, &tape.record, self.words).map(Arc::new);
         }
-        tape.recorded = true;
-        tape.locked = true;
+        tape.kernel.is_some()
+    }
+
+    /// A mark through [`StabilizerSim::run_cycle`] on a fresh block or one
+    /// following a trail. A fresh block sets out on the first trail that
+    /// starts from its reference under `key`, or starts laying one. On a
+    /// trail, the next cycle is served (`true`) if it is `gates` at
+    /// `offset` under the trail's key: the tape takes its kernel and the
+    /// reference the tableau it leaves. Past the last cycle, that cycle is
+    /// the block's locked tape, kernel and all; anything else rejoins the
+    /// live path. Either way but the first, the mark is then handled as
+    /// any other.
+    fn follow(&mut self, key: usize, offset: usize, gates: &Arc<[SimGate]>) -> bool {
+        let (trail, next) = match std::mem::take(&mut self.warmup) {
+            Warmup::Fresh(trails) => {
+                let start = trails
+                    .iter()
+                    .find(|t| t.key == key && t.start == self.reference);
+                match start {
+                    Some(trail) => (Arc::clone(trail), 0),
+                    None => {
+                        let trail = Trail {
+                            key,
+                            start: self.reference.clone(),
+                            cycles: Vec::new(),
+                        };
+                        self.warmup = Warmup::Laying { trail, fired: None };
+                        return false;
+                    }
+                }
+            }
+            Warmup::Following { trail, cycle } => (trail, cycle + 1),
+            other => {
+                self.warmup = other;
+                return false;
+            }
+        };
+        match trail.cycles.get(next) {
+            Some(stretch) if key == trail.key && stretch.kernel.serves(offset, gates) => {
+                self.slot = self.slot_of(key);
+                self.tapes[self.slot].kernel = Some(Arc::clone(&stretch.kernel));
+                self.reference.clone_from(&stretch.end);
+                self.mode = Mode::Locked;
+                self.warmup = Warmup::Following { trail, cycle: next };
+                return true;
+            }
+            None if key == trail.key => {
+                let tape = &mut self.tapes[self.slot];
+                tape.record.clone_from(&trail.cycles[next - 1].record);
+                (tape.recorded, tape.locked) = (true, true);
+            }
+            // A trail that does not start with this cycle: an ordinary
+            // block, neither following nor laying.
+            _ if next == 0 => {}
+            _ => self.rejoin(&trail, next - 1),
+        }
         false
     }
 
-    /// Puts the cycle a mark has just closed (`locked`: and locked) on
-    /// the trail being laid, and sets the trail aside once it locked. A
-    /// mark of another key, or a warm-up too long to be worth keeping,
-    /// abandons it.
-    fn lay(&mut self, key: usize, locked: bool) {
-        let Warmup::Laying(trail) = &mut self.warmup else {
-            return;
-        };
-        if key != trail.key || trail.cycles.len() == TRAIL_CYCLES {
-            self.warmup = Warmup::Off;
-            return;
-        }
-        trail.cycles.push(Stretch {
-            record: self.tapes[self.slot].record.clone(),
-            end: self.reference.clone(),
-        });
-        if locked {
-            if let Warmup::Laying(trail) = std::mem::take(&mut self.warmup) {
-                self.warmup = Warmup::Laid(trail);
-            }
+    /// Notes the gates and offset the cycle in progress was fired at, on
+    /// a block laying a trail: the mark that closes the cycle compiles
+    /// it for them.
+    fn lay(&mut self, offset: usize, gates: &Arc<[SimGate]>) {
+        if let Warmup::Laying { fired, .. } = &mut self.warmup {
+            *fired = Some((Arc::clone(gates), offset));
         }
     }
 
-    /// The tape's answer for one reference operation: its next entry, if
-    /// a replay is on and this operation is what the entry recorded.
-    /// Anything else during a replay is a deviation, and `None` tells the
-    /// caller to put the operation to the reference.
-    #[inline]
-    fn matched(&mut self, call: Call) -> Option<Entry> {
-        if self.mode != Mode::Replaying {
-            return None;
-        }
+    /// At a mark through [`StabilizerSim::run_cycle`] of the trail's key,
+    /// puts the cycle just closed (`locked`: and locked) on the trail
+    /// being laid, compiled for the gates it was fired at, with the
+    /// reference it leaves, and sets the trail aside once it locked; the
+    /// locked tape takes the trail's last kernel. Another key, a cycle
+    /// not fired whole by `run_cycle` (it does not compile) or a warm-up
+    /// too long to be worth keeping abandons the trail.
+    fn keep_laying(&mut self, key: usize, locked: bool) {
+        let (mut trail, fired) = match std::mem::take(&mut self.warmup) {
+            Warmup::Laying { trail, fired } => (trail, fired),
+            other => {
+                self.warmup = other;
+                return;
+            }
+        };
         let tape = &mut self.tapes[self.slot];
-        match tape.record.entries.get(self.cursor) {
-            Some(&e) if e.call == call => {
-                self.cursor += 1;
-                if self.cursor == tape.record.entries.len() {
-                    tape.replayed += 1;
-                }
-                Some(e)
-            }
-            _ => {
-                self.deviate();
-                None
-            }
+        let kernel = fired
+            .filter(|_| key == trail.key && trail.cycles.len() < TRAIL_CYCLES)
+            .and_then(|(gates, offset)| Kernel::compile(&gates, offset, &tape.record, self.words));
+        let Some(kernel) = kernel.map(Arc::new) else {
+            return;
+        };
+        if locked {
+            tape.kernel = Some(Arc::clone(&kernel));
         }
+        trail.cycles.push(Stretch {
+            record: tape.record.clone(),
+            kernel,
+            end: self.reference.clone(),
+        });
+        self.warmup = match locked {
+            true => Warmup::Laid(trail),
+            false => Warmup::Laying { trail, fired: None },
+        };
     }
 
     /// Puts an operation the reference has just taken on the open
@@ -1359,11 +1363,9 @@ impl StabilizerSim for FrameBlock {
 
     #[inline]
     fn h(&mut self, q: usize) {
-        let call = Call::new(Op::H, q, 0);
-        if self.matched(call).is_none() {
-            self.reference.h(q);
-            self.record(call, false, false);
-        }
+        self.live();
+        self.reference.h(q);
+        self.record(Call::new(Op::H, q, 0), false, false);
         let (k, bit) = FrameBlock::locate(q);
         let differ = (self.frame[k] ^ self.frame[self.words + k]) & bit;
         self.frame[k] ^= differ;
@@ -1372,11 +1374,9 @@ impl StabilizerSim for FrameBlock {
 
     #[inline]
     fn s(&mut self, q: usize) {
-        let call = Call::new(Op::S, q, 0);
-        if self.matched(call).is_none() {
-            self.reference.s(q);
-            self.record(call, false, false);
-        }
+        self.live();
+        self.reference.s(q);
+        self.record(Call::new(Op::S, q, 0), false, false);
         let (k, bit) = FrameBlock::locate(q);
         self.frame[self.words + k] ^= self.frame[k] & bit;
     }
@@ -1391,11 +1391,9 @@ impl StabilizerSim for FrameBlock {
 
     #[inline]
     fn cnot(&mut self, c: usize, t: usize) {
-        let call = Call::new(Op::Cnot, c, t);
-        if self.matched(call).is_none() {
-            self.reference.cnot(c, t);
-            self.record(call, false, false);
-        }
+        self.live();
+        self.reference.cnot(c, t);
+        self.record(Call::new(Op::Cnot, c, t), false, false);
         let ((kc, bc), (kt, bt)) = (FrameBlock::locate(c), FrameBlock::locate(t));
         self.flip_if(self.frame[kc] & bc != 0, kt, bt);
         self.flip_if(self.frame[self.words + kt] & bt != 0, self.words + kc, bc);
@@ -1403,32 +1401,19 @@ impl StabilizerSim for FrameBlock {
 
     #[inline]
     fn measure<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> Measurement {
-        let len = 2 * self.words;
+        self.live();
+        if self.mode != Mode::Recording {
+            self.recording.pivots.clear();
+        }
         // What the reference reads, and where the pivot of a random
         // outcome is.
-        let call = Call::new(Op::Measure, q, 0);
-        let (reference, pivot) = match self.matched(call) {
-            Some(e) => {
-                let at = self.pivot_cursor;
-                if e.random {
-                    self.pivot_cursor += len;
-                }
-                let m = Measurement {
-                    value: e.outcome,
-                    deterministic: !e.random,
-                };
-                (m, self.tapes[self.slot].record.pivots.get(at..at + len))
-            }
-            None => {
-                if self.mode != Mode::Recording {
-                    self.recording.pivots.clear();
-                }
-                let at = self.recording.pivots.len();
-                let m = self.reference.measure_forced(q, &mut self.recording.pivots);
-                self.record(call, !m.deterministic, m.value);
-                (m, self.recording.pivots.get(at..at + len))
-            }
-        };
+        let at = self.recording.pivots.len();
+        let reference = self.reference.measure_forced(q, &mut self.recording.pivots);
+        self.record(
+            Call::new(Op::Measure, q, 0),
+            !reference.deterministic,
+            reference.value,
+        );
         let (k, bit) = FrameBlock::locate(q);
         let flipped = self.frame[k] & bit != 0;
         if reference.deterministic {
@@ -1439,7 +1424,7 @@ impl StabilizerSim for FrameBlock {
         }
         let value: bool = rng.gen();
         let disagrees = u64::from(value ^ flipped != reference.value).wrapping_neg();
-        for (f, p) in self.frame.iter_mut().zip(pivot.unwrap_or_default()) {
+        for (f, p) in self.frame.iter_mut().zip(&self.recording.pivots[at..]) {
             *f ^= p & disagrees;
         }
         Measurement {
@@ -1455,59 +1440,17 @@ impl StabilizerSim for FrameBlock {
         self.flip_if(one, k, bit);
     }
 
+    /// A mark outside [`StabilizerSim::run_cycle`]: a block on a trail
+    /// leaves it, and the cycle it opens is never served by a kernel.
     fn cycle_boundary(&mut self, key: usize) {
-        if matches!(self.warmup, Warmup::Following { .. }) && self.follow_on(key) {
-            return;
-        }
-        match self.mode {
-            Mode::Direct => {}
-            Mode::Recording => {
-                let locked = self.close_recording();
-                self.lay(key, locked);
-            }
-            // A tape with entries left is a cycle cut short.
-            Mode::Replaying => {
-                if self.cursor != self.tapes[self.slot].record.entries.len() {
-                    self.deviate();
-                }
-            }
-        }
-        self.slot = match self.tapes.iter().position(|t| t.key == key) {
-            Some(slot) => slot,
-            None => {
-                self.tapes.push(Tape {
-                    key,
-                    ..Tape::default()
-                });
-                self.tapes.len() - 1
-            }
-        };
-        if matches!(self.warmup, Warmup::Fresh(_)) && self.set_out(key) {
-            return;
-        }
-        let tape = &mut self.tapes[self.slot];
-        if tape.locked {
-            // A cycle with nothing for the reference is served already.
-            tape.replayed += u64::from(tape.record.entries.is_empty());
-            (self.cursor, self.pivot_cursor) = (0, 0);
-            self.mode = Mode::Replaying;
-            return;
-        }
-        // A first recording has nothing to be compared with, so where it
-        // started from is not kept either.
-        let compared = tape.recorded;
-        self.recording.entries.clear();
-        self.recording.pivots.clear();
-        if compared {
-            self.snapshot.clone_from(&self.reference);
-        }
-        self.mode = Mode::Recording;
+        self.leave_trail();
+        self.mark(key);
     }
 
-    /// The mark, then the cycle from the tape's kernel if it has one for
-    /// `gates` at `offset`; otherwise call by call, and a locked tape
-    /// that has just served the whole cycle that way is compiled for the
-    /// next one.
+    /// The mark, then the cycle from a kernel: the next trail cycle's on
+    /// a trail, or the locked tape's, compiled for `gates` at `offset` if
+    /// it was not before. Otherwise the gates are fired on the live
+    /// reference (recorded, and laid on a trail being laid).
     fn run_cycle<R: Rng + ?Sized>(
         &mut self,
         key: usize,
@@ -1516,27 +1459,23 @@ impl StabilizerSim for FrameBlock {
         rng: &mut R,
         outcomes: &mut Vec<(usize, bool)>,
     ) {
-        self.cycle_boundary(key);
+        let on_trail = matches!(self.warmup, Warmup::Fresh(_) | Warmup::Following { .. });
+        let served = on_trail && self.follow(key, offset, gates) || {
+            self.mark(key);
+            self.compiled(offset, gates)
+        };
         let tape = &mut self.tapes[self.slot];
-        if self.mode == Mode::Replaying {
-            if let Some(kernel) = tape.kernel.as_mut().filter(|k| k.serves(offset, gates)) {
-                kernel.apply(&mut self.frame, rng, outcomes);
-                (self.cursor, self.pivot_cursor) =
-                    (tape.record.entries.len(), tape.record.pivots.len());
+        match tape.kernel.as_deref().filter(|_| served) {
+            Some(kernel) => {
+                let (inputs, sum) = (&mut self.inputs, &mut self.sum);
+                kernel.apply(&mut self.frame, inputs, sum, rng, outcomes);
                 tape.replayed += 1;
-                tape.kernel_cycles += 1;
                 tape.kernel_draws += kernel.draws as u64;
-                return;
             }
-        }
-        fire_gates(self, offset, gates, rng, outcomes);
-        let tape = &mut self.tapes[self.slot];
-        let served = self.mode == Mode::Replaying
-            && tape.locked
-            && !tape.record.entries.is_empty()
-            && self.cursor == tape.record.entries.len();
-        if served {
-            tape.kernel = Kernel::compile(gates, offset, &tape.record, self.words);
+            None => {
+                fire_gates(self, offset, gates, rng, outcomes);
+                self.lay(offset, gates);
+            }
         }
     }
 }
@@ -1544,19 +1483,22 @@ impl StabilizerSim for FrameBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tableau::tests::d5_bulk_round;
+    use crate::tableau::tests::d5_bulk_gates;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn buffers_never_grow_after_lock_in() {
-        // Everything a replayed cycle reads or writes: the frame, the
-        // tape with its pivots, the recording it was swapped with, and
-        // the two tableaus a recording would be checked against.
+        // Everything a kernel cycle reads or writes: the frame, the
+        // kernel's scratch, the tape with its pivots, the recording it was
+        // swapped with, and the two tableaus a recording would be checked
+        // against.
         fn buffers(b: &FrameBlock) -> Vec<(*const u64, usize)> {
             let tape = &b.tapes[0];
             let mut all = vec![
                 (b.frame.as_ptr(), b.frame.capacity()),
+                (b.inputs.as_ptr(), b.inputs.capacity()),
+                (b.sum.as_ptr(), b.sum.capacity()),
                 (
                     tape.record.entries.as_ptr().cast(),
                     tape.record.entries.capacity(),
@@ -1574,10 +1516,11 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(0xC0FFEE);
         let mut block = FrameBlock::new(41);
+        let (gates, mut outcomes) = (d5_bulk_gates(), Vec::with_capacity(16));
         let mut cycle = |block: &mut FrameBlock| {
             block.pauli(rng.gen_range(0..25), Pauli::Y);
-            block.cycle_boundary(0);
-            d5_bulk_round(block, &mut rng);
+            outcomes.clear();
+            block.run_cycle(0, 0, &gates, &mut rng, &mut outcomes);
         };
         while block.replayed_cycles(0) == 0 {
             cycle(&mut block);
@@ -1588,7 +1531,7 @@ mod tests {
             assert_eq!(buffers(&block), warm, "a block buffer moved or grew");
         }
         assert_eq!(block.replayed_cycles(0), 21);
-        assert_eq!(block.reference, reference, "a replay moved the reference");
+        assert_eq!(block.reference, reference, "a kernel moved the reference");
         block.to_tableau().check_invariants();
     }
 
@@ -1605,7 +1548,7 @@ mod tests {
         block.cnot(1, 0);
         let gates: Arc<[SimGate]> = kernel_test_cycle().into();
         let mut rng = StdRng::seed_from_u64(1);
-        while block.kernel_cycles(1) == 0 {
+        while block.replayed_cycles(1) == 0 {
             block.run_cycle(1, 1, &gates, &mut rng, &mut Vec::new());
         }
         let kernel = block.tapes[0].kernel.as_ref().expect("compiled");
@@ -1614,6 +1557,28 @@ mod tests {
             .map(|input| kernel.column(input))
             .any(|column| (column[0] | column[block.words]) & (1 | 1 << 4) != 0);
         assert!(outside, "no pivot reached past the tile");
+    }
+
+    #[test]
+    fn a_follower_past_its_trail_holds_the_trails_locked_kernel() {
+        let gates: Arc<[SimGate]> = kernel_test_cycle().into();
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut layer = FrameBlock::fresh(5, Arc::new([]));
+        let trail = loop {
+            layer.run_cycle(1, 1, &gates, &mut rng, &mut Vec::new());
+            if let Some(trail) = layer.take_trail() {
+                break Arc::new(trail);
+            }
+        };
+        let mut follower = FrameBlock::fresh(5, Arc::new([Arc::clone(&trail)]));
+        for _ in 0..=trail.cycles() {
+            follower.run_cycle(1, 1, &gates, &mut rng, &mut Vec::new());
+        }
+        let locked = &trail.cycles.last().expect("a trail has cycles").kernel;
+        let tape = &follower.tapes[0];
+        assert!(tape.locked && matches!(follower.warmup, Warmup::Off));
+        assert!(Arc::ptr_eq(tape.kernel.as_ref().expect("a kernel"), locked));
+        assert_eq!(tape.replayed, trail.cycles() as u64 + 1);
     }
 
     /// A cycle with random entries that locks: tile qubit 1 entangled

@@ -864,9 +864,10 @@ impl Tableau {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::frame_block::StabilizerSim;
+    use crate::frame_block::{fire_gates, SimGate};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xC0FFEE)
@@ -1110,30 +1111,33 @@ pub(crate) mod tests {
     }
 
     /// One syndrome-extraction round over the bulk of a d = 5 rotated
-    /// surface code: 25 data qubits on a 5×5 grid and one ancilla per
-    /// 2×2 plaquette, X and Z checks alternating. (`SyndromeCircuit`
-    /// lives downstream of this crate.)
-    pub(crate) fn d5_bulk_round<S: StabilizerSim>(t: &mut S, rng: &mut StdRng) {
+    /// surface code, as one gate list: 25 data qubits on a 5×5 grid and
+    /// one ancilla per 2×2 plaquette, X and Z checks alternating.
+    /// (`SyndromeCircuit` lives downstream of this crate.)
+    pub(crate) fn d5_bulk_gates() -> Arc<[SimGate]> {
+        let mut gates = Vec::new();
         for row in 0..4 {
             for col in 0..4 {
                 let ancilla = 25 + 4 * row + col;
                 let corner = 5 * row + col;
                 let data = [corner, corner + 1, corner + 5, corner + 6];
                 if (row + col) % 2 == 0 {
-                    t.reset_plus(ancilla, rng);
-                    for d in data {
-                        t.cnot(ancilla, d);
-                    }
-                    t.measure_x(ancilla, rng);
+                    gates.push(SimGate::ResetPlus(ancilla));
+                    gates.extend(data.map(|d| SimGate::Cnot(ancilla, d)));
+                    gates.push(SimGate::MeasureX(ancilla));
                 } else {
-                    t.reset(ancilla, rng);
-                    for d in data {
-                        t.cnot(d, ancilla);
-                    }
-                    t.measure(ancilla, rng);
+                    gates.push(SimGate::Reset(ancilla));
+                    gates.extend(data.map(|d| SimGate::Cnot(d, ancilla)));
+                    gates.push(SimGate::Measure(ancilla));
                 }
             }
         }
+        gates.into()
+    }
+
+    /// [`d5_bulk_gates`] fired gate by gate.
+    fn d5_bulk_round(t: &mut Tableau, rng: &mut StdRng) {
+        fire_gates(t, 0, &d5_bulk_gates(), rng, &mut Vec::new());
     }
 
     #[test]

@@ -7,18 +7,20 @@
 //! by [`Tableau::same_state`]).
 //!
 //! The streams are built so that tapes lock and then break: a few
-//! *cycles* (runs of parity checks, each opened by a
-//! `cycle_boundary`) are repeated round after round with Paulis thrown
-//! in between, and now and then a round deviates from its cycle — an
-//! operation inserted, replaced or cut — before, on or after a random
-//! measurement. Registers are also driven apart and appended. The sizes
-//! straddle the word boundary as `tableau_differential.rs` does.
+//! *cycles* (runs of parity checks) are repeated round after round with
+//! Paulis thrown in, each round handed over whole
+//! (`StabilizerSim::run_cycle`, one gate list) so that a locked tape
+//! serves it from a kernel, and now and then a round deviates from its
+//! cycle — an operation inserted, replaced or cut — and is fed one call
+//! at a time after its mark, the live path. Registers are also driven
+//! apart and appended. The sizes straddle the word boundary as
+//! `tableau_differential.rs` does.
 //!
-//! A whole cycle handed over in one call (`StabilizerSim::run_cycle`) is
-//! served from a compiled kernel once its tape has locked: a cycle that
-//! draws on every round runs on a kernel, call by call on a block and on
-//! a bare tableau, and all three must agree; a gate list the kernel was
-//! not compiled from must never be served by it.
+//! A kernel must serve a cycle as its calls one by one would: a cycle
+//! that draws on every round runs on a kernel, call by call on a block
+//! and on a bare tableau, and all three must agree. A block following a
+//! warm-up trail must hold what a block that never saw it does,
+//! generator for generator, wherever it leaves the trail.
 //!
 //! [`Tableau::same_state`], which all of this leans on, is checked
 //! against its definition first.
@@ -232,23 +234,57 @@ fn plan() -> impl Strategy<Value = Plan> {
         })
 }
 
+/// The gate a drawn operation fires on `n` qubits, as `apply` does it
+/// (`None` for an identity or a mark).
+fn gate(n: usize, (kind, a, b): Op) -> Option<SimGate> {
+    let q = a % n;
+    Some(match kind {
+        H => SimGate::H(q),
+        1 => SimGate::S(q),
+        2 => SimGate::SDagger(q),
+        3 => SimGate::X(q),
+        4 => SimGate::Y(q),
+        5 => SimGate::Z(q),
+        6 => match Pauli::ALL[b % 4] {
+            Pauli::I => return None,
+            Pauli::X => SimGate::X(q),
+            Pauli::Y => SimGate::Y(q),
+            Pauli::Z => SimGate::Z(q),
+        },
+        CNOT if n > 1 => SimGate::Cnot(
+            q,
+            match b % n {
+                t if t == q => (q + 1) % n,
+                t => t,
+            },
+        ),
+        RESET => SimGate::Reset(q),
+        RESET_PLUS => SimGate::ResetPlus(q),
+        MEASURE => SimGate::Measure(q),
+        MEASURE_X => SimGate::MeasureX(q),
+        _ => return None,
+    })
+}
+
 /// What a case exercised, for the coverage floor at the end.
 #[derive(Debug, Default, Clone, Copy)]
 struct Coverage {
+    /// Rounds served by a kernel.
     replayed: u64,
-    /// Deviations from a tape that was being replayed, by where they fell
-    /// relative to the round's random measurements.
-    before_random: u64,
-    on_random: u64,
-    after_random: u64,
+    /// Rounds that deviated from a cycle whose tape was locked at the
+    /// mark, by how: an operation inserted, replaced, or the round cut
+    /// short.
+    inserted: u64,
+    replaced: u64,
+    cut: u64,
 }
 
 impl Coverage {
     fn add(&mut self, other: Coverage) {
         self.replayed += other.replayed;
-        self.before_random += other.before_random;
-        self.on_random += other.on_random;
-        self.after_random += other.after_random;
+        self.inserted += other.inserted;
+        self.replaced += other.replaced;
+        self.cut += other.cut;
     }
 }
 
@@ -259,9 +295,11 @@ struct Pair {
     block_rng: CountingRng,
     bare_rng: CountingRng,
     step: usize,
-    /// Per cycle: which positions measured randomly the last time the
-    /// cycle ran whole, and whether that round was served from its tape.
-    last_random: [Vec<bool>; 3],
+    /// One `Arc` per distinct gate list, so that a round that repeats
+    /// one finds the kernel compiled for it.
+    lists: Vec<Arc<[SimGate]>>,
+    /// Per cycle: whether its last round was served by a kernel, with
+    /// nothing since that could have unlocked its tape.
     hot: [bool; 3],
     coverage: Coverage,
 }
@@ -274,35 +312,60 @@ impl Pair {
             block_rng: CountingRng::new(seed),
             bare_rng: CountingRng::new(seed),
             step: 0,
-            last_random: Default::default(),
+            lists: Vec::new(),
             hot: [false; 3],
             coverage: Coverage::default(),
         }
     }
 
-    /// One operation on both, everything compared. Returns whether it
-    /// measured randomly.
-    fn apply(&mut self, op: Op) -> Result<bool, TestCaseError> {
+    /// One operation on both, everything compared.
+    fn apply(&mut self, op: Op) -> TestCaseResult {
         self.step += 1;
         let got = apply(&mut self.block, op, &mut self.block_rng);
         let want = apply(&mut self.bare, op, &mut self.bare_rng);
         prop_assert_eq!(got, want, "step {}: {:?}", self.step, op);
+        self.compare(&format!("{op:?}"))
+    }
+
+    /// RNG positions and states compared after `what`.
+    fn compare(&self, what: &str) -> TestCaseResult {
         prop_assert_eq!(
             self.block_rng.draws,
             self.bare_rng.draws,
-            "step {}: RNG draws after {:?}",
+            "step {}: RNG draws after {}",
             self.step,
-            op
+            what
         );
         prop_assert!(
             self.block.to_tableau().same_state(&self.bare),
-            "step {}: states differ after {:?}",
+            "step {}: states differ after {}",
             self.step,
-            op
+            what
         );
-        // A reset is random when its measurement was; the bare tableau
-        // tells by having drawn.
-        Ok(want.is_some_and(|m| !m.deterministic))
+        Ok(())
+    }
+
+    /// One whole round in one call on both, under `key`: the outcomes,
+    /// the RNG positions and the states compared. Returns whether the
+    /// block served it by a kernel.
+    fn run_cycle(&mut self, key: usize, gates: Vec<SimGate>) -> Result<bool, TestCaseError> {
+        self.step += 1;
+        let gates = match self.lists.iter().find(|list| ***list == *gates) {
+            Some(list) => Arc::clone(list),
+            None => {
+                self.lists.push(gates.into());
+                Arc::clone(self.lists.last().expect("just pushed"))
+            }
+        };
+        let served = self.block.replayed_cycles(key);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let block_rng = &mut self.block_rng;
+        self.block.run_cycle(key, 0, &gates, block_rng, &mut got);
+        let bare_rng = &mut self.bare_rng;
+        self.bare.run_cycle(key, 0, &gates, bare_rng, &mut want);
+        prop_assert_eq!(got, want, "step {}: {:?}", self.step, gates);
+        self.compare(&format!("{gates:?}"))?;
+        Ok(self.block.replayed_cycles(key) > served)
     }
 
     fn round(&mut self, plan: &Plan, (which, paulis, deviation): &Round) -> TestCaseResult {
@@ -318,52 +381,52 @@ impl Pair {
             .collect();
         let mut ops: Vec<Op> = cycle.clone();
         let at = |raw: usize| raw % (cycle.len() + 1);
-        // Where the round stops following its cycle, if it does.
-        let deviates_at = match *deviation {
-            Deviation::None => None,
-            Deviation::Insert(raw, op) => {
-                ops.insert(at(raw), op);
-                reaches_the_reference(op.0).then_some(at(raw))
-            }
-            Deviation::Replace(raw, op) => {
-                let at = raw % cycle.len();
-                ops[at] = op;
-                (op != cycle[at]).then_some(at)
-            }
-            Deviation::Cut(raw) => {
-                ops.truncate(at(raw));
-                (at(raw) < cycle.len()).then_some(at(raw))
-            }
-        };
-        if let (Some(at), true) = (deviates_at, self.hot[*which]) {
-            let random = &self.last_random[*which];
-            let replaced = matches!(deviation, Deviation::Replace(..));
-            if replaced && random.get(at) == Some(&true) {
-                self.coverage.on_random += 1;
-            } else if random[..at.min(random.len())].contains(&true) {
-                self.coverage.after_random += 1;
-            } else {
-                self.coverage.before_random += 1;
-            }
+        match *deviation {
+            Deviation::None => {}
+            Deviation::Insert(raw, op) => ops.insert(at(raw), op),
+            Deviation::Replace(raw, op) => ops[raw % cycle.len()] = op,
+            Deviation::Cut(raw) => ops.truncate(at(raw)),
         }
-
-        let served = self.block.replayed_cycles(*which);
-        self.apply((BOUNDARY, 0, *which))?;
-        let mut random = Vec::new();
+        // The Paulis thrown in go before the operation they name.
+        let mut round = Vec::new();
         for (i, &op) in ops.iter().enumerate() {
-            for &(_, pauli) in paulis.iter().filter(|(at, _)| at % ops.len() == i) {
-                self.apply(pauli)?;
-            }
-            let before = self.bare_rng.draws;
-            self.apply(op)?;
-            random.push(self.bare_rng.draws != before);
+            round.extend(
+                paulis
+                    .iter()
+                    .filter(|(at, _)| at % ops.len() == i)
+                    .map(|p| p.1),
+            );
+            round.push(op);
         }
-        if deviates_at.is_some() {
-            // A deviation unlocks every tape of the block.
+        if let Deviation::None = deviation {
+            let gates = round.iter().filter_map(|&op| gate(n, op)).collect();
+            let served = self.run_cycle(*which, gates)?;
+            self.coverage.replayed += u64::from(served);
+            // A round that was not served moved the reference, which
+            // may have unlocked every tape.
+            match served {
+                true => self.hot[*which] = true,
+                false => self.hot = [false; 3],
+            }
+            return Ok(());
+        }
+        // Off the cycle: the mark, then one call at a time. At a locked
+        // mark the first operation that reaches the reference unlocks
+        // every tape.
+        self.apply((BOUNDARY, 0, *which))?;
+        let deviates = round.iter().any(|op| reaches_the_reference(op.0));
+        if deviates && self.hot[*which] {
+            match deviation {
+                Deviation::Insert(..) => self.coverage.inserted += 1,
+                Deviation::Replace(..) => self.coverage.replaced += 1,
+                _ => self.coverage.cut += 1,
+            }
+        }
+        for op in round {
+            self.apply(op)?;
+        }
+        if deviates {
             self.hot = [false; 3];
-        } else {
-            self.hot[*which] = self.block.replayed_cycles(*which) > served;
-            self.last_random[*which] = random;
         }
         Ok(())
     }
@@ -371,6 +434,9 @@ impl Pair {
     fn drive(&mut self, plan: &Plan, rounds: &[Round]) -> TestCaseResult {
         for &op in &plan.prelude {
             self.apply(op)?;
+            if reaches_the_reference(op.0) {
+                self.hot = [false; 3];
+            }
         }
         for round in rounds {
             self.round(plan, round)?;
@@ -384,7 +450,6 @@ impl Pair {
         self.bare.append(&other.bare);
         self.hot = [false; 3];
         self.coverage.add(other.coverage);
-        self.coverage.replayed += (0..3).map(|k| other.block.replayed_cycles(k)).sum::<u64>();
         prop_assert!(
             self.block.to_tableau().same_state(&self.bare),
             "after append"
@@ -399,9 +464,6 @@ impl Pair {
             self.apply((MEASURE, q, 0))?;
         }
         prop_assert_eq!(self.block_rng.next_u64(), self.bare_rng.next_u64());
-        // Keys of an appended block were moved up by the width of the
-        // block it was appended to; these are the ones still in place.
-        self.coverage.replayed += (0..3).map(|k| self.block.replayed_cycles(k)).sum::<u64>();
         Ok(self.coverage)
     }
 }
@@ -446,12 +508,12 @@ fn matches_a_bare_tableau_op_for_op() {
             Ok(())
         },
     );
-    // The comparison means little unless tapes locked, and broke in all
-    // three places.
+    // The comparison means little unless kernels served rounds, and
+    // rounds left locked tapes in every way.
     assert!(covered.replayed > 1000, "{covered:?}");
-    assert!(covered.before_random > 50, "{covered:?}");
-    assert!(covered.on_random > 8, "{covered:?}");
-    assert!(covered.after_random > 50, "{covered:?}");
+    assert!(covered.inserted > 50, "{covered:?}");
+    assert!(covered.replaced > 50, "{covered:?}");
+    assert!(covered.cut > 50, "{covered:?}");
 }
 
 /// [`Tableau::same_state`] by its definition: every stabilizer generator
@@ -532,17 +594,18 @@ fn same_state_sees_through_generators_but_not_signs() {
 
 #[test]
 fn a_repeating_cycle_locks_and_a_stray_operation_unlocks_it() {
-    fn parity_round<S: StabilizerSim>(s: &mut S, rng: &mut StdRng) -> [bool; 2] {
-        s.cycle_boundary(7);
-        s.reset(2, rng);
-        s.cnot(0, 2);
-        s.cnot(1, 2);
-        let zz = s.measure(2, rng).value;
-        s.reset_plus(2, rng);
-        s.cnot(2, 0);
-        s.cnot(2, 1);
-        [zz, s.measure_x(2, rng).value]
-    }
+    use SimGate::*;
+    // `ZZ`, then `XX`, of qubits 0 and 1 on ancilla 2.
+    let round: Arc<[SimGate]> = Arc::new([
+        Reset(2),
+        Cnot(0, 2),
+        Cnot(1, 2),
+        Measure(2),
+        ResetPlus(2),
+        Cnot(2, 0),
+        Cnot(2, 1),
+        MeasureX(2),
+    ]);
     let (mut block, mut bare) = (FrameBlock::new(3), Tableau::new(3));
     let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
     for cycle in 0..12 {
@@ -554,11 +617,10 @@ fn a_repeating_cycle_locks_and_a_stray_operation_unlocks_it() {
         }
         block.pauli(cycle % 2, Pauli::ALL[cycle % 4]);
         bare.pauli(cycle % 2, Pauli::ALL[cycle % 4]);
-        assert_eq!(
-            parity_round(&mut block, &mut rng_a),
-            parity_round(&mut bare, &mut rng_b),
-            "cycle {cycle}"
-        );
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        block.run_cycle(7, 0, &round, &mut rng_a, &mut a);
+        bare.run_cycle(7, 0, &round, &mut rng_b, &mut b);
+        assert_eq!(a, b, "cycle {cycle}");
         let replayed = block.replayed_cycles(7);
         match cycle {
             0..=2 => assert_eq!(replayed, 0, "cycle {cycle}"),
@@ -599,43 +661,59 @@ fn code_round(layout: [usize; 7]) -> Vec<Op> {
 
 /// A program for trails to be laid and followed on: the operations
 /// before the first mark, the round the first mark opens and the round
-/// every later mark opens.
+/// every later mark opens, each also as the one gate list every block
+/// running the program hands over.
 struct Program {
     n: usize,
     layout: [usize; 7],
     prelude: Vec<Op>,
     first: Vec<Op>,
     rest: Vec<Op>,
+    /// `first`, then `rest`; one list if they are the same round.
+    gates: [Arc<[SimGate]>; 2],
 }
 
 impl Program {
-    /// The data qubits reset, then `code_round` from the first mark on:
-    /// the trail starts with the projection.
-    fn projecting(n: usize, layout: [usize; 7]) -> Program {
+    fn new(n: usize, layout: [usize; 7], prelude: Vec<Op>, first: Vec<Op>) -> Program {
+        let rest = code_round(layout);
+        let list = |ops: &[Op]| -> Arc<[SimGate]> { list(n, ops).into() };
+        let rest_gates = list(&rest);
+        let first_gates = match first == rest {
+            true => Arc::clone(&rest_gates),
+            false => list(&first),
+        };
         Program {
             n,
             layout,
-            prelude: layout[..4].iter().map(|&d| (RESET, d, 0)).collect(),
-            first: code_round(layout),
-            rest: code_round(layout),
+            prelude,
+            first,
+            rest,
+            gates: [first_gates, rest_gates],
         }
+    }
+
+    /// The data qubits reset, then `code_round` from the first mark on:
+    /// the trail starts with the projection.
+    fn projecting(n: usize, layout: [usize; 7]) -> Program {
+        let prelude = layout[..4].iter().map(|&d| (RESET, d, 0)).collect();
+        Program::new(n, layout, prelude, code_round(layout))
     }
 
     /// The code projected before the first mark, and a first round that
     /// re-reads the `ZZZZ` ancilla (`Program::stray`) before the rounds
-    /// settle into `code_round`: a block that goes on re-reading it locks
-    /// a tape a mark earlier than the trail did.
+    /// settle into `code_round`.
     fn settling(n: usize, layout: [usize; 7]) -> Program {
-        let mut program = Program::projecting(n, layout);
-        program.prelude.extend(code_round(layout));
-        let after_zzzz = program
-            .first
+        let mut prelude: Vec<Op> = layout[..4].iter().map(|&d| (RESET, d, 0)).collect();
+        prelude.extend(code_round(layout));
+        let mut first = code_round(layout);
+        let after_zzzz = first
             .iter()
             .position(|&(kind, q, _)| kind == MEASURE && q == layout[5]);
-        program
-            .first
-            .insert(after_zzzz.expect("a ZZZZ readout") + 1, program.stray());
-        program
+        first.insert(
+            after_zzzz.expect("a ZZZZ readout") + 1,
+            (MEASURE, layout[5], 0),
+        );
+        Program::new(n, layout, prelude, first)
     }
 
     /// What a round that leaves the trail puts in: the `ZZZZ` ancilla
@@ -644,11 +722,11 @@ impl Program {
         (MEASURE, self.layout[5], 0)
     }
 
-    fn round(&self, round: usize) -> &[Op] {
-        if round == 0 {
-            &self.first
-        } else {
-            &self.rest
+    /// Round `round`'s operations and gate list.
+    fn round(&self, round: usize) -> (&[Op], &Arc<[SimGate]>) {
+        match round {
+            0 => (&self.first, &self.gates[0]),
+            _ => (&self.rest, &self.gates[1]),
         }
     }
 
@@ -661,16 +739,18 @@ impl Program {
             apply(&mut block, op, &mut rng);
         }
         for round in 0..8 {
-            block.cycle_boundary(KEY);
+            block.run_cycle(KEY, 0, self.round(round).1, &mut rng, &mut Vec::new());
             if let Some(trail) = block.take_trail() {
                 return Some(trail);
-            }
-            for &op in self.round(round) {
-                apply(&mut block, op, &mut rng);
             }
         }
         None
     }
+}
+
+/// `ops` as one gate list on `n` qubits.
+fn list(n: usize, ops: &[Op]) -> Vec<SimGate> {
+    ops.iter().filter_map(|&op| gate(n, op)).collect()
 }
 
 /// Where a run of rounds leaves the trail.
@@ -680,20 +760,82 @@ enum Leave {
     Never,
     /// The stray operation goes in before entry `.1` of round `.0` (after
     /// the last entry, if `.1` is the round's length), and of every round
-    /// after it: the round that left the trail repeats, so the block may
-    /// lock onto it.
+    /// after it, each such round one list: the round that left the trail
+    /// repeats, so the block may lock onto it.
     Insert(usize, usize),
     /// Round `.0` stops before entry `.1`.
     Cut(usize, usize),
     /// Round `.0` is marked under another key.
     Mark(usize),
+    /// Round `.0` is followed, before the next mark, by the stray
+    /// operation on its own.
+    After(usize),
+    /// Round `.0` is fed one call at a time after a mark of its own.
+    Calls(usize),
 }
 
-/// A block following `trails`, a block that never saw one and a bare
-/// tableau, fed the same operations under the same seed: outcomes,
-/// `deterministic` flags and RNG positions must equal the tableau's, and
-/// the follower's state must be the cold block's generator for generator.
-/// Returns the cycles the follower replayed beyond the cold block.
+/// A block following a trail, a block that never saw one and a bare
+/// tableau, fed the same operations under the same seed.
+struct Trio {
+    follower: FrameBlock,
+    cold: FrameBlock,
+    bare: Tableau,
+    rngs: [CountingRng; 3],
+    step: usize,
+}
+
+impl Trio {
+    /// After each step, RNG positions must equal the tableau's, and the
+    /// follower's state must be the cold block's generator for
+    /// generator.
+    fn compare(&self, what: &dyn std::fmt::Debug) -> TestCaseResult {
+        let step = self.step;
+        let [a, b, c] = self.rngs.each_ref().map(|r| r.draws);
+        prop_assert_eq!(a, c, "step {}: RNG draws after {:?}", step, what);
+        prop_assert_eq!(b, c, "step {}: RNG draws after {:?}", step, what);
+        prop_assert!(
+            self.follower.to_tableau() == self.cold.to_tableau(),
+            "step {}: the follower's generators left the cold block's after {:?}",
+            step,
+            what
+        );
+        prop_assert!(
+            self.cold.to_tableau().same_state(&self.bare),
+            "step {}: {:?}",
+            step,
+            what
+        );
+        Ok(())
+    }
+
+    fn apply(&mut self, op: Op) -> TestCaseResult {
+        self.step += 1;
+        let [a, b, c] = &mut self.rngs;
+        let got = apply(&mut self.follower, op, a);
+        let cold = apply(&mut self.cold, op, b);
+        let want = apply(&mut self.bare, op, c);
+        prop_assert_eq!(got, want, "step {}: {:?}", self.step, op);
+        prop_assert_eq!(cold, want, "step {}: {:?}", self.step, op);
+        self.compare(&op)
+    }
+
+    fn run_cycle(&mut self, key: usize, gates: &Arc<[SimGate]>) -> TestCaseResult {
+        self.step += 1;
+        let [a, b, c] = &mut self.rngs;
+        let mut out = [(); 3].map(|()| Vec::new());
+        self.follower.run_cycle(key, 0, gates, a, &mut out[0]);
+        self.cold.run_cycle(key, 0, gates, b, &mut out[1]);
+        self.bare.run_cycle(key, 0, gates, c, &mut out[2]);
+        prop_assert_eq!(&out[0], &out[2], "step {}: {:?}", self.step, gates);
+        prop_assert_eq!(&out[1], &out[2], "step {}: {:?}", self.step, gates);
+        self.compare(gates)
+    }
+}
+
+/// Seven rounds of `program` on a block following `trails`, a cold block
+/// and a bare tableau (a [`Trio`]), leaving the trail as `leave` says,
+/// with Paulis between the rounds; then every qubit measured. Returns
+/// the cycles the follower replayed beyond the cold block.
 fn follow(
     program: &Program,
     prelude: &[Op],
@@ -702,64 +844,60 @@ fn follow(
     seed: u64,
 ) -> Result<u64, TestCaseError> {
     let n = program.n;
-    let mut follower = FrameBlock::fresh(n, Arc::clone(trails));
-    let mut cold = FrameBlock::new(n);
-    let mut bare = Tableau::new(n);
-    let mut rngs = [0, 1, 2].map(|_| CountingRng::new(seed));
-    let mut noise = StdRng::seed_from_u64(!seed);
-    let mut step = 0;
-    let mut apply_all = |op: Op| -> TestCaseResult {
-        step += 1;
-        let [a, b, c] = &mut rngs;
-        let got = apply(&mut follower, op, a);
-        let cold_got = apply(&mut cold, op, b);
-        let want = apply(&mut bare, op, c);
-        prop_assert_eq!(got, want, "step {}: {:?}", step, op);
-        prop_assert_eq!(cold_got, want, "step {}: {:?}", step, op);
-        prop_assert_eq!(a.draws, c.draws, "step {}: RNG draws after {:?}", step, op);
-        prop_assert!(
-            follower.to_tableau() == cold.to_tableau(),
-            "step {}: the follower's generators left the cold block's after {:?}",
-            step,
-            op
-        );
-        prop_assert!(
-            cold.to_tableau().same_state(&bare),
-            "step {}: {:?}",
-            step,
-            op
-        );
-        Ok(())
+    let mut trio = Trio {
+        follower: FrameBlock::fresh(n, Arc::clone(trails)),
+        cold: FrameBlock::new(n),
+        bare: Tableau::new(n),
+        rngs: [0, 1, 2].map(|_| CountingRng::new(seed)),
+        step: 0,
     };
+    let mut noise = StdRng::seed_from_u64(!seed);
     for &op in prelude {
-        apply_all(op)?;
+        trio.apply(op)?;
     }
+    // The rounds that take the stray in, as one list each.
+    let strayed = |round: usize, at: usize| -> Arc<[SimGate]> {
+        let mut ops = program.round(round).0.to_vec();
+        ops.insert(at.min(ops.len()), program.stray());
+        list(n, &ops).into()
+    };
+    let strayed = match leave {
+        Leave::Insert(0, at) => Some([strayed(0, at), strayed(1, at)]),
+        Leave::Insert(r, at) => Some([strayed(r, at)]).map(|[s]| [Arc::clone(&s), s]),
+        _ => None,
+    };
     for round in 0..7 {
-        let key = match leave {
-            Leave::Mark(r) if r == round => KEY + 1,
-            _ => KEY,
-        };
-        apply_all((BOUNDARY, 0, key))?;
-        let mut ops = program.round(round).to_vec();
-        match leave {
-            Leave::Insert(r, at) if r <= round => ops.insert(at.min(ops.len()), program.stray()),
-            Leave::Cut(r, at) if r == round => ops.truncate(at),
-            _ => {}
+        for _ in 0..noise.gen_range(0..3) {
+            let q = noise.gen_range(0..n);
+            trio.apply((6, q, noise.gen_range(0..4)))?;
         }
-        for op in ops {
-            if noise.gen_bool(0.3) {
-                let q = noise.gen_range(0..n);
-                apply_all((6, q, noise.gen_range(0..4)))?;
+        let (ops, gates) = program.round(round);
+        match leave {
+            Leave::Insert(r, _) if r <= round => {
+                let strayed = strayed.as_ref().expect("strayed rounds");
+                trio.run_cycle(KEY, &strayed[usize::from(round > r)])?;
             }
-            apply_all(op)?;
+            Leave::Cut(r, at) if r == round => trio.run_cycle(KEY, &list(n, &ops[..at]).into())?,
+            Leave::Mark(r) if r == round => trio.run_cycle(KEY + 1, gates)?,
+            Leave::After(r) if r == round => {
+                trio.run_cycle(KEY, gates)?;
+                trio.apply(program.stray())?;
+            }
+            Leave::Calls(r) if r == round => {
+                trio.apply((BOUNDARY, 0, KEY))?;
+                for &op in ops {
+                    trio.apply(op)?;
+                }
+            }
+            _ => trio.run_cycle(KEY, gates)?,
         }
     }
     for q in 0..n {
-        apply_all((MEASURE, q, 0))?;
+        trio.apply((MEASURE, q, 0))?;
     }
-    let [a, _, c] = &mut rngs;
+    let [a, _, c] = &mut trio.rngs;
     prop_assert_eq!(a.next_u64(), c.next_u64());
-    Ok(follower.replayed_cycles(KEY) - cold.replayed_cycles(KEY))
+    Ok(trio.follower.replayed_cycles(KEY) - trio.cold.replayed_cycles(KEY))
 }
 
 #[test]
@@ -776,29 +914,34 @@ fn a_follower_draws_answers_and_holds_what_a_cold_block_does() {
         let cycles = trail.cycles();
         assert_eq!(cycles, 3);
         let trails: Trails = Arc::new([Arc::new(trail)]);
-        let check = |leave: Leave, prelude: &[Op], followed: u64| {
+        let check = |leave: Leave, prelude: &[Op], followed: usize| {
             for seed in 0..2 {
                 match follow(&program, prelude, &trails, leave, seed) {
-                    Ok(extra) => assert_eq!(extra, followed, "n = {}, {leave:?}", program.n),
+                    Ok(extra) => assert_eq!(extra, followed as u64, "n = {}, {leave:?}", program.n),
                     Err(e) => panic!("n = {}, {leave:?}, seed {seed}: {e:?}", program.n),
                 }
             }
         };
         // Seven rounds on the trail and then on the tape it locked: all
         // replayed, against the cold block's four.
-        check(Leave::Never, &program.prelude, cycles as u64);
-        for round in 0..cycles {
-            let (before, len) = (round as u64, program.round(round).len());
+        check(Leave::Never, &program.prelude, cycles);
+        // A round off the trail is run on the reference from the mark
+        // it comes to: the trail cycles before it are what the follower
+        // gained.
+        for round in 0..=cycles {
+            let len = program.round(round).0.len();
             for at in 0..=len {
-                let followed = before + u64::from(at == len);
-                check(Leave::Insert(round, at), &program.prelude, followed);
+                check(Leave::Insert(round, at), &program.prelude, round);
             }
             for at in 0..len {
-                check(Leave::Cut(round, at), &program.prelude, before);
+                check(Leave::Cut(round, at), &program.prelude, round);
             }
-        }
-        for round in 1..=cycles {
-            check(Leave::Mark(round), &program.prelude, round as u64);
+            check(Leave::Calls(round), &program.prelude, round);
+            // A stray after a trail cycle's gates leaves after that cycle.
+            check(Leave::After(round), &program.prelude, cycles.min(round + 1));
+            if round > 0 {
+                check(Leave::Mark(round), &program.prelude, round);
+            }
         }
         // The same state from other generators: no trail starts there, so
         // the block lays its own and replays what the cold block does.
@@ -931,8 +1074,6 @@ fn a_kernel_serves_a_locked_cycle_as_the_calls_would_and_only_its_own_gates() {
                 apply(&mut calls, op, rc);
                 apply(&mut bare, op, rb);
             }
-            // Whether the last round was replayed, and from which list.
-            let mut last: Option<&Arc<[SimGate]>> = None;
             for cycle in 0..CYCLES {
                 for _ in 0..3 {
                     let (q, p) = (noise.gen_range(0..n), Pauli::ALL[noise.gen_range(0..4)]);
@@ -945,7 +1086,7 @@ fn a_kernel_serves_a_locked_cycle_as_the_calls_would_and_only_its_own_gates() {
                     OTHER_AT => &other,
                     _ => &gates,
                 };
-                let (served, replayed) = (kernel.kernel_cycles(KEY), kernel.replayed_cycles(KEY));
+                let replayed = kernel.replayed_cycles(KEY);
                 let draws = rngs.each_ref().map(|r| r.draws);
                 assert_eq!(draws, [draws[0]; 3], "RNG positions");
                 let [rk, rc, rb] = &mut rngs;
@@ -973,25 +1114,28 @@ fn a_kernel_serves_a_locked_cycle_as_the_calls_would_and_only_its_own_gates() {
                 let random = flags[1].iter().filter(|&&d| !d).count() as u64;
                 let drawn = rngs.each_ref().map(|r| r.draws - draws[0]);
                 assert_eq!(drawn, [random; 3], "{at}: draws");
-                // On the kernel exactly when the round before was served
-                // from the locked tape by this very list.
-                let on_kernel = kernel.kernel_cycles(KEY) > served;
-                let now = kernel.replayed_cycles(KEY) > replayed;
-                let expected = now && last.is_some_and(|l| Arc::ptr_eq(l, list));
-                assert_eq!(on_kernel, expected, "{at}: served by the kernel");
+                // On a kernel exactly when the tape is locked at the mark:
+                // from the end of the warm-up (two or three rounds, by
+                // layout) on, the copy's round included (compiled for its
+                // own list), but for the other list's round (not on the
+                // tape: it deviates) and the one after it (recorded to
+                // lock again).
+                let on_kernel = kernel.replayed_cycles(KEY) > replayed;
+                match cycle {
+                    0 | 1 | OTHER_AT => assert!(!on_kernel, "{at}: on a kernel"),
+                    c if c == OTHER_AT + 1 => assert!(!on_kernel, "{at}: on a kernel"),
+                    2 => {}
+                    _ => assert!(on_kernel, "{at}: off the kernel"),
+                }
                 if on_kernel {
                     assert_eq!(random, 3, "{at}: the locked round draws");
                 }
-                last = now.then_some(list);
                 assert!(kernel.to_tableau().same_state(&bare), "{at}: state");
                 assert!(calls.to_tableau().same_state(&bare), "{at}: state");
             }
-            // Off the kernel: the warm-up (three or four rounds, by
-            // layout) and again after the other list's round; the copy's
-            // round and the one after it, each served call by call from
-            // the locked tape and compiled for its own list.
-            assert!(kernel.kernel_cycles(KEY) >= (CYCLES - 4 - 3 - 2) as u64);
-            assert_eq!(kernel.replayed_cycles(KEY), calls.replayed_cycles(KEY));
+            let replayed = kernel.replayed_cycles(KEY);
+            assert!(replayed >= (CYCLES - 3 - 2) as u64, "{replayed}");
+            assert_eq!(kernel.kernel_draws(KEY), 3 * replayed);
             let next = rngs.map(|mut rng| rng.next_u64());
             assert_eq!(next, [next[2]; 3], "n = {n}, seed {seed}: the next draw");
         }

@@ -18,12 +18,10 @@
 //! run builds the d = 5 template MCE and lays the warm-up trail of a
 //! fresh tile (its first three cycles run on the reference tableau). The
 //! timed runs clone the template and follow the trail, so every one of
-//! their tile-cycles is served without touching a tableau. The
-//! `tile-cycles replayed` count says so, and is asserted too. A cycle
-//! that merges nothing is one substrate call, and from a tile's second
-//! cycle on its own locked tape that call is served by the tape's
-//! compiled kernel in one pass over the frame: the `on the kernel` count,
-//! also asserted, is every tile-cycle but each tile's first four.
+//! their tile-cycles is served by a compiled kernel in one pass over the
+//! frame — the trail's, then the one its last cycle locked — without
+//! touching a tableau. The `tile-cycles replayed` count says so, and is
+//! asserted too.
 //!
 //! ```sh
 //! cargo run --release --example runtime_scaling
@@ -73,17 +71,6 @@ fn main() {
             replayed,
             spec.tiles as u64 * 40,
             "a tile-cycle ran on a tableau"
-        );
-        let on_kernel: u64 = report
-            .stats
-            .shards
-            .iter()
-            .map(|s| s.kernel_tile_cycles)
-            .sum();
-        assert_eq!(
-            on_kernel,
-            spec.tiles as u64 * (40 - 4),
-            "a locked tile-cycle ran call by call"
         );
 
         match baseline {
