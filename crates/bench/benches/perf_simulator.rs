@@ -203,8 +203,10 @@ fn noise_sampling_cost_ratio(_c: &mut Criterion) {
 /// reference trips the exact count. The reference container read
 /// 3.5-4x with the block matching each call against its tape, 24-25x
 /// with the cycle served by the tape's compiled kernel a column per set
-/// input, and reads 22-35x with the kernel applied by nibble tables; the
-/// floor, 15x, is where that kernel has stopped paying.
+/// input, 22-35x with the kernel applied by nibble tables, and reads
+/// 48-64x with the kernel's sum held in a band of registers and the
+/// outcomes routed packed; the floor, 15x, is where that kernel has
+/// stopped paying.
 fn frame_block_cycle_comparison(_c: &mut Criterion) {
     use std::time::Instant;
     const CYCLES: u32 = 20_000;
@@ -267,9 +269,11 @@ fn frame_block_cycle_comparison(_c: &mut Criterion) {
 /// decode — about one local decode per two tile-cycles, on the lookup
 /// table, into the bit frame. The ratio read 1.36-1.50 on the
 /// reference container, and 1.97 with the decode walking a `BTreeMap`
-/// table into a `BTreeSet` frame; the ceiling is 1.3x the reading, so
+/// table into a `BTreeSet` frame; the ceiling is 1.3x the former, so
 /// that decode coming back trips it and no wall-clock threshold is
-/// involved.
+/// involved. With the kernel and the noise layer on words it reads
+/// 1.25-1.67: both sides got cheaper, the quiet one, which draws no
+/// noise, by the kernel alone.
 fn noisy_cycle_cost_ratio(_c: &mut Criterion) {
     use quest_core::tile;
     use quest_stabilizer::PauliChannel;
@@ -327,6 +331,61 @@ fn noisy_cycle_cost_ratio(_c: &mut Criterion) {
     assert!(
         ratio <= CEILING,
         "a d=5 tile-cycle at p=2e-2 must cost at most {CEILING:.2}x one at p=0, got {ratio:.2}x"
+    );
+}
+
+/// What the noise layer costs a tile-cycle, in one process so that
+/// host drift cancels: the d = 5 layer at p = 2e-2 (25 samples of a
+/// depolarizing channel, each error put on a frame block) over the 25
+/// bare `next_u64` draws it makes. A sample is one draw and, in the
+/// common case, one integer comparison, and only an error reaches the
+/// block. The ratio reads 1.25-1.53 on the reference container, 2.4
+/// with each sample comparing the draw as an `f64` chain, and 4.2 with
+/// that chain and every `I` a call on the block; the ceiling is 1.3x the
+/// reading, so that float chain coming back trips it and no wall-clock
+/// threshold is involved.
+fn noise_layer_cost_ratio(_c: &mut Criterion) {
+    use quest_core::tile;
+    use quest_stabilizer::PauliChannel;
+    use rand::RngCore;
+    use std::time::Instant;
+    const LAYERS: u32 = 200_000;
+    const CEILING: f64 = 1.3 * 1.55;
+    /// One timing, in seconds per layer.
+    fn per_layer(rng: &mut StdRng, mut layer: impl FnMut(&mut StdRng)) -> f64 {
+        let start = Instant::now();
+        for _ in 0..LAYERS {
+            layer(rng);
+        }
+        start.elapsed().as_secs_f64() / f64::from(LAYERS)
+    }
+    let lat = RotatedLattice::new(5);
+    let mce = Mce::new(&lat, 4096);
+    let mut block = FrameBlock::new(lat.num_qubits());
+    let noise = PauliChannel::depolarizing(2e-2);
+    let mut rng = StdRng::seed_from_u64(10);
+    let draws = lat.num_data();
+    // Best of seven each, the two sides taking turns.
+    let (mut on_draws, mut on_layer) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..7 {
+        on_draws = on_draws.min(per_layer(&mut rng, |rng| {
+            for _ in 0..draws {
+                std::hint::black_box(rng.next_u64());
+            }
+        }));
+        on_layer = on_layer.min(per_layer(&mut rng, |rng| {
+            tile::noise_layer(&mce, &noise, &mut block, rng);
+        }));
+    }
+    let ratio = on_layer / on_draws;
+    println!(
+        "noise_layer_cost_ratio_d5: {draws} draws {:.1} ns, layer at p=2e-2 {:.1} ns, ratio {ratio:.2}",
+        on_draws * 1e9,
+        on_layer * 1e9,
+    );
+    assert!(
+        ratio <= CEILING,
+        "a d=5 noise layer at p=2e-2 must cost at most {CEILING:.2}x its {draws} bare draws, got {ratio:.2}x"
     );
 }
 
@@ -398,6 +457,7 @@ criterion_group!(
     noise_sampling_cost_ratio,
     frame_block_cycle_comparison,
     noisy_cycle_cost_ratio,
+    noise_layer_cost_ratio,
     warm_job_cost_ratio
 );
 criterion_main!(benches);

@@ -35,15 +35,16 @@
 
 use crate::geometry::TileGeometry;
 use quest_isa::{MicroOp, PhysOpcode, VliwWord};
-use quest_stabilizer::{fire_gates, SimGate, StabilizerSim};
+use quest_stabilizer::{fire_gates, Outcomes, SimGate, StabilizerSim};
 use rand::Rng;
 use std::sync::Arc;
 
-/// Result of firing one VLIW word: measurement outcomes by qubit slot.
+/// Result of firing one VLIW word: its measurement outcomes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FireResult {
-    /// `(qubit, outcome)` for every measurement µop in the word.
-    pub measurements: Vec<(usize, bool)>,
+    /// One outcome per measurement µop in the word, packed in firing
+    /// order: by ascending slot.
+    pub outcomes: Outcomes,
 }
 
 /// Statistics kept by the execution unit.
@@ -69,9 +70,10 @@ pub struct ExecutionStats {
 pub(crate) struct ResolvedWord {
     gates: Vec<SimGate>,
     /// What firing the word adds to [`ExecutionStats::active_uops`] (both
-    /// halves of a CNOT count) and to [`ExecutionStats::measurements`].
+    /// halves of a CNOT count).
     active: u64,
-    measured: u64,
+    /// The slot of each outcome, in firing order.
+    measured: Vec<usize>,
 }
 
 impl ResolvedWord {
@@ -89,7 +91,12 @@ impl ResolvedWord {
 
     /// Whether firing the word reports a measurement outcome.
     pub(crate) fn measures(&self) -> bool {
-        self.measured > 0
+        !self.measured.is_empty()
+    }
+
+    /// The slot of each outcome firing the word reports, in order.
+    pub(crate) fn measured(&self) -> &[usize] {
+        &self.measured
     }
 
     /// Overwrites this word with the resolution of `uops`, one per tile
@@ -103,7 +110,8 @@ impl ResolvedWord {
     /// the matching target half — such a word is malformed microcode.
     pub(crate) fn resolve(&mut self, uops: &[MicroOp], geometry: &TileGeometry) {
         self.gates.clear();
-        (self.active, self.measured) = (0, 0);
+        self.measured.clear();
+        self.active = 0;
         for (q, &u) in uops.iter().enumerate() {
             let gate = match u.opcode() {
                 PhysOpcode::Nop => continue,
@@ -120,10 +128,9 @@ impl ResolvedWord {
                 PhysOpcode::Z => Some(SimGate::Z(q)),
             };
             self.gates.extend(gate);
-            self.measured += u64::from(matches!(
-                gate,
-                Some(SimGate::Measure(_) | SimGate::MeasureX(_))
-            ));
+            if let Some(SimGate::Measure(_) | SimGate::MeasureX(_)) = gate {
+                self.measured.push(q);
+            }
             self.active += 1;
         }
         for (q, &u) in uops.iter().enumerate() {
@@ -141,13 +148,14 @@ impl ResolvedWord {
 }
 
 /// A whole QECC cycle as one gate list, its words' lists one after the
-/// other, and what firing it adds to [`ExecutionStats`].
+/// other, the slot of each outcome, and what firing it adds to
+/// [`ExecutionStats`].
 #[derive(Debug)]
 pub(crate) struct ResolvedCycle {
     gates: Arc<[SimGate]>,
     words: u64,
     active: u64,
-    measured: u64,
+    measured: Box<[usize]>,
 }
 
 impl ResolvedCycle {
@@ -156,8 +164,16 @@ impl ResolvedCycle {
             gates: words.iter().flat_map(|w| w.gates.iter().copied()).collect(),
             words: words.len() as u64,
             active: words.iter().map(|w| w.active).sum(),
-            measured: words.iter().map(|w| w.measured).sum(),
+            measured: words
+                .iter()
+                .flat_map(|w| w.measured.iter().copied())
+                .collect(),
         }
+    }
+
+    /// The slot of each outcome firing the cycle reports, in order.
+    pub(crate) fn measured(&self) -> &[usize] {
+        &self.measured
     }
 }
 
@@ -294,9 +310,15 @@ impl ExecutionUnit {
         &self.latches
     }
 
-    /// Measurement outcomes of the last word fired, as `(qubit, outcome)`.
-    pub fn measurements(&self) -> &[(usize, bool)] {
-        &self.fired.measurements
+    /// Measurement outcomes of the last word fired, packed in firing
+    /// order: by ascending slot.
+    pub fn measurements(&self) -> &Outcomes {
+        &self.fired.outcomes
+    }
+
+    /// The latches as [`ExecutionUnit::fire`] last resolved them.
+    pub(crate) fn resolved(&self) -> &ResolvedWord {
+        &self.resolved
     }
 
     /// Step ③: fire the master clock, applying every latched waveform to
@@ -342,27 +364,27 @@ impl ExecutionUnit {
     /// Steps ① to ③ for every word of a QECC cycle, fired as one
     /// substrate call ([`StabilizerSim::run_cycle`], keyed by the tile's
     /// offset): what [`ExecutionUnit::issue`] does word by word, with the
-    /// outcomes of all of them in [`ExecutionUnit::measurements`].
+    /// outcomes of all of them in [`ExecutionUnit::measurements`], in
+    /// firing order.
     pub(crate) fn issue_cycle<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
         &mut self,
         cycle: &ResolvedCycle,
         substrate: &mut S,
         rng: &mut R,
-    ) -> &FireResult {
+    ) {
         self.check_fits(substrate);
-        self.fired.measurements.clear();
+        self.fired.outcomes.clear();
         substrate.run_cycle(
             self.offset,
             self.offset,
             &cycle.gates,
             rng,
-            &mut self.fired.measurements,
+            &mut self.fired.outcomes,
         );
         self.stats.uops_latched += cycle.words * self.latches.len() as u64;
         self.stats.words_fired += cycle.words;
         self.stats.active_uops += cycle.active;
-        self.stats.measurements += cycle.measured;
-        &self.fired
+        self.stats.measurements += cycle.measured.len() as u64;
     }
 
     /// Fires one resolved word through [`fire_gates`], the one firing
@@ -374,17 +396,17 @@ impl ExecutionUnit {
         rng: &mut R,
     ) -> &FireResult {
         self.check_fits(substrate);
-        self.fired.measurements.clear();
+        self.fired.outcomes.clear();
         fire_gates(
             substrate,
             self.offset,
             &word.gates,
             rng,
-            &mut self.fired.measurements,
+            &mut self.fired.outcomes,
         );
         self.stats.words_fired += 1;
         self.stats.active_uops += word.active;
-        self.stats.measurements += word.measured;
+        self.stats.measurements += word.measured.len() as u64;
         &self.fired
     }
 
@@ -399,12 +421,10 @@ impl ExecutionUnit {
     /// Address and capacity of each buffer the unit owns.
     #[cfg(test)]
     pub(crate) fn buffers(&self) -> [(usize, usize); 2] {
+        let outcomes = self.fired.outcomes.words();
         [
             (self.latches.as_ptr() as usize, self.latches.capacity()),
-            (
-                self.fired.measurements.as_ptr() as usize,
-                self.fired.measurements.capacity(),
-            ),
+            (outcomes.as_ptr() as usize, outcomes.len()),
         ]
     }
 
@@ -465,7 +485,7 @@ mod tests {
         let mut w = VliwWord::nop(eu.num_qubits());
         w.set(q, MicroOp::simple(PhysOpcode::MeasZ));
         let r = eu.execute(&w, &mut t, &mut rng);
-        assert_eq!(r.measurements, vec![(q, true)]);
+        assert_eq!(r.outcomes.iter().collect::<Vec<_>>(), [true]);
     }
 
     #[test]

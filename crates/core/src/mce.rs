@@ -18,7 +18,7 @@ use crate::program_gen;
 #[cfg(test)]
 use quest_isa::PhysOpcode;
 use quest_isa::{LogicalInstr, MicroOp, VliwWord};
-use quest_stabilizer::StabilizerSim;
+use quest_stabilizer::{Outcomes, StabilizerSim};
 use quest_surface::{RotatedLattice, StabKind};
 use rand::Rng;
 use std::collections::VecDeque;
@@ -51,13 +51,22 @@ struct ResolvedProgram {
     cycle: ResolvedCycle,
     /// The wiring between the execution unit's measurement outputs and
     /// the decoder pipelines ([`program_gen::measured_ancillas`]): per
-    /// tile slot, the kind (0 for X checks, 1 for Z) and the check index
-    /// its reading is, if it is an ancilla.
+    /// tile slot, the kind (0 for X checks, 1 for Z) and the bit of the
+    /// syndrome words its reading is, if it is an ancilla. The syndrome
+    /// words are the X checks' (`syndrome_words[0]` of them), then the Z
+    /// checks'.
     check_of_slot: Box<[Option<(usize, usize)>]>,
-    /// Per kind, the number of checks and the mask regions holding its
-    /// ancillas.
+    /// Per kind, the number of checks, the syndrome words of its checks
+    /// and the mask regions holding its ancillas.
     checks: [usize; 2],
+    syndrome_words: [usize; 2],
     regions: [Box<[usize]>; 2],
+    /// The same wiring for the outcomes of `cycle`, as bits in firing
+    /// order: for nibble `k` of the outcomes and each of its 16 values
+    /// `v`, the syndrome words those outcomes set,
+    /// `spread[(16 * k + v) * width..][..width]` with `width` the words
+    /// of both kinds.
+    spread: Box<[u64]>,
 }
 
 impl ResolvedProgram {
@@ -73,35 +82,62 @@ impl ResolvedProgram {
             .iter()
             .map(|w| ResolvedWord::of(w, geometry))
             .collect();
+        let cycle = ResolvedCycle::of(&words);
         // A cycle fired as one call routes its syndrome once, after every
         // word: only if the measurement word is the last one do the
-        // readout-flip draws still follow every draw of the cycle.
+        // readout-flip draws still follow every draw of the cycle. It
+        // feeds both pipelines, so it measures every check, once.
+        let mut measured: Vec<usize> = cycle.measured().to_vec();
+        measured.sort_unstable();
+        let mut ancilla_slots: Vec<usize> = ancillas.concat();
+        ancilla_slots.sort_unstable();
         assert!(
             words.len() == program_gen::CYCLE_WORDS
                 && words
                     .iter()
                     .enumerate()
                     .all(|(at, w)| w.measures() == (at == program_gen::MEASURE_WORD))
-                && program_gen::MEASURE_WORD == program_gen::CYCLE_WORDS - 1,
-            "the QECC cycle must measure in its last word only"
+                && program_gen::MEASURE_WORD == program_gen::CYCLE_WORDS - 1
+                && measured == ancilla_slots,
+            "the QECC cycle must measure every check once, in its last word only"
         );
+        let checks = ancillas.each_ref().map(Vec::len);
+        let syndrome_words = checks.map(|c| c.div_ceil(64));
         let mut check_of_slot = vec![None; lattice.num_qubits()];
         for (kind, slots) in ancillas.iter().enumerate() {
             for (check, &slot) in slots.iter().enumerate() {
-                check_of_slot[slot] = Some((kind, check));
+                check_of_slot[slot] = Some((kind, kind * syndrome_words[0] * 64 + check));
+            }
+        }
+        // Each nibble's 16 sums, each from a smaller one and the bit of
+        // one outcome.
+        let width = syndrome_words[0] + syndrome_words[1];
+        let outcomes = cycle.measured();
+        let mut spread = vec![0; outcomes.len().div_ceil(4) * 16 * width];
+        for (k, table) in spread.chunks_exact_mut(16 * width).enumerate() {
+            for v in 1..16usize {
+                let (done, entry) = table.split_at_mut(v * width);
+                let entry = &mut entry[..width];
+                entry.copy_from_slice(&done[(v & (v - 1)) * width..][..width]);
+                let slot = outcomes.get(4 * k + v.trailing_zeros() as usize);
+                if let Some(&(_, bit)) = slot.and_then(|&slot| check_of_slot[slot].as_ref()) {
+                    entry[bit / 64] ^= 1 << (bit % 64);
+                }
             }
         }
         ResolvedProgram {
-            cycle: ResolvedCycle::of(&words),
+            cycle,
             words,
             check_of_slot: check_of_slot.into(),
-            checks: ancillas.each_ref().map(Vec::len),
+            checks,
+            syndrome_words,
             regions: ancillas.map(|slots| {
                 let mut regions: Vec<usize> = slots.iter().map(|&a| mask.region_of(a)).collect();
                 regions.sort_unstable();
                 regions.dedup();
                 regions.into()
             }),
+            spread: spread.into(),
         }
     }
 }
@@ -153,9 +189,9 @@ pub struct Mce {
     measurement_flip: f64,
     /// The QECC program resolved, and the syndrome wiring.
     program: Arc<ResolvedProgram>,
-    /// The syndrome bits of the measurement word being routed, X checks
-    /// then Z checks, packed 64 to a word.
-    syndrome: [Vec<u64>; 2],
+    /// The syndrome bits of the measurement word being routed, packed
+    /// 64 to a word: the X checks' words, then the Z checks'.
+    syndrome: Vec<u64>,
 }
 
 impl Mce {
@@ -182,7 +218,7 @@ impl Mce {
             logical_frame_z: false,
             magic_states_consumed: 0,
             measurement_flip: 0.0,
-            syndrome: program.checks.map(|checks| vec![0; checks.div_ceil(64)]),
+            syndrome: vec![0; program.syndrome_words.iter().sum()],
             program: Arc::new(program),
         }
     }
@@ -246,9 +282,10 @@ impl Mce {
         self.execution.stats()
     }
 
-    /// Measurement outcomes, as `(tile slot, outcome)`, of the last word
-    /// issued — of the whole cycle, when it was fired as one call.
-    pub fn measurements(&self) -> &[(usize, bool)] {
+    /// Measurement outcomes of the last word issued — of the whole
+    /// cycle, when it was fired as one call — packed in firing order (by
+    /// ascending tile slot within a word).
+    pub fn measurements(&self) -> &Outcomes {
         self.execution.measurements()
     }
 
@@ -349,8 +386,8 @@ impl Mce {
             self.execution
                 .issue(&self.program.words[at], substrate, rng)
         };
-        if !fired.measurements.is_empty() {
-            self.route_syndrome(rng);
+        if !fired.outcomes.is_empty() {
+            self.route_syndrome(merged, at, rng);
         }
         merged
     }
@@ -362,9 +399,10 @@ impl Mce {
     /// region set when it starts, and nothing changes either during it —
     /// is fired as one substrate call ([`StabilizerSim::run_cycle`] over
     /// the whole program resolved as one gate list), its syndrome routed
-    /// once after it. Only the last word measures, so that is the same
-    /// calls, draws and syndrome as its slots one by one, which is how
-    /// any other cycle is issued.
+    /// once after it, from the packed outcomes to the packed syndromes by
+    /// the program's spread tables. Only the last word measures, so that
+    /// is the same calls, draws and syndrome as its slots one by one,
+    /// which is how any other cycle is issued.
     ///
     /// # Panics
     ///
@@ -383,12 +421,9 @@ impl Mce {
             for _ in 0..self.microcode.cycle_len() {
                 self.microcode.advance();
             }
-            let fired = self
-                .execution
+            self.execution
                 .issue_cycle(&self.program.cycle, substrate, rng);
-            if !fired.measurements.is_empty() {
-                self.route_syndrome(rng);
-            }
+            self.route_cycle_syndrome(rng);
             return;
         }
         for _ in 0..self.microcode.cycle_len() {
@@ -396,28 +431,31 @@ impl Mce {
         }
     }
 
-    /// Routes the outcomes of the measurement word just fired to the
-    /// decoder pipelines, each corrupted by readout noise with
-    /// probability `measurement_flip` (one draw per outcome, in slot
-    /// order, and none when the probability is zero). A kind's checks
-    /// reach its pipeline only when every one of its ancillas was measured
-    /// in this word and none of them is masked (masked regions produce no
-    /// valid syndrome).
-    fn route_syndrome<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+    /// Routes the outcomes of the measurement word just issued in slot
+    /// `at` (`merged`: from the latches) to the decoder pipelines, each
+    /// corrupted by readout noise with probability `measurement_flip`
+    /// (one draw per outcome, in slot order, and none when the
+    /// probability is zero). A kind's checks reach its pipeline only when
+    /// every one of its ancillas was measured in this word and none of
+    /// them is masked (masked regions produce no valid syndrome).
+    fn route_syndrome<R: Rng + ?Sized>(&mut self, merged: bool, at: usize, rng: &mut R) {
         let program = &*self.program;
+        let slots = match merged {
+            true => self.execution.resolved().measured(),
+            false => program.words[at].measured(),
+        };
         let flip = self.measurement_flip;
         let mut measured = [0; 2];
-        for words in &mut self.syndrome {
-            words.fill(0);
-        }
-        for &(slot, value) in self.execution.measurements() {
+        self.syndrome.fill(0);
+        for (&slot, value) in slots.iter().zip(self.execution.measurements().iter()) {
             let flipped = flip > 0.0 && rng.gen::<f64>() < flip;
-            if let Some((kind, check)) = program.check_of_slot[slot] {
+            if let Some((kind, bit)) = program.check_of_slot[slot] {
                 measured[kind] += 1;
-                self.syndrome[kind][check / 64] |= u64::from(value ^ flipped) << (check % 64);
+                self.syndrome[bit / 64] |= u64::from(value ^ flipped) << (bit % 64);
             }
         }
-        for (kind, decoder) in [&mut self.decode_x, &mut self.decode_z]
+        let (x, z) = self.syndrome.split_at(program.syndrome_words[0]);
+        for (kind, (decoder, syndrome)) in [(&mut self.decode_x, x), (&mut self.decode_z, z)]
             .into_iter()
             .enumerate()
         {
@@ -425,9 +463,41 @@ impl Mce {
                 .iter()
                 .any(|&r| self.mask.region_masked(r));
             if measured[kind] == program.checks[kind] && !masked {
-                decoder.feed_packed(&self.syndrome[kind]);
+                decoder.feed_packed(syndrome);
             }
         }
+    }
+
+    /// [`Mce::route_syndrome`] for a whole cycle fired as one call, which
+    /// measures every check once and runs with no region masked: the
+    /// syndrome words are the XOR of the spread-table rows each nibble of
+    /// the outcomes picks, a flipped outcome (the same draws, in the same
+    /// order) XORs its own bit's row in, and both pipelines are fed.
+    fn route_cycle_syndrome<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+        let program = &*self.program;
+        let outcomes = self.execution.measurements();
+        let (spread, syndrome) = (&program.spread, &mut self.syndrome);
+        let width = syndrome.len();
+        syndrome.fill(0);
+        let mut pick = |entry: usize| {
+            for (s, r) in syndrome.iter_mut().zip(&spread[entry * width..][..width]) {
+                *s ^= r;
+            }
+        };
+        for k in 0..spread.len() / (16 * width) {
+            pick(16 * k + (outcomes.words()[k / 16] >> (4 * (k % 16)) & 15) as usize);
+        }
+        let flip = self.measurement_flip;
+        if flip > 0.0 {
+            for i in 0..outcomes.len() {
+                if rng.gen::<f64>() < flip {
+                    pick(16 * (i / 4) + (1 << (i % 4)));
+                }
+            }
+        }
+        let (x, z) = self.syndrome.split_at(program.syndrome_words[0]);
+        self.decode_x.feed_packed(x);
+        self.decode_z.feed_packed(z);
     }
 
     /// Executes one logical instruction on this tile (step ⑤/⑥ of the
@@ -636,11 +706,7 @@ mod tests {
         // escalation hands it upstream.)
         fn buffers(mce: &Mce) -> Vec<(usize, usize)> {
             let mut all = mce.execution.buffers().to_vec();
-            all.extend(
-                mce.syndrome
-                    .iter()
-                    .map(|words| (words.as_ptr() as usize, words.capacity())),
-            );
+            all.push((mce.syndrome.as_ptr() as usize, mce.syndrome.capacity()));
             all.push((0, mce.logical_uops.capacity()));
             for kind in [StabKind::X, StabKind::Z] {
                 all.extend(mce.decoder(kind).buffers());

@@ -153,7 +153,12 @@ mod tests {
             let mut run_cycle = |t: &mut Tableau, rng: &mut StdRng| {
                 let mut meas = Vec::new();
                 for w in &words {
-                    meas.extend_from_slice(&eu.execute(w, t, rng).measurements);
+                    // The outcomes come by ascending slot.
+                    let measured = w.iter().filter(|(_, u)| {
+                        matches!(u.opcode(), PhysOpcode::MeasZ | PhysOpcode::MeasX)
+                    });
+                    let outcomes = eu.execute(w, t, rng).outcomes.iter();
+                    meas.extend(measured.map(|(q, _)| q).zip(outcomes));
                 }
                 meas
             };

@@ -24,7 +24,7 @@ use crate::master::MasterController;
 use crate::mce::Mce;
 use crate::substrate::Substrate;
 use quest_isa::{LogicalInstr, LogicalQubit};
-use quest_stabilizer::{NoiseChannel, PauliChannel, StabilizerSim};
+use quest_stabilizer::{NoiseChannel, Pauli, PauliChannel, StabilizerSim};
 use quest_surface::StabKind;
 use rand::Rng;
 
@@ -51,7 +51,10 @@ pub fn tile_seed(master_seed: u64, tile: u64) -> u64 {
 }
 
 /// Applies one round of data-qubit noise to an MCE's tile: one channel
-/// sample per data qubit, in tile-local qubit order.
+/// sample per data qubit, in tile-local qubit order (one draw each, an
+/// integer comparison or three: [`PauliChannel`]'s `sample`). Only an
+/// error reaches the substrate: at the paper's rates nearly every sample
+/// is `I`, which would change nothing.
 pub fn noise_layer<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
     mce: &Mce,
     noise: &PauliChannel,
@@ -60,7 +63,9 @@ pub fn noise_layer<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
 ) {
     for q in 0..mce.lattice().num_data() {
         let e = noise.sample(rng);
-        substrate.pauli(mce.substrate_index(q), e);
+        if e != Pauli::I {
+            substrate.pauli(mce.substrate_index(q), e);
+        }
     }
 }
 

@@ -27,7 +27,9 @@ use quest_core::{
     tile, DecodeStats, Escalation, ExecutionStats, LogicalBasis, Mce, MCE_IBUF_BYTES,
 };
 use quest_isa::{MicroOp, PhysOpcode, VliwWord};
-use quest_stabilizer::{FrameBlock, PauliChannel, SeedableRng, StabilizerSim, StdRng, Tableau};
+use quest_stabilizer::{
+    FrameBlock, Outcomes, PauliChannel, SeedableRng, StabilizerSim, StdRng, Tableau,
+};
 use quest_surface::{RotatedLattice, StabKind};
 use rand::RngCore;
 
@@ -41,7 +43,7 @@ const IDLE: usize = 3;
 const CLONE_AT: usize = 140;
 
 /// One tile's cycle: its outcomes and its escalations.
-type TileCycle = (Vec<(usize, bool)>, Vec<(StabKind, Escalation)>);
+type TileCycle = (Outcomes, Vec<(StabKind, Escalation)>);
 
 /// Everything one arm observed.
 #[derive(Debug, PartialEq)]
@@ -139,11 +141,11 @@ fn run<S: StabilizerSim + Clone>(
             arm = arm.clone();
         }
         let Arm { mces, sim, rng } = &mut arm;
-        let mut seen = [(); 2].map(|()| (Vec::new(), Vec::new()));
+        let mut seen = [(); 2].map(|()| (Outcomes::new(), Vec::new()));
         for (mce, seen) in mces.iter_mut().zip(&mut seen) {
             tile::noise_layer(mce, &noise, sim, rng);
             mce.run_qecc_cycle(sim, rng);
-            *seen = (mce.measurements().to_vec(), mce.take_escalations());
+            *seen = (mce.measurements().clone(), mce.take_escalations());
         }
         cycles.push(seen);
         match cycle {
@@ -189,7 +191,7 @@ fn a_kernel_cycle_is_the_same_cycle_call_by_call() {
             assert!(
                 on_blocks.cycles[LOGICAL_AT + 1..]
                     .iter()
-                    .any(|c| c[0].0.iter().any(|m| m.1)),
+                    .any(|c| c[0].0.iter().any(|m| m)),
                 "{at}: no outcome read true after the logical words"
             );
             // Every replayed cycle is served by a kernel, drawing a bit

@@ -1,16 +1,19 @@
 //! A QECC word fired as `Mce::new` resolved it must do exactly what the
 //! same word does when it is merged at issue time (latched, resolved and
-//! fired by the same routine).
+//! fired by the same routine), and a whole cycle fired as one call, its
+//! packed outcomes spread into syndrome words by table, what its words do
+//! slot by slot, their outcomes routed one at a time.
 //!
-//! Two MCEs replay the same noisy cycles at d ∈ {3, 5, 7}, on a bare
-//! tableau at offset 0 and behind the other tile of a joined frame block:
-//! one issues its QECC words pre-resolved, the other has an idle logical
-//! word queued before every slot, which sends each slot through the merge
-//! path and, with no region masked, fires the QECC word unchanged. A
-//! recording substrate logs every call the MCEs make (with each
-//! measurement's answer) and a recording generator every value drawn; the
-//! logs, the words `step` returns, the execution and decode statistics
-//! and the escalations must all agree.
+//! Three MCEs replay the same noisy cycles at d ∈ {3, 5, 7}, with readout
+//! flips, on a bare tableau at offset 0 and behind the other tile of a
+//! joined frame block: one issues its QECC words pre-resolved, one has an
+//! idle logical word queued before every slot, which sends each slot
+//! through the merge path and, with no region masked, fires the QECC word
+//! unchanged, and one runs `run_qecc_cycle`. A recording substrate logs
+//! every call the MCEs make (with each measurement's answer) and a
+//! recording generator every value drawn; the logs, the words `step`
+//! returns (the third arm steps no slot), the execution and decode
+//! statistics, the decoder frames and the escalations must all agree.
 
 use quest_core::{ExecutionStats, Mce, Substrate, MCE_IBUF_BYTES};
 use quest_isa::VliwWord;
@@ -118,19 +121,30 @@ impl RngCore for RecordingRng {
 const CYCLES: usize = 8;
 
 /// Everything one arm observed.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct Observed {
     calls: Vec<Call>,
     drawn: Vec<u64>,
     words: Vec<VliwWord>,
     stats: ExecutionStats,
     decode: [quest_core::DecodeStats; 2],
+    frames: [Vec<usize>; 2],
     escalations: Vec<(StabKind, quest_core::Escalation)>,
 }
 
-/// Runs `CYCLES` noisy cycles of `mce` on `substrate` slot by slot,
-/// queueing an idle logical word before every slot if `merge`.
-fn drive<S: StabilizerSim + ?Sized>(mut mce: Mce, substrate: &mut S, merge: bool) -> Observed {
+/// How an arm fires its cycles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Firing {
+    /// Slot by slot, each QECC word pre-resolved.
+    Plain,
+    /// Slot by slot, an idle logical word queued before every slot.
+    Merged,
+    /// `run_qecc_cycle`: the whole cycle as one call.
+    Cycle,
+}
+
+/// Runs `CYCLES` noisy cycles of `mce` on `substrate` as `firing` says.
+fn drive<S: StabilizerSim + ?Sized>(mut mce: Mce, substrate: &mut S, firing: Firing) -> Observed {
     let n = mce.lattice().num_qubits();
     let data = mce.lattice().num_data();
     mce.set_measurement_flip(0.05);
@@ -150,8 +164,11 @@ fn drive<S: StabilizerSim + ?Sized>(mut mce: Mce, substrate: &mut S, merge: bool
             let q = mce.substrate_index(noise.gen_range(0..data));
             sim.pauli(q, [Pauli::X, Pauli::Y, Pauli::Z][noise.gen_range(0..3)]);
         }
-        for _ in 0..mce.microcode().cycle_len() {
-            if merge {
+        if firing == Firing::Cycle {
+            mce.run_qecc_cycle(&mut sim, &mut rng);
+        }
+        for _ in 0..mce.microcode().cycle_len() * usize::from(firing != Firing::Cycle) {
+            if firing == Firing::Merged {
                 mce.queue_logical_word(VliwWord::nop(n));
             }
             words.push(mce.step(&mut sim, &mut rng));
@@ -165,7 +182,16 @@ fn drive<S: StabilizerSim + ?Sized>(mut mce: Mce, substrate: &mut S, merge: bool
         words,
         stats: mce.execution_stats(),
         decode: [StabKind::X, StabKind::Z].map(|kind| mce.decode_stats(kind)),
+        frames: [StabKind::X, StabKind::Z].map(|kind| mce.decoder(kind).frame().collect()),
         escalations,
+    }
+}
+
+/// What an arm observed, but for the words `step` returned.
+fn stepless(observed: Observed) -> Observed {
+    Observed {
+        words: Vec::new(),
+        ..observed
     }
 }
 
@@ -177,9 +203,14 @@ fn pre_resolved_words_fire_as_merged_words_do() {
         let template = Mce::new(&lattice, MCE_IBUF_BYTES);
 
         // Offset 0, on a bare tableau.
-        let arm = |merge| drive(template.clone(), &mut Tableau::new(n), merge);
-        let (plain, merged) = (arm(false), arm(true));
+        let arm = |firing| drive(template.clone(), &mut Tableau::new(n), firing);
+        let (plain, merged) = (arm(Firing::Plain), arm(Firing::Merged));
         assert_eq!(plain, merged, "d = {d}, offset 0");
+        assert_eq!(
+            stepless(arm(Firing::Cycle)),
+            stepless(plain.clone()),
+            "d = {d}, offset 0, one call"
+        );
         assert!(
             plain.drawn.len() > CYCLES,
             "d = {d}: nothing random was drawn"
@@ -190,16 +221,21 @@ fn pre_resolved_words_fire_as_merged_words_do() {
         );
 
         // Behind the other tile of a joined block.
-        let arm = |merge| {
+        let arm = |firing| {
             let mut mces = vec![template.clone(); 2];
             let mut substrate = Substrate::new(2, n);
             substrate.join(&mut mces, 0, 1).expect("two tiles");
             assert_eq!(mces[1].substrate_index(0), n);
             let mce = mces.pop().expect("two tiles");
-            drive(mce, substrate.block_mut(1), merge)
+            drive(mce, substrate.block_mut(1), firing)
         };
-        let (plain, merged) = (arm(false), arm(true));
+        let (plain, merged) = (arm(Firing::Plain), arm(Firing::Merged));
         assert_eq!(plain, merged, "d = {d}, behind a joined block");
+        assert_eq!(
+            stepless(arm(Firing::Cycle)),
+            stepless(plain.clone()),
+            "d = {d}, behind a joined block, one call"
+        );
         assert!(
             plain.calls.iter().all(|c| match *c {
                 Call::Boundary(key) => key == n,

@@ -62,11 +62,15 @@
 //! away from a smaller one; only the tables and the constant are kept.
 //! Serving a cycle is then drawing the random bits, in entry order (they
 //! are the only draws of the cycle), into the input words, gathering the
-//! frame bits ahead of them by word shifts at the offset, and XOR-ing the
+//! frame bits ahead of them by word shifts at the offset, and summing the
 //! constant and, for each nibble of the inputs, the table row its value
-//! picks into the frame and the outcomes. That is the same draws, the
-//! same outcomes and the same frame as the gates fired one by one, and
-//! the reference stays where it is. A kernel serves only the gate list
+//! picks. The sum is kept in a local band of eight words, which holds a
+//! whole column of a single tile up to d = 9; a wider block runs one band
+//! after another through the same loop. The frame words of the sum are
+//! XOR-ed into the frame, and the rest are the cycle's [`Outcomes`],
+//! packed in gate order, written a word at a time. That is the same
+//! draws, the same outcomes and the same frame as the gates fired one by
+//! one, and the reference stays where it is. A kernel serves only the gate list
 //! ([`Arc::ptr_eq`]) and offset it was compiled from; another list at a
 //! locked mark is compiled in its turn, and a tape that unlocks drops
 //! its kernel.
@@ -175,16 +179,90 @@ impl SimGate {
     }
 }
 
+/// Measurement outcomes in the order their gates fired, packed: outcome
+/// `i` is bit `i % 64` of word `i / 64`, and the bits past the last
+/// outcome are clear. The one representation of outcomes: [`fire_gates`]
+/// pushes them one by one, and a kernel writes a cycle's a word at a
+/// time. Which qubit an outcome is of, the gate list says: the `i`-th
+/// [`SimGate::Measure`] or [`SimGate::MeasureX`] in it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Outcomes {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl Outcomes {
+    /// No outcomes.
+    pub fn new() -> Outcomes {
+        Outcomes::default()
+    }
+
+    /// Number of outcomes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Drops every outcome, keeping the buffer.
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.len = 0;
+    }
+
+    /// Appends one outcome.
+    #[inline]
+    pub fn push(&mut self, value: bool) {
+        let (w, b) = (self.len / WORD_BITS, self.len % WORD_BITS);
+        if b == 0 {
+            self.words.push(0);
+        }
+        self.words[w] |= u64::from(value) << b;
+        self.len += 1;
+    }
+
+    /// The outcomes in order.
+    pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
+        (0..self.len).map(|i| self.words[i / WORD_BITS] >> (i % WORD_BITS) & 1 == 1)
+    }
+
+    /// The packed words, `len().div_ceil(64)` of them.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Appends the `len` outcomes packed in `words`, whose bits past them
+    /// are clear.
+    #[inline]
+    fn extend_packed(&mut self, words: &[u64], len: usize) {
+        let b = self.len % WORD_BITS;
+        for &word in &words[..len.div_ceil(WORD_BITS)] {
+            match self.words.last_mut() {
+                Some(last) if b > 0 => {
+                    *last |= word << b;
+                    self.words.push(word >> (WORD_BITS - b));
+                }
+                _ => self.words.push(word),
+            }
+        }
+        self.len += len;
+        self.words.truncate(self.len.div_ceil(WORD_BITS));
+    }
+}
+
 /// Fires `gates` on `sim` in order, every qubit moved up by `offset`,
-/// and appends `(qubit, outcome)` for each measurement that reports one,
-/// with the qubit as `gates` lists it. The one firing routine: every
-/// call of an MCE on its register goes through here.
+/// and appends the outcome of each measurement that reports one. The one
+/// firing routine: every call of an MCE on its register goes through
+/// here.
 pub fn fire_gates<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
     sim: &mut S,
     offset: usize,
     gates: &[SimGate],
     rng: &mut R,
-    outcomes: &mut Vec<(usize, bool)>,
+    outcomes: &mut Outcomes,
 ) {
     for &gate in gates {
         match gate {
@@ -195,8 +273,8 @@ pub fn fire_gates<S: StabilizerSim + ?Sized, R: Rng + ?Sized>(
             SimGate::Y(q) => sim.y(offset + q),
             SimGate::Z(q) => sim.z(offset + q),
             SimGate::Cnot(c, t) => sim.cnot(offset + c, offset + t),
-            SimGate::Measure(q) => outcomes.push((q, sim.measure(offset + q, rng).value)),
-            SimGate::MeasureX(q) => outcomes.push((q, sim.measure_x(offset + q, rng).value)),
+            SimGate::Measure(q) => outcomes.push(sim.measure(offset + q, rng).value),
+            SimGate::MeasureX(q) => outcomes.push(sim.measure_x(offset + q, rng).value),
             SimGate::Reset(q) => sim.reset(offset + q, rng),
             SimGate::ResetPlus(q) => sim.reset_plus(offset + q, rng),
         }
@@ -283,22 +361,24 @@ pub trait StabilizerSim {
     /// One whole round of a repeating program in one call: the mark
     /// ([`StabilizerSim::cycle_boundary`] with `key`), then `gates` fired
     /// at `offset` by [`fire_gates`], whose outcomes are appended to
-    /// `outcomes`. That is the default, and it is what every
-    /// implementation must amount to, draw for draw.
+    /// `outcomes` as packed bits in gate order. That is the default, and
+    /// it is what every implementation must amount to, draw for draw and
+    /// bit for bit.
     ///
     /// The gate list comes behind an [`Arc`] so that a register may
     /// recognise a list it has seen at O(1) cost: a [`FrameBlock`] serves
     /// a round at a locked mark from a kernel compiled for the list
-    /// ([module docs](self#tapes-and-kernels)), and no round that comes
-    /// call by call. [`Tableau`] keeps the default: it is the
-    /// call-by-call oracle the kernel is checked against.
+    /// ([module docs](self#tapes-and-kernels)), which writes the outcomes
+    /// a word at a time, and no round that comes call by call.
+    /// [`Tableau`] keeps the default: it is the call-by-call oracle the
+    /// kernel is checked against.
     fn run_cycle<R: Rng + ?Sized>(
         &mut self,
         key: usize,
         offset: usize,
         gates: &Arc<[SimGate]>,
         rng: &mut R,
-        outcomes: &mut Vec<(usize, bool)>,
+        outcomes: &mut Outcomes,
     ) {
         self.cycle_boundary(key);
         fire_gates(self, offset, gates, rng, outcomes);
@@ -520,16 +600,32 @@ struct Kernel {
     /// `offset..offset + span`, then one drawn bit per random entry.
     span: usize,
     draws: usize,
-    /// The qubit of each outcome, as `gates` lists it, in order.
-    measured: Box<[usize]>,
+    /// Outcomes reported.
+    reports: usize,
     /// Words per column: the block's frame, then a bit per outcome.
     stride: usize,
     /// The constant column: the change with every input clear.
     constant: Box<[u64]>,
-    /// For nibble `k` of the inputs (inputs `4k..4k + 4`) and each of
-    /// its 16 values `v`, the XOR of the columns of the inputs `v` sets:
-    /// `tables[(16 * k + v) * stride..][..stride]`.
+    /// Nibbles of the inputs, and for nibble `k` (inputs `4k..4k + 4`)
+    /// and each of its 16 values `v`, the XOR of the columns of the
+    /// inputs `v` sets: `tables[(16 * k + v) * stride..][..stride]`.
+    nibbles: usize,
     tables: Box<[u64]>,
+}
+
+/// Words of a kernel's column summed at once, in registers: a column of
+/// a single tile up to d = 9 (a frame of six words and 80 outcomes) is one
+/// band. The constant and the tables carry `BAND - 1` zero words past
+/// their last column, so that a band starting at any column's word can be
+/// read whole.
+const BAND: usize = 8;
+
+/// The `BAND` words of `words` from `at` on.
+#[inline]
+fn band(words: &[u64], at: usize) -> [u64; BAND] {
+    let mut band = [0; BAND];
+    band.copy_from_slice(&words[at..at + BAND]);
+    band
 }
 
 /// XORs `src` into `dst`, word for word.
@@ -727,7 +823,7 @@ impl Kernel {
             outcome: vec![0; width],
         };
         // The reported outcomes' rows, one after the other.
-        let (mut measured, mut outcomes) = (Vec::new(), Vec::new());
+        let mut outcomes = Vec::new();
         for &gate in gates.iter() {
             match gate {
                 SimGate::H(q) => c.h(c.offset + q)?,
@@ -747,14 +843,12 @@ impl Kernel {
                 SimGate::Measure(q) => {
                     c.measure(c.offset + q)?;
                     outcomes.extend_from_slice(&c.outcome);
-                    measured.push(q);
                 }
                 SimGate::MeasureX(q) => {
                     c.h(c.offset + q)?;
                     c.measure(c.offset + q)?;
                     outcomes.extend_from_slice(&c.outcome);
                     c.h(c.offset + q)?;
-                    measured.push(q);
                 }
                 SimGate::Reset(q) => c.reset(c.offset + q)?,
                 SimGate::ResetPlus(q) => {
@@ -768,7 +862,8 @@ impl Kernel {
         }
         // Transpose: a frame bit's change (its row less its own input)
         // and each outcome go into the columns of the inputs they read.
-        let stride = 2 * words + measured.len().div_ceil(WORD_BITS);
+        let reports = outcomes.len() / width;
+        let stride = 2 * words + reports.div_ceil(WORD_BITS);
         let mut columns = vec![0; inputs * stride].into_boxed_slice();
         for bit in 0..frame_bits {
             let row = &mut c.rows[bit * width..][..width];
@@ -789,7 +884,7 @@ impl Kernel {
         // an input past the last is a zero column.
         let (constant, columns) = columns.split_at(stride);
         let nibbles = (inputs - 1).div_ceil(4);
-        let mut tables = vec![0; nibbles * 16 * stride].into_boxed_slice();
+        let mut tables = vec![0; nibbles * 16 * stride + BAND - 1].into_boxed_slice();
         for k in 0..nibbles {
             let table = &mut tables[16 * k * stride..][..16 * stride];
             for v in 1..16usize {
@@ -807,9 +902,10 @@ impl Kernel {
             offset,
             span,
             draws,
-            measured: measured.into(),
+            reports,
             stride,
-            constant: constant.into(),
+            constant: [constant, &[0; BAND - 1][..]].concat().into(),
+            nibbles,
             tables,
         })
     }
@@ -829,23 +925,23 @@ impl Kernel {
     }
 
     /// Serves one cycle: moves `frame` and appends the outcomes. `inputs`
-    /// and `sum` are the caller's scratch, sized here.
+    /// is the caller's scratch, sized here.
     #[inline]
     fn apply<R: Rng + ?Sized>(
         &self,
         frame: &mut [u64],
         inputs: &mut Vec<u64>,
-        sum: &mut Vec<u64>,
         rng: &mut R,
-        outcomes: &mut Vec<(usize, bool)>,
+        outcomes: &mut Outcomes,
     ) {
         let Kernel {
             offset,
             span,
             draws,
-            ref measured,
+            reports,
             stride,
             ref constant,
+            nibbles,
             ref tables,
             ..
         } = *self;
@@ -860,18 +956,32 @@ impl Kernel {
         let (x, z) = frame.split_at(words);
         copy_bits(inputs, 0, x, offset, span);
         copy_bits(inputs, span, z, offset, span);
-        sum.clear();
-        sum.extend_from_slice(constant);
-        for (k, table) in tables.chunks_exact(16 * stride).enumerate() {
-            let v = (inputs[k / 16] >> (4 * (k % 16)) & 15) as usize;
-            xor_into(sum, &table[v * stride..][..stride]);
+        // The constant and the row each nibble picks, summed a band at a
+        // time. The frame's words of the sum move the frame; the words
+        // after them are the outcomes.
+        for at in (0..stride).step_by(BAND) {
+            let mut sum = band(constant, at);
+            let (mut table, mut word) = (at, 0);
+            for k in 0..nibbles {
+                if k % 16 == 0 {
+                    word = inputs[k / 16];
+                }
+                let row = band(tables, table + (word & 15) as usize * stride);
+                for (s, r) in sum.iter_mut().zip(row) {
+                    *s ^= r;
+                }
+                (table, word) = (table + 16 * stride, word >> 4);
+            }
+            let sum = &sum[..BAND.min(stride - at)];
+            let (moves, reported) = sum.split_at(frame.len().saturating_sub(at).min(sum.len()));
+            if let Some(moved) = frame.get_mut(at..) {
+                xor_into(moved, moves);
+            }
+            if !reported.is_empty() {
+                let done = (at + moves.len() - frame.len()) * WORD_BITS;
+                outcomes.extend_packed(reported, (reports - done).min(reported.len() * WORD_BITS));
+            }
         }
-        xor_into(frame, sum);
-        let at = frame.len();
-        outcomes.extend(measured.iter().enumerate().map(|(i, &q)| {
-            let bit = at * WORD_BITS + i;
-            (q, sum[bit / WORD_BITS] >> (bit % WORD_BITS) & 1 == 1)
-        }));
     }
 }
 
@@ -898,7 +1008,9 @@ enum Mode {
 /// # Example
 ///
 /// ```
-/// use quest_stabilizer::{FrameBlock, Pauli, SeedableRng, SimGate, StabilizerSim, StdRng, Tableau};
+/// use quest_stabilizer::{
+///     FrameBlock, Outcomes, Pauli, SeedableRng, SimGate, StabilizerSim, StdRng, Tableau,
+/// };
 /// use std::sync::Arc;
 ///
 /// // Five rounds of a two-qubit parity check with an error in between:
@@ -912,7 +1024,7 @@ enum Mode {
 ///         block.pauli(1, Pauli::X);
 ///         StabilizerSim::pauli(&mut bare, 1, Pauli::X);
 ///     }
-///     let (mut a, mut b) = (Vec::new(), Vec::new());
+///     let (mut a, mut b) = (Outcomes::new(), Outcomes::new());
 ///     block.run_cycle(0, 0, &round, &mut rng_a, &mut a);
 ///     bare.run_cycle(0, 0, &round, &mut rng_b, &mut b);
 ///     assert_eq!(a, b);
@@ -938,9 +1050,8 @@ pub struct FrameBlock {
     /// its tape holds an earlier recording to compare this one with.
     snapshot: Tableau,
     warmup: Warmup,
-    /// A kernel cycle's inputs and sum of columns.
+    /// A kernel cycle's inputs.
     inputs: Vec<u64>,
-    sum: Vec<u64>,
 }
 
 impl Clone for FrameBlock {
@@ -990,7 +1101,6 @@ impl FrameBlock {
             tapes: Vec::new(),
             warmup: Warmup::Off,
             inputs: Vec::new(),
-            sum: Vec::new(),
         }
     }
 
@@ -1457,7 +1567,7 @@ impl StabilizerSim for FrameBlock {
         offset: usize,
         gates: &Arc<[SimGate]>,
         rng: &mut R,
-        outcomes: &mut Vec<(usize, bool)>,
+        outcomes: &mut Outcomes,
     ) {
         let on_trail = matches!(self.warmup, Warmup::Fresh(_) | Warmup::Following { .. });
         let served = on_trail && self.follow(key, offset, gates) || {
@@ -1467,8 +1577,7 @@ impl StabilizerSim for FrameBlock {
         let tape = &mut self.tapes[self.slot];
         match tape.kernel.as_deref().filter(|_| served) {
             Some(kernel) => {
-                let (inputs, sum) = (&mut self.inputs, &mut self.sum);
-                kernel.apply(&mut self.frame, inputs, sum, rng, outcomes);
+                kernel.apply(&mut self.frame, &mut self.inputs, rng, outcomes);
                 tape.replayed += 1;
                 tape.kernel_draws += kernel.draws as u64;
             }
@@ -1498,7 +1607,6 @@ mod tests {
             let mut all = vec![
                 (b.frame.as_ptr(), b.frame.capacity()),
                 (b.inputs.as_ptr(), b.inputs.capacity()),
-                (b.sum.as_ptr(), b.sum.capacity()),
                 (
                     tape.record.entries.as_ptr().cast(),
                     tape.record.entries.capacity(),
@@ -1516,7 +1624,7 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(0xC0FFEE);
         let mut block = FrameBlock::new(41);
-        let (gates, mut outcomes) = (d5_bulk_gates(), Vec::with_capacity(16));
+        let (gates, mut outcomes) = (d5_bulk_gates(), Outcomes::new());
         let mut cycle = |block: &mut FrameBlock| {
             block.pauli(rng.gen_range(0..25), Pauli::Y);
             outcomes.clear();
@@ -1549,7 +1657,7 @@ mod tests {
         let gates: Arc<[SimGate]> = kernel_test_cycle().into();
         let mut rng = StdRng::seed_from_u64(1);
         while block.replayed_cycles(1) == 0 {
-            block.run_cycle(1, 1, &gates, &mut rng, &mut Vec::new());
+            block.run_cycle(1, 1, &gates, &mut rng, &mut Outcomes::new());
         }
         let kernel = block.tapes[0].kernel.as_ref().expect("compiled");
         assert_eq!((kernel.span, kernel.draws), (3, 3));
@@ -1565,20 +1673,41 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut layer = FrameBlock::fresh(5, Arc::new([]));
         let trail = loop {
-            layer.run_cycle(1, 1, &gates, &mut rng, &mut Vec::new());
+            layer.run_cycle(1, 1, &gates, &mut rng, &mut Outcomes::new());
             if let Some(trail) = layer.take_trail() {
                 break Arc::new(trail);
             }
         };
         let mut follower = FrameBlock::fresh(5, Arc::new([Arc::clone(&trail)]));
         for _ in 0..=trail.cycles() {
-            follower.run_cycle(1, 1, &gates, &mut rng, &mut Vec::new());
+            follower.run_cycle(1, 1, &gates, &mut rng, &mut Outcomes::new());
         }
         let locked = &trail.cycles.last().expect("a trail has cycles").kernel;
         let tape = &follower.tapes[0];
         assert!(tape.locked && matches!(follower.warmup, Warmup::Off));
         assert!(Arc::ptr_eq(tape.kernel.as_ref().expect("a kernel"), locked));
         assert_eq!(tape.replayed, trail.cycles() as u64 + 1);
+    }
+
+    #[test]
+    fn packed_outcomes_append_as_pushed_ones_do() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for (before, len) in [(0usize, 75usize), (5, 64), (63, 1), (64, 130), (100, 28)] {
+            let bits: Vec<bool> = (0..before + len).map(|_| rng.gen()).collect();
+            let mut words = vec![0u64; len.div_ceil(WORD_BITS)];
+            for (i, &bit) in bits[before..].iter().enumerate() {
+                words[i / WORD_BITS] |= u64::from(bit) << (i % WORD_BITS);
+            }
+            let (mut pushed, mut packed) = (Outcomes::new(), Outcomes::new());
+            for &bit in &bits[..before] {
+                pushed.push(bit);
+                packed.push(bit);
+            }
+            bits[before..].iter().for_each(|&bit| pushed.push(bit));
+            packed.extend_packed(&words, len);
+            assert_eq!(packed, pushed, "{before} then {len}");
+            assert!(packed.iter().eq(bits.iter().copied()));
+        }
     }
 
     /// A cycle with random entries that locks: tile qubit 1 entangled

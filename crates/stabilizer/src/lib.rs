@@ -44,7 +44,7 @@ pub use circuit::{Circuit, Gate};
 pub use frame::{
     block_seed, BlockRngs, FramePlanes, FrameSimulator, FrameWord, LaneWidth, SHOTS_PER_WORD, W512,
 };
-pub use frame_block::{fire_gates, FrameBlock, SimGate, StabilizerSim, Trail, Trails};
+pub use frame_block::{fire_gates, FrameBlock, Outcomes, SimGate, StabilizerSim, Trail, Trails};
 pub use noise::{NoiseChannel, PauliChannel};
 pub use pauli::{Pauli, PauliString};
 pub use statevector::{Complex, StateVector};

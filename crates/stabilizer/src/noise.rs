@@ -50,6 +50,15 @@ pub struct PauliChannel {
     px: f64,
     py: f64,
     pz: f64,
+    /// `⌈p·2⁵³⌉` for `p` = `px`, `px + py` and `px + py + pz`: the
+    /// thresholds [`NoiseChannel::sample`] compares a draw's 53 bits with.
+    thresholds: [u64; 3],
+}
+
+/// `⌈p·2⁵³⌉`, exactly: scaling by a power of two is exact, and so is the
+/// ceiling of a value no larger than `2⁵³`.
+fn threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 impl PauliChannel {
@@ -61,7 +70,12 @@ impl PauliChannel {
     pub fn new(px: f64, py: f64, pz: f64) -> PauliChannel {
         assert!(px >= 0.0 && py >= 0.0 && pz >= 0.0, "negative probability");
         assert!(px + py + pz <= 1.0, "probabilities sum to more than 1");
-        PauliChannel { px, py, pz }
+        PauliChannel {
+            px,
+            py,
+            pz,
+            thresholds: [px, px + py, px + py + pz].map(threshold),
+        }
     }
 
     /// Symmetric depolarizing channel with total error probability `p`
@@ -122,20 +136,27 @@ impl PauliChannel {
 }
 
 impl NoiseChannel for PauliChannel {
+    /// One draw, none when the channel is noiseless. The draw is the
+    /// `u = m·2⁻⁵³` of `rng.gen::<f64>()`, `m` its top 53 bits, and the
+    /// error the first of X, Y, Z whose cumulative probability (`px`,
+    /// `px + py`, `px + py + pz`, summed in `f64`) exceeds `u`. Since
+    /// `m·2⁻⁵³ < p` exactly when the integer `m` is below `⌈p·2⁵³⌉`, the
+    /// channel compares `m` with those integers instead: the same error
+    /// for every draw, and in the common case (no error) one comparison.
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Pauli {
-        let total = self.total_error_probability();
-        if total == 0.0 {
+        let [x, xy, total] = self.thresholds;
+        if total == 0 {
             return Pauli::I;
         }
-        let u: f64 = rng.gen();
-        if u < self.px {
-            Pauli::X
-        } else if u < self.px + self.py {
-            Pauli::Y
-        } else if u < total {
-            Pauli::Z
-        } else {
+        let m = rng.next_u64() >> 11;
+        if m >= total {
             Pauli::I
+        } else if m < x {
+            Pauli::X
+        } else if m < xy {
+            Pauli::Y
+        } else {
+            Pauli::Z
         }
     }
 }
@@ -197,6 +218,121 @@ mod tests {
         assert_eq!(layer.weight(), 8);
         for q in 0..8 {
             assert!(t.measure(q, &mut rng).value);
+        }
+    }
+
+    /// Returns one fixed word on every draw, and counts the draws.
+    struct Fixed {
+        word: u64,
+        draws: u32,
+    }
+
+    impl rand::RngCore for Fixed {
+        fn next_u32(&mut self) -> u32 {
+            self.draws += 1;
+            self.word as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.word
+        }
+    }
+
+    /// What `sample` answers for the draw `k` by the `f64` chain: `u` is
+    /// `rng.gen::<f64>()` for a generator that returns `k`.
+    fn by_floats(ch: &PauliChannel, k: u64) -> Pauli {
+        let total = ch.total_error_probability();
+        if total == 0.0 {
+            return Pauli::I;
+        }
+        let u = (k >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        if u < ch.px() {
+            Pauli::X
+        } else if u < ch.px() + ch.py() {
+            Pauli::Y
+        } else if u < total {
+            Pauli::Z
+        } else {
+            Pauli::I
+        }
+    }
+
+    /// `sample` on the draw `k` against the `f64` chain: the same error,
+    /// from exactly one draw (none from a noiseless channel).
+    fn check(ch: &PauliChannel, k: u64) -> Result<(), String> {
+        let mut rng = Fixed { word: k, draws: 0 };
+        let got = ch.sample(&mut rng);
+        let want = by_floats(ch, k);
+        let draws = u32::from(ch.total_error_probability() > 0.0);
+        match (got == want, rng.draws == draws) {
+            (true, true) => Ok(()),
+            _ => Err(format!(
+                "{ch:?}, draw {k:#x}: {got} in {} draws, the f64 chain {want} in {draws}",
+                rng.draws
+            )),
+        }
+    }
+
+    /// The draws whose top 53 bits sit one below, at and one above each
+    /// threshold of `ch`, with the low 11 bits clear and set.
+    fn around_thresholds(ch: &PauliChannel) -> impl Iterator<Item = u64> {
+        ch.thresholds
+            .into_iter()
+            .flat_map(|t| [t.wrapping_sub(1), t, t + 1])
+            .filter(|&m| m < 1 << 53)
+            .flat_map(|m| [m << 11, m << 11 | 0x7ff])
+    }
+
+    #[test]
+    fn integer_thresholds_answer_as_the_f64_chain() {
+        let mut channels = Vec::new();
+        for p in [0.0, 1.0, 1.0 / (1u64 << 53) as f64, 1e-300, 1.0 / 3.0] {
+            channels.extend([
+                PauliChannel::bit_flip(p),
+                PauliChannel::phase_flip(p),
+                PauliChannel::new(0.0, p, 0.0),
+                PauliChannel::depolarizing(p),
+            ]);
+        }
+        for p in [1e-3, 5e-3, 1e-2, 2e-2] {
+            channels.extend([
+                PauliChannel::depolarizing(p),
+                PauliChannel::bit_flip(p / 3.0),
+            ]);
+        }
+        for ch in &channels {
+            for k in around_thresholds(ch).chain([0, u64::MAX]) {
+                check(ch, k).unwrap();
+            }
+        }
+        // The accessors the sweep path reads keep the values they were
+        // built from.
+        let ch = PauliChannel::depolarizing(2e-2);
+        assert_eq!(
+            (ch.px(), ch.py(), ch.pz()),
+            (2e-2 / 3.0, 2e-2 / 3.0, 2e-2 / 3.0)
+        );
+        assert_eq!(
+            ch.total_error_probability(),
+            2e-2 / 3.0 + 2e-2 / 3.0 + 2e-2 / 3.0
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn any_channel_answers_any_draw_as_the_f64_chain(
+            mantissas in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+            exponents in (0i32..60, 0i32..60, 0i32..60),
+            k in proptest::prelude::any::<u64>(),
+        ) {
+            // Spread over many magnitudes, down to 2⁻⁶⁰.
+            let ((mx, my, mz), (ex, ey, ez)) = (mantissas, exponents);
+            let (px, py, pz) = (mx * 2f64.powi(-ex), my * 2f64.powi(-ey), mz * 2f64.powi(-ez));
+            proptest::prop_assume!(px + py + pz <= 1.0);
+            let ch = PauliChannel::new(px, py, pz);
+            for k in around_thresholds(&ch).chain([k]) {
+                check(&ch, k).map_err(proptest::TestCaseError::fail)?;
+            }
         }
     }
 

@@ -864,7 +864,7 @@ impl Tableau {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::frame_block::{fire_gates, SimGate};
+    use crate::frame_block::{fire_gates, Outcomes, SimGate};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
@@ -1137,7 +1137,7 @@ pub(crate) mod tests {
 
     /// [`d5_bulk_gates`] fired gate by gate.
     fn d5_bulk_round(t: &mut Tableau, rng: &mut StdRng) {
-        fire_gates(t, 0, &d5_bulk_gates(), rng, &mut Vec::new());
+        fire_gates(t, 0, &d5_bulk_gates(), rng, &mut Outcomes::new());
     }
 
     #[test]

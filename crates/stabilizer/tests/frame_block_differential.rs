@@ -18,7 +18,8 @@
 //!
 //! A kernel must serve a cycle as its calls one by one would: a cycle
 //! that draws on every round runs on a kernel, call by call on a block
-//! and on a bare tableau, and all three must agree. A block following a
+//! and on a bare tableau, and all three must agree; so must a kernel
+//! whose columns are wider than one band of its sum. A block following a
 //! warm-up trail must hold what a block that never saw it does,
 //! generator for generator, wherever it leaves the trail.
 //!
@@ -27,7 +28,8 @@
 
 use proptest::prelude::*;
 use quest_stabilizer::{
-    fire_gates, FrameBlock, Measurement, Pauli, SimGate, StabilizerSim, Tableau, Trail, Trails,
+    fire_gates, FrameBlock, Measurement, Outcomes, Pauli, SimGate, StabilizerSim, Tableau, Trail,
+    Trails,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -358,7 +360,7 @@ impl Pair {
             }
         };
         let served = self.block.replayed_cycles(key);
-        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let (mut got, mut want) = (Outcomes::new(), Outcomes::new());
         let block_rng = &mut self.block_rng;
         self.block.run_cycle(key, 0, &gates, block_rng, &mut got);
         let bare_rng = &mut self.bare_rng;
@@ -617,7 +619,7 @@ fn a_repeating_cycle_locks_and_a_stray_operation_unlocks_it() {
         }
         block.pauli(cycle % 2, Pauli::ALL[cycle % 4]);
         bare.pauli(cycle % 2, Pauli::ALL[cycle % 4]);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let (mut a, mut b) = (Outcomes::new(), Outcomes::new());
         block.run_cycle(7, 0, &round, &mut rng_a, &mut a);
         bare.run_cycle(7, 0, &round, &mut rng_b, &mut b);
         assert_eq!(a, b, "cycle {cycle}");
@@ -739,7 +741,7 @@ impl Program {
             apply(&mut block, op, &mut rng);
         }
         for round in 0..8 {
-            block.run_cycle(KEY, 0, self.round(round).1, &mut rng, &mut Vec::new());
+            block.run_cycle(KEY, 0, self.round(round).1, &mut rng, &mut Outcomes::new());
             if let Some(trail) = block.take_trail() {
                 return Some(trail);
             }
@@ -822,7 +824,7 @@ impl Trio {
     fn run_cycle(&mut self, key: usize, gates: &Arc<[SimGate]>) -> TestCaseResult {
         self.step += 1;
         let [a, b, c] = &mut self.rngs;
-        let mut out = [(); 3].map(|()| Vec::new());
+        let mut out = [(); 3].map(|()| Outcomes::new());
         self.follower.run_cycle(key, 0, gates, a, &mut out[0]);
         self.cold.run_cycle(key, 0, gates, b, &mut out[1]);
         self.bare.run_cycle(key, 0, gates, c, &mut out[2]);
@@ -1090,7 +1092,7 @@ fn a_kernel_serves_a_locked_cycle_as_the_calls_would_and_only_its_own_gates() {
                 let draws = rngs.each_ref().map(|r| r.draws);
                 assert_eq!(draws, [draws[0]; 3], "RNG positions");
                 let [rk, rc, rb] = &mut rngs;
-                let mut out = [(); 3].map(|()| Vec::new());
+                let mut out = [(); 3].map(|()| Outcomes::new());
                 kernel.run_cycle(KEY, offset, list, rk, &mut out[0]);
                 let mut flags = [(); 2].map(|()| Vec::new());
                 let mut on_calls = Flags {
@@ -1139,5 +1141,80 @@ fn a_kernel_serves_a_locked_cycle_as_the_calls_would_and_only_its_own_gates() {
             let next = rngs.map(|mut rng| rng.next_u64());
             assert_eq!(next, [next[2]; 3], "n = {n}, seed {seed}: the next draw");
         }
+    }
+}
+
+/// A cycle on a block wider than one band of a kernel's sum: 72 `ZZ`
+/// checks along a chain of data qubits (73 data qubits, the ancillas
+/// after them) after [`kernel_cycle`]'s six qubits, which draw on every
+/// round. Its 75 outcomes take two words.
+fn wide_cycle() -> Vec<SimGate> {
+    use SimGate::*;
+    const CHECKS: usize = 72;
+    let (data, ancillas) = (6, 6 + CHECKS + 1);
+    let mut gates = kernel_cycle();
+    for check in 0..CHECKS {
+        let ancilla = ancillas + check;
+        gates.extend([
+            Reset(ancilla),
+            Cnot(data + check, ancilla),
+            Cnot(data + check + 1, ancilla),
+            Measure(ancilla),
+        ]);
+    }
+    gates
+}
+
+#[test]
+fn a_kernel_wider_than_a_band_serves_a_locked_cycle_as_the_tableau_does() {
+    // 320 qubits: a kernel column is ten frame words and two of
+    // outcomes, twelve words, more than one band of the sum, and the
+    // tile sits at an offset that is not a word boundary, its qubit 0 in
+    // a Bell pair with qubit 3, outside it.
+    const N: usize = 320;
+    const OFFSET: usize = 130;
+    const CYCLES: usize = 14;
+    // The cycle's 151 qubits end at qubit 280.
+    let gates: Arc<[SimGate]> = wide_cycle().into();
+    for seed in 0..2 {
+        let (mut block, mut bare) = (FrameBlock::new(N), Tableau::new(N));
+        let mut rngs = [0; 2].map(|_| CountingRng::new(seed));
+        let mut noise = StdRng::seed_from_u64(seed ^ 0x5A);
+        for op in [(H, 3, 0), (CNOT, 3, OFFSET)] {
+            let [rk, rb] = &mut rngs;
+            apply(&mut block, op, rk);
+            apply(&mut bare, op, rb);
+        }
+        for cycle in 0..CYCLES {
+            // Errors on the tile's data qubits and anywhere else.
+            for _ in 0..4 {
+                let q = match noise.gen::<bool>() {
+                    true => OFFSET + noise.gen_range(0..80),
+                    false => noise.gen_range(0..N),
+                };
+                let p = Pauli::ALL[noise.gen_range(1..4)];
+                block.pauli(q, p);
+                StabilizerSim::pauli(&mut bare, q, p);
+            }
+            let replayed = block.replayed_cycles(KEY);
+            let [rk, rb] = &mut rngs;
+            let mut out = [(); 2].map(|()| Outcomes::new());
+            block.run_cycle(KEY, OFFSET, &gates, rk, &mut out[0]);
+            bare.run_cycle(KEY, OFFSET, &gates, rb, &mut out[1]);
+            let at = format!("seed {seed}, cycle {cycle}");
+            assert_eq!(out[1].len(), 75, "{at}");
+            assert_eq!(out[0], out[1], "{at}: outcomes");
+            assert_eq!(rngs[0].draws, rngs[1].draws, "{at}: RNG position");
+            assert!(block.to_tableau().same_state(&bare), "{at}: state");
+            if cycle >= 4 {
+                assert!(
+                    block.replayed_cycles(KEY) > replayed,
+                    "{at}: off the kernel"
+                );
+            }
+        }
+        assert!(block.kernel_draws(KEY) > 0);
+        let next = rngs.map(|mut rng| rng.next_u64());
+        assert_eq!(next[0], next[1], "seed {seed}: the next draw");
     }
 }
