@@ -252,12 +252,14 @@ impl DecoderPipeline {
         &self.frame
     }
 
-    /// XORs another frame of the same width, as words, into this one.
+    /// XORs another frame of the same width, as words, into this one:
+    /// how a transversal CNOT copies a frame across tiles, and how the
+    /// runtime applies a global correction that travels as words.
     ///
     /// # Panics
     ///
     /// Panics if the widths differ.
-    pub(crate) fn xor_frame(&mut self, words: &[u64]) {
+    pub fn xor_frame(&mut self, words: &[u64]) {
         assert_eq!(words.len(), self.frame.len(), "frame width mismatch");
         for (a, b) in self.frame.iter_mut().zip(words) {
             *a ^= b;

@@ -22,8 +22,10 @@
 //!   batch through [`quest_surface::decoder::batch`], split over decode
 //!   lanes: lane 0 is the master itself, every further lane a thread.
 //! * **Granted cycles, not clocked ones** — for a `Cycles(n)` operation
-//!   the master grants each threaded shard the whole operation at once.
-//!   A shard runs its cycles back to back and waits for nothing: the
+//!   the master grants each threaded shard the whole operation at once,
+//!   and the inline shard 0 its first cycle, then a window of
+//!   [`SHARD0_WINDOW`] cycles each time it has consumed the last. A
+//!   shard runs its cycles back to back and waits for nothing: the
 //!   master hears from a tile only when a syndrome escalates (§4.4), and
 //!   the correction it sends back only updates a Pauli frame no QECC
 //!   cycle reads, so the shard applies it whenever it arrives. The
@@ -34,9 +36,11 @@
 //!   [`CheckpointSink`] attached the grant is one cycle, because a
 //!   checkpoint needs every shard stopped at the same barrier.
 //! * **What runs share** — a [`Runtime`] keeps, per code distance, the
-//!   template MCE its tiles are cloned from and the warm-up trails its
+//!   template MCE its tiles are cloned from, the warm-up trails its
 //!   fresh tiles follow instead of running their first cycles on a
-//!   tableau; the first run at a distance builds and lays them.
+//!   tableau, and the global decodes answered so far, which the decode
+//!   lanes answer a repeated escalation from; the first run at a
+//!   distance builds and lays them.
 //!
 //! Instruction delivery goes through the shared
 //! [`quest_core::DeliveryEngine`]: the master thread
@@ -115,7 +119,7 @@ pub use stats::{PhaseTimings, RuntimeReport, RuntimeStats, ShardStats};
 
 use memo::Memo;
 use message::{Envelope, Payload};
-use pool::DecodePool;
+use pool::{Corrections, DecodePool};
 use quest_core::network::{Network, PacketKind};
 use quest_core::{DeliveryEngine, FaultSession, MasterController};
 use quest_isa::LogicalInstr;
@@ -125,13 +129,15 @@ use shard::{ShardLink, ShardWorker};
 use snapshot::ShardSnapshot;
 use stats::Stopwatch;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The concurrent runtime. Construction is cheap: a `Runtime` holds the
 /// number of decode lanes and a memo of what every run of a code
-/// distance shares — one template MCE whose clones share its tables, and
-/// the warm-up *trails* fresh tiles follow instead of running their first
+/// distance shares — one template MCE whose clones share its tables, the
+/// warm-up *trails* fresh tiles follow instead of running their first
 /// cycles on a tableau (built and laid by the first run at that
-/// distance). Clones of a `Runtime` share the memo, and nothing in it
+/// distance), and the answers of the global decodes run so far, bounded
+/// per distance. Clones of a `Runtime` share the memo, and nothing in it
 /// shows in a report: a run on a `Runtime` that has served a thousand
 /// others returns the [`RunReport`] a new one would. Threads live only
 /// for the duration of [`Runtime::run`] — one per shard beyond shard 0
@@ -145,6 +151,14 @@ pub struct Runtime {
 
 /// Fan-out of the modelled interconnect tree between master and MCEs.
 const NETWORK_FANOUT: usize = 4;
+
+/// Cycles the inline shard 0 of a free-running run is granted at a time,
+/// past the first cycle of a `Cycles` op: it computes them on the
+/// master's thread in one go, and the master then consumes them cycle by
+/// cycle. A threaded shard hands its answers up in the same windows. On
+/// the 8-tile d = 5 two-shard memory run, windows of 16 and 256 read
+/// within noise of 64.
+pub const SHARD0_WINDOW: u64 = 64;
 
 impl Default for Runtime {
     fn default() -> Runtime {
@@ -323,7 +337,12 @@ impl Runtime {
                     })
                 })
                 .collect();
-            let pool = DecodePool::spawn(scope, lattice, spec.decoder, self.decode_workers);
+            let pool = DecodePool::spawn(
+                scope,
+                Arc::clone(&shared.decodes),
+                spec.decoder,
+                self.decode_workers,
+            );
 
             // Accounting state either starts fresh or continues exactly
             // where the snapshot froze it; everything else (threads,
@@ -357,7 +376,10 @@ impl Runtime {
                     |r| r.network.clone(),
                 ),
                 pool,
+                batch: Vec::new(),
+                corrections: Vec::new(),
                 links,
+                shard0_ahead: 0,
                 shard_stats: resume.map_or_else(
                     || {
                         (0..spec.shards)
@@ -378,6 +400,7 @@ impl Runtime {
                 qecc_cycles: resume.map_or(0, |r| r.qecc_cycles),
                 local_decodes: 0,
                 phases: PhaseTimings::default(),
+                snapshotting: Duration::ZERO,
                 resume_op: resume.map_or(0, |r| r.op_index),
                 resume_cycles: resume.map_or(0, |r| r.cycles_into_op),
                 pool_stats_base: resume.map_or_else(PoolStats::default, |r| r.pool_stats),
@@ -417,13 +440,22 @@ struct Master<'a, 'scope, 'env> {
     controller: MasterController,
     network: Network,
     pool: DecodePool<'scope, 'env>,
+    /// The cycle's escalations and their corrections, kept from one
+    /// cycle to the next.
+    batch: Vec<(usize, StabKind, DecodeJob)>,
+    corrections: Corrections,
     /// One link per shard: shard 0 inline, the others threaded.
     links: Vec<ShardLink<'scope>>,
+    /// Cycles the inline shard 0 has run that the master has yet to
+    /// consume, past the one it is consuming.
+    shard0_ahead: u64,
     shard_stats: Vec<ShardStats>,
     outcomes: Vec<(usize, bool)>,
     qecc_cycles: u64,
     local_decodes: u64,
     phases: PhaseTimings,
+    /// Wall-clock spent taking snapshots, which no phase counts.
+    snapshotting: Duration,
     /// Resume position: index of the op (always a `Cycles` op, or 0 on a
     /// fresh run) execution starts at, and how many of its cycles the
     /// snapshot already completed.
@@ -519,17 +551,29 @@ impl Master<'_, '_, '_> {
     /// cycle of a `Cycles` op with `left` to go (`first`: the first it
     /// consumes of that op in this run) — the one place that decides how
     /// far a shard runs on its own. A threaded shard gets the rest of the
-    /// op at once; the inline shard computes inside `send`, so it gets
-    /// one cycle per call, after the threaded ones have theirs; and with
-    /// a [`CheckpointSink`] attached every shard gets one cycle at a
-    /// time, because a checkpoint (by cadence, or forced from another
-    /// thread at any cycle) needs all shards stopped at the same barrier.
+    /// op at once. The inline shard computes inside `send`, after the
+    /// threaded ones have their grant: it gets the op's first cycle alone
+    /// (a run reports its first cycle as soon as it has run), then a
+    /// window of [`SHARD0_WINDOW`] cycles each time the master has
+    /// consumed the last. Every correction of a window is sent before the
+    /// next grant, so the shard is owed none when it comes. With a
+    /// [`CheckpointSink`] attached every shard gets one cycle at a time,
+    /// because a checkpoint (by cadence, or forced from another thread at
+    /// any cycle) needs all shards stopped at the same barrier.
     fn grant(&mut self, left: u64, first: bool) -> Result<(), RuntimeError> {
         let lock_step = self.control.checkpoints().is_some();
         for shard in (0..self.spec.shards).rev() {
             let inline = matches!(self.links[shard], ShardLink::Inline { .. });
-            let cycles = if lock_step || inline {
+            let cycles = if lock_step {
                 1
+            } else if inline {
+                if self.shard0_ahead > 0 {
+                    self.shard0_ahead -= 1;
+                    continue;
+                }
+                let window = if first { 1 } else { SHARD0_WINDOW.min(left) };
+                self.shard0_ahead = window - 1;
+                window
             } else if first {
                 left
             } else {
@@ -666,6 +710,10 @@ impl Master<'_, '_, '_> {
                     } else {
                         0
                     };
+                    // One clock for the op: the cycle phase is what of it
+                    // the decode phase and the snapshots did not take.
+                    let start = Stopwatch::start();
+                    let before = self.phases.decode + self.snapshotting;
                     for k in done..n {
                         if self.control.cancelled() {
                             return Err(self.cancelled());
@@ -674,6 +722,8 @@ impl Master<'_, '_, '_> {
                         self.checkpoint(op_index, k + 1)?;
                         self.control.report(self.qecc_cycles, self.cycles_total);
                     }
+                    let elsewhere = self.phases.decode + self.snapshotting - before;
+                    self.phases.cycles += start.elapsed().saturating_sub(elsewhere);
                 }
                 WorkloadOp::MeasureZ { tile } => {
                     let start = Stopwatch::start();
@@ -748,6 +798,7 @@ impl Master<'_, '_, '_> {
             batches: self.pool_stats_base.batches + live.batches,
             jobs: self.pool_stats_base.jobs + live.jobs,
             max_batch_jobs: self.pool_stats_base.max_batch_jobs.max(live.max_batch_jobs),
+            memo_hits: self.pool_stats_base.memo_hits + live.memo_hits,
             deaths: self.pool_stats_base.deaths + live.deaths,
             respawns: self.pool_stats_base.respawns + live.respawns,
         }
@@ -777,6 +828,7 @@ impl Master<'_, '_, '_> {
         if !sink.wants(self.qecc_cycles) {
             return Ok(());
         }
+        let start = Stopwatch::start();
         for shard in 0..self.spec.shards {
             // Sent directly (not `send`): observer traffic must not
             // perturb the downstream-message statistics either.
@@ -831,6 +883,7 @@ impl Master<'_, '_, '_> {
             pool_cost: self.merged_pool_cost(),
             shards,
         });
+        self.snapshotting += start.elapsed();
         Ok(())
     }
 
@@ -839,13 +892,13 @@ impl Master<'_, '_, '_> {
     /// envelopes of this cycle up to its `CycleDone` — shard by shard, so
     /// the ledgers, fault rolls and the decode batch see one fixed order
     /// however far ahead the shards are — decode the batch, push the
-    /// corrections back down.
+    /// corrections back down. Only a cycle that escalates reads the
+    /// clock, to time its decode.
     fn run_cycle(&mut self, left: u64, first: bool) -> Result<(), RuntimeError> {
-        let start = Stopwatch::start();
         self.faults.begin_cycle(self.qecc_cycles);
         self.grant(left, first)?;
 
-        let mut batch: Vec<(usize, StabKind, DecodeJob)> = Vec::new();
+        let mut batch = std::mem::take(&mut self.batch);
         for shard in 0..self.spec.shards {
             loop {
                 let env = self.recv_up(shard)?;
@@ -898,17 +951,29 @@ impl Master<'_, '_, '_> {
             engine.account_cycle(&mut self.controller, self.num_qubits, self.cycle_len);
         }
         self.qecc_cycles += 1;
-        self.phases.cycles += start.elapsed();
 
-        let start = Stopwatch::start();
+        if !batch.is_empty() {
+            let start = Stopwatch::start();
+            self.decode(&mut batch)?;
+            self.phases.decode += start.elapsed();
+        }
+        self.batch = batch;
+        Ok(())
+    }
+
+    /// Decodes one cycle's escalations and sends each correction down.
+    fn decode(
+        &mut self,
+        batch: &mut Vec<(usize, StabKind, DecodeJob)>,
+    ) -> Result<(), RuntimeError> {
         // The scheduled decode-worker kill fires on the batch that
         // crosses the job threshold — a pure function of the (shard-count
         // invariant) escalation totals, so faulty runs stay reproducible.
-        let kill_one = !batch.is_empty()
-            && self.faults.take_decode_kill(
-                self.pool_stats_base.jobs + self.pool.stats().jobs + batch.len() as u64,
-            );
-        let mut corrections = self.pool.decode(batch, kill_one)?;
+        let kill_one = self.faults.take_decode_kill(
+            self.pool_stats_base.jobs + self.pool.stats().jobs + batch.len() as u64,
+        );
+        let mut corrections = std::mem::take(&mut self.corrections);
+        self.pool.decode(batch, kill_one, &mut corrections)?;
         // Workers finish chunks in arbitrary order; fix a canonical
         // (tile, kind) order so the fault layer's per-lane rolls — and
         // with them the whole faulty run — never depend on pool timing.
@@ -921,12 +986,11 @@ impl Master<'_, '_, '_> {
                 },
             )
         });
-        for (tile, kind, flips) in corrections {
+        for (tile, kind, flips) in corrections.drain(..) {
             let shard = self.spec.shard_of(tile);
-            let env = Envelope::correction(tile, kind, flips.into_iter().collect());
-            self.send_down(shard, tile, env)?;
+            self.send_down(shard, tile, Envelope::correction(tile, kind, flips))?;
         }
-        self.phases.decode += start.elapsed();
+        self.corrections = corrections;
         Ok(())
     }
 
@@ -1158,8 +1222,9 @@ mod tests {
         let lock_step = Runtime::new().run_controlled(&spec, &control).unwrap();
         assert_eq!(free.report, lock_step.report);
         // Preps, grants, one correction per escalation, readouts, the
-        // shutdown. The master drives shard 0 itself, a cycle per call;
-        // shard 1 runs on one grant unless a sink may want a checkpoint.
+        // shutdown. The master drives shard 0 itself, one cycle and then
+        // a window at a time; shard 1 runs on one grant unless a sink may
+        // want a checkpoint.
         let sent = |report: &RuntimeReport, shard: usize, grants: u64| {
             let s = &report.stats.shards[shard];
             assert!(s.escalations > 0, "corrections must flow");
@@ -1169,7 +1234,7 @@ mod tests {
                 "shard {shard}"
             );
         };
-        sent(&free, 0, 600);
+        sent(&free, 0, 1 + (600 - 1u64).div_ceil(SHARD0_WINDOW));
         sent(&free, 1, 1);
         sent(&lock_step, 0, 600);
         sent(&lock_step, 1, 600);

@@ -1,7 +1,7 @@
 //! What every run of one code distance shares, kept by a
 //! [`Runtime`](crate::Runtime) from one run to the next.
 //!
-//! Two things a run needs depend on the code distance alone:
+//! Three things a run needs depend on the code distance alone:
 //!
 //! * **The template MCE.** The lattice, the QECC microcode and its
 //!   resolved words, the tile geometry and both decoder pipelines' graph
@@ -18,15 +18,27 @@
 //!   kernel: they compile nothing. A trail is kept per first-mark key and
 //!   starting tableau, so a `|+⟩` tile publishing first does not keep
 //!   `|0⟩` tiles off the fast path.
+//! * **Global decodes.** An escalation is decoded on the distance's
+//!   single-round graph of its kind, and a decode is a pure function of
+//!   the engine, the graph and the event list. [`Decodes`] holds the two
+//!   graphs every decode lane reads, and the [`Answer`] of each
+//!   `(decoder, kind, events)` decoded so far: the data qubits the
+//!   correction flips, as words, and the decode's [`CostReport`]. A lane
+//!   answers a repeated escalation from here, replaying its cost into its
+//!   ledger, and decodes only what it has not seen. The map is looked up
+//!   and added to under its own lock, never held across a decode.
 //!
-//! Neither shows in a report: a clone of the template is the MCE
-//! [`Mce::new`] builds, and a block following a trail answers, draws and
-//! holds exactly what a block laying it does. The memo holds one entry
-//! per distance and at most [`TRAILS_PER_DISTANCE`] trails per entry.
+//! None of it shows in a report: a clone of the template is the MCE
+//! [`Mce::new`] builds, a block following a trail answers, draws and
+//! holds exactly what a block laying it does, and a kept answer is what
+//! the engine would answer again. The memo holds one entry per distance,
+//! at most [`TRAILS_PER_DISTANCE`] trails and at most
+//! [`DECODES_PER_DISTANCE`] answers per entry.
 
 use quest_core::{Mce, MCE_IBUF_BYTES};
 use quest_stabilizer::{Trail, Trails};
-use quest_surface::RotatedLattice;
+use quest_surface::decoder::{BatchGraphs, CostReport, DecoderChoice};
+use quest_surface::{NodeId, RotatedLattice, StabKind};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -37,6 +49,12 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// memo can hold.
 pub(crate) const TRAILS_PER_DISTANCE: usize = 4;
 
+/// Most global-decode answers kept per distance, over every decoder and
+/// both kinds. A single-round escalation at d = 5 has at most 12 events
+/// of a kind and mostly two to four: a few hundred sets make up nearly
+/// all of them. Past the cap a decode is answered and not kept.
+pub(crate) const DECODES_PER_DISTANCE: usize = 4096;
+
 /// What the runs of one distance share.
 #[derive(Debug, Clone)]
 pub(crate) struct Shared {
@@ -44,6 +62,99 @@ pub(crate) struct Shared {
     pub(crate) template: Arc<Mce>,
     /// The trails published so far.
     pub(crate) trails: Trails,
+    /// The distance's decoding graphs and the decodes answered so far.
+    pub(crate) decodes: Arc<Decodes>,
+}
+
+/// One global decode's answer: the data qubits its correction flips,
+/// bit `q % 64` of word `q / 64`, and what the decode cost.
+#[derive(Debug, Clone)]
+pub(crate) struct Answer {
+    pub(crate) flips: Arc<[u64]>,
+    pub(crate) cost: CostReport,
+}
+
+/// Answers by engine and kind, then by event list.
+type AnswerMap = BTreeMap<(DecoderChoice, StabKind), BTreeMap<Box<[NodeId]>, Answer>>;
+
+/// The global decodes of one distance: the single-round graphs every
+/// decode lane reads, and the answers given so far.
+pub(crate) struct Decodes {
+    graphs: BatchGraphs,
+    /// Words of a correction: one bit per data qubit.
+    words: usize,
+    answers: Mutex<(AnswerMap, usize)>,
+}
+
+impl fmt::Debug for Decodes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Decodes")
+            .field("answers", &self.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Decodes {
+    pub(crate) fn new(lattice: &RotatedLattice) -> Decodes {
+        Decodes {
+            graphs: BatchGraphs::new(lattice),
+            words: lattice.num_data().div_ceil(64),
+            answers: Mutex::default(),
+        }
+    }
+
+    /// The single-round decoding graphs of both kinds.
+    pub(crate) fn graphs(&self) -> &BatchGraphs {
+        &self.graphs
+    }
+
+    /// Words of a correction's flips.
+    pub(crate) fn words(&self) -> usize {
+        self.words
+    }
+
+    /// The kept answer to decoding `events` of `kind` with `choice`.
+    pub(crate) fn answer(
+        &self,
+        choice: DecoderChoice,
+        kind: StabKind,
+        events: &[NodeId],
+    ) -> Option<Answer> {
+        self.lock().0.get(&(choice, kind))?.get(events).cloned()
+    }
+
+    /// Keeps `answer` for `(choice, kind, events)` unless the distance
+    /// holds [`DECODES_PER_DISTANCE`] answers already (or this one: two
+    /// lanes may decode the same events at once, and answer alike).
+    pub(crate) fn keep(
+        &self,
+        choice: DecoderChoice,
+        kind: StabKind,
+        events: &[NodeId],
+        answer: &Answer,
+    ) {
+        let mut guard = self.lock();
+        let (map, kept) = &mut *guard;
+        if *kept >= DECODES_PER_DISTANCE {
+            return;
+        }
+        let by_events = map.entry((choice, kind)).or_default();
+        if !by_events.contains_key(events) {
+            by_events.insert(events.into(), answer.clone());
+            *kept += 1;
+        }
+    }
+
+    /// Answers kept.
+    pub(crate) fn len(&self) -> usize {
+        self.lock().1
+    }
+
+    fn lock(&self) -> MutexGuard<'_, (AnswerMap, usize)> {
+        // Nothing panics while holding this lock, and what it guards is
+        // whole between two statements; recovering the guard is safe.
+        self.answers.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// One [`Shared`] per code distance a run has used, behind one lock
@@ -55,12 +166,19 @@ pub(crate) struct Memo {
 
 impl fmt::Debug for Memo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let trails: BTreeMap<usize, usize> = self
-            .entries()
+        let entries = self.entries();
+        let trails: BTreeMap<usize, usize> = entries
             .iter()
             .map(|(&distance, shared)| (distance, shared.trails.len()))
             .collect();
-        f.debug_struct("Memo").field("trails", &trails).finish()
+        let decodes: BTreeMap<usize, usize> = entries
+            .iter()
+            .map(|(&distance, shared)| (distance, shared.decodes.len()))
+            .collect();
+        f.debug_struct("Memo")
+            .field("trails", &trails)
+            .field("decodes", &decodes)
+            .finish()
     }
 }
 
@@ -69,9 +187,13 @@ impl Memo {
     pub(crate) fn shared(&self, distance: usize) -> Shared {
         self.entries()
             .entry(distance)
-            .or_insert_with(|| Shared {
-                template: Arc::new(Mce::new(&RotatedLattice::new(distance), MCE_IBUF_BYTES)),
-                trails: Arc::new([]),
+            .or_insert_with(|| {
+                let lattice = RotatedLattice::new(distance);
+                Shared {
+                    template: Arc::new(Mce::new(&lattice, MCE_IBUF_BYTES)),
+                    trails: Arc::new([]),
+                    decodes: Arc::new(Decodes::new(&lattice)),
+                }
             })
             .clone()
     }

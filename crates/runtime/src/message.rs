@@ -11,12 +11,15 @@
 //! loop does implicitly — keeping the bus ledger identical to the
 //! reference systems.
 //!
-//! Inside a `Cycles` op the only downstream traffic is one grant
-//! ([`Payload::Cycles`]) and the [`Payload::Correction`]s the shard's
-//! own escalations asked for (§4.4 of the paper). A shard does not wait
-//! for them: a correction only updates a decoder's Pauli frame, which no
-//! QECC cycle reads, and every envelope that does read one comes after
-//! the op's last correction in the FIFO.
+//! Inside a `Cycles` op the only downstream traffic is the grants
+//! ([`Payload::Cycles`]: one for a threaded shard, a window at a time for
+//! the inline shard 0) and the [`Payload::Correction`]s the shard's own
+//! escalations asked for (§4.4 of the paper). A shard does not wait for
+//! them: a correction only updates a decoder's Pauli frame, which no QECC
+//! cycle reads, and every envelope that does read one — the next grant
+//! included — comes after the corrections of every cycle granted before
+//! it in the FIFO. A correction travels as the data-qubit words the
+//! decode pool answered with, shared with the runtime's memo.
 
 use quest_core::decoder_pipeline::Escalation;
 use quest_core::master::SYNDROME_EVENT_BYTES;
@@ -40,7 +43,11 @@ pub(crate) enum Payload {
     /// to back, reporting each one upstream as it completes. Nothing
     /// holds the worker inside a grant but a full upstream channel: the
     /// `Correction`s its escalations asked for are applied as they
-    /// arrive, between cycles, never waited for.
+    /// arrive, between cycles, never waited for. A threaded shard is
+    /// granted a whole `Cycles` op at once; the inline shard 0 one cycle
+    /// first, then a window of [`SHARD0_WINDOW`](crate::SHARD0_WINDOW)
+    /// each time the master has consumed the last; any shard one at a
+    /// time under a checkpoint sink.
     Cycles(u64),
     /// Prepare a tile's logical qubit.
     Prep { tile: usize, basis: LogicalBasis },
@@ -59,11 +66,12 @@ pub(crate) enum Payload {
     },
     /// Apply a global-decode correction to a tile's decoder frame (XORed
     /// in, so corrections commute with each other and with the local
-    /// decoder's own frame updates).
+    /// decoder's own frame updates). `flips` holds the data qubits to
+    /// flip as words of the frame's width, bit `q % 64` of word `q / 64`.
     Correction {
         tile: usize,
         kind: StabKind,
-        flips: Vec<usize>,
+        flips: Arc<[u64]>,
     },
     /// Destructively read a tile out in the logical-Z basis.
     MeasureZ { tile: usize },
@@ -143,11 +151,13 @@ impl Envelope {
         }
     }
 
-    /// A downstream correction envelope.
-    pub(crate) fn correction(tile: usize, kind: StabKind, flips: Vec<usize>) -> Envelope {
+    /// A downstream correction envelope ([`CORRECTION_FLIP_BYTES`] per
+    /// flipped data qubit).
+    pub(crate) fn correction(tile: usize, kind: StabKind, flips: Arc<[u64]>) -> Envelope {
+        let weight: u64 = flips.iter().map(|w| u64::from(w.count_ones())).sum();
         Envelope {
             kind: PacketKind::Downstream,
-            wire_bytes: flips.len() as u64 * CORRECTION_FLIP_BYTES,
+            wire_bytes: weight * CORRECTION_FLIP_BYTES,
             payload: Payload::Correction { tile, kind, flips },
         }
     }
@@ -181,8 +191,12 @@ impl Envelope {
 /// Sender half of a depth-tracked bounded channel.
 pub(crate) struct Tx<T> {
     inner: SyncSender<T>,
+    /// Envelopes sent and not yet received, counting a send still
+    /// blocked on a full channel.
     depth: Arc<AtomicUsize>,
     high_water: Arc<AtomicUsize>,
+    /// Most envelopes the channel holds.
+    bound: usize,
 }
 
 impl<T> Clone for Tx<T> {
@@ -191,6 +205,7 @@ impl<T> Clone for Tx<T> {
             inner: self.inner.clone(),
             depth: Arc::clone(&self.depth),
             high_water: Arc::clone(&self.high_water),
+            bound: self.bound,
         }
     }
 }
@@ -211,8 +226,11 @@ impl<T> Tx<T> {
     /// guarantees the error even on a full channel, so a dead peer can
     /// never deadlock the sender).
     pub(crate) fn send(&self, value: T) -> Result<(), Disconnected> {
+        // A send that finds the channel full is counted before it blocks,
+        // but the channel never holds more than its bound.
         let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.high_water.fetch_max(depth, Ordering::Relaxed);
+        self.high_water
+            .fetch_max(depth.min(self.bound), Ordering::Relaxed);
         self.inner.send(value).map_err(|_| {
             self.depth.fetch_sub(1, Ordering::Relaxed);
             Disconnected
@@ -256,7 +274,8 @@ impl<T> Rx<T> {
     }
 }
 
-/// Observer for a channel's high-water depth (master-side statistics).
+/// Observer for a channel's high-water depth (master-side statistics),
+/// never more than the channel's bound.
 #[derive(Clone)]
 pub(crate) struct DepthGauge {
     high_water: Arc<AtomicUsize>,
@@ -280,6 +299,7 @@ pub(crate) fn channel<T>(bound: usize) -> (Tx<T>, Rx<T>, DepthGauge) {
             inner: tx,
             depth: Arc::clone(&depth),
             high_water: Arc::clone(&high_water),
+            bound,
         },
         Rx { inner: rx, depth },
         DepthGauge { high_water },
@@ -303,6 +323,28 @@ mod tests {
         assert_eq!(rx.recv(), Ok(2));
         assert_eq!(rx.recv(), Ok(3));
         assert_eq!(rx.recv(), Ok(4));
+    }
+
+    #[test]
+    fn a_send_blocked_on_a_full_channel_is_not_counted_as_held() {
+        let (tx, rx, gauge) = channel::<u32>(1);
+        tx.send(1).unwrap(); // channel now full
+        let while_blocked = std::thread::scope(|scope| {
+            let blocked = scope.spawn(|| tx.send(2));
+            // Wait until the second send is under way: counted, blocked.
+            while tx.depth.load(Ordering::Relaxed) < 2 {
+                std::thread::yield_now();
+            }
+            let high_water = gauge.high_water();
+            // Unblock the sender before asserting anything, so that a
+            // failure fails the test instead of hanging it.
+            assert_eq!(rx.recv(), Ok(1));
+            assert_eq!(blocked.join().unwrap(), Ok(()));
+            high_water
+        });
+        assert_eq!(while_blocked, 1);
+        assert_eq!(rx.recv(), Ok(2));
+        assert_eq!(gauge.high_water(), 1);
     }
 
     #[test]
@@ -348,6 +390,15 @@ mod tests {
         let env = Envelope::syndrome(2, StabKind::Z, esc);
         assert_eq!(env.wire_bytes, 3 * SYNDROME_EVENT_BYTES);
         assert_eq!(env.kind, PacketKind::Upstream);
+    }
+
+    #[test]
+    fn a_correction_prices_its_flipped_qubits() {
+        let env = Envelope::correction(1, StabKind::X, Arc::from([0b1011, 1 << 63]));
+        assert_eq!(env.wire_bytes, 4 * CORRECTION_FLIP_BYTES);
+        assert_eq!(env.kind, PacketKind::Downstream);
+        let none = Envelope::correction(1, StabKind::X, Arc::from([0]));
+        assert_eq!(none.wire_bytes, 0);
     }
 
     #[test]

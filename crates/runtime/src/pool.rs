@@ -2,84 +2,103 @@
 //!
 //! Escalations from all shards converge at the master, which packages
 //! them into per-cycle batches and splits each batch over this pool's
-//! *lanes*. A [`Lane`] is a value — prebuilt single-round
-//! [`BatchGraphs`], an engine built from the spec's [`DecoderChoice`],
-//! and the panic-contained chunk runner — decoding its chunk job by job
-//! with the same graphs and engine kind the single-threaded master uses,
-//! so pooled decoding changes throughput, never corrections. Lane 0
-//! belongs to the caller: the first chunk of every batch is decoded on
-//! the thread that assembled it, with no queue, lock or wake-up in the
-//! way. Every further lane is a thread pulling chunks from a shared
-//! queue, so a pool of one lane (what a typical batch of one or two jobs
-//! needs) spawns no thread at all. Per-chunk [`CostReport`]s ride back
+//! *lanes*. A [`Lane`] is a value — an engine built from the spec's
+//! [`DecoderChoice`], the distance's [`Decodes`] (its single-round
+//! [`BatchGraphs`](quest_surface::decoder::BatchGraphs) and the answers
+//! kept so far) and the panic-contained chunk runner — answering its
+//! chunk job by job with the same graphs and engine kind the
+//! single-threaded master uses, so pooled decoding changes throughput,
+//! never corrections. Lane 0 belongs to the caller: the first chunk of
+//! every batch is decoded on the thread that assembled it, with no
+//! queue, lock or wake-up in the way. Every further lane is a thread
+//! pulling chunks from a shared queue, so a pool of one lane (what a
+//! typical batch of one or two jobs needs) spawns no thread at all.
+//!
+//! A lane answers a job the distance has seen before — same engine,
+//! kind and event list — from the memo, replaying the kept decode's cost
+//! into its chunk's [`CostReport`], and decodes any other into a buffer
+//! it keeps, folding the correction into data-qubit words
+//! ([`DecodeEngine::decode_words`]) and keeping the answer. Either way a
+//! correction is the same words, shared with the memo behind an `Arc`,
+//! and no `Correction` or `BTreeSet` is built. Per-chunk costs ride back
 //! with the corrections and merge (order-invariantly) into one
 //! pool-level cost, which therefore matches the reference executor's bit
-//! for bit.
+//! for bit. Chunks come back with their vectors, and the next batch
+//! fills them again.
 //!
 //! The pool is supervised: a lane that panics mid-chunk (including the
-//! fault layer's injected kill) is caught by `catch_unwind` in the chunk
-//! runner and hands the undecoded chunk back; the supervisor replaces
-//! the lane — a respawned thread, or lane 0 rebuilt in place — and the
-//! chunk is decoded again: no correction is lost, no mutex is poisoned,
-//! and the run's output is bit-identical to a run without the death.
-//! When the respawn budget is exhausted the batch fails with a typed
-//! [`RuntimeError::DecodePoolFailed`] instead of hanging or aborting.
+//! fault layer's injected kill, which strikes before any lookup) is
+//! caught by `catch_unwind` in the chunk runner and hands the chunk back;
+//! the supervisor replaces the lane — a respawned thread, or lane 0
+//! rebuilt in place — and the chunk is answered again: no correction is
+//! lost, no mutex is poisoned, and the run's output is bit-identical to a
+//! run without the death. When the respawn budget is exhausted the batch
+//! fails with a typed [`RuntimeError::DecodePoolFailed`] instead of
+//! hanging or aborting.
 
 use crate::error::RuntimeError;
-use quest_surface::decoder::batch::{BatchGraphs, DecodeJob};
+use crate::memo::{Answer, Decodes};
+use quest_surface::decoder::batch::DecodeJob;
 use quest_surface::decoder::{CostReport, DecodeEngine, DecoderChoice};
-use quest_surface::{RotatedLattice, StabKind};
-use std::collections::BTreeSet;
+use quest_surface::StabKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
-/// One unit of pool work: a chunk of jobs with tags identifying where
-/// each correction must return to.
+/// A batch's corrections: `(tile, kind, data-qubit flips as words)` per
+/// job.
+pub(crate) type Corrections = Vec<(usize, StabKind, Arc<[u64]>)>;
+
+/// One unit of pool work and, once a lane has answered it, its result:
+/// a chunk of jobs with tags identifying where each correction must
+/// return to.
+#[derive(Default)]
 struct Chunk {
     /// `(tile, kind)` per job, parallel to `jobs`.
     tags: Vec<(usize, StabKind)>,
     jobs: Vec<DecodeJob>,
+    /// Data-qubit flips per job, as words, filled in by the lane.
+    flips: Vec<Arc<[u64]>>,
+    /// Decode cost of exactly this chunk's jobs.
+    cost: CostReport,
+    /// Jobs answered from the memo.
+    hits: u64,
     /// Fault-injection flag: the lane that picks this chunk up panics
     /// instead of decoding it (exercising the containment and respawn
     /// path end to end).
     die: bool,
 }
 
-/// One decoded chunk.
-struct ChunkResult {
-    tags: Vec<(usize, StabKind)>,
-    /// Data-qubit flips per job.
-    flips: Vec<BTreeSet<usize>>,
-    /// Decode cost of exactly this chunk's jobs.
-    cost: CostReport,
-}
-
 /// What a lane reports of one chunk.
 enum WorkerMessage {
-    /// A chunk decoded successfully.
-    Done(ChunkResult),
-    /// The lane died (panicked) holding this still-undecoded chunk; the
-    /// supervisor must decode it again and replace the lane.
+    /// A chunk answered successfully.
+    Done(Chunk),
+    /// The lane died (panicked) holding this chunk; the supervisor must
+    /// have it answered again and replace the lane.
     Died { chunk: Chunk },
 }
 
-/// One decode lane: graphs, engine and the chunk runner. The same value
+/// One decode lane: engine, memo and the chunk runner. The same value
 /// serves the pool's caller (lane 0) and each pool thread.
 struct Lane {
-    graphs: BatchGraphs,
+    choice: DecoderChoice,
     engine: DecodeEngine,
+    decodes: Arc<Decodes>,
+    /// Where a decode folds its flips before they are kept.
+    words: Vec<u64>,
 }
 
 impl Lane {
-    fn new(lattice: &RotatedLattice, choice: DecoderChoice) -> Lane {
+    fn new(decodes: &Arc<Decodes>, choice: DecoderChoice) -> Lane {
         Lane {
-            graphs: BatchGraphs::new(lattice),
+            choice,
             engine: choice.backend(),
+            decodes: Arc::clone(decodes),
+            words: vec![0; decodes.words()],
         }
     }
 
-    /// Decodes one chunk under panic containment. A lane that reports
+    /// Answers one chunk under panic containment. A lane that reports
     /// [`WorkerMessage::Died`] must not be used again.
     fn run(&mut self, mut chunk: Chunk) -> WorkerMessage {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -87,35 +106,50 @@ impl Lane {
                 // quest-lint: allow(QL01) -- deliberate fault injection: exercises the supervisor's requeue-and-respawn path
                 panic!("injected decode-worker death");
             }
-            // Scope the cost accumulator to this chunk so the result
-            // carries exactly these jobs' cost (a dead chunk's partial
-            // cost is discarded with the lane, so the repeated decode is
-            // counted exactly once).
-            self.engine.reset_cost();
-            let flips: Vec<BTreeSet<usize>> = chunk
-                .jobs
-                .iter()
-                .map(|job| {
-                    self.engine
-                        .decode(self.graphs.graph(job.kind), &job.events)
-                        .data_flips
-                })
-                .collect();
-            (flips, self.engine.cost())
+            // The result carries exactly these jobs' cost (a dead
+            // chunk's partial answers are discarded with the lane, so
+            // the repeated chunk is counted exactly once).
+            chunk.flips.clear();
+            chunk.cost = CostReport::default();
+            chunk.hits = 0;
+            for job in &chunk.jobs {
+                let (answer, hit) = self.answer(job);
+                chunk.cost.merge(&answer.cost);
+                chunk.hits += u64::from(hit);
+                chunk.flips.push(answer.flips);
+            }
         }));
         match outcome {
-            Ok((flips, cost)) => WorkerMessage::Done(ChunkResult {
-                tags: std::mem::take(&mut chunk.tags),
-                flips,
-                cost,
-            }),
+            Ok(()) => WorkerMessage::Done(chunk),
             Err(_) => {
                 // Dying breath: hand the chunk back so the supervisor
-                // can have it decoded elsewhere.
+                // can have it answered elsewhere.
                 chunk.die = false;
                 WorkerMessage::Died { chunk }
             }
         }
+    }
+
+    /// One job's answer, and whether the memo had it. A miss is decoded
+    /// with the cost scoped to it, and kept.
+    fn answer(&mut self, job: &DecodeJob) -> (Answer, bool) {
+        if let Some(answer) = self.decodes.answer(self.choice, job.kind, &job.events) {
+            return (answer, true);
+        }
+        self.words.fill(0);
+        self.engine.reset_cost();
+        self.engine.decode_words(
+            self.decodes.graphs().graph(job.kind),
+            &job.events,
+            &mut self.words,
+        );
+        let answer = Answer {
+            flips: self.words.as_slice().into(),
+            cost: self.engine.cost(),
+        };
+        self.decodes
+            .keep(self.choice, job.kind, &job.events, &answer);
+        (answer, false)
     }
 }
 
@@ -132,6 +166,9 @@ pub struct PoolStats {
     pub jobs: u64,
     /// Largest single batch.
     pub max_batch_jobs: u64,
+    /// Jobs answered from the [`Runtime`](crate::Runtime)'s memo of the
+    /// distance's global decodes, without decoding.
+    pub memo_hits: u64,
     /// Lanes that died mid-chunk.
     pub deaths: u64,
     /// Replacement lanes the supervisor brought up (a respawned thread,
@@ -155,11 +192,13 @@ impl PoolStats {
 /// respawn replacements into the same scope mid-run.
 pub(crate) struct DecodePool<'scope, 'env> {
     scope: &'scope std::thread::Scope<'scope, 'env>,
-    lattice: &'env RotatedLattice,
+    decodes: Arc<Decodes>,
     choice: DecoderChoice,
-    /// The caller's own lane, built by the first batch (a run that never
-    /// escalates builds no graphs) and again after a kill.
+    /// The caller's own lane, built by the first batch and again after a
+    /// kill.
     lane0: Option<Lane>,
+    /// Chunks back from their lanes, emptied, for the next batch to fill.
+    spare: Vec<Chunk>,
     chunk_tx: Sender<Chunk>,
     chunk_rx: Arc<Mutex<Receiver<Chunk>>>,
     result_tx: Sender<WorkerMessage>,
@@ -172,10 +211,10 @@ pub(crate) struct DecodePool<'scope, 'env> {
 impl<'scope, 'env> DecodePool<'scope, 'env> {
     /// A pool of `workers` lanes: lane 0 for the caller and
     /// `workers - 1` decode threads inside `scope`, each owning one
-    /// engine built from `choice`.
+    /// engine built from `choice` and sharing the distance's `decodes`.
     pub(crate) fn spawn(
         scope: &'scope std::thread::Scope<'scope, 'env>,
-        lattice: &'env RotatedLattice,
+        decodes: Arc<Decodes>,
         choice: DecoderChoice,
         workers: usize,
     ) -> DecodePool<'scope, 'env> {
@@ -184,9 +223,10 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
         let (result_tx, result_rx) = channel::<WorkerMessage>();
         let mut pool = DecodePool {
             scope,
-            lattice,
+            decodes,
             choice,
             lane0: None,
+            spare: Vec::new(),
             chunk_tx,
             chunk_rx: Arc::new(Mutex::new(chunk_rx)),
             result_tx,
@@ -208,10 +248,8 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
     fn spawn_worker(&mut self) {
         let chunk_rx = Arc::clone(&self.chunk_rx);
         let result_tx = self.result_tx.clone();
-        let lattice = self.lattice;
-        let choice = self.choice;
+        let mut lane = Lane::new(&self.decodes, self.choice);
         self.handles.push(self.scope.spawn(move || {
-            let mut lane = Lane::new(lattice, choice);
             loop {
                 // Holding the lock only for the recv keeps workers
                 // pulling chunks as they free up. A poisoned lock (a
@@ -237,17 +275,18 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
         }));
     }
 
-    /// Decodes one batch, blocking until every job is resolved. Returns
-    /// `(tile, kind, data_flips)` per job, in arbitrary order (the
-    /// caller orders them before anything order-sensitive).
+    /// Answers one batch, blocking until every job is resolved: drains
+    /// `batch` and appends `(tile, kind, data_flips)` per job to `out`,
+    /// in arbitrary order (the caller orders them before anything
+    /// order-sensitive).
     ///
-    /// The batch is split into one chunk per lane; the first is decoded
+    /// The batch is split into one chunk per lane; the first is answered
     /// right here on lane 0 while the threads work through the rest.
     ///
     /// With `kill_one` set, the lane picking up the batch's last chunk
-    /// dies instead of decoding it — a pool thread when the batch has a
+    /// dies instead of answering it — a pool thread when the batch has a
     /// chunk for one, lane 0 otherwise. The supervisor replaces the lane
-    /// and the chunk is decoded again, so the corrections are still
+    /// and the chunk is answered again, so the corrections are still
     /// exact.
     ///
     /// # Errors
@@ -256,34 +295,29 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
     /// the respawn budget (one per original lane) is exhausted.
     pub(crate) fn decode(
         &mut self,
-        batch: Vec<(usize, StabKind, DecodeJob)>,
+        batch: &mut Vec<(usize, StabKind, DecodeJob)>,
         kill_one: bool,
-    ) -> Result<Vec<(usize, StabKind, BTreeSet<usize>)>, RuntimeError> {
+        out: &mut Corrections,
+    ) -> Result<(), RuntimeError> {
         if batch.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         self.stats.batches += 1;
         self.stats.jobs += batch.len() as u64;
         self.stats.max_batch_jobs = self.stats.max_batch_jobs.max(batch.len() as u64);
 
-        let mut out = Vec::with_capacity(batch.len());
         let chunk_size = batch.len().div_ceil(self.stats.workers);
         // Lane 0's chunk, and how many chunks the threads still owe.
         let mut mine: Option<Chunk> = None;
         let mut queued = 0usize;
-        let mut iter = batch.into_iter().peekable();
+        let mut iter = batch.drain(..).peekable();
         while iter.peek().is_some() {
-            let mut tags = Vec::with_capacity(chunk_size);
-            let mut jobs = Vec::with_capacity(chunk_size);
+            let mut chunk = self.spare.pop().unwrap_or_default();
             for (tile, kind, job) in iter.by_ref().take(chunk_size) {
-                tags.push((tile, kind));
-                jobs.push(job);
+                chunk.tags.push((tile, kind));
+                chunk.jobs.push(job);
             }
-            let chunk = Chunk {
-                tags,
-                jobs,
-                die: kill_one && iter.peek().is_none(),
-            };
+            chunk.die = kill_one && iter.peek().is_none();
             if mine.is_none() {
                 mine = Some(chunk);
             } else {
@@ -294,8 +328,9 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
 
         loop {
             let (message, on_lane0) = if let Some(chunk) = mine.take() {
-                let (lattice, choice) = (self.lattice, self.choice);
-                let lane = self.lane0.get_or_insert_with(|| Lane::new(lattice, choice));
+                let lane = self
+                    .lane0
+                    .get_or_insert_with(|| Lane::new(&self.decodes, self.choice));
                 (lane.run(chunk), true)
             } else if queued > 0 {
                 let message =
@@ -306,18 +341,21 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
                         })?;
                 (message, false)
             } else {
-                return Ok(out);
+                return Ok(());
             };
             match message {
-                WorkerMessage::Done(result) => {
-                    self.cost.merge(&result.cost);
+                WorkerMessage::Done(mut chunk) => {
+                    self.cost.merge(&chunk.cost);
+                    self.stats.memo_hits += chunk.hits;
                     out.extend(
-                        result
+                        chunk
                             .tags
-                            .into_iter()
-                            .zip(result.flips)
+                            .drain(..)
+                            .zip(chunk.flips.drain(..))
                             .map(|((tile, kind), flips)| (tile, kind, flips)),
                     );
+                    chunk.jobs.clear();
+                    self.spare.push(chunk);
                     queued -= usize::from(!on_lane0);
                 }
                 WorkerMessage::Died { chunk } => {
@@ -359,9 +397,9 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
     }
 
     /// Decode cost merged across every completed chunk. Per-decode
-    /// cycles are pure functions of `(graph, events)` and the merge is
-    /// order-invariant, so this matches the single-threaded reference
-    /// for any worker count.
+    /// cycles are pure functions of `(graph, events)` — whether decoded
+    /// or replayed from the memo — and the merge is order-invariant, so
+    /// this matches the single-threaded reference for any worker count.
     pub(crate) fn cost(&self) -> CostReport {
         self.cost
     }
@@ -389,61 +427,51 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memo::DECODES_PER_DISTANCE;
+    use quest_surface::decoder::batch::BatchGraphs;
     use quest_surface::decoder::Decoder;
-    use quest_surface::{DecodingGraph, UnionFindDecoder};
+    use quest_surface::{DecodingGraph, RotatedLattice, UnionFindDecoder};
+    use std::collections::BTreeSet;
 
-    fn demo_batch() -> Vec<(usize, StabKind, DecodeJob)> {
-        vec![
-            (
-                0,
-                StabKind::Z,
-                DecodeJob {
-                    kind: StabKind::Z,
-                    events: vec![0, 1],
-                },
-            ),
-            (
-                1,
-                StabKind::X,
-                DecodeJob {
-                    kind: StabKind::X,
-                    events: vec![2],
-                },
-            ),
-            (
-                2,
-                StabKind::Z,
-                DecodeJob {
-                    kind: StabKind::Z,
-                    events: vec![4],
-                },
-            ),
-            (
-                3,
-                StabKind::Z,
-                DecodeJob {
-                    kind: StabKind::Z,
-                    events: vec![],
-                },
-            ),
-            (
-                4,
-                StabKind::X,
-                DecodeJob {
-                    kind: StabKind::X,
-                    events: vec![1, 3],
-                },
-            ),
-        ]
+    fn decodes(d: usize) -> Arc<Decodes> {
+        Arc::new(Decodes::new(&RotatedLattice::new(d)))
     }
 
-    fn assert_exact(lattice: &RotatedLattice, got: Vec<(usize, StabKind, BTreeSet<usize>)>) {
+    fn demo_batch() -> Vec<(usize, StabKind, DecodeJob)> {
+        [
+            (0, StabKind::Z, vec![0, 1]),
+            (1, StabKind::X, vec![2]),
+            (2, StabKind::Z, vec![4]),
+            (3, StabKind::Z, vec![]),
+            (4, StabKind::X, vec![1, 3]),
+        ]
+        .into_iter()
+        .map(|(tile, kind, events)| (tile, kind, DecodeJob { kind, events }))
+        .collect()
+    }
+
+    /// Decodes one batch, returning its corrections.
+    fn decode(
+        pool: &mut DecodePool,
+        mut batch: Vec<(usize, StabKind, DecodeJob)>,
+        kill_one: bool,
+    ) -> Result<Corrections, RuntimeError> {
+        let mut out = Vec::new();
+        pool.decode(&mut batch, kill_one, &mut out)?;
+        assert!(batch.is_empty(), "the batch is drained");
+        Ok(out)
+    }
+
+    fn assert_exact(lattice: &RotatedLattice, got: Corrections) {
         let mut got = got;
         got.sort_by_key(|&(tile, _, _)| tile);
         let uf = UnionFindDecoder::new();
         for ((tile, kind, job), (gt, gk, flips)) in demo_batch().into_iter().zip(got) {
             assert_eq!((tile, kind), (gt, gk));
             let graph = DecodingGraph::new(lattice, job.kind, 1);
+            let flips: BTreeSet<usize> = (0..flips.len() * 64)
+                .filter(|&q| flips[q / 64] >> (q % 64) & 1 == 1)
+                .collect();
             assert_eq!(flips, uf.decode(&graph, &job.events).data_flips);
         }
     }
@@ -452,8 +480,8 @@ mod tests {
     fn pool_matches_direct_decoding() {
         let lattice = RotatedLattice::new(5);
         std::thread::scope(|scope| {
-            let mut pool = DecodePool::spawn(scope, &lattice, DecoderChoice::default(), 3);
-            let got = pool.decode(demo_batch(), false).unwrap();
+            let mut pool = DecodePool::spawn(scope, decodes(5), DecoderChoice::default(), 3);
+            let got = decode(&mut pool, demo_batch(), false).unwrap();
             assert_exact(&lattice, got);
             let stats = pool.stats();
             assert_eq!(stats.batches, 1);
@@ -466,10 +494,9 @@ mod tests {
 
     #[test]
     fn empty_batch_is_free() {
-        let lattice = RotatedLattice::new(3);
         std::thread::scope(|scope| {
-            let mut pool = DecodePool::spawn(scope, &lattice, DecoderChoice::default(), 2);
-            assert!(pool.decode(Vec::new(), false).unwrap().is_empty());
+            let mut pool = DecodePool::spawn(scope, decodes(3), DecoderChoice::default(), 2);
+            assert!(decode(&mut pool, Vec::new(), false).unwrap().is_empty());
             assert_eq!(pool.stats().batches, 0);
             pool.shutdown();
         });
@@ -479,18 +506,18 @@ mod tests {
     fn killed_worker_is_respawned_and_loses_no_corrections() {
         let lattice = RotatedLattice::new(5);
         std::thread::scope(|scope| {
-            let mut pool = DecodePool::spawn(scope, &lattice, DecoderChoice::default(), 2);
+            let mut pool = DecodePool::spawn(scope, decodes(5), DecoderChoice::default(), 2);
             assert_eq!(pool.handles.len(), 1, "two lanes are one thread");
             // The kill rides the batch's last chunk, which went to the
             // thread: the replacement is spawned into the scope.
-            let got = pool.decode(demo_batch(), true).unwrap();
+            let got = decode(&mut pool, demo_batch(), true).unwrap();
             assert_exact(&lattice, got);
             assert_eq!(pool.handles.len(), 2, "no replacement thread was spawned");
             let stats = pool.stats();
             assert_eq!(stats.deaths, 1);
             assert_eq!(stats.respawns, 1);
             // The respawned pool keeps decoding exactly.
-            let again = pool.decode(demo_batch(), false).unwrap();
+            let again = decode(&mut pool, demo_batch(), false).unwrap();
             assert_exact(&lattice, again);
             let stats = pool.shutdown();
             assert_eq!(stats.batches, 2);
@@ -501,17 +528,17 @@ mod tests {
     fn one_lane_spawns_no_thread_and_survives_a_kill() {
         let lattice = RotatedLattice::new(5);
         std::thread::scope(|scope| {
-            let mut pool = DecodePool::spawn(scope, &lattice, DecoderChoice::default(), 1);
-            let got = pool.decode(demo_batch(), false).unwrap();
+            let mut pool = DecodePool::spawn(scope, decodes(5), DecoderChoice::default(), 1);
+            let got = decode(&mut pool, demo_batch(), false).unwrap();
             assert_exact(&lattice, got);
             // The only chunk is lane 0's, so the kill hits lane 0, which
             // is rebuilt in place.
-            let got = pool.decode(demo_batch(), true).unwrap();
+            let got = decode(&mut pool, demo_batch(), true).unwrap();
             assert_exact(&lattice, got);
             assert!(pool.handles.is_empty(), "one lane is the caller's thread");
             let stats = pool.stats();
             assert_eq!((stats.deaths, stats.respawns), (1, 1));
-            let again = pool.decode(demo_batch(), false).unwrap();
+            let again = decode(&mut pool, demo_batch(), false).unwrap();
             assert_exact(&lattice, again);
             assert_eq!(pool.shutdown().batches, 3);
         });
@@ -532,8 +559,8 @@ mod tests {
             }
             for kill_one in [false, true] {
                 std::thread::scope(|scope| {
-                    let mut pool = DecodePool::spawn(scope, &lattice, choice, 3);
-                    let got = pool.decode(demo_batch(), kill_one).unwrap();
+                    let mut pool = DecodePool::spawn(scope, decodes(5), choice, 3);
+                    let got = decode(&mut pool, demo_batch(), kill_one).unwrap();
                     assert_eq!(got.len(), jobs.len());
                     assert_eq!(
                         pool.cost(),
@@ -547,14 +574,65 @@ mod tests {
     }
 
     #[test]
-    fn respawn_budget_exhaustion_is_a_typed_error() {
+    fn a_repeated_batch_is_answered_from_the_memo() {
         let lattice = RotatedLattice::new(5);
+        for choice in DecoderChoice::ALL {
+            std::thread::scope(|scope| {
+                let mut pool = DecodePool::spawn(scope, decodes(5), choice, 1);
+                let first = decode(&mut pool, demo_batch(), false).unwrap();
+                let cost = pool.cost();
+                assert_eq!(pool.stats().memo_hits, 0, "{choice}: five new event sets");
+                let engine = pool.lane0.as_ref().map(|lane| lane.engine.cost());
+
+                let second = decode(&mut pool, demo_batch(), false).unwrap();
+                assert_eq!(pool.stats().memo_hits, 5, "{choice}");
+                // The engine was not called: its ledger is as the first
+                // pass left it, and the pool's grew by the same cost.
+                assert_eq!(pool.lane0.as_ref().map(|lane| lane.engine.cost()), engine);
+                let mut twice = cost;
+                twice.merge(&cost);
+                assert_eq!(pool.cost(), twice, "{choice}");
+                assert_eq!(format!("{first:?}"), format!("{second:?}"), "{choice}");
+                if choice == DecoderChoice::UnionFind {
+                    assert_exact(&lattice, second);
+                }
+                pool.shutdown();
+            });
+        }
+    }
+
+    #[test]
+    fn past_the_cap_nothing_is_kept_and_a_miss_still_decodes_exactly() {
+        let lattice = RotatedLattice::new(5);
+        let full = decodes(5);
+        let filler = Answer {
+            flips: Arc::from([u64::MAX]),
+            cost: CostReport::default(),
+        };
+        for i in 0..DECODES_PER_DISTANCE {
+            full.keep(DecoderChoice::UnionFind, StabKind::X, &[1000 + i], &filler);
+        }
+        assert_eq!(full.len(), DECODES_PER_DISTANCE);
         std::thread::scope(|scope| {
-            let mut pool = DecodePool::spawn(scope, &lattice, DecoderChoice::default(), 1);
+            let mut pool = DecodePool::spawn(scope, Arc::clone(&full), DecoderChoice::UnionFind, 1);
+            for _ in 0..2 {
+                let got = decode(&mut pool, demo_batch(), false).unwrap();
+                assert_exact(&lattice, got);
+            }
+            assert_eq!(pool.stats().memo_hits, 0, "an answer was kept past the cap");
+            assert_eq!(full.len(), DECODES_PER_DISTANCE);
+            pool.shutdown();
+        });
+    }
+
+    #[test]
+    fn respawn_budget_exhaustion_is_a_typed_error() {
+        std::thread::scope(|scope| {
+            let mut pool = DecodePool::spawn(scope, decodes(5), DecoderChoice::default(), 1);
             // One worker, one respawn in the budget: the second kill
             // must fail the batch instead of hanging.
-            assert!(pool.decode(demo_batch(), true).is_ok());
-            let err = pool.decode(demo_batch(), true).unwrap_err();
+            assert!(decode(&mut pool, demo_batch(), true).is_ok());
+            let err = decode(&mut pool, demo_batch(), true).unwrap_err();
             assert!(matches!(err, RuntimeError::DecodePoolFailed { .. }));
             assert!(err.to_string().contains("respawn budget"));
             pool.shutdown();
@@ -563,24 +641,17 @@ mod tests {
 
     #[test]
     fn dropping_a_loaded_pool_neither_hangs_nor_aborts() {
-        let lattice = RotatedLattice::new(5);
         std::thread::scope(|scope| {
-            let pool = DecodePool::spawn(scope, &lattice, DecoderChoice::default(), 2);
+            let pool = DecodePool::spawn(scope, decodes(5), DecoderChoice::default(), 2);
             // Queue work the pool will never be asked to collect, then
             // tear down while it is still in flight.
             for _ in 0..16 {
-                let mut tags = Vec::new();
-                let mut jobs = Vec::new();
+                let mut chunk = Chunk::default();
                 for (tile, kind, job) in demo_batch() {
-                    tags.push((tile, kind));
-                    jobs.push(job);
+                    chunk.tags.push((tile, kind));
+                    chunk.jobs.push(job);
                 }
-                pool.submit(Chunk {
-                    tags,
-                    jobs,
-                    die: false,
-                })
-                .unwrap();
+                pool.submit(chunk).unwrap();
             }
             pool.shutdown();
         });

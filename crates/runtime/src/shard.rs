@@ -25,24 +25,30 @@
 //! thread, a queue standing in for the channels — the master would
 //! otherwise sleep while its shards compute, so a one-shard run has no
 //! second thread at all and an n-shard run has n threads, not n + 1;
-//! every further shard gets a thread and a bounded channel pair.
+//! every further shard gets a thread and a bounded channel pair, and
+//! hands its answers up in batches rather than one envelope at a time.
 //!
 //! QECC cycles are *granted*, not clocked: a [`Payload::Cycles`] grant
 //! lets the worker run that many cycles back to back, each answered
 //! upstream with its `Syndrome…, CycleDone` envelopes. Nothing inside a
-//! grant waits for the master. A [`Payload::Correction`] — the only word
-//! a shard hears from the master inside a grant — is XORed into its
-//! tile's decoder frame whenever it arrives: a threaded worker takes what
-//! has arrived off its channel between cycles without waiting, an inline
-//! worker is handed each one by `send`. That is exact because no QECC
-//! cycle reads a decoder frame (the local decoders and the escalations
-//! read syndrome bits only), corrections commute, and every envelope
-//! that does read a frame — a readout, a CNOT, a checkpoint, the
-//! sign-off — is sent after the op's last correction down a FIFO. The
+//! grant waits for the master. The inline shard 0 computes a grant inside
+//! the master's `send`, and is granted one cycle and then a window of
+//! [`SHARD0_WINDOW`] cycles at a time; a threaded shard, granted the
+//! whole op, hands over what its cycles answered in the same windows, so
+//! the master takes one batch where it would take every envelope. A
+//! [`Payload::Correction`] — the only word a shard hears from the master
+//! inside a grant — is XORed into its tile's decoder frame, as words,
+//! whenever it arrives: a threaded worker takes what has arrived off its
+//! channel between cycles without waiting, an inline worker is handed
+//! each one by `send`. That is exact because no QECC cycle reads a
+//! decoder frame (the local decoders and the escalations read syndrome
+//! bits only), corrections commute, and every envelope that does read a
+//! frame — a readout, a CNOT, a checkpoint, the sign-off — is sent after
+//! the op's last correction down a FIFO; so is shard 0's next window. The
 //! worker counts the corrections it is owed (escalations sent minus
 //! corrections applied), and any envelope but a correction while it is
 //! owed one is a protocol error. How far a threaded shard runs ahead of
-//! the master is bounded by [`CHANNEL_BOUND`] upstream envelopes.
+//! the master is bounded by about [`CHANNEL_BOUND`] upstream envelopes.
 //!
 //! The worker is panic-contained: every envelope is handled under
 //! `catch_unwind`, and any panic (including the fault layer's scheduled
@@ -54,6 +60,7 @@
 use crate::memo::Shared;
 use crate::message::{channel, DepthGauge, Disconnected, Envelope, Payload, Rx, Tx};
 use crate::snapshot::ShardSnapshot;
+use crate::SHARD0_WINDOW;
 use quest_core::network::PacketKind;
 use quest_core::tile;
 use quest_core::{decode_totals, DeliveryEngine, DeliveryMode, Mce, Substrate};
@@ -75,41 +82,59 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// How far a free-running shard gets ahead of the master: the shard
-/// blocks once this many of its upstream envelopes (at least one per
-/// cycle, at most one plus two escalations per tile) wait unconsumed.
+/// How far a free-running shard gets ahead of the master, in upstream
+/// envelopes: a threaded shard hands its envelopes over in batches of at
+/// most [`SHARD0_WINDOW`] cycles (each cycle at least one envelope, at
+/// most one plus two escalations per tile), and blocks once
+/// `CHANNEL_BOUND / SHARD0_WINDOW` batches wait unconsumed.
 ///
-/// The downstream channel holds as many, and at least `4·tiles + 1` for a
-/// shard of `tiles` tiles, which is more than it can hold while its shard
-/// is blocked upstream — so the master is never blocked sending to a shard
-/// that is blocked sending to it (a deadlock would be a hang, not an
-/// error). Inside a grant the channel carries corrections only, and the
-/// worker takes what has arrived before each cycle. While it is blocked
-/// upstream its upstream channel is full, so since it last looked the
-/// master has consumed no more of its envelopes than it has sent since:
-/// one cycle's at most, two escalations per tile (the program measures
-/// each check once a cycle) and a `CycleDone`. The corrections sent in
-/// that time answer those escalations and those of the cycle the master
-/// was consuming and decoding when the worker looked, two per tile more:
-/// `4·tiles` at most. Outside a grant the worker waits on the channel.
+/// The downstream channel holds `CHANNEL_BOUND` envelopes, and at least
+/// `2·tiles·(SHARD0_WINDOW + 1) + 1` for a shard of `tiles` tiles, which
+/// is more than it can hold while its shard is blocked upstream — so the
+/// master is never blocked sending to a shard that is blocked sending to
+/// it (a deadlock would be a hang, not an error). Inside a grant the
+/// channel carries corrections only, and the worker takes what has
+/// arrived before each cycle and hands a batch over only right after one.
+/// While that blocks, its upstream channel is full and it has handed
+/// nothing over since it last looked, so since then the master has taken
+/// no batch and consumed at most the rest of the one it holds: one window
+/// of cycles, with at most two escalations per tile each (the program
+/// measures each check once a cycle). The corrections sent in that time
+/// answer those escalations and those of the cycle the master was
+/// decoding when the worker looked: `2·tiles·(SHARD0_WINDOW + 1)` at
+/// most. Outside a grant the worker waits on the channel.
 const CHANNEL_BOUND: usize = 1024;
 
 /// Where a worker's upstream envelopes go.
 pub(crate) enum Upstream {
-    /// To the master's thread, over the shard's bounded channel.
-    Channel(Tx<Envelope>),
+    /// To the master's thread, over the shard's bounded channel, in
+    /// batches: `batch` collects what the worker answers until it hands
+    /// it over ([`Upstream::flush`]).
+    Channel {
+        tx: Tx<Vec<Envelope>>,
+        batch: Vec<Envelope>,
+    },
     /// Into a queue the master pops itself (inline worker).
     Queue(VecDeque<Envelope>),
 }
 
 impl Upstream {
-    fn send(&mut self, env: Envelope) -> Result<(), Disconnected> {
+    fn send(&mut self, env: Envelope) {
         match self {
-            Upstream::Channel(tx) => tx.send(env),
-            Upstream::Queue(queue) => {
-                queue.push_back(env);
-                Ok(())
+            Upstream::Channel { batch, .. } => batch.push(env),
+            Upstream::Queue(queue) => queue.push_back(env),
+        }
+    }
+
+    /// Hands what the worker has answered so far to the master: a
+    /// channel's batch goes over whole; a queue is the master's already.
+    fn flush(&mut self) -> Result<(), Disconnected> {
+        match self {
+            Upstream::Channel { tx, batch } if !batch.is_empty() => {
+                let next = Vec::with_capacity(batch.capacity());
+                tx.send(std::mem::replace(batch, next))
             }
+            Upstream::Channel { .. } | Upstream::Queue(_) => Ok(()),
         }
     }
 
@@ -117,14 +142,14 @@ impl Upstream {
     /// envelopes are at the receiving end.
     fn pop(&mut self) -> Option<Envelope> {
         match self {
-            Upstream::Channel(_) => None,
+            Upstream::Channel { .. } => None,
             Upstream::Queue(queue) => queue.pop_front(),
         }
     }
 
     fn queued(&self) -> usize {
         match self {
-            Upstream::Channel(_) => 0,
+            Upstream::Channel { .. } => 0,
             Upstream::Queue(queue) => queue.len(),
         }
     }
@@ -147,7 +172,9 @@ pub(crate) enum ShardLink<'scope> {
     /// and the thread returns the worker's [`Harvest`].
     Threaded {
         down: Tx<Envelope>,
-        up: Rx<Envelope>,
+        up: Rx<Vec<Envelope>>,
+        /// What is left of the last batch taken off `up`.
+        arrived: std::vec::IntoIter<Envelope>,
         down_gauge: DepthGauge,
         up_gauge: DepthGauge,
         thread: ScopedJoinHandle<'scope, Harvest>,
@@ -181,14 +208,19 @@ impl<'scope> ShardLink<'scope> {
         }
         // Never full while the shard is blocked upstream; see
         // `CHANNEL_BOUND`.
-        let (down, down_rx, down_gauge) = channel(CHANNEL_BOUND.max(4 * tiles + 1));
-        let (up_tx, up, up_gauge) = channel(CHANNEL_BOUND);
-        let mut worker = build(Upstream::Channel(up_tx));
+        let window = SHARD0_WINDOW as usize;
+        let (down, down_rx, down_gauge) = channel(CHANNEL_BOUND.max(2 * tiles * (window + 1) + 1));
+        let (tx, up, up_gauge) = channel(CHANNEL_BOUND / window);
+        let mut worker = build(Upstream::Channel {
+            tx,
+            batch: Vec::new(),
+        });
         debug_assert_eq!(worker.tiles.len(), tiles);
         worker.down = Some(down_rx);
         ShardLink::Threaded {
             down,
             up,
+            arrived: Vec::new().into_iter(),
             down_gauge,
             up_gauge,
             thread: scope.spawn(move || worker.run()),
@@ -219,7 +251,7 @@ impl<'scope> ShardLink<'scope> {
     }
 
     /// The worker's next upstream envelope; blocks only on a threaded
-    /// worker.
+    /// worker, and only when the batch in hand is used up.
     ///
     /// # Errors
     ///
@@ -227,13 +259,19 @@ impl<'scope> ShardLink<'scope> {
     /// nothing left to say (inline).
     pub(crate) fn recv(&mut self) -> Result<Envelope, Disconnected> {
         match self {
-            ShardLink::Threaded { up, .. } => up.recv(),
+            ShardLink::Threaded { up, arrived, .. } => loop {
+                if let Some(env) = arrived.next() {
+                    return Ok(env);
+                }
+                *arrived = up.recv()?.into_iter();
+            },
             ShardLink::Inline { worker, .. } => worker.up.pop().ok_or(Disconnected),
         }
     }
 
-    /// Deepest the downstream and the upstream side ever got (an inline
-    /// worker has one envelope in hand at a time).
+    /// Deepest the downstream and the upstream side ever got: in
+    /// envelopes, but a threaded worker's upstream channel in batches (an
+    /// inline worker has one envelope in hand at a time).
     pub(crate) fn high_water(&self) -> (usize, usize) {
         match self {
             ShardLink::Threaded {
@@ -387,14 +425,16 @@ impl ShardWorker {
         }
     }
 
-    /// Handles one downstream envelope under panic containment and says
-    /// whether the worker still serves. A caught panic is reported
-    /// upstream as [`Payload::Failed`] and ends service.
+    /// Handles one downstream envelope under panic containment, hands
+    /// what it answered to the master, and says whether the worker still
+    /// serves. A caught panic is reported upstream as
+    /// [`Payload::Failed`] and ends service.
     pub(crate) fn deliver(&mut self, env: Envelope) -> bool {
-        match catch_unwind(AssertUnwindSafe(|| self.handle(env))) {
+        let serving = match catch_unwind(AssertUnwindSafe(|| self.handle(env))) {
             Ok(serving) => serving,
             Err(payload) => self.fail(panic_detail(payload.as_ref())),
-        }
+        };
+        self.up.flush().is_ok() && serving
     }
 
     /// One message; `false` once the worker is done serving.
@@ -447,14 +487,14 @@ impl ShardWorker {
                     .kernel_local(&mut self.mces[l], &kernel, replays);
                 true
             }
-            Payload::Correction { tile, kind, flips } => self.apply_correction(tile, kind, flips),
+            Payload::Correction { tile, kind, flips } => self.apply_correction(tile, kind, &flips),
             Payload::MeasureZ { tile } => {
                 let l = self.local(tile);
                 let readout = self.mces[l]
                     .measure_logical_z_details(self.substrate.block_mut(l), &mut self.rngs[l]);
                 self.up
-                    .send(Envelope::outcome(tile, readout.value, readout.final_events))
-                    .is_ok()
+                    .send(Envelope::outcome(tile, readout.value, readout.final_events));
+                true
             }
             Payload::Snapshot => {
                 // Deep-clone the owned state at the barrier. The clone
@@ -465,20 +505,19 @@ impl ShardWorker {
                     rngs: self.rngs.clone(),
                     cycles_done: self.cycles_done,
                 };
-                self.up
-                    .send(Envelope::control(
-                        PacketKind::Upstream,
-                        Payload::ShardState {
-                            shard: self.shard,
-                            state: Box::new(state),
-                        },
-                    ))
-                    .is_ok()
+                self.up.send(Envelope::control(
+                    PacketKind::Upstream,
+                    Payload::ShardState {
+                        shard: self.shard,
+                        state: Box::new(state),
+                    },
+                ));
+                true
             }
             Payload::Shutdown => {
                 // Sign off with the counters only this worker saw.
                 let (local_decodes, _) = decode_totals(&self.mces);
-                let _ = self.up.send(Envelope::control(
+                self.up.send(Envelope::control(
                     PacketKind::Upstream,
                     Payload::Closing {
                         shard: self.shard,
@@ -506,7 +545,7 @@ impl ShardWorker {
 
     /// Reports a failure upstream; the worker stops serving.
     fn fail(&mut self, detail: String) -> bool {
-        let _ = self.up.send(Envelope::control(
+        self.up.send(Envelope::control(
             PacketKind::Upstream,
             Payload::Failed {
                 shard: self.shard,
@@ -516,18 +555,16 @@ impl ShardWorker {
         false
     }
 
-    /// XORs a global correction into its tile's decoder frame; `false`
-    /// (after a `Failed` report) if no escalation is owed one.
-    fn apply_correction(&mut self, tile: usize, kind: StabKind, flips: Vec<usize>) -> bool {
+    /// XORs a global correction's words into its tile's decoder frame;
+    /// `false` (after a `Failed` report) if no escalation is owed one.
+    fn apply_correction(&mut self, tile: usize, kind: StabKind, flips: &[u64]) -> bool {
         if self.owed == 0 {
             return self.fail(format!(
                 "correction for tile {tile} that no escalation waits for"
             ));
         }
         let l = self.local(tile);
-        self.mces[l]
-            .decoder_mut(kind)
-            .apply_global_correction(flips);
+        self.mces[l].decoder_mut(kind).xor_frame(flips);
         self.owed -= 1;
         true
     }
@@ -535,15 +572,22 @@ impl ShardWorker {
     /// Runs the grant's cycles back to back, applying before each the
     /// corrections that have arrived by then; `false` means the worker
     /// stops serving (the master hung up, or a report went upstream).
+    /// What the cycles answer is handed over in the windows the master
+    /// consumes them in, as it grants the inline shard: the grant's first
+    /// cycle, then [`SHARD0_WINDOW`] cycles at a time (the rest when the
+    /// grant ends).
     fn run_granted(&mut self) -> bool {
+        let mut ran = 0;
         while self.granted > 0 {
             if !self.apply_arrived_corrections() {
                 return false;
             }
             self.granted -= 1;
-            if self.run_cycle().is_err() {
+            self.run_cycle();
+            if ran % SHARD0_WINDOW == 0 && self.up.flush().is_err() {
                 return false;
             }
+            ran += 1;
         }
         true
     }
@@ -561,7 +605,7 @@ impl ShardWorker {
             };
             let serving = match env.payload {
                 Payload::Correction { tile, kind, flips } => {
-                    self.apply_correction(tile, kind, flips)
+                    self.apply_correction(tile, kind, &flips)
                 }
                 other => self.fail(format!("{other:?} inside a grant")),
             };
@@ -573,10 +617,9 @@ impl ShardWorker {
 
     /// One noisy QECC cycle over every owned tile: the noise layer and
     /// microcode cycle consume each tile's own stream in reference order;
-    /// escalations the local decoders could not resolve ship upstream
-    /// (and are counted: each is owed one correction), then the cycle
-    /// barrier. `Err` means the master hung up.
-    fn run_cycle(&mut self) -> Result<(), ()> {
+    /// escalations the local decoders could not resolve go upstream (and
+    /// are counted: each is owed one correction), then the cycle barrier.
+    fn run_cycle(&mut self) {
         if self.panic_after_cycles == Some(self.cycles_done) {
             // quest-lint: allow(QL01) -- deliberate fault injection: this drill exercises the catch_unwind containment in deliver()
             panic!(
@@ -591,19 +634,15 @@ impl ShardWorker {
             self.mces[local].run_qecc_cycle(self.substrate.block_mut(local), &mut self.rngs[local]);
             for (kind, escalation) in self.mces[local].take_escalations() {
                 let tile = self.tiles.start + local;
-                self.up
-                    .send(Envelope::syndrome(tile, kind, escalation))
-                    .map_err(|_| ())?;
+                self.up.send(Envelope::syndrome(tile, kind, escalation));
                 self.owed += 1;
             }
         }
         self.cycles_done += 1;
-        self.up
-            .send(Envelope::control(
-                PacketKind::Upstream,
-                Payload::CycleDone { shard: self.shard },
-            ))
-            .map_err(|_| ())
+        self.up.send(Envelope::control(
+            PacketKind::Upstream,
+            Payload::CycleDone { shard: self.shard },
+        ));
     }
 }
 
@@ -612,6 +651,7 @@ mod tests {
     use super::*;
     use crate::memo::Memo;
     use quest_surface::StabKind;
+    use std::sync::Arc;
 
     /// A two-tile shard 0 at distance `d` and error rate `p`.
     fn link_at<'scope>(
@@ -678,7 +718,7 @@ mod tests {
     /// A correction for an escalation, flipping data qubit 0 so that a
     /// correction applied twice or not at all shows in a readout.
     fn correction(&(tile, kind): &(usize, StabKind)) -> Envelope {
-        Envelope::correction(tile, kind, vec![0])
+        Envelope::correction(tile, kind, Arc::from([1]))
     }
 
     fn measure(tile: usize) -> Envelope {
@@ -855,7 +895,7 @@ mod tests {
         std::thread::scope(|scope| {
             // A correction nobody waits for.
             let mut idle = link(true, scope, None);
-            idle.send(Envelope::correction(0, StabKind::Z, vec![]))
+            idle.send(Envelope::correction(0, StabKind::Z, Arc::from([0])))
                 .unwrap();
             expect_failed(&mut idle, "no escalation waits for");
 

@@ -54,7 +54,9 @@ pub struct ShardStats {
     /// grants, corrections, shutdown. A per-cycle term in it means the
     /// shard was lock-stepped (shard 0, or a checkpoint sink attached).
     pub downstream_messages: u64,
-    /// High-water occupancy of the shard → master channel.
+    /// High-water occupancy of the shard → master channel: batches of a
+    /// threaded shard's envelopes, or the envelopes the inline shard 0
+    /// has queued (up to a window's).
     pub max_upstream_depth: usize,
     /// High-water occupancy of the master → shard channel.
     pub max_downstream_depth: usize,
@@ -79,14 +81,19 @@ impl ShardStats {
     }
 }
 
-/// Wall-clock spent in each master-side phase.
+/// Wall-clock spent in each master-side phase. A `Cycles` op is timed
+/// once, not cycle by cycle, and a cycle's decode only when it escalated:
+/// a quiet cycle reads no clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
-    /// QECC cycles: granting them, shard 0's compute (it runs on the
-    /// master's thread) and consuming every shard's syndromes, which
-    /// includes waiting for a shard that has not got there yet.
+    /// QECC cycles: the `Cycles` ops less their decode phase and any
+    /// snapshot — granting cycles, shard 0's compute (it runs on the
+    /// master's thread), consuming every shard's syndromes, which
+    /// includes waiting for a shard that has not got there yet, and the
+    /// progress callback.
     pub cycles: Duration,
-    /// Global decoding: batch fan-out, pool decode, correction delivery.
+    /// Global decoding of the cycles that escalated: batch fan-out, pool
+    /// decode, correction delivery.
     pub decode: Duration,
     /// Logical operations (preparations, CNOTs).
     pub logical: Duration,

@@ -5,9 +5,10 @@
 //! runtime's shared decode pool own one [`DecodeEngine`], built from the
 //! run's [`DecoderChoice`] (the CLI's `--decoder` flag), so the decode
 //! algorithm is swapped per run without touching either layer. Unlike
-//! the read-only [`Decoder`] trait the samplers are generic over, the
-//! engine takes `&mut self`: it owns its scratch memory (zero per-shot
-//! allocation) and accumulates a [`CostReport`] across decodes.
+//! the read-only [`Decoder`](super::Decoder) trait the samplers are
+//! generic over, the engine takes `&mut self`: it owns its scratch memory
+//! (zero per-shot allocation) and accumulates a [`CostReport`] across
+//! decodes.
 //!
 //! # Cost model
 //!
@@ -23,8 +24,8 @@
 use super::pipelined::PipelinedUfDecoder;
 use super::table::TableDecoder;
 use super::union_find::{UfScratch, UfTrace, UnionFindDecoder};
-use super::{Correction, Decoder, ExactMatchingDecoder};
-use crate::graph::{DecodingGraph, Fault, NodeId};
+use super::{Correction, ExactMatchingDecoder};
+use crate::graph::{DecodingGraph, EdgeId, Fault, NodeId, NO_QUBIT};
 use crate::lattice::StabKind;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -201,6 +202,7 @@ impl DecoderChoice {
             choice: self,
             scratch: UfScratch::new(),
             tables: BTreeMap::new(),
+            edges: Vec::new(),
             cost: CostReport::default(),
         }
     }
@@ -229,6 +231,8 @@ pub struct DecodeEngine {
     /// most one table per stabilizer kind. Only [`DecoderChoice::Table`]
     /// fills it.
     tables: BTreeMap<(bool, usize), TableDecoder>,
+    /// The matched edges of the last [`DecodeEngine::decode_words`].
+    edges: Vec<EdgeId>,
     cost: CostReport,
 }
 
@@ -236,23 +240,54 @@ impl DecodeEngine {
     /// Decodes one event set over `graph` into a correction, accruing
     /// the decode's modeled cost.
     pub fn decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
+        let mut edges = Vec::new();
+        self.match_edges(graph, events, &mut edges);
+        Correction::from_edges(graph, edges)
+    }
+
+    /// [`DecodeEngine::decode`], XOR-ing the correction's data-qubit
+    /// flips into `flips` as packed words (bit `q % 64` of word `q / 64`)
+    /// instead of building a [`Correction`]: the matched edges go to a
+    /// buffer the engine keeps, so a decode allocates nothing of its own.
+    /// The bits it sets are exactly [`Correction::data_flips`], and the
+    /// cost it accrues is the same.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flips` is too short for a data qubit the graph faults.
+    pub fn decode_words(&mut self, graph: &DecodingGraph, events: &[NodeId], flips: &mut [u64]) {
+        let mut edges = std::mem::take(&mut self.edges);
+        self.match_edges(graph, events, &mut edges);
+        let qubits = graph.data_qubits();
+        for &e in &edges {
+            let q = qubits[e];
+            if q != NO_QUBIT {
+                flips[q as usize >> 6] ^= 1 << (q & 63);
+            }
+        }
+        self.edges = edges;
+    }
+
+    /// The edges of the chosen algorithm's matching of `events`, written
+    /// to `edges` (cleared first), with the decode's cost accrued.
+    fn match_edges(&mut self, graph: &DecodingGraph, events: &[NodeId], edges: &mut Vec<EdgeId>) {
         match self.choice {
-            DecoderChoice::UnionFind => self.union_find(graph, events, false),
+            DecoderChoice::UnionFind => self.union_find(graph, events, false, edges),
             DecoderChoice::PipelinedUf => {
                 self.cost.jj_count = self.cost.jj_count.max(PipelinedUfDecoder::jj_count(graph));
-                self.union_find(graph, events, false)
+                self.union_find(graph, events, false, edges);
             }
             DecoderChoice::Exact => {
                 let k = events.len();
                 if k > EXACT_MAX_EVENTS {
-                    return self.union_find(graph, events, true);
+                    return self.union_find(graph, events, true, edges);
                 }
                 self.cost.record((k as u64) << k, false);
-                ExactMatchingDecoder::new().decode(graph, events)
+                ExactMatchingDecoder::new().match_edges(graph, events, edges);
             }
             DecoderChoice::Table => {
                 if graph.rounds() != 1 || graph.num_checks() > TableDecoder::MAX_CHECKS {
-                    return self.union_find(graph, events, true);
+                    return self.union_find(graph, events, true, edges);
                 }
                 let table = self
                     .tables
@@ -264,7 +299,8 @@ impl DecodeEngine {
                     .cost
                     .jj_count
                     .max(bank_bits * JJ_PER_BIT + JJ_PER_CHANNEL);
-                table.decode(graph, events)
+                edges.clear();
+                edges.extend_from_slice(&table.entry(graph, events).edges);
             }
         }
     }
@@ -278,10 +314,10 @@ impl DecodeEngine {
         graph: &DecodingGraph,
         events: &[NodeId],
         fallback: bool,
-    ) -> Correction {
+        edges: &mut Vec<EdgeId>,
+    ) {
         let mut trace = UfTrace::default();
-        let correction =
-            UnionFindDecoder::new().decode_traced(graph, events, &mut self.scratch, &mut trace);
+        UnionFindDecoder::new().decode_edges(graph, events, &mut self.scratch, &mut trace, edges);
         let cycles = match self.choice {
             DecoderChoice::PipelinedUf => PipelinedUfDecoder::decode_cycles(graph, &trace),
             DecoderChoice::UnionFind | DecoderChoice::Exact | DecoderChoice::Table => {
@@ -289,7 +325,6 @@ impl DecodeEngine {
             }
         };
         self.cost.record(cycles, fallback);
-        correction
     }
 
     /// The cost accumulated since construction or the last
@@ -308,11 +343,12 @@ impl DecodeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decoder::correction_explains_events;
+    use crate::decoder::{correction_explains_events, Decoder};
     use crate::lattice::RotatedLattice;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
+    use std::collections::BTreeSet;
 
     fn random_event_sets(graph: &DecodingGraph, count: usize, seed: u64) -> Vec<Vec<NodeId>> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -341,6 +377,28 @@ mod tests {
                 }
                 let cost = backend.cost();
                 assert!(cost.decodes + cost.fallback_decodes >= 12);
+            }
+        }
+    }
+
+    #[test]
+    fn words_are_the_correction_and_cost_alike() {
+        let lat = RotatedLattice::new(5);
+        let words = lat.num_data().div_ceil(64);
+        for rounds in [1usize, 3] {
+            let g = DecodingGraph::new(&lat, StabKind::X, rounds);
+            for choice in DecoderChoice::ALL {
+                let (mut by_set, mut by_words) = (choice.backend(), choice.backend());
+                for events in random_event_sets(&g, 24, 5 + rounds as u64) {
+                    let want = by_set.decode(&g, &events).data_flips;
+                    let mut flips = vec![0; words];
+                    by_words.decode_words(&g, &events, &mut flips);
+                    let got: BTreeSet<usize> = (0..lat.num_data())
+                        .filter(|&q| flips[q / 64] >> (q % 64) & 1 == 1)
+                        .collect();
+                    assert_eq!(got, want, "{choice}, rounds={rounds}, events={events:?}");
+                }
+                assert_eq!(by_words.cost(), by_set.cost(), "{choice}, rounds={rounds}");
             }
         }
     }

@@ -9,7 +9,7 @@
 //! [union-find decoder](super::UnionFindDecoder).
 
 use super::{Correction, Decoder};
-use crate::graph::{DecodingGraph, NodeId};
+use crate::graph::{DecodingGraph, EdgeId, NodeId};
 
 /// Exact minimum-weight matcher (use only for ≲ 16 detection events).
 ///
@@ -113,13 +113,20 @@ enum Pairing {
     Pair(usize, usize),
 }
 
-impl Decoder for ExactMatchingDecoder {
-    fn decode(&self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
+impl ExactMatchingDecoder {
+    /// Writes the edges of a minimum-weight matching of `events` to
+    /// `edges` (cleared first), without building a [`Correction`].
+    pub(crate) fn match_edges(
+        &self,
+        graph: &DecodingGraph,
+        events: &[NodeId],
+        edges: &mut Vec<EdgeId>,
+    ) {
+        edges.clear();
         if events.is_empty() {
-            return Correction::default();
+            return;
         }
         let (_, pairs) = self.solve(graph, events);
-        let mut edges = Vec::new();
         for p in pairs {
             match p {
                 Pairing::Boundary(i) => {
@@ -139,6 +146,13 @@ impl Decoder for ExactMatchingDecoder {
                 Pairing::None => unreachable!(),
             }
         }
+    }
+}
+
+impl Decoder for ExactMatchingDecoder {
+    fn decode(&self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
+        let mut edges = Vec::new();
+        self.match_edges(graph, events, &mut edges);
         Correction::from_edges(graph, edges)
     }
 }

@@ -78,8 +78,9 @@ impl TableDecoder {
     }
 }
 
-impl Decoder for TableDecoder {
-    fn decode(&self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
+impl TableDecoder {
+    /// The precomputed correction of a single-round event set.
+    pub(crate) fn entry(&self, graph: &DecodingGraph, events: &[NodeId]) -> &Correction {
         debug_assert_eq!(graph.num_checks(), self.num_checks);
         let mut mask = 0usize;
         for &e in events {
@@ -87,7 +88,13 @@ impl Decoder for TableDecoder {
             debug_assert_eq!(round, 0);
             mask |= 1 << check;
         }
-        self.entries[mask].clone()
+        &self.entries[mask]
+    }
+}
+
+impl Decoder for TableDecoder {
+    fn decode(&self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
+        self.entry(graph, events).clone()
     }
 }
 

@@ -389,7 +389,7 @@ impl UnionFindDecoder {
     /// undo pass restores exactly the entries the decode mutated — so the
     /// cost is proportional to the clusters grown, not to `nodes + edges`,
     /// and the scratch is clean again for the next decode.
-    fn decode_edges(
+    pub(crate) fn decode_edges(
         &self,
         graph: &DecodingGraph,
         events: &[NodeId],

@@ -13,7 +13,7 @@ use quest_stabilizer::{Pauli, PauliString};
 use std::fmt;
 
 /// Stabilizer type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StabKind {
     /// X-type stabilizer (detects Z errors).
     X,

@@ -9,9 +9,10 @@
 //! the same on any shard. Shards buy parallelism only, and wall-clock
 //! drops by at most the number of cores the shards actually get.
 //!
-//! The master does not clock the shards: shard 0 runs on its thread, and
-//! every further shard is sent one grant for the whole `Cycles` op and,
-//! after that, only the corrections its own escalations asked for. The
+//! The master does not clock the shards: shard 0 runs on its thread, a
+//! cycle and then a window of `SHARD0_WINDOW` cycles at a time, and every
+//! further shard is sent one grant for the whole `Cycles` op and, after
+//! that, only the corrections its own escalations asked for. The
 //! `messages … down` count of each shard says so, and is asserted.
 //!
 //! The runs share one `Runtime`, warmed by an untimed run first: that
@@ -23,18 +24,24 @@
 //! touching a tableau. The `tile-cycles replayed` count says so, and is
 //! asserted too.
 //!
+//! Each spec is then run a second time on the same runtime, which answers
+//! every escalation from its memo of the distance's global decodes: the
+//! report must be the same, and is asserted.
+//!
 //! ```sh
 //! cargo run --release --example runtime_scaling
 //! ```
 
-use quest::runtime::{Runtime, WorkloadSpec};
+use quest::runtime::{Runtime, WorkloadSpec, SHARD0_WINDOW};
 use std::time::Instant;
 
+const CYCLES: u64 = 200;
+
 fn main() {
-    let mut spec = WorkloadSpec::memory(5, 8, 1, 1e-2, 11, 40);
+    let mut spec = WorkloadSpec::memory(5, 8, 1, 1e-2, 11, CYCLES);
     println!(
         "memory workload: {} tiles at d={}, p={:.0e}, {} cycles, seed {}\n",
-        spec.tiles, spec.distance, spec.error_rate, 40, spec.seed
+        spec.tiles, spec.distance, spec.error_rate, CYCLES, spec.seed
     );
 
     let runtime = Runtime::new();
@@ -50,16 +57,28 @@ fn main() {
         println!("{}", report.stats);
         println!("bus bytes: {}\n", report.bus_bytes());
 
-        // Preps, one grant, a correction per escalation, readouts, the
-        // shutdown: no per-cycle word from the master past shard 0.
-        for s in &report.stats.shards[1..] {
+        // Preps, the grants, a correction per escalation, readouts, the
+        // shutdown: shard 0 is granted one cycle and then a window at a
+        // time, every further shard the op at once.
+        let shard0_grants = 1 + (CYCLES - 1).div_ceil(SHARD0_WINDOW);
+        for s in &report.stats.shards {
+            let grants = if s.shard == 0 { shard0_grants } else { 1 };
             assert_eq!(
                 s.downstream_messages,
-                s.tiles as u64 + 1 + s.escalations + s.tiles as u64 + 1,
+                s.tiles as u64 + grants + s.escalations + s.tiles as u64 + 1,
                 "shard {} was clocked",
                 s.shard
             );
         }
+
+        // The same run on the same runtime: every escalation is answered
+        // from the memo, and nothing of it shows.
+        let again = runtime.run(&spec).expect("valid spec");
+        assert_eq!(again.report, report.report, "a warm rerun diverged");
+        assert_eq!(
+            again.stats.decode.memo_hits, again.stats.decode.jobs,
+            "a repeated escalation was decoded again"
+        );
 
         let replayed: u64 = report
             .stats
@@ -69,7 +88,7 @@ fn main() {
             .sum();
         assert_eq!(
             replayed,
-            spec.tiles as u64 * 40,
+            spec.tiles as u64 * CYCLES,
             "a tile-cycle ran on a tableau"
         );
 
