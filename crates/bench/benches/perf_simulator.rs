@@ -405,7 +405,7 @@ fn warm_job_cost_ratio(_c: &mut Criterion) {
     const JOBS: u64 = 300;
     const CEILING: f64 = 1.2 * 0.59;
     let job = |seed: u64| WorkloadSpec::memory(3, 4, 1, 5e-3, seed, 30);
-    let fresh = || Runtime::new().with_decode_workers(1);
+    let fresh = || Runtime::new();
     let reused = fresh();
     reused.run(&job(0)).expect("a valid job");
     let warm = reused.run(&job(1)).expect("a valid job");

@@ -18,14 +18,14 @@
 //!   delivery (the QECC stream crosses the bus again) for a quarantine
 //!   window. The degradation cost shows up directly in the ledger as
 //!   baseline-class traffic — a number the paper never quantifies.
-//! * **Decode-pool worker death / shard panics** — scheduled thread
-//!   deaths the runtime must contain (respawn or clean typed shutdown)
-//!   instead of poisoning mutexes and aborting.
+//! * **Decode-lane death / shard panics** — scheduled deaths the
+//!   runtime must contain (rebuild or clean typed shutdown) instead of
+//!   poisoning mutexes and aborting.
 //!
 //! Every decision is a pure function of `(fault seed, stream, counter)`
 //! — no shared RNG stream exists — so a faulty run is bit-reproducible
-//! for any shard count, decode-pool size, or thread schedule, exactly
-//! like a fault-free one.
+//! for any shard count or thread schedule, exactly like a fault-free
+//! one.
 
 use crate::network::{Packet, PacketKind};
 use crate::tile::tile_seed;
@@ -77,8 +77,8 @@ pub struct FaultPlan {
     /// all `max_retries` retransmissions fault, the link is declared
     /// failed and the run shuts down with a typed error.
     pub max_retries: u32,
-    /// Kill one decode-pool worker once this many decode jobs have been
-    /// dispatched (the pool must respawn it and lose no corrections).
+    /// Kill the runtime's decode lane once this many decode jobs have
+    /// been dispatched (it must be rebuilt and lose no corrections).
     pub kill_decode_worker_after_jobs: Option<u64>,
     /// Scheduled shard-thread panic (containment drill).
     pub shard_panic: Option<ShardPanicPlan>,

@@ -30,8 +30,8 @@ pub enum RuntimeError {
         /// The panic message (or a disconnect description).
         detail: String,
     },
-    /// The global-decode pool could not complete a batch (all workers
-    /// dead and the supervisor out of respawns).
+    /// The global decoder could not complete a batch (its lane died
+    /// again after the supervisor's one rebuild).
     DecodePoolFailed {
         /// What the supervisor observed.
         detail: String,

@@ -11,16 +11,17 @@
 //!   tiles), and one RNG stream per tile derived from the master seed.
 //!   Shard 0 is driven on the master's thread; every further shard gets
 //!   a thread.
-//! * **Master** — the caller's thread: driver, shard 0 and decode lane 0
-//!   in one, so it computes where it would otherwise wait. It dispatches
+//! * **Master** — the caller's thread: it runs the workload, shard 0
+//!   and the global decoder in one, so it computes where it would
+//!   otherwise wait. It dispatches
 //!   workload operations downstream and collects syndromes upstream as
 //!   messages that are [`Packet`](quest_core::network::Packet)-shaped,
 //!   so bus and packet accounting fall out of real message flow. They
 //!   cross bounded MPSC channels to a shard thread and a plain queue to
 //!   the inline shard.
-//! * **Global-decode pool** — resolves each cycle's escalations as one
-//!   batch through [`quest_surface::decoder::batch`], split over decode
-//!   lanes: lane 0 is the master itself, every further lane a thread.
+//! * **Global decoding** — the master answers each cycle's escalations
+//!   as one batch on its own thread, with one engine over the
+//!   distance's single-round graphs ([`quest_surface::decoder::batch`]).
 //! * **Granted cycles, not clocked ones** — for a `Cycles(n)` operation
 //!   the master grants each threaded shard the whole operation at once,
 //!   and the inline shard 0 its first cycle, then a window of
@@ -38,9 +39,9 @@
 //! * **What runs share** — a [`Runtime`] keeps, per code distance, the
 //!   template MCE its tiles are cloned from, the warm-up trails its
 //!   fresh tiles follow instead of running their first cycles on a
-//!   tableau, and the global decodes answered so far, which the decode
-//!   lanes answer a repeated escalation from; the first run at a
-//!   distance builds and lays them.
+//!   tableau, and the global decodes answered so far, which the master
+//!   answers a repeated escalation from; the first run at a distance
+//!   builds and lays them.
 //!
 //! Instruction delivery goes through the shared
 //! [`quest_core::DeliveryEngine`]: the master thread
@@ -131,21 +132,18 @@ use stats::Stopwatch;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The concurrent runtime. Construction is cheap: a `Runtime` holds the
-/// number of decode lanes and a memo of what every run of a code
-/// distance shares — one template MCE whose clones share its tables, the
+/// The concurrent runtime. Construction is cheap: a `Runtime` holds a
+/// memo of what every run of a code distance shares — one template MCE whose clones share its tables, the
 /// warm-up *trails* fresh tiles follow instead of running their first
 /// cycles on a tableau (built and laid by the first run at that
 /// distance), and the answers of the global decodes run so far, bounded
 /// per distance. Clones of a `Runtime` share the memo, and nothing in it
 /// shows in a report: a run on a `Runtime` that has served a thousand
 /// others returns the [`RunReport`] a new one would. Threads live only
-/// for the duration of [`Runtime::run`] — one per shard beyond shard 0
-/// and one per decode lane beyond lane 0, both of which ride the
-/// caller's thread.
-#[derive(Debug, Clone)]
+/// for the duration of [`Runtime::run`]: one per shard beyond shard 0,
+/// which rides the caller's thread with the global decoder.
+#[derive(Debug, Clone, Default)]
 pub struct Runtime {
-    decode_workers: usize,
     memo: Arc<Memo>,
 }
 
@@ -160,34 +158,19 @@ const NETWORK_FANOUT: usize = 4;
 /// within noise of 64.
 pub const SHARD0_WINDOW: u64 = 64;
 
-impl Default for Runtime {
-    fn default() -> Runtime {
-        Runtime::new()
-    }
-}
-
 impl Runtime {
-    /// A runtime with a decode pool sized to the machine (capped at 4
-    /// lanes — global decoding is a small fraction of cycle work).
+    /// A runtime with an empty memo.
     pub fn new() -> Runtime {
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZero::get)
-            .unwrap_or(2)
-            .clamp(1, 4);
-        Runtime {
-            decode_workers: workers,
-            memo: Arc::default(),
-        }
+        Runtime::default()
     }
 
-    /// Overrides the decode-pool size, clamped to at least one. Workers
-    /// are *lanes*: lane 0 is the thread that calls [`Runtime::run`]
-    /// (it decodes the first chunk of every batch where it assembled
-    /// it), each further lane a thread — one worker means no decode
-    /// thread. Results are identical for any size; only throughput
-    /// changes.
-    pub fn with_decode_workers(mut self, workers: usize) -> Runtime {
-        self.decode_workers = workers.max(1);
+    /// Returns the runtime unchanged, ignoring `workers`: global decoding
+    /// runs on one lane, the master's own, and there is nothing to size.
+    /// Kept only because the benchmark package still calls it (always
+    /// with 1); the benchmark change of ROADMAP item 1 drops those calls,
+    /// and then this method.
+    #[doc(hidden)]
+    pub fn with_decode_workers(self, _workers: usize) -> Runtime {
         self
     }
 
@@ -218,7 +201,7 @@ impl Runtime {
     ///
     /// `run_controlled` is re-entrant: one value (or clones of it) can
     /// run many workloads concurrently from different threads — each run
-    /// spawns, owns and joins its own shard and decode threads. What runs
+    /// spawns, owns and joins its own shard threads. What runs
     /// share is the memo, read when a run starts and added to when it
     /// reports, under a lock held for nothing else; a run never sees
     /// another's trails change under it. The serving layer
@@ -337,12 +320,7 @@ impl Runtime {
                     })
                 })
                 .collect();
-            let pool = DecodePool::spawn(
-                scope,
-                Arc::clone(&shared.decodes),
-                spec.decoder,
-                self.decode_workers,
-            );
+            let pool = DecodePool::new(Arc::clone(&shared.decodes), spec.decoder);
 
             // Accounting state either starts fresh or continues exactly
             // where the snapshot froze it; everything else (threads,
@@ -408,8 +386,8 @@ impl Runtime {
             };
             // On error, dropping the master closes every channel: shard
             // workers see the disconnect and exit cleanly (they never
-            // unwind), the pool drains and stops, and the scope joins
-            // everything — a typed error, never a hang or abort.
+            // unwind), and the scope joins them — a typed error, never a
+            // hang or abort.
             master.execute()?;
             Ok(master.report())
         })
@@ -417,7 +395,7 @@ impl Runtime {
 }
 
 /// Master-thread state for one run.
-struct Master<'a, 'scope, 'env> {
+struct Master<'a, 'scope> {
     spec: &'a WorkloadSpec,
     /// Cooperative cancellation and progress hooks for this run.
     control: &'a RunControl<'a>,
@@ -439,10 +417,10 @@ struct Master<'a, 'scope, 'env> {
     cycle_len: usize,
     controller: MasterController,
     network: Network,
-    pool: DecodePool<'scope, 'env>,
+    pool: DecodePool,
     /// The cycle's escalations and their corrections, kept from one
     /// cycle to the next.
-    batch: Vec<(usize, StabKind, DecodeJob)>,
+    batch: Vec<(usize, DecodeJob)>,
     corrections: Corrections,
     /// One link per shard: shard 0 inline, the others threaded.
     links: Vec<ShardLink<'scope>>,
@@ -461,14 +439,14 @@ struct Master<'a, 'scope, 'env> {
     /// snapshot already completed.
     resume_op: usize,
     resume_cycles: u64,
-    /// Decode-pool counters inherited from the run(s) before the
-    /// snapshot; the live pool only sees post-resume work, so reported
+    /// Decode counters inherited from the run(s) before the snapshot;
+    /// the live pool only sees post-resume work, so reported
     /// totals and the fault layer's kill threshold add these baselines.
     pool_stats_base: PoolStats,
     pool_cost_base: CostReport,
 }
 
-impl Master<'_, '_, '_> {
+impl Master<'_, '_> {
     /// One reliable transfer of `bytes` to or from `tile`: mints the
     /// interconnect packets, rolls the fault layer, and accounts any
     /// retransmissions on both the interconnect and the bus ledger
@@ -589,7 +567,7 @@ impl Master<'_, '_, '_> {
 
     /// The typed error for a cooperative cancellation observed at a
     /// checkpoint. Dropping the master afterwards closes every channel,
-    /// so shards and the pool wind down exactly as on any other error.
+    /// so shards wind down exactly as on any other error.
     fn cancelled(&self) -> RuntimeError {
         RuntimeError::Cancelled {
             cycles_done: self.qecc_cycles,
@@ -794,7 +772,6 @@ impl Master<'_, '_, '_> {
     fn merged_pool_stats(&self) -> PoolStats {
         let live = self.pool.stats();
         PoolStats {
-            workers: live.workers,
             batches: self.pool_stats_base.batches + live.batches,
             jobs: self.pool_stats_base.jobs + live.jobs,
             max_batch_jobs: self.pool_stats_base.max_batch_jobs.max(live.max_batch_jobs),
@@ -917,7 +894,6 @@ impl Master<'_, '_, '_> {
                         self.shard_stats[shard].escalations += 1;
                         batch.push((
                             tile,
-                            kind,
                             DecodeJob {
                                 kind,
                                 events: escalation.events,
@@ -962,21 +938,18 @@ impl Master<'_, '_, '_> {
     }
 
     /// Decodes one cycle's escalations and sends each correction down.
-    fn decode(
-        &mut self,
-        batch: &mut Vec<(usize, StabKind, DecodeJob)>,
-    ) -> Result<(), RuntimeError> {
+    fn decode(&mut self, batch: &mut Vec<(usize, DecodeJob)>) -> Result<(), RuntimeError> {
         // The scheduled decode-worker kill fires on the batch that
         // crosses the job threshold — a pure function of the (shard-count
         // invariant) escalation totals, so faulty runs stay reproducible.
-        let kill_one = self.faults.take_decode_kill(
+        let kill = self.faults.take_decode_kill(
             self.pool_stats_base.jobs + self.pool.stats().jobs + batch.len() as u64,
         );
         let mut corrections = std::mem::take(&mut self.corrections);
-        self.pool.decode(batch, kill_one, &mut corrections)?;
-        // Workers finish chunks in arbitrary order; fix a canonical
-        // (tile, kind) order so the fault layer's per-lane rolls — and
-        // with them the whole faulty run — never depend on pool timing.
+        self.pool.decode(batch, kill, &mut corrections)?;
+        // Fix a canonical (tile, kind) order so the fault layer's
+        // per-lane rolls — and with them the whole faulty run — depend on
+        // the batch's contents alone, not on the order shards report.
         corrections.sort_by_key(|&(tile, kind, _)| {
             (
                 tile,
@@ -1005,15 +978,12 @@ impl Master<'_, '_, '_> {
         }
         self.memo.publish(self.spec.distance, laid);
         let escalations = self.shard_stats.iter().map(|s| s.escalations).sum();
-        // The pool's merged decode-cost ledger must be read before the
-        // shutdown consumes the pool. The master's own backend never ran
-        // a decode (escalations all go through the pool), so the pool
-        // ledger — merged onto any pre-resume baseline — IS the run's
-        // global decode cost.
+        // The master controller's own backend never ran a decode
+        // (escalations all go through the pool), so the pool's ledger —
+        // merged onto any pre-resume baseline — IS the run's global
+        // decode cost.
         let decode_cost = self.merged_pool_cost();
         let pool_stats = self.merged_pool_stats();
-        let live_stats = self.pool.shutdown();
-        debug_assert_eq!(live_stats.jobs + self.pool_stats_base.jobs, pool_stats.jobs);
         self.faults
             .note_pool_recoveries(pool_stats.deaths, pool_stats.respawns);
         RuntimeReport {
@@ -1272,8 +1242,15 @@ mod tests {
 
     #[test]
     fn invalid_runtime_knobs_are_clamped() {
+        // The shim ignores its argument, whatever it is.
         let spec = WorkloadSpec::memory(3, 2, 1, 0.0, 1, 1);
-        let report = Runtime::new().with_decode_workers(0).run(&spec).unwrap();
-        assert!(report.logical_ok());
+        let plain = Runtime::new().run(&spec).unwrap();
+        for workers in [0, 1, 2, usize::MAX] {
+            let report = Runtime::new()
+                .with_decode_workers(workers)
+                .run(&spec)
+                .unwrap();
+            assert_eq!(report.report, plain.report, "workers={workers}");
+        }
     }
 }

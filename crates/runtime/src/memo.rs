@@ -21,9 +21,9 @@
 //! * **Global decodes.** An escalation is decoded on the distance's
 //!   single-round graph of its kind, and a decode is a pure function of
 //!   the engine, the graph and the event list. [`Decodes`] holds the two
-//!   graphs every decode lane reads, and the [`Answer`] of each
+//!   graphs the master's decode lane reads, and the [`Answer`] of each
 //!   `(decoder, kind, events)` decoded so far: the data qubits the
-//!   correction flips, as words, and the decode's [`CostReport`]. A lane
+//!   correction flips, as words, and the decode's [`CostReport`]. The lane
 //!   answers a repeated escalation from here, replaying its cost into its
 //!   ledger, and decodes only what it has not seen. The map is looked up
 //!   and added to under its own lock, never held across a decode.
@@ -77,7 +77,7 @@ pub(crate) struct Answer {
 /// Answers by engine and kind, then by event list.
 type AnswerMap = BTreeMap<(DecoderChoice, StabKind), BTreeMap<Box<[NodeId]>, Answer>>;
 
-/// The global decodes of one distance: the single-round graphs every
+/// The global decodes of one distance: the single-round graphs the
 /// decode lane reads, and the answers given so far.
 pub(crate) struct Decodes {
     graphs: BatchGraphs,
@@ -125,7 +125,8 @@ impl Decodes {
 
     /// Keeps `answer` for `(choice, kind, events)` unless the distance
     /// holds [`DECODES_PER_DISTANCE`] answers already (or this one: two
-    /// lanes may decode the same events at once, and answer alike).
+    /// runs sharing the memo may decode the same events at once, and
+    /// answer alike).
     pub(crate) fn keep(
         &self,
         choice: DecoderChoice,

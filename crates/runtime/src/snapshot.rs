@@ -89,7 +89,7 @@ pub struct RunSnapshot {
     pub(crate) outcomes: Vec<(usize, bool)>,
     pub(crate) shard_stats: Vec<ShardStats>,
     /// Decode-pool counters accumulated up to the barrier (the live
-    /// pool dies with the run; a resumed run spawns a fresh pool and
+    /// pool dies with the run; a resumed run builds a fresh pool and
     /// merges onto this baseline).
     pub(crate) pool_stats: PoolStats,
     pub(crate) pool_cost: CostReport,

@@ -92,8 +92,8 @@ pub struct PhaseTimings {
     /// includes waiting for a shard that has not got there yet, and the
     /// progress callback.
     pub cycles: Duration,
-    /// Global decoding of the cycles that escalated: batch fan-out, pool
-    /// decode, correction delivery.
+    /// Global decoding of the cycles that escalated: the batch decode
+    /// and correction delivery.
     pub decode: Duration,
     /// Logical operations (preparations, CNOTs).
     pub logical: Duration,
@@ -113,7 +113,7 @@ impl PhaseTimings {
 pub struct RuntimeStats {
     /// Per-shard counters.
     pub shards: Vec<ShardStats>,
-    /// Global-decode pool counters.
+    /// Global-decode counters.
     pub decode: PoolStats,
     /// Master-controller counters (dispatches, global decodes, syncs).
     pub master: MasterStats,
@@ -163,8 +163,7 @@ impl fmt::Display for RuntimeStats {
         }
         writeln!(
             f,
-            "decode pool: {} workers, {} batches, {} jobs (max {}, mean {:.2})",
-            self.decode.workers,
+            "decode pool: {} batches, {} jobs (max {}, mean {:.2})",
             self.decode.batches,
             self.decode.jobs,
             self.decode.max_batch_jobs,

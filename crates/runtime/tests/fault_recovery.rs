@@ -9,8 +9,8 @@
 //!   counters) at shards 1/2/4.
 //! * Faults touch the control plane only: the physics (outcomes, decode
 //!   counters) of a faulty run equals the clean run's.
-//! * Scheduled worker deaths are contained: a killed decode worker is
-//!   respawned losing nothing; a panicking shard thread surfaces as a
+//! * Scheduled worker deaths are contained: a killed decode lane is
+//!   rebuilt losing nothing; a panicking shard thread surfaces as a
 //!   typed [`RuntimeError::ShardFailed`]; a hopeless link as
 //!   [`RuntimeError::Link`]. No path panics the caller.
 //!

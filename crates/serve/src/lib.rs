@@ -128,9 +128,8 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// Workers sized to the machine (capped at 4, like the runtime's
-    /// decode pool), a 64-deep queue, unlimited default quota, no load
-    /// shedding.
+    /// Workers sized to the machine (capped at 4), a 64-deep queue,
+    /// unlimited default quota, no load shedding.
     fn default() -> ServerConfig {
         let workers = std::thread::available_parallelism()
             .map(std::num::NonZero::get)

@@ -1,8 +1,8 @@
 //! The costed decode engine: [`DecoderChoice`] selects it,
 //! [`DecodeEngine`] runs it, [`CostReport`] prices it.
 //!
-//! The master controller's global decoder and every worker of the
-//! runtime's shared decode pool own one [`DecodeEngine`], built from the
+//! The master controller's global decoder and the runtime master's
+//! decode lane each own one [`DecodeEngine`], built from the
 //! run's [`DecoderChoice`] (the CLI's `--decoder` flag), so the decode
 //! algorithm is swapped per run without touching either layer. Unlike
 //! the read-only [`Decoder`](super::Decoder) trait the samplers are
@@ -214,8 +214,8 @@ impl fmt::Display for DecoderChoice {
     }
 }
 
-/// The costed decode engine the master controller and the decode pool's
-/// workers each own: the algorithm its [`DecoderChoice`] names, the
+/// The costed decode engine the master controller and the runtime's
+/// decode lane each own: the algorithm its [`DecoderChoice`] names, the
 /// union-find scratch every choice shares (as the engine itself or as
 /// the fallback), the lazily built lookup tables and the accumulated
 /// [`CostReport`].

@@ -15,8 +15,8 @@
 //!   in tests and small benchmarks.
 //!
 //! [`Decoder`] is the one decoder trait: read-only, what the samplers
-//! are generic over. The global decoders of a run (the master's, the
-//! decode pool's) are instead one concrete [`DecodeEngine`] (see
+//! are generic over. The global decoders of a run (the master
+//! controller's, the runtime's decode lane) are instead one concrete [`DecodeEngine`] (see
 //! [`backend`]) built from the run's [`DecoderChoice`], which owns its
 //! scratch and adds [`CostReport`] cycle/JJ accounting — priced, for
 //! `pipelined-uf`, by the cycle-accurate [`PipelinedUfDecoder`] hardware

@@ -158,7 +158,7 @@ fn resume_while_every_block_replays_is_bit_identical() {
 /// and under a sink that never fires (one cycle per grant: the
 /// lock-step the runtime had before grants, through the same code).
 fn free_and_lock_step(spec: &WorkloadSpec) -> [RuntimeReport; 2] {
-    let runtime = Runtime::new().with_decode_workers(2);
+    let runtime = Runtime::new();
     let sink = CheckpointSink::every(0);
     let control = RunControl::new().with_checkpoints(&sink);
     let free = runtime.run(spec).unwrap();

@@ -106,12 +106,12 @@ fn sequence(d: usize) -> Vec<Step> {
 
 #[test]
 fn a_reused_runtime_reports_what_a_fresh_one_and_the_reference_do() {
-    let reused = Runtime::new().with_decode_workers(1);
+    let reused = Runtime::new();
     for d in [3, 5, 7] {
         for (i, Step { spec, all_replayed }) in sequence(d).iter().enumerate() {
             let context = format!("d={d}, step {i}: {spec:?}");
             let warm = reused.run(spec).unwrap();
-            let fresh = Runtime::new().with_decode_workers(1).run(spec).unwrap();
+            let fresh = Runtime::new().run(spec).unwrap();
             assert_eq!(warm.report, fresh.report, "{context}");
             assert_eq!(warm.report, run_reference(spec).unwrap(), "{context}");
             let tile_cycles = TILES as u64 * spec.total_cycles();
@@ -127,7 +127,7 @@ fn a_reused_runtime_reports_what_a_fresh_one_and_the_reference_do() {
 
 #[test]
 fn a_reused_runtime_recovers_and_resumes_as_a_fresh_one_does() {
-    let reused = Runtime::new().with_decode_workers(1);
+    let reused = Runtime::new();
     // Lays the trail.
     reused
         .run(&memory(5, 2, 0.0, 6, DecoderChoice::default()))
