@@ -117,9 +117,13 @@ impl BlockRngs {
 }
 
 /// The inverse-geometric skip law of one Bernoulli rate `p ∈ (0, 1]`,
-/// computed once per injection call and shared by all of its blocks.
+/// computed once per rate and shared by all of its blocks. Its per-block
+/// draws ([`SkipLaw::flip_block`], [`SkipLaw::pauli_block`]) are the one
+/// definition of how a 64-shot block consumes its stream: the
+/// simulator's injections call them, and so does any sampler that must
+/// reproduce their draws.
 #[derive(Debug, Clone, Copy)]
-struct SkipLaw {
+pub struct SkipLaw {
     /// `1 / ln(1 - p)`: finite negative for `p < 1`, `-0.0` for `p == 1`
     /// (every skip collapses to zero — all bits error).
     inv_ln_q: f64,
@@ -133,7 +137,10 @@ struct SkipLaw {
 }
 
 impl SkipLaw {
-    fn new(p: f64) -> SkipLaw {
+    /// The law of rate `p`. A rate of zero has no law: callers draw
+    /// nothing at all for it.
+    #[must_use]
+    pub fn new(p: f64) -> SkipLaw {
         let inv_ln_q = 1.0 / (-p).ln_1p();
         SkipLaw {
             inv_ln_q,
@@ -168,6 +175,39 @@ impl SkipLaw {
             i += 1;
         }
     }
+
+    /// One 64-shot block of independent Bernoulli(p) bits, drawn from
+    /// the block's `rng` (a classical flip per set bit).
+    #[inline]
+    pub fn flip_block(&self, rng: &mut StdRng) -> u64 {
+        let mut bits = 0u64;
+        self.for_each_error_bit(rng, |bit, _| bits |= 1u64 << bit);
+        bits
+    }
+
+    /// One 64-shot block of `channel`, whose total error probability
+    /// must be this law's rate: the `(x, z)` component bits. Each error
+    /// position draws one extra uniform to pick X/Y/Z in proportion to
+    /// the channel (a Y sets both components).
+    #[inline]
+    pub fn pauli_block(&self, channel: &PauliChannel, rng: &mut StdRng) -> (u64, u64) {
+        let (px, py) = (channel.px(), channel.py());
+        let total = channel.total_error_probability();
+        let (mut xbits, mut zbits) = (0u64, 0u64);
+        self.for_each_error_bit(rng, |bit, rng| {
+            let mask = 1u64 << bit;
+            let kind: f64 = rng.gen::<f64>() * total;
+            if kind < px {
+                xbits |= mask;
+            } else if kind < px + py {
+                xbits |= mask;
+                zbits |= mask;
+            } else {
+                zbits |= mask;
+            }
+        });
+        (xbits, zbits)
+    }
 }
 
 /// Bit-packed Pauli-frame simulator over `n` qubits × `shots` shots.
@@ -175,7 +215,7 @@ impl SkipLaw {
 /// X and Z frame bits are stored as [`FramePlanes`] (qubit-major,
 /// `ceil(shots / W::BITS)` words per qubit). All gate updates are
 /// word-wise, i.e. they act on `W::BITS` shots per machine operation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameSimulator<W: FrameWord = u64> {
     x: FramePlanes<W>,
     z: FramePlanes<W>,
@@ -466,7 +506,6 @@ impl<W: FrameWord> FrameSimulator<W> {
             rngs.len() <= self.x.words() * W::LANES,
             "more RNG blocks than shot blocks"
         );
-        let (px, py) = (channel.px(), channel.py());
         let total = channel.total_error_probability();
         if total == 0.0 {
             return;
@@ -475,20 +514,7 @@ impl<W: FrameWord> FrameSimulator<W> {
         let xplane = self.x.plane_mut(q);
         let zplane = self.z.plane_mut(q);
         for b in 0..rngs.len() {
-            let mut xbits = 0u64;
-            let mut zbits = 0u64;
-            skips.for_each_error_bit(rngs.rng(b), |bit, rng| {
-                let mask = 1u64 << bit;
-                let kind: f64 = rng.gen::<f64>() * total;
-                if kind < px {
-                    xbits |= mask;
-                } else if kind < px + py {
-                    xbits |= mask;
-                    zbits |= mask;
-                } else {
-                    zbits |= mask;
-                }
-            });
+            let (xbits, zbits) = skips.pauli_block(channel, rngs.rng(b));
             if xbits != 0 {
                 *xplane[b / W::LANES].lane_mut(b % W::LANES) ^= xbits;
             }
@@ -520,10 +546,7 @@ impl<W: FrameWord> FrameSimulator<W> {
         }
         let skips = SkipLaw::new(p);
         for b in 0..rngs.len() {
-            let mut bits = 0u64;
-            skips.for_each_error_bit(rngs.rng(b), |bit, _| {
-                bits |= 1u64 << bit;
-            });
+            let bits = skips.flip_block(rngs.rng(b));
             if bits != 0 {
                 *plane[b / W::LANES].lane_mut(b % W::LANES) ^= bits;
             }

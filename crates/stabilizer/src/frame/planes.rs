@@ -13,7 +13,7 @@ use super::word::FrameWord;
 
 /// `n` bit-planes of `shots` bits each, qubit-major
 /// (`bits[q * words + w]`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FramePlanes<W: FrameWord> {
     n: usize,
     shots: usize,

@@ -256,6 +256,12 @@ impl Default for CorrectionBatch {
 /// A decoder over the space-time decoding graph.
 ///
 /// `events` are the detection-event nodes (flipped syndrome records).
+///
+/// Contract: an empty event set decodes to the empty correction (no
+/// edges, no data flips), through [`Decoder::decode`] and
+/// [`Decoder::decode_many`] alike. [`crate::FrameSampler`] relies on it:
+/// a shot without events never reaches the decoder, and its verdict is
+/// its uncorrected logical flip.
 pub trait Decoder {
     /// Produces a correction whose induced syndrome matches `events`.
     ///

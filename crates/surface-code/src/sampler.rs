@@ -1,15 +1,35 @@
-//! Frame-based batched sampling of memory experiments.
+//! Fault-map batched sampling of memory experiments.
 //!
 //! [`FrameSampler`] is the fast path for a [`MemoryExperiment`]: instead
-//! of re-running the O(n²) tableau once per shot, it compiles the
-//! syndrome circuit once, derives the noiseless reference record from a
-//! single tableau run, then propagates bit-packed Pauli frames through
-//! the circuit — 64 or 512 shots per plane word depending on the
-//! configured [`LaneWidth`] (see [`quest_stabilizer::frame`]). Per shot,
-//! only the decoder runs, and even that is batched: detection events are
-//! handed to the decoder as whole bit-planes ([`EventPlanes`]) when dense
-//! enough, falling back to per-shot sparse sets below
-//! [`PLANE_DECODE_DENSITY`].
+//! of re-running the O(n²) tableau once per shot, it samples the
+//! experiment's *faults* and adds up their fixed effects. Noise enters a
+//! memory experiment at two kinds of location only — a Pauli channel on
+//! every data qubit at every round start, and a classical flip of every
+//! monitored record — and the round's gates are noiseless. So what one
+//! fault does to a shot is fixed: it flips at most two detectors (an edge
+//! of the decoding graph) and perhaps the uncorrected logical readout.
+//! The constructor derives that effect once per fault, a *column*
+//! (`fault_columns`):
+//!
+//! - one [`FrameSimulator`] lane per fault — an X or a Z on each data
+//!   qubit at a round start, a flip of each monitored record — runs
+//!   through successive noiseless rounds of the circuit's own gates until
+//!   no lane's frame changes any more (after two rounds in a memory
+//!   experiment); from then on every round repeats the last, and a fault
+//!   striking earlier has the same column moved back in time;
+//! - the lanes' record flips become detection events by one definition
+//!   (`detector_columns`): round 0 against the all-zero reference, later
+//!   rounds against their predecessor, and a final perfect-readout node
+//!   from the readout parity XOR the last record.
+//!
+//! A batch then draws each 64-shot block's errors in the fixed schedule
+//! below and XORs every non-zero error word straight into its column's
+//! event rows and logical row; no frame is propagated and no gate is
+//! applied. Below [`PLANE_DECODE_DENSITY`] only the shots with at least
+//! one event reach [`Decoder::decode_many`] — a quiet shot's verdict is
+//! its logical bit, because an empty event set decodes to the empty
+//! correction — and above it whole event planes ([`EventPlanes`]) go to
+//! [`Decoder::decode_planes`].
 //!
 //! # Why this is exact
 //!
@@ -18,56 +38,66 @@
 //! every Z check; `|+…+⟩` every X check), and the final readout enters
 //! the decoder only through check/logical *parities*, which are likewise
 //! deterministic. Pauli frames predict flips of deterministic-in-reference
-//! observables exactly, so the frame path's detection events and logical
+//! observables exactly, so a frame run's detection events and logical
 //! flip are bit-for-bit those of a tableau run with the same physical
-//! fault pattern — the property the `frame_equivalence` integration tests
-//! pin down. (Random *unmonitored* measurements — the other-kind checks
-//! of round 1 — perturb the effective frame only by operators of the
-//! prepared state's stabilizer group, which carry no monitored-flip
-//! component.) The constructor re-derives the reference from one tableau
-//! run and asserts it is all-zero rather than assuming it.
+//! fault pattern. (Random *unmonitored* measurements — the other-kind
+//! checks of round 1 — perturb the effective frame only by operators of
+//! the prepared state's stabilizer group, which carry no monitored-flip
+//! component.) Frame propagation through Clifford gates, preparations and
+//! measurements is linear over GF(2), and so are the detector and readout
+//! parities, so a shot's events and logical flip are the XOR of its
+//! faults' columns — what the frame run would have produced, fault for
+//! fault. The `frame_equivalence` integration tests pin the columns
+//! against the tableau, and the `sampler_oracle` tests pin whole batches
+//! against a reference sampler that propagates every shot's frame. The
+//! constructor re-derives the reference from one tableau run and asserts
+//! it is all-zero rather than assuming it.
 //!
 //! # Determinism
 //!
 //! All randomness comes from one `StdRng` per 64-shot block, seeded from
 //! `(seed, global block index)` via [`quest_stabilizer::frame::block_seed`].
-//! Each block consumes a fixed draw schedule (per round: data-channel draws
-//! in qubit order, then measurement-flip draws in check order), and block
-//! `b` always lands in lane `b % LANES` of word `b / LANES` — so results
-//! are invariant under the internal chunk size, under any distribution of
-//! chunks over threads, *and under the lane width*: `run_batch` is a pure
-//! function of `(experiment, noise, decoder, shots, seed)`.
+//! Each block consumes a fixed draw schedule — per round, data-channel
+//! draws in qubit order, then measurement-flip draws in check order, and
+//! no draws at all for a zero rate — through the shared per-block draws
+//! of [`SkipLaw`], the same calls [`FrameSimulator`]'s injections make. A
+//! block's stream is therefore a pure function of `(seed, block)`, and
+//! its shots land in block `b`'s word of every event row, so results are
+//! invariant under the internal chunk size and any distribution of
+//! chunks over threads: `run_batch` is a pure function of
+//! `(experiment, noise, decoder, shots, seed)`.
 //!
 //! Early exit (see [`EarlyExit`]) preserves this: the stop decision is a
 //! pure function of the integer `(failures, shots)` tally, evaluated only
 //! at fixed 512-shot-aligned milestones — never at chunk boundaries that
-//! depend on the chunk size or lane width. Two runs with the same
-//! `(shots, seed, early)` therefore stop at the same milestone and report
-//! identical outcomes, whatever their chunking, threading or width.
+//! depend on the chunk size. Two runs with the same `(shots, seed, early)`
+//! therefore stop at the same milestone and report identical outcomes,
+//! whatever their chunking or threading.
 
 use crate::decoder::{CorrectionBatch, Decoder, EventPlanes};
 use crate::graph::{DecodingGraph, NodeId};
 use crate::memory::{MemoryBasis, MemoryExperiment, MemoryNoise};
-use quest_stabilizer::frame::{BlockRngs, FrameSimulator, FrameWord, LaneWidth, W512};
-use quest_stabilizer::{Gate, Pauli, SeedableRng, StdRng, Tableau};
+use quest_stabilizer::frame::{block_seed, FrameSimulator, LaneWidth, SkipLaw};
+use quest_stabilizer::{Pauli, SeedableRng, StdRng, Tableau};
 
-/// Default shots per internal chunk: bounds plane memory while keeping
-/// word-level parallelism saturated at every lane width.
+/// Default shots per internal chunk: bounds the event rows' memory and
+/// sets how many shots the density choice and one `decode_many` call
+/// see at once.
 const DEFAULT_CHUNK_SHOTS: usize = 4096;
 
 /// Mean detection events per (node, shot) below which the sampler
-/// scatters events to per-shot sparse sets instead of handing whole
-/// planes to [`Decoder::decode_planes`]. At such densities almost every
-/// plane word is zero and the sparse path's per-shot overhead is
-/// negligible; both paths produce bit-identical corrections (see the
-/// `frame_equivalence` tests), so the per-chunk choice never affects
-/// results.
+/// scatters the events of the shots that have any to per-shot sparse
+/// sets for [`Decoder::decode_many`], instead of handing whole planes to
+/// [`Decoder::decode_planes`]. At such densities almost every plane word
+/// is zero and nine in ten shots have no event at all: those skip the
+/// decoder, their verdict being their logical bit. Both paths produce
+/// bit-identical corrections (see the `frame_equivalence` tests), so the
+/// per-chunk choice never affects results.
 pub const PLANE_DECODE_DENSITY: f64 = 1.0 / 256.0;
 
 /// Early-exit shot milestones are aligned to this many shots — a
-/// multiple of every lane width's word size, so a milestone is a word
-/// boundary at any width and the decision point never depends on the
-/// width or chunk size.
+/// multiple of the 64-shot block, so a milestone is a block boundary and
+/// the decision point never depends on the chunk size.
 pub const EARLY_EXIT_ALIGN: usize = 512;
 
 /// `ln(1e9)`: the Hoeffding confidence level of the early-exit rate
@@ -154,13 +184,13 @@ impl EarlyExit {
 }
 
 /// Knobs of a configured batch run; [`FrameSampler::run_batch`] uses the
-/// defaults (widest lanes, default chunk, no early exit).
+/// defaults (default chunk, no early exit).
 #[derive(Debug, Clone, Copy)]
 pub struct SamplerConfig {
-    /// Plane word width. All widths give bit-identical outcomes; wider
-    /// is faster.
+    /// Unread: the sampler propagates no frame, so there is no plane
+    /// word to size. It stays while callers still name a lane width.
     pub width: LaneWidth,
-    /// Shots per internal frame chunk (results are chunk-invariant).
+    /// Shots per internal chunk (results are chunk-invariant).
     pub chunk_shots: usize,
     /// Optional deterministic early exit.
     pub early_exit: Option<EarlyExit>,
@@ -197,7 +227,14 @@ impl BatchOutcome {
     }
 }
 
-/// A memory experiment compiled for bit-parallel frame sampling.
+/// The rows of a chunk one single fault flips: up to two detector nodes
+/// (ascending) and the logical row, every unused slot holding the sink.
+/// The sink is the boundary node's id, which is never an event; the
+/// logical row is the one after it. A column with one detector is
+/// therefore a boundary edge as [`DecodingGraph`] spells it.
+type Column = [u32; 3];
+
+/// A memory experiment compiled for fault-map sampling.
 ///
 /// # Example
 ///
@@ -217,41 +254,42 @@ impl BatchOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FrameSampler {
-    /// The compiled per-round gate sequence.
-    round_gates: Vec<Gate>,
     /// Space-time decoding graph (`rounds + 1` detection rounds).
     graph: DecodingGraph,
-    /// For monitored check `c`: its index into the per-round measurement
-    /// planes (ancilla measurements come out in plaquette order).
-    monitored_slots: Vec<usize>,
-    /// Data support of monitored check `c` (for final readout parities).
-    check_support: Vec<Vec<usize>>,
-    /// Data support of the judged logical operator.
-    logical_support: Vec<usize>,
+    /// Columns of an X (`[0]`) and a Z (`[1]`) on data qubit `q` at the
+    /// start of round `t`: `data_faults[t * num_data + q]`.
+    data_faults: Vec<[Column; 2]>,
+    /// Column of a flip of monitored check `c`'s record in round `t`:
+    /// `flip_faults[t * num_checks + c]`.
+    flip_faults: Vec<Column>,
+    /// Whether a data qubit is in the judged logical operator's support.
+    is_logical: Vec<bool>,
     num_data: usize,
-    num_qubits: usize,
     num_checks: usize,
     rounds: usize,
-    basis: MemoryBasis,
 }
 
 impl FrameSampler {
-    /// Compiles `exp` for frame sampling and verifies, via one noiseless
+    /// Compiles `exp` for fault-map sampling: verifies, via one noiseless
     /// tableau run, that the monitored reference record is all-zero (the
-    /// precondition for frame flips *being* the record).
+    /// precondition for frame flips *being* the record), then derives
+    /// every single fault's column from the circuit's rounds.
     ///
     /// # Panics
     ///
     /// Panics if the reference-record derivation fails — that would mean
     /// the experiment's preparation does not satisfy its monitored checks
-    /// deterministically, and frame sampling would be silently wrong.
+    /// deterministically, and frame sampling would be silently wrong — or
+    /// if a single fault flips more than two detectors.
     pub fn new(exp: &MemoryExperiment) -> FrameSampler {
         let lat = exp.lattice();
         let basis = exp.basis();
         let kind = basis.check_kind();
         let rounds = exp.rounds();
-        let circuit = exp.syndrome_circuit();
+        let num_data = lat.num_data();
 
+        // Monitored check `c`'s index into a round's measurements
+        // (ancilla measurements come out in plaquette order).
         let monitored_slots: Vec<usize> = lat
             .plaquettes()
             .iter()
@@ -269,59 +307,29 @@ impl FrameSampler {
                 .map(|row| lat.data_index(row, 0))
                 .collect(),
         };
+        verify_reference(exp, &check_support, &logical_support);
 
-        let sampler = FrameSampler {
-            round_gates: circuit.round_circuit().iter().copied().collect(),
-            graph: exp.decoding_graph(),
-            monitored_slots,
-            check_support,
-            logical_support,
-            num_data: lat.num_data(),
-            num_qubits: lat.num_qubits(),
-            num_checks: lat.plaquettes_of(kind).count(),
+        let graph = exp.decoding_graph();
+        let (data_faults, flip_faults) = fault_columns(
+            exp,
+            &graph,
+            &monitored_slots,
+            &check_support,
+            &logical_support,
+        );
+        let mut is_logical = vec![false; num_data];
+        for &q in &logical_support {
+            is_logical[q] = true;
+        }
+        FrameSampler {
+            graph,
+            data_faults,
+            flip_faults,
+            is_logical,
+            num_data,
+            num_checks: monitored_slots.len(),
             rounds,
-            basis,
-        };
-        sampler.verify_reference(exp);
-        sampler
-    }
-
-    /// One noiseless tableau run asserting the all-zero reference record:
-    /// every monitored check must read 0 in every round, and the final
-    /// check/logical readout parities must be 0.
-    fn verify_reference(&self, exp: &MemoryExperiment) {
-        // The seed only steers which branch unmonitored (other-kind)
-        // measurements collapse into; monitored outcomes are deterministic.
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut t = Tableau::new(self.num_qubits);
-        if self.basis == MemoryBasis::X {
-            for q in 0..self.num_data {
-                t.h(q);
-            }
         }
-        let kind = self.basis.check_kind();
-        for round in 0..self.rounds {
-            let syn = exp.syndrome_circuit().run_round(&mut t, &mut rng);
-            assert!(
-                syn.of(kind).iter().all(|&b| !b),
-                "monitored reference record must be zero (round {round})"
-            );
-        }
-        let data_bits: Vec<bool> = (0..self.num_data)
-            .map(|q| match self.basis {
-                MemoryBasis::Z => t.measure(q, &mut rng).value,
-                MemoryBasis::X => t.measure_x(q, &mut rng).value,
-            })
-            .collect();
-        for (c, support) in self.check_support.iter().enumerate() {
-            let parity = support.iter().fold(false, |acc, &q| acc ^ data_bits[q]);
-            assert!(!parity, "reference final check {c} must have even parity");
-        }
-        let logical = self
-            .logical_support
-            .iter()
-            .fold(false, |acc, &q| acc ^ data_bits[q]);
-        assert!(!logical, "reference logical readout must have even parity");
     }
 
     /// The decoding graph shots are decoded over.
@@ -329,18 +337,8 @@ impl FrameSampler {
         &self.graph
     }
 
-    /// Whether readout flips live in the X or Z frame plane: a Z-basis
-    /// readout is flipped by the frame's X component and vice versa.
-    fn readout_plane<'a, W: FrameWord>(&self, sim: &'a FrameSimulator<W>, q: usize) -> &'a [W] {
-        match self.basis {
-            MemoryBasis::Z => sim.x_plane(q),
-            MemoryBasis::X => sim.z_plane(q),
-        }
-    }
-
     /// Runs `shots` shots with the default [`SamplerConfig`]. The result
-    /// is independent of chunking, threading and lane width by
-    /// construction.
+    /// is independent of chunking and threading by construction.
     pub fn run_batch<D: Decoder>(
         &self,
         noise: &MemoryNoise,
@@ -351,12 +349,13 @@ impl FrameSampler {
         self.run_batch_configured(noise, decoder, shots, seed, &SamplerConfig::default())
     }
 
-    /// Runs `shots` shots under an explicit [`SamplerConfig`] — lane
-    /// width, chunk size and optional early exit.
+    /// Runs `shots` shots under an explicit [`SamplerConfig`] — chunk
+    /// size and optional early exit.
     ///
     /// # Panics
     ///
-    /// Panics if `shots` or `cfg.chunk_shots` is zero, or if
+    /// Panics if `shots` or `cfg.chunk_shots` is zero, if the
+    /// measurement-flip rate is not a probability, or if
     /// `cfg.early_exit` has a misaligned `check_every`.
     pub fn run_batch_configured<D: Decoder>(
         &self,
@@ -366,53 +365,28 @@ impl FrameSampler {
         seed: u64,
         cfg: &SamplerConfig,
     ) -> BatchOutcome {
-        match cfg.width {
-            LaneWidth::X1 => self.run_core::<u64, D>(noise, decoder, shots, seed, cfg),
-            LaneWidth::X8 => self.run_core::<W512, D>(noise, decoder, shots, seed, cfg),
-        }
-    }
-
-    /// The width-generic batch engine behind every `run_batch*` entry
-    /// point.
-    fn run_core<W: FrameWord, D: Decoder>(
-        &self,
-        noise: &MemoryNoise,
-        decoder: &D,
-        shots: usize,
-        seed: u64,
-        cfg: &SamplerConfig,
-    ) -> BatchOutcome {
         assert!(shots > 0, "need at least one shot");
         assert!(cfg.chunk_shots > 0, "need a positive chunk size");
+        assert!(
+            (0.0..=1.0).contains(&noise.measurement_flip),
+            "p must be a probability"
+        );
         if let Some(e) = &cfg.early_exit {
             e.validate();
         }
         let total_blocks = shots.div_ceil(64);
-        let chunk_words = cfg
-            .chunk_shots
-            .div_ceil(W::BITS)
-            .min(total_blocks.div_ceil(W::LANES));
-        let chunk_blocks = chunk_words * W::LANES;
+        let chunk_blocks = cfg.chunk_shots.div_ceil(64).min(total_blocks);
         let num_nodes = self.graph.boundary();
 
-        let mut sim: FrameSimulator<W> =
-            FrameSimulator::new(self.num_qubits, chunk_words * W::BITS);
-        // Record planes: rec[(t * num_checks + c) * words + w].
-        let mut rec = vec![W::ZERO; self.rounds * self.num_checks * chunk_words];
-        // Per-measurement-slot planes of the current round.
-        let mut meas: Vec<W> = Vec::new();
-        // Node-major detection-event planes: ev[node * blocks + b].
-        let mut ev = vec![0u64; num_nodes * chunk_blocks];
-        // Uncorrected logical readout flips, one u64 per 64-shot block.
-        let mut logical_blocks = vec![0u64; chunk_blocks];
-        // Sparse-path and plane-path decode outputs, reused across chunks.
-        let mut event_sets: Vec<Vec<NodeId>> = Vec::new();
+        // Node-major event rows, then the sink and the logical row:
+        // rows[row * blocks + b].
+        let mut rows = vec![0u64; (num_nodes + 2) * chunk_blocks];
+        // Per block, the shots with at least one event.
+        let mut hit = vec![0u64; chunk_blocks];
+        // Sparse-path and plane-path decode inputs and outputs, reused
+        // across chunks.
+        let mut scatter = HitScatter::default();
         let mut batch = CorrectionBatch::new();
-
-        let mut is_logical = vec![false; self.num_data];
-        for &q in &self.logical_support {
-            is_logical[q] = true;
-        }
 
         let mut outcome = BatchOutcome {
             shots,
@@ -431,55 +405,52 @@ impl FrameSampler {
                 end_block = end_block.min((base_block / ms + 1) * ms);
             }
             let blocks = end_block - base_block;
-            let words = blocks.div_ceil(W::LANES);
-            let mut rngs = BlockRngs::new(seed, base_block as u64, blocks);
-            self.simulate_chunk(noise, &mut sim, &mut rngs, words, &mut rec, &mut meas);
-
             // Shots beyond `shots` in the trailing block are dead lanes.
             let live_shots = (shots - base_block * 64).min(blocks * 64);
-            self.extract_event_planes(
-                &sim,
-                &rec,
-                words,
-                live_shots,
-                &mut ev[..num_nodes * blocks],
-                &mut logical_blocks[..blocks],
-            );
+            let rows = &mut rows[..(num_nodes + 2) * blocks];
+            self.sample_chunk(noise, seed, base_block, live_shots, rows);
 
-            let chunk_events: usize = ev[..num_nodes * blocks]
-                .iter()
-                .map(|w| w.count_ones() as usize)
-                .sum();
+            let (events, rest) = rows.split_at(num_nodes * blocks);
+            let logical = &rest[blocks..];
+            let hit = &mut hit[..blocks];
+            hit.fill(0);
+            let mut chunk_events = 0usize;
+            for row in events.chunks_exact(blocks) {
+                for (h, &word) in hit.iter_mut().zip(row) {
+                    *h |= word;
+                    chunk_events += word.count_ones() as usize;
+                }
+            }
             outcome.detection_events += chunk_events;
-            let planes = EventPlanes::new(&ev[..num_nodes * blocks], num_nodes, blocks, live_shots);
             let density = chunk_events as f64 / (num_nodes * live_shots) as f64;
             if density >= PLANE_DECODE_DENSITY {
+                let planes = EventPlanes::new(events, num_nodes, blocks, live_shots);
                 decoder.decode_planes(&self.graph, &planes, &mut batch);
                 outcome.correction_weight += batch.total_flips();
                 for shot in 0..live_shots {
-                    let mut fail = logical_blocks[shot / 64] >> (shot % 64) & 1 == 1;
+                    let mut fail = logical[shot / 64] >> (shot % 64) & 1 == 1;
                     for &q in batch.flips_of(shot) {
-                        if is_logical[q] {
-                            fail = !fail;
-                        }
+                        fail ^= self.is_logical[q];
                     }
-                    if fail {
-                        outcome.failures += 1;
-                    }
+                    outcome.failures += usize::from(fail);
                 }
             } else {
-                planes.scatter_into(&mut event_sets);
-                let corrections = decoder.decode_many(&self.graph, &event_sets[..live_shots]);
-                for (shot, correction) in corrections.iter().enumerate() {
-                    outcome.correction_weight += correction.weight();
-                    let mut fail = logical_blocks[shot / 64] >> (shot % 64) & 1 == 1;
-                    for &q in &correction.data_flips {
-                        if is_logical[q] {
-                            fail = !fail;
+                // A quiet shot decodes to the empty correction: its
+                // verdict is its logical bit.
+                for (&l, &h) in logical.iter().zip(hit.iter()) {
+                    outcome.failures += (l & !h).count_ones() as usize;
+                }
+                let sets = scatter.sets(events, hit);
+                if !sets.is_empty() {
+                    let corrections = decoder.decode_many(&self.graph, sets);
+                    assert_eq!(corrections.len(), sets.len(), "one correction per set");
+                    for (shot, correction) in set_bits(hit).zip(&corrections) {
+                        outcome.correction_weight += correction.weight();
+                        let mut fail = logical[shot / 64] >> (shot % 64) & 1 == 1;
+                        for &q in &correction.data_flips {
+                            fail ^= self.is_logical[q];
                         }
-                    }
-                    if fail {
-                        outcome.failures += 1;
+                        outcome.failures += usize::from(fail);
                     }
                 }
             }
@@ -499,120 +470,62 @@ impl FrameSampler {
         outcome
     }
 
-    /// Simulates one chunk of shot-words: noise injection, gate
-    /// propagation and measurement-flip sampling, filling `rec` with the
-    /// monitored record planes.
-    fn simulate_chunk<W: FrameWord>(
+    /// Samples one chunk of `live_shots` shots starting at global block
+    /// `base_block` into `rows` (`rows[row * blocks + b]`, see
+    /// [`Column`]): each block draws its fixed schedule from its own
+    /// stream and XORs every non-zero error word into the rows of its
+    /// fault's column. The trailing block's dead lanes stay clear.
+    fn sample_chunk(
         &self,
         noise: &MemoryNoise,
-        sim: &mut FrameSimulator<W>,
-        rngs: &mut BlockRngs,
-        words: usize,
-        rec: &mut [W],
-        meas: &mut Vec<W>,
-    ) {
-        let sim_words = sim.words();
-        sim.clear();
-        for t_idx in 0..self.rounds {
-            // Fixed draw schedule, part 1: data channel in qubit order.
-            for q in 0..self.num_data {
-                sim.inject_pauli_channel(&noise.data, q, rngs);
-            }
-            meas.clear();
-            for &g in &self.round_gates {
-                sim.apply_gate(g, meas);
-            }
-            // Fixed draw schedule, part 2: measurement flips in check
-            // order. Only the first `words` of each slot plane are live
-            // when the final chunk is short.
-            for c in 0..self.num_checks {
-                let slot = self.monitored_slots[c];
-                let dest = &mut rec[(t_idx * self.num_checks + c) * words..][..words];
-                dest.copy_from_slice(&meas[slot * sim_words..][..words]);
-                FrameSimulator::xor_flip_plane(noise.measurement_flip, rngs, dest);
-            }
-        }
-    }
-
-    /// Derives node-major detection-event planes (`ev[node * blocks + b]`,
-    /// dead tail bits zeroed) from the record planes — round 0 against the
-    /// all-zero reference, later rounds against their predecessor, and a
-    /// final perfect-readout round from data parities. Also fills the
-    /// uncorrected logical-flip blocks.
-    fn extract_event_planes<W: FrameWord>(
-        &self,
-        sim: &FrameSimulator<W>,
-        rec: &[W],
-        words: usize,
+        seed: u64,
+        base_block: usize,
         live_shots: usize,
-        ev: &mut [u64],
-        logical_blocks: &mut [u64],
+        rows: &mut [u64],
     ) {
+        let total = noise.data.total_error_probability();
+        let data_law = (total != 0.0).then(|| SkipLaw::new(total));
+        let flip_law =
+            (noise.measurement_flip != 0.0).then(|| SkipLaw::new(noise.measurement_flip));
         let blocks = live_shots.div_ceil(64);
-        let tail_bits = live_shots - (blocks - 1) * 64;
-        let tail_mask = if tail_bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << tail_bits) - 1
-        };
-        debug_assert_eq!(ev.len(), self.graph.boundary() * blocks);
-        debug_assert_eq!(logical_blocks.len(), blocks);
-
-        // Writes the 64-bit lanes of a W-word plane into one node's row,
-        // masking the trailing block's dead lanes.
-        let flatten = |plane: &[W], out: &mut [u64]| {
-            for (b, slot) in out.iter_mut().enumerate().take(blocks) {
-                *slot = plane[b / W::LANES].lane(b % W::LANES);
-            }
-            out[blocks - 1] &= tail_mask;
-        };
-
-        let mut node_plane = vec![W::ZERO; words];
-        for t_idx in 0..self.rounds {
-            for c in 0..self.num_checks {
-                let cur = &rec[(t_idx * self.num_checks + c) * words..][..words];
-                if t_idx == 0 {
-                    node_plane.copy_from_slice(cur);
-                } else {
-                    let prev = &rec[((t_idx - 1) * self.num_checks + c) * words..][..words];
-                    for w in 0..words {
-                        node_plane[w] = cur[w].xor(prev[w]);
+        rows.fill(0);
+        for b in 0..blocks {
+            let mut rng = StdRng::seed_from_u64(block_seed(seed, (base_block + b) as u64));
+            let live = u64::MAX >> ((b + 1) * 64).saturating_sub(live_shots);
+            let mut xor = |column: &Column, bits: u64| {
+                for &row in column {
+                    rows[row as usize * blocks + b] ^= bits & live;
+                }
+            };
+            for t in 0..self.rounds {
+                if let Some(law) = &data_law {
+                    for [x, z] in &self.data_faults[t * self.num_data..][..self.num_data] {
+                        let (xbits, zbits) = law.pauli_block(&noise.data, &mut rng);
+                        if xbits != 0 {
+                            xor(x, xbits);
+                        }
+                        if zbits != 0 {
+                            xor(z, zbits);
+                        }
                     }
                 }
-                let node = self.graph.node(t_idx, c);
-                flatten(&node_plane, &mut ev[node * blocks..][..blocks]);
-            }
-        }
-        // Final round: perfect readout parities against the last record.
-        for c in 0..self.num_checks {
-            let last = &rec[((self.rounds - 1) * self.num_checks + c) * words..][..words];
-            for w in 0..words {
-                let mut parity = W::ZERO;
-                for &q in &self.check_support[c] {
-                    parity = parity.xor(self.readout_plane(sim, q)[w]);
+                if let Some(law) = &flip_law {
+                    for column in &self.flip_faults[t * self.num_checks..][..self.num_checks] {
+                        let bits = law.flip_block(&mut rng);
+                        if bits != 0 {
+                            xor(column, bits);
+                        }
+                    }
                 }
-                node_plane[w] = parity.xor(last[w]);
             }
-            let node = self.graph.node(self.rounds, c);
-            flatten(&node_plane, &mut ev[node * blocks..][..blocks]);
         }
-        // Uncorrected logical readout flips.
-        for (w, slot) in node_plane.iter_mut().enumerate().take(words) {
-            let mut parity = W::ZERO;
-            for &q in &self.logical_support {
-                parity = parity.xor(self.readout_plane(sim, q)[w]);
-            }
-            *slot = parity;
-        }
-        flatten(&node_plane, logical_blocks);
     }
 
-    /// Frame-path counterpart of
-    /// [`MemoryExperiment::faulted_shot_events`]: propagates one explicit
-    /// fault pattern (`errors_per_round[t][q]` XORed before round `t`,
-    /// `meas_flips_per_round[t][c]` flipping monitored records) and
-    /// returns the detection events plus the uncorrected logical readout
-    /// parity. Consumes no randomness at all.
+    /// Detection events and uncorrected logical readout parity of one
+    /// explicit fault pattern (`errors_per_round[t][q]` before round `t`,
+    /// `meas_flips_per_round[t][c]` flipping monitored records): the XOR
+    /// of its faults' columns, a Y being an X and a Z. The counterpart of
+    /// [`MemoryExperiment::faulted_shot_events`]; consumes no randomness.
     ///
     /// # Panics
     ///
@@ -632,41 +545,307 @@ impl FrameSampler {
             self.rounds,
             "one flip layer per round"
         );
-        let mut sim: FrameSimulator = FrameSimulator::new(self.num_qubits, 1);
-        let words = sim.words();
-        let mut rec = vec![0u64; self.rounds * self.num_checks * words];
-        let mut meas: Vec<u64> = Vec::new();
-        for (t_idx, (errors, flips)) in errors_per_round
+        let num_nodes = self.graph.boundary();
+        let mut rows = vec![false; num_nodes + 2];
+        let mut xor = |column: &Column| {
+            for &row in column {
+                rows[row as usize] ^= true;
+            }
+        };
+        for (t, (errors, flips)) in errors_per_round
             .iter()
             .zip(meas_flips_per_round)
             .enumerate()
         {
             assert_eq!(errors.len(), self.num_data, "one Pauli per data qubit");
             assert_eq!(flips.len(), self.num_checks, "one flip bit per check");
-            for (q, &e) in errors.iter().enumerate() {
-                sim.xor_frame(q, 0, e);
+            for (&e, [x, z]) in errors.iter().zip(&self.data_faults[t * self.num_data..]) {
+                if e.has_x() {
+                    xor(x);
+                }
+                if e.has_z() {
+                    xor(z);
+                }
             }
-            meas.clear();
-            for &g in &self.round_gates {
-                sim.apply_gate(g, &mut meas);
-            }
-            for c in 0..self.num_checks {
-                let slot = self.monitored_slots[c];
-                rec[(t_idx * self.num_checks + c) * words..][..words]
-                    .copy_from_slice(&meas[slot * words..][..words]);
-                if flips[c] {
-                    rec[(t_idx * self.num_checks + c) * words] ^= 1;
+            for (&f, column) in flips.iter().zip(&self.flip_faults[t * self.num_checks..]) {
+                if f {
+                    xor(column);
                 }
             }
         }
-        let num_nodes = self.graph.boundary();
-        let mut ev = vec![0u64; num_nodes];
-        let mut logical_blocks = vec![0u64; 1];
-        self.extract_event_planes(&sim, &rec, words, 1, &mut ev, &mut logical_blocks);
-        let planes = EventPlanes::new(&ev, num_nodes, 1, 1);
-        let mut sets: Vec<Vec<NodeId>> = Vec::new();
-        planes.scatter_into(&mut sets);
-        (std::mem::take(&mut sets[0]), logical_blocks[0] & 1 == 1)
+        let events = (0..num_nodes).filter(|&n| rows[n]).collect();
+        (events, rows[num_nodes + 1])
+    }
+}
+
+/// One noiseless tableau run asserting the all-zero reference record:
+/// every monitored check must read 0 in every round, and the final
+/// check/logical readout parities must be 0.
+fn verify_reference(exp: &MemoryExperiment, check_support: &[Vec<usize>], logical: &[usize]) {
+    // The seed only steers which branch unmonitored (other-kind)
+    // measurements collapse into; monitored outcomes are deterministic.
+    let mut rng = StdRng::seed_from_u64(0);
+    let lat = exp.lattice();
+    let basis = exp.basis();
+    let mut t = Tableau::new(lat.num_qubits());
+    if basis == MemoryBasis::X {
+        for q in 0..lat.num_data() {
+            t.h(q);
+        }
+    }
+    let kind = basis.check_kind();
+    for round in 0..exp.rounds() {
+        let syn = exp.syndrome_circuit().run_round(&mut t, &mut rng);
+        assert!(
+            syn.of(kind).iter().all(|&b| !b),
+            "monitored reference record must be zero (round {round})"
+        );
+    }
+    let data_bits: Vec<bool> = (0..lat.num_data())
+        .map(|q| match basis {
+            MemoryBasis::Z => t.measure(q, &mut rng).value,
+            MemoryBasis::X => t.measure_x(q, &mut rng).value,
+        })
+        .collect();
+    for (c, support) in check_support.iter().enumerate() {
+        let parity = support.iter().fold(false, |acc, &q| acc ^ data_bits[q]);
+        assert!(!parity, "reference final check {c} must have even parity");
+    }
+    let parity = logical.iter().fold(false, |acc, &q| acc ^ data_bits[q]);
+    assert!(!parity, "reference logical readout must have even parity");
+}
+
+/// Every single fault's column, derived from the circuit: the data
+/// faults' (`[t * num_data + q]`, X then Z) and the record flips'
+/// (`[t * num_checks + c]`).
+///
+/// One frame-simulator lane per fault — an X on data qubit `q` (lane
+/// `q`), a Z on it (lane `num_data + q`), a flip of monitored record `c`
+/// (lane `2 * num_data + c`) — runs through successive noiseless rounds
+/// of the syndrome circuit until no lane's frame changes any more (every
+/// fault of a memory experiment settles after two). Frame propagation is
+/// linear, so a lane's records and frame after `k` rounds are exactly
+/// its fault's; once settled, every later round repeats them, and a
+/// fault striking earlier has the same column moved back in time.
+fn fault_columns(
+    exp: &MemoryExperiment,
+    graph: &DecodingGraph,
+    monitored_slots: &[usize],
+    check_support: &[Vec<usize>],
+    logical_support: &[usize],
+) -> (Vec<[Column; 2]>, Vec<Column>) {
+    let lat = exp.lattice();
+    let (n, num_data, rounds) = (lat.num_qubits(), lat.num_data(), exp.rounds());
+    let num_checks = monitored_slots.len();
+    let flip_lanes = 2 * num_data;
+    let mut sim: FrameSimulator = FrameSimulator::new(n, flip_lanes + num_checks);
+    for q in 0..num_data {
+        sim.xor_frame(q, q, Pauli::X);
+        sim.xor_frame(q, num_data + q, Pauli::Z);
+    }
+    let words = sim.words();
+
+    // Per round `k` of the trajectories, as planes over the lanes: the
+    // records flipped, `records[(k * num_checks + c) * words..]`, and the
+    // final readout parities the frame would leave, every check's then
+    // the logical one, `readouts[(k * (num_checks + 1) + c) * words..]`.
+    let (mut records, mut readouts) = (Vec::new(), Vec::new());
+    let mut meas = Vec::with_capacity(lat.plaquettes().len() * words);
+    let mut before: Option<FrameSimulator> = None;
+    let mut settled = rounds;
+    for k in 0..rounds {
+        meas.clear();
+        for &g in exp.syndrome_circuit().round_circuit() {
+            sim.apply_gate(g, &mut meas);
+        }
+        for &slot in monitored_slots {
+            records.extend_from_slice(&meas[slot * words..][..words]);
+        }
+        if k == 0 {
+            for c in 0..num_checks {
+                let lane = flip_lanes + c;
+                records[c * words + lane / 64] ^= 1 << (lane % 64);
+            }
+        }
+        for support in check_support
+            .iter()
+            .map(Vec::as_slice)
+            .chain([logical_support])
+        {
+            let start = readouts.len();
+            readouts.resize(start + words, 0);
+            for &q in support {
+                // A data qubit's readout is flipped by the frame's X
+                // component in a Z-basis memory, by its Z in an X-basis one.
+                let plane = match exp.basis() {
+                    MemoryBasis::Z => sim.x_plane(q),
+                    MemoryBasis::X => sim.z_plane(q),
+                };
+                xor_into(&mut readouts[start..], plane);
+            }
+        }
+        // A flip lane's records change from round 0 to round 1 whatever
+        // the frames do, so round 0 never settles.
+        if k > 0 && before.as_ref() == Some(&sim) {
+            settled = k + 1;
+            break;
+        }
+        before = Some(sim.clone());
+    }
+
+    let sink = graph.boundary() as u32;
+    let readout_nodes = graph.node(rounds, 0) as u32;
+    let mut data_faults = vec![[[sink; 3]; 2]; rounds * num_data];
+    let mut flip_faults = vec![[sink; 3]; rounds * num_checks];
+    let mut columns = Vec::new();
+    for steps in 1..=settled {
+        let first = rounds - steps;
+        let readout =
+            &readouts[(steps - 1) * (num_checks + 1) * words..][..(num_checks + 1) * words];
+        detector_columns(
+            graph,
+            first,
+            |k, c| &records[(k * num_checks + c) * words..][..words],
+            readout,
+            &mut columns,
+        );
+        // The settled column serves every earlier start too, its rounds
+        // moved back (its final-readout nodes, sink and logical row stay).
+        let starts = if steps == settled {
+            0..=first
+        } else {
+            first..=first
+        };
+        for t in starts {
+            let back = ((first - t) * num_checks) as u32;
+            let moved = |column: Column| {
+                column.map(|row| if row < readout_nodes { row - back } else { row })
+            };
+            for q in 0..num_data {
+                data_faults[t * num_data + q] = [moved(columns[q]), moved(columns[num_data + q])];
+            }
+            for c in 0..num_checks {
+                flip_faults[t * num_checks + c] = moved(columns[flip_lanes + c]);
+            }
+        }
+    }
+    (data_faults, flip_faults)
+}
+
+/// The columns of every lane's fault striking at the start of round
+/// `first`, into `columns` (one per lane), from the planes over the
+/// lanes of the records it flips round by round (`record(k, c)`: check
+/// `c` in round `first + k`, none before `first`) and of the final
+/// readout parities it leaves (every check's, then the logical one).
+/// This is the one definition of a detector: a round's record against
+/// the round before (round 0 against the all-zero reference), and the
+/// final perfect-readout node as the readout parity XOR the last record.
+///
+/// # Panics
+///
+/// Panics if a fault flips more than two detectors: no edge of a
+/// decoding graph could then stand for it.
+fn detector_columns<'a>(
+    graph: &DecodingGraph,
+    first: usize,
+    record: impl Fn(usize, usize) -> &'a [u64],
+    readout: &[u64],
+    columns: &mut Vec<Column>,
+) {
+    let rounds = graph.rounds() - 1;
+    let num_checks = graph.num_checks();
+    let words = readout.len() / (num_checks + 1);
+    let sink = graph.boundary() as u32;
+    columns.clear();
+    columns.resize(words * 64, [sink; 3]);
+    let mut diff = vec![0u64; words];
+    let mut flip = |diff: &[u64], node: NodeId| {
+        for lane in set_bits(diff) {
+            let column = &mut columns[lane];
+            let free = usize::from(column[0] != sink);
+            assert!(
+                column[free] == sink,
+                "a single fault flips more than two detectors"
+            );
+            column[free] = node as u32;
+        }
+    };
+    for t in first..rounds {
+        for c in 0..num_checks {
+            diff.copy_from_slice(record(t - first, c));
+            if t > first {
+                xor_into(&mut diff, record(t - first - 1, c));
+            }
+            flip(&diff, graph.node(t, c));
+        }
+    }
+    for c in 0..num_checks {
+        diff.copy_from_slice(&readout[c * words..][..words]);
+        xor_into(&mut diff, record(rounds - first - 1, c));
+        flip(&diff, graph.node(rounds, c));
+    }
+    for lane in set_bits(&readout[num_checks * words..]) {
+        columns[lane][2] = sink + 1;
+    }
+}
+
+/// The indices of the set bits of a bit set held in words, ascending.
+fn set_bits(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            let bit = (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits.wrapping_sub(1);
+            bit
+        })
+    })
+}
+
+/// XORs `src` into `dst`, word by word.
+fn xor_into(dst: &mut [u64], src: &[u64]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d ^= s;
+    }
+}
+
+/// Scatters a sparse chunk's events into per-shot sets for
+/// [`Decoder::decode_many`], for the shots with at least one event only.
+#[derive(Debug, Default)]
+struct HitScatter {
+    /// One set per hit shot, in shot order (nodes ascending); sets past
+    /// the current chunk's hits are stale and kept for their memory.
+    sets: Vec<Vec<NodeId>>,
+    /// Per block, the set index of its first hit shot.
+    first: Vec<usize>,
+}
+
+impl HitScatter {
+    /// The event sets of the shots set in `hit` (one word per 64-shot
+    /// block), from node-major `events` rows.
+    fn sets(&mut self, events: &[u64], hit: &[u64]) -> &[Vec<NodeId>] {
+        self.first.clear();
+        let mut hits = 0usize;
+        for &h in hit {
+            self.first.push(hits);
+            hits += h.count_ones() as usize;
+        }
+        if self.sets.len() < hits {
+            self.sets.resize(hits, Vec::new());
+        }
+        for set in &mut self.sets[..hits] {
+            set.clear();
+        }
+        for (node, row) in events.chunks_exact(hit.len()).enumerate() {
+            for (b, &word) in row.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let below = hit[b] & ((1u64 << bits.trailing_zeros()) - 1);
+                    self.sets[self.first[b] + below.count_ones() as usize].push(node);
+                    bits &= bits - 1;
+                }
+            }
+        }
+        &self.sets[..hits]
     }
 }
 

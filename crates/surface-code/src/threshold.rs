@@ -18,7 +18,8 @@ use std::sync::Mutex;
 /// [`ThresholdSweep::run_batch_configured`]).
 #[derive(Debug, Clone, Copy)]
 pub struct SweepConfig {
-    /// Frame-plane lane width; sweep results are width-invariant.
+    /// Unread: the sampler propagates no frame, so there is no plane
+    /// word to size. It stays while callers still name a lane width.
     pub width: LaneWidth,
     /// Optional deterministic per-point early exit. Points stopped early
     /// report their actual shot count in [`ThresholdPoint::shots`].
@@ -61,7 +62,7 @@ pub struct ThresholdSweep {
 impl ThresholdSweep {
     /// Runs a code-capacity sweep over `distances` × `error_rates` with
     /// `shots` shots per point and `rounds = d` noisy rounds, on the
-    /// bit-parallel frame path (see [`crate::FrameSampler`]), optionally
+    /// fault-map fast path (see [`crate::FrameSampler`]), optionally
     /// fanning grid points out over `workers` OS threads with
     /// `std::thread::scope` — no thread pool, no extra dependencies,
     /// mirroring the runtime's sharding style.

@@ -405,3 +405,33 @@ fn a_batch_of_sparse_decodes_resets_the_scratch_once() {
     uf.decode_with(&g, &[], &mut scratch);
     assert_eq!(scratch.full_resets(), 3);
 }
+
+#[test]
+fn an_empty_event_set_decodes_to_the_empty_correction() {
+    // The contract the batch sampler's quiet shots rely on, on every
+    // graph it builds. The table decoder only accepts a one-round graph
+    // of at most 16 checks, so it is built over the same lattice's (d ≤ 5)
+    // and asked about the sampler's graph, as a pipeline would.
+    use quest_surface::{FrameSampler, TableDecoder};
+    for d in [3usize, 5, 7, 9] {
+        for basis in [MemoryBasis::Z, MemoryBasis::X] {
+            let exp = MemoryExperiment::new(d, d, basis);
+            let sampler = FrameSampler::new(&exp);
+            let g = sampler.graph();
+            let table = (d <= 5)
+                .then(|| TableDecoder::build(&DecodingGraph::new(exp.lattice(), g.kind(), 1)));
+            let decoders: [(&str, Option<&dyn Decoder>); 3] = [
+                ("union-find", Some(&UnionFindDecoder::new())),
+                ("exact", Some(&ExactMatchingDecoder::new())),
+                ("table", table.as_ref().map(|t| t as &dyn Decoder)),
+            ];
+            for (name, decoder) in decoders {
+                let Some(decoder) = decoder else { continue };
+                let at = format!("{name}, d={d} {basis:?}");
+                assert_eq!(decoder.decode(g, &[]), Correction::default(), "{at}");
+                let many = decoder.decode_many(g, &[Vec::new(), Vec::new()]);
+                assert_eq!(many, vec![Correction::default(); 2], "{at}");
+            }
+        }
+    }
+}
