@@ -208,7 +208,10 @@ struct Timings {
 /// Emits the sweep as a small JSON report for CI trend tracking. Written
 /// by hand (no serde in the workspace): schema 2 adds the lane width,
 /// throughput, early-exit knobs, the 64-bit comparison run, and the
-/// measured speedups over the committed pre-wide-word baseline.
+/// measured speedups over the committed pre-wide-word baseline; schema 3
+/// adds each point's failure count and the 95 % Wilson score interval of
+/// its rate (`rate_lo`, `rate_hi`), so a zero-failure point reads as an
+/// upper bound.
 fn write_report(
     sweep: &ThresholdSweep,
     crossings: &[(usize, usize, f64)],
@@ -216,7 +219,7 @@ fn write_report(
     t: &Timings,
 ) {
     let mut json = String::from("{\n");
-    json.push_str("  \"schema\": 2,\n");
+    json.push_str("  \"schema\": 3,\n");
     json.push_str(&format!("  \"seed\": {SEED},\n"));
     json.push_str(&format!(
         "  \"lane_width\": \"{}\",\n",
@@ -257,9 +260,11 @@ fn write_report(
     json.push_str("  \"points\": [\n");
     for (i, pt) in sweep.points.iter().enumerate() {
         let sep = if i + 1 == sweep.points.len() { "" } else { "," };
+        let (lo, hi) = pt.rate_interval();
         json.push_str(&format!(
-            "    {{\"distance\": {}, \"p\": {:e}, \"logical_rate\": {:e}, \"shots\": {}}}{sep}\n",
-            pt.distance, pt.p, pt.logical_rate, pt.shots
+            "    {{\"distance\": {}, \"p\": {:e}, \"logical_rate\": {:e}, \"shots\": {}, \
+             \"failures\": {}, \"rate_lo\": {lo:e}, \"rate_hi\": {hi:e}}}{sep}\n",
+            pt.distance, pt.p, pt.logical_rate, pt.shots, pt.failures
         ));
     }
     json.push_str("  ]\n}\n");

@@ -262,6 +262,20 @@ impl Default for CorrectionBatch {
 /// [`Decoder::decode_many`] alike. [`crate::FrameSampler`] relies on it:
 /// a shot without events never reaches the decoder, and its verdict is
 /// its uncorrected logical flip.
+///
+/// Contract: a decode is a pure function of `(graph, events)` — the same
+/// set on the same graph always gets the same correction, whatever was
+/// decoded before. [`crate::FrameSampler`] relies on this too: it keeps
+/// one run's answers to the sets a single fault makes (one node, or the
+/// two ends of a graph edge) and answers a repeated one from them, so a
+/// decoder that counts or prices its calls sees each such set at most
+/// once per sampler run. Every implementor in the workspace is pure: the
+/// union-find, exact-matching and table decoders (a [`TableDecoder`]'s
+/// entry depends on the events alone, on the graph it was built for),
+/// and the tests' counting and recording wrappers, which forward to one
+/// of them. The decoder-backend ablation's cost-counting adapter samples
+/// through [`crate::MemoryExperiment::logical_error_rate`], which decodes
+/// every shot, not through the sampler.
 pub trait Decoder {
     /// Produces a correction whose induced syndrome matches `events`.
     ///

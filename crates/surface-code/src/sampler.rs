@@ -25,11 +25,20 @@
 //! A batch then draws each 64-shot block's errors in the fixed schedule
 //! below and XORs every non-zero error word straight into its column's
 //! event rows and logical row; no frame is propagated and no gate is
-//! applied. Below [`PLANE_DECODE_DENSITY`] only the shots with at least
-//! one event reach [`Decoder::decode_many`] — a quiet shot's verdict is
-//! its logical bit, because an empty event set decodes to the empty
-//! correction — and above it whole event planes ([`EventPlanes`]) go to
-//! [`Decoder::decode_planes`].
+//! applied. Above [`PLANE_DECODE_DENSITY`] whole event planes
+//! ([`EventPlanes`]) go to [`Decoder::decode_planes`]. Below it a quiet
+//! shot never reaches the decoder — its verdict is its logical bit,
+//! because an empty event set decodes to the empty correction — and a
+//! shot with events is answered from the run's *slots* when it can be:
+//! one per detector node and one per decoding-graph edge, for the sets a
+//! single fault makes (`[a]`, or the two ends of an edge). A slot holds
+//! its set's correction weight and logical flip, filled by the first
+//! decode of that set in the run; only sets without a filled slot (an
+//! empty one, three or more events, a pair joined by no edge) go to the
+//! chunk's one [`Decoder::decode_many`] call. A decode is a pure
+//! function of `(graph, events)` and tallies are sums over shots, so the
+//! answers are the decoder's own; the slots live for one run, so nothing
+//! is shared between runs or threads.
 //!
 //! # Why this is exact
 //!
@@ -74,7 +83,7 @@
 //! therefore stop at the same milestone and report identical outcomes,
 //! whatever their chunking or threading.
 
-use crate::decoder::{CorrectionBatch, Decoder, EventPlanes};
+use crate::decoder::{Correction, CorrectionBatch, Decoder, EventPlanes};
 use crate::graph::{DecodingGraph, NodeId};
 use crate::memory::{MemoryBasis, MemoryExperiment, MemoryNoise};
 use quest_stabilizer::frame::{block_seed, FrameSimulator, LaneWidth, SkipLaw};
@@ -90,7 +99,8 @@ const DEFAULT_CHUNK_SHOTS: usize = 4096;
 /// sets for [`Decoder::decode_many`], instead of handing whole planes to
 /// [`Decoder::decode_planes`]. At such densities almost every plane word
 /// is zero and nine in ten shots have no event at all: those skip the
-/// decoder, their verdict being their logical bit. Both paths produce
+/// decoder, their verdict being their logical bit, and most of the rest
+/// carry one fault, answered from the run's slots. Both paths produce
 /// bit-identical corrections (see the `frame_equivalence` tests), so the
 /// per-chunk choice never affects results.
 pub const PLANE_DECODE_DENSITY: f64 = 1.0 / 256.0;
@@ -225,6 +235,38 @@ impl BatchOutcome {
     pub fn logical_error_rate(&self) -> f64 {
         self.failures as f64 / self.shots as f64
     }
+
+    /// The 95 % Wilson score interval of the logical error rate (see
+    /// [`wilson_interval`]).
+    pub fn rate_interval(&self) -> (f64, f64) {
+        wilson_interval(self.failures, self.shots)
+    }
+}
+
+/// The 95 % Wilson score interval `(lo, hi)` of a rate observed as
+/// `failures` in `shots` trials, `(0, 1)` when there is no trial. Unlike
+/// `failures / shots ± z·σ̂` it stays inside `[0, 1]` and is not empty at
+/// zero failures: 0 of 5000 reads `(0, 7.68e-4)`, an upper bound.
+#[must_use]
+pub fn wilson_interval(failures: usize, shots: usize) -> (f64, f64) {
+    /// The two-sided 95 % normal quantile.
+    const Z: f64 = 1.96;
+    if shots == 0 {
+        return (0.0, 1.0);
+    }
+    let n = shots as f64;
+    let rate = failures as f64 / n;
+    let z2n = Z * Z / n;
+    let center = (rate + z2n / 2.0) / (1.0 + z2n);
+    let half = Z / (1.0 + z2n) * (rate * (1.0 - rate) / n + z2n / (4.0 * n)).sqrt();
+    // The bounds touch 0 and 1 exactly at the ends; rounding would not.
+    let lo = if failures == 0 { 0.0 } else { center - half };
+    let hi = if failures == shots {
+        1.0
+    } else {
+        center + half
+    };
+    (lo, hi)
 }
 
 /// The rows of a chunk one single fault flips: up to two detector nodes
@@ -383,9 +425,8 @@ impl FrameSampler {
         let mut rows = vec![0u64; (num_nodes + 2) * chunk_blocks];
         // Per block, the shots with at least one event.
         let mut hit = vec![0u64; chunk_blocks];
-        // Sparse-path and plane-path decode inputs and outputs, reused
-        // across chunks.
-        let mut scatter = HitScatter::default();
+        // Sparse-path and plane-path decode state, reused across chunks.
+        let mut hits = HitAnswers::default();
         let mut batch = CorrectionBatch::new();
 
         let mut outcome = BatchOutcome {
@@ -440,19 +481,7 @@ impl FrameSampler {
                 for (&l, &h) in logical.iter().zip(hit.iter()) {
                     outcome.failures += (l & !h).count_ones() as usize;
                 }
-                let sets = scatter.sets(events, hit);
-                if !sets.is_empty() {
-                    let corrections = decoder.decode_many(&self.graph, sets);
-                    assert_eq!(corrections.len(), sets.len(), "one correction per set");
-                    for (shot, correction) in set_bits(hit).zip(&corrections) {
-                        outcome.correction_weight += correction.weight();
-                        let mut fail = logical[shot / 64] >> (shot % 64) & 1 == 1;
-                        for &q in &correction.data_flips {
-                            fail ^= self.is_logical[q];
-                        }
-                        outcome.failures += usize::from(fail);
-                    }
-                }
+                hits.tally(self, decoder, events, hit, logical, &mut outcome);
             }
             base_block = end_block;
 
@@ -468,6 +497,21 @@ impl FrameSampler {
             }
         }
         outcome
+    }
+
+    /// A decode's slot entry: its correction weight, and whether it flips
+    /// the judged logical in the low bit.
+    fn answer(&self, correction: &Correction) -> u32 {
+        let flip = correction
+            .data_flips
+            .iter()
+            .fold(false, |flip, &q| flip ^ self.is_logical[q]);
+        let weight = correction.weight();
+        assert!(
+            weight < (PENDING >> 1) as usize,
+            "correction weight overflows its slot"
+        );
+        (weight as u32) << 1 | u32::from(flip)
     }
 
     /// Samples one chunk of `live_shots` shots starting at global block
@@ -822,7 +866,7 @@ struct HitScatter {
 impl HitScatter {
     /// The event sets of the shots set in `hit` (one word per 64-shot
     /// block), from node-major `events` rows.
-    fn sets(&mut self, events: &[u64], hit: &[u64]) -> &[Vec<NodeId>] {
+    fn sets(&mut self, events: &[u64], hit: &[u64]) -> &mut [Vec<NodeId>] {
         self.first.clear();
         let mut hits = 0usize;
         for &h in hit {
@@ -845,7 +889,109 @@ impl HitScatter {
                 }
             }
         }
-        &self.sets[..hits]
+        &mut self.sets[..hits]
+    }
+}
+
+/// [`HitAnswers::slots`] entry of a set no decode has answered yet.
+const EMPTY: u32 = u32::MAX;
+/// [`HitAnswers::slots`] entry of a set sent to the current chunk's
+/// decode.
+const PENDING: u32 = u32::MAX - 1;
+
+/// The sparse path's state for one run: the hit shots' event sets, and
+/// the run's answers to the sets a single fault makes, so that each of
+/// those reaches the decoder once per run. That is exact because a
+/// decode is a pure function of `(graph, events)` (see [`Decoder`]) and
+/// tallies are sums over shots.
+#[derive(Debug, Default)]
+struct HitAnswers {
+    scatter: HitScatter,
+    /// Per slot (see [`slot_of`]), [`EMPTY`], [`PENDING`] or a decode's
+    /// answer (`FrameSampler::answer`); allocated by the first sparse
+    /// chunk.
+    slots: Vec<u32>,
+    /// The current chunk's sets sent to the decoder: the shot, and the
+    /// slot its answer fills.
+    misses: Vec<(usize, Option<usize>)>,
+    /// The current chunk's shots whose slot is [`PENDING`].
+    waiting: Vec<(usize, usize)>,
+}
+
+impl HitAnswers {
+    /// Adds to `outcome` the correction weights and failures of a sparse
+    /// chunk's hit shots (`hit`, one word per 64-shot block, over the
+    /// node-major `events` rows; `logical` their uncorrected flips). A
+    /// shot whose set has an answer is tallied from it; one whose slot
+    /// is empty sends its set to the chunk's one `decode_many` (moved to
+    /// the front of the sets, in shot order), and later shots with the
+    /// same set wait for that answer; a set without a slot is decoded
+    /// every time.
+    fn tally<D: Decoder>(
+        &mut self,
+        sampler: &FrameSampler,
+        decoder: &D,
+        events: &[u64],
+        hit: &[u64],
+        logical: &[u64],
+        outcome: &mut BatchOutcome,
+    ) {
+        let graph = &sampler.graph;
+        if self.slots.is_empty() {
+            self.slots = vec![EMPTY; graph.boundary() + graph.edges().len()];
+        }
+        let mut tally = |shot: usize, answer: u32| {
+            outcome.correction_weight += (answer >> 1) as usize;
+            let fail = (logical[shot / 64] >> (shot % 64) ^ u64::from(answer)) & 1;
+            outcome.failures += fail as usize;
+        };
+        let sets = self.scatter.sets(events, hit);
+        self.misses.clear();
+        self.waiting.clear();
+        for (i, shot) in set_bits(hit).enumerate() {
+            let slot = slot_of(graph, &sets[i]);
+            match slot {
+                Some(s) if self.slots[s] == PENDING => self.waiting.push((shot, s)),
+                Some(s) if self.slots[s] != EMPTY => tally(shot, self.slots[s]),
+                _ => {
+                    if let Some(s) = slot {
+                        self.slots[s] = PENDING;
+                    }
+                    sets.swap(self.misses.len(), i);
+                    self.misses.push((shot, slot));
+                }
+            }
+        }
+        let sets = &sets[..self.misses.len()];
+        if !sets.is_empty() {
+            let corrections = decoder.decode_many(graph, sets);
+            assert_eq!(corrections.len(), sets.len(), "one correction per set");
+            for (&(shot, slot), correction) in self.misses.iter().zip(&corrections) {
+                let answer = sampler.answer(correction);
+                if let Some(s) = slot {
+                    self.slots[s] = answer;
+                }
+                tally(shot, answer);
+            }
+        }
+        for &(shot, s) in &self.waiting {
+            tally(shot, self.slots[s]);
+        }
+    }
+}
+
+/// The answer slot of an event set, if it is one a single fault makes:
+/// `a` for one node `[a]`, and `boundary() + e` for two nodes `[a, b]`
+/// joined by edge `e` (the first in `a`'s incidence list).
+fn slot_of(graph: &DecodingGraph, set: &[NodeId]) -> Option<usize> {
+    match *set {
+        [a] => Some(a),
+        [a, b] => graph
+            .incident(a)
+            .iter()
+            .find(|&&e| graph.ends()[e].contains(&(b as u32)))
+            .map(|&e| graph.boundary() + e),
+        _ => None,
     }
 }
 
@@ -977,6 +1123,33 @@ mod tests {
         };
         let out = FrameSampler::new(&exp).run_batch(&noise, &UnionFindDecoder::new(), 640, 9);
         assert!(out.detection_events > 0, "Z errors must trigger X checks");
+    }
+
+    #[test]
+    fn wilson_interval_matches_hand_computed_values() {
+        let close = |got: f64, want: f64| (got - want).abs() < 1e-6 * want;
+        // 0 of n: lo = 0, hi = z² / (n + z²).
+        let (lo, hi) = wilson_interval(0, 5000);
+        assert_eq!(lo, 0.0);
+        assert!(close(hi, 3.8416 / 5003.8416), "{hi}");
+        assert!((hi - 7.68e-4).abs() < 1e-6);
+        // 10 of 100: center 0.1147979, half-width 0.0595694.
+        let (lo, hi) = wilson_interval(10, 100);
+        assert!(
+            close(lo, 0.055_228_5) && close(hi, 0.174_367_3),
+            "({lo}, {hi})"
+        );
+        // n of n mirrors 0 of n.
+        let (lo, hi) = wilson_interval(5000, 5000);
+        assert!(close(lo, 5000.0 / 5003.8416) && hi == 1.0, "({lo}, {hi})");
+        assert_eq!(wilson_interval(0, 0), (0.0, 1.0));
+        let out = BatchOutcome {
+            shots: 100,
+            failures: 10,
+            detection_events: 0,
+            correction_weight: 0,
+        };
+        assert_eq!(out.rate_interval(), wilson_interval(10, 100));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::decoder::Decoder;
 use crate::memory::{MemoryBasis, MemoryExperiment, MemoryNoise};
-use crate::sampler::{EarlyExit, FrameSampler, SamplerConfig};
+use crate::sampler::{wilson_interval, EarlyExit, FrameSampler, SamplerConfig};
 use quest_stabilizer::frame::{block_seed, LaneWidth};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -50,6 +50,16 @@ pub struct ThresholdPoint {
     pub logical_rate: f64,
     /// Shots used.
     pub shots: usize,
+    /// Shots whose decoded logical observable was flipped.
+    pub failures: usize,
+}
+
+impl ThresholdPoint {
+    /// The 95 % Wilson score interval of the logical error rate (see
+    /// [`wilson_interval`]): at zero failures, an upper bound.
+    pub fn rate_interval(&self) -> (f64, f64) {
+        wilson_interval(self.failures, self.shots)
+    }
 }
 
 /// Result of a full sweep.
@@ -144,6 +154,7 @@ impl ThresholdSweep {
                 p,
                 logical_rate: out.logical_error_rate(),
                 shots: out.shots,
+                failures: out.failures,
             }
         };
 
@@ -214,6 +225,18 @@ mod tests {
         assert_eq!(sweep.points.len(), 4);
         assert_eq!(sweep.series(3).len(), 2);
         assert_eq!(sweep.series(5).len(), 2);
+    }
+
+    #[test]
+    fn points_carry_their_failures_and_interval() {
+        let sweep =
+            ThresholdSweep::run_batch(&[3], &[2e-3, 5e-2], 300, &UnionFindDecoder::new(), 9, 1);
+        for pt in &sweep.points {
+            assert_eq!(pt.logical_rate, pt.failures as f64 / pt.shots as f64);
+            let (lo, hi) = pt.rate_interval();
+            assert_eq!((lo, hi), wilson_interval(pt.failures, pt.shots));
+            assert!(lo <= pt.logical_rate && pt.logical_rate <= hi && hi > 0.0);
+        }
     }
 
     #[test]

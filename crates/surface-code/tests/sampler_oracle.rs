@@ -19,6 +19,8 @@ use quest_surface::{
 };
 use reference_frame::ReferenceSampler;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Inherits the default `decode_planes` (scatter to sparse sets, then
 /// `decode_many`), so a dense chunk reaches the decoder through the
@@ -257,4 +259,144 @@ fn every_single_fault_is_an_edge_of_the_lattice_graph() {
             }
         }
     }
+}
+
+/// A decoder whose correction is a function of the exact event list:
+/// it flips a hashed set of data qubits, so distinct sets almost always
+/// get distinct weights and logical parities. An answer the sampler
+/// reuses for the wrong set, or stores without its logical flip, shows
+/// in the tallies. Counts the non-empty sets it decodes.
+struct Fingerprint {
+    num_data: usize,
+    sets: AtomicUsize,
+}
+
+impl Fingerprint {
+    fn new(exp: &MemoryExperiment) -> Fingerprint {
+        Fingerprint {
+            num_data: exp.lattice().num_data(),
+            sets: AtomicUsize::new(0),
+        }
+    }
+
+    fn take(&self) -> usize {
+        self.sets.swap(0, Ordering::Relaxed)
+    }
+}
+
+impl Decoder for Fingerprint {
+    fn decode(&self, _graph: &DecodingGraph, events: &[NodeId]) -> Correction {
+        if events.is_empty() {
+            return Correction::default();
+        }
+        self.sets.fetch_add(1, Ordering::Relaxed);
+        let mut hash = 0xCBF2_9CE4_8422_2325u64;
+        for &n in events {
+            hash = (hash ^ (n as u64 + 1)).wrapping_mul(0x0100_0000_01B3);
+        }
+        let data_flips = (0..1 + hash % 7)
+            .map(|i| (hash.rotate_right(9 * i as u32) % self.num_data as u64) as usize)
+            .collect();
+        Correction {
+            data_flips,
+            edges: Vec::new(),
+        }
+    }
+}
+
+#[test]
+fn slot_answers_equal_decoder_answers_under_a_fingerprint_decoder() {
+    const SHOTS: usize = 20_000;
+    for d in [3usize, 5, 7, 9] {
+        for basis in [MemoryBasis::Z, MemoryBasis::X] {
+            let exp = MemoryExperiment::new(d, d, basis);
+            let sampler = FrameSampler::new(&exp);
+            let oracle = ReferenceSampler::new(&exp);
+            let decoder = Fingerprint::new(&exp);
+            for p in [1e-4, 1e-3, 3e-3] {
+                for (name, noise) in [
+                    ("code-capacity", MemoryNoise::code_capacity(p)),
+                    ("phenomenological", MemoryNoise::phenomenological(p)),
+                ] {
+                    let at = format!("d={d} {basis:?} {name} p={p}");
+                    let seed = 0xF1A9 + d as u64;
+                    let cfg = SamplerConfig::default();
+                    let got = sampler.run_batch_configured(&noise, &decoder, SHOTS, seed, &cfg);
+                    let decoded = decoder.take();
+                    let want = oracle.run(&noise, &decoder, SHOTS, seed, &cfg);
+                    let hit_shots = decoder.take();
+                    assert_eq!(got, want, "{at}");
+                    assert!(decoded <= hit_shots, "{at}: {decoded} of {hit_shots}");
+                    if p == 1e-4 {
+                        // Every chunk is sparse: repeated single-fault
+                        // sets were answered from their slots.
+                        assert!(decoded < hit_shots, "{at}: no slot reused");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Union-find that records every event set it is handed.
+#[derive(Default)]
+struct Recording {
+    inner: UnionFindDecoder,
+    sets: Mutex<Vec<Vec<NodeId>>>,
+}
+
+impl Decoder for Recording {
+    fn decode(&self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
+        self.decode_many(graph, &[events.to_vec()]).remove(0)
+    }
+
+    fn decode_many(&self, graph: &DecodingGraph, event_sets: &[Vec<NodeId>]) -> Vec<Correction> {
+        if let Ok(mut sets) = self.sets.lock() {
+            sets.extend(event_sets.iter().filter(|s| !s.is_empty()).cloned());
+        }
+        self.inner.decode_many(graph, event_sets)
+    }
+}
+
+#[test]
+fn a_low_p_run_decodes_each_single_fault_set_once() {
+    const SHOTS: usize = 200_000;
+    let exp = MemoryExperiment::new(7, 7, MemoryBasis::Z);
+    let sampler = FrameSampler::new(&exp);
+    let graph = sampler.graph();
+    let noise = MemoryNoise::code_capacity(3e-4);
+    let cfg = SamplerConfig::default();
+    let decoder = Recording::default();
+    let got = sampler.run_batch_configured(&noise, &decoder, SHOTS, 0xB0D6, &cfg);
+    let decoded = decoder.sets.lock().map(|s| s.clone()).unwrap_or_default();
+
+    // One node, or two joined by an edge: the sets a single fault makes.
+    let has_slot = |set: &[NodeId]| match *set {
+        [_] => true,
+        [a, b] => graph
+            .incident(a)
+            .iter()
+            .any(|&e| graph.other_end(e, a) == b),
+        _ => false,
+    };
+    let mut seen = BTreeMap::new();
+    for set in decoded.iter().filter(|s| has_slot(s)) {
+        *seen.entry(set.clone()).or_insert(0usize) += 1;
+    }
+    assert!(!seen.is_empty());
+    for (set, calls) in &seen {
+        assert_eq!(*calls, 1, "{set:?} reached the decoder {calls} times");
+    }
+
+    // The reference decodes every shot: its non-empty sets are the run's
+    // hit shots, and its tallies are the run's.
+    let reference = Recording::default();
+    let oracle = ReferenceSampler::new(&exp);
+    assert_eq!(oracle.run(&noise, &reference, SHOTS, 0xB0D6, &cfg), got);
+    let hit_shots = reference.sets.lock().map(|s| s.len()).unwrap_or(0);
+    let from_slots = hit_shots - decoded.len();
+    assert!(
+        from_slots * 10 > hit_shots * 9,
+        "{from_slots} of {hit_shots} hit shots answered from slots"
+    );
 }
