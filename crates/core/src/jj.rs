@@ -5,8 +5,11 @@
 //! per MCE. This module models channelized RQL-style pipelined storage:
 //! JJ count, read latency in 10 GHz clock cycles, and power, calibrated to
 //! the paper's anchor points (footnote 6 and Table 2, from Dorojevets et
-//! al.).
+//! al.). The per-bit and per-channel JJ prices and the read latency are
+//! the SFQ memory price `quest_surface::decoder::backend` defines for the
+//! decoder hardware; this model reads them.
 
+use quest_surface::decoder::backend::{read_latency_cycles, JJ_PER_BIT, JJ_PER_CHANNEL};
 use std::fmt;
 
 /// JJ logic clock frequency (§2.2: JJ gates clocked at 10 GHz).
@@ -74,15 +77,10 @@ impl MemoryConfig {
         self.channels * self.bank_bits
     }
 
-    /// Read latency in JJ clock cycles. Anchors from §4.5: a 1-channel 4 Kb
-    /// array reads in three cycles; a 1 Kb bank in two; small 512 b banks
-    /// in one.
+    /// Read latency in JJ clock cycles: one bank's
+    /// [`read_latency_cycles`].
     pub fn read_latency_cycles(&self) -> usize {
-        match self.bank_bits {
-            0..=512 => 1,
-            513..=2048 => 2,
-            _ => 3,
-        }
+        read_latency_cycles(self.bank_bits as u64) as usize
     }
 
     /// Aggregate read bandwidth in bits/second: every channel streams one
@@ -92,16 +90,16 @@ impl MemoryConfig {
     }
 
     /// JJ count for the configuration. The four paper configurations use
-    /// the exact Table-2 / footnote-6 values; other configurations use a
-    /// documented linear approximation (≈41.5 JJ/bit plus per-bank
-    /// peripheral overhead) consistent with those anchors.
+    /// the exact Table-2 / footnote-6 values; other configurations are
+    /// priced at [`JJ_PER_BIT`] (41) JJs per bit plus [`JJ_PER_CHANNEL`]
+    /// (500) per channel.
     pub fn jj_count(&self) -> u64 {
         match (self.channels, self.bank_bits) {
             (1, 4096) => 170_000, // footnote 6
             (2, 2048) => 168_264, // Table 2 (Shor row)
             (4, 1024) => 170_048, // Table 2 (Steane / SC-13 rows)
             (8, 512) => 163_472,  // Table 2 (SC-17 row)
-            _ => (self.total_bits() as f64 * 41.0 + self.channels as f64 * 500.0) as u64,
+            _ => self.total_bits() as u64 * JJ_PER_BIT + self.channels as u64 * JJ_PER_CHANNEL,
         }
     }
 
@@ -158,6 +156,36 @@ mod tests {
     }
 
     #[test]
+    fn latency_steps_at_the_bank_size_thresholds() {
+        let latency = |bank_bits| MemoryConfig::new(1, bank_bits).read_latency_cycles();
+        assert_eq!(
+            [512, 513, 2048, 2049].map(latency),
+            [1, 2, 2, 3],
+            "latency at 512 / 513 / 2048 / 2049 bits"
+        );
+    }
+
+    #[test]
+    fn one_bank_prices_as_the_decoders_table_bank() {
+        use quest_surface::decoder::{DecoderChoice, TableDecoder};
+        use quest_surface::{DecodingGraph, RotatedLattice, StabKind};
+        for d in [3, 5] {
+            let graph = DecodingGraph::new(&RotatedLattice::new(d), StabKind::Z, 1);
+            // A single-round Z graph faults every data qubit.
+            let bank_bits = TableDecoder::build(&graph).storage_bits(d * d);
+            let mut engine = DecoderChoice::Table.backend();
+            let _ = engine.decode(&graph, &[]);
+            let bank = MemoryConfig::new(1, bank_bits);
+            assert_eq!(
+                engine.cost().cycles,
+                bank.read_latency_cycles() as u64,
+                "d = {d}"
+            );
+            assert_eq!(engine.cost().jj_count, bank.jj_count(), "d = {d}");
+        }
+    }
+
+    #[test]
     fn four_channel_bandwidth_is_6x_one_channel() {
         // §4.5: "the bandwidth improves by 6x".
         let one = MemoryConfig::new(1, 4096).bandwidth_bits_per_s();
@@ -184,6 +212,8 @@ mod tests {
         let c = MemoryConfig::new(2, 1024);
         assert!(c.jj_count() > 50_000 && c.jj_count() < 200_000);
         assert!(c.power_w() > 0.0 && c.power_w() < 20e-6);
+        // 3000 bits at 41 JJ/bit plus 3 channels at 500.
+        assert_eq!(MemoryConfig::new(3, 1000).jj_count(), 124_500);
     }
 
     #[test]

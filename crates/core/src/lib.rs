@@ -68,7 +68,6 @@ pub mod substrate;
 pub mod tech;
 pub mod throughput;
 pub mod tile;
-pub mod timing;
 
 pub use bus::{BusCounters, Traffic};
 pub use decoder_pipeline::{DecodeStats, DecoderPipeline, Escalation};
@@ -95,4 +94,3 @@ pub use serve::{JobId, LatencySummary, ServeReport, TenantId, TenantServeStats};
 pub use substrate::Substrate;
 pub use tech::TechnologyParams;
 pub use throughput::{optimal_config, table2, Table2Row};
-pub use timing::SlotTiming;

@@ -4,6 +4,7 @@
 //! `Experimental_S` (measured devices, Tomita & Svore), `Projected_F`
 //! (Fowler's projections) and `Projected_D` (DiVincenzo's projections).
 
+use quest_isa::MicroOp;
 use std::fmt;
 
 /// Qubit-technology timing parameters in seconds.
@@ -82,18 +83,12 @@ impl fmt::Display for TechnologyParams {
 /// instruction per qubit per 10 ns.
 pub const QUBIT_OP_RATE_HZ: f64 = 100e6;
 
-/// Bytes per physical instruction (§3.3: "byte sized quantum
-/// instructions").
-pub const PHYS_INSTR_BYTES: f64 = 1.0;
-
-/// Bytes per logical instruction (§5.3, after Balensiefer et al.).
-pub const LOGICAL_INSTR_BYTES: f64 = 2.0;
-
 /// Baseline software-managed instruction bandwidth for `n` physical qubits
-/// in bytes/second: every qubit receives a byte-sized instruction at the
-/// substrate operating rate (100 MB/s per qubit).
+/// in bytes/second: every qubit receives a byte-sized instruction
+/// ([`MicroOp::ENCODED_BYTES`]) at the substrate operating rate (100 MB/s
+/// per qubit).
 pub fn baseline_bandwidth_bytes_per_s(n_physical_qubits: f64) -> f64 {
-    n_physical_qubits * QUBIT_OP_RATE_HZ * PHYS_INSTR_BYTES
+    n_physical_qubits * QUBIT_OP_RATE_HZ * MicroOp::ENCODED_BYTES as f64
 }
 
 #[cfg(test)]

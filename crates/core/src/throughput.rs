@@ -103,7 +103,8 @@ pub fn table2(tech: &TechnologyParams) -> Vec<Table2Row> {
 }
 
 /// One point of Figure 11: qubits serviced per MCE at a fixed 4 Kb for a
-/// microcode design and channel count (Steane syndrome, 4-bit opcodes).
+/// microcode design and channel count (Steane syndrome and its opcode
+/// width).
 pub fn figure11_point(
     mc_design: MicrocodeDesign,
     channels: usize,
@@ -111,7 +112,7 @@ pub fn figure11_point(
 ) -> usize {
     let config = MemoryConfig::new(channels, 4096 / channels);
     let steane = SyndromeDesign::STEANE;
-    crate::microcode::qubits_serviced(mc_design, &config, &steane, tech, 4.0)
+    crate::microcode::qubits_serviced(mc_design, &config, &steane, tech, opcode_bits(&steane))
 }
 
 /// One point of Figure 16: qubits per MCE for a technology × syndrome

@@ -13,8 +13,10 @@
 
 use crate::distance::qure_distance;
 use crate::distillation::DistillationPlan;
+use crate::shor::constants::PHYS_PER_LOGICAL;
 use crate::workloads::{Workload, LOGICAL_ILP};
-use quest_core::tech::{TechnologyParams, LOGICAL_INSTR_BYTES};
+use quest_core::tech::TechnologyParams;
+use quest_isa::{LogicalInstr, MicroOp};
 use quest_surface::SyndromeDesign;
 
 /// Sync-token rate relative to the algorithmic instruction stream (one
@@ -66,21 +68,23 @@ impl BandwidthEstimate {
         let distillation =
             DistillationPlan::size(p, workload.t_count(), workload.t_rate_per_step());
         let total_logical = workload.logical_qubits + distillation.total_factory_qubits();
-        let physical_qubits = total_logical * 12.5 * (d * d) as f64;
+        let physical_qubits = total_logical * PHYS_PER_LOGICAL * (d * d) as f64;
 
         // --- Rates ----------------------------------------------------------
         // Every physical qubit receives `cycle_depth` byte-sized µops per
         // QECC round, continuously (§3.3); one logical time step spans d
         // QECC rounds.
         let qecc_round_time = tech.t_ecc_round;
-        let baseline = physical_qubits * syndrome.cycle_depth as f64 / qecc_round_time;
+        let baseline = physical_qubits * syndrome.cycle_depth as f64 / qecc_round_time
+            * MicroOp::ENCODED_BYTES as f64;
         let step_time = d as f64 * qecc_round_time;
         let algo_rate = LOGICAL_ILP / step_time; // instructions / s
         let distill_rate = algo_rate * distillation.instruction_ratio(workload.t_fraction);
         let sync_rate = algo_rate * SYNC_FRACTION;
 
-        let quest_mce = (algo_rate + distill_rate + sync_rate) * LOGICAL_INSTR_BYTES;
-        let quest_cached = (algo_rate + sync_rate) * LOGICAL_INSTR_BYTES;
+        let logical_bytes = LogicalInstr::ENCODED_BYTES as f64;
+        let quest_mce = (algo_rate + distill_rate + sync_rate) * logical_bytes;
+        let quest_cached = (algo_rate + sync_rate) * logical_bytes;
 
         BandwidthEstimate {
             workload: *workload,
@@ -108,11 +112,11 @@ impl BandwidthEstimate {
 
     /// Ratio of QECC physical instructions to the workload's algorithmic
     /// logical instructions (Figure 6): what fraction of the baseline
-    /// stream is pure error correction. The baseline rate already counts
-    /// one µop per physical qubit per instruction slot, so the ratio is
-    /// simply baseline instructions over algorithmic instructions.
+    /// stream is pure error correction. The baseline rate counts one µop
+    /// per physical qubit per instruction slot, so the ratio is the
+    /// baseline's µops over algorithmic instructions.
     pub fn qecc_to_logical_ratio(&self) -> f64 {
-        self.baseline / self.algo_rate
+        self.baseline / MicroOp::ENCODED_BYTES as f64 / self.algo_rate
     }
 
     /// Ratio of T-factory logical instructions to algorithmic logical

@@ -9,7 +9,8 @@
 //! stores logical instructions plus a fixed microcode image.
 
 use crate::bandwidth::BandwidthEstimate;
-use quest_core::tech::{LOGICAL_INSTR_BYTES, PHYS_INSTR_BYTES};
+use quest_core::throughput::opcode_bits;
+use quest_isa::LogicalInstr;
 
 /// Static instruction footprint of a workload under each delivery model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,12 +38,12 @@ impl Footprint {
     ) -> Footprint {
         // Execution time: logical gates issued at the algorithmic rate.
         let exec_time = e.workload.logical_gates / e.algo_rate;
-        let baseline_bytes = e.baseline * exec_time * PHYS_INSTR_BYTES;
+        let baseline_bytes = e.baseline * exec_time;
         let quest_bytes = e.quest_mce * exec_time;
         // Cached: algorithmic stream plus one kernel image.
-        let kernel_bytes = e.distillation.instrs_per_state * LOGICAL_INSTR_BYTES;
+        let kernel_bytes = e.distillation.instrs_per_state * LogicalInstr::ENCODED_BYTES as f64;
         let quest_cached_bytes = e.quest_cached * exec_time + kernel_bytes;
-        let microcode_bytes = syndrome.microcode_uops as f64 * 4.0 / 8.0;
+        let microcode_bytes = syndrome.microcode_uops as f64 * opcode_bits(syndrome) / 8.0;
         Footprint {
             baseline_bytes,
             quest_bytes,

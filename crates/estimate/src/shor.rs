@@ -34,7 +34,9 @@ pub mod constants {
     /// Clifford gates per Toffoli (CNOT/H/S fabric around the T's).
     pub const CLIFFORD_PER_TOFFOLI: f64 = 16.0;
 
-    /// Physical qubits per logical qubit (Fowler appendix M).
+    /// Physical qubits per logical qubit per `d²` (Fowler appendix M): a
+    /// distance-`d` patch takes `PHYS_PER_LOGICAL · d²` physical qubits.
+    /// Every footprint of the estimator reads it.
     pub const PHYS_PER_LOGICAL: f64 = 12.5;
 
     /// Toffoli-level parallelism of the wide modular adders: `n/64`

@@ -13,13 +13,13 @@
 //! # Cost model
 //!
 //! Each engine prices its decodes in cycles of the 10 GHz SFQ clock and
-//! a Josephson-junction footprint, using the same constants as the
-//! microcode-memory model in `quest-core`'s `jj` module (duplicated here
-//! because the dependency points the other way: core builds on
-//! surface-code). Cycle counts are pure functions of `(graph, events)`
-//! and [`CostReport::merge`] is order-invariant, so the runtime's decode
-//! pool — which splits a batch across workers in nondeterministic order
-//! — reports bit-identical costs to the single-threaded reference.
+//! a Josephson-junction footprint. The SFQ memory price — [`JJ_PER_BIT`],
+//! [`JJ_PER_CHANNEL`] and [`read_latency_cycles`] — is defined here once;
+//! `quest-core`'s microcode-memory model (`jj::MemoryConfig`) reads it
+//! too. Cycle counts are pure functions of `(graph, events)` and
+//! [`CostReport::merge`] is order-invariant, so the runtime's decode
+//! memo, which replays a kept decode's cost instead of decoding again,
+//! reports bit-identical costs to the single-threaded reference.
 
 use super::pipelined::PipelinedUfDecoder;
 use super::table::TableDecoder;
@@ -30,20 +30,19 @@ use crate::lattice::StabKind;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// JJs per bit of decode-pipeline memory (ERSFQ non-destructive-readout
-/// cell; mirrors `quest_core::jj::JJ_PER_BIT`).
-pub(crate) const JJ_PER_BIT: u64 = 41;
+/// JJs per bit of SFQ memory (ERSFQ non-destructive-readout cell), in
+/// the decoder's banks and the MCE's microcode memory alike.
+pub const JJ_PER_BIT: u64 = 41;
 
-/// Fixed JJ overhead per pipeline stage or memory channel — address
-/// decoder, sense amps, sequencing (mirrors `quest_core::jj`'s per-
-/// channel overhead).
-pub(crate) const JJ_PER_CHANNEL: u64 = 500;
+/// Fixed JJ overhead per memory channel or pipeline stage — address
+/// decoder, sense amps, sequencing.
+pub const JJ_PER_CHANNEL: u64 = 500;
 
 /// SFQ read latency of a memory bank, in clock cycles, as a function of
-/// the bank's size in bits (mirrors
-/// `quest_core::jj::read_latency_cycles`: larger banks need deeper
-/// address decoding).
-pub(crate) fn read_latency_cycles(bank_bits: u64) -> u64 {
+/// the bank's size in bits: larger banks need deeper address decoding
+/// (§4.5: a 512 b bank reads in one cycle, a 1 Kb bank in two, a 4 Kb
+/// array in three).
+pub fn read_latency_cycles(bank_bits: u64) -> u64 {
     if bank_bits <= 512 {
         1
     } else if bank_bits <= 2048 {
@@ -56,9 +55,10 @@ pub(crate) fn read_latency_cycles(bank_bits: u64) -> u64 {
 /// Accumulated decode-cost counters for one engine.
 ///
 /// All fields are integers and [`CostReport::merge`] only sums and
-/// maxes, so merging per-worker reports in any order yields the same
-/// total — the property that lets the sharded runtime report the same
-/// `decode_cost` as the single-threaded reference.
+/// maxes, so merging reports in any order yields the same total — the
+/// property that lets the runtime, which replays a memoized decode's
+/// kept report, report the same `decode_cost` as the single-threaded
+/// reference.
 #[must_use]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostReport {
@@ -333,8 +333,8 @@ impl DecodeEngine {
         self.cost
     }
 
-    /// Clears the cost accumulator (the decode pool scopes costs to one
-    /// chunk this way).
+    /// Clears the cost accumulator (the runtime's decode lane scopes
+    /// costs to one decode this way, to keep it with its answer).
     pub fn reset_cost(&mut self) {
         self.cost = CostReport::default();
     }

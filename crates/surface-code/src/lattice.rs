@@ -240,18 +240,6 @@ impl RotatedLattice {
         }
         s
     }
-
-    /// Number of physical qubits per logical qubit in the paper's headline
-    /// accounting (Fowler et al., appendix M): `12.5 · d²`.
-    pub fn fowler_physical_qubits(d: usize) -> f64 {
-        12.5 * (d * d) as f64
-    }
-
-    /// Number of physical qubits per logical qubit in the QuRE-style
-    /// `7d × 3d` patch used by the paper's evaluation (§6.2).
-    pub fn qure_patch_qubits(d: usize) -> usize {
-        7 * d * 3 * d
-    }
 }
 
 #[cfg(test)]
@@ -356,12 +344,6 @@ mod tests {
         indices.sort_unstable();
         let expected: Vec<_> = (9..17).collect();
         assert_eq!(indices, expected);
-    }
-
-    #[test]
-    fn physical_qubit_accounting() {
-        assert_eq!(RotatedLattice::fowler_physical_qubits(5), 312.5);
-        assert_eq!(RotatedLattice::qure_patch_qubits(5), 525);
     }
 
     #[test]
