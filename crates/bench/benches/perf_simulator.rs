@@ -156,11 +156,13 @@ fn frame_throughput_comparison(_c: &mut Criterion) {
 /// nothing, over the same blocks' bare draws — one `StdRng` per 64-shot
 /// block, seeded as the sampler seeds it, drawing `rounds × num_data`
 /// uniforms, the count the batch's first draws make. A block's first draw
-/// almost always says "no error here", and the sampler answers that by a
-/// comparison. The ratio reads 2.08-2.30 on the reference container, and
-/// 13.3 with a logarithm per (qubit, round, block) put back; the ceiling
-/// is 1.3x the middle of the former, so that logarithm creeping back trips it and no
-/// wall-clock threshold is involved.
+/// almost always says "no error here", and the sampler answers that by
+/// one integer comparison; the rows its few faults wrote are all it
+/// reads and clears afterwards. The ratio reads 1.46-1.66 on the
+/// reference container, 2.08-2.35 with dense per-chunk scans of every
+/// event row put back and 13.3 with a logarithm per (qubit, round,
+/// block); the ceiling is 1.3x the middle of the first, so that either
+/// creeping back trips it and no wall-clock threshold is involved.
 fn noise_sampling_cost_ratio(_c: &mut Criterion) {
     use quest_stabilizer::frame::block_seed;
     use quest_stabilizer::Rng;
@@ -172,7 +174,7 @@ fn noise_sampling_cost_ratio(_c: &mut Criterion) {
         }
     }
     const SHOTS: usize = 400_000;
-    const CEILING: f64 = 1.3 * 2.15;
+    const CEILING: f64 = 1.3 * 1.55;
     let exp = MemoryExperiment::new(7, 7, MemoryBasis::Z);
     let sampler = FrameSampler::new(&exp);
     let draws = exp.rounds() * exp.lattice().num_data();

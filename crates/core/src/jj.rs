@@ -5,19 +5,17 @@
 //! per MCE. This module models channelized RQL-style pipelined storage:
 //! JJ count, read latency in 10 GHz clock cycles, and power, calibrated to
 //! the paper's anchor points (footnote 6 and Table 2, from Dorojevets et
-//! al.). The per-bit and per-channel JJ prices and the read latency are
-//! the SFQ memory price `quest_surface::decoder::backend` defines for the
-//! decoder hardware; this model reads them.
+//! al.). The per-bit and per-channel JJ prices, the read latency and the
+//! word width are the SFQ memory price `quest_surface::decoder::backend`
+//! defines for the decoder hardware; this model reads them.
 
-use quest_surface::decoder::backend::{read_latency_cycles, JJ_PER_BIT, JJ_PER_CHANNEL};
+use quest_surface::decoder::backend::{
+    read_latency_cycles, JJ_PER_BIT, JJ_PER_CHANNEL, MEMORY_WORD_BITS,
+};
 use std::fmt;
 
 /// JJ logic clock frequency (§2.2: JJ gates clocked at 10 GHz).
 pub const JJ_CLOCK_HZ: f64 = 10e9;
-
-/// Bits returned by one memory read on one channel (RQL pipelined storage
-/// reads one 32-bit word per access).
-pub const WORD_BITS: usize = 32;
 
 /// A channelized microcode memory configuration: `channels` independent
 /// banks of `bank_bits` each.
@@ -84,9 +82,10 @@ impl MemoryConfig {
     }
 
     /// Aggregate read bandwidth in bits/second: every channel streams one
-    /// word per `read_latency` cycles.
+    /// [`MEMORY_WORD_BITS`]-bit word per `read_latency` cycles.
     pub fn bandwidth_bits_per_s(&self) -> f64 {
-        self.channels as f64 * WORD_BITS as f64 * JJ_CLOCK_HZ / self.read_latency_cycles() as f64
+        self.channels as f64 * MEMORY_WORD_BITS as f64 * JJ_CLOCK_HZ
+            / self.read_latency_cycles() as f64
     }
 
     /// JJ count for the configuration. The four paper configurations use

@@ -19,9 +19,10 @@
 //! words of one QECC cycle and streams them forever without any
 //! master-controller involvement.
 
-use crate::jj::{MemoryConfig, JJ_CLOCK_HZ, WORD_BITS};
+use crate::jj::{MemoryConfig, JJ_CLOCK_HZ};
 use crate::tech::TechnologyParams;
 use quest_isa::{MicroOp, PhysOpcode, VliwWord};
+use quest_surface::decoder::backend::MEMORY_WORD_BITS;
 use quest_surface::SyndromeDesign;
 use std::fmt;
 use std::sync::Arc;
@@ -115,14 +116,14 @@ impl fmt::Display for MicrocodeDesign {
 
 /// Maximum qubits serviceable under the *bandwidth* constraint: within the
 /// shortest instruction slot the memory must stream one µop per qubit
-/// (§4.5). Each channel yields one [`WORD_BITS`]-bit word per
+/// (§4.5). Each channel yields one [`MEMORY_WORD_BITS`]-bit word per
 /// `read_latency` JJ cycles.
 pub fn bandwidth_limited_qubits(
     config: &MemoryConfig,
     tech: &TechnologyParams,
     opcode_bits: f64,
 ) -> usize {
-    let uops_per_word = (WORD_BITS as f64 / opcode_bits).floor();
+    let uops_per_word = (MEMORY_WORD_BITS as f64 / opcode_bits).floor();
     let reads_per_slot_per_channel =
         (tech.min_slot() * JJ_CLOCK_HZ / config.read_latency_cycles() as f64).floor();
     (config.channels() as f64 * uops_per_word * reads_per_slot_per_channel) as usize

@@ -52,14 +52,17 @@ pub use planes::FramePlanes;
 pub use word::{FrameWord, LaneWidth, W512};
 
 use crate::circuit::Gate;
-use crate::noise::PauliChannel;
+use crate::noise::{threshold, PauliChannel};
 use crate::pauli::Pauli;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Shots per 64-bit lane — the granularity of RNG blocks and of the
 /// determinism contract. (Wide words pack `LANES` of these per word.)
 pub const SHOTS_PER_WORD: usize = 64;
+
+/// `2⁵³`: a uniform `f64` draw is its top 53 bits over this.
+const UNIT_SCALE: f64 = (1u64 << 53) as f64;
 
 /// SplitMix64 finalizer used to derive independent per-block seeds from a
 /// master seed. Deterministic, allocation-free, and stable across
@@ -134,6 +137,14 @@ pub struct SkipLaw {
     /// on the same draw without evaluating the logarithm. Above 1 — never
     /// taken — when `(1-p)^65` is smaller than the nudge, `p == 1` included.
     none_above: f64,
+    /// `⌈none_above·2⁵³⌉` (the noise channels' `threshold`): the draw
+    /// `u = m·2⁻⁵³` (`m` the top 53 bits of `next_u64`, as `gen::<f64>`
+    /// forms it) is at least `none_above` exactly when the integer `m` is
+    /// at least this — scaling by a power of two is exact — so the quiet
+    /// test is one integer compare and the `f64` is formed only for a
+    /// draw that goes on. Above `2⁵³`, where no draw is quiet, when
+    /// `none_above` is above 1.
+    quiet_from: u64,
 }
 
 impl SkipLaw {
@@ -142,9 +153,11 @@ impl SkipLaw {
     #[must_use]
     pub fn new(p: f64) -> SkipLaw {
         let inv_ln_q = 1.0 / (-p).ln_1p();
+        let none_above = -(65.0 / inv_ln_q).exp_m1() * (1.0 + 1e-9);
         SkipLaw {
             inv_ln_q,
-            none_above: -(65.0 / inv_ln_q).exp_m1() * (1.0 + 1e-9),
+            none_above,
+            quiet_from: threshold(none_above),
         }
     }
 
@@ -154,15 +167,19 @@ impl SkipLaw {
     /// `u ~ U[0,1)` — so each bit is independently Bernoulli(p), the same
     /// distribution as drawing one uniform per bit, at ~`64p + 1` draws
     /// per block instead of 64. `on_error` receives the bit index and the
-    /// block's RNG (for the error-kind draw).
+    /// block's RNG (for the error-kind draw). A draw is `rng.gen::<f64>()`
+    /// spelled out, `(next_u64() >> 11)·2⁻⁵³`, so that the quiet test
+    /// (`quiet_from`) reads the integer.
     #[inline]
     fn for_each_error_bit(&self, rng: &mut StdRng, mut on_error: impl FnMut(usize, &mut StdRng)) {
         let mut i = 0usize;
         loop {
-            let u: f64 = rng.gen();
-            if u >= self.none_above {
+            let m = rng.next_u64() >> 11;
+            if m >= self.quiet_from {
                 break;
             }
+            let u = m as f64 * (1.0 / UNIT_SCALE);
+            debug_assert!(u < self.none_above, "a quiet draw went on");
             // ln(1-u) ≤ 0 and inv_ln_q < 0, so the skip is a non-negative
             // float; the `as usize` cast saturates huge values to the
             // break.
@@ -856,6 +873,24 @@ mod tests {
         let certain = SkipLaw::new(1.0);
         assert!(certain.inv_ln_q == 0.0 && certain.inv_ln_q.is_sign_negative());
         assert!(certain.none_above > 1.0);
+    }
+
+    #[test]
+    fn the_integer_quiet_bound_answers_as_the_f64_bound() {
+        // Around `quiet_from`, and at the largest draw, the integer test
+        // gives the `f64` test's verdict on the draw `m·2⁻⁵³`.
+        const DRAWS: u64 = 1 << 53;
+        for &p in &EXACTNESS_RATES {
+            let law = SkipLaw::new(p);
+            let bound = law.quiet_from;
+            let near = bound.saturating_sub(4)..=bound.saturating_add(4);
+            for m in near.chain([DRAWS - 1]).filter(|&m| m < DRAWS) {
+                let u = m as f64 * (1.0 / UNIT_SCALE);
+                assert_eq!(u >= law.none_above, m >= bound, "p={p} m={m}");
+            }
+        }
+        // Certainty has no quiet draw.
+        assert!(SkipLaw::new(1.0).quiet_from > DRAWS - 1);
     }
 
     #[test]

@@ -56,8 +56,9 @@ pub struct PauliChannel {
 }
 
 /// `⌈p·2⁵³⌉`, exactly: scaling by a power of two is exact, and so is the
-/// ceiling of a value no larger than `2⁵³`.
-fn threshold(p: f64) -> u64 {
+/// ceiling of a value no larger than `2⁵³`. A uniform draw `m·2⁻⁵³` (`m`
+/// its top 53 bits) is below `p` exactly when `m` is below this.
+pub(crate) fn threshold(p: f64) -> u64 {
     (p * (1u64 << 53) as f64).ceil() as u64
 }
 

@@ -14,9 +14,9 @@
 //!
 //! Each engine prices its decodes in cycles of the 10 GHz SFQ clock and
 //! a Josephson-junction footprint. The SFQ memory price — [`JJ_PER_BIT`],
-//! [`JJ_PER_CHANNEL`] and [`read_latency_cycles`] — is defined here once;
-//! `quest-core`'s microcode-memory model (`jj::MemoryConfig`) reads it
-//! too. Cycle counts are pure functions of `(graph, events)` and
+//! [`JJ_PER_CHANNEL`], [`read_latency_cycles`] and the word one read
+//! returns, [`MEMORY_WORD_BITS`] — is defined here once; `quest-core`'s
+//! microcode-memory model (`jj::MemoryConfig`) reads it too. Cycle counts are pure functions of `(graph, events)` and
 //! [`CostReport::merge`] is order-invariant, so the runtime's decode
 //! memo, which replays a kept decode's cost instead of decoding again,
 //! reports bit-identical costs to the single-threaded reference.
@@ -37,6 +37,11 @@ pub const JJ_PER_BIT: u64 = 41;
 /// Fixed JJ overhead per memory channel or pipeline stage — address
 /// decoder, sense amps, sequencing.
 pub const JJ_PER_CHANNEL: u64 = 500;
+
+/// Bits one read of an SFQ memory channel returns (RQL pipelined storage
+/// reads one 32-bit word per access): a microcode word of the MCE's
+/// memory, and a node entry of the pipelined decoder's node bank.
+pub const MEMORY_WORD_BITS: u64 = 32;
 
 /// SFQ read latency of a memory bank, in clock cycles, as a function of
 /// the bank's size in bits: larger banks need deeper address decoding

@@ -36,14 +36,14 @@
 //! pure functions of `(graph, events)`, so cycle counts are exactly
 //! reproducible run to run (asserted by the equivalence property tests).
 
-use super::backend::{read_latency_cycles, JJ_PER_BIT, JJ_PER_CHANNEL};
+use super::backend::{read_latency_cycles, JJ_PER_BIT, JJ_PER_CHANNEL, MEMORY_WORD_BITS};
 use super::union_find::UfTrace;
 use crate::graph::DecodingGraph;
 
 /// Bits per node entry in the spanning-tree stage's node bank: a parent
 /// pointer and rank plus the parity/boundary/cluster flag bits, padded
-/// to one 32-bit word (`quest_core::jj::WORD_BITS`).
-pub const NODE_ENTRY_BITS: u64 = 32;
+/// to one memory word.
+pub const NODE_ENTRY_BITS: u64 = MEMORY_WORD_BITS;
 
 /// Bits per edge entry in the edge bank: 2 support bits plus grow-stamp
 /// and erasure flags, padded to a byte.

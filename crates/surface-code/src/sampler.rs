@@ -23,9 +23,15 @@
 //!   from the readout parity XOR the last record.
 //!
 //! A batch then draws each 64-shot block's errors in the fixed schedule
-//! below and XORs every non-zero error word straight into its column's
-//! event rows and logical row; no frame is propagated and no gate is
-//! applied. Above [`PLANE_DECODE_DENSITY`] whole event planes
+//! below — a draw that places no error in its block, almost every draw
+//! at the paper's rates, is one integer compare inside [`SkipLaw`] — and
+//! XORs every non-zero error word straight into its column's event rows
+//! and logical row, marking those rows in the block's touched-row summary
+//! (`ChunkRows`); no frame is propagated and no gate is applied. The
+//! hit mask and event count, the per-shot sets and the clearing for the
+//! next chunk read only the touched words, so past the draws a chunk
+//! costs what its faults wrote, not rows × blocks. Above
+//! [`PLANE_DECODE_DENSITY`] whole event planes
 //! ([`EventPlanes`]) go to [`Decoder::decode_planes`]. Below it a quiet
 //! shot never reaches the decoder — its verdict is its logical bit,
 //! because an empty event set decodes to the empty correction — and a
@@ -420,9 +426,9 @@ impl FrameSampler {
         let chunk_blocks = cfg.chunk_shots.div_ceil(64).min(total_blocks);
         let num_nodes = self.graph.boundary();
 
-        // Node-major event rows, then the sink and the logical row:
-        // rows[row * blocks + b].
-        let mut rows = vec![0u64; (num_nodes + 2) * chunk_blocks];
+        // Node-major event rows, then the sink and the logical row, with
+        // per block the rows its faults wrote.
+        let mut rows = ChunkRows::new(num_nodes + 2, chunk_blocks);
         // Per block, the shots with at least one event.
         let mut hit = vec![0u64; chunk_blocks];
         // Sparse-path and plane-path decode state, reused across chunks.
@@ -448,16 +454,15 @@ impl FrameSampler {
             let blocks = end_block - base_block;
             // Shots beyond `shots` in the trailing block are dead lanes.
             let live_shots = (shots - base_block * 64).min(blocks * 64);
-            let rows = &mut rows[..(num_nodes + 2) * blocks];
-            self.sample_chunk(noise, seed, base_block, live_shots, rows);
+            self.sample_chunk(noise, seed, base_block, live_shots, &mut rows);
 
-            let (events, rest) = rows.split_at(num_nodes * blocks);
+            let (events, rest) = rows.words().split_at(num_nodes * blocks);
             let logical = &rest[blocks..];
             let hit = &mut hit[..blocks];
-            hit.fill(0);
             let mut chunk_events = 0usize;
-            for row in events.chunks_exact(blocks) {
-                for (h, &word) in hit.iter_mut().zip(row) {
+            for (b, h) in hit.iter_mut().enumerate() {
+                *h = 0;
+                for (_, word) in rows.touched_events(b) {
                     *h |= word;
                     chunk_events += word.count_ones() as usize;
                 }
@@ -481,7 +486,7 @@ impl FrameSampler {
                 for (&l, &h) in logical.iter().zip(hit.iter()) {
                     outcome.failures += (l & !h).count_ones() as usize;
                 }
-                hits.tally(self, decoder, events, hit, logical, &mut outcome);
+                hits.tally(self, decoder, &rows, hit, logical, &mut outcome);
             }
             base_block = end_block;
 
@@ -515,32 +520,28 @@ impl FrameSampler {
     }
 
     /// Samples one chunk of `live_shots` shots starting at global block
-    /// `base_block` into `rows` (`rows[row * blocks + b]`, see
-    /// [`Column`]): each block draws its fixed schedule from its own
-    /// stream and XORs every non-zero error word into the rows of its
-    /// fault's column. The trailing block's dead lanes stay clear.
+    /// `base_block` into `rows` (see [`ChunkRows`]): each block draws its
+    /// fixed schedule from its own stream and XORs every non-zero error
+    /// word into the rows of its fault's column. The trailing block's
+    /// dead lanes stay clear.
     fn sample_chunk(
         &self,
         noise: &MemoryNoise,
         seed: u64,
         base_block: usize,
         live_shots: usize,
-        rows: &mut [u64],
+        rows: &mut ChunkRows,
     ) {
         let total = noise.data.total_error_probability();
         let data_law = (total != 0.0).then(|| SkipLaw::new(total));
         let flip_law =
             (noise.measurement_flip != 0.0).then(|| SkipLaw::new(noise.measurement_flip));
         let blocks = live_shots.div_ceil(64);
-        rows.fill(0);
+        rows.restart(blocks);
         for b in 0..blocks {
             let mut rng = StdRng::seed_from_u64(block_seed(seed, (base_block + b) as u64));
             let live = u64::MAX >> ((b + 1) * 64).saturating_sub(live_shots);
-            let mut xor = |column: &Column, bits: u64| {
-                for &row in column {
-                    rows[row as usize * blocks + b] ^= bits & live;
-                }
-            };
+            let mut xor = |column: &Column, bits: u64| rows.xor(column, b, bits & live);
             for t in 0..self.rounds {
                 if let Some(law) = &data_law {
                     for [x, z] in &self.data_faults[t * self.num_data..][..self.num_data] {
@@ -852,6 +853,78 @@ fn xor_into(dst: &mut [u64], src: &[u64]) {
     }
 }
 
+/// One chunk's rows (see [`Column`]), node-major —
+/// `words[row * blocks + b]` for the chunk's `blocks` blocks — and per
+/// block the set of rows its faults wrote (`touched[b * span..][..span]`,
+/// a bit per row). A 64-shot block at the paper's rates holds a few
+/// faults among hundreds of rows, so everything after the draws reads,
+/// and the clearing zeroes, only the touched words: the work follows the
+/// faults drawn, not `rows × blocks`. Every word is zero again before the
+/// next chunk is drawn, whatever its `blocks`.
+#[derive(Debug)]
+struct ChunkRows {
+    words: Vec<u64>,
+    touched: Vec<u64>,
+    /// Rows per block: the event nodes, the sink and the logical row.
+    rows: usize,
+    /// Summary words per block, `ceil(rows / 64)`.
+    span: usize,
+    /// The current chunk's blocks: the stride of a row.
+    blocks: usize,
+}
+
+impl ChunkRows {
+    /// All-zero rows for chunks of up to `max_blocks` blocks.
+    fn new(rows: usize, max_blocks: usize) -> ChunkRows {
+        let span = rows.div_ceil(64);
+        ChunkRows {
+            words: vec![0; rows * max_blocks],
+            touched: vec![0; span * max_blocks],
+            rows,
+            span,
+            blocks: 0,
+        }
+    }
+
+    /// Zeroes the words the last chunk touched, and its summary, then
+    /// lays the rows out for a chunk of `blocks` blocks.
+    fn restart(&mut self, blocks: usize) {
+        for b in 0..self.blocks {
+            let summary = &mut self.touched[b * self.span..][..self.span];
+            for row in set_bits(summary) {
+                self.words[row * self.blocks + b] = 0;
+            }
+            summary.fill(0);
+        }
+        self.blocks = blocks;
+    }
+
+    /// XORs `bits` into block `b`'s word of every row of `column`.
+    #[inline]
+    fn xor(&mut self, column: &Column, b: usize, bits: u64) {
+        for &row in column {
+            let row = row as usize;
+            self.words[row * self.blocks + b] ^= bits;
+            self.touched[b * self.span + row / 64] |= 1 << (row % 64);
+        }
+    }
+
+    /// Block `b`'s touched event rows (all but the sink and the logical
+    /// row), ascending and each once, with their words (a word may be
+    /// zero: its faults cancelled).
+    fn touched_events(&self, b: usize) -> impl Iterator<Item = (NodeId, u64)> + '_ {
+        let nodes = self.rows - 2;
+        set_bits(&self.touched[b * self.span..][..self.span])
+            .take_while(move |&row| row < nodes)
+            .map(move |row| (row, self.words[row * self.blocks + b]))
+    }
+
+    /// The current chunk's rows, whole.
+    fn words(&self) -> &[u64] {
+        &self.words[..self.rows * self.blocks]
+    }
+}
+
 /// Scatters a sparse chunk's events into per-shot sets for
 /// [`Decoder::decode_many`], for the shots with at least one event only.
 #[derive(Debug, Default)]
@@ -859,35 +932,32 @@ struct HitScatter {
     /// One set per hit shot, in shot order (nodes ascending); sets past
     /// the current chunk's hits are stale and kept for their memory.
     sets: Vec<Vec<NodeId>>,
-    /// Per block, the set index of its first hit shot.
-    first: Vec<usize>,
 }
 
 impl HitScatter {
     /// The event sets of the shots set in `hit` (one word per 64-shot
-    /// block), from node-major `events` rows.
-    fn sets(&mut self, events: &[u64], hit: &[u64]) -> &mut [Vec<NodeId>] {
-        self.first.clear();
-        let mut hits = 0usize;
-        for &h in hit {
-            self.first.push(hits);
-            hits += h.count_ones() as usize;
-        }
+    /// block), from the touched event rows of `rows`.
+    fn sets(&mut self, rows: &ChunkRows, hit: &[u64]) -> &mut [Vec<NodeId>] {
+        let hits = hit.iter().map(|h| h.count_ones() as usize).sum();
         if self.sets.len() < hits {
             self.sets.resize(hits, Vec::new());
         }
         for set in &mut self.sets[..hits] {
             set.clear();
         }
-        for (node, row) in events.chunks_exact(hit.len()).enumerate() {
-            for (b, &word) in row.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let below = hit[b] & ((1u64 << bits.trailing_zeros()) - 1);
-                    self.sets[self.first[b] + below.count_ones() as usize].push(node);
-                    bits &= bits - 1;
+        // The set index of block `b`'s first hit shot.
+        let mut first = 0usize;
+        for (b, &h) in hit.iter().enumerate() {
+            if h != 0 {
+                for (node, mut bits) in rows.touched_events(b) {
+                    while bits != 0 {
+                        let below = h & ((1u64 << bits.trailing_zeros()) - 1);
+                        self.sets[first + below.count_ones() as usize].push(node);
+                        bits &= bits - 1;
+                    }
                 }
             }
+            first += h.count_ones() as usize;
         }
         &mut self.sets[..hits]
     }
@@ -921,7 +991,7 @@ struct HitAnswers {
 impl HitAnswers {
     /// Adds to `outcome` the correction weights and failures of a sparse
     /// chunk's hit shots (`hit`, one word per 64-shot block, over the
-    /// node-major `events` rows; `logical` their uncorrected flips). A
+    /// event rows of `rows`; `logical` their uncorrected flips). A
     /// shot whose set has an answer is tallied from it; one whose slot
     /// is empty sends its set to the chunk's one `decode_many` (moved to
     /// the front of the sets, in shot order), and later shots with the
@@ -931,7 +1001,7 @@ impl HitAnswers {
         &mut self,
         sampler: &FrameSampler,
         decoder: &D,
-        events: &[u64],
+        rows: &ChunkRows,
         hit: &[u64],
         logical: &[u64],
         outcome: &mut BatchOutcome,
@@ -945,7 +1015,7 @@ impl HitAnswers {
             let fail = (logical[shot / 64] >> (shot % 64) ^ u64::from(answer)) & 1;
             outcome.failures += fail as usize;
         };
-        let sets = self.scatter.sets(events, hit);
+        let sets = self.scatter.sets(rows, hit);
         self.misses.clear();
         self.waiting.clear();
         for (i, shot) in set_bits(hit).enumerate() {

@@ -14,8 +14,9 @@ mod reference_frame;
 
 use quest_stabilizer::{Pauli, PauliChannel, Rng, SeedableRng, StdRng};
 use quest_surface::{
-    Correction, Decoder, DecodingGraph, EarlyExit, Fault, FrameSampler, LaneWidth, MemoryBasis,
-    MemoryExperiment, MemoryNoise, NodeId, SamplerConfig, UnionFindDecoder,
+    Correction, CorrectionBatch, Decoder, DecodingGraph, EarlyExit, EventPlanes, Fault,
+    FrameSampler, LaneWidth, MemoryBasis, MemoryExperiment, MemoryNoise, NodeId, SamplerConfig,
+    UnionFindDecoder,
 };
 use reference_frame::ReferenceSampler;
 use std::collections::BTreeMap;
@@ -399,4 +400,96 @@ fn a_low_p_run_decodes_each_single_fault_set_once() {
         from_slots * 10 > hit_shots * 9,
         "{from_slots} of {hit_shots} hit shots answered from slots"
     );
+}
+
+/// Which decode entry a chunk took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Entry {
+    Planes,
+    Many,
+}
+
+/// Union-find that records, in order, which entry each call came through.
+#[derive(Default)]
+struct Entries {
+    inner: UnionFindDecoder,
+    calls: Mutex<Vec<Entry>>,
+}
+
+impl Entries {
+    fn record(&self, entry: Entry) {
+        if let Ok(mut calls) = self.calls.lock() {
+            calls.push(entry);
+        }
+    }
+
+    fn take(&self) -> Vec<Entry> {
+        self.calls
+            .lock()
+            .map(|mut c| std::mem::take(&mut *c))
+            .unwrap_or_default()
+    }
+}
+
+impl Decoder for Entries {
+    fn decode(&self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
+        self.inner.decode(graph, events)
+    }
+
+    fn decode_many(&self, graph: &DecodingGraph, event_sets: &[Vec<NodeId>]) -> Vec<Correction> {
+        self.record(Entry::Many);
+        self.inner.decode_many(graph, event_sets)
+    }
+
+    fn decode_planes(
+        &self,
+        graph: &DecodingGraph,
+        planes: &EventPlanes<'_>,
+        out: &mut CorrectionBatch,
+    ) {
+        self.record(Entry::Planes);
+        self.inner.decode_planes(graph, planes, out);
+    }
+}
+
+#[test]
+fn chunks_crossing_the_density_both_ways_equal_the_oracle() {
+    // A rate near `PLANE_DECODE_DENSITY` at three-block chunks: chunk
+    // after chunk the run flips between the plane and the sparse path,
+    // and the row stride changes with a short, ragged trailing chunk
+    // (5000 = 78 blocks + 8 shots) and, under early exit, with every
+    // chunk clipped at a 512-shot milestone (3, 3, 2 blocks, ...). Each
+    // chunk must start on all-zero rows whatever stride wrote the last.
+    const SHOTS: usize = 5000;
+    let exp = MemoryExperiment::new(5, 5, MemoryBasis::Z);
+    let sampler = FrameSampler::new(&exp);
+    let oracle = ReferenceSampler::new(&exp);
+    let noise = MemoryNoise::phenomenological(1e-3);
+    let decoder = Entries::default();
+    for early_exit in [None, Some(EarlyExit::default())] {
+        let at = format!("early exit {early_exit:?}");
+        let cfg = SamplerConfig {
+            chunk_shots: 192,
+            early_exit,
+            ..SamplerConfig::default()
+        };
+        let got = sampler.run_batch_configured(&noise, &decoder, SHOTS, 0xC4A2, &cfg);
+        let entries = decoder.take();
+        let crossed = |from: Entry, to: Entry| entries.windows(2).any(|w| w == [from, to]);
+        assert!(crossed(Entry::Many, Entry::Planes), "{at}: {entries:?}");
+        assert!(crossed(Entry::Planes, Entry::Many), "{at}: {entries:?}");
+        assert_eq!(got.shots, SHOTS, "{at}");
+        assert_eq!(
+            got,
+            oracle.run(&noise, &decoder, SHOTS, 0xC4A2, &cfg),
+            "{at}"
+        );
+        let single = SamplerConfig {
+            chunk_shots: 64,
+            ..cfg
+        };
+        let by_block = sampler.run_batch_configured(&noise, &decoder, SHOTS, 0xC4A2, &single);
+        assert_eq!(got, by_block, "{at}");
+        decoder.take();
+    }
 }
