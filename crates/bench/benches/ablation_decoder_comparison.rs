@@ -10,7 +10,7 @@
 //! Invariants asserted per operating point:
 //!
 //! * every backend's logical error rate is within statistical noise of
-//!   exact matching (validates DESIGN.md substitution #3);
+//!   exact matching (validates the MWPM substitution of DESIGN.md §1);
 //! * the pipelined-UF hardware model reproduces software union-find's
 //!   error rate *bit-for-bit* — it is the same matching, only costed.
 //!

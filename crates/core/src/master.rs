@@ -13,7 +13,7 @@ use crate::instruction_pipeline::traffic_class;
 use crate::mce::Mce;
 use quest_isa::{InstrClass, LogicalInstr};
 use quest_surface::decoder::{CostReport, DecodeEngine, DecoderChoice};
-use quest_surface::{DecodingGraph, StabKind};
+use quest_surface::StabKind;
 
 /// Bytes of syndrome data per escalated detection event (check id + round
 /// tag in the upstream packet format).
@@ -165,62 +165,6 @@ impl MasterController {
         }
     }
 
-    /// Windowed variant of [`MasterController::service_escalations`]: all
-    /// escalations currently pending at the MCE are decoded *jointly* over
-    /// a multi-round space-time graph (Appendix A.2: the decoder observes
-    /// "changes in syndrome over a window of space and time"), so
-    /// diagonal error/measurement-error chains that span rounds are
-    /// matched through temporal edges instead of being forced into
-    /// per-round data corrections.
-    ///
-    /// Call this at window boundaries (the MCE keeps buffering escalations
-    /// in between).
-    pub fn service_escalations_windowed(&mut self, mce: &mut Mce) {
-        let escalations = mce.take_escalations();
-        if escalations.is_empty() {
-            return;
-        }
-        // Bucket by stabilizer kind in a fixed order (X then Z) so the
-        // decode order — and with it every downstream counter — is
-        // independent of arrival order and of any hash state.
-        let mut x_escs: Vec<Escalation> = Vec::new();
-        let mut z_escs: Vec<Escalation> = Vec::new();
-        for (kind, esc) in escalations {
-            match kind {
-                StabKind::X => x_escs.push(esc),
-                StabKind::Z => z_escs.push(esc),
-            }
-        }
-        for (kind, escs) in [(StabKind::X, x_escs), (StabKind::Z, z_escs)] {
-            if escs.is_empty() {
-                continue;
-            }
-            let (mut first, mut last) = (usize::MAX, 0);
-            for e in &escs {
-                first = first.min(e.round);
-                last = last.max(e.round);
-            }
-            let rounds = last - first + 1;
-            let graph = DecodingGraph::new(mce.lattice(), kind, rounds);
-            let mut events = Vec::new();
-            let mut event_count = 0u64;
-            for esc in &escs {
-                for &check in &esc.events {
-                    // Per-round escalations carry single-round node ids,
-                    // which equal the check index.
-                    events.push(graph.node(esc.round - first, check));
-                    event_count += 1;
-                }
-            }
-            self.bus
-                .record(Traffic::Syndrome, event_count * SYNDROME_EVENT_BYTES);
-            self.stats.global_decodes += 1;
-            let correction = self.decoder.decode(&graph, &events);
-            mce.decoder_mut(kind)
-                .apply_global_correction(correction.data_flips.iter().copied());
-        }
-    }
-
     fn resolve_escalation(&mut self, mce: &mut Mce, kind: StabKind, esc: &Escalation) {
         self.note_escalation(esc.events.len() as u64);
         // The MCE escalates per round, in the node numbering of its
@@ -298,41 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn windowed_decode_resolves_multi_round_patterns() {
-        // Inject a two-qubit chain each round for three rounds, letting
-        // escalations pile up, then flush the whole window at once.
-        let (mut master, mut mce, mut t, mut rng) = setup();
-        mce.run_qecc_cycle(&mut t, &mut rng); // project
-        for _ in 0..3 {
-            let a = mce.lattice().data_index(1, 1);
-            let b = mce.lattice().data_index(1, 2);
-            t.x(a);
-            t.x(b);
-            mce.run_qecc_cycle(&mut t, &mut rng);
-        }
-        let pending = mce
-            .decoder(quest_surface::StabKind::Z)
-            .pending_escalations()
-            .len();
-        master.service_escalations_windowed(&mut mce);
-        assert!(mce
-            .decoder(quest_surface::StabKind::Z)
-            .pending_escalations()
-            .is_empty());
-        if pending > 0 {
-            assert!(master.stats().global_decodes >= 1);
-            assert!(master.bus().bytes(Traffic::Syndrome) > 0);
-        }
-        // After the window, the substrate + frame must be syndrome-quiet.
-        mce.run_qecc_cycle(&mut t, &mut rng);
-        master.service_escalations_windowed(&mut mce);
-        let readout = mce.measure_logical_z(&mut t, &mut rng);
-        // Six X flips total on (1,1)/(1,2): net identity on the data, so
-        // logical |0> must read 0 once decoding settles.
-        assert!(!readout, "windowed decoding corrupted the logical state");
-    }
-
-    #[test]
     fn dispatched_logical_work_interleaves_with_qecc() {
         // §5.1: logical instructions interleave with the continuous QECC
         // stream. Dispatch and execute a logical X mid-run; the tile's
@@ -347,14 +256,6 @@ mod tests {
         }
         assert_eq!(master.bus().total(), 2, "one two-byte instruction");
         assert!(mce.measure_logical_z(&mut t, &mut rng), "logical X lost");
-    }
-
-    #[test]
-    fn windowed_decode_of_nothing_is_free() {
-        let (mut master, mut mce, _, _) = setup();
-        master.service_escalations_windowed(&mut mce);
-        assert_eq!(master.stats().global_decodes, 0);
-        assert_eq!(master.bus().total(), 0);
     }
 
     #[test]

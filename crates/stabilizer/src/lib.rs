@@ -1,18 +1,12 @@
 //! Quantum circuit simulators used as the physical substrate for the QuEST
 //! reproduction.
 //!
-//! Two complementary simulators are provided:
-//!
-//! * [`Tableau`] — an Aaronson–Gottesman (CHP-style) stabilizer simulator.
-//!   It simulates Clifford circuits (H, S, CNOT, Paulis, preparation and
-//!   measurement) in polynomial time and is the engine behind the
-//!   surface-code experiments: syndrome extraction circuits are pure Clifford
-//!   circuits, and Pauli noise commutes through them, so the entire
-//!   error-correction loop of the paper is exactly representable.
-//! * [`StateVector`] — a small dense state-vector simulator (up to ~20
-//!   qubits) used to cross-validate the tableau simulator and to model
-//!   non-Clifford gates (the T gate at the heart of magic-state
-//!   distillation).
+//! [`Tableau`] is an Aaronson–Gottesman (CHP-style) stabilizer simulator.
+//! It simulates Clifford circuits (H, S, CNOT, Paulis, preparation and
+//! measurement) in polynomial time and is the engine behind the
+//! surface-code experiments: syndrome extraction circuits are pure Clifford
+//! circuits, and Pauli noise commutes through them, so the entire
+//! error-correction loop of the paper is exactly representable.
 //!
 //! # Example
 //!
@@ -37,7 +31,6 @@ pub mod frame;
 pub mod frame_block;
 pub mod noise;
 pub mod pauli;
-pub mod statevector;
 pub mod tableau;
 
 pub use circuit::{Circuit, Gate};
@@ -47,7 +40,6 @@ pub use frame::{
 pub use frame_block::{fire_gates, FrameBlock, Outcomes, SimGate, StabilizerSim, Trail, Trails};
 pub use noise::{NoiseChannel, PauliChannel};
 pub use pauli::{Pauli, PauliString};
-pub use statevector::{Complex, StateVector};
 pub use tableau::{Measurement, Tableau};
 
 // Re-export the RNG types used throughout so downstream crates and doc tests

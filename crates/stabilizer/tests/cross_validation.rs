@@ -6,10 +6,13 @@
 //! reports the exact probability. The two must agree on every prefix of every
 //! random circuit.
 
+mod reference_statevector;
+
 use proptest::prelude::*;
-use quest_stabilizer::{Circuit, Gate, StateVector, Tableau};
+use quest_stabilizer::{Circuit, Gate, Tableau};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use reference_statevector::StateVector;
 
 const N: usize = 5;
 

@@ -1,11 +1,13 @@
-//! Dense state-vector simulator for small qubit counts.
-//!
-//! Used to cross-validate the stabilizer tableau (property tests run random
-//! Clifford circuits on both engines and compare outcome determinism and
-//! values) and to model the non-Clifford T gate used by magic-state
-//! distillation.
+//! Dense state-vector simulator for small qubit counts, kept as a test
+//! oracle: `cross_validation.rs` runs random Clifford circuits on it and
+//! on the tableau and compares outcome determinism and values, and
+//! `t_gadget.rs` models the non-Clifford T gate of magic-state
+//! distillation on it. No library code uses it.
 
-use crate::circuit::{Circuit, Gate};
+// Each test binary that includes this module uses a different subset of it.
+#![allow(dead_code)]
+
+use quest_stabilizer::{Circuit, Gate};
 use rand::Rng;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
@@ -103,20 +105,6 @@ impl fmt::Display for Complex {
 pub const MAX_QUBITS: usize = 24;
 
 /// Dense `2^n`-amplitude state-vector simulator.
-///
-/// # Example
-///
-/// ```
-/// use quest_stabilizer::{StateVector, StdRng, SeedableRng};
-///
-/// let mut rng = StdRng::seed_from_u64(9);
-/// let mut sv = StateVector::new(2);
-/// sv.h(0);
-/// sv.cnot(0, 1);
-/// let a = sv.measure(0, &mut rng);
-/// let b = sv.measure(1, &mut rng);
-/// assert_eq!(a, b);
-/// ```
 #[derive(Debug, Clone)]
 pub struct StateVector {
     n: usize,
@@ -138,11 +126,6 @@ impl StateVector {
         let mut amps = vec![Complex::ZERO; 1 << n];
         amps[0] = Complex::ONE;
         StateVector { n, amps }
-    }
-
-    /// Number of qubits.
-    pub fn num_qubits(&self) -> usize {
-        self.n
     }
 
     /// Amplitude of basis state `idx` (bit `q` of `idx` is qubit `q`).

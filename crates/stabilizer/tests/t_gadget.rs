@@ -7,9 +7,11 @@
 //! physical content of the ISA's `MagicInject`/`T` pair and the reason
 //! T gates need one magic state each (§5.2).
 
-use quest_stabilizer::StateVector;
+mod reference_statevector;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use reference_statevector::StateVector;
 
 /// Prepares a non-trivial single-qubit state on qubit `q`.
 fn prepare_test_state(sv: &mut StateVector, q: usize) {

@@ -4,15 +4,15 @@
 //! Instruction Bandwidth of Quantum Computers via Hardware-Managed Error
 //! Correction* (Tannu et al., MICRO-50 2017):
 //!
-//! * [`stabilizer`] — CHP tableau + state-vector simulators;
+//! * [`stabilizer`] — CHP tableau and Pauli-frame simulators;
 //! * [`surface`] — surface-code lattice, syndrome circuits, decoders;
 //! * [`isa`] — physical µop and logical instruction sets;
 //! * [`arch`] — the QuEST control processor (MCEs, master controller,
 //!   microcode models, the multi-tile reference system);
 //! * [`estimate`] — the QuRE-style resource/bandwidth estimator;
 //! * [`runtime`] — the concurrent, sharded multi-tile simulation
-//!   runtime (one worker thread per MCE shard, a shared global-decode
-//!   pool, packet-shaped channel messages);
+//!   runtime (shard 0 and the global decoder on the caller's thread, a
+//!   thread per further shard, packet-shaped channel messages);
 //! * [`serve`] — the multi-tenant job server over the runtime
 //!   (admission control, bounded queue, worker pool, streaming job
 //!   events, server ledger).
