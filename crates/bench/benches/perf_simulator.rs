@@ -289,19 +289,22 @@ fn frame_block_cycle_comparison(_c: &mut Criterion) {
 /// `run_qecc_cycle` on a frame block whose tape has locked) at
 /// p = 2e-2, over the same at p = 0. Both sides sample the noise layer
 /// and are served by the kernel; only the noisy side has syndromes to
-/// decode — about one local decode per two tile-cycles, on the lookup
+/// decode — about one local decode per four tile-cycles, on the lookup
 /// table, into the bit frame. The ratio read 1.36-1.50 on the
 /// reference container, and 1.97 with the decode walking a `BTreeMap`
 /// table into a `BTreeSet` frame; the ceiling is 1.3x the former, so
 /// that decode coming back trips it and no wall-clock threshold is
 /// involved. With the kernel and the noise layer on words it reads
 /// 1.25-1.67: both sides got cheaper, the quiet one, which draws no
-/// noise, by the kernel alone.
+/// noise, by the kernel alone. The sides take turns in 35 short slices
+/// and each keeps its best, so a burst of host load moves the ratio only
+/// if it covers every slice of one side, not one of a few long ones.
 fn noisy_cycle_cost_ratio(_c: &mut Criterion) {
     use quest_core::tile;
     use quest_stabilizer::PauliChannel;
     use std::time::Instant;
-    const CYCLES: u32 = 20_000;
+    const CYCLES: u32 = 4_000;
+    const SLICES: u32 = 35;
     const CEILING: f64 = 1.3 * 1.5;
     let lat = RotatedLattice::new(5);
     let warmed = |p: f64| {
@@ -326,22 +329,23 @@ fn noisy_cycle_cost_ratio(_c: &mut Criterion) {
     let (mut noisy, mut quiet) = (warmed(2e-2), warmed(0.0));
     let kernel_before = [&noisy, &quiet].map(|side| side.1.replayed_cycles(0));
     let hits_before = noisy.0.decode_stats(StabKind::Z).local_hits;
-    // Best of seven each, the two sides taking turns.
+    // Best slice each, the two sides taking turns.
     let (mut on_noisy, mut on_quiet) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..7 {
+    for _ in 0..SLICES {
         on_quiet = on_quiet.min(per_cycle(&mut quiet));
         on_noisy = on_noisy.min(per_cycle(&mut noisy));
     }
     for (side, before) in [&noisy, &quiet].into_iter().zip(kernel_before) {
         assert_eq!(
             side.1.replayed_cycles(0),
-            before + 7 * u64::from(CYCLES),
+            before + u64::from(SLICES * CYCLES),
             "a timed tile-cycle missed the kernel"
         );
     }
     let hits = noisy.0.decode_stats(StabKind::Z).local_hits - hits_before;
     assert!(
-        hits > u64::from(CYCLES),
+        // At least one local decode per seven timed tile-cycles.
+        hits > u64::from(SLICES * CYCLES / 7),
         "the noisy side made {hits} local decodes: nothing to compare"
     );
     let ratio = on_noisy / on_quiet;
@@ -349,7 +353,7 @@ fn noisy_cycle_cost_ratio(_c: &mut Criterion) {
         "noisy_cycle_cost_ratio_d5: p=0 {:.3} us, p=2e-2 {:.3} us ({:.2} local decodes per tile-cycle), ratio {ratio:.2}",
         on_quiet * 1e6,
         on_noisy * 1e6,
-        hits as f64 / f64::from(7 * CYCLES),
+        hits as f64 / f64::from(SLICES * CYCLES),
     );
     assert!(
         ratio <= CEILING,

@@ -10,21 +10,20 @@
 //! This plays the role of the paper's global MWPM decoder in the master
 //! controller; its output is validated against the exact matcher in tests.
 //!
-//! Decoding state lives in a [`UfScratch`] workspace: flat `u32`/`u8`
-//! arrays indexed by node and edge id, plus bitset worklists. A decode
-//! touches only the entries of the clusters it grows and restores them
-//! before it returns, so a scratch stays *clean* between decodes and a
-//! batch of shots against one graph shape pays the O(nodes + edges)
-//! sizing once; [`Decoder::decode`] remains the convenient single-shot
-//! entry point.
+//! Decoding state lives in a [`UfScratch`] workspace: flat arrays by
+//! node and edge id, bitset worklists, and per cluster member a mask over
+//! its incidence list, so growth walks only open edges and the forest
+//! only erased ones. A decode restores what it touched before it returns,
+//! so a batch of shots against one graph shape pays the O(nodes + edges)
+//! sizing once; [`Decoder::decode`] is the single-shot entry point.
 //!
 //! Order is part of the contract (the matching depends on which cluster
 //! claims a shared edge first, and [`UfTrace`] is priced by the hardware
-//! model): supports are applied in ascending edge id, erased edges are
-//! enumerated ascending, forest roots are tried boundary first and then
+//! model): supports are applied in ascending edge id, the boundary's tree
+//! is grown first, the other forest roots (the cluster members) are tried
 //! in ascending node id, and a forest node's erased edges are walked in
-//! ascending edge id. Draining a bitset word by word with
-//! `trailing_zeros` *is* that ascending order.
+//! ascending edge id. Draining a bitset, or a mask over an incidence
+//! list (which ascends), with `trailing_zeros` *is* that ascending order.
 
 use super::{Correction, CorrectionBatch, Decoder, EventPlanes};
 use crate::graph::{DecodingGraph, EdgeId, NodeId, NO_QUBIT};
@@ -44,9 +43,8 @@ use std::ops::Range;
 pub struct UfTrace {
     /// Growth iterations until every cluster is even or boundary-bound.
     pub growth_rounds: u64,
-    /// Frontier member nodes visited (cluster members that still have an
-    /// unsaturated incident edge), summed over growth rounds. Interior
-    /// members are skipped by an O(1) saturation check and do no work.
+    /// Frontier members visited (members of growing clusters with an
+    /// unsaturated incident edge), summed over growth rounds.
     pub member_visits: u64,
     /// Incident edges examined while growing frontier members, summed
     /// over growth rounds.
@@ -90,13 +88,15 @@ impl UnionFindDecoder {
 /// "No edge" / "no root" in the `u32` id arrays.
 const NONE: u32 = u32::MAX;
 
-// Per-node flag bits. `ODD` and `AT_BOUNDARY` are meaningful on cluster
-// roots only; `VISITED` is the only one the boundary node ever carries.
+// Per-node flag bits. `ODD`, `AT_BOUNDARY` and `LISTED` are meaningful on
+// roots only; the boundary node only ever carries `VISITED`.
 const EVENT: u8 = 1;
 const IN_CLUSTER: u8 = 1 << 1;
 const ODD: u8 = 1 << 2;
 const AT_BOUNDARY: u8 = 1 << 3;
 const VISITED: u8 = 1 << 4;
+/// Already in this round's `active` list.
+const LISTED: u8 = 1 << 5;
 
 /// A worklist of node or edge ids as a bitset, with the range of words
 /// that may hold bits. Ids come back out ascending: take the range, then
@@ -132,6 +132,16 @@ impl IdSet {
     }
 }
 
+/// A node's edge mask with every incident edge's bit set.
+fn all_edges(incident: &[EdgeId]) -> u16 {
+    ((1u32 << incident.len()) - 1) as u16
+}
+
+/// The edges of `incident` whose bits are set in `mask`, ascending.
+fn edges_in(incident: &[EdgeId], mask: u16) -> impl Iterator<Item = EdgeId> + '_ {
+    ids_in(0, u64::from(mask)).map(|i| incident[i])
+}
+
 /// The ids in word `w` of a bitset whose content is `bits`, ascending.
 #[inline]
 fn ids_in(w: usize, mut bits: u64) -> impl Iterator<Item = usize> {
@@ -161,10 +171,10 @@ pub struct UfScratch {
     full_resets: u64,
     // Node-indexed.
     flags: Vec<u8>,
-    /// Per cluster node: its incident edges not yet saturated. Growth
-    /// skips members at 0 — interior nodes of a grown ball contribute no
-    /// delta, and on large clusters they vastly outnumber the frontier.
-    unsat: Vec<u8>,
+    /// Per cluster member: bit *i* set while `incident(n)[i]` is below
+    /// full support, 0 off the clusters. Growth walks the set bits, the
+    /// forest the clear ones (the member's erased edges).
+    unsat: Vec<u16>,
     parent: Vec<u32>,
     rank: Vec<u8>,
     /// Forest edge towards the root; written when a node is reached,
@@ -177,21 +187,19 @@ pub struct UfScratch {
     stamp: Vec<u32>,
     /// Edges that received growth `delta` in the current round.
     round: IdSet,
-    /// Edges grown to full support: the erasure.
-    erased: IdSet,
-    /// Endpoints of erased edges: the only possible forest roots.
-    seeds: IdSet,
-    /// Every node that entered a cluster this decode — the exact set of
-    /// nodes whose state the undo pass restores. `members[..saturated]`
-    /// have no unsaturated edge left and never will again (support only
-    /// grows), so growth rounds start behind them. Order within the rest
-    /// never affects results: growth deltas are per-root distinct counts.
-    members: Vec<u32>,
-    saturated: usize,
+    /// The cluster members: the forest roots, tried ascending.
+    roots: IdSet,
+    /// Per cluster member: the next in a cycle through its root and the
+    /// members growth has not found closed (support only grows, so they
+    /// stay closed). A union swaps the two roots' links, splicing their
+    /// cycles.
+    next: Vec<u32>,
+    /// Roots of the clusters that grow this round.
+    active: Vec<u32>,
     /// Edges whose support went nonzero this decode (for the undo pass).
     touched: Vec<u32>,
-    /// Erased edges at the boundary node, ascending: its forest
-    /// adjacency, kept as a list because its graph incidence is long.
+    /// Erased edges at the boundary node, sorted before the forest: its
+    /// forest adjacency, as its incidence is too long for a mask.
     boundary_edges: Vec<u32>,
     /// Forest nodes in BFS order; the BFS reads its queue off this list.
     order: Vec<u32>,
@@ -234,13 +242,12 @@ impl UfScratch {
         refill(&mut self.delta, edges, 0);
         refill(&mut self.stamp, edges, NONE);
         self.round.reset(edges);
-        self.erased.reset(edges);
-        self.seeds.reset(nodes);
+        self.roots.reset(nodes);
+        refill(&mut self.next, nodes, NONE);
         // The lists start empty and are bounded by the graph: reserve the
         // bound so that no decode grows them.
-        self.members.clear();
-        self.members.reserve(nodes);
-        self.saturated = 0;
+        self.active.clear();
+        self.active.reserve(nodes);
         self.touched.clear();
         self.touched.reserve(edges);
         self.boundary_edges.clear();
@@ -276,6 +283,7 @@ impl UfScratch {
         }
         self.flags[big] =
             (self.flags[big] ^ (self.flags[small] & ODD)) | (self.flags[small] & AT_BOUNDARY);
+        self.next.swap(big, small);
     }
 
     /// A cluster is *active* (must keep growing) when it holds odd parity
@@ -284,23 +292,18 @@ impl UfScratch {
         self.flags[root] & (ODD | AT_BOUNDARY) == ODD
     }
 
-    /// Cluster bookkeeping for `node` after one of its incident edges
-    /// saturated: a node already in a cluster loses one unsaturated edge
-    /// (the saturating one, which its count necessarily still included);
-    /// a node entering now counts its unsaturated incident edges — the
-    /// saturating edge is already at full support, so it is excluded.
-    fn enter_cluster(&mut self, graph: &DecodingGraph, node: usize) {
+    /// Closes the edge bits `closed` of `node`, making it a one-node
+    /// cluster first if it is in none: then no edge of it but the closing
+    /// one is saturated (saturation pulls both ends in).
+    fn enter_cluster(&mut self, graph: &DecodingGraph, node: usize, closed: u16) {
         if self.flags[node] & IN_CLUSTER != 0 {
-            debug_assert!(self.unsat[node] > 0, "saturated edge not in count");
-            self.unsat[node] -= 1;
+            debug_assert_eq!(self.unsat[node] & closed, closed, "closing a closed edge");
+            self.unsat[node] &= !closed;
         } else {
             self.flags[node] |= IN_CLUSTER;
-            self.members.push(node as u32);
-            let unsat = graph
-                .incident(node)
-                .iter()
-                .filter(|&&e| self.support[e] < 2);
-            self.unsat[node] = unsat.count() as u8;
+            self.roots.insert(node);
+            self.next[node] = node as u32;
+            self.unsat[node] = all_edges(graph.incident(node)) & !closed;
         }
     }
 
@@ -320,10 +323,11 @@ impl UfScratch {
                     self.reach(graph, self.boundary_edges[i] as usize, u);
                 }
             } else {
-                for &e in graph.incident(u) {
-                    if self.support[e] == 2 {
-                        self.reach(graph, e, u);
-                    }
+                // Every forest node but the boundary is a cluster member.
+                let incident = graph.incident(u);
+                let erased = all_edges(incident) & !self.unsat[u];
+                for e in edges_in(incident, erased) {
+                    self.reach(graph, e, u);
                 }
             }
         }
@@ -384,11 +388,9 @@ impl UnionFindDecoder {
     /// Core decode: writes the matched edges for `events` to `edges_out`
     /// (cleared first) without building a [`Correction`].
     ///
-    /// Every loop walks only touched state (cluster members, delta'd
-    /// edges, erased-edge endpoints), never the whole graph, and a final
-    /// undo pass restores exactly the entries the decode mutated — so the
-    /// cost is proportional to the clusters grown, not to `nodes + edges`,
-    /// and the scratch is clean again for the next decode.
+    /// Every loop walks only touched state, never the whole graph, and a
+    /// final undo pass restores exactly the entries the decode mutated,
+    /// so the cost is proportional to the clusters grown.
     pub(crate) fn decode_edges(
         &self,
         graph: &DecodingGraph,
@@ -412,54 +414,63 @@ impl UnionFindDecoder {
         if s.clean_for.take() != Some(shape) {
             s.reset(shape.0, shape.1);
         }
-        let ends = graph.ends();
+        let (ends, slots) = (graph.ends(), graph.slots());
 
         for &e in events {
-            s.flags[e] |= EVENT | ODD | IN_CLUSTER;
-            // Supports are all zero on a clean scratch, so every incident
-            // edge of a seed is unsaturated.
-            s.unsat[e] = graph.incident(e).len() as u8;
-            s.members.push(e as u32);
+            s.flags[e] |= EVENT | ODD;
+            s.enter_cluster(graph, e, 0);
+            s.active.push(e as u32);
         }
 
         // --- Growth stage -------------------------------------------------
         loop {
-            // Frontier members of active clusters count themselves, once
-            // per cluster, into the `delta` of their unsaturated edges.
-            // `delta[e]` is the number of *distinct adjacent active roots*,
-            // a pure set property: neither the member order nor skipping
-            // members whose edges are all saturated can change it. On a
-            // grown ball the interior vastly outnumbers the frontier, so
-            // retiring saturated members is what keeps a round's cost
-            // proportional to the cluster surface.
-            let mut visits = 0u64;
-            for i in s.saturated..s.members.len() {
-                let node = s.members[i] as usize;
-                if s.unsat[node] == 0 {
-                    s.members.swap(i, s.saturated);
-                    s.saturated += 1;
-                    continue;
-                }
-                let root = s.find(node);
-                if !s.is_active_root(root) {
-                    continue;
-                }
-                visits += 1;
-                let incident = graph.incident(node);
-                trace.edge_touches += incident.len() as u64;
-                for &e in incident {
-                    if s.support[e] < 2 && s.stamp[e] != root as u32 {
-                        s.stamp[e] = root as u32;
-                        if s.delta[e] == 0 {
-                            s.round.insert(e);
-                        }
-                        s.delta[e] += 1;
-                    }
+            // A merge or a boundary contact only ends growth, so this
+            // round's active roots are among the roots of last round's.
+            let mut kept = 0;
+            for i in 0..s.active.len() {
+                let root = s.find(s.active[i] as usize);
+                if s.is_active_root(root) && s.flags[root] & LISTED == 0 {
+                    s.flags[root] |= LISTED;
+                    s.active[kept] = root as u32;
+                    kept += 1;
                 }
             }
-            // An odd boundary-free cluster always has an unsaturated
-            // frontier (saturation pulls the far endpoint in), so nothing
-            // was visited exactly when no cluster is active.
+            s.active.truncate(kept);
+            // Frontier members of active clusters count themselves, once
+            // per cluster, into the `delta` of their open edges. `delta[e]`
+            // is the number of *distinct adjacent active roots*, a set
+            // property that no member order or skipped closed member can
+            // change; so a round walks only the active clusters' cycles.
+            let mut visits = 0u64;
+            for i in 0..s.active.len() {
+                let root = s.active[i] as usize;
+                s.flags[root] &= !LISTED;
+                let mut prev = root;
+                loop {
+                    let node = s.next[prev] as usize;
+                    let open = s.unsat[node];
+                    if open == 0 && node != root {
+                        s.next[prev] = s.next[node];
+                        continue;
+                    }
+                    if open != 0 {
+                        visits += 1;
+                        let incident = graph.incident(node);
+                        trace.edge_touches += incident.len() as u64;
+                        for e in edges_in(incident, open) {
+                            s.delta[e] += u8::from(s.stamp[e] != root as u32);
+                            s.stamp[e] = root as u32;
+                            s.round.insert(e);
+                        }
+                    }
+                    if node == root {
+                        break;
+                    }
+                    prev = node;
+                }
+            }
+            // An odd boundary-free cluster always has an open frontier, so
+            // nothing was visited exactly when no cluster is active.
             if visits == 0 {
                 break;
             }
@@ -477,16 +488,19 @@ impl UnionFindDecoder {
                     }
                     s.support[e] = (s.support[e] + d).min(2);
                     if s.support[e] == 2 {
-                        s.erased.insert(e);
+                        trace.erased_edges += 1;
                         let [a, b] = ends[e].map(|n| n as usize);
+                        let bit = |side: usize| 1 << slots[e][side];
                         if a == boundary || b == boundary {
-                            let inner = if a == boundary { b } else { a };
-                            s.enter_cluster(graph, inner);
+                            let side = usize::from(a == boundary);
+                            let inner = [a, b][side];
+                            s.boundary_edges.push(e as u32);
+                            s.enter_cluster(graph, inner, bit(side));
                             let root = s.find(inner);
                             s.flags[root] |= AT_BOUNDARY;
                         } else {
-                            s.enter_cluster(graph, a);
-                            s.enter_cluster(graph, b);
+                            s.enter_cluster(graph, a, bit(0));
+                            s.enter_cluster(graph, b, bit(1));
                             s.union(a, b);
                             trace.merges += 1;
                         }
@@ -499,24 +513,14 @@ impl UnionFindDecoder {
         // Erasure = fully grown edges. Build a spanning forest with BFS,
         // seeding from the boundary first so boundary-touching trees are
         // rooted at the boundary (which absorbs leftover parity), then
-        // from the erased edges' endpoints in ascending node id.
-        for w in s.erased.take_range() {
-            let bits = std::mem::take(&mut s.erased.words[w]);
-            trace.erased_edges += u64::from(bits.count_ones());
-            for e in ids_in(w, bits) {
-                let [a, b] = ends[e].map(|n| n as usize);
-                if a == boundary || b == boundary {
-                    s.boundary_edges.push(e as u32);
-                }
-                s.seeds.insert(a);
-                s.seeds.insert(b);
-            }
-        }
+        // from the members in ascending node id: the other endpoints of
+        // erased edges, as every member ends with an erased edge.
         if !s.boundary_edges.is_empty() {
+            s.boundary_edges.sort_unstable();
             s.grow_tree(graph, boundary);
         }
-        for w in s.seeds.take_range() {
-            for node in ids_in(w, std::mem::take(&mut s.seeds.words[w])) {
+        for w in s.roots.take_range() {
+            for node in ids_in(w, std::mem::take(&mut s.roots.words[w])) {
                 if s.flags[node] & VISITED == 0 {
                     s.grow_tree(graph, node);
                 }
@@ -524,10 +528,9 @@ impl UnionFindDecoder {
         }
         trace.forest_visits += s.order.len() as u64;
 
-        // Peel leaves inward: process nodes in reverse BFS order; each node
-        // (except roots) has a parent edge. If the node still carries an
-        // event, the parent edge joins the correction and the event moves to
-        // the parent.
+        // Peel leaves inward, in reverse BFS order: a non-root node that
+        // still carries an event puts its parent edge in the correction
+        // and moves the event to the parent.
         for i in (0..s.order.len()).rev() {
             let node = s.order[i] as usize;
             let pe = s.parent_edge[node];
@@ -544,10 +547,10 @@ impl UnionFindDecoder {
         trace.peeled_edges += edges_out.len() as u64;
 
         // --- Undo pass ----------------------------------------------------
-        // Every forest node but the boundary is a cluster member, `delta`
-        // and `stamp` were restored round by round, and the three id sets
-        // were emptied by their drains.
-        for &x in &s.members {
+        // The forest nodes are the members and the boundary if it grew a
+        // tree. `delta` and `stamp` were restored round by round, the id
+        // sets emptied by their drains; a link is written on joining.
+        for &x in &s.order {
             let x = x as usize;
             debug_assert!(
                 s.flags[x] & EVENT == 0,
@@ -558,9 +561,6 @@ impl UnionFindDecoder {
             s.rank[x] = 0;
             s.unsat[x] = 0;
         }
-        s.members.clear();
-        s.saturated = 0;
-        s.flags[boundary] = 0;
         s.order.clear();
         s.boundary_edges.clear();
         for &e in &s.touched {
@@ -834,9 +834,9 @@ mod tests {
                 of(&s.delta),
                 of(&s.stamp),
                 of(&s.round.words),
-                of(&s.erased.words),
-                of(&s.seeds.words),
-                of(&s.members),
+                of(&s.roots.words),
+                of(&s.next),
+                of(&s.active),
                 of(&s.touched),
                 of(&s.boundary_edges),
                 of(&s.order),

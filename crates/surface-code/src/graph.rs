@@ -76,7 +76,15 @@ pub struct DecodingGraph {
     /// endpoints `[a, b]`, and the faulted data qubit or [`NO_QUBIT`].
     ends: Vec<[u32; 2]>,
     data_qubit: Vec<u32>,
+    /// Edge `e`'s position in the incidence list of each check endpoint:
+    /// `incident(ends[e][s])[slots[e][s]] == e`. Meaningless at the
+    /// boundary end, whose degree may exceed a `u8`.
+    slots: Vec<[u8; 2]>,
 }
+
+/// The largest check-node degree the decoders' per-node edge masks
+/// (`u16`, one bit per incident edge) can hold.
+const MAX_CHECK_DEGREE: usize = 16;
 
 /// [`DecodingGraph::data_qubits`] entry of a measurement-fault edge.
 pub(crate) const NO_QUBIT: u32 = u32::MAX;
@@ -167,6 +175,7 @@ impl DecodingGraph {
             incidence: vec![0; 2 * num_edges],
             ends: Vec::with_capacity(num_edges),
             data_qubit: Vec::with_capacity(num_edges),
+            slots: Vec::with_capacity(num_edges),
         };
         for t in 0..rounds {
             let (here, next) = (t * num_checks, (t + 1) * num_checks);
@@ -189,6 +198,12 @@ impl DecodingGraph {
         // prefix sum makes `inc_off[n + 1]` node n's fill cursor, and the
         // ascending fill leaves it at node n's end, node n + 1's start.
         for n in 2..graph.inc_off.len() {
+            assert!(
+                n - 2 == boundary || graph.inc_off[n] as usize <= MAX_CHECK_DEGREE,
+                "check node {} has degree {} > {MAX_CHECK_DEGREE}",
+                n - 2,
+                graph.inc_off[n]
+            );
             graph.inc_off[n] += graph.inc_off[n - 1];
         }
         for (e, &[a, b]) in graph.ends.iter().enumerate() {
@@ -202,7 +217,12 @@ impl DecodingGraph {
         graph
     }
 
+    /// Appends edge `a`–`b`. Edges arrive in ascending id, so the degree
+    /// an endpoint has counted so far is the edge's slot in its incidence
+    /// list (truncated at the boundary, where no decoder reads it).
     fn push_edge(&mut self, a: NodeId, b: NodeId, fault: Fault) {
+        self.slots
+            .push([self.inc_off[a + 2] as u8, self.inc_off[b + 2] as u8]);
         self.edges.push(DecodingEdge { a, b, fault });
         self.ends.push([a as u32, b as u32]);
         self.data_qubit.push(match fault {
@@ -279,6 +299,12 @@ impl DecodingGraph {
     /// Endpoints `[a, b]` of every edge, by edge id.
     pub(crate) fn ends(&self) -> &[[u32; 2]] {
         &self.ends
+    }
+
+    /// Every edge's positions in its endpoints' incidence lists, by edge
+    /// id (see [`DecodingGraph::incident`]); valid at check endpoints only.
+    pub(crate) fn slots(&self) -> &[[u8; 2]] {
+        &self.slots
     }
 
     /// The data qubit every edge faults, by edge id; [`NO_QUBIT`] for a
@@ -455,6 +481,32 @@ mod tests {
                             };
                             assert_eq!(g.data_qubits()[e], q, "{case} edge {e}");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slots_locate_each_edge_in_its_check_endpoints_incidence() {
+        for d in [3, 5, 7, 9] {
+            let lat = RotatedLattice::new(d);
+            for kind in [StabKind::X, StabKind::Z] {
+                for rounds in [1, d + 1] {
+                    for diagonals in [false, true] {
+                        let g = DecodingGraph::build(&lat, kind, rounds, diagonals);
+                        let case = format!("d={d} {kind} rounds={rounds} diagonals={diagonals}");
+                        for (e, (ends, slots)) in g.ends().iter().zip(g.slots()).enumerate() {
+                            for (&n, &slot) in ends.iter().zip(slots) {
+                                if !g.is_boundary(n as usize) {
+                                    let incident = g.incident(n as usize);
+                                    assert_eq!(incident[slot as usize], e, "{case} edge {e}");
+                                }
+                            }
+                        }
+                        let max_degree = (0..g.boundary()).map(|n| g.incident(n).len()).max();
+                        let bound = if diagonals { 10 } else { 6 };
+                        assert!(max_degree <= Some(bound), "{case}: {max_degree:?}");
                     }
                 }
             }

@@ -435,3 +435,69 @@ fn an_empty_event_set_decodes_to_the_empty_correction() {
         }
     }
 }
+
+/// The sweep's shape at its top rates: d = 7 over 7 rounds under
+/// code-capacity noise, event sets built fault by fault through the
+/// sampler's columns, so they carry the correlated pairs (a Y, two
+/// faults sharing a check) that independent node events never draw.
+/// Both entry points equal the reference: edges per shot through
+/// `decode_traced`, flips per shot through `decode_planes`, and the
+/// summed trace.
+#[test]
+fn sweep_shaped_event_sets_decode_as_the_reference_does() {
+    use quest_surface::FrameSampler;
+    let (d, shots) = (7usize, 320usize);
+    let sampler = FrameSampler::new(&MemoryExperiment::new(d, d, MemoryBasis::Z));
+    let g = sampler.graph();
+    let num_data = RotatedLattice::new(d).num_data();
+    let uf = UnionFindDecoder::new();
+    for (i, p) in [3e-2, 8e-2].into_iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(7 + i as u64);
+        let sets: Vec<Vec<NodeId>> = (0..shots)
+            .map(|_| {
+                let errors: Vec<Vec<Pauli>> = (0..d)
+                    .map(|_| {
+                        (0..num_data)
+                            .map(|_| match rng.gen_bool(p) {
+                                true => Pauli::ERRORS[rng.gen_range(0..3)],
+                                false => Pauli::I,
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let flips = vec![vec![false; g.num_checks()]; d];
+                sampler.faulted_shot_events(&errors, &flips).0
+            })
+            .collect();
+
+        let (nodes, blocks) = (g.boundary(), shots.div_ceil(64));
+        let mut planes = vec![0u64; nodes * blocks];
+        for (shot, events) in sets.iter().enumerate() {
+            for &node in events {
+                planes[node * blocks + shot / 64] |= 1 << (shot % 64);
+            }
+        }
+        let mut batch = CorrectionBatch::new();
+        uf.decode_planes(
+            g,
+            &EventPlanes::new(&planes, nodes, blocks, shots),
+            &mut batch,
+        );
+
+        let (mut scratch, mut got_trace, mut want_trace) =
+            (UfScratch::new(), UfTrace::default(), UfTrace::default());
+        for (shot, events) in sets.iter().enumerate() {
+            let got = uf.decode_traced(g, events, &mut scratch, &mut got_trace);
+            let want = reference_decode(g, events, &mut want_trace);
+            assert_eq!(got.edges, want, "p = {p}, shot {shot}");
+            let flips: Vec<usize> = got.data_flips.iter().copied().collect();
+            assert_eq!(
+                batch.flips_of(shot),
+                flips.as_slice(),
+                "p = {p}, shot {shot}"
+            );
+        }
+        assert_eq!(got_trace, want_trace, "p = {p}");
+        assert!(want_trace.merges > 0, "p = {p}: no cluster ever merged");
+    }
+}
