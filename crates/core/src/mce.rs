@@ -19,7 +19,7 @@ use crate::program_gen;
 use quest_isa::PhysOpcode;
 use quest_isa::{LogicalInstr, MicroOp, VliwWord};
 use quest_stabilizer::{Outcomes, StabilizerSim};
-use quest_surface::{RotatedLattice, StabKind};
+use quest_surface::{NodeId, RotatedLattice, StabKind, UfScratch, UnionFindDecoder};
 use rand::Rng;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -67,6 +67,8 @@ struct ResolvedProgram {
     /// `spread[(16 * k + v) * width..][..width]` with `width` the words
     /// of both kinds.
     spread: Box<[u64]>,
+    /// The data qubits, in the order a readout measures them.
+    data: Box<[usize]>,
 }
 
 impl ResolvedProgram {
@@ -138,8 +140,21 @@ impl ResolvedProgram {
                 regions.into()
             }),
             spread: spread.into(),
+            data: (0..lattice.num_data()).collect(),
         }
     }
+}
+
+/// What a readout writes, kept by the tile so that a readout allocates
+/// nothing but a correction: the data qubits' outcomes, then the same
+/// with the decoder's frame folded in as words, the final round's
+/// events, and the union-find workspace that decodes them.
+#[derive(Debug, Clone, Default)]
+struct ReadoutScratch {
+    outcomes: Outcomes,
+    bits: Vec<u64>,
+    events: Vec<NodeId>,
+    decoder: UfScratch,
 }
 
 /// One Micro-coded Control Engine driving a surface-code tile.
@@ -192,6 +207,7 @@ pub struct Mce {
     /// The syndrome bits of the measurement word being routed, packed
     /// 64 to a word: the X checks' words, then the Z checks'.
     syndrome: Vec<u64>,
+    readout: ReadoutScratch,
 }
 
 impl Mce {
@@ -219,6 +235,7 @@ impl Mce {
             magic_states_consumed: 0,
             measurement_flip: 0.0,
             syndrome: vec![0; program.syndrome_words.iter().sum()],
+            readout: ReadoutScratch::default(),
             program: Arc::new(program),
         }
     }
@@ -601,33 +618,39 @@ impl Mce {
         substrate: &mut S,
         rng: &mut R,
     ) -> Readout {
-        use quest_surface::decoder::Decoder;
-        let mut bits: Vec<bool> = (0..self.lattice.num_data())
-            .map(|q| substrate.measure(self.substrate_index(q), rng).value)
-            .collect();
-        for q in self.decode_z.frame() {
-            bits[q] = !bits[q];
-        }
+        let ReadoutScratch {
+            outcomes,
+            bits,
+            events,
+            decoder,
+        } = &mut self.readout;
+        outcomes.clear();
+        substrate.measure_qubits(self.execution.offset(), &self.program.data, rng, outcomes);
+        bits.clear();
+        let frame = self.decode_z.frame_words();
+        bits.extend(outcomes.words().iter().zip(frame).map(|(o, f)| o ^ f));
+        let bit = |bits: &[u64], q: usize| bits[q / 64] >> (q % 64) & 1 == 1;
         // Final perfect round: decode the residual syndrome derived from
         // the readout itself, over the Z pipeline's single-round graph.
         let graph = self.decode_z.graph();
-        let events: Vec<usize> = self
-            .lattice
-            .plaquettes_of(StabKind::Z)
-            .enumerate()
-            .filter_map(|(c, p)| {
-                let parity = p.data.iter().fold(false, |acc, &q| acc ^ bits[q]);
-                parity.then_some(graph.node(0, c))
-            })
-            .collect();
+        events.clear();
+        events.extend(
+            self.lattice
+                .plaquettes_of(StabKind::Z)
+                .enumerate()
+                .filter_map(|(c, p)| {
+                    let parity = p.data.iter().fold(false, |acc, &q| acc ^ bit(bits, q));
+                    parity.then_some(graph.node(0, c))
+                }),
+        );
         if !events.is_empty() {
-            let correction = quest_surface::UnionFindDecoder::new().decode(graph, &events);
+            let correction = UnionFindDecoder::new().decode_with(graph, events, decoder);
             for q in correction.data_flips {
-                bits[q] = !bits[q];
+                bits[q / 64] ^= 1 << (q % 64);
             }
         }
         let parity = (0..self.lattice.distance())
-            .map(|col| bits[self.lattice.data_index(0, col)])
+            .map(|col| bit(bits, self.lattice.data_index(0, col)))
             .fold(false, |acc, b| acc ^ b);
         Readout {
             value: parity ^ self.logical_frame_x,

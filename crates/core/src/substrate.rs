@@ -46,7 +46,9 @@
 //! follow a *trail* of those cycles laid by an earlier tile
 //! ([`quest_stabilizer::Trail`]) instead of running them on its tableau,
 //! and hands the trails its own tiles laid to [`Substrate::take_trails`];
-//! `quest-runtime` keeps them across runs. [`Substrate::new`], which
+//! `quest-runtime` keeps them across runs. A tile that followed a trail
+//! to its lock reads out from the readout the trail's first such tile
+//! recorded there ([`Substrate::served_readouts`]). [`Substrate::new`], which
 //! [`MultiTileSystem`](crate::MultiTileSystem) uses, neither follows nor
 //! lays one: it is the oracle.
 
@@ -171,6 +173,13 @@ impl Substrate {
                 .get(home.block)
                 .map_or(0, |block| block.replayed_cycles(home.offset))
         })
+    }
+
+    /// Readouts the blocks served from a trail's recorded exit, never
+    /// touching the reference tableau
+    /// ([`FrameBlock::served_readouts`]). The count restarts in a clone.
+    pub fn served_readouts(&self) -> u64 {
+        self.blocks.iter().map(FrameBlock::served_readouts).sum()
     }
 
     /// Brings tiles `a` and `b` into one block and returns it. If they

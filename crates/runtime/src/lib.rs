@@ -974,6 +974,7 @@ impl Master<'_, '_> {
             (stats.max_downstream_depth, stats.max_upstream_depth) = link.high_water();
             let harvest = link.finish();
             stats.replayed_tile_cycles = harvest.replayed;
+            stats.served_readouts = harvest.served_readouts;
             laid.extend(harvest.trails);
         }
         self.memo.publish(self.spec.distance, laid);

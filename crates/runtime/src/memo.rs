@@ -17,7 +17,9 @@
 //!   tableau, then serve every cycle after them from the trail's locked
 //!   kernel: they compile nothing. A trail is kept per first-mark key and
 //!   starting tableau, so a `|+⟩` tile publishing first does not keep
-//!   `|0⟩` tiles off the fast path.
+//!   `|0⟩` tiles off the fast path. The first tile of a later run to
+//!   read out from a trail's lock records the readout on the trail, and
+//!   every tile after it reads out from that record.
 //! * **Global decodes.** An escalation is decoded on the distance's
 //!   single-round graph of its kind, and a decode is a pure function of
 //!   the engine, the graph and the event list. [`Decodes`] holds the two

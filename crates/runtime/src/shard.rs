@@ -162,6 +162,8 @@ pub(crate) struct Harvest {
     /// Tile-cycles its tiles were served by a kernel, from a tape or a
     /// trail, never touching a reference tableau.
     pub(crate) replayed: u64,
+    /// Readouts its tiles served from a trail's exit.
+    pub(crate) served_readouts: u64,
     pub(crate) trails: Vec<Trail>,
 }
 
@@ -421,6 +423,7 @@ impl ShardWorker {
             replayed: (0..self.tiles.len())
                 .map(|l| self.substrate.replayed_cycles(l))
                 .sum(),
+            served_readouts: self.substrate.served_readouts(),
             trails: self.substrate.take_trails(),
         }
     }

@@ -67,6 +67,12 @@ pub struct ShardStats {
     /// since the run started or resumed. On a `Runtime` that has run the
     /// distance before, every cycle of a tile that only does QECC is.
     pub replayed_tile_cycles: u64,
+    /// Tile readouts served from the recorded exit of the trail the tile
+    /// followed to its lock, never touching a reference tableau
+    /// ([`Substrate::served_readouts`](quest_core::Substrate::served_readouts)),
+    /// since the run started or resumed. Once a distance's exit is
+    /// recorded, every tile of a memory run that only does QECC is.
+    pub served_readouts: u64,
 }
 
 impl ShardStats {
@@ -146,7 +152,7 @@ impl fmt::Display for RuntimeStats {
                 f,
                 "  shard {}: tiles {}..{}, {} cycles, {} escalations \
                  ({:.4}/tile-cycle), {} tile-cycles replayed, \
-                 messages up {} / down {}, \
+                 {} readouts served, messages up {} / down {}, \
                  depth up {} / down {}",
                 s.shard,
                 s.first_tile,
@@ -155,6 +161,7 @@ impl fmt::Display for RuntimeStats {
                 s.escalations,
                 s.escalation_rate(),
                 s.replayed_tile_cycles,
+                s.served_readouts,
                 s.upstream_messages,
                 s.downstream_messages,
                 s.max_upstream_depth,
@@ -163,11 +170,12 @@ impl fmt::Display for RuntimeStats {
         }
         writeln!(
             f,
-            "decode pool: {} batches, {} jobs (max {}, mean {:.2})",
+            "decode pool: {} batches, {} jobs (max {}, mean {:.2}), {} memo hits",
             self.decode.batches,
             self.decode.jobs,
             self.decode.max_batch_jobs,
             self.decode.mean_batch_jobs(),
+            self.decode.memo_hits,
         )?;
         if self.decode.deaths > 0 {
             writeln!(
@@ -240,13 +248,19 @@ mod tests {
                 max_upstream_depth: 3,
                 max_downstream_depth: 1,
                 replayed_tile_cycles: 36,
+                served_readouts: 4,
             }],
+            decode: PoolStats {
+                memo_hits: 5,
+                ..PoolStats::default()
+            },
             ..RuntimeStats::default()
         };
         let s = stats.to_string();
         assert!(s.contains("shard 0"));
         assert!(s.contains("messages up 12 / down 7"));
-        assert!(s.contains("36 tile-cycles replayed, messages"));
+        assert!(s.contains("36 tile-cycles replayed, 4 readouts served, messages"));
         assert!(s.contains("decode pool"));
+        assert!(s.contains("5 memo hits"));
     }
 }

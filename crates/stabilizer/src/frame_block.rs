@@ -78,11 +78,11 @@
 //! Everything else runs on the live reference: the cycles before a tape
 //! locks, which are recorded, and any operation that reaches the
 //! reference after a locked mark — a cycle fired call by call, a masked
-//! region, a logical word, a readout, gates the tape does not hold. Such
-//! an operation unlocks every tape of the block and goes to the
-//! reference from the state at the mark, which a kernel cycle leaves it
-//! in; an [`append`](FrameBlock::append) drops the tapes. Paulis are on
-//! no tape: they never reach the reference.
+//! region, a logical word, a readout (but for one a trail serves, below),
+//! gates the tape does not hold. Such an operation unlocks every tape of
+//! the block and goes to the reference from the state at the mark, which
+//! a kernel cycle leaves it in; an [`append`](FrameBlock::append) drops
+//! the tapes. Paulis are on no tape: they never reach the reference.
 //!
 //! Marks carry a key so that several programs interleaved on one block
 //! (two tiles joined by a transversal gate) keep a tape each. A tape is
@@ -124,11 +124,36 @@
 //! only whole cycles fired by `run_cycle`, one per mark, go on a trail.
 //! Blocks built by [`FrameBlock::new`], clones and appended blocks
 //! neither follow nor lay.
+//!
+//! A follower past the last cycle holds the trail's *lock*: its
+//! reference is the trail's last tableau, generator for generator, until
+//! an operation reaches the reference (a deviation) or a mark does not
+//! lock, which drop it. A readout from there
+//! ([`StabilizerSim::measure_qubits`]) is one more fixed walk of the
+//! reference: the first follower to make one runs it on its tableau and
+//! keeps it as the trail's *exit* — the qubits, per qubit whether the
+//! reference answered at random, its answer and the pivot, and the
+//! tableau it left. Every later follower reading out the same qubits
+//! from the lock takes the exit instead: each random entry draws its
+//! bit, in entry order, the pivot goes into the frame where the bit seen
+//! through the frame disagrees, a deterministic one is its answer seen
+//! through the frame, and the reference becomes the exit's tableau. The
+//! block then stands where the readout on its tableau leaves it: off its
+//! tapes, with the same draws, outcomes, frame and reference.
+//!
+//! Preparation is cheaper still. A block built by [`FrameBlock::new`] or
+//! [`FrameBlock::fresh`] keeps the qubits no H, S, CNOT or measurement
+//! has reached: each is still `|0⟩` and unentangled in the reference, so
+//! off a tape a measurement of one (and so a reset) is deterministic
+//! `false`, seen through the frame, and never asks the tableau, whose
+//! answer it is. A block that replaces its reference (following a trail,
+//! taking an exit) knows no such qubit; clones and appended blocks start
+//! knowing none.
 
 use crate::pauli::Pauli;
 use crate::tableau::{or_shifted, Measurement, Tableau};
 use rand::Rng;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const WORD_BITS: usize = 64;
 
@@ -353,6 +378,25 @@ pub trait StabilizerSim {
         self.h(q);
     }
 
+    /// Measures each of `qubits`, moved up by `offset`, in the Z basis,
+    /// in order, and appends the outcomes: [`StabilizerSim::measure`] one
+    /// call after another. That is the default, and it is what every
+    /// implementation must amount to, draw for draw and bit for bit. A
+    /// [`FrameBlock`] at the lock of a trail it followed serves a readout
+    /// the trail has seen from the trail's recorded exit
+    /// ([module docs](self#trails)); [`Tableau`] keeps the default.
+    fn measure_qubits<R: Rng + ?Sized>(
+        &mut self,
+        offset: usize,
+        qubits: &[usize],
+        rng: &mut R,
+        outcomes: &mut Outcomes,
+    ) {
+        for &q in qubits {
+            outcomes.push(self.measure(offset + q, rng).value);
+        }
+    }
+
     /// Marks the start of one round of a program that repeats. `key`
     /// tells apart the programs interleaved on one register. A register
     /// with nothing to gain from the hint ignores it.
@@ -527,6 +571,22 @@ pub struct Trail {
     /// The cycles from the first mark to the mark that locked the tape;
     /// the last one is the tape that locked.
     cycles: Vec<Stretch>,
+    /// The first readout a follower made from the locked state, set by
+    /// that follower.
+    exit: OnceLock<Exit>,
+}
+
+/// A readout from a trail's locked state, as the reference answered it:
+/// which qubits, per qubit random or not and the reference outcome, the
+/// pivots of the random ones (a frame's worth of words each, in order),
+/// and the tableau it left.
+#[derive(Debug)]
+struct Exit {
+    offset: usize,
+    qubits: Box<[usize]>,
+    answers: Vec<Measurement>,
+    pivots: Vec<u64>,
+    end: Tableau,
 }
 
 impl Trail {
@@ -1050,6 +1110,16 @@ pub struct FrameBlock {
     /// its tape holds an earlier recording to compare this one with.
     snapshot: Tableau,
     warmup: Warmup,
+    /// The trail this block followed to its lock, while the reference
+    /// still holds the trail's locked state: until the block deviates or
+    /// comes to a mark that does not lock.
+    lock: Option<Arc<Trail>>,
+    /// One bit per qubit that no H, S, CNOT or measurement has reached
+    /// since [`FrameBlock::new`]: still `|0⟩`, and unentangled, in the
+    /// reference. Clear once the reference is replaced.
+    untouched: Vec<u64>,
+    /// Readouts served from a trail's exit.
+    served_readouts: u64,
     /// A kernel cycle's inputs.
     inputs: Vec<u64>,
 }
@@ -1076,7 +1146,14 @@ impl FrameBlock {
     /// Panics if `n` is zero.
     pub fn new(n: usize) -> FrameBlock {
         let words = n.div_ceil(WORD_BITS);
-        FrameBlock::over(Tableau::new(n), vec![0; 2 * words])
+        // Word `w` holds qubits `64w..`, all of them but in the last word.
+        let held = |w: usize| (n - w * WORD_BITS).min(WORD_BITS);
+        FrameBlock {
+            untouched: (0..words)
+                .map(|w| u64::MAX >> (WORD_BITS - held(w)))
+                .collect(),
+            ..FrameBlock::over(Tableau::new(n), vec![0; 2 * words])
+        }
     }
 
     /// A block with no history over a reference and a frame. What a
@@ -1100,6 +1177,9 @@ impl FrameBlock {
             slot: 0,
             tapes: Vec::new(),
             warmup: Warmup::Off,
+            lock: None,
+            untouched: vec![0; n.div_ceil(WORD_BITS)],
+            served_readouts: 0,
             inputs: Vec::new(),
         }
     }
@@ -1144,6 +1224,13 @@ impl FrameBlock {
             .map_or(0, |t| t.replayed)
     }
 
+    /// Readouts ([`StabilizerSim::measure_qubits`]) served from the exit
+    /// of a trail this block followed to its lock, without touching the
+    /// reference.
+    pub fn served_readouts(&self) -> u64 {
+        self.served_readouts
+    }
+
     /// The bits the kernel cycles of `key` drew: one per random entry of
     /// each cycle's tape.
     #[doc(hidden)]
@@ -1158,7 +1245,7 @@ impl FrameBlock {
     /// tensor product of the two states ([`Tableau::append`]). Tapes were
     /// recorded on the narrower registers and are dropped; the replay
     /// counts stay, `other`'s under its keys moved up by this block's
-    /// width.
+    /// width, and so do the served readouts.
     pub fn append(&mut self, other: &FrameBlock) {
         let shift = self.reference.num_qubits();
         let mut reference = self.reference.clone();
@@ -1183,6 +1270,7 @@ impl FrameBlock {
         let moved = other.tapes.iter().map(|t| count_of(t, shift));
         *self = FrameBlock {
             tapes: kept.chain(moved).collect(),
+            served_readouts: self.served_readouts + other.served_readouts,
             ..FrameBlock::over(reference, frame)
         };
     }
@@ -1218,6 +1306,7 @@ impl FrameBlock {
         if let Warmup::Following { .. } = self.warmup {
             return self.leave_trail();
         }
+        self.lock = None;
         for tape in &mut self.tapes {
             tape.locked = false;
             tape.kernel = None;
@@ -1308,6 +1397,7 @@ impl FrameBlock {
             self.mode = Mode::Locked;
             return;
         }
+        self.lock = None;
         // A first recording has nothing to be compared with, so where it
         // started from is not kept either.
         let compared = tape.recorded;
@@ -1343,9 +1433,9 @@ impl FrameBlock {
     /// trail, the next cycle is served (`true`) if it is `gates` at
     /// `offset` under the trail's key: the tape takes its kernel and the
     /// reference the tableau it leaves. Past the last cycle, that cycle is
-    /// the block's locked tape, kernel and all; anything else rejoins the
-    /// live path. Either way but the first, the mark is then handled as
-    /// any other.
+    /// the block's locked tape, kernel and all, and the block holds the
+    /// trail's lock; anything else rejoins the live path. Either way but
+    /// the first, the mark is then handled as any other.
     fn follow(&mut self, key: usize, offset: usize, gates: &Arc<[SimGate]>) -> bool {
         let (trail, next) = match std::mem::take(&mut self.warmup) {
             Warmup::Fresh(trails) => {
@@ -1359,6 +1449,7 @@ impl FrameBlock {
                             key,
                             start: self.reference.clone(),
                             cycles: Vec::new(),
+                            exit: OnceLock::new(),
                         };
                         self.warmup = Warmup::Laying { trail, fired: None };
                         return false;
@@ -1375,7 +1466,7 @@ impl FrameBlock {
             Some(stretch) if key == trail.key && stretch.kernel.serves(offset, gates) => {
                 self.slot = self.slot_of(key);
                 self.tapes[self.slot].kernel = Some(Arc::clone(&stretch.kernel));
-                self.reference.clone_from(&stretch.end);
+                self.set_reference(&stretch.end);
                 self.mode = Mode::Locked;
                 self.warmup = Warmup::Following { trail, cycle: next };
                 return true;
@@ -1384,6 +1475,7 @@ impl FrameBlock {
                 let tape = &mut self.tapes[self.slot];
                 tape.record.clone_from(&trail.cycles[next - 1].record);
                 (tape.recorded, tape.locked) = (true, true);
+                self.lock = Some(trail);
             }
             // A trail that does not start with this cycle: an ordinary
             // block, neither following nor laying.
@@ -1451,6 +1543,109 @@ impl FrameBlock {
         }
     }
 
+    /// Replaces the reference: no qubit is known untouched in the new one.
+    fn set_reference(&mut self, to: &Tableau) {
+        self.reference.clone_from(to);
+        self.untouched.fill(0);
+    }
+
+    /// Notes that an operation on `q` reaches the reference.
+    #[inline]
+    fn touch(&mut self, q: usize) {
+        if let Some(word) = self.untouched.get_mut(q / WORD_BITS) {
+            *word &= !(1 << (q % WORD_BITS));
+        }
+    }
+
+    /// Whether no operation has reached `q` in the reference.
+    #[inline]
+    fn is_untouched(&self, q: usize) -> bool {
+        self.untouched
+            .get(q / WORD_BITS)
+            .is_some_and(|word| word >> (q % WORD_BITS) & 1 == 1)
+    }
+
+    /// What a measurement of `q` reports, given the reference's answer
+    /// and, for a random one, its pivot: a deterministic answer seen
+    /// through the frame, or one `rng.gen::<bool>()`, with the pivot
+    /// multiplied into the frame when the drawn bit, seen through the
+    /// frame, is not the `false` the reference was collapsed to.
+    #[inline]
+    fn answer<R: Rng + ?Sized>(
+        frame: &mut [u64],
+        q: usize,
+        reference: Measurement,
+        pivot: &[u64],
+        rng: &mut R,
+    ) -> Measurement {
+        let (k, bit) = FrameBlock::locate(q);
+        let flipped = frame[k] & bit != 0;
+        if reference.deterministic {
+            return Measurement {
+                value: reference.value ^ flipped,
+                deterministic: true,
+            };
+        }
+        let value: bool = rng.gen();
+        let disagrees = u64::from(value ^ flipped != reference.value).wrapping_neg();
+        for (f, p) in frame.iter_mut().zip(pivot) {
+            *f ^= p & disagrees;
+        }
+        Measurement {
+            value,
+            deterministic: false,
+        }
+    }
+
+    /// A readout from the lock of `trail` on the live reference, written
+    /// down as the trail's exit unless another follower got there first.
+    /// A block holding a lock has replaced its reference, so no qubit is
+    /// untouched.
+    #[cold]
+    fn record_exit<R: Rng + ?Sized>(
+        &mut self,
+        trail: &Trail,
+        offset: usize,
+        qubits: &[usize],
+        rng: &mut R,
+        outcomes: &mut Outcomes,
+    ) {
+        self.deviate();
+        let (mut answers, mut pivots) = (Vec::with_capacity(qubits.len()), Vec::new());
+        for &q in qubits {
+            let at = pivots.len();
+            let reference = self.reference.measure_forced(offset + q, &mut pivots);
+            answers.push(reference);
+            let m = FrameBlock::answer(&mut self.frame, offset + q, reference, &pivots[at..], rng);
+            outcomes.push(m.value);
+        }
+        let _ = trail.exit.set(Exit {
+            offset,
+            qubits: qubits.into(),
+            answers,
+            pivots,
+            end: self.reference.clone(),
+        });
+    }
+
+    /// The readout `exit` recorded from the lock this block holds: the
+    /// recorded answers seen through the frame, the same draws, and the
+    /// reference left where the recording left it.
+    fn replay_exit<R: Rng + ?Sized>(&mut self, exit: &Exit, rng: &mut R, outcomes: &mut Outcomes) {
+        self.deviate();
+        let mut pivots = exit.pivots.chunks_exact(self.frame.len());
+        for (&q, &reference) in exit.qubits.iter().zip(&exit.answers) {
+            let pivot = match reference.deterministic {
+                true => &[][..],
+                false => pivots.next().unwrap_or_default(),
+            };
+            let m = FrameBlock::answer(&mut self.frame, exit.offset + q, reference, pivot, rng);
+            outcomes.push(m.value);
+        }
+        self.set_reference(&exit.end);
+        self.served_readouts += 1;
+    }
+
     /// Word index and mask of qubit `q` within one half of the frame.
     #[inline]
     fn locate(q: usize) -> (usize, u64) {
@@ -1475,6 +1670,7 @@ impl StabilizerSim for FrameBlock {
     fn h(&mut self, q: usize) {
         self.live();
         self.reference.h(q);
+        self.touch(q);
         self.record(Call::new(Op::H, q, 0), false, false);
         let (k, bit) = FrameBlock::locate(q);
         let differ = (self.frame[k] ^ self.frame[self.words + k]) & bit;
@@ -1486,6 +1682,7 @@ impl StabilizerSim for FrameBlock {
     fn s(&mut self, q: usize) {
         self.live();
         self.reference.s(q);
+        self.touch(q);
         self.record(Call::new(Op::S, q, 0), false, false);
         let (k, bit) = FrameBlock::locate(q);
         self.frame[self.words + k] ^= self.frame[k] & bit;
@@ -1503,15 +1700,27 @@ impl StabilizerSim for FrameBlock {
     fn cnot(&mut self, c: usize, t: usize) {
         self.live();
         self.reference.cnot(c, t);
+        self.touch(c);
+        self.touch(t);
         self.record(Call::new(Op::Cnot, c, t), false, false);
         let ((kc, bc), (kt, bt)) = (FrameBlock::locate(c), FrameBlock::locate(t));
         self.flip_if(self.frame[kc] & bc != 0, kt, bt);
         self.flip_if(self.frame[self.words + kt] & bt != 0, self.words + kc, bc);
     }
 
+    /// Off a tape, a qubit the reference has not been asked about is
+    /// answered without it: it is `|0⟩` there, deterministic `false`.
     #[inline]
     fn measure<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> Measurement {
         self.live();
+        if self.mode == Mode::Direct && self.is_untouched(q) {
+            let zero = Measurement {
+                value: false,
+                deterministic: true,
+            };
+            return FrameBlock::answer(&mut self.frame, q, zero, &[], rng);
+        }
+        self.touch(q);
         if self.mode != Mode::Recording {
             self.recording.pivots.clear();
         }
@@ -1524,23 +1733,8 @@ impl StabilizerSim for FrameBlock {
             !reference.deterministic,
             reference.value,
         );
-        let (k, bit) = FrameBlock::locate(q);
-        let flipped = self.frame[k] & bit != 0;
-        if reference.deterministic {
-            return Measurement {
-                value: reference.value ^ flipped,
-                deterministic: true,
-            };
-        }
-        let value: bool = rng.gen();
-        let disagrees = u64::from(value ^ flipped != reference.value).wrapping_neg();
-        for (f, p) in self.frame.iter_mut().zip(&self.recording.pivots[at..]) {
-            *f ^= p & disagrees;
-        }
-        Measurement {
-            value,
-            deterministic: false,
-        }
+        let pivot = &self.recording.pivots[at..];
+        FrameBlock::answer(&mut self.frame, q, reference, pivot, rng)
     }
 
     #[inline]
@@ -1548,6 +1742,32 @@ impl StabilizerSim for FrameBlock {
         let one = self.measure(q, rng).value;
         let (k, bit) = FrameBlock::locate(q);
         self.flip_if(one, k, bit);
+    }
+
+    /// At the lock of a trail it followed, the block serves a readout
+    /// of the qubits the trail's exit holds from the exit, and records
+    /// the exit if the trail has none; either way it then stands where
+    /// the readout on the live reference leaves it.
+    fn measure_qubits<R: Rng + ?Sized>(
+        &mut self,
+        offset: usize,
+        qubits: &[usize],
+        rng: &mut R,
+        outcomes: &mut Outcomes,
+    ) {
+        // An empty readout reaches nothing, and leaves the lock alone.
+        if let Some(trail) = self.lock.take_if(|_| !qubits.is_empty()) {
+            match trail.exit.get() {
+                None => return self.record_exit(&trail, offset, qubits, rng, outcomes),
+                Some(exit) if exit.offset == offset && *exit.qubits == *qubits => {
+                    return self.replay_exit(exit, rng, outcomes);
+                }
+                Some(_) => {}
+            }
+        }
+        for &q in qubits {
+            outcomes.push(self.measure(offset + q, rng).value);
+        }
     }
 
     /// A mark outside [`StabilizerSim::run_cycle`]: a block on a trail

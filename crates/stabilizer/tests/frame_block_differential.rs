@@ -1218,3 +1218,239 @@ fn a_kernel_wider_than_a_band_serves_a_locked_cycle_as_the_tableau_does() {
         assert_eq!(next[0], next[1], "seed {seed}: the next draw");
     }
 }
+
+/// One round of syndrome extraction on a distance-`d` rotated surface
+/// code: data qubits `0..d²` on a grid, then an ancilla per check, each
+/// check measured in turn. X checks (the bulk plaquettes at even
+/// `row + col`, and the weight-two ones on the top and bottom edges) go
+/// through a `|+⟩` ancilla, Z checks (odd, and on the left and right
+/// edges) through a `|0⟩` one.
+fn surface_round(d: usize) -> Vec<SimGate> {
+    use SimGate::*;
+    let inner = |i: usize| (1..d).contains(&i);
+    let mut gates = Vec::new();
+    let mut ancilla = d * d;
+    for row in 0..=d {
+        for col in 0..=d {
+            let x_type = (row + col) % 2 == 0;
+            let edge = match x_type {
+                true => (row == 0 || row == d) && inner(col),
+                false => (col == 0 || col == d) && inner(row),
+            };
+            if !(inner(row) && inner(col) || edge) {
+                continue;
+            }
+            let corners = [
+                (row, col),
+                (row, col + 1),
+                (row + 1, col),
+                (row + 1, col + 1),
+            ];
+            let data = corners
+                .into_iter()
+                .filter(|&(r, c)| (1..=d).contains(&r) && (1..=d).contains(&c))
+                .map(|(r, c)| (r - 1) * d + c - 1);
+            if x_type {
+                gates.push(ResetPlus(ancilla));
+                gates.extend(data.map(|q| Cnot(ancilla, q)));
+                gates.push(MeasureX(ancilla));
+            } else {
+                gates.push(Reset(ancilla));
+                gates.extend(data.map(|q| Cnot(q, ancilla)));
+                gates.push(Measure(ancilla));
+            }
+            ancilla += 1;
+        }
+    }
+    assert_eq!(ancilla, 2 * d * d - 1, "d² - 1 checks");
+    gates
+}
+
+/// A surface-code tile of distance `d` prepared in `|0⟩` or `|+⟩`: its
+/// data qubits reset (and turned by H), then [`surface_round`] over and
+/// over, and a readout of every data qubit in Z.
+struct Tile {
+    n: usize,
+    plus: bool,
+    data: Vec<usize>,
+    gates: Arc<[SimGate]>,
+}
+
+impl Tile {
+    fn new(d: usize, plus: bool) -> Tile {
+        Tile {
+            n: 2 * d * d - 1,
+            plus,
+            data: (0..d * d).collect(),
+            gates: surface_round(d).into(),
+        }
+    }
+
+    fn prep(&self) -> Vec<Op> {
+        let turn = self.plus.then_some(H);
+        let ops = |q: usize| {
+            [Some(RESET), turn]
+                .into_iter()
+                .flatten()
+                .map(move |k| (k, q, 0))
+        };
+        self.data.iter().flat_map(|&q| ops(q)).collect()
+    }
+
+    /// A trail laid by a fresh block that has none to follow.
+    fn lay_trail(&self) -> Trail {
+        let mut block = FrameBlock::fresh(self.n, Arc::new([]));
+        let mut rng = CountingRng::new(1);
+        for op in self.prep() {
+            apply(&mut block, op, &mut rng);
+        }
+        for _ in 0..8 {
+            block.run_cycle(KEY, 0, &self.gates, &mut rng, &mut Outcomes::new());
+            if let Some(trail) = block.take_trail() {
+                return trail;
+            }
+        }
+        panic!("the surface-code round locks a tape")
+    }
+
+    /// `block` and a bare tableau under `seed`, with the tile's gate list
+    /// as the one list a round of it is handed over as.
+    fn pair(&self, block: FrameBlock, seed: u64) -> Pair {
+        let mut pair = Pair {
+            block,
+            ..Pair::new(self.n, seed)
+        };
+        pair.lists.push(Arc::clone(&self.gates));
+        pair
+    }
+
+    /// `rounds` rounds with up to `errors` Paulis before each.
+    fn rounds(
+        &self,
+        pair: &mut Pair,
+        rounds: usize,
+        errors: usize,
+        noise: &mut StdRng,
+    ) -> TestCaseResult {
+        for _ in 0..rounds {
+            for _ in 0..noise.gen_range(0..=errors) {
+                pair.apply((6, noise.gen_range(0..self.n), noise.gen_range(1..4)))?;
+            }
+            pair.run_cycle(KEY, self.gates.to_vec())?;
+        }
+        Ok(())
+    }
+
+    /// The tile's readout in one call on both sides, then every data
+    /// qubit measured again call by call: deterministic by now, so the
+    /// flags are compared too.
+    fn read_out(&self, pair: &mut Pair) -> TestCaseResult {
+        pair.step += 1;
+        let (mut got, mut want) = (Outcomes::new(), Outcomes::new());
+        let block_rng = &mut pair.block_rng;
+        pair.block
+            .measure_qubits(0, &self.data, block_rng, &mut got);
+        let bare_rng = &mut pair.bare_rng;
+        pair.bare.measure_qubits(0, &self.data, bare_rng, &mut want);
+        prop_assert_eq!(got, want, "step {}: readout", pair.step);
+        pair.compare("the readout")?;
+        for &q in &self.data {
+            pair.apply((MEASURE, q, 0))?;
+        }
+        Ok(())
+    }
+}
+
+/// What a follower of a tile's trail does after the lock, before its
+/// readout.
+#[derive(Debug, Clone, Copy)]
+enum AfterLock {
+    /// Nothing: the readout is served from the trail's exit (or records
+    /// it).
+    Nothing,
+    /// An operation that reaches the reference.
+    Stray(Op),
+    /// A round under another key: a mark that does not lock.
+    OtherKey,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A fresh block answers the preparation of qubits nothing has
+    /// reached from its frame, and a follower at its trail's lock serves
+    /// the readout from the trail's exit: both as a bare tableau does,
+    /// outcome for outcome and draw for draw, and a follower that left
+    /// the lock reads out on its reference.
+    #[test]
+    fn prep_and_readout_off_the_tableau_match_a_bare_tableau(
+        seed in 0u64..1 << 32,
+        prelude in prop::collection::vec((0u8..MEASURE_X + 1, 0usize..98, 0usize..98), 0..6),
+        extra in 0usize..3,
+        errors in 0usize..4,
+        stray in prop_oneof![
+            (0usize..98).prop_map(|q| AfterLock::Stray((H, q, 0))),
+            (0usize..98).prop_map(|q| AfterLock::Stray((MEASURE, q, 0))),
+            Just(AfterLock::OtherKey),
+        ],
+    ) {
+        for (d, plus) in [(3, false), (3, true), (5, false), (5, true)] {
+            let tile = Tile::new(d, plus);
+            let mut noise = StdRng::seed_from_u64(seed ^ d as u64);
+
+            // Paulis, and some other operations, before the preparation:
+            // it meets qubits that no operation reached, some with X in
+            // their frame, and some that were reached.
+            let mut cold = tile.pair(FrameBlock::new(tile.n), seed);
+            for &op in &prelude {
+                cold.apply(op)?;
+            }
+            for &q in &tile.data {
+                if noise.gen::<bool>() {
+                    cold.apply((6, q, noise.gen_range(1..4)))?;
+                }
+            }
+            for op in tile.prep() {
+                cold.apply(op)?;
+            }
+            tile.rounds(&mut cold, 4 + extra, errors, &mut noise)?;
+            tile.read_out(&mut cold)?;
+            prop_assert_eq!(cold.block.served_readouts(), 0);
+
+            // The first follower at the lock records the exit, the next
+            // one is served from it, and one that leaves the lock is not.
+            let trail = tile.lay_trail();
+            let to_lock = trail.cycles() + 1;
+            let trails: Trails = Arc::new([Arc::new(trail)]);
+            for (k, after) in [AfterLock::Nothing, AfterLock::Nothing, stray].into_iter().enumerate() {
+                let fresh = FrameBlock::fresh(tile.n, Arc::clone(&trails));
+                let mut pair = tile.pair(fresh, seed ^ (k as u64 + 1));
+                for op in tile.prep() {
+                    pair.apply(op)?;
+                }
+                tile.rounds(&mut pair, to_lock + extra, errors, &mut noise)?;
+                prop_assert_eq!(pair.block.replayed_cycles(KEY), (to_lock + extra) as u64);
+                match after {
+                    AfterLock::Nothing => {}
+                    AfterLock::Stray(op) => pair.apply(op)?,
+                    AfterLock::OtherKey => {
+                        let gates = tile.gates.to_vec();
+                        pair.run_cycle(KEY + 1, gates)?;
+                    }
+                }
+                tile.read_out(&mut pair)?;
+                let served = u64::from(k == 1);
+                prop_assert_eq!(pair.block.served_readouts(), served, "{:?} at {}", after, k);
+                // Where the readout left the block, it goes on as the
+                // tableau does: prepared again, run and read out.
+                for op in tile.prep() {
+                    pair.apply(op)?;
+                }
+                tile.rounds(&mut pair, 2, errors, &mut noise)?;
+                tile.read_out(&mut pair)?;
+                prop_assert_eq!(pair.block.served_readouts(), served);
+                pair.finish()?;
+            }
+        }
+    }
+}

@@ -58,6 +58,12 @@ fn replayed(report: &RuntimeReport) -> u64 {
         .sum()
 }
 
+/// Readouts a run's tiles served from the exit of the trail they
+/// followed, without touching a reference tableau.
+fn served(report: &RuntimeReport) -> u64 {
+    report.stats.shards.iter().map(|s| s.served_readouts).sum()
+}
+
 /// One spec of the sequence and whether, on a runtime that has run the
 /// distance's trail-laying runs already, all of its tile-cycles must be
 /// replayed.
@@ -175,4 +181,34 @@ fn a_reused_runtime_recovers_and_resumes_as_a_fresh_one_does() {
         assert_eq!(resumed.report, baseline.report, "killed at cycle {k}");
     }
     assert_eq!(reused.run(&spec).unwrap().report, baseline.report);
+}
+
+#[test]
+fn a_warm_runtime_serves_the_readouts_of_memory_runs_and_none_of_joined_tiles() {
+    for shards in [1, 2, 4] {
+        let reused = Runtime::new();
+        let zero = memory(5, shards, 1e-2, 20, DecoderChoice::default());
+        let plus = plus_memory(5, shards, 1e-2, 20);
+        // The first run of a preparation lays its trail, and the second's
+        // tiles follow it to its lock and record its exit there.
+        for spec in [&zero, &plus, &zero, &plus] {
+            reused.run(spec).unwrap();
+        }
+        let tiles = TILES.max(2 * shards);
+        let joined = WorkloadSpec {
+            decoder: DecoderChoice::UnionFind,
+            ..WorkloadSpec::bell_pairs(5, tiles, shards, 1e-2, SEED, 20).expect("even tiles")
+        };
+        for (spec, readouts) in [(&zero, TILES), (&plus, TILES), (&joined, 0)] {
+            let context = format!("shards {shards}: {spec:?}");
+            let warm = reused.run(spec).unwrap();
+            assert_eq!(
+                warm.report,
+                Runtime::new().run(spec).unwrap().report,
+                "{context}"
+            );
+            assert_eq!(warm.report, run_reference(spec).unwrap(), "{context}");
+            assert_eq!(served(&warm), readouts as u64, "{context}");
+        }
+    }
 }
