@@ -45,8 +45,11 @@
 //! substrate built by [`Substrate::with_trails`] lets each fresh tile
 //! follow a *trail* of those cycles laid by an earlier tile
 //! ([`quest_stabilizer::Trail`]) instead of running them on its tableau,
-//! and hands the trails its own tiles laid to [`Substrate::take_trails`];
-//! `quest-runtime` keeps them across runs. A tile that followed a trail
+//! and hands the trails its own tiles laid to [`Substrate::take_trails`].
+//! `quest-runtime` keeps them across runs, and lays a run's trails
+//! before dispatching it by driving a one-tile substrate of this kind
+//! through a preparation and QECC cycles until it hands one over, so
+//! that every tile of the run follows it. A tile that followed a trail
 //! to its lock reads out from the readout the trail's first such tile
 //! recorded there ([`Substrate::served_readouts`]). [`Substrate::new`], which
 //! [`MultiTileSystem`](crate::MultiTileSystem) uses, neither follows nor

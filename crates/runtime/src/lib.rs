@@ -40,8 +40,10 @@
 //!   template MCE its tiles are cloned from, the warm-up trails its
 //!   fresh tiles follow instead of running their first cycles on a
 //!   tableau, and the global decodes answered so far, which the master
-//!   answers a repeated escalation from; the first run at a distance
-//!   builds and lays them.
+//!   answers a repeated escalation from. The first run at a distance
+//!   builds the template, and lays the trail of each preparation its
+//!   tiles start from once, on a scratch tile, before it dispatches
+//!   anything, so its own tiles follow it from their first cycle.
 //!
 //! Instruction delivery goes through the shared
 //! [`quest_core::DeliveryEngine`]: the master thread
@@ -133,9 +135,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// The concurrent runtime. Construction is cheap: a `Runtime` holds a
-/// memo of what every run of a code distance shares — one template MCE whose clones share its tables, the
-/// warm-up *trails* fresh tiles follow instead of running their first
-/// cycles on a tableau (built and laid by the first run at that
+/// memo of what every run of a code distance shares — one template MCE
+/// whose clones share its tables, the warm-up *trails* fresh tiles
+/// follow instead of running their first cycles on a tableau (built, and
+/// laid once per preparation before dispatch, by the first run at that
 /// distance), and the answers of the global decodes run so far, bounded
 /// per distance. Clones of a `Runtime` share the memo, and nothing in it
 /// shows in a report: a run on a `Runtime` that has served a thousand
@@ -202,9 +205,10 @@ impl Runtime {
     /// `run_controlled` is re-entrant: one value (or clones of it) can
     /// run many workloads concurrently from different threads — each run
     /// spawns, owns and joins its own shard threads. What runs
-    /// share is the memo, read when a run starts and added to when it
-    /// reports, under a lock held for nothing else; a run never sees
-    /// another's trails change under it. The serving layer
+    /// share is the memo, read when a run starts and added to before it
+    /// dispatches (trails laid ahead) and when it reports, under a lock
+    /// held for nothing else; a run never sees another's trails change
+    /// under it. The serving layer
     /// (`quest-serve`) leans on exactly this to execute many tenants'
     /// jobs on one fixed worker pool, whose workers share one memo.
     ///
@@ -282,25 +286,38 @@ impl Runtime {
         // The distance's template MCE: every tile of a fresh run is a
         // clone of it, and its microcode cycle length prices the
         // software baseline's per-cycle bus accounting. Fresh tiles may
-        // follow the distance's trails.
-        let shared = self.memo.shared(spec.distance);
+        // follow the distance's trails; a fresh run first lays those its
+        // tiles start on that the memo has not tried yet.
+        let mut shared = self.memo.shared(spec.distance);
+        let mut trails_laid = 0;
+        if resume.is_none() {
+            let starts = spec.fresh_starts(|basis| shared.tried(basis));
+            if !starts.is_empty() {
+                (shared, trails_laid) = self.memo.lay_ahead(spec.distance, &starts);
+            }
+        }
         let lattice = shared.template.lattice();
         let cycle_len = shared.template.microcode().cycle_len();
 
+        let shared = &shared;
         std::thread::scope(|scope| {
             // Shard 0 is driven on this thread, which would otherwise
             // sleep while the shards compute; every further shard gets a
-            // thread and a bounded channel pair.
-            let links: Vec<ShardLink> = (0..spec.shards)
+            // thread and a bounded channel pair. The threaded shards are
+            // linked first and build their workers on their own threads,
+            // so their set-up overlaps shard 0's.
+            let mut links: Vec<ShardLink> = (0..spec.shards)
+                .rev()
                 .map(|s| {
                     let panic_after = spec
                         .faults
                         .shard_panic
                         .and_then(|p| (p.shard == s).then_some(p.after_cycles));
-                    ShardLink::new(scope, s == 0, spec.tile_range(s).len(), |up| match resume {
+                    let tiles = spec.tile_range(s);
+                    let build = move |up| match resume {
                         Some(snap) => ShardWorker::from_snapshot(
                             s,
-                            spec.tile_range(s),
+                            tiles,
                             spec.error_rate,
                             spec.delivery,
                             snap.shards[s].clone(),
@@ -309,17 +326,19 @@ impl Runtime {
                         ),
                         None => ShardWorker::new(
                             s,
-                            spec.tile_range(s),
-                            &shared,
+                            tiles,
+                            shared,
                             spec.error_rate,
                             spec.delivery,
                             spec.seed,
                             up,
                             panic_after,
                         ),
-                    })
+                    };
+                    ShardLink::new(scope, s == 0, spec.tile_range(s).len(), build)
                 })
                 .collect();
+            links.reverse();
             let pool = DecodePool::new(Arc::clone(&shared.decodes), spec.decoder);
 
             // Accounting state either starts fresh or continues exactly
@@ -383,6 +402,7 @@ impl Runtime {
                 resume_cycles: resume.map_or(0, |r| r.cycles_into_op),
                 pool_stats_base: resume.map_or_else(PoolStats::default, |r| r.pool_stats),
                 pool_cost_base: resume.map_or_else(CostReport::default, |r| r.pool_cost),
+                trails_laid,
             };
             // On error, dropping the master closes every channel: shard
             // workers see the disconnect and exit cleanly (they never
@@ -399,7 +419,8 @@ struct Master<'a, 'scope> {
     spec: &'a WorkloadSpec,
     /// Cooperative cancellation and progress hooks for this run.
     control: &'a RunControl<'a>,
-    /// Where the trails the run's fresh tiles laid go when it reports.
+    /// Where the trails the run's fresh tiles laid in the run go when it
+    /// reports.
     memo: &'a Memo,
     /// Total QECC cycles the spec runs (progress denominator).
     cycles_total: u64,
@@ -444,6 +465,8 @@ struct Master<'a, 'scope> {
     /// totals and the fault layer's kill threshold add these baselines.
     pool_stats_base: PoolStats,
     pool_cost_base: CostReport,
+    /// Trails laid before dispatch for this run's fresh tiles.
+    trails_laid: u64,
 }
 
 impl Master<'_, '_> {
@@ -1005,6 +1028,7 @@ impl Master<'_, '_> {
                 master: self.controller.stats(),
                 packets_sent: self.network.packets_sent(),
                 wire_bytes: self.network.total_bytes(),
+                trails_laid: self.trails_laid,
                 phases: self.phases,
             },
         }

@@ -11,15 +11,18 @@
 //! * **Trails.** The cycles a fresh tile runs on its reference tableau
 //!   until its tape locks do not depend on the seed
 //!   ([`quest_stabilizer::Trail`]), and each is kept with the kernel
-//!   that serves it. The first run whose fresh tiles find no trail lays
-//!   them, its master publishes them here, and the fresh tiles of every
-//!   later run apply their kernels instead of running those cycles on a
-//!   tableau, then serve every cycle after them from the trail's locked
-//!   kernel: they compile nothing. A trail is kept per first-mark key and
-//!   starting tableau, so a `|+⟩` tile publishing first does not keep
-//!   `|0⟩` tiles off the fast path. The first tile of a later run to
-//!   read out from a trail's lock records the readout on the trail, and
-//!   every tile after it reads out from that record.
+//!   that serves it. Before a run is dispatched, [`Memo::lay_ahead`]
+//!   lays the trail of each preparation its fresh tiles start from that
+//!   the memo has not tried yet, on one scratch tile, and publishes it at
+//!   once: every tile of that run, and of every run after it, applies
+//!   the trail's kernels instead of running those cycles on a tableau,
+//!   then serves every cycle after them from the trail's locked kernel,
+//!   compiling nothing. A tile that starts otherwise lays its own trail
+//!   in the run, and the master publishes it when the run reports. A
+//!   trail is kept per first-mark key and starting tableau, so `|0⟩` and
+//!   `|+⟩` tiles each have their own. The first tile to read out from a
+//!   trail's lock records the readout on the trail, and every tile after
+//!   it reads out from that record.
 //! * **Global decodes.** An escalation is decoded on the distance's
 //!   single-round graph of its kind, and a decode is a pure function of
 //!   the engine, the graph and the event list. [`Decodes`] holds the two
@@ -32,13 +35,15 @@
 //!
 //! None of it shows in a report: a clone of the template is the MCE
 //! [`Mce::new`] builds, a block following a trail answers, draws and
-//! holds exactly what a block laying it does, and a kept answer is what
-//! the engine would answer again. The memo holds one entry per distance,
-//! at most [`TRAILS_PER_DISTANCE`] trails and at most
-//! [`DECODES_PER_DISTANCE`] answers per entry.
+//! holds exactly what a block laying it does (the scratch tile that lays
+//! one ahead of a run draws from no run's streams and touches no
+//! ledger), and a kept answer is what the engine would answer again. The
+//! memo holds one entry per distance, at most [`TRAILS_PER_DISTANCE`]
+//! trails and at most [`DECODES_PER_DISTANCE`] answers per entry.
 
-use quest_core::{Mce, MCE_IBUF_BYTES};
-use quest_stabilizer::{Trail, Trails};
+use quest_core::tile::{self, LogicalBasis};
+use quest_core::{Mce, Substrate, MCE_IBUF_BYTES};
+use quest_stabilizer::{SeedableRng, StdRng, Trail, Trails};
 use quest_surface::decoder::{BatchGraphs, CostReport, DecoderChoice};
 use quest_surface::{NodeId, RotatedLattice, StabKind};
 use std::collections::BTreeMap;
@@ -57,6 +62,12 @@ pub(crate) const TRAILS_PER_DISTANCE: usize = 4;
 /// all of them. Past the cap a decode is answered and not kept.
 pub(crate) const DECODES_PER_DISTANCE: usize = 4096;
 
+/// Most QECC cycles a scratch tile runs to lay a trail ahead of a run.
+/// A QECC cycle's trail is whole at its fourth mark, and a block lays no
+/// trail longer than eight cycles, so a tile that has handed none over
+/// by its ninth cycle never will.
+const LAYING_CYCLES: usize = 9;
+
 /// What the runs of one distance share.
 #[derive(Debug, Clone)]
 pub(crate) struct Shared {
@@ -64,8 +75,27 @@ pub(crate) struct Shared {
     pub(crate) template: Arc<Mce>,
     /// The trails published so far.
     pub(crate) trails: Trails,
+    /// Per preparation basis, indexed by [`basis_slot`], whether its
+    /// trail has been laid ahead of a run, or tried.
+    tried: [bool; 2],
     /// The distance's decoding graphs and the decodes answered so far.
     pub(crate) decodes: Arc<Decodes>,
+}
+
+impl Shared {
+    /// Whether the trail of a fresh tile prepared in `basis` has been
+    /// laid ahead of a run, or tried ([`Memo::lay_ahead`]).
+    pub(crate) fn tried(&self, basis: LogicalBasis) -> bool {
+        self.tried[basis_slot(basis)]
+    }
+}
+
+/// Where `basis` sits in [`Shared::tried`].
+fn basis_slot(basis: LogicalBasis) -> usize {
+    match basis {
+        LogicalBasis::Zero => 0,
+        LogicalBasis::Plus => 1,
+    }
 }
 
 /// One global decode's answer: the data qubits its correction flips,
@@ -195,6 +225,7 @@ impl Memo {
                 Shared {
                     template: Arc::new(Mce::new(&lattice, MCE_IBUF_BYTES)),
                     trails: Arc::new([]),
+                    tried: [false; 2],
                     decodes: Arc::new(Decodes::new(&lattice)),
                 }
             })
@@ -209,19 +240,33 @@ impl Memo {
         if laid.is_empty() {
             return;
         }
-        let mut entries = self.entries();
-        let Some(shared) = entries.get_mut(&distance) else {
-            return;
-        };
-        let mut trails = shared.trails.to_vec();
-        for trail in laid {
-            if trails.len() < TRAILS_PER_DISTANCE && !trails.iter().any(|t| t.same_start(&trail)) {
-                trails.push(Arc::new(trail));
+        if let Some(shared) = self.entries().get_mut(&distance) {
+            keep(shared, laid);
+        }
+    }
+
+    /// Lays, on a scratch tile, the trail of a fresh tile prepared in
+    /// each of `bases` that the memo has not tried at `distance` yet, and
+    /// publishes it at once, so that every fresh tile of the run about to
+    /// start follows it from its first cycle. A basis counts as tried
+    /// even when its tile laid nothing. Returns what runs at `distance`
+    /// share now, and how many trails were laid.
+    pub(crate) fn lay_ahead(&self, distance: usize, bases: &[LogicalBasis]) -> (Shared, u64) {
+        let mut laid = 0;
+        for &basis in bases {
+            let shared = self.shared(distance);
+            if shared.tried(basis) {
+                continue;
+            }
+            // Laid outside the lock: it takes a few cycles on a tableau.
+            let trail = lay(&shared.template, basis);
+            laid += u64::from(trail.is_some());
+            if let Some(shared) = self.entries().get_mut(&distance) {
+                shared.tried[basis_slot(basis)] = true;
+                keep(shared, trail);
             }
         }
-        if trails.len() > shared.trails.len() {
-            shared.trails = trails.into();
-        }
+        (self.shared(distance), laid)
     }
 
     fn entries(&self) -> MutexGuard<'_, BTreeMap<usize, Shared>> {
@@ -231,4 +276,39 @@ impl Memo {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
+}
+
+/// Adds `laid` to a distance's trails, each unless one that starts alike
+/// is kept already or the distance holds [`TRAILS_PER_DISTANCE`].
+fn keep(shared: &mut Shared, laid: impl IntoIterator<Item = Trail>) {
+    let mut trails = shared.trails.to_vec();
+    for trail in laid {
+        if trails.len() < TRAILS_PER_DISTANCE && !trails.iter().any(|t| t.same_start(&trail)) {
+            trails.push(Arc::new(trail));
+        }
+    }
+    if trails.len() > shared.trails.len() {
+        shared.trails = trails.into();
+    }
+}
+
+/// The trail a fresh tile prepared in `basis` lays, from the calls a
+/// shard makes on one — a clone of the template on a fresh block offered
+/// no trail, the preparation, then QECC cycles — made on a scratch tile
+/// with no noise and a throwaway stream: the reference sees neither, so
+/// the trail is the one any run's tile would lay. `None` if it laid none
+/// within [`LAYING_CYCLES`].
+fn lay(template: &Mce, basis: LogicalBasis) -> Option<Trail> {
+    let mut mce = template.clone();
+    let none: Trails = Arc::new([]);
+    let mut substrate = Substrate::with_trails(1, mce.lattice().num_qubits(), &none);
+    let mut rng = StdRng::seed_from_u64(0);
+    tile::prep_logical(&mut mce, basis, substrate.block_mut(0), &mut rng);
+    for _ in 0..LAYING_CYCLES {
+        mce.run_qecc_cycle(substrate.block_mut(0), &mut rng);
+        if let Some(trail) = substrate.take_trails().pop() {
+            return Some(trail);
+        }
+    }
+    None
 }

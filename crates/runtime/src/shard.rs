@@ -193,13 +193,14 @@ pub(crate) enum ShardLink<'scope> {
 
 impl<'scope> ShardLink<'scope> {
     /// Links the worker `build` makes over `tiles` tiles for the given
-    /// upstream end. With `inline` the worker stays on the caller's
-    /// thread; otherwise it gets a thread of its own in `scope`.
+    /// upstream end. With `inline` the worker is built and stays on the
+    /// caller's thread; otherwise it gets a thread of its own in `scope`,
+    /// and is built there, while the caller goes on.
     pub(crate) fn new(
         scope: &'scope Scope<'scope, '_>,
         inline: bool,
         tiles: usize,
-        build: impl FnOnce(Upstream) -> ShardWorker,
+        build: impl FnOnce(Upstream) -> ShardWorker + Send + 'scope,
     ) -> ShardLink<'scope> {
         if inline {
             return ShardLink::Inline {
@@ -213,19 +214,22 @@ impl<'scope> ShardLink<'scope> {
         let window = SHARD0_WINDOW as usize;
         let (down, down_rx, down_gauge) = channel(CHANNEL_BOUND.max(2 * tiles * (window + 1) + 1));
         let (tx, up, up_gauge) = channel(CHANNEL_BOUND / window);
-        let mut worker = build(Upstream::Channel {
-            tx,
-            batch: Vec::new(),
+        let thread = scope.spawn(move || {
+            let mut worker = build(Upstream::Channel {
+                tx,
+                batch: Vec::new(),
+            });
+            debug_assert_eq!(worker.tiles.len(), tiles);
+            worker.down = Some(down_rx);
+            worker.run()
         });
-        debug_assert_eq!(worker.tiles.len(), tiles);
-        worker.down = Some(down_rx);
         ShardLink::Threaded {
             down,
             up,
             arrived: Vec::new().into_iter(),
             down_gauge,
             up_gauge,
-            thread: scope.spawn(move || worker.run()),
+            thread,
         }
     }
 
@@ -664,7 +668,7 @@ mod tests {
         panic_after: Option<u64>,
     ) -> ShardLink<'scope> {
         let shared = Memo::default().shared(d);
-        ShardLink::new(scope, inline, 2, |up| {
+        ShardLink::new(scope, inline, 2, move |up| {
             ShardWorker::new(
                 0,
                 0..2,

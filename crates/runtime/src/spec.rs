@@ -552,6 +552,56 @@ impl WorkloadSpec {
         Ok(())
     }
 
+    /// The preparation bases fresh tiles start their warm-up from, each
+    /// once: those of the tiles whose only op before the first QECC cycle
+    /// is one `Prep`, as in every memory and Bell run, less the ones
+    /// `tried` holds. Allocates nothing when every `Prep` before the
+    /// first cycle is of a basis `tried` holds.
+    pub(crate) fn fresh_starts(&self, tried: impl Fn(LogicalBasis) -> bool) -> Vec<LogicalBasis> {
+        let Some(first) = self
+            .ops
+            .iter()
+            .position(|op| matches!(op, WorkloadOp::Cycles(n) if *n > 0))
+        else {
+            return Vec::new();
+        };
+        let before = &self.ops[..first];
+        let untried =
+            |op: &WorkloadOp| matches!(*op, WorkloadOp::Prep { basis, .. } if !tried(basis));
+        if !before.iter().any(untried) {
+            return Vec::new();
+        }
+        let mut ops_on = vec![0u32; self.tiles];
+        let mut count = |tile: usize| {
+            if let Some(n) = ops_on.get_mut(tile) {
+                *n = n.saturating_add(1);
+            }
+        };
+        for op in before {
+            match *op {
+                WorkloadOp::Cnot { control, target } => {
+                    count(control);
+                    count(target);
+                }
+                WorkloadOp::Prep { tile, .. }
+                | WorkloadOp::Logical { tile, .. }
+                | WorkloadOp::KernelReplay { tile, .. }
+                | WorkloadOp::Sync { tile }
+                | WorkloadOp::MeasureZ { tile } => count(tile),
+                WorkloadOp::Cycles(_) => {}
+            }
+        }
+        let mut starts = Vec::new();
+        for op in before {
+            if let WorkloadOp::Prep { tile, basis } = *op {
+                if ops_on.get(tile) == Some(&1) && !tried(basis) && !starts.contains(&basis) {
+                    starts.push(basis);
+                }
+            }
+        }
+        starts
+    }
+
     /// Total QECC cycles the spec runs on each tile.
     pub fn total_cycles(&self) -> u64 {
         self.ops

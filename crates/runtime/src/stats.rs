@@ -127,6 +127,12 @@ pub struct RuntimeStats {
     pub packets_sent: u64,
     /// Wire bytes (payload + headers) on the modelled interconnect.
     pub wire_bytes: u64,
+    /// Warm-up trails laid on a scratch tile before this run was
+    /// dispatched, one per preparation its fresh tiles start from that
+    /// the [`Runtime`](crate::Runtime) had not laid before: its tiles
+    /// then follow them from their first cycle. Zero on a runtime that
+    /// has run such a start at the distance, and on a resume.
+    pub trails_laid: u64,
     /// Wall-clock per phase.
     pub phases: PhaseTimings,
 }
@@ -168,6 +174,14 @@ impl fmt::Display for RuntimeStats {
                 s.max_downstream_depth,
             )?;
         }
+        let replayed: u64 = self.shards.iter().map(|s| s.replayed_tile_cycles).sum();
+        let served: u64 = self.shards.iter().map(|s| s.served_readouts).sum();
+        writeln!(
+            f,
+            "trails: {replayed} tile-cycles replayed, {served} readouts served, \
+             {} laid before dispatch",
+            self.trails_laid,
+        )?;
         writeln!(
             f,
             "decode pool: {} batches, {} jobs (max {}, mean {:.2}), {} memo hits",
@@ -254,6 +268,7 @@ mod tests {
                 memo_hits: 5,
                 ..PoolStats::default()
             },
+            trails_laid: 1,
             ..RuntimeStats::default()
         };
         let s = stats.to_string();
@@ -262,5 +277,8 @@ mod tests {
         assert!(s.contains("36 tile-cycles replayed, 4 readouts served, messages"));
         assert!(s.contains("decode pool"));
         assert!(s.contains("5 memo hits"));
+        assert!(s.contains(
+            "trails: 36 tile-cycles replayed, 4 readouts served, 1 laid before dispatch"
+        ));
     }
 }

@@ -124,9 +124,9 @@ fn a_reused_runtime_reports_what_a_fresh_one_and_the_reference_do() {
             if *all_replayed {
                 assert_eq!(replayed(&warm), tile_cycles, "{context}");
             }
-            // A fresh runtime's tiles run their first cycles on the
-            // tableau: what the warm path saves.
-            assert!(replayed(&fresh) < tile_cycles.max(1), "{context}");
+            // A fresh runtime lays the trails its tiles start on before
+            // dispatch, so they replay what a reused runtime's do.
+            assert_eq!(replayed(&fresh), replayed(&warm), "{context}");
         }
     }
 }
@@ -209,6 +209,102 @@ fn a_warm_runtime_serves_the_readouts_of_memory_runs_and_none_of_joined_tiles() 
             );
             assert_eq!(warm.report, run_reference(spec).unwrap(), "{context}");
             assert_eq!(served(&warm), readouts as u64, "{context}");
+        }
+    }
+}
+
+/// A run that reports, checked against the reference executor and
+/// against a second run of the same spec on the same runtime, which
+/// lays nothing ahead.
+fn run_twice(runtime: &Runtime, spec: &WorkloadSpec, context: &str) -> RuntimeReport {
+    let first = runtime.run(spec).unwrap();
+    assert_eq!(first.report, run_reference(spec).unwrap(), "{context}");
+    let second = runtime.run(spec).unwrap();
+    assert_eq!(second.report, first.report, "{context}");
+    assert_eq!(second.stats.trails_laid, 0, "{context}");
+    first
+}
+
+#[test]
+fn a_new_runtime_lays_its_trails_before_dispatch_and_follows_them_from_cycle_one() {
+    const CYCLES: u64 = 12;
+    let all = TILES as u64 * CYCLES;
+    for d in [3, 5] {
+        for shards in [1, 2, 4] {
+            let context = format!("d={d}, shards {shards}");
+            let zero = memory(d, shards, 1e-2, CYCLES, DecoderChoice::default());
+            let plus = plus_memory(d, shards, 1e-2, CYCLES);
+
+            // A new runtime's first memory run and its first |+⟩ one each
+            // lay their preparation's trail and replay every tile-cycle.
+            let runtime = Runtime::new();
+            for spec in [&zero, &plus] {
+                let first = run_twice(&runtime, spec, &context);
+                assert_eq!(first.stats.trails_laid, 1, "{context}");
+                assert_eq!(replayed(&first), all, "{context}");
+            }
+
+            // The benchmark's set-up pattern: a first run cancelled at its
+            // first progress callback never reports, yet the next run
+            // follows the trail it laid from cycle 1.
+            let runtime = Runtime::new();
+            let token = CancelToken::new();
+            let trip = token.clone();
+            let callback = move |_: RunProgress| trip.cancel();
+            let control = RunControl::new()
+                .with_cancel(&token)
+                .with_progress(&callback);
+            assert_eq!(
+                runtime.run_controlled(&zero, &control).unwrap_err(),
+                RuntimeError::Cancelled { cycles_done: 1 },
+                "{context}"
+            );
+            let next = run_twice(&runtime, &zero, &context);
+            assert_eq!(next.stats.trails_laid, 0, "{context}");
+            assert_eq!(replayed(&next), all, "{context}");
+
+            // Both halves of a Bell pair start from a lone preparation.
+            let tiles = TILES.max(2 * shards);
+            let pairs =
+                WorkloadSpec::bell_pairs(d, tiles, shards, 1e-2, SEED, CYCLES).expect("even tiles");
+            let first = run_twice(&Runtime::new(), &pairs, &context);
+            assert_eq!(first.stats.trails_laid, 2, "{context}");
+
+            // Tiles whose first op is not a lone `Prep`: a sync ahead of
+            // it, none at all, and two. Only tile 3 starts from a lone
+            // one, so one trail is laid ahead.
+            let mut mixed = zero.clone();
+            mixed.ops.retain(|op| {
+                *op != WorkloadOp::Prep {
+                    tile: 1,
+                    basis: LogicalBasis::Zero,
+                }
+            });
+            mixed.ops.insert(0, WorkloadOp::Sync { tile: 0 });
+            mixed.ops.insert(
+                3,
+                WorkloadOp::Prep {
+                    tile: 2,
+                    basis: LogicalBasis::Plus,
+                },
+            );
+            let first = run_twice(&Runtime::new(), &mixed, &context);
+            assert_eq!(first.stats.trails_laid, 1, "{context}");
+
+            // No tile starts from a lone `Prep`: nothing is laid ahead,
+            // the tiles lay their trail in the run, and the runtime keeps
+            // it when the run reports.
+            let mut synced = zero.clone();
+            for tile in 0..TILES {
+                synced.ops.insert(0, WorkloadOp::Sync { tile });
+            }
+            let runtime = Runtime::new();
+            let first = runtime.run(&synced).unwrap();
+            assert_eq!(first.report, run_reference(&synced).unwrap(), "{context}");
+            assert_eq!(first.stats.trails_laid, 0, "{context}");
+            assert!(replayed(&first) < all, "{context}");
+            let second = run_twice(&runtime, &synced, &context);
+            assert_eq!(replayed(&second), all, "{context}");
         }
     }
 }
